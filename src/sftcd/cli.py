@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
@@ -40,10 +41,10 @@ from .fiber import find_magic_block
 from .harness import (
     CheckResult,
     HarnessCase,
+    SuiteSummary,
     TheoremReport,
     TripleGenSpec,
     generate_triple,
-    run_case,
     run_suite,
     spec_for_seed,
 )
@@ -145,29 +146,24 @@ def _emit_estimate(est):
             "value": est.value,
             "block": est.minimal_block,
             "scanned_length": est.scanned_length,
-            "stabilized": est.stabilized,
+            "certified": est.certified,
         }
     )
 
 
 def cmd_class_degree(args):
     t = _triple_from_arg(args.triple)
-    est = class_degree(_pick(t, args.code), args.max_len, args.plateau)
+    est = class_degree(_pick(t, args.code), args.max_len)
     _emit_estimate(est)
-    _note(
-        f"class degree {est.value} ({'stabilized' if est.stabilized else 'not stabilized'})"
-    )
+    _note(f"class degree {est.value} (certified)")
     return 0
 
 
 def cmd_relative(args):
     t = _triple_from_arg(args.triple)
-    est = relative_class_degree(t, args.max_len, args.plateau)
+    est = relative_class_degree(t, args.max_len)
     _emit_estimate(est)
-    _note(
-        f"relative class degree {est.value} "
-        f"({'stabilized' if est.stabilized else 'not stabilized'})"
-    )
+    _note(f"relative class degree {est.value} (certified)")
     return 0
 
 
@@ -176,7 +172,7 @@ def cmd_magic(args):
         code = _code_from_arg(args.code)
     else:
         code = _pick(_triple_from_arg(args.triple), args.which)
-    res = find_magic_block(code, args.max_len, args.plateau)
+    res = find_magic_block(code, args.max_len)
     _emit(res)
     _note(f"preimage symbol count {res.value} at coordinate {res.coordinate}")
     return 0
@@ -306,8 +302,15 @@ def _verify_cases(args):
     return cases
 
 
-def _case_key(case, L, plateau):
-    text = repr((case, L, plateau))
+# Names the engine and the report schema behind a cache entry; change it
+# whenever either changes, so that older entries miss.
+_CACHE_VERSION = "sftcd-verify/2 fiber-matrix closure"
+
+
+def _case_key(case):
+    """Cache key of a case.  The scan length is left out: the exact
+    engine does not read it."""
+    text = repr((_CACHE_VERSION, case))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -319,53 +322,69 @@ def _report_from_dict(d):
     return TheoremReport(d["case_id"], d.get("values") or {}, checks)
 
 
-def _run_with_cache(cases, L, plateau, jobs, archive, cache_dir):
+def _cache_read(path):
+    """The cached reports, or None on a miss.  An unreadable entry is a
+    miss too, noted on stderr."""
+    try:
+        return [_report_from_dict(d) for d in json.loads(path.read_text())]
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        _note(f"warning: ignoring unreadable cache entry {path.name}: {e}")
+        return None
+
+
+def _cache_write(path, reports):
+    """Write an entry whole or not at all: a temp file beside it, then
+    os.replace."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as out:
+            out.write(json.dumps([to_jsonable(r) for r in reports], sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def _run_with_cache(cases, L, jobs, archive, cache_dir):
+    """run_suite behind a per-case cache: hits are read back, misses run
+    through run_suite and are written, and reports come out in case
+    order."""
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
+    paths = [
+        None if case.kind == "file" else cache / (_case_key(case) + ".json")
+        for case in cases
+    ]
+    cached = [path and _cache_read(path) for path in paths]
+    misses = [case for case, hit in zip(cases, cached) if hit is None]
+    fresh = iter(run_suite(misses, L, jobs=jobs, archive_dir=archive).reports)
     reports = []
-    misses = []
-    for case in cases:
-        entry = None
-        if case.kind != "file":
-            path = cache / (_case_key(case, L, plateau) + ".json")
-            if path.is_file():
-                entry = json.loads(path.read_text())
-        if entry is None:
-            misses.append(case)
-        else:
-            reports.extend(_report_from_dict(d) for d in entry)
-    fresh = {}
-    for case in misses:
-        case_reports = run_case(case, L, plateau, archive)
-        fresh[case.case_id] = case_reports
-        if case.kind != "file":
-            path = cache / (_case_key(case, L, plateau) + ".json")
-            path.write_text(
-                json.dumps([to_jsonable(r) for r in case_reports], sort_keys=True)
-            )
-        reports.extend(case_reports)
-    from .harness import SuiteSummary
-
+    for case, path, hit in zip(cases, paths, cached):
+        if hit is None:
+            hit = [next(fresh) for _ in case.checks]
+            if path is not None:
+                _cache_write(path, hit)
+        reports.extend(hit)
     return SuiteSummary(tuple(reports))
 
 
 def cmd_verify(args):
     cases = _verify_cases(args)
+    if args.max_len < 1:
+        raise ParseError("--max-len must be positive")
     cache_dir = os.environ.get("SFTCD_CACHE_DIR")
     if cache_dir:
-        summary = _run_with_cache(
-            cases, args.max_len, args.plateau, args.jobs, args.archive, cache_dir
-        )
+        summary = _run_with_cache(cases, args.max_len, args.jobs, args.archive, cache_dir)
     else:
-        summary = run_suite(
-            cases, args.max_len, args.plateau, jobs=args.jobs, archive_dir=args.archive
-        )
+        summary = run_suite(cases, args.max_len, jobs=args.jobs, archive_dir=args.archive)
     for report in summary.reports:
         print(json.dumps(to_jsonable(report), sort_keys=True))
     totals = summary.to_dict()
     _note(
         "cases {cases}: {passed} passed, {failed} failed, "
-        "{inconclusive} inconclusive, {skipped} skipped".format(**totals)
+        "{skipped} skipped".format(**totals)
     )
     return 0 if summary.ok else 1
 
@@ -385,7 +404,6 @@ def _build_parser():
             )
         if scan:
             p.add_argument("--max-len", type=int, default=8)
-            p.add_argument("--plateau", type=int, default=3)
 
     p = sub.add_parser("depth", help="depth of a codomain block")
     common(p)
@@ -398,7 +416,9 @@ def _build_parser():
     p.add_argument("--block", required=True)
     p.set_defaults(func=cmd_rdepth)
 
-    p = sub.add_parser("class-degree", help="stabilized depth minimum of a code")
+    p = sub.add_parser(
+        "class-degree", help="exact minimum depth over all blocks of a code"
+    )
     common(p, scan=True)
     p.add_argument("--code", choices=("phi", "psi", "pi"), default="phi")
     p.set_defaults(func=cmd_class_degree)
@@ -412,7 +432,6 @@ def _build_parser():
     p.add_argument("--triple", help="triple document path or builtin:NAME")
     p.add_argument("--which", choices=("phi", "psi", "pi"), default="phi")
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--plateau", type=int, default=3)
     p.set_defaults(func=cmd_magic)
 
     p = sub.add_parser("bridge", help="bounded bridge search between periodic points")
@@ -433,7 +452,6 @@ def _build_parser():
     p.add_argument("--gen", help="JSON file with a list of generator specs")
     p.add_argument("--seeds", help='seed range "A..B" for the default sweep')
     p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--plateau", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--archive", help="directory for failed-case dumps")
     p.set_defaults(func=cmd_verify)

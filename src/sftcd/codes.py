@@ -105,10 +105,6 @@ class OneBlockCode:
         """Forward one position: successors of mask that carry letter."""
         return self.domain.step_mask(mask) & self.letter_mask(letter)
 
-    def step_back(self, mask, letter):
-        """Backward one position: predecessors of mask that carry letter."""
-        return self.domain.step_mask_back(mask) & self.letter_mask(letter)
-
 
 def identity_code(shift):
     return OneBlockCode(shift, shift.alphabet, shift.alphabet.symbols, shift)

@@ -18,6 +18,12 @@ n) lists the symbols through which some witness from s to t passes at
 position n.  w is presented through M at n exactly when M hits every
 routing set of an occurring endpoint pair, so the depth of w is a minimum
 hitting set size, found exhaustively in increasing size order.
+
+Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
+with fiber matrices A = P_u and B = P_v the routing set of (s, t) is
+{m : m in A[s], t in B[m]}, so the depth at n is fixed by the pair (A, B).
+The fiber-matrix closure of fiber.py minimises that over every reachable
+pair, and the block it returns replays as a routing certificate.
 """
 from __future__ import annotations
 
@@ -25,15 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import Block, DEFAULT_CAP, blocks_of_periodic_point, is_irreducible, is_point_of, iter_bits
-from .errors import (
-    EmptyFiber,
-    InvalidBlock,
-    PreconditionUnmet,
-    ResourceLimit,
-    UnknownSymbol,
-)
-from .fiber import _check_word, _stabilized, iter_fiber, pruned_layers
+from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
+from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
+from .fiber import _block_walk, _check_word, _closure_minimum, _walk, iter_fiber, pruned_layers
 
 
 class _Reach:
@@ -103,46 +103,46 @@ class _Reach:
         return tuple(path)
 
 
-def _depth_search(e_pairs, fs, bs, length, limit=None):
-    """Minimum hitting set over routing families.
+def _hitting_set(family, k):
+    """Least k-symbol mask, in combination order, meeting every routing
+    set of family, or None when there is none."""
+    if k == 1:
+        inter = -1
+        for r in family:
+            inter &= r
+        return inter & -inter or None
+    union = 0
+    for r in family:
+        union |= r
+    for combo in combinations(iter_bits(union), k):
+        mask = 0
+        for i in combo:
+            mask |= 1 << i
+        if all(r & mask for r in family):
+            return mask
+    return None
 
-    Tries sizes 1, 2, ... up to limit (inclusive) when given, otherwise up
-    to the guaranteed bound.  Returns (size, position, mask) with the
-    smallest size, breaking ties towards the smallest position and then
-    the lexicographically least symbol set, or None when every solution
-    exceeds limit.
+
+def _depth_search(e_pairs, fs, bs, length):
+    """Minimum hitting set over the routing families of every position.
+
+    Returns (size, position, mask) with the smallest size, breaking ties
+    towards the smallest position and then the lexicographically least
+    symbol set.
     """
     families = []
     for n in range(1, length + 1):
-        seen = set()
-        inter = -1
-        for s, t in e_pairs:
-            r = fs[s][n - 1] & bs[t][n - 1]
-            inter &= r
-            seen.add(r)
-        if inter:
-            return 1, n, 1 << next(iter_bits(inter))
-        families.append(sorted(seen))
-    bound = min(len(f) for f in families)
-    if limit is not None:
-        bound = min(bound, limit)
-    for k in range(2, bound + 1):
-        for n0, fam in enumerate(families):
-            union = 0
-            for r in fam:
-                union |= r
-            idxs = list(iter_bits(union))
-            if len(idxs) < k:
-                continue
-            for combo in combinations(idxs, k):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if all(r & mask for r in fam):
-                    return k, n0 + 1, mask
-    if limit is None:
-        raise AssertionError("hitting set search must succeed when unlimited")
-    return None
+        family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
+        mask = _hitting_set(family, 1)
+        if mask:
+            return 1, n, mask
+        families.append(family)
+    for k in range(2, min(map(len, families)) + 1):
+        for n0, family in enumerate(families):
+            mask = _hitting_set(family, k)
+            if mask:
+                return k, n0 + 1, mask
+    raise AssertionError("hitting set search must succeed")
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class DepthResult:
 class DegreeEstimate:
     value: int
     scanned_length: int
-    stabilized: bool
+    certified: bool
     minimal_block: Block
 
 
@@ -308,157 +308,105 @@ def _scan_preconditions(code):
     return True
 
 
-def _finish_estimate(best, cumulative, plateau):
-    value, word = best
-    return DegreeEstimate(
-        value, len(cumulative), _stabilized(cumulative, plateau), Block(tuple(word))
-    )
+def _transpose(rows):
+    cols = [0] * len(rows)
+    for m, row in enumerate(rows):
+        for t in iter_bits(row):
+            cols[t] |= 1 << m
+    return cols
 
 
-def class_degree(code, max_len, plateau=3, cap=DEFAULT_CAP):
-    """Minimum depth over all codomain blocks of length <= max_len.
+def _closure_degree(seeds, successors, alphabet, cap):
+    """Exact minimum depth over the fiber-matrix closure.  Endpoint pairs
+    come from a state's first matrix, routing sets from its last, so one
+    matrix per state gives absolute depth and a (phi, pi) pair gives
+    relative depth."""
+    columns = {}
 
-    Extending a block never increases its depth (reroute the inner window
-    and splice), so the running minimum is non-increasing in the length;
-    it equals the class degree of the code once a minimising block falls
-    inside the scan.  The estimate is marked stabilized when it reached
-    the floor 1 or sat unchanged for `plateau` length increments.
+    def score(a, b, limit):
+        cols = columns.get(b)
+        if cols is None:
+            cols = columns[b] = _transpose(b[-1])
+        ends_b, routes_a = b[2], a[-1]
+        family = set()
+        for s, row in enumerate(a[2]):
+            if row:
+                ends = 0
+                for m in iter_bits(row):
+                    ends |= ends_b[m]
+                for t in iter_bits(ends):
+                    family.add(routes_a[s] & cols[t])
+        if not family:
+            return None
+        bound = len(family) if limit is None else min(len(family), limit)
+        for k in range(1, bound + 1):
+            if _hitting_set(family, k):
+                return k
+        return None
+
+    found = _closure_minimum(seeds, successors, score, cap)
+    if found is None:
+        return None
+    value, word, _, depth = found
+    return DegreeEstimate(value, depth, True, Block(tuple(alphabet[i] for i in word)))
+
+
+def class_degree(code, max_len, cap=DEFAULT_CAP):
+    """Minimum depth over all codomain blocks, exactly, with the shortest
+    (then lexicographically least) block attaining it.
+
+    The closure either finishes, and the estimate is certified, or raises
+    ResourceLimit past cap states.  max_len is only checked to be
+    positive; scanned_length is the closure depth.
     """
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     _scan_preconditions(code)
-    dom = code.domain
-    level = []
-    for letter in code.codomain_alphabet:
-        mask = code.letter_mask(letter)
-        if mask:
-            level.append(((letter,), {s: (1 << s,) for s in iter_bits(mask)}))
-    best = None
-    cumulative = []
-    total = 0
-    while level:
-        for word, fs in level:
-            total += 1
-            if total > cap:
-                raise ResourceLimit(f"scanned more than {cap} blocks")
-            limit = None if best is None else best[0] - 1
-            found = _eval_absolute(code, word, fs, limit)
-            if found is not None and (best is None or found < best[0]):
-                best = (found, word)
-        cumulative.append(best[0])
-        if best[0] == 1 or len(cumulative) == max_len:
-            break
-        nxt = []
-        for word, fs in level:
-            for letter in code.codomain_alphabet:
-                fs2 = {}
-                for s, hist in fs.items():
-                    stepped = code.step(hist[-1], letter)
-                    if stepped:
-                        fs2[s] = hist + (stepped,)
-                if fs2:
-                    nxt.append((word + (letter,), fs2))
-        level = nxt
-    if best is None:
+    letters = code.codomain_alphabet.symbols
+    est = _closure_degree(*_block_walk(((code, letters),)), letters, cap)
+    if est is None:
         raise EmptyFiber("the code has an empty image language")
-    return _finish_estimate(best, cumulative, plateau)
+    return est
 
 
-def _eval_absolute(code, word, fs, limit):
-    """Depth of one block during an absolute scan, where fs already holds
-    the forward history of the block's own fiber.  Returns None when the
-    depth exceeds limit."""
-    length = len(word)
-    ends = 0
-    for hist in fs.values():
-        ends |= hist[-1]
-    bs = {}
-    for t in iter_bits(ends):
-        hist = [0] * length
-        hist[-1] = 1 << t
-        for i in range(length - 2, -1, -1):
-            hist[i] = code.step_back(hist[i + 1], word[i])
-        bs[t] = hist
-    pairs = [(s, t) for s, hist in fs.items() for t in iter_bits(hist[-1])]
-    result = _depth_search(pairs, fs, bs, length, limit)
-    return None if result is None else result[0]
-
-
-def relative_class_degree(triple, max_len, plateau=3, cap=DEFAULT_CAP):
-    """Minimum relative depth over blocks of Y of length <= max_len, with
-    the same monotonicity and stabilization notions as class_degree."""
+def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
+    """Minimum relative depth over all blocks of Y, exactly: the closure
+    runs over pairs (P^phi_w, P^pi_psi(w)), with the same certification
+    and max_len rules as class_degree."""
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
-    phi = triple.phi
-    level = []
-    for letter in phi.codomain_alphabet:
-        mask = phi.letter_mask(letter)
-        if mask:
-            level.append(((letter,), {s: 1 << s for s in iter_bits(mask)}))
-    reach_cache = {}
-    best = None
-    cumulative = []
-    total = 0
-    while level:
-        for word, frontier in level:
-            total += 1
-            if total > cap:
-                raise ResourceLimit(f"scanned more than {cap} blocks")
-            image = triple.psi_word(word)
-            wit = reach_cache.get(image)
-            if wit is None:
-                wit = _Reach(triple.pi, image)
-                reach_cache[image] = wit
-            pairs = [(s, t) for s, f in frontier.items() for t in iter_bits(f)]
-            limit = None if best is None else best[0] - 1
-            result = _depth_search(pairs, wit.fs, wit.bs, len(word), limit)
-            if result is not None and (best is None or result[0] < best[0]):
-                best = (result[0], word)
-        cumulative.append(best[0])
-        if best[0] == 1 or len(cumulative) == max_len:
-            break
-        nxt = []
-        for word, frontier in level:
-            for letter in phi.codomain_alphabet:
-                frontier2 = {}
-                for s, f in frontier.items():
-                    stepped = phi.step(f, letter)
-                    if stepped:
-                        frontier2[s] = stepped
-                if frontier2:
-                    nxt.append((word + (letter,), frontier2))
-        level = nxt
-    if best is None:
+    letters = triple.phi.codomain_alphabet.symbols
+    tracks = ((triple.phi, letters), (triple.pi, triple.psi_word(letters)))
+    est = _closure_degree(*_block_walk(tracks), letters, cap)
+    if est is None:
         raise EmptyFiber("phi has an empty image language")
-    return _finish_estimate(best, cumulative, plateau)
+    return est
 
 
-def periodic_point_relative_degree(triple, y, max_len, plateau=3, cap=DEFAULT_CAP):
+def periodic_point_relative_degree(triple, y, max_len, cap=DEFAULT_CAP):
     """Minimum relative depth over the blocks occurring in the periodic
-    point y, scanned by increasing length."""
+    point y, exactly: the closure walks the cycle of y, keeping the phases
+    of a block's ends in its state.  max_len is only checked to be
+    positive."""
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     if not is_point_of(triple.Y, y):
         raise PreconditionUnmet(f"{y.text()} is not a point of Y")
-    best = None
-    cumulative = []
-    for length in range(1, max_len + 1):
-        for w in blocks_of_periodic_point(y, length):
-            word = w.symbols
-            u_reach = _Reach(triple.phi, word)
-            if u_reach.empty:
-                raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
-            wit = _Reach(triple.pi, triple.psi_word(word))
-            limit = None if best is None else best[0] - 1
-            result = _depth_search(
-                u_reach.endpoints(), wit.fs, wit.bs, length, limit
-            )
-            if result is not None and (best is None or result[0] < best[0]):
-                best = (result[0], word)
-        cumulative.append(best[0])
-        if best[0] == 1:
-            break
-    return _finish_estimate(best, cumulative, plateau)
+    cycle = y.cycle.symbols
+    period = len(cycle)
+    tracks = ((triple.phi, cycle), (triple.pi, triple.psi_word(cycle)))
+    labels = [triple.Y.alphabet.index(s) for s in cycle]
+    seeds, successors = _walk(tracks, labels, lambda p: ((p + 1) % period,))
+
+    def forced(state):
+        nxt = list(successors(state))
+        if not nxt:
+            raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
+        return nxt
+
+    if len(seeds) < period:
+        raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
+    return _closure_degree(seeds, forced, triple.Y.alphabet.symbols, cap)
 
 
 def verify_certificate(subject, cert):

@@ -4,6 +4,13 @@ The preimage set of a codomain word is handled as a layered graph: layer i
 holds the domain symbols that can sit at coordinate i of a preimage.  A
 forward sweep and a backward sweep prune the layers so that exactly the
 symbols lying on complete preimage paths remain.
+
+Minimising a quantity over all blocks is done exactly on fiber matrices:
+P_w has row s = the end symbols of the fiber paths of w starting at s.
+What a block shows at a split point depends only on the matrices of the
+two pieces, and the reachable matrices form a finite set, so a
+breadth-first closure of that set followed by a minimum over joinable
+pairs is exhaustive (Lind & Marcus, section 9.1).
 """
 from __future__ import annotations
 
@@ -38,6 +45,111 @@ def pruned_layers(code, word):
         if layers[i] == 0:
             return None
     return layers
+
+
+def _letter_matrix(code, letter):
+    """P_a as row bitmasks: row s is {s} when s carries letter, else empty."""
+    mask = code.letter_mask(letter)
+    return tuple(mask & (1 << s) for s in range(len(code.domain.alphabet)))
+
+
+def _walk(tracks, labels, follows):
+    """Seeds and successors of a fiber-matrix closure.
+
+    A state is (head, tail, P_1, ..., P_k): head and tail are the slots of
+    the block's first and last letter, one matrix per track.  Slots are
+    letters, or phases of a cycle; labels[slot] is the letter index a word
+    records and follows(slot) the slots that may come next, in order.
+    tracks are (code, letters) with letters[slot] the code's codomain
+    letter there.  A block belongs when its first matrix is nonzero.
+    """
+
+    def matrices(slot, prev):
+        if prev is None:
+            return tuple(_letter_matrix(code, letters[slot]) for code, letters in tracks)
+        return tuple(
+            tuple(code.step(row, letters[slot]) if row else 0 for row in rows)
+            for (code, letters), rows in zip(tracks, prev)
+        )
+
+    seeds = []
+    for slot in sorted(range(len(labels)), key=labels.__getitem__):
+        mats = matrices(slot, None)
+        if any(mats[0]):
+            seeds.append(((slot, slot) + mats, (labels[slot],)))
+
+    def successors(state):
+        for slot in follows(state[1]):
+            mats = matrices(slot, state[2:])
+            if any(mats[0]):
+                yield labels[slot], (state[0], slot) + mats
+
+    return seeds, successors
+
+
+def _block_walk(tracks):
+    """Closure inputs over every block of the first track's codomain."""
+    letters = range(len(tracks[0][1]))
+    return _walk(tracks, letters, lambda _: letters)
+
+
+def _closure_minimum(seeds, successors, score, cap):
+    """Exact minimum of score over every block and split point.
+
+    seeds are (state, word) for the one-letter blocks in letter order and
+    successors(state) yields (letter, state) in letter order, so the
+    breadth-first closure keeps the shortlex-least word of every state.
+    Block u + v[1:] splits into states (A, B) with A's tail equal to B's
+    head; score(A, B, limit) returns the pair's value when it is at most
+    limit (None: no limit), otherwise None.  Pairs are scored one total
+    length at a time.  Returns (value, word, split, depth) for the
+    shortest block attaining the minimum, lexicographically least among
+    those, at its first attaining split, with depth the closure's number
+    of levels; None when no pair scores.  Raises ResourceLimit past cap
+    states.
+    """
+    words = {}
+    for state, word in seeds:
+        words.setdefault(state, word)
+    queue = list(words)
+    for state in queue:  # the queue grows while it is walked
+        word = words[state]
+        for letter, nxt in successors(state):
+            if nxt not in words:
+                words[nxt] = word + (letter,)
+                queue.append(nxt)
+                if len(words) > cap:
+                    raise ResourceLimit(f"closure states exceeded the cap of {cap}")
+    if not words:
+        return None
+    depth = len(words[queue[-1]])
+    by_len = [[] for _ in range(depth + 1)]
+    by_head = {}
+    for state in queue:
+        n = len(words[state])
+        by_len[n].append(state)
+        by_head.setdefault((n, state[0]), []).append(state)
+    best = None  # (value, total length, word, split)
+    for total in range(1, 2 * depth):
+        for la in range(max(1, total + 1 - depth), min(total, depth) + 1):
+            lb = total + 1 - la
+            for a in by_len[la]:
+                for b in by_head.get((lb, a[1]), ()):
+                    if best is None:
+                        limit = None
+                    else:
+                        limit = best[0] if total == best[1] else best[0] - 1
+                    value = score(a, b, limit)
+                    if value is None:
+                        continue
+                    key = (value, total, words[a] + words[b][1:], la)
+                    if best is None or key < best:
+                        best = key
+        if best is not None and best[0] == 1:
+            break
+    if best is None:
+        return None
+    return best[0], best[2], best[3], depth
 
 
 def _check_word(code, block):
@@ -109,8 +221,7 @@ def preimage_symbol_count(code, w, i):
 @dataclass(frozen=True)
 class StabilizationInfo:
     scanned_length: int
-    plateau: int
-    stabilized: bool
+    certified: bool
 
 
 @dataclass(frozen=True)
@@ -121,75 +232,43 @@ class MagicBlockResult:
     certified: StabilizationInfo
 
 
-def _stabilized(cumulative, plateau):
-    if not cumulative:
-        return False
-    if cumulative[-1] == 1:
-        return True
-    if len(cumulative) <= plateau:
-        return False
-    return cumulative[-1] == cumulative[-1 - plateau]
+def _magic_score(a, b, limit):
+    """Preimage symbols at the split: ends of A's paths that start B's."""
+    ends = starts = 0
+    for row in a[2]:
+        ends |= row
+    for s, row in enumerate(b[2]):
+        if row:
+            starts |= 1 << s
+    count = (ends & starts).bit_count()
+    return count if count and (limit is None or count <= limit) else None
 
 
-def find_magic_block(code, max_len, plateau=3, cap=DEFAULT_CAP):
+def find_magic_block(code, max_len, cap=DEFAULT_CAP):
     """Minimise the per-coordinate preimage symbol count over all codomain
-    blocks of length <= max_len.
+    blocks, exactly, by the fiber-matrix closure.
 
-    Extending a block can only shrink the count at the surviving
-    coordinates, so the running minimum is non-increasing in the length;
-    the scan stops early once it reaches 1.  Ties break to the shortest
-    block, then lexicographic, then the smallest coordinate.
+    Ties break to the shortest block, then lexicographic in
+    codomain_alphabet order, then the smallest coordinate.  max_len is
+    only checked to be positive; the reported scanned_length is the
+    closure depth.
     """
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
-    symbols = code.domain.alphabet.symbols
-    best = None  # (value, word, coordinate)
-    cumulative = []
-    scanned = 0
-    # level entries: (word, forward layer history)
-    level = []
-    for letter in code.codomain_alphabet:
-        mask = code.letter_mask(letter)
-        if mask:
-            level.append(((letter,), [mask]))
-    total = 0
-    while level:
-        scanned += 1
-        for word, fwd in level:
-            total += 1
-            if total > cap:
-                raise ResourceLimit(f"scanned more than {cap} blocks")
-            back = fwd[-1]
-            counts = [back.bit_count()]
-            for i in range(len(fwd) - 2, -1, -1):
-                back = fwd[i] & code.domain.step_mask_back(back)
-                counts.append(back.bit_count())
-            counts.reverse()
-            for idx, c in enumerate(counts):
-                if best is None or c < best[0]:
-                    best = (c, word, idx + 1)
-        cumulative.append(best[0])
-        if best[0] == 1 or scanned == max_len:
-            break
-        nxt = []
-        for word, fwd in level:
-            for letter in code.codomain_alphabet:
-                mask = code.step(fwd[-1], letter)
-                if mask:
-                    nxt.append((word + (letter,), fwd + [mask]))
-        level = nxt
-    if best is None:
+    letters = code.codomain_alphabet.symbols
+    found = _closure_minimum(*_block_walk(((code, letters),)), _magic_score, cap)
+    if found is None:
         raise InvalidBlock("codomain language is empty")
-    info = StabilizationInfo(scanned, plateau, _stabilized(cumulative, plateau))
-    value, word, coord = best
-    return MagicBlockResult(Block(tuple(word)), coord, value, info)
+    value, word, coordinate, depth = found
+    block = Block(tuple(letters[i] for i in word))
+    return MagicBlockResult(block, coordinate, value, StabilizationInfo(depth, True))
 
 
-def degree_finite_to_one(code, max_len, plateau=3, cap=DEFAULT_CAP):
+def degree_finite_to_one(code, max_len, cap=DEFAULT_CAP):
     """Preimage count of typical points of a finite-to-one code, read off
     the magic block minimum."""
     from .codes import is_finite_to_one
 
     if not is_finite_to_one(code):
         raise NotFiniteToOne("code has unboundedly many preimages")
-    return find_magic_block(code, max_len, plateau, cap).value
+    return find_magic_block(code, max_len, cap).value

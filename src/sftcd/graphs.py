@@ -68,13 +68,6 @@ def strongly_connected_components(nodes, succ):
     return components
 
 
-def is_strongly_connected(nodes, succ):
-    nodes = list(nodes)
-    if not nodes:
-        return False
-    return len(strongly_connected_components(nodes, succ)) == 1
-
-
 def reachable_from(starts, succ):
     """Set of nodes reachable from any start, including the starts."""
     seen = set(starts)

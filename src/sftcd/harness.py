@@ -3,8 +3,8 @@
 The checks treat the proved degree identities as oracles: on any generated
 triple a conclusive failure is an implementation bug, never a
 counterexample, so failing cases are archived in full for debugging.
-Verdicts are gated on stabilization: an estimate still drifting at the
-scan horizon yields "inconclusive", not a fail.
+Every degree is exact (depth.py on the fiber-matrix closure of
+fiber.py), so each check either passes or fails.
 """
 from __future__ import annotations
 
@@ -234,7 +234,7 @@ def generate_chain_code(triple: CodeTriple, seed, w_symbols=1) -> OneBlockCode:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    verdict: str  # pass | fail | inconclusive | skipped
+    verdict: str  # pass | fail | skipped
     detail: str = ""
 
 
@@ -246,124 +246,70 @@ class TheoremReport:
 
     @property
     def verdict(self):
-        verdicts = {c.verdict for c in self.checks}
-        if "fail" in verdicts:
-            return "fail"
-        if "inconclusive" in verdicts:
-            return "inconclusive"
-        return "pass"
+        return "fail" if any(c.verdict == "fail" for c in self.checks) else "pass"
 
 
-def _gated(name, estimates, ok, detail=""):
-    pending = [k for k, e in estimates if not e.stabilized]
-    if pending:
-        return CheckResult(
-            name,
-            "inconclusive",
-            "unstabilized estimate(s): " + ", ".join(pending),
-        )
-    return CheckResult(name, "pass" if ok() else "fail", detail)
+def _check(name, ok, detail):
+    return CheckResult(name, "pass" if ok else "fail", detail)
 
 
 @lru_cache(maxsize=4096)
-def _degree(code, L, plateau):
-    return class_degree(code, L, plateau)
+def _degree(code, L):
+    return class_degree(code, L)
 
 
 @lru_cache(maxsize=4096)
-def _relative(triple, L, plateau):
-    return relative_class_degree(triple, L, plateau)
+def _relative(triple, L):
+    return relative_class_degree(triple, L)
 
 
-def triple_degrees(t: CodeTriple, L, plateau=3):
+def triple_degrees(t: CodeTriple, L):
     """The four headline estimates of a triple, cached per (code, L)."""
     return {
-        "pi": _degree(t.pi, L, plateau),
-        "phi": _degree(t.phi, L, plateau),
-        "psi": _degree(t.psi, L, plateau),
-        "relative": _relative(t, L, plateau),
+        "pi": _degree(t.pi, L),
+        "phi": _degree(t.phi, L),
+        "psi": _degree(t.psi, L),
+        "relative": _relative(t, L),
     }
 
 
-def check_main_identity(t: CodeTriple, L, plateau=3, case_id="") -> TheoremReport:
+def check_main_identity(t: CodeTriple, L, case_id="") -> TheoremReport:
     """Product identity and its companions: the composite class degree
     factors as d(psi) * d(phi relative to psi); the relative degree
     divides and is bounded by d(phi); the composite never exceeds the
     product of the parts."""
-    v = triple_degrees(t, L, plateau)
-    pi, phi, psi, rel = v["pi"], v["phi"], v["psi"], v["relative"]
+    v = triple_degrees(t, L)
+    pi, phi, psi, rel = v["pi"].value, v["phi"].value, v["psi"].value, v["relative"].value
     checks = (
-        _gated(
-            "product-identity",
-            [("pi", pi), ("psi", psi), ("relative", rel)],
-            lambda: pi.value == psi.value * rel.value,
-            f"{pi.value} vs {psi.value}*{rel.value}",
-        ),
-        _gated(
-            "relative-divides-absolute",
-            [("phi", phi), ("relative", rel)],
-            lambda: phi.value % rel.value == 0,
-            f"{phi.value} mod {rel.value}",
-        ),
-        _gated(
+        _check("product-identity", pi == psi * rel, f"{pi} vs {psi}*{rel}"),
+        _check("relative-divides-absolute", phi % rel == 0, f"{phi} mod {rel}"),
+        _check(
             "composite-upper-bound",
-            [("pi", pi), ("psi", psi), ("phi", phi)],
-            lambda: pi.value <= psi.value * phi.value,
-            ("strict" if pi.value < psi.value * phi.value else "tight")
-            + f": {pi.value} vs {psi.value}*{phi.value}",
+            pi <= psi * phi,
+            ("strict" if pi < psi * phi else "tight") + f": {pi} vs {psi}*{phi}",
         ),
-        _gated(
-            "relative-le-absolute",
-            [("phi", phi), ("relative", rel)],
-            lambda: rel.value <= phi.value,
-            f"{rel.value} vs {phi.value}",
-        ),
+        _check("relative-le-absolute", rel <= phi, f"{rel} vs {phi}"),
     )
     return TheoremReport(case_id, v, checks)
 
 
-def check_special_cases(t: CodeTriple, L, plateau=3, case_id="") -> TheoremReport:
+def check_special_cases(t: CodeTriple, L, case_id="") -> TheoremReport:
     """Degenerate settings with sharper conclusions: a degree-one phi
     makes the composite degree collapse to psi's, and a finite-to-one psi
     makes the relative degree absolute."""
-    v = triple_degrees(t, L, plateau)
-    pi, phi, psi, rel = v["pi"], v["phi"], v["psi"], v["relative"]
+    v = triple_degrees(t, L)
+    pi, phi, psi, rel = v["pi"].value, v["phi"].value, v["psi"].value, v["relative"].value
     checks = []
-    if not phi.stabilized:
-        checks.append(
-            CheckResult(
-                "degree-one-collapse", "inconclusive", "phi estimate unstabilized"
-            )
-        )
-    elif phi.value == 1:
-        checks.append(
-            _gated(
-                "degree-one-collapse",
-                [("pi", pi), ("psi", psi)],
-                lambda: pi.value == psi.value,
-                f"{pi.value} vs {psi.value}",
-            )
-        )
+    if phi == 1:
+        checks.append(_check("degree-one-collapse", pi == psi, f"{pi} vs {psi}"))
     else:
         checks.append(
             CheckResult("degree-one-collapse", "skipped", "phi degree exceeds 1")
         )
     if is_finite_to_one(t.psi):
+        checks.append(_check("finite-to-one-relative", rel == phi, f"{rel} vs {phi}"))
         checks.append(
-            _gated(
-                "finite-to-one-relative",
-                [("phi", phi), ("relative", rel)],
-                lambda: rel.value == phi.value,
-                f"{rel.value} vs {phi.value}",
-            )
-        )
-        checks.append(
-            _gated(
-                "finite-to-one-product",
-                [("pi", pi), ("psi", psi), ("phi", phi)],
-                lambda: pi.value == psi.value * phi.value,
-                f"{pi.value} vs {psi.value}*{phi.value}",
-            )
+            _check("finite-to-one-product", pi == psi * phi, f"{pi} vs {psi}*{phi}")
         )
     else:
         skip = CheckResult("finite-to-one-relative", "skipped", "psi not finite-to-one")
@@ -375,7 +321,7 @@ def check_special_cases(t: CodeTriple, L, plateau=3, case_id="") -> TheoremRepor
 
 
 def check_chain_identity(
-    t: CodeTriple, varphi: OneBlockCode, L, plateau=3, case_id=""
+    t: CodeTriple, varphi: OneBlockCode, L, case_id=""
 ) -> TheoremReport:
     """Three-code chain law: with a further code out of Z, the relative
     degree of the composite over it factors into the outer code's relative
@@ -385,22 +331,13 @@ def check_chain_identity(
     whole = CodeTriple.build(t.pi, varphi)
     outer = CodeTriple.build(t.psi, varphi)
     inner = CodeTriple.build(t.phi, compose(t.psi, varphi))
-    a = _relative(whole, L, plateau)
-    b = _relative(outer, L, plateau)
-    c = _relative(inner, L, plateau)
-    v = {"pi_over_varphi": a, "psi_over_varphi": b, "phi_over_varphi_psi": c}
-    checks = (
-        _gated(
-            "chain-product",
-            [
-                ("pi_over_varphi", a),
-                ("psi_over_varphi", b),
-                ("phi_over_varphi_psi", c),
-            ],
-            lambda: a.value == b.value * c.value,
-            f"{a.value} vs {b.value}*{c.value}",
-        ),
-    )
+    v = {
+        "pi_over_varphi": _relative(whole, L),
+        "psi_over_varphi": _relative(outer, L),
+        "phi_over_varphi_psi": _relative(inner, L),
+    }
+    a, b, c = (e.value for e in v.values())
+    checks = (_check("chain-product", a == b * c, f"{a} vs {b}*{c}"),)
     return TheoremReport(case_id, v, checks)
 
 
@@ -429,15 +366,15 @@ def resolve_case(case: HarnessCase) -> CodeTriple:
     raise PreconditionUnmet(f"unknown case kind {case.kind!r}")
 
 
-def run_case(case: HarnessCase, L, plateau=3, archive_dir=None):
+def run_case(case: HarnessCase, L, archive_dir=None):
     triple = resolve_case(case)
     reports = []
     for kind in case.checks:
         cid = f"{case.case_id}/{kind}"
         if kind == "main":
-            reports.append(check_main_identity(triple, L, plateau, cid))
+            reports.append(check_main_identity(triple, L, cid))
         elif kind == "special":
-            reports.append(check_special_cases(triple, L, plateau, cid))
+            reports.append(check_special_cases(triple, L, cid))
         elif kind == "chain":
             if case.chain_kind == "identity":
                 from .codes import identity_code
@@ -446,7 +383,7 @@ def run_case(case: HarnessCase, L, plateau=3, archive_dir=None):
             else:
                 w = 1 + case.chain_seed % len(triple.Z_shift.alphabet)
                 varphi = generate_chain_code(triple, case.chain_seed, w)
-            reports.append(check_chain_identity(triple, varphi, L, plateau, cid))
+            reports.append(check_chain_identity(triple, varphi, L, cid))
         else:
             raise PreconditionUnmet(f"unknown check kind {kind!r}")
     if archive_dir is not None:
@@ -492,24 +429,23 @@ class SuiteSummary:
             "cases": len(self.reports),
             "passed": self.count("pass"),
             "failed": self.count("fail"),
-            "inconclusive": self.count("inconclusive"),
             "skipped": self.count("skipped"),
             "failed_cases": list(self.failed_cases),
         }
 
 
 def _suite_worker(args):
-    case, L, plateau, archive_dir = args
-    return run_case(case, L, plateau, archive_dir)
+    case, L, archive_dir = args
+    return run_case(case, L, archive_dir)
 
 
-def run_suite(cases, L, plateau=3, jobs=1, archive_dir=None) -> SuiteSummary:
+def run_suite(cases, L, jobs=1, archive_dir=None) -> SuiteSummary:
     """Run every case's checks, in order, optionally across processes."""
     cases = list(cases)
     if jobs > 1:
-        work = [(case, L, plateau, archive_dir) for case in cases]
+        work = [(case, L, archive_dir) for case in cases]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_suite_worker, work))
     else:
-        chunks = [run_case(case, L, plateau, archive_dir) for case in cases]
+        chunks = [run_case(case, L, archive_dir) for case in cases]
     return SuiteSummary(tuple(r for chunk in chunks for r in chunk))

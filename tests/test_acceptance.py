@@ -29,7 +29,6 @@ from sftcd.harness import (
     HarnessCase,
     check_main_identity,
     generate_triple,
-    run_case,
     run_suite,
     spec_for_seed,
 )
@@ -61,7 +60,7 @@ def test_01_builtin_parity_headline(xor2):
     )
     ok = (
         values == {"phi": 2, "psi": 1, "pi": 1, "relative": 1}
-        and all(e.stabilized for e in est.values())
+        and all(e.certified for e in est.values())
         and report.verdict == "pass"
         and strict
         and elapsed < 5.0
@@ -82,7 +81,7 @@ def test_02_finite_to_one_consistency(xor2, mod3):
         d = degree_finite_to_one(t.phi, 8)
         cd = class_degree(t.phi, 8)
         elapsed = time.monotonic() - t0
-        good = d == expect and cd.value == expect and cd.stabilized and elapsed < 10.0
+        good = d == expect and cd.value == expect and cd.certified and elapsed < 10.0
         ok = ok and good
         details.append(f"degree {d} == class degree {cd.value} in {elapsed:.2f}s")
     _line(2, ok, "; ".join(details))
@@ -96,16 +95,16 @@ def test_03_generated_sweep_identity():
         )
         for s in range(1, 201)
     ]
-    summary = run_suite(cases, 8, 3)
+    summary = run_suite(cases, 8)
     elapsed = time.monotonic() - t0
     fails = summary.count("fail")
-    stabilized = sum(
+    certified = sum(
         1
         for r in summary.reports
-        if r.values and all(v.stabilized for v in r.values.values())
+        if r.values and all(v.certified for v in r.values.values())
     )
-    ok = fails == 0 and stabilized >= 160 and elapsed < 600.0
-    _line(3, ok, f"{fails} fails, {stabilized}/200 stabilized, {elapsed:.1f}s")
+    ok = fails == 0 and certified == 200 and elapsed < 600.0
+    _line(3, ok, f"{fails} fails, {certified}/200 certified, {elapsed:.1f}s")
 
 
 def test_04_depth_monotone_under_extension():
@@ -195,12 +194,12 @@ def test_06_fixed_point_oracle_cross_check(xor2, mod3, golden_identity):
         est = periodic_point_relative_degree(
             identity_extension(code), PeriodicPoint.make(Block((z,))), 8
         )
-        if est.stabilized:
+        if est.certified:
             compared += 1
             if est.value != oracle.count:
                 mismatches.append((label, est.value, oracle.count))
     ok = compared >= 20 and not mismatches
-    _line(6, ok, f"{compared} stabilized desk cases, {len(mismatches)} discrepancies")
+    _line(6, ok, f"{compared} certified desk cases, {len(mismatches)} discrepancies")
 
 
 def test_07_bridge_reconstruction(xor2):
@@ -240,25 +239,8 @@ def test_08_special_and_chain_suite():
         )
         for s in range(1, 51)
     ]
-    by_id = {c.case_id: c for c in cases}
-    summary = run_suite(cases, 8, 3)
+    summary = run_suite(cases, 8)
     fails = summary.count("fail")
     passes = summary.count("pass")
-    # unstabilized scans gate to inconclusive; settle those few by scanning deeper
-    unsettled = sorted(
-        {r.case_id.split("/")[0] for r in summary.reports if r.verdict == "inconclusive"}
-    )
-    leftovers = []
-    for base in unsettled:
-        for rep in run_case(by_id[base], 14, 3):
-            if rep.verdict == "fail":
-                fails += 1
-            elif rep.verdict == "inconclusive":
-                leftovers.append(rep.case_id)
-    ok = fails == 0 and passes > 0 and not leftovers
-    _line(
-        8,
-        ok,
-        f"{passes} passes, {fails} fails, {len(unsettled)} rescanned deeper, "
-        f"{len(leftovers)} left unsettled",
-    )
+    ok = fails == 0 and passes > 0
+    _line(8, ok, f"{passes} passes, {fails} fails")

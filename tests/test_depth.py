@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fiber_paths, naive_class_degree, naive_depth
 from sftcd.codes import OneBlockCode, identity_code
@@ -17,7 +19,13 @@ from sftcd.depth import (
     verify_certificate,
 )
 from sftcd.core import PeriodicPoint
-from sftcd.errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
+from sftcd.errors import (
+    EmptyFiber,
+    InvalidBlock,
+    PreconditionUnmet,
+    ResourceLimit,
+    UnknownSymbol,
+)
 from sftcd.harness import generate_triple, spec_for_seed
 
 
@@ -143,17 +151,17 @@ class TestRelativeDepth:
 class TestClassDegree:
     def test_xor2_quadruple(self, xor2):
         est = class_degree(xor2.phi, 6)
-        assert (est.value, est.stabilized, est.minimal_block.text()) == (2, True, "0")
+        assert (est.value, est.certified, est.minimal_block.text()) == (2, True, "0")
         est = class_degree(xor2.psi, 6)
-        assert (est.value, est.stabilized) == (1, True)
+        assert (est.value, est.certified) == (1, True)
         est = class_degree(xor2.pi, 6)
-        assert (est.value, est.stabilized, est.minimal_block.text()) == (
+        assert (est.value, est.certified, est.minimal_block.text()) == (
             1,
             True,
             "zzzzz",
         )
         est = relative_class_degree(xor2, 6)
-        assert (est.value, est.stabilized, est.minimal_block.text()) == (
+        assert (est.value, est.certified, est.minimal_block.text()) == (
             1,
             True,
             "00000",
@@ -172,19 +180,41 @@ class TestClassDegree:
             assert relative_class_degree(t, 4).value == 1
 
     def test_matches_naive_scan(self, xor2, mod3):
+        # the naive scan up to L bounds the exact value from above and
+        # meets it once L covers the witness
         for code, L in ((xor2.phi, 3), (mod3.phi, 3), (xor2.psi, 2)):
-            assert class_degree(code, L).value == naive_class_degree(code, L)
+            est = class_degree(code, L)
+            assert est.value <= naive_class_degree(code, L)
+            assert est.value == naive_class_degree(code, len(est.minimal_block))
 
-    def test_plateau_semantics(self, xor2):
-        short = class_degree(xor2.phi, 2)
-        assert short.value == 2 and not short.stabilized
-        long = class_degree(xor2.phi, 6)
-        assert long.scanned_length == 6 and long.stabilized
+    def test_result_does_not_depend_on_max_len(self, xor2):
+        # the closure is exhaustive, so a short max_len loses nothing
+        assert class_degree(xor2.phi, 1) == class_degree(xor2.phi, 6)
+        assert class_degree(xor2.pi, 1) == class_degree(xor2.pi, 50)
+        with pytest.raises(InvalidBlock):
+            class_degree(xor2.phi, 0)
+
+    def test_seed29_pi_is_exactly_one(self):
+        # a length-bounded scan stopped at max_len 12 on a value of 2; the
+        # shortest depth-one block has length 13
+        t = generate_triple(spec_for_seed(29))
+        est = class_degree(t.pi, 12)
+        assert (est.value, est.certified) == (1, True)
+        assert est.minimal_block.text() == "z0·z1·z1·z0·z1·z1·z0·z1·z1·z0·z1·z1·z0"
+        d = depth(t.pi, est.minimal_block)
+        assert d.value == 1
+        assert verify_certificate(t.pi, d.certificate)
+
+    def test_cap_raises_resource_limit(self, xor2):
+        with pytest.raises(ResourceLimit, match="closure states"):
+            class_degree(xor2.pi, 8, cap=2)
+        with pytest.raises(ResourceLimit, match="closure states"):
+            relative_class_degree(xor2, 8, cap=2)
 
     def test_floor_one_stops_scan(self, xor2):
         est = class_degree(xor2.psi, 50)
         assert est.value == 1
-        assert est.scanned_length == 3
+        assert est.scanned_length == 2
 
     def test_preconditions(self):
         oneway = VertexShift.build(
@@ -221,7 +251,7 @@ class TestPeriodicPointDegree:
     def test_xor2_zero_point(self, xor2):
         p = PeriodicPoint.make(Block(("0",)), 0)
         est = periodic_point_relative_degree(xor2, p, 8)
-        assert (est.value, est.stabilized) == (1, True)
+        assert (est.value, est.certified) == (1, True)
 
     def test_identity_extension_counts_fiber_tracks(self, xor2):
         from conftest import identity_extension
@@ -230,7 +260,7 @@ class TestPeriodicPointDegree:
         p = PeriodicPoint.make(Block(("0",)), 0)
         est = periodic_point_relative_degree(t, p, 8)
         # the 00-track and the 11-track over (0)^oo never communicate
-        assert (est.value, est.stabilized) == (2, True)
+        assert (est.value, est.certified) == (2, True)
 
     def test_rejects_non_points(self, golden_identity):
         p = PeriodicPoint.make(Block(("1",)), 0)
@@ -287,3 +317,30 @@ class TestScanMonotonicity:
                 if prev is not None:
                     assert est.value <= prev
                 prev = est.value
+
+
+@st.composite
+def small_codes(draw):
+    """A two-letter code on an irreducible vertex shift of 2 to 4 symbols:
+    a cycle through every symbol plus random extra pairs."""
+    n = draw(st.integers(2, 4))
+    symbols = tuple(f"x{i}" for i in range(n))
+    order = draw(st.permutations(symbols))
+    pairs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    pairs |= draw(st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols))))
+    images = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
+    return OneBlockCode.from_dict(
+        VertexShift.build(symbols, sorted(pairs)), ("a", "b"), dict(zip(symbols, images))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_closure_against_naive_class_degree(code):
+    # the naive scan over blocks of length <= L never goes below the exact
+    # value, and reaches it once L covers the witness
+    est = class_degree(code, 1)
+    for L in range(1, 6):
+        assert est.value <= naive_class_degree(code, L)
+    assert naive_class_degree(code, len(est.minimal_block)) == est.value
+    assert depth(code, est.minimal_block).value == est.value

@@ -1,6 +1,7 @@
 """Document parsing, canonical dumps, and the command-line surface."""
 
 import json
+import os
 
 import pytest
 
@@ -259,10 +260,9 @@ class TestJsonable:
         w = parse_block_text(xor2.X.alphabet, "00·01")
         assert to_jsonable(w) == "00·01"
         assert to_jsonable(frozenset({"b", "a"})) == ["a", "b"]
-        assert to_jsonable(StabilizationInfo(4, 3, True)) == {
+        assert to_jsonable(StabilizationInfo(4, True)) == {
             "scanned_length": 4,
-            "plateau": 3,
-            "stabilized": True,
+            "certified": True,
         }
         assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
         with pytest.raises(ParseError, match="cannot serialise"):
@@ -343,8 +343,8 @@ class TestCliMeasures:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == 2
-        assert payload["stabilized"] is True
-        assert "class degree 2 (stabilized)" in err
+        assert payload["certified"] is True
+        assert "class degree 2 (certified)" in err
 
     def test_class_degree_pi(self, capsys):
         code, out, _ = run_cli(
@@ -358,7 +358,7 @@ class TestCliMeasures:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == 1
-        assert payload["stabilized"] is True
+        assert payload["certified"] is True
 
     def test_magic_from_code_arg(self, capsys):
         code, out, _ = run_cli(capsys, "magic", "--code", "builtin:xor2/phi")
@@ -551,6 +551,7 @@ class TestCliVerify:
         assert run_cli(capsys, "verify")[0] == 2
         assert run_cli(capsys, "verify", "--seeds", "5..2")[0] == 2
         assert run_cli(capsys, "verify", "--seeds", "a..b")[0] == 2
+        assert run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "0")[0] == 2
 
     def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -565,3 +566,62 @@ class TestCliVerify:
         )
         assert code == 0
         assert sorted(out1.splitlines()) == sorted(out2.splitlines())
+
+    def test_cache_key_names_the_engine_version(self, monkeypatch):
+        import hashlib
+
+        from sftcd import cli
+        from sftcd.harness import HarnessCase, spec_for_seed
+
+        case = HarnessCase("seed:3", "generated", gen=spec_for_seed(3))
+        key = cli._case_key(case)
+        # the key the length-bounded scan used, over (case, L, plateau)
+        scan_key = hashlib.sha256(repr((case, 8, 3)).encode()).hexdigest()
+        assert key != scan_key
+        monkeypatch.setattr(cli, "_CACHE_VERSION", "another engine")
+        assert cli._case_key(case) != key
+
+    def test_cache_entries_are_replaced_whole(self, capsys, tmp_path, monkeypatch):
+        from sftcd import cli
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
+        real_replace = os.replace
+        moves = []
+
+        def replace(src, dst):
+            # the temp file is complete, beside its target, when moved
+            json.loads(open(src).read())
+            moves.append((os.path.dirname(src), os.path.dirname(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        assert run_cli(capsys, "verify", "--seeds", "3..4", "--max-len", "6")[0] == 0
+        assert moves == [(str(cache), str(cache))] * 2
+        assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
+
+    def test_unreadable_cache_entry_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
+        code, out1, _ = run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "6")
+        assert code == 0
+        (entry,) = cache.iterdir()
+        entry.write_text("{half written")
+        code, out2, err = run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "6")
+        assert code == 0
+        assert "unreadable cache entry" in err and "Traceback" not in err
+        assert out2 == out1
+        assert json.loads(entry.read_text())
+
+    def test_half_warm_cache_prints_what_an_uncached_run_prints(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        argv = ("verify", "--seeds", "3..6", "--jobs", "2")
+        code, uncached, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("SFTCD_CACHE_DIR", str(tmp_path / "cache"))
+        # warm the later half, so hits printed first would show
+        assert run_cli(capsys, "verify", "--seeds", "5..6")[0] == 0
+        code, half_warm, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert half_warm == uncached

@@ -112,7 +112,7 @@ class TestMagicBlock:
     def test_xor2_phi(self, xor2):
         res = find_magic_block(xor2.phi, 6)
         assert (res.block.text(), res.coordinate, res.value) == ("0", 1, 2)
-        assert res.certified.stabilized
+        assert res.certified.certified
 
     def test_trivial_pi_floor_is_alphabet_size(self, xor2):
         # every coordinate of every preimage can carry any of the four
@@ -121,18 +121,18 @@ class TestMagicBlock:
         assert res.value == 4
         assert res.block.text() == "z"
         assert res.coordinate == 1
-        assert res.certified.stabilized
+        assert res.certified.certified
 
     def test_mod3_phi(self, mod3):
         res = find_magic_block(mod3.phi, 6)
         assert res.value == 3
-        assert res.certified.stabilized
+        assert res.certified.certified
 
     def test_identity_is_instantly_magic(self, golden_identity):
         res = find_magic_block(golden_identity.phi, 4)
         assert res.value == 1
         assert len(res.block) == 1
-        assert res.certified.stabilized
+        assert res.certified.certified
 
     def test_counts_lower_bound_fiber_spread(self, xor2, mod3):
         # the reported value equals the count seen at the block itself
