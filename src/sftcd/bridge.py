@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .codes import CodeTriple, OneBlockCode, apply_to_block, apply_to_point
 from .core import Block, PeriodicPoint, iter_bits
-from .depth import _Reach, RoutingCertificate
+from .depth import _Reach, _least_path, RoutingCertificate
 from .errors import (
     ImageMismatch,
     InvariantViolation,
@@ -194,17 +194,9 @@ def bounded_bridge_exists(code, x, xp, m, window=None):
         frontier.append(cur)
         t = idx(xp.symbol_at(n))
         if (cur >> t) & 1:
-            toward = [0] * (j + 1)
-            toward[j] = 1 << t
-            for k in range(j - 1, -1, -1):
-                toward[k] = code.domain.step_mask_back(toward[k + 1]) & frontier[k]
-            path = [start]
-            for k in range(1, j):
-                path.append(
-                    next(iter_bits(code.domain.succ_masks[path[-1]] & toward[k]))
-                )
+            path = _least_path(code.domain, start, t, frontier)
             middle = (
-                Block(tuple(symbols[i] for i in path[1:])) if j > 1 else None
+                Block(tuple(symbols[i] for i in path[1:-1])) if j > 1 else None
             )
             witness = BridgeWitness(
                 x, xp, m, n, middle, "absolute", "found by bounded fiber search"

@@ -24,6 +24,7 @@ from .documents import (
     load_code,
     load_system,
     load_triple,
+    read_json,
     to_jsonable,
 )
 from .errors import (
@@ -87,14 +88,8 @@ def _code_from_arg(value):
         name, _, which = rest.partition("/")
         from .corpus import builtin_triple
 
-        return getattr(builtin_triple(name), which or "phi")
-    try:
-        doc = json.loads(Path(value).read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read {value}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {value}: {e}") from None
-    code = load_code(doc)
+        return _pick(builtin_triple(name), which or "phi")
+    code = load_code(read_json(value))
     if isinstance(code, SlidingBlockCode):
         _note("warning: sliding-block code recoded onto its window shift")
         code = recode_to_one_block(code).code
@@ -102,40 +97,37 @@ def _code_from_arg(value):
 
 
 def _pick(triple, which):
-    return {"phi": triple.phi, "psi": triple.psi, "pi": triple.pi}[which]
+    if which not in ("phi", "psi", "pi"):
+        raise ParseError(f"unknown code {which!r}: choose phi, psi or pi")
+    return getattr(triple, which)
+
+
+def _emit_depth(r):
+    cert = r.certificate
+    _emit(
+        {
+            "block": r.w,
+            "value": r.value,
+            "coordinate": cert.n,
+            "routing_set": list(cert.M),
+            "mode": cert.mode,
+        }
+    )
 
 
 def cmd_depth(args):
     t = _triple_from_arg(args.triple)
     code = _pick(t, args.code)
-    w = parse_block_text(code.codomain_alphabet, args.block)
-    r = depth(code, w)
-    _emit(
-        {
-            "block": w,
-            "value": r.value,
-            "coordinate": r.certificate.n,
-            "routing_set": list(r.certificate.M),
-            "mode": r.certificate.mode,
-        }
-    )
+    r = depth(code, parse_block_text(code.codomain_alphabet, args.block))
+    _emit_depth(r)
     _note(f"depth {r.value} through {list(r.certificate.M)} at {r.certificate.n}")
     return 0
 
 
 def cmd_rdepth(args):
     t = _triple_from_arg(args.triple)
-    w = parse_block_text(t.Y.alphabet, args.block)
-    r = relative_depth(t, w)
-    _emit(
-        {
-            "block": w,
-            "value": r.value,
-            "coordinate": r.certificate.n,
-            "routing_set": list(r.certificate.M),
-            "mode": r.certificate.mode,
-        }
-    )
+    r = relative_depth(t, parse_block_text(t.Y.alphabet, args.block))
+    _emit_depth(r)
     _note(f"relative depth {r.value} at {r.certificate.n}")
     return 0
 
@@ -218,13 +210,7 @@ def cmd_dump(args):
         else:
             print(canonical_json(t), end="")
         return 0
-    try:
-        doc = json.loads(Path(args.system).read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read {args.system}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {args.system}: {e}") from None
-    shift = load_system(doc)
+    shift = load_system(read_json(args.system))
     if args.format == "dot":
         print(dot_graph(shift, None, "shift"), end="")
     else:
@@ -264,12 +250,7 @@ def _verify_cases(args):
                     )
                 )
     if args.gen:
-        try:
-            spec_doc = json.loads(Path(args.gen).read_text())
-        except OSError as e:
-            raise ParseError(f"cannot read {args.gen}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON in {args.gen}: {e}") from None
+        spec_doc = read_json(args.gen)
         if not isinstance(spec_doc, list):
             raise ParseError("generator spec file must hold a list of specs")
         for entry in spec_doc:

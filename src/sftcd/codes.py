@@ -5,10 +5,13 @@ blocks and points coordinate-wise.  Sliding-block rules with memory and
 anticipation are supported through recoding: the domain is replaced by its
 window shift (symbols are the valid windows, edges are overlaps) on which
 the rule becomes letter-to-letter.
+
+Surjectivity (check_onto) is decided exactly, on the breadth-first
+closure of graphs.py shared with the fiber-matrix engine, and so is
+finite-to-one-ness (is_finite_to_one), by reachability on the pair graph.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +31,7 @@ from .core import (
     is_irreducible,
     validate_block,
 )
+from .graphs import closure, reachable_from
 
 
 @dataclass(frozen=True)
@@ -216,11 +220,6 @@ class RecodedCode:
     offset: int  # index of the central symbol inside a window (= memory)
     constituents: tuple
 
-    @cached_property
-    def window_symbols(self):
-        """Window symbol name -> tuple of constituent domain symbols."""
-        return dict(zip(self.window_shift.alphabet.symbols, self.constituents))
-
     def lift_point(self, point):
         """Image of a domain periodic point under the window conjugacy."""
         p = point.period
@@ -293,7 +292,6 @@ def compose(f, g):
 @dataclass(frozen=True)
 class OntoCheck:
     ok: bool
-    certified: bool
     checked_length: int
     missing_block: Block | None = None
 
@@ -301,53 +299,32 @@ class OntoCheck:
         return self.ok
 
 
-def check_onto(code, codomain_shift, max_len):
+def check_onto(code, codomain_shift):
     """Does every block of the codomain shift have a preimage block?
 
-    Walks the product of the codomain graph with the subset automaton of
-    fiber endpoints.  If the state space closes before max_len the verdict
-    is exact (certified); otherwise it only covers blocks up to max_len.
-    A failure is always certified and reports a shortest missing block.
+    Exact: closes the product of the codomain graph with the subset
+    automaton of fiber end symbols, whose states are (y, mask), in
+    alphabet order.  A state with mask 0 ends a block without preimage
+    and is not extended; the first one reached names the shortest, then
+    least, missing block.  checked_length is that block's length, or the
+    closure depth when the code is onto.  Raises ResourceLimit past
+    DEFAULT_CAP states.
     """
     if code.codomain_alphabet != codomain_shift.alphabet:
         raise AlphabetMismatch("codomain shift alphabet mismatch")
-    start_states = []
-    parents = {}
-    for y in codomain_shift.alphabet:
-        state = (y, code.letter_mask(y))
-        parents[state] = None
-        start_states.append(state)
-        if state[1] == 0:
-            return OntoCheck(False, True, 1, _trace_block(parents, state))
-    frontier = start_states
-    depth = 1
-    closed = False
-    while depth < max_len:
-        next_frontier = []
-        for state in frontier:
-            y, mask = state
+    seeds = [((y, code.letter_mask(y)), (y,)) for y in codomain_shift.alphabet]
+
+    def successors(state):
+        y, mask = state
+        if mask:
             for y2 in codomain_shift.successors(y):
-                nxt = (y2, code.step(mask, y2))
-                if nxt in parents:
-                    continue
-                parents[nxt] = state
-                if nxt[1] == 0:
-                    return OntoCheck(False, True, depth + 1, _trace_block(parents, nxt))
-                next_frontier.append(nxt)
-        if not next_frontier:
-            closed = True
-            break
-        frontier = next_frontier
-        depth += 1
-    return OntoCheck(True, closed, depth, None)
+                yield y2, (y2, code.step(mask, y2))
 
-
-def _trace_block(parents, state):
-    symbols = []
-    while state is not None:
-        symbols.append(state[0])
-        state = parents[state]
-    return Block(tuple(reversed(symbols)))
+    words = closure(seeds, successors, DEFAULT_CAP)
+    for (_, mask), word in words.items():
+        if not mask:
+            return OntoCheck(False, len(word), Block(word))
+    return OntoCheck(True, max(map(len, words.values())))
 
 
 def is_finite_to_one(code):
@@ -373,28 +350,8 @@ def is_finite_to_one(code):
                     outs.append((a2, b2))
         succ[(a, b)] = outs
     diagonal = [(a, a) for a in symbols]
-    # forward from the diagonal
-    seen = set(diagonal)
-    queue = deque(diagonal)
-    while queue:
-        node = queue.popleft()
-        for nxt in succ[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    off = [p for p in seen if p[0] != p[1]]
-    # can an off-diagonal node reached from the diagonal get back to it?
-    seen2 = set(off)
-    queue = deque(off)
-    while queue:
-        node = queue.popleft()
-        if node[0] == node[1]:
-            return False
-        for nxt in succ[node]:
-            if nxt not in seen2:
-                seen2.add(nxt)
-                queue.append(nxt)
-    return True
+    off = [p for p in reachable_from(diagonal, succ) if p[0] != p[1]]
+    return all(a != b for a, b in reachable_from(off, succ))
 
 
 @dataclass(frozen=True)
@@ -423,9 +380,11 @@ class CodeTriple:
             raise InvariantViolation("pi is not the composite of phi and psi")
 
     @staticmethod
-    def build(phi, psi, onto_len=None, check=True):
-        """Assemble and verify a triple.  phi must carry its codomain shift;
-        irreducibility of X and Y and surjectivity of phi are enforced."""
+    def build(phi, psi):
+        """Assemble a triple and check it: X and Y irreducible, phi onto Y
+        (exactly, by check_onto).  phi must carry its codomain shift.  The
+        triple is built first, so its own invariants are reported before
+        these checks."""
         if phi.codomain is None:
             raise InvariantViolation("phi needs an attached codomain shift")
         X, Y = phi.domain, phi.codomain
@@ -433,20 +392,15 @@ class CodeTriple:
             raise AlphabetMismatch("psi's domain shift is not phi's codomain")
         pi = compose(phi, psi)
         triple = CodeTriple(X, Y, psi.codomain_alphabet, phi, psi, pi)
-        if check:
-            if not is_irreducible(X):
-                raise InvariantViolation("X is not irreducible")
-            if not is_irreducible(Y):
-                raise InvariantViolation("Y is not irreducible")
-            if onto_len is None:
-                onto_len = 2 ** len(X.alphabet) * len(Y.alphabet) + 1
-            onto = check_onto(phi, Y, onto_len)
-            if not onto.ok:
-                raise InvariantViolation(
-                    f"phi is not onto: block {onto.missing_block.text()!r} has no preimage"
-                )
-            if not onto.certified:
-                raise InvariantViolation("phi's surjectivity check did not certify")
+        if not is_irreducible(X):
+            raise InvariantViolation("X is not irreducible")
+        if not is_irreducible(Y):
+            raise InvariantViolation("Y is not irreducible")
+        onto = check_onto(phi, Y)
+        if not onto.ok:
+            raise InvariantViolation(
+                f"phi is not onto: block {onto.missing_block.text()!r} has no preimage"
+            )
         return triple
 
     @property

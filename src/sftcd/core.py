@@ -94,10 +94,6 @@ class Block:
             return "".join(self.symbols)
         return SEPARATOR.join(self.symbols)
 
-    @staticmethod
-    def of(*symbols):
-        return Block(tuple(symbols))
-
 
 def parse_block_text(alphabet, text):
     """Parse a block written either as plain characters (single-character
@@ -209,10 +205,6 @@ class VertexShift:
 
     def successors(self, a):
         return self.succ_lists[a]
-
-    @cached_property
-    def full_mask(self):
-        return (1 << len(self.alphabet)) - 1
 
     def step_mask(self, mask):
         """Union of successors of every symbol in mask."""

@@ -40,19 +40,17 @@ class _Reach:
     """Per-start forward sets and per-end backward sets over the pruned
     layers of one word's fiber."""
 
-    __slots__ = ("code", "word", "length", "layers", "fs", "bs")
+    __slots__ = ("code", "layers", "fs", "bs")
 
     def __init__(self, code, word):
         self.code = code
-        self.word = word
-        self.length = len(word)
         self.layers = pruned_layers(code, word)
         self.fs = {}
         self.bs = {}
         if self.layers is None:
             return
         dom = code.domain
-        n = self.length
+        n = len(word)
         for s in iter_bits(self.layers[0]):
             hist = [1 << s]
             for i in range(1, n):
@@ -80,27 +78,27 @@ class _Reach:
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
         position n to t, or None when no such path exists."""
-        length = self.length
         dom = self.code.domain
-        toward_m = [0] * n
-        toward_m[n - 1] = 1 << m
-        for i in range(n - 2, -1, -1):
-            toward_m[i] = dom.step_mask_back(toward_m[i + 1]) & self.layers[i]
-        if not (toward_m[0] >> s) & 1:
+        head = _least_path(dom, s, m, self.layers[:n])
+        if head is None:
             return None
-        tail = length - n + 1
-        toward_t = [0] * tail
-        toward_t[-1] = 1 << t
-        for k in range(tail - 2, -1, -1):
-            toward_t[k] = dom.step_mask_back(toward_t[k + 1]) & self.layers[n - 1 + k]
-        if not (toward_t[0] >> m) & 1:
-            return None
-        path = [s]
-        for i in range(1, n):
-            path.append(next(iter_bits(dom.succ_masks[path[-1]] & toward_m[i])))
-        for k in range(1, tail):
-            path.append(next(iter_bits(dom.succ_masks[path[-1]] & toward_t[k])))
-        return tuple(path)
+        tail = _least_path(dom, m, t, self.layers[n - 1 :])
+        return None if tail is None else head + tail[1:]
+
+
+def _least_path(domain, s, t, layers):
+    """Least path (by symbol index) from s to t whose i-th symbol lies in
+    layers[i], or None when there is none."""
+    toward = [0] * len(layers)
+    toward[-1] = layers[-1] & (1 << t)
+    for i in range(len(layers) - 2, -1, -1):
+        toward[i] = domain.step_mask_back(toward[i + 1]) & layers[i]
+    if not (toward[0] >> s) & 1:
+        return None
+    path = [s]
+    for mask in toward[1:]:
+        path.append(next(iter_bits(domain.succ_masks[path[-1]] & mask)))
+    return tuple(path)
 
 
 def _hitting_set(family, k):
@@ -298,8 +296,7 @@ def _scan_preconditions(code):
     if not is_irreducible(code.domain):
         raise PreconditionUnmet("domain is not irreducible")
     if code.codomain is not None:
-        bound = 2 ** len(code.domain.alphabet) * len(code.codomain.alphabet) + 1
-        onto = check_onto(code, code.codomain, bound)
+        onto = check_onto(code, code.codomain)
         if not onto.ok:
             raise PreconditionUnmet(
                 f"code is not onto its codomain: {onto.missing_block.text()!r} "

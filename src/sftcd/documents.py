@@ -22,6 +22,17 @@ from .core import Alphabet, Block, PeriodicPoint, VertexShift, parse_block_text
 from .errors import InvariantViolation, ParseError
 
 
+def read_json(path):
+    """The JSON value held in a file; ParseError when the file cannot be
+    read or does not hold JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+    except ValueError as e:
+        raise ParseError(f"invalid JSON in {path}: {e}") from None
+
+
 def load_system(doc) -> VertexShift:
     if not isinstance(doc, dict):
         raise ParseError("system document must be an object")
@@ -55,6 +66,20 @@ def system_doc(shift) -> dict:
     }
 
 
+def _alphabet(raw, what):
+    if not (isinstance(raw, list) and raw and all(isinstance(s, str) and s for s in raw)):
+        raise ParseError(f"{what} must be a nonempty list of nonempty strings")
+    return Alphabet(tuple(raw))
+
+
+def _integer(doc, key):
+    value = doc.get(key, 0)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{key} must be an integer, not {value!r}") from None
+
+
 def _resolve_system(ref, systems, what):
     if isinstance(ref, str):
         if ref not in systems:
@@ -78,7 +103,7 @@ def load_code(doc, systems=None):
         codomain = _resolve_system(doc["codomain"], systems, "codomain")
     raw_alpha = doc.get("codomain_alphabet")
     if raw_alpha is not None:
-        alpha = Alphabet(tuple(raw_alpha))
+        alpha = _alphabet(raw_alpha, "codomain_alphabet")
         if codomain is not None and codomain.alphabet != alpha:
             raise ParseError("codomain_alphabet disagrees with the codomain system")
     elif codomain is not None:
@@ -86,6 +111,8 @@ def load_code(doc, systems=None):
     else:
         raise ParseError("code document needs codomain_alphabet or codomain")
     if "rule" in doc:
+        if not isinstance(doc["rule"], dict):
+            raise ParseError("code rule must be an object")
         rule = {}
         for wtext, out in doc["rule"].items():
             window = parse_block_text(domain.alphabet, wtext)
@@ -95,8 +122,8 @@ def load_code(doc, systems=None):
         return SlidingBlockCode.from_dict(
             domain,
             alpha,
-            int(doc.get("memory", 0)),
-            int(doc.get("anticipation", 0)),
+            _integer(doc, "memory"),
+            _integer(doc, "anticipation"),
             rule,
             codomain,
         )
@@ -138,12 +165,16 @@ class LoadedTriple:
 def load_triple_doc(doc) -> LoadedTriple:
     if not isinstance(doc, dict):
         raise ParseError("triple document must be an object")
-    systems = {
-        name: load_system(d)
-        for name, d in sorted((doc.get("systems") or {}).items())
-    }
-    codes_raw = doc.get("codes") or {}
-    binding = doc.get("triple") or {}
+
+    def table(key):
+        value = doc.get(key) or {}
+        if not isinstance(value, dict):
+            raise ParseError(f"triple document's {key} must be an object")
+        return value
+
+    systems = {name: load_system(d) for name, d in sorted(table("systems").items())}
+    codes_raw = table("codes")
+    binding = table("triple")
     warnings = []
     recoded = {}
 
@@ -188,7 +219,7 @@ def load_triple_doc(doc) -> LoadedTriple:
         if declared != phi.codomain:
             raise InvariantViolation("bound Y does not match phi's codomain")
     if "Z_alphabet" in binding:
-        if Alphabet(tuple(binding["Z_alphabet"])) != psi.codomain_alphabet:
+        if _alphabet(binding["Z_alphabet"], "Z_alphabet") != psi.codomain_alphabet:
             raise InvariantViolation(
                 "bound Z_alphabet does not match psi's codomain alphabet"
             )
@@ -206,13 +237,7 @@ def load_triple_doc(doc) -> LoadedTriple:
 
 
 def load_triple(path) -> LoadedTriple:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e}") from None
-    return load_triple_doc(doc)
+    return load_triple_doc(read_json(path))
 
 
 def triple_doc(triple) -> dict:

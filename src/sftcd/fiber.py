@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .core import Block, DEFAULT_CAP, iter_bits
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
+from .graphs import closure
 
 
 def forward_layers(code, word):
@@ -97,8 +98,8 @@ def _closure_minimum(seeds, successors, score, cap):
     """Exact minimum of score over every block and split point.
 
     seeds are (state, word) for the one-letter blocks in letter order and
-    successors(state) yields (letter, state) in letter order, so the
-    breadth-first closure keeps the shortlex-least word of every state.
+    successors(state) yields (letter, state) in letter order, so
+    graphs.closure keeps the shortlex-least word of every state.
     Block u + v[1:] splits into states (A, B) with A's tail equal to B's
     head; score(A, B, limit) returns the pair's value when it is at most
     limit (None: no limit), otherwise None.  Pairs are scored one total
@@ -108,25 +109,14 @@ def _closure_minimum(seeds, successors, score, cap):
     of levels; None when no pair scores.  Raises ResourceLimit past cap
     states.
     """
-    words = {}
-    for state, word in seeds:
-        words.setdefault(state, word)
-    queue = list(words)
-    for state in queue:  # the queue grows while it is walked
-        word = words[state]
-        for letter, nxt in successors(state):
-            if nxt not in words:
-                words[nxt] = word + (letter,)
-                queue.append(nxt)
-                if len(words) > cap:
-                    raise ResourceLimit(f"closure states exceeded the cap of {cap}")
+    words = closure(seeds, successors, cap)
     if not words:
         return None
-    depth = len(words[queue[-1]])
+    depth = max(map(len, words.values()))
     by_len = [[] for _ in range(depth + 1)]
     by_head = {}
-    for state in queue:
-        n = len(words[state])
+    for state, word in words.items():
+        n = len(word)
         by_len[n].append(state)
         by_head.setdefault((n, state[0]), []).append(state)
     best = None  # (value, total length, word, split)

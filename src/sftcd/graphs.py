@@ -1,13 +1,18 @@
-"""Small graph helpers used throughout: SCCs, reachability, periods.
+"""Small graph helpers used throughout: SCCs, reachability, periods, and
+the breadth-first closure behind the exact surjectivity check and the
+fiber-matrix engine.
 
 Nodes are arbitrary hashables; successor structure is a plain dict
-node -> iterable of nodes.  Everything returns deterministic orders so
-results are reproducible across runs.
+node -> iterable of nodes, except for the closure, whose successors are
+computed on demand.  Everything returns deterministic orders so results
+are reproducible across runs.
 """
 from __future__ import annotations
 
 from collections import deque
 from math import gcd
+
+from .errors import ResourceLimit
 
 
 def strongly_connected_components(nodes, succ):
@@ -79,6 +84,30 @@ def reachable_from(starts, succ):
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def closure(seeds, successors, cap):
+    """Breadth-first closure that keeps one word per state.
+
+    seeds are (state, word) and successors(state) yields (letter, state).
+    With the seeds in shortlex order and successors in letter order, each
+    state keeps the shortlex-least word reaching it.  Returns a dict
+    state -> word whose order is the order the states were reached.
+    Raises ResourceLimit past cap states.
+    """
+    words = {}
+    for state, word in seeds:
+        words.setdefault(state, word)
+    queue = list(words)
+    for state in queue:  # the queue grows while it is walked
+        word = words[state]
+        for letter, nxt in successors(state):
+            if nxt not in words:
+                words[nxt] = word + (letter,)
+                queue.append(nxt)
+                if len(words) > cap:
+                    raise ResourceLimit(f"closure states exceeded the cap of {cap}")
+    return words
 
 
 def component_period(component, succ):

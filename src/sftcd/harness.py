@@ -35,6 +35,8 @@ class TripleGenSpec:
     edge_density: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise PreconditionUnmet("seed must be an integer")
         if self.y_symbols < 1:
             raise PreconditionUnmet("y_symbols must be positive")
         if not 1 <= self.blowup_min <= self.blowup_max:
@@ -207,7 +209,7 @@ def _generate_once(rng, spec):
     for _ in range(_ONTO_TRIES):
         psi_map = _surjection(rng, y_syms, z_syms)
         psi = OneBlockCode.from_dict(Y, Z.alphabet, psi_map, codomain=Z)
-        if check_onto(psi, Z, 2 ** len(y_syms) * len(z_syms) + 1).ok:
+        if check_onto(psi, Z).ok:
             return CodeTriple.build(phi, psi)
     raise _Retry
 
@@ -226,7 +228,7 @@ def generate_chain_code(triple: CodeTriple, seed, w_symbols=1) -> OneBlockCode:
     for _ in range(_GEN_TRIES):
         mapping = _surjection(rng, z_syms, w_syms)
         code = OneBlockCode.from_dict(z_shift, W.alphabet, mapping, codomain=W)
-        if check_onto(code, W, 2 ** len(z_syms) * len(w_syms) + 1).ok:
+        if check_onto(code, W).ok:
             return code
     raise GenerationFailed("no onto chain code found")
 

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from conftest import fiber_paths
 from sftcd.bridge import (
     BridgeWitness,
     bounded_bridge_exists,
@@ -9,14 +10,34 @@ from sftcd.bridge import (
     fixed_point_class_oracle,
     verify_bridge,
 )
-from sftcd.codes import OneBlockCode, identity_code, trivial_code
-from sftcd.core import Block, PeriodicPoint, VertexShift, is_point_of, parse_block_text
-from sftcd.depth import depth, relative_is_presented
+from sftcd.codes import OneBlockCode, apply_to_point, identity_code, trivial_code
+from sftcd.core import (
+    Block,
+    PeriodicPoint,
+    VertexShift,
+    enumerate_blocks,
+    is_point_of,
+    parse_block_text,
+    periodic_points_of,
+)
+from sftcd.depth import depth, relative_depth, relative_is_presented
 from sftcd.errors import ImageMismatch, NoFixedPoint, NotRoutable, UnknownSymbol
+from sftcd.harness import generate_triple, spec_for_seed
 
 
 def point(*symbols, phase=0):
     return PeriodicPoint.make(Block(symbols), phase)
+
+
+@pytest.fixture(scope="module")
+def subjects(xor2):
+    return [xor2] + [generate_triple(spec_for_seed(seed)) for seed in range(1, 21)]
+
+
+def by_index(code):
+    """Sort key ordering domain paths lexicographically by symbol index."""
+    index = code.domain.alphabet.index
+    return lambda path: [index(s) for s in path]
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +144,58 @@ class TestBoundedBridge:
     def test_image_mismatch_rejected(self, xor2):
         with pytest.raises(ImageMismatch):
             bounded_bridge_exists(xor2.phi, point("00"), point("01", "10"), 0)
+
+    def test_middles_are_least_on_generated_codes(self, subjects):
+        # brute force: the first rejoin n with a fiber path from x at m to
+        # x' at n, and the least such path's interior
+        for t in subjects:
+            points = periodic_points_of(t.X, 2)
+            for code, m, x, xp in product((t.pi, t.phi), (0, 1), points, points):
+                image = apply_to_point(code, x)
+                if image != apply_to_point(code, xp):
+                    continue
+                expected = None
+                for n in range(m + 1, m + 7):
+                    word = [image.symbol_at(k) for k in range(m, n + 1)]
+                    paths = [
+                        p
+                        for p in fiber_paths(code, word)
+                        if p[0] == x.symbol_at(m) and p[-1] == xp.symbol_at(n)
+                    ]
+                    if paths:
+                        expected = (n, min(paths, key=by_index(code))[1:-1])
+                        break
+                search = bounded_bridge_exists(code, x, xp, m, 6)
+                w = search.witness
+                assert (w and (w.n, w.middle_symbols)) == expected
+
+
+class TestRoutingWitnesses:
+    def test_witnesses_are_least_paths(self, subjects):
+        # each witness is the least fiber path with u's endpoints through
+        # the least symbol of M that any such path passes at n
+        for t in subjects:
+            for w in (b for L in range(1, 5) for b in enumerate_blocks(t.Y, L)):
+                for cert, code, word in (
+                    (depth(t.phi, w).certificate, t.phi, w.symbols),
+                    (relative_depth(t, w).certificate, t.pi, t.psi_word(w.symbols)),
+                ):
+                    paths = fiber_paths(code, word)
+                    for u, v in cert.witnesses:
+                        through = [
+                            p
+                            for p in paths
+                            if (p[0], p[-1]) == (u.symbols[0], u.symbols[-1])
+                            and p[cert.n - 1] in cert.M
+                        ]
+                        least = min(
+                            (p[cert.n - 1] for p in through),
+                            key=code.domain.alphabet.index,
+                        )
+                        assert v.symbols == min(
+                            (p for p in through if p[cert.n - 1] == least),
+                            key=by_index(code),
+                        )
 
 
 class TestFixedPointOracle:

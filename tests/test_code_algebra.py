@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_finite_to_one
+from conftest import fiber_paths, naive_finite_to_one
 from sftcd.codes import (
     CodeTriple,
     OneBlockCode,
@@ -15,8 +17,21 @@ from sftcd.codes import (
     recode_to_one_block,
     trivial_code,
 )
-from sftcd.core import Block, PeriodicPoint, VertexShift, parse_block_text
-from sftcd.errors import AlphabetMismatch, InvalidBlock, InvariantViolation
+from sftcd.core import (
+    Block,
+    PeriodicPoint,
+    VertexShift,
+    enumerate_blocks,
+    parse_block_text,
+    validate_block,
+)
+from sftcd.errors import (
+    AlphabetMismatch,
+    InvalidBlock,
+    InvariantViolation,
+    ResourceLimit,
+    SftcdError,
+)
 
 
 def golden():
@@ -117,31 +132,100 @@ class TestCompose:
 
 class TestCheckOnto:
     def test_xor2_phi_onto_certified(self, xor2):
-        res = check_onto(xor2.phi, xor2.Y, 9)
-        assert res.ok and res.certified
-
-    def test_small_bound_uncertified(self, xor2):
-        # max_len 1 leaves no room for the subset automaton to close
-        res = check_onto(xor2.phi, xor2.Y, 1)
-        assert res.ok and not res.certified
+        # exact: the subset automaton closes after the one-letter blocks
+        res = check_onto(xor2.phi, xor2.Y)
+        assert res.ok
         assert res.checked_length == 1
-
-    def test_closure_certifies_below_bound(self, xor2):
-        res = check_onto(xor2.phi, xor2.Y, 2)
-        assert res.ok and res.certified
-        assert res.checked_length == 1
+        assert res.missing_block is None
 
     def test_missing_block_named(self):
         g = golden()
         sub = OneBlockCode.from_dict(
             g, ("0", "1"), {"0": "0", "1": "0"}, codomain=g
         )
-        res = check_onto(sub, g, 9)
+        res = check_onto(sub, g)
         assert not res.ok
         assert res.missing_block.text() == "1"
+        assert res.checked_length == 1
 
     def test_bool_protocol(self, xor2):
-        assert check_onto(xor2.phi, xor2.Y, 9)
+        assert check_onto(xor2.phi, xor2.Y)
+
+    def test_closure_depth_and_shortest_missing_block(self):
+        # "10" reaches the state (0, {a}), a strict part of the mask of 0,
+        # so the closure needs two levels; without a -> c nothing carrying
+        # 1 follows it, and "101" is the shortest, then least, block
+        # without preimage
+        full = VertexShift.full_shift(("0", "1"))
+        edges = [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")]
+        images = {"a": "0", "b": "0", "c": "1"}
+        onto = OneBlockCode.from_dict(
+            VertexShift.build("abc", edges + [("a", "c")]), full.alphabet, images, full
+        )
+        res = check_onto(onto, full)
+        assert (res.ok, res.checked_length) == (True, 2)
+        gap = OneBlockCode.from_dict(
+            VertexShift.build("abc", edges), full.alphabet, images, full
+        )
+        res = check_onto(gap, full)
+        assert (res.ok, res.checked_length, res.missing_block.text()) == (False, 3, "101")
+
+    def test_cap_raises_resource_limit(self, monkeypatch):
+        full = VertexShift.full_shift(("0", "1"))
+        code = OneBlockCode.from_dict(
+            VertexShift.build(
+                "abc",
+                [("a", "a"), ("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"), ("c", "c")],
+            ),
+            full.alphabet,
+            {"a": "0", "b": "0", "c": "1"},
+            full,
+        )
+        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
+        with pytest.raises(ResourceLimit, match="cap of 2"):
+            check_onto(code, full)
+
+
+@st.composite
+def small_onto_subjects(draw):
+    """A code from a vertex shift of at most 4 symbols into an irreducible
+    one of at most 3, edge-compatible by construction."""
+    ys = tuple(f"y{i}" for i in range(draw(st.integers(1, 3))))
+    order = draw(st.permutations(ys))
+    y_pairs = {(order[i], order[(i + 1) % len(ys)]) for i in range(len(ys))}
+    y_pairs |= draw(st.sets(st.tuples(st.sampled_from(ys), st.sampled_from(ys))))
+    Y = VertexShift.build(ys, sorted(y_pairs))
+    xs = tuple(f"x{i}" for i in range(draw(st.integers(1, 4))))
+    images = dict(zip(xs, draw(st.lists(st.sampled_from(ys), min_size=len(xs), max_size=len(xs)))))
+    compatible = [(a, b) for a in xs for b in xs if Y.allows(images[a], images[b])]
+    x_pairs = draw(st.sets(st.sampled_from(compatible))) if compatible else set()
+    try:
+        X = VertexShift.build(xs, sorted(x_pairs))
+    except SftcdError:
+        assume(False)
+    mapping = {s: images[s] for s in X.alphabet.symbols}
+    return OneBlockCode.from_dict(X, Y.alphabet, mapping, codomain=Y), Y
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_onto_subjects())
+def test_check_onto_against_brute_force_fibers(subject):
+    code, Y = subject
+    res = check_onto(code, Y)
+    if res.ok:
+        for length in range(1, 7):
+            for block in enumerate_blocks(Y, length):
+                assert fiber_paths(code, block.symbols)
+        return
+    missing = res.missing_block
+    assert res.checked_length == len(missing)
+    assert validate_block(Y, missing)
+    assert not fiber_paths(code, missing.symbols)
+    for length in range(1, len(missing) + 1):
+        for block in enumerate_blocks(Y, length):
+            if block == missing:
+                break
+            assert fiber_paths(code, block.symbols)
 
 
 class TestFiniteToOne:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -62,6 +63,19 @@ def collapse_doc():
         },
         "triple": {"phi": "phi", "psi": "psi"},
     }
+
+
+def malformed_code_docs():
+    """(code document, error pattern) pairs of wrongly typed fields."""
+    rule = xor_doc()["codes"]["phi"]
+    return [
+        ({**rule, "codomain": FULL2, "memory": "x"}, "memory must be an integer"),
+        ({**rule, "codomain": FULL2, "rule": [1, 2]}, "rule must be an object"),
+        (
+            {"domain": FULL2, "codomain_alphabet": 5, "map": {"0": "0", "1": "1"}},
+            "codomain_alphabet must be a nonempty list",
+        ),
+    ]
 
 
 class TestSystemDocs:
@@ -132,6 +146,9 @@ class TestCodeDocs:
                     "rule": {"01": "z", "0·1": "z"},
                 }
             )
+        for doc, match in malformed_code_docs():
+            with pytest.raises(ParseError, match=match):
+                load_code(doc)
 
 
 class TestTripleDocs:
@@ -299,6 +316,19 @@ class TestCliBasics:
         assert run_cli(capsys)[0] == 2
         assert run_cli(capsys, "nope")[0] == 2
         assert run_cli(capsys, "depth", "--triple", "builtin:xor2")[0] == 2
+
+    def test_malformed_code_arguments(self, capsys, tmp_path):
+        # each used to escape as an uncaught Python error
+        for name in ("bogus", "X"):
+            code, out, err = run_cli(capsys, "magic", "--code", f"builtin:xor2/{name}")
+            assert (code, out) == (2, "")
+            assert f"error: unknown code {name!r}" in err
+        for i, (doc, match) in enumerate(malformed_code_docs()):
+            path = tmp_path / f"code{i}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "magic", "--code", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and re.search(match, err)
 
     def test_magic_and_dump_need_a_source(self, capsys):
         code, _, err = run_cli(capsys, "magic")
@@ -494,9 +524,22 @@ class TestCliDocuments:
         )
         assert code == 2
         bad = tmp_path / "bad.json"
-        bad.write_text("{oops")
-        code, _, _ = run_cli(capsys, "depth", "--triple", str(bad), "--block", "0")
-        assert code == 2
+        for content in (b"{oops", b"\xff\xfe not utf-8"):
+            bad.write_bytes(content)
+            code, _, err = run_cli(
+                capsys, "depth", "--triple", str(bad), "--block", "0"
+            )
+            assert code == 2
+            assert "error: invalid JSON in" in err
+        for key in ("systems", "triple"):
+            doc = xor_doc()
+            doc[key] = [1]
+            bad.write_text(json.dumps(doc))
+            code, _, err = run_cli(
+                capsys, "depth", "--triple", str(bad), "--block", "0"
+            )
+            assert code == 2
+            assert f"error: triple document's {key} must be an object" in err
 
 
 class TestCliVerify:
@@ -544,8 +587,9 @@ class TestCliVerify:
         assert code == 0
         assert any("gen:5/" in l for l in out.splitlines())
         bad = tmp_path / "bad_specs.json"
-        bad.write_text(json.dumps([{"nope": 1}]))
-        assert run_cli(capsys, "verify", "--gen", str(bad))[0] == 2
+        for entry in ({"nope": 1}, {"seed": "x"}):
+            bad.write_text(json.dumps([entry]))
+            assert run_cli(capsys, "verify", "--gen", str(bad))[0] == 2
 
     def test_bad_arguments(self, capsys):
         assert run_cli(capsys, "verify")[0] == 2
