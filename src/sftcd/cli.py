@@ -171,6 +171,8 @@ def cmd_magic(args):
 
 
 def cmd_bridge(args):
+    if args.window is not None and args.window < 1:
+        raise ParseError("--window must be positive")
     code = _code_from_arg(args.code)
     x = parse_point_text(code.domain.alphabet, args.src)
     xp = parse_point_text(code.domain.alphabet, args.dst)
@@ -355,6 +357,8 @@ def cmd_verify(args):
     cases = _verify_cases(args)
     if args.max_len < 1:
         raise ParseError("--max-len must be positive")
+    if args.jobs < 1:
+        raise ParseError("--jobs must be positive")
     cache_dir = os.environ.get("SFTCD_CACHE_DIR")
     if cache_dir:
         summary = _run_with_cache(cases, args.max_len, args.jobs, args.archive, cache_dir)

@@ -4,6 +4,12 @@ A shift is presented by a finite directed graph on its alphabet: a word is a
 block of the shift exactly when every adjacent pair of symbols is an allowed
 edge.  Coordinates are 1-based in the public interface, matching the usual
 window notation w|_1 .. w|_{|w|}.
+
+Sets of symbols are bitmasks over the alphabet index.  Stepping a set to
+its successors (or predecessors) reads byte tables: for each run of 8
+symbols, a table indexed by that byte of the mask holds the union of the
+successor masks of its set bits.  A shift builds them on first use and
+keeps them, so a step costs one lookup per byte of the mask.
 """
 from __future__ import annotations
 
@@ -24,6 +30,31 @@ def iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_table(masks, keep=-1):
+    """table[b] = the union of masks[i] over the set bits i of b,
+    intersected with keep: 2**len(masks) entries."""
+    table = [0]
+    for m in masks:
+        m &= keep
+        table += [t | m for t in table]
+    return tuple(table)
+
+
+def byte_tables(masks, keep=-1):
+    """union_table of each run of 8 masks: tables[k] serves byte k of a
+    mask, so stepping a mask costs one lookup per byte."""
+    return tuple(union_table(masks[i : i + 8], keep) for i in range(0, len(masks), 8))
+
+
+def byte_lookup(tables, mask):
+    """Union of masks[i] over the set bits i of mask, read off byte_tables."""
+    out = 0
+    for table in tables:
+        out |= table[mask & 0xFF]
+        mask >>= 8
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,6 +222,16 @@ class VertexShift:
         return tuple(masks)
 
     @cached_property
+    def succ_tables(self):
+        """byte_tables of succ_masks, built on first use."""
+        return byte_tables(self.succ_masks)
+
+    @cached_property
+    def pred_tables(self):
+        """byte_tables of pred_masks, built on first use."""
+        return byte_tables(self.pred_masks)
+
+    @cached_property
     def succ_lists(self):
         return {
             s: tuple(
@@ -207,19 +248,13 @@ class VertexShift:
         return self.succ_lists[a]
 
     def step_mask(self, mask):
-        """Union of successors of every symbol in mask."""
-        out = 0
-        succ = self.succ_masks
-        for i in iter_bits(mask):
-            out |= succ[i]
-        return out
+        """Union of successors of every symbol in mask, one table lookup
+        per byte of mask."""
+        return byte_lookup(self.succ_tables, mask)
 
     def step_mask_back(self, mask):
-        out = 0
-        pred = self.pred_masks
-        for i in iter_bits(mask):
-            out |= pred[i]
-        return out
+        """Union of predecessors of every symbol in mask."""
+        return byte_lookup(self.pred_tables, mask)
 
 
 def validate_block(shift, block):

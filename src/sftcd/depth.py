@@ -23,13 +23,16 @@ Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v the routing set of (s, t) is
 {m : m in A[s], t in B[m]}, so the depth at n is fixed by the pair (A, B).
 The fiber-matrix closure of fiber.py minimises that over every reachable
-pair, and the block it returns replays as a routing certificate.
+pair, and the block it returns replays as a routing certificate.  Each
+state's rows (its side as A) and columns (its side as B) are taken once,
+so the routing family of a pair is one set comprehension, and equal pairs
+of sides are scored once per closure.  Mask steps read the byte tables of
+core.VertexShift.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
@@ -101,23 +104,30 @@ def _least_path(domain, s, t, layers):
     return tuple(path)
 
 
-def _hitting_set(family, k):
+def _hitting_set(family, k, allowed=None):
     """Least k-symbol mask, in combination order, meeting every routing
-    set of family, or None when there is none."""
+    set of family, or None when there is none; allowed (default: the
+    union of family) bounds the symbols it may use.
+
+    Combinations starting with symbol i come before those starting with
+    a larger one, and the rest of such a combination only has to meet
+    the sets that miss i, so the search recurses on those.  It gives up
+    once fewer than k symbols are left or some set has none of them."""
     if k == 1:
-        inter = -1
+        inter = -1 if allowed is None else allowed
         for r in family:
             inter &= r
         return inter & -inter or None
-    union = 0
-    for r in family:
-        union |= r
-    for combo in combinations(iter_bits(union), k):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        if all(r & mask for r in family):
-            return mask
+    if allowed is None:
+        allowed = 0
+        for r in family:
+            allowed |= r
+    while allowed.bit_count() >= k and all(r & allowed for r in family):
+        low = allowed & -allowed
+        allowed ^= low
+        mask = _hitting_set([r for r in family if not r & low], k - 1, allowed)
+        if mask:
+            return low | mask
     return None
 
 
@@ -308,40 +318,68 @@ def _scan_preconditions(code):
 def _transpose(rows):
     cols = [0] * len(rows)
     for m, row in enumerate(rows):
-        for t in iter_bits(row):
-            cols[t] |= 1 << m
+        bit = 1 << m
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
     return cols
+
+
+def _routing_value(family, limit):
+    """Minimum hitting set size of family when it is at most limit (None:
+    no limit), otherwise None."""
+    if not family:
+        return None
+    bound = len(family) if limit is None else min(len(family), limit)
+    for k in range(1, bound + 1):
+        if _hitting_set(family, k):
+            return k
+    return None
 
 
 def _closure_degree(seeds, successors, alphabet, cap):
     """Exact minimum depth over the fiber-matrix closure.  Endpoint pairs
     come from a state's first matrix, routing sets from its last, so one
     matrix per state gives absolute depth and a (phi, pi) pair gives
-    relative depth."""
-    columns = {}
+    relative depth.
+
+    A state's two sides of a split are computed once: as A, its nonzero
+    (first-track row, last-track row) pairs; as B, its nonzero
+    (first-track column, last-track column) pairs.  A pair (s, t) is an
+    endpoint pair of the split when A's row s meets B's column t, and its
+    routing set is A's last-track row s & B's last-track column t.  Equal
+    sides are numbered alike, and each distinct pair of sides is scored
+    once: the closure's limit never grows, so a pair that found no value
+    within it finds none later either.
+    """
+    numbers = {}
+    values = {}
+
+    def side(state):
+        first, last = state[2], state[-1]
+        rows = tuple((f, r) for f, r in zip(first, last) if f)
+        cols_first = _transpose(first)
+        cols_last = cols_first if last is first else _transpose(last)
+        cols = tuple((f, c) for f, c in zip(cols_first, cols_last) if f)
+        return (
+            numbers.setdefault(rows, (len(numbers), rows)),
+            numbers.setdefault(cols, (len(numbers), cols)),
+        )
 
     def score(a, b, limit):
-        cols = columns.get(b)
-        if cols is None:
-            cols = columns[b] = _transpose(b[-1])
-        ends_b, routes_a = b[2], a[-1]
-        family = set()
-        for s, row in enumerate(a[2]):
-            if row:
-                ends = 0
-                for m in iter_bits(row):
-                    ends |= ends_b[m]
-                for t in iter_bits(ends):
-                    family.add(routes_a[s] & cols[t])
-        if not family:
+        (na, rows), (nb, cols) = a[0], b[1]
+        key = na << 32 | nb  # smaller than a tuple; na, nb < 2**32
+        if key in values:
+            value = values[key]
+        else:
+            family = {ra & cb for fa, ra in rows for fb, cb in cols if fa & fb}
+            value = values[key] = _routing_value(family, limit)
+        if value is None or (limit is not None and value > limit):
             return None
-        bound = len(family) if limit is None else min(len(family), limit)
-        for k in range(1, bound + 1):
-            if _hitting_set(family, k):
-                return k
-        return None
+        return value
 
-    found = _closure_minimum(seeds, successors, score, cap)
+    found = _closure_minimum(seeds, successors, side, score, cap)
     if found is None:
         return None
     value, word, _, depth = found

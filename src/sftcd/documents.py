@@ -113,13 +113,15 @@ def load_code(doc, systems=None):
     if "rule" in doc:
         if not isinstance(doc["rule"], dict):
             raise ParseError("code rule must be an object")
+        _strings(doc["rule"].values(), "code rule outputs")
         rule = {}
         for wtext, out in doc["rule"].items():
             window = parse_block_text(domain.alphabet, wtext)
             if window.symbols in rule:
                 raise ParseError(f"duplicate rule window {wtext!r}")
             rule[window.symbols] = out
-        return SlidingBlockCode.from_dict(
+        return _construct(
+            SlidingBlockCode.from_dict,
             domain,
             alpha,
             _integer(doc, "memory"),
@@ -131,7 +133,23 @@ def load_code(doc, systems=None):
         raise ParseError("code document needs a map or a rule")
     if not isinstance(doc["map"], dict):
         raise ParseError("code map must be an object")
-    return OneBlockCode.from_dict(domain, alpha, dict(doc["map"]), codomain)
+    _strings(doc["map"].values(), "code map images")
+    return _construct(OneBlockCode.from_dict, domain, alpha, dict(doc["map"]), codomain)
+
+
+def _strings(values, what):
+    if not all(isinstance(v, str) for v in values):
+        raise ParseError(f"{what} must be strings")
+
+
+def _construct(build, *args):
+    """A code from its constructor; the invariants it checks (a total
+    rule or map, memory >= 0, edge compatibility) are errors of the
+    document, so they come out as ParseError with the same message."""
+    try:
+        return build(*args)
+    except InvariantViolation as e:
+        raise ParseError(str(e)) from None
 
 
 def code_doc(code) -> dict:

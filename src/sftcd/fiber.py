@@ -11,12 +11,21 @@ What a block shows at a split point depends only on the matrices of the
 two pieces, and the reachable matrices form a finite set, so a
 breadth-first closure of that set followed by a minimum over joinable
 pairs is exhaustive (Lind & Marcus, section 9.1).
+
+A closure steps every row of a matrix by a table lookup: per slot and
+code it builds a union_table of the domain's successor masks with the
+letter's mask folded in (byte tables on domains past WALK_TABLE_SYMBOLS
+symbols).  Those per-letter tables live only as long as one walk; kept
+on the codes, they would stay alive with every code the harness caches
+hold.  The scoring of a split reads sides computed once per state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 
-from .core import Block, DEFAULT_CAP, iter_bits
+from .core import Block, DEFAULT_CAP, byte_lookup, byte_tables, iter_bits, union_table
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from .graphs import closure
 
@@ -54,6 +63,21 @@ def _letter_matrix(code, letter):
     return tuple(mask & (1 << s) for s in range(len(code.domain.alphabet)))
 
 
+# a walk steps rows through one union_table (2**n entries) up to this many
+# domain symbols, through byte tables beyond it: building up to 1024
+# entries per slot costs less than a second lookup on every row step
+WALK_TABLE_SYMBOLS = 10
+
+
+def _row_stepper(code, letter):
+    """One row of a fiber-matrix step: successors of the row that carry
+    letter, read off tables with the letter mask folded in."""
+    masks, keep = code.domain.succ_masks, code.letter_mask(letter)
+    if len(masks) <= WALK_TABLE_SYMBOLS:
+        return union_table(masks, keep).__getitem__
+    return partial(byte_lookup, byte_tables(masks, keep))
+
+
 def _walk(tracks, labels, follows):
     """Seeds and successors of a fiber-matrix closure.
 
@@ -63,25 +87,25 @@ def _walk(tracks, labels, follows):
     records and follows(slot) the slots that may come next, in order.
     tracks are (code, letters) with letters[slot] the code's codomain
     letter there.  A block belongs when its first matrix is nonzero.
-    """
 
-    def matrices(slot, prev):
-        if prev is None:
-            return tuple(_letter_matrix(code, letters[slot]) for code, letters in tracks)
-        return tuple(
-            tuple(code.step(row, letters[slot]) if row else 0 for row in rows)
-            for (code, letters), rows in zip(tracks, prev)
-        )
+    Each (slot, track) steps its matrix rows through its own table,
+    built here and dropped with the walk (see the module docstring).
+    """
+    steppers = [
+        [_row_stepper(code, letters[slot]) for code, letters in tracks]
+        for slot in range(len(labels))
+    ]
 
     seeds = []
     for slot in sorted(range(len(labels)), key=labels.__getitem__):
-        mats = matrices(slot, None)
+        mats = tuple(_letter_matrix(code, letters[slot]) for code, letters in tracks)
         if any(mats[0]):
             seeds.append(((slot, slot) + mats, (labels[slot],)))
 
     def successors(state):
         for slot in follows(state[1]):
-            mats = matrices(slot, state[2:])
+            # each track's rows through that track's stepper
+            mats = tuple(map(tuple, map(map, steppers[slot], state[2:])))
             if any(mats[0]):
                 yield labels[slot], (state[0], slot) + mats
 
@@ -94,49 +118,56 @@ def _block_walk(tracks):
     return _walk(tracks, letters, lambda _: letters)
 
 
-def _closure_minimum(seeds, successors, score, cap):
+def _closure_minimum(seeds, successors, side, score, cap):
     """Exact minimum of score over every block and split point.
 
     seeds are (state, word) for the one-letter blocks in letter order and
     successors(state) yields (letter, state) in letter order, so
     graphs.closure keeps the shortlex-least word of every state.
-    Block u + v[1:] splits into states (A, B) with A's tail equal to B's
-    head; score(A, B, limit) returns the pair's value when it is at most
-    limit (None: no limit), otherwise None.  Pairs are scored one total
-    length at a time.  Returns (value, word, split, depth) for the
-    shortest block attaining the minimum, lexicographically least among
-    those, at its first attaining split, with depth the closure's number
-    of levels; None when no pair scores.  Raises ResourceLimit past cap
-    states.
+    side(state) is what score needs of a state, computed once, when the
+    state's length is first reached.  Block u + v[1:] splits into states
+    (A, B) with A's tail equal to B's head; score(side(A), side(B), limit)
+    returns the pair's value when it is at most limit (None: no limit),
+    otherwise None.  Pairs are scored one total length at a time, and
+    limit never grows from one call to the next.  Returns (value, word,
+    split, depth) for the shortest block attaining the minimum,
+    lexicographically least among those, at its first attaining split,
+    with depth the closure's number of levels; None when no pair scores.
+    Raises ResourceLimit past cap states.
     """
     words = closure(seeds, successors, cap)
     if not words:
         return None
     depth = max(map(len, words.values()))
+    # words is in breadth-first order, so its states come level by level
+    levels = groupby(words.items(), lambda item: len(item[1]))
     by_len = [[] for _ in range(depth + 1)]
     by_head = {}
-    for state, word in words.items():
-        n = len(word)
-        by_len[n].append(state)
-        by_head.setdefault((n, state[0]), []).append(state)
     best = None  # (value, total length, word, split)
+    limit = None  # ties allowed within best's total length, not after it
     for total in range(1, 2 * depth):
+        if total <= depth:  # states of length n first pair up at total n
+            n, level = next(levels)
+            assert n == total
+            for state, word in level:
+                entry = (state[1], word, side(state))
+                by_len[total].append(entry)
+                by_head.setdefault((total, state[0]), []).append(entry)
         for la in range(max(1, total + 1 - depth), min(total, depth) + 1):
             lb = total + 1 - la
-            for a in by_len[la]:
-                for b in by_head.get((lb, a[1]), ()):
-                    if best is None:
-                        limit = None
-                    else:
-                        limit = best[0] if total == best[1] else best[0] - 1
-                    value = score(a, b, limit)
+            for tail, word_a, side_a in by_len[la]:
+                for _, word_b, side_b in by_head.get((lb, tail), ()):
+                    value = score(side_a, side_b, limit)
                     if value is None:
                         continue
-                    key = (value, total, words[a] + words[b][1:], la)
+                    key = (value, total, word_a + word_b[1:], la)
                     if best is None or key < best:
                         best = key
-        if best is not None and best[0] == 1:
-            break
+                        limit = value
+        if best is not None:
+            if best[0] == 1:
+                break
+            limit = best[0] - 1
     if best is None:
         return None
     return best[0], best[2], best[3], depth
@@ -222,15 +253,20 @@ class MagicBlockResult:
     certified: StabilizationInfo
 
 
+def _magic_side(state):
+    """(ends, starts) of the first matrix: the end symbols of its paths
+    and the start symbols that have one."""
+    ends = starts = 0
+    for s, row in enumerate(state[2]):
+        if row:
+            ends |= row
+            starts |= 1 << s
+    return ends, starts
+
+
 def _magic_score(a, b, limit):
     """Preimage symbols at the split: ends of A's paths that start B's."""
-    ends = starts = 0
-    for row in a[2]:
-        ends |= row
-    for s, row in enumerate(b[2]):
-        if row:
-            starts |= 1 << s
-    count = (ends & starts).bit_count()
+    count = (a[0] & b[1]).bit_count()
     return count if count and (limit is None or count <= limit) else None
 
 
@@ -246,7 +282,9 @@ def find_magic_block(code, max_len, cap=DEFAULT_CAP):
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     letters = code.codomain_alphabet.symbols
-    found = _closure_minimum(*_block_walk(((code, letters),)), _magic_score, cap)
+    found = _closure_minimum(
+        *_block_walk(((code, letters),)), _magic_side, _magic_score, cap
+    )
     if found is None:
         raise InvalidBlock("codomain language is empty")
     value, word, coordinate, depth = found

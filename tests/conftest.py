@@ -140,6 +140,27 @@ def naive_finite_to_one(code, slack=2):
     return True
 
 
+def reference_step_mask(shift, mask):
+    """Successors of the symbols in mask, one allowed pair at a time: the
+    plain loop that VertexShift.step_mask answers from byte tables."""
+    index = shift.alphabet.index
+    out = 0
+    for a, b in shift.allowed:
+        if mask >> index(a) & 1:
+            out |= 1 << index(b)
+    return out
+
+
+def reference_step_mask_back(shift, mask):
+    """Predecessors of the symbols in mask, one allowed pair at a time."""
+    index = shift.alphabet.index
+    out = 0
+    for a, b in shift.allowed:
+        if mask >> index(b) & 1:
+            out |= 1 << index(a)
+    return out
+
+
 def walk_count(shift, length):
     """Number of allowed blocks of a given length, by plain dynamic
     programming over successor lists (independent of the bitmask layers)."""

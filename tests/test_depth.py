@@ -1,12 +1,16 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fiber_paths, naive_class_degree, naive_depth
-from sftcd.codes import OneBlockCode, identity_code
+from sftcd.codes import CodeTriple, OneBlockCode, identity_code, trivial_code
+from sftcd.corpus import additive_recoding
 from sftcd.core import Block, VertexShift, enumerate_blocks, parse_block_text
 from sftcd.depth import (
     DegreeEstimate,
+    _hitting_set,
     RoutingCertificate,
     RoutingRefusal,
     class_degree,
@@ -187,6 +191,46 @@ class TestClassDegree:
             assert est.value <= naive_class_degree(code, L)
             assert est.value == naive_class_degree(code, len(est.minimal_block))
 
+    def test_closure_on_a_two_byte_domain(self):
+        # additive_recoding(4) has 16 domain symbols, so every mask step of
+        # the closure reads two byte tables
+        phi = additive_recoding(4).code
+        est = class_degree(phi, 1)
+        assert (est.value, est.minimal_block.text()) == (4, "0")
+        for L in (1, 2):
+            assert naive_class_degree(phi, L) == est.value
+        pi = CodeTriple.build(phi, trivial_code(phi.codomain)).pi
+        est = class_degree(pi, 1)
+        assert (est.value, est.minimal_block.text()) == (1, "zzzzz")
+        # naive_class_degree(pi, L) for L = 1..5, worked out once (it takes
+        # half a minute): no shorter block reaches depth one
+        depths = [depth(pi, Block(("z",) * L)).value for L in range(1, 6)]
+        assert depths == [16, 16, 16, 4, 1]
+
+    def test_witness_is_the_first_block_reaching_the_value(self):
+        # shortest, then least in alphabet order, among blocks whose depth
+        # is the class degree; seed 97's pi has several at length 3
+        for seed in range(90, 100):
+            t = generate_triple(spec_for_seed(seed))
+            subjects = [
+                (class_degree(code, 1), code.codomain, lambda b, c=code: depth(c, b))
+                for code in (t.phi, t.pi)
+            ]
+            subjects.append(
+                (relative_class_degree(t, 1), t.Y, lambda b, t=t: relative_depth(t, b))
+            )
+            for est, shift, depth_of in subjects:
+                length = len(est.minimal_block)
+                if length > 5:
+                    continue
+                first = next(
+                    b
+                    for n in range(1, length + 1)
+                    for b in enumerate_blocks(shift, n)
+                    if depth_of(b).value <= est.value
+                )
+                assert first == est.minimal_block
+
     def test_result_does_not_depend_on_max_len(self, xor2):
         # the closure is exhaustive, so a short max_len loses nothing
         assert class_degree(xor2.phi, 1) == class_degree(xor2.phi, 6)
@@ -344,3 +388,23 @@ def test_closure_against_naive_class_degree(code):
         assert est.value <= naive_class_degree(code, L)
     assert naive_class_degree(code, len(est.minimal_block)) == est.value
     assert depth(code, est.minimal_block).value == est.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=10),
+    st.integers(1, 6),
+)
+def test_hitting_set_is_the_first_combination_that_hits(family, k):
+    # reference: scan the k-combinations of the union in order
+    union = 0
+    for r in family:
+        union |= r
+    symbols = [i for i in range(12) if union >> i & 1]
+    expected = None
+    for combo in combinations(symbols, k):
+        mask = sum(1 << i for i in combo)
+        if all(r & mask for r in family):
+            expected = mask
+            break
+    assert _hitting_set(set(family), k) == expected

@@ -66,14 +66,31 @@ def collapse_doc():
 
 
 def malformed_code_docs():
-    """(code document, error pattern) pairs of wrongly typed fields."""
+    """(code document, error pattern) pairs of wrongly typed fields and
+    of rules or maps the code constructors reject."""
     rule = xor_doc()["codes"]["phi"]
+    sliding = {**rule, "codomain": FULL2}
+    partial_rule = {k: v for k, v in rule["rule"].items() if k != "11"}
+    one_block = {"domain": FULL2, "codomain_alphabet": ["0", "1"]}
+    golden = {"alphabet": ["0", "1"], "allowed": [["0", "0"], ["0", "1"], ["1", "0"]]}
     return [
         ({**rule, "codomain": FULL2, "memory": "x"}, "memory must be an integer"),
         ({**rule, "codomain": FULL2, "rule": [1, 2]}, "rule must be an object"),
         (
             {"domain": FULL2, "codomain_alphabet": 5, "map": {"0": "0", "1": "1"}},
             "codomain_alphabet must be a nonempty list",
+        ),
+        ({**sliding, "memory": -1}, "memory and anticipation must be >= 0"),
+        ({**sliding, "rule": partial_rule}, "rule not total"),
+        (
+            {**sliding, "rule": {**rule["rule"], "11": ["0"]}},
+            "rule outputs must be strings",
+        ),
+        ({**one_block, "map": {"0": "0"}}, "mapping not total"),
+        ({**one_block, "map": {"0": "0", "1": 1}}, "map images must be strings"),
+        (
+            {**one_block, "codomain": golden, "map": {"0": "1", "1": "1"}},
+            "not edge-compatible",
         ),
     ]
 
@@ -428,6 +445,16 @@ class TestCliWitnesses:
         assert json.loads(out)["found"] is False
         assert "12" in err
 
+    def test_bridge_window_must_be_positive(self, capsys):
+        for window in ("0", "-3"):
+            code, out, err = run_cli(
+                capsys,
+                "bridge", "--code", "builtin:xor2/pi",
+                "--from", "(00)", "--to", "(11)", "--window", window,
+            )
+            assert (code, out) == (2, "")
+            assert "error: --window must be positive" in err
+
     def test_bridge_image_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -596,6 +623,12 @@ class TestCliVerify:
         assert run_cli(capsys, "verify", "--seeds", "5..2")[0] == 2
         assert run_cli(capsys, "verify", "--seeds", "a..b")[0] == 2
         assert run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "0")[0] == 2
+        for jobs in ("0", "-1"):
+            code, out, err = run_cli(
+                capsys, "verify", "--seeds", "3..3", "--jobs", jobs
+            )
+            assert (code, out) == (2, "")
+            assert "error: --jobs must be positive" in err
 
     def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

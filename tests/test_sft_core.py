@@ -1,5 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from conftest import reference_step_mask, reference_step_mask_back
+from sftcd.codes import OneBlockCode
 
 from sftcd.core import (
     Alphabet,
@@ -168,6 +171,36 @@ def test_block_window_round_trip(symbols):
     assert b.window(1, len(b)) == b
     for i in range(1, len(b) + 1):
         assert b.window(i, i).symbols == (b.at(i),)
+
+
+@st.composite
+def shifts_with_masks(draw):
+    """A vertex shift on 1..20 symbols (1, 2 or 3 bytes of mask), a code
+    on it, and masks over its alphabet, the empty one included."""
+    n = draw(st.integers(1, 20))
+    symbols = tuple(f"s{i}" for i in range(n))
+    # a cycle through every symbol keeps the presentation essential
+    pairs = {(symbols[i], symbols[(i + 1) % n]) for i in range(n)}
+    pairs |= draw(st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols))))
+    shift = VertexShift(Alphabet(symbols), frozenset(pairs))
+    letters = Alphabet(("a", "b", "c"))
+    images = st.lists(st.sampled_from(letters.symbols), min_size=n, max_size=n)
+    mapping = tuple(draw(images))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=8)) + [0]
+    return shift, OneBlockCode(shift, letters, mapping), masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifts_with_masks())
+def test_mask_steps_match_the_bit_loop(subject):
+    shift, code, masks = subject
+    for mask in masks:
+        forward = reference_step_mask(shift, mask)
+        assert shift.step_mask(mask) == forward
+        assert shift.step_mask_back(mask) == reference_step_mask_back(shift, mask)
+        for letter in code.codomain_alphabet:
+            carriers = sum(1 << i for i, s in enumerate(code.mapping) if s == letter)
+            assert code.step(mask, letter) == forward & carriers
 
 
 class TestLanguageOracles:
