@@ -42,10 +42,10 @@ def union_table(masks, keep=-1):
     return tuple(table)
 
 
-def byte_tables(masks, keep=-1):
+def byte_tables(masks):
     """union_table of each run of 8 masks: tables[k] serves byte k of a
     mask, so stepping a mask costs one lookup per byte."""
-    return tuple(union_table(masks[i : i + 8], keep) for i in range(0, len(masks), 8))
+    return tuple(union_table(masks[i : i + 8]) for i in range(0, len(masks), 8))
 
 
 def byte_lookup(tables, mask):

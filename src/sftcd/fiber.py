@@ -12,12 +12,13 @@ two pieces, and the reachable matrices form a finite set, so a
 breadth-first closure of that set followed by a minimum over joinable
 pairs is exhaustive (Lind & Marcus, section 9.1).
 
-A closure steps every row of a matrix by a table lookup: per slot and
-code it builds a union_table of the domain's successor masks with the
-letter's mask folded in (byte tables on domains past WALK_TABLE_SYMBOLS
-symbols).  Those per-letter tables live only as long as one walk; kept
-on the codes, they would stay alive with every code the harness caches
-hold.  The scoring of a split reads sides computed once per state.
+A closure steps every row of a matrix by a table lookup: per track and
+distinct letter it builds a union_table of the domain's successor masks
+with the letter's mask folded in (domains past WALK_TABLE_SYMBOLS
+symbols step through code.step instead).  Those per-letter tables live
+only as long as one walk; kept on the codes, they would stay alive with
+every code the harness caches hold.  The scoring of a split reads sides
+computed once per state.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
 
-from .core import Block, DEFAULT_CAP, byte_lookup, byte_tables, iter_bits, union_table
+from .core import Block, DEFAULT_CAP, iter_bits, union_table
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from .graphs import closure
 
@@ -64,18 +65,25 @@ def _letter_matrix(code, letter):
 
 
 # a walk steps rows through one union_table (2**n entries) up to this many
-# domain symbols, through byte tables beyond it: building up to 1024
-# entries per slot costs less than a second lookup on every row step
+# domain symbols, through code.step beyond it: building up to 1024 entries
+# per letter costs less than a second lookup on every row step
 WALK_TABLE_SYMBOLS = 10
 
 
 def _row_stepper(code, letter):
     """One row of a fiber-matrix step: successors of the row that carry
-    letter, read off tables with the letter mask folded in."""
-    masks, keep = code.domain.succ_masks, code.letter_mask(letter)
+    letter, read off a table with the letter mask folded in."""
+    masks = code.domain.succ_masks
     if len(masks) <= WALK_TABLE_SYMBOLS:
-        return union_table(masks, keep).__getitem__
-    return partial(byte_lookup, byte_tables(masks, keep))
+        return union_table(masks, code.letter_mask(letter)).__getitem__
+    return partial(code.step, letter=letter)
+
+
+def _track_steppers(code, letters):
+    """_row_stepper for every slot, one per distinct letter: a cycle's
+    phases and the letters psi merges share theirs."""
+    steppers = {letter: _row_stepper(code, letter) for letter in dict.fromkeys(letters)}
+    return [steppers[letter] for letter in letters]
 
 
 def _walk(tracks, labels, follows):
@@ -88,13 +96,11 @@ def _walk(tracks, labels, follows):
     tracks are (code, letters) with letters[slot] the code's codomain
     letter there.  A block belongs when its first matrix is nonzero.
 
-    Each (slot, track) steps its matrix rows through its own table,
+    Each track steps its matrix rows through one table per letter,
     built here and dropped with the walk (see the module docstring).
     """
-    steppers = [
-        [_row_stepper(code, letters[slot]) for code, letters in tracks]
-        for slot in range(len(labels))
-    ]
+    # steppers[slot] holds each track's stepper for the slot
+    steppers = list(zip(*(_track_steppers(code, letters) for code, letters in tracks)))
 
     seeds = []
     for slot in sorted(range(len(labels)), key=labels.__getitem__):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, naive_class_degree, naive_depth
 from sftcd.codes import CodeTriple, OneBlockCode, identity_code, trivial_code
 from sftcd.corpus import additive_recoding
-from sftcd.core import Block, VertexShift, enumerate_blocks, parse_block_text
+from sftcd.core import Block, VertexShift, enumerate_blocks, parse_block_text, union_table
 from sftcd.depth import (
     DegreeEstimate,
     _hitting_set,
@@ -305,6 +305,23 @@ class TestPeriodicPointDegree:
         est = periodic_point_relative_degree(t, p, 8)
         # the 00-track and the 11-track over (0)^oo never communicate
         assert (est.value, est.certified) == (2, True)
+
+    def test_step_tables_grow_with_the_alphabet_not_the_period(self, xor2, monkeypatch):
+        import sftcd.fiber as fiber
+
+        built = []
+
+        def counting_union_table(masks, keep=-1):
+            built.append(keep)
+            return union_table(masks, keep)
+
+        monkeypatch.setattr(fiber, "union_table", counting_union_table)
+        p = PeriodicPoint.make(Block(("0",) * 39 + ("1",)), 0)
+        est = periodic_point_relative_degree(xor2, p, 8)
+        assert (est.value, est.minimal_block.text()) == (1, "00000")
+        # phi's track steps through one table per Y letter, pi's through
+        # one per letter of psi's image, whatever the period
+        assert len(built) == len(xor2.Y.alphabet) + len(xor2.psi.codomain_alphabet)
 
     def test_rejects_non_points(self, golden_identity):
         p = PeriodicPoint.make(Block(("1",)), 0)
