@@ -28,6 +28,13 @@ state's rows (its side as A) and columns (its side as B) are taken once,
 so the routing family of a pair is one set comprehension, and equal pairs
 of sides are scored once per closure.  Mask steps read the byte tables of
 core.VertexShift.
+
+A certificate lists each preimage u with its witness v; paths with the
+same endpoints share one witness block.  verify_certificate replays it by
+counting: each u must spell w along allowed transitions, each distinct v
+must spell w's image in the witness fiber, and the distinct u must number
+fiber.count_fiber of w's pruned layers, so they are the whole fiber and
+the replay never enumerates it.
 """
 from __future__ import annotations
 
@@ -36,7 +43,15 @@ from functools import lru_cache
 
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
-from .fiber import _block_walk, _check_word, _closure_minimum, _walk, iter_fiber, pruned_layers
+from .fiber import (
+    _block_walk,
+    _check_word,
+    _closure_minimum,
+    _walk,
+    count_fiber,
+    iter_fiber,
+    pruned_layers,
+)
 
 
 class _Reach:
@@ -47,24 +62,17 @@ class _Reach:
 
     def __init__(self, code, word):
         self.code = code
-        self.layers = pruned_layers(code, word)
+        self.layers = layers = pruned_layers(code, word)
         self.fs = {}
         self.bs = {}
-        if self.layers is None:
+        if layers is None:
             return
-        dom = code.domain
-        n = len(word)
-        for s in iter_bits(self.layers[0]):
-            hist = [1 << s]
-            for i in range(1, n):
-                hist.append(dom.step_mask(hist[-1]) & self.layers[i])
-            self.fs[s] = hist
-        for t in iter_bits(self.layers[-1]):
-            hist = [0] * n
-            hist[-1] = 1 << t
-            for i in range(n - 2, -1, -1):
-                hist[i] = dom.step_mask_back(hist[i + 1]) & self.layers[i]
-            self.bs[t] = hist
+        step, back = code.domain.step_mask, code.domain.step_mask_back
+        ahead, behind = layers[1:], layers[-2::-1]
+        for s in iter_bits(layers[0]):
+            self.fs[s] = _sweep(step, 1 << s, ahead)
+        for t in iter_bits(layers[-1]):
+            self.bs[t] = _sweep(back, 1 << t, behind)[::-1]
 
     @property
     def empty(self):
@@ -80,28 +88,52 @@ class _Reach:
 
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
-        position n to t, or None when no such path exists."""
+        position n to t, or None when no such path exists.  bs[t] holds
+        the symbols that still reach t, so the tail after m is the least
+        successor within it at each step."""
+        toward_t = self.bs.get(t)
+        if toward_t is None or not (toward_t[n - 1] >> m) & 1:
+            return None
         dom = self.code.domain
         head = _least_path(dom, s, m, self.layers[:n])
         if head is None:
             return None
-        tail = _least_path(dom, m, t, self.layers[n - 1 :])
-        return None if tail is None else head + tail[1:]
+        return _extend_least(dom.succ_masks, list(head), toward_t[n:])
+
+
+def _sweep(step, mask, layers):
+    """[mask, then mask stepped into each of layers in turn]."""
+    hist = [mask]
+    for layer in layers:
+        mask = step(mask) & layer
+        hist.append(mask)
+    return hist
+
+
+def _extend_least(succ, path, masks):
+    """path extended by the least successor within each of masks."""
+    for mask in masks:
+        nxt = succ[path[-1]] & mask
+        path.append((nxt & -nxt).bit_length() - 1)
+    return tuple(path)
 
 
 def _least_path(domain, s, t, layers):
     """Least path (by symbol index) from s to t whose i-th symbol lies in
     layers[i], or None when there is none."""
-    toward = [0] * len(layers)
-    toward[-1] = layers[-1] & (1 << t)
-    for i in range(len(layers) - 2, -1, -1):
-        toward[i] = domain.step_mask_back(toward[i + 1]) & layers[i]
+    toward = _sweep(domain.step_mask_back, layers[-1] & (1 << t), layers[-2::-1])[::-1]
     if not (toward[0] >> s) & 1:
         return None
-    path = [s]
-    for mask in toward[1:]:
-        path.append(next(iter_bits(domain.succ_masks[path[-1]] & mask)))
-    return tuple(path)
+    return _extend_least(domain.succ_masks, [s], toward[1:])
+
+
+def _endpoint_pairs(code, layers):
+    """(s, t) for every fiber path through layers from s to t."""
+    step, ahead = code.domain.step_mask, layers[1:]
+    pairs = []
+    for s in iter_bits(layers[0]):
+        pairs.extend((s, t) for t in iter_bits(_sweep(step, 1 << s, ahead)[-1]))
+    return pairs
 
 
 def _hitting_set(family, k, allowed=None):
@@ -210,38 +242,34 @@ def _mask_of(code, M):
 
 def _routing_outcome(u_code, u_layers, wit, w, M, n, mode, cap):
     """Shared core of the presentation checks: route every u-fiber path
-    through M at n inside the witness reach, or name a blocker."""
+    through M at n inside the witness reach, or name a blocker.  Paths
+    with the same endpoints share one witness block."""
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
     m_sorted = tuple(sorted(M, key=u_code.domain.alphabet.index))
     m_mask = _mask_of(u_code, m_sorted)
-    symbols = u_code.domain.alphabet.symbols
+    spell = u_code.domain.alphabet.symbols.__getitem__
     witnesses = []
-    cache = {}
+    by_ends = {}
     for path in iter_fiber(u_code, u_layers, cap):
-        key = (path[0], path[-1])
-        v = cache.get(key)
+        s, t = path[0], path[-1]
+        v = by_ends.get((s, t))
         if v is None:
-            routable = wit.route(n, path[0], path[-1]) & m_mask
+            routable = wit.route(n, s, t) & m_mask
             if routable == 0:
-                u = Block(tuple(symbols[i] for i in path))
                 return RoutingRefusal(
                     w,
                     n,
                     m_sorted,
-                    u,
+                    Block(tuple(map(spell, path))),
                     "no fiber block with these endpoints passes through M "
                     f"at position {n}",
                 )
-            through = next(iter_bits(routable))
-            v = wit.lex_path_through(path[0], through, path[-1], n)
-            cache[key] = v
-        witnesses.append(
-            (
-                Block(tuple(symbols[i] for i in path)),
-                Block(tuple(symbols[i] for i in v)),
+            through = (routable & -routable).bit_length() - 1
+            v = by_ends[s, t] = Block(
+                tuple(map(spell, wit.lex_path_through(s, through, t, n)))
             )
-        )
+        witnesses.append((Block(tuple(map(spell, path))), v))
     return RoutingCertificate(w, n, m_sorted, tuple(witnesses), mode)
 
 
@@ -287,14 +315,15 @@ def relative_is_presented(triple, w, M, n, cap=DEFAULT_CAP):
 
 def relative_depth(triple, w, cap=DEFAULT_CAP):
     word = _check_word(triple.phi, w)
-    u_reach = _Reach(triple.phi, word)
-    if u_reach.empty:
+    u_layers = pruned_layers(triple.phi, word)
+    if u_layers is None:
         raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
     wit = _Reach(triple.pi, triple.psi_word(word))
-    size, n, mask = _depth_search(u_reach.endpoints(), wit.fs, wit.bs, len(word))
+    e_pairs = _endpoint_pairs(triple.phi, u_layers)
+    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
     symbols = triple.X.alphabet.symbols
     M = tuple(symbols[i] for i in iter_bits(mask))
-    cert = _routing_outcome(triple.phi, u_reach.layers, wit, w, M, n, "relative", cap)
+    cert = _routing_outcome(triple.phi, u_layers, wit, w, M, n, "relative", cap)
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
@@ -444,48 +473,50 @@ def periodic_point_relative_degree(triple, y, max_len, cap=DEFAULT_CAP):
     return _closure_degree(seeds, forced, triple.Y.alphabet.symbols, cap)
 
 
+def _spells(code, word, block):
+    """Whether block is a path of code's domain whose image is word."""
+    path = block.symbols
+    return tuple(map(code.symbol_map.get, path)) == word and all(
+        map(code.domain.allowed.__contains__, zip(path, path[1:]))
+    )
+
+
 def verify_certificate(subject, cert):
     """Mechanically replay a routing certificate against a code (absolute
     mode) or a triple (relative mode).  True when every preimage is
     covered and every witness is a fiber block with matching endpoints
-    passing through M at n."""
+    passing through M at n.
+
+    The fiber is counted, not enumerated: every claimed preimage must be
+    a domain path with image w, and the distinct claims must number
+    count_fiber of w's pruned layers, so together they are the whole
+    fiber.  Each distinct witness block is checked once.  A position
+    outside 1..|w| or a symbol outside the alphabets gives False, like
+    any other tampering."""
     from .codes import CodeTriple
 
+    w, n = cert.w.symbols, cert.n
     if cert.mode == "relative":
         if not isinstance(subject, CodeTriple):
             return False
         u_code, wit_code = subject.phi, subject.pi
-        wit_word = subject.psi_word(cert.w.symbols)
     else:
-        u_code, wit_code = subject, subject
-        wit_word = cert.w.symbols
-    u_layers = pruned_layers(u_code, cert.w.symbols)
-    if u_layers is None:
+        u_code = wit_code = subject
+    if not 1 <= n <= len(w) or not all(map(u_code.codomain_alphabet.__contains__, w)):
         return False
-    idx = u_code.domain.alphabet.index
-    expected = {
-        tuple(path) for path in iter_fiber(u_code, u_layers)
-    }
-    got = {tuple(idx(s) for s in u.symbols) for u, _ in cert.witnesses}
-    if expected != got:
-        return False
-    wit_layers = pruned_layers(wit_code, wit_word)
-    if wit_layers is None:
-        return False
-    n = cert.n
+    wit_word = w if wit_code is u_code else subject.psi_word(w)
     m_set = set(cert.M)
+    claimed = set()
+    checked = set()
     for u, v in cert.witnesses:
-        if len(v) != len(cert.w):
+        if not _spells(u_code, w, u):
             return False
-        vpath = tuple(idx(s) for s in v.symbols)
-        for i, b in enumerate(vpath):
-            if not (wit_layers[i] >> b) & 1:
+        if v not in checked:
+            if not _spells(wit_code, wit_word, v):
                 return False
-        for a, b in zip(vpath, vpath[1:]):
-            if not (u_code.domain.succ_masks[a] >> b) & 1:
-                return False
-        if v.symbols[0] != u.symbols[0] or v.symbols[-1] != u.symbols[-1]:
+            checked.add(v)
+        u, v = u.symbols, v.symbols
+        if v[0] != u[0] or v[-1] != u[-1] or v[n - 1] not in m_set:
             return False
-        if v.symbols[n - 1] not in m_set:
-            return False
-    return True
+        claimed.add(u)
+    return 0 < len(claimed) == count_fiber(u_code, pruned_layers(u_code, w))

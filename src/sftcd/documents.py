@@ -231,16 +231,14 @@ def load_triple_doc(doc) -> LoadedTriple:
         if "phi" in recoded:
             warnings.append("X re-presented on the window shift of phi's domain")
         elif declared != phi.domain:
-            raise InvariantViolation("bound X does not match phi's domain")
+            raise ParseError("bound X does not match phi's domain")
     if "Y" in binding:
         declared = _resolve_system(binding["Y"], systems, "Y")
         if declared != phi.codomain:
-            raise InvariantViolation("bound Y does not match phi's codomain")
+            raise ParseError("bound Y does not match phi's codomain")
     if "Z_alphabet" in binding:
         if _alphabet(binding["Z_alphabet"], "Z_alphabet") != psi.codomain_alphabet:
-            raise InvariantViolation(
-                "bound Z_alphabet does not match psi's codomain alphabet"
-            )
+            raise ParseError("bound Z_alphabet does not match psi's codomain alphabet")
     if "pi" in codes_raw:
         if "phi" in recoded:
             warnings.append("declared pi ignored: phi was recoded")

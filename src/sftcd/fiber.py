@@ -3,7 +3,10 @@
 The preimage set of a codomain word is handled as a layered graph: layer i
 holds the domain symbols that can sit at coordinate i of a preimage.  A
 forward sweep and a backward sweep prune the layers so that exactly the
-symbols lying on complete preimage paths remain.
+symbols lying on complete preimage paths remain.  On pruned layers every
+prefix extends, so iter_fiber grows the paths one layer at a time, and
+count_fiber counts them by a sweep of per-symbol path counts without
+listing any.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
@@ -34,27 +37,30 @@ from .graphs import closure
 def forward_layers(code, word):
     """Raw forward filter: layers[i] = symbols carrying word[i] reachable
     from layer i-1.  Returns None as soon as a layer dies."""
-    layers = [code.letter_mask(word[0])]
-    if layers[0] == 0:
-        return None
-    for letter in word[1:]:
-        nxt = code.step(layers[-1], letter)
-        if nxt == 0:
+    try:
+        layers = [code.letter_masks[letter] for letter in word]
+    except KeyError as err:
+        raise UnknownSymbol(f"symbol {err.args[0]!r} not in codomain alphabet") from None
+    step = code.domain.step_mask
+    mask = layers[0]
+    for i in range(1, len(layers)):
+        if not mask:
             return None
-        layers.append(nxt)
-    return layers
+        mask = layers[i] = step(mask) & layers[i]
+    return layers if mask else None
 
 
 def pruned_layers(code, word):
     """Layers restricted to complete preimage paths, or None for an empty
-    fiber."""
+    fiber.  Every symbol of a live forward layer has a predecessor in the
+    layer before, so the backward sweep empties no layer."""
     layers = forward_layers(code, word)
     if layers is None:
         return None
+    back = code.domain.step_mask_back
+    mask = layers[-1]
     for i in range(len(layers) - 2, -1, -1):
-        layers[i] &= code.domain.step_mask_back(layers[i + 1])
-        if layers[i] == 0:
-            return None
+        mask = layers[i] = back(mask) & layers[i]
     return layers
 
 
@@ -188,24 +194,42 @@ def _check_word(code, block):
 
 def iter_fiber(code, word_layers, cap=DEFAULT_CAP):
     """Yield preimage paths through pruned layers in lexicographic order
-    of domain symbol indices."""
+    of domain symbol indices.
+
+    Paths grow one layer at a time, each symbol's successors in the next
+    layer listed once.  On pruned layers every prefix extends to a path,
+    so a layer of more than cap prefixes proves the fiber too large:
+    ResourceLimit comes before any path is yielded."""
     if word_layers is None:
         return
-    domain = code.domain
-    length = len(word_layers)
-    count = 0
-    stack = [(i,) for i in reversed(list(iter_bits(word_layers[0])))]
-    while stack:
-        path = stack.pop()
-        if len(path) == length:
-            count += 1
-            if count > cap:
-                raise ResourceLimit(f"fiber larger than {cap} blocks")
-            yield path
-            continue
-        nxt = domain.succ_masks[path[-1]] & word_layers[len(path)]
-        for j in reversed(list(iter_bits(nxt))):
-            stack.append(path + (j,))
+    succ = code.domain.succ_masks
+    prev = word_layers[0]
+    paths = [(s,) for s in iter_bits(prev)]
+    for layer in word_layers[1:]:
+        if len(paths) > cap:
+            break
+        ext = {s: [(t,) for t in iter_bits(succ[s] & layer)] for s in iter_bits(prev)}
+        paths = [path + t for path in paths for t in ext[path[-1]]]
+        prev = layer
+    if len(paths) > cap:
+        raise ResourceLimit(f"fiber larger than {cap} blocks")
+    yield from paths
+
+
+def count_fiber(code, word_layers):
+    """Number of preimage paths through pruned layers (0 for None), by a
+    forward sweep of per-symbol path counts."""
+    if word_layers is None:
+        return 0
+    succ = code.domain.succ_masks
+    counts = dict.fromkeys(iter_bits(word_layers[0]), 1)
+    for layer in word_layers[1:]:
+        nxt = {}
+        for s, c in counts.items():
+            for t in iter_bits(succ[s] & layer):
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(counts.values())
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 
 The oracles here deliberately avoid the bitmask machinery of the package:
 fibers are enumerated as explicit symbol tuples and minimization is done
-with itertools over whole alphabets.  Slow but unarguable.
+with itertools over whole alphabets.  Slow but unarguable.  small_codes is
+the Hypothesis strategy of random small codes that the differential tests
+share.
 """
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
-from sftcd.codes import CodeTriple
+from sftcd.codes import CodeTriple, OneBlockCode
+from sftcd.core import VertexShift
 from sftcd.corpus import builtin_triple
 
 
@@ -214,3 +218,18 @@ def identity_extension(code):
 
     assert code.codomain is not None
     return CodeTriple.build(code, identity_code(code.codomain))
+
+
+@st.composite
+def small_codes(draw):
+    """A two-letter code on an irreducible vertex shift of 2 to 4 symbols:
+    a cycle through every symbol plus random extra pairs."""
+    n = draw(st.integers(2, 4))
+    symbols = tuple(f"x{i}" for i in range(n))
+    order = draw(st.permutations(symbols))
+    pairs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    pairs |= draw(st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols))))
+    images = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
+    return OneBlockCode.from_dict(
+        VertexShift.build(symbols, sorted(pairs)), ("a", "b"), dict(zip(symbols, images))
+    )

@@ -1,10 +1,11 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_paths, naive_class_degree, naive_depth
+from conftest import fiber_paths, naive_class_degree, naive_depth, small_codes
 from sftcd.codes import CodeTriple, OneBlockCode, identity_code, trivial_code
 from sftcd.corpus import additive_recoding
 from sftcd.core import Block, VertexShift, enumerate_blocks, parse_block_text, union_table
@@ -359,6 +360,76 @@ class TestVerifyCertificate:
         bad = RoutingCertificate(cert.w, cert.n, cert.M[:1], cert.witnesses, cert.mode)
         assert not verify_certificate(xor2.phi, bad)
 
+    def test_rejects_position_out_of_range(self, xor2):
+        # n = 0 would read the last symbol, n = 4 past the end
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        for n in (0, -1, 4, 5):
+            bad = RoutingCertificate(cert.w, n, cert.M, cert.witnesses, cert.mode)
+            assert not verify_certificate(xor2.phi, bad)
+
+    def test_rejects_symbols_outside_the_alphabets(self, xor2):
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        (u, v), rest = cert.witnesses[0], cert.witnesses[1:]
+        stray = Block(v.symbols[:1] + ("q",) + v.symbols[2:])
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((u, stray),) + rest, cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+        stray = Block(("q",) + u.symbols[1:])
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((stray, v),) + rest, cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+        bad = RoutingCertificate(Block(("q",) * 3), cert.n, cert.M, cert.witnesses, cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+        assert not verify_certificate(xor2, RoutingCertificate(
+            Block(("q",) * 3), cert.n, cert.M, cert.witnesses, "relative"
+        ))
+
+    def test_rejects_duplicated_preimage(self, xor2):
+        # the witness count stays right, but one preimage goes unclaimed
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        assert len(cert.witnesses) == 2
+        bad = RoutingCertificate(
+            cert.w, cert.n, cert.M, (cert.witnesses[0],) * 2, cert.mode
+        )
+        assert not verify_certificate(xor2.phi, bad)
+
+    def test_rejects_preimage_with_forbidden_transition(self, xor2):
+        # 00·11·00 spells 000 but 00 -> 11 is no edge of X; it replaces
+        # 00·00·00, so the claims still number the fiber's two paths
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        (u, v), rest = cert.witnesses[0], cert.witnesses[1:]
+        assert u.text() == "00·00·00"
+        forged = Block(("00", "11", "00"))
+        assert not xor2.X.allows("00", "11")
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((forged, v),) + rest, cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+
+    def test_rejects_preimage_of_wrong_length(self, xor2):
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        (u, v), rest = cert.witnesses[0], cert.witnesses[1:]
+        longer = Block(u.symbols + u.symbols[-1:])
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((longer, v),) + rest, cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+        shorter = Block(u.symbols[:-1])
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((shorter, v),) + rest, cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+
+    def test_rejects_witness_with_forbidden_transition(self, xor2):
+        # 11·00·00·00·11 has the ones track's endpoints and passes 00 at
+        # position 3, but 11 -> 00 is no edge of X
+        cert = relative_depth(xor2, Block(("0",) * 5)).certificate
+        texts = [(u.text(), v.text()) for u, v in cert.witnesses]
+        assert texts[-1] == ("11·11·11·11·11", "11·10·00·01·11")
+        forged = Block(("11", "00", "00", "00", "11"))
+        bad = RoutingCertificate(
+            cert.w, cert.n, cert.M, cert.witnesses[:-1] + ((cert.witnesses[-1][0], forged),),
+            cert.mode,
+        )
+        assert not verify_certificate(xor2, bad)
+
+    def test_empty_claim_is_refused(self, xor2):
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, (), cert.mode)
+        assert not verify_certificate(xor2.phi, bad)
+
 
 class TestScanMonotonicity:
     def test_values_nonincreasing_in_scan_length(self, xor2, mod3):
@@ -380,21 +451,6 @@ class TestScanMonotonicity:
                 prev = est.value
 
 
-@st.composite
-def small_codes(draw):
-    """A two-letter code on an irreducible vertex shift of 2 to 4 symbols:
-    a cycle through every symbol plus random extra pairs."""
-    n = draw(st.integers(2, 4))
-    symbols = tuple(f"x{i}" for i in range(n))
-    order = draw(st.permutations(symbols))
-    pairs = {(order[i], order[(i + 1) % n]) for i in range(n)}
-    pairs |= draw(st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols))))
-    images = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
-    return OneBlockCode.from_dict(
-        VertexShift.build(symbols, sorted(pairs)), ("a", "b"), dict(zip(symbols, images))
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_codes())
 def test_closure_against_naive_class_degree(code):
@@ -405,6 +461,39 @@ def test_closure_against_naive_class_degree(code):
         assert est.value <= naive_class_degree(code, L)
     assert naive_class_degree(code, len(est.minimal_block)) == est.value
     assert depth(code, est.minimal_block).value == est.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=6))
+def test_certificates_replay_on_small_codes(code, word):
+    # the counted replay accepts every certificate depth makes, and a
+    # certificate that drops a preimage, or claims one twice, is refused
+    if not fiber_paths(code, word):
+        return
+    cert = depth(code, Block(tuple(word))).certificate
+    assert verify_certificate(code, cert)
+    for claims in (cert.witnesses[1:], cert.witnesses[:1] + cert.witnesses[:-1]):
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, claims, cert.mode)
+        assert verify_certificate(code, bad) == (len(set(claims)) == len(cert.witnesses))
+
+
+def test_certificate_fingerprint():
+    # sha256 over (value, n, M, witnesses) of depth and relative_depth on
+    # every Y block of length <= 5 of seeds 1..5, taken before fibers were
+    # counted and grown layer-wise: kernel work must not change a
+    # certificate
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        t = generate_triple(spec_for_seed(seed))
+        for n in range(1, 6):
+            for w in enumerate_blocks(t.Y, n):
+                for res in (depth(t.phi, w), relative_depth(t, w)):
+                    c = res.certificate
+                    pairs = tuple((u.symbols, v.symbols) for u, v in c.witnesses)
+                    h.update(repr((res.value, c.n, c.M, pairs)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "9e8633bea027744873a51b3d8b6549426ae61e5bdd72b99c35a8cbf00a734d85"
+    )
 
 
 @settings(max_examples=300, deadline=None)

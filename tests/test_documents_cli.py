@@ -236,15 +236,15 @@ class TestTripleDocs:
         golden = {"alphabet": ["0", "1"], "allowed": [["0", "0"], ["0", "1"], ["1", "0"]]}
         doc = triple_doc(xor2)
         doc["triple"]["X"] = golden
-        with pytest.raises(InvariantViolation, match="bound X"):
+        with pytest.raises(ParseError, match="bound X"):
             load_triple_doc(doc)
         doc = triple_doc(xor2)
         doc["triple"]["Y"] = golden
-        with pytest.raises(InvariantViolation, match="bound Y"):
+        with pytest.raises(ParseError, match="bound Y"):
             load_triple_doc(doc)
         doc = triple_doc(xor2)
         doc["triple"]["Z_alphabet"] = ["w"]
-        with pytest.raises(InvariantViolation, match="Z_alphabet"):
+        with pytest.raises(ParseError, match="Z_alphabet"):
             load_triple_doc(doc)
 
     def test_phi_without_codomain_needs_bound_y(self):
@@ -544,6 +544,16 @@ class TestCliDocuments:
         )
         assert code == 1
         assert "onto" in err
+
+    def test_mismatched_bound_is_an_input_error(self, capsys, tmp_path, xor2):
+        doc = triple_doc(xor2)
+        doc["triple"]["Z_alphabet"] = ["q"]
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "relative", "--triple", str(path))
+        assert (code, out) == (2, "")
+        assert "error: bound Z_alphabet does not match psi's codomain alphabet" in err
+        assert "Traceback" not in err
 
     def test_unreadable_triple_inputs(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fiber_paths
+from conftest import fiber_paths, small_codes
 from sftcd.codes import OneBlockCode
 from sftcd.core import Block, VertexShift, parse_block_text
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
+    count_fiber,
     degree_finite_to_one,
     find_magic_block,
     forward_layers,
@@ -73,6 +76,32 @@ class TestIterFiber:
         layers = pruned_layers(xor2.pi, ("z",) * 6)
         with pytest.raises(ResourceLimit):
             list(iter_fiber(xor2.pi, layers, cap=3))
+
+    def test_cap_is_inclusive(self, xor2):
+        layers = pruned_layers(xor2.pi, ("z",) * 3)
+        assert len(list(iter_fiber(xor2.pi, layers, cap=16))) == 16
+        with pytest.raises(ResourceLimit, match="fiber larger than 15 blocks"):
+            list(iter_fiber(xor2.pi, layers, cap=15))
+
+    def test_count_fiber(self, xor2, mod3):
+        assert count_fiber(xor2.pi, pruned_layers(xor2.pi, ("z",) * 6)) == 4 * 2**5
+        assert count_fiber(xor2.pi, None) == 0
+        word = tuple(w(mod3, "012").symbols)
+        assert count_fiber(mod3.phi, pruned_layers(mod3.phi, word)) == len(
+            fiber_paths(mod3.phi, word)
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
+def test_iter_fiber_and_count_against_brute_force(code, word):
+    # small_codes names its symbols x0, x1, ... in index order, so symbol
+    # tuples sort like index tuples
+    layers = pruned_layers(code, word)
+    symbols = code.domain.alphabet.symbols
+    paths = [tuple(symbols[i] for i in p) for p in iter_fiber(code, layers)]
+    assert paths == sorted(fiber_paths(code, word))
+    assert count_fiber(code, layers) == len(paths)
 
 
 class TestPreimageBlocks:
