@@ -9,13 +9,12 @@ Sets of symbols are bitmasks over the alphabet index.  Stepping a set to
 its successors (or predecessors) reads byte tables: for each run of 8
 symbols, a table indexed by that byte of the mask holds the union of the
 successor masks of its set bits.  A shift builds them on first use and
-keeps them, so a step costs one lookup per byte of the mask; on a shift
-of at most 8 symbols the step is the bound lookup of its one table.
+keeps them, so a step costs one lookup per byte of the mask.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
 from .graphs import strongly_connected_components
@@ -56,13 +55,6 @@ def byte_lookup(tables, mask):
         out |= table[mask & 0xFF]
         mask >>= 8
     return out
-
-
-def byte_stepper(tables):
-    """mask -> byte_lookup(tables, mask); with one table, its bound lookup."""
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    return partial(byte_lookup, tables)
 
 
 @dataclass(frozen=True)
@@ -255,16 +247,14 @@ class VertexShift:
     def successors(self, a):
         return self.succ_lists[a]
 
-    @cached_property
-    def step_mask(self):
-        """mask -> union of the successors of every symbol in mask, one
-        table lookup per byte of mask."""
-        return byte_stepper(self.succ_tables)
+    def step_mask(self, mask):
+        """Union of successors of every symbol in mask, one table lookup
+        per byte of mask."""
+        return byte_lookup(self.succ_tables, mask)
 
-    @cached_property
-    def step_mask_back(self):
-        """mask -> union of the predecessors of every symbol in mask."""
-        return byte_stepper(self.pred_tables)
+    def step_mask_back(self, mask):
+        """Union of predecessors of every symbol in mask."""
+        return byte_lookup(self.pred_tables, mask)
 
 
 def validate_block(shift, block):

@@ -67,21 +67,13 @@ class _Reach:
         self.bs = {}
         if layers is None:
             return
-        step, back = code.domain.step_mask, code.domain.step_mask_back
-        ahead, behind = layers[1:], layers[-2::-1]
-        for s in iter_bits(layers[0]):
-            self.fs[s] = _sweep(step, 1 << s, ahead)
-        for t in iter_bits(layers[-1]):
-            self.bs[t] = _sweep(back, 1 << t, behind)[::-1]
+        self.fs = _forward_sets(code.domain, layers)
+        back, behind = code.domain.step_mask_back, layers[-2::-1]
+        self.bs = {t: _sweep(back, 1 << t, behind)[::-1] for t in iter_bits(layers[-1])}
 
     @property
     def empty(self):
         return self.layers is None
-
-    def endpoints(self):
-        return [
-            (s, t) for s, hist in self.fs.items() for t in iter_bits(hist[-1])
-        ]
 
     def route(self, n, s, t):
         return self.fs[s][n - 1] & self.bs[t][n - 1]
@@ -127,13 +119,15 @@ def _least_path(domain, s, t, layers):
     return _extend_least(domain.succ_masks, [s], toward[1:])
 
 
-def _endpoint_pairs(code, layers):
-    """(s, t) for every fiber path through layers from s to t."""
-    step, ahead = code.domain.step_mask, layers[1:]
-    pairs = []
-    for s in iter_bits(layers[0]):
-        pairs.extend((s, t) for t in iter_bits(_sweep(step, 1 << s, ahead)[-1]))
-    return pairs
+def _forward_sets(domain, layers):
+    """{s: the symbols of each layer reachable from s} for s in layers[0]."""
+    step, ahead = domain.step_mask, layers[1:]
+    return {s: _sweep(step, 1 << s, ahead) for s in iter_bits(layers[0])}
+
+
+def _endpoint_pairs(fs):
+    """(s, t) for every fiber path from s to t, given its forward sets."""
+    return [(s, t) for s, hist in fs.items() for t in iter_bits(hist[-1])]
 
 
 def _hitting_set(family, k, allowed=None):
@@ -291,7 +285,7 @@ def depth(code, w, cap=DEFAULT_CAP):
     wit = _Reach(code, word)
     if wit.empty:
         raise EmptyFiber(f"{w.text()!r} has no preimage")
-    size, n, mask = _depth_search(wit.endpoints(), wit.fs, wit.bs, len(word))
+    size, n, mask = _depth_search(_endpoint_pairs(wit.fs), wit.fs, wit.bs, len(word))
     symbols = code.domain.alphabet.symbols
     M = tuple(symbols[i] for i in iter_bits(mask))
     cert = _routing_outcome(code, wit.layers, wit, w, M, n, "absolute", cap)
@@ -319,7 +313,7 @@ def relative_depth(triple, w, cap=DEFAULT_CAP):
     if u_layers is None:
         raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
     wit = _Reach(triple.pi, triple.psi_word(word))
-    e_pairs = _endpoint_pairs(triple.phi, u_layers)
+    e_pairs = _endpoint_pairs(_forward_sets(triple.phi.domain, u_layers))
     size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
     symbols = triple.X.alphabet.symbols
     M = tuple(symbols[i] for i in iter_bits(mask))
@@ -491,14 +485,14 @@ def verify_certificate(subject, cert):
     a domain path with image w, and the distinct claims must number
     count_fiber of w's pruned layers, so together they are the whole
     fiber.  Each distinct witness block is checked once.  A position
-    outside 1..|w| or a symbol outside the alphabets gives False, like
-    any other tampering."""
+    outside 1..|w|, a symbol outside the alphabets or a mode that does
+    not match the subject gives False, like any other tampering."""
     from .codes import CodeTriple
 
     w, n = cert.w.symbols, cert.n
+    if cert.mode != ("relative" if isinstance(subject, CodeTriple) else "absolute"):
+        return False
     if cert.mode == "relative":
-        if not isinstance(subject, CodeTriple):
-            return False
         u_code, wit_code = subject.phi, subject.pi
     else:
         u_code = wit_code = subject

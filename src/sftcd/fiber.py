@@ -37,10 +37,7 @@ from .graphs import closure
 def forward_layers(code, word):
     """Raw forward filter: layers[i] = symbols carrying word[i] reachable
     from layer i-1.  Returns None as soon as a layer dies."""
-    try:
-        layers = [code.letter_masks[letter] for letter in word]
-    except KeyError as err:
-        raise UnknownSymbol(f"symbol {err.args[0]!r} not in codomain alphabet") from None
+    layers = [code.letter_mask(letter) for letter in word]
     step = code.domain.step_mask
     mask = layers[0]
     for i in range(1, len(layers)):
@@ -194,26 +191,33 @@ def _check_word(code, block):
 
 def iter_fiber(code, word_layers, cap=DEFAULT_CAP):
     """Yield preimage paths through pruned layers in lexicographic order
-    of domain symbol indices.
+    of domain symbol indices; past cap paths, raise ResourceLimit.
 
-    Paths grow one layer at a time, each symbol's successors in the next
-    layer listed once.  On pruned layers every prefix extends to a path,
-    so a layer of more than cap prefixes proves the fiber too large:
-    ResourceLimit comes before any path is yielded."""
+    Prefixes grow one layer at a time, each symbol's successors in the
+    next layer listed once, and the last layer is added one path at a
+    time as they are yielded.  On pruned layers every prefix extends, so
+    the first cap + 1 prefixes of a layer hold the first cap + 1 paths
+    and the rest are dropped."""
     if word_layers is None:
         return
     succ = code.domain.succ_masks
-    prev = word_layers[0]
-    paths = [(s,) for s in iter_bits(prev)]
-    for layer in word_layers[1:]:
-        if len(paths) > cap:
-            break
-        ext = {s: [(t,) for t in iter_bits(succ[s] & layer)] for s in iter_bits(prev)}
-        paths = [path + t for path in paths for t in ext[path[-1]]]
-        prev = layer
-    if len(paths) > cap:
-        raise ResourceLimit(f"fiber larger than {cap} blocks")
-    yield from paths
+    paths = [(s,) for s in iter_bits(word_layers[0])]
+    if len(word_layers) > 1:
+        for prev, layer in zip(word_layers, word_layers[1:-1]):
+            ext = _extensions(succ, prev, layer)
+            paths = [path + t for path in paths for t in ext[path[-1]]]
+            del paths[cap + 1 :]
+        ext = _extensions(succ, word_layers[-2], word_layers[-1])
+        paths = (path + t for path in paths for t in ext[path[-1]])
+    for count, path in enumerate(paths, 1):
+        if count > cap:
+            raise ResourceLimit(f"fiber larger than {cap} blocks")
+        yield path
+
+
+def _extensions(succ, prev, layer):
+    """{s: [(t,) for each successor t of s in layer]} for s in prev."""
+    return {s: [(t,) for t in iter_bits(succ[s] & layer)] for s in iter_bits(prev)}
 
 
 def count_fiber(code, word_layers):

@@ -60,6 +60,15 @@ class TestIsPresented:
         with pytest.raises(UnknownSymbol):
             is_presented(xor2.phi, yblock(xor2, "000"), {"0"}, 1)
 
+    def test_refusal_among_the_first_cap_paths(self, xor2):
+        # the fiber of 000 is 00·00·00 then 11·11·11; no witness from 00
+        # to 00 passes 11, so the first path already blocks
+        ref = is_presented(xor2.phi, yblock(xor2, "000"), {"11"}, 2, cap=1)
+        assert isinstance(ref, RoutingRefusal)
+        assert ref.blocking.text() == "00·00·00"
+        with pytest.raises(ResourceLimit, match="fiber larger than 1 blocks"):
+            is_presented(xor2.phi, yblock(xor2, "000"), {"00"}, 2, cap=1)
+
     def test_witnesses_share_endpoints(self, xor2):
         cert = is_presented(xor2.phi, yblock(xor2, "0000"), {"00", "11"}, 2)
         for u, v in cert.witnesses:
@@ -342,6 +351,12 @@ class TestVerifyCertificate:
     def test_rejects_wrong_subject(self, xor2):
         res = relative_depth(xor2, Block(("0",) * 5))
         assert not verify_certificate(xor2.phi, res.certificate)
+        assert not verify_certificate(xor2, depth(xor2.phi, yblock(xor2, "000")).certificate)
+
+    def test_rejects_unknown_mode(self, xor2):
+        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, cert.witnesses, "bogus")
+        assert not verify_certificate(xor2.phi, bad)
 
     def test_rejects_tampered_position(self, xor2):
         # the ones-track witness visits 00 only at position 3, so moving

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,8 +95,12 @@ class TestIterFiber:
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
-def test_iter_fiber_and_count_against_brute_force(code, word):
+@given(
+    small_codes(),
+    st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7),
+    st.integers(min_value=0, max_value=12),
+)
+def test_iter_fiber_and_count_against_brute_force(code, word, cap):
     # small_codes names its symbols x0, x1, ... in index order, so symbol
     # tuples sort like index tuples
     layers = pruned_layers(code, word)
@@ -102,6 +108,12 @@ def test_iter_fiber_and_count_against_brute_force(code, word):
     paths = [tuple(symbols[i] for i in p) for p in iter_fiber(code, layers)]
     assert paths == sorted(fiber_paths(code, word))
     assert count_fiber(code, layers) == len(paths)
+    # capped: the first cap paths, then ResourceLimit past cap
+    capped = iter_fiber(code, layers, cap)
+    got = []
+    with pytest.raises(ResourceLimit) if len(paths) > cap else nullcontext():
+        got.extend(capped)
+    assert got == list(iter_fiber(code, layers))[:cap]
 
 
 class TestPreimageBlocks:
