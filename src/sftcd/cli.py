@@ -287,7 +287,7 @@ def _verify_cases(args):
 
 # Names the engine and the report schema behind a cache entry; change it
 # whenever either changes, so that older entries miss.
-_CACHE_VERSION = "sftcd-verify/2 fiber-matrix closure"
+_CACHE_VERSION = "sftcd-verify/3 fiber-matrix side closures"
 
 
 def _case_key(case):

@@ -6,9 +6,10 @@ anticipation are supported through recoding: the domain is replaced by its
 window shift (symbols are the valid windows, edges are overlaps) on which
 the rule becomes letter-to-letter.
 
-Surjectivity (check_onto) is decided exactly, on the breadth-first
-closure of graphs.py shared with the fiber-matrix engine, and so is
-finite-to-one-ness (is_finite_to_one), by reachability on the pair graph.
+Surjectivity (check_onto) is decided exactly, on the level-by-level
+closure of graphs.py that also closes the fiber-matrix engine's sides,
+and so is finite-to-one-ness (is_finite_to_one), by reachability on the
+pair graph.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .core import (
     VertexShift,
     enumerate_blocks,
     is_irreducible,
+    iter_bits,
     validate_block,
 )
 from .graphs import closure, reachable_from
@@ -303,28 +305,32 @@ def check_onto(code, codomain_shift):
     """Does every block of the codomain shift have a preimage block?
 
     Exact: closes the product of the codomain graph with the subset
-    automaton of fiber end symbols, whose states are (y, mask), in
-    alphabet order.  A state with mask 0 ends a block without preimage
-    and is not extended; the first one reached names the shortest, then
-    least, missing block.  checked_length is that block's length, or the
-    closure depth when the code is onto.  Raises ResourceLimit past
-    DEFAULT_CAP states.
+    automaton of fiber end symbols, whose states are (y, mask), with
+    words of alphabet indices.  A state with mask 0 ends a block without
+    preimage and is not extended; the first one in level order names the
+    shortest, then least (in alphabet order), missing block.
+    checked_length is that block's length, or the closure depth when the
+    code is onto.  Raises ResourceLimit past DEFAULT_CAP states.
     """
     if code.codomain_alphabet != codomain_shift.alphabet:
         raise AlphabetMismatch("codomain shift alphabet mismatch")
-    seeds = [((y, code.letter_mask(y)), (y,)) for y in codomain_shift.alphabet]
+    symbols = codomain_shift.alphabet.symbols
+    succ = codomain_shift.succ_masks
+    seeds = [((y, code.letter_mask(s)), (y,)) for y, s in enumerate(symbols)]
 
-    def successors(state):
+    def grow(state, word):
         y, mask = state
         if mask:
-            for y2 in codomain_shift.successors(y):
-                yield y2, (y2, code.step(mask, y2))
+            for y2 in iter_bits(succ[y]):
+                yield (y2, code.step(mask, symbols[y2])), word + (y2,)
 
-    words = closure(seeds, successors, DEFAULT_CAP)
-    for (_, mask), word in words.items():
-        if not mask:
-            return OntoCheck(False, len(word), Block(word))
-    return OntoCheck(True, max(map(len, words.values())))
+    levels = closure(seeds, grow, DEFAULT_CAP)
+    for level in levels:
+        for (_, mask), word in level:
+            if not mask:
+                block = Block(tuple(symbols[y] for y in word))
+                return OntoCheck(False, len(word), block)
+    return OntoCheck(True, len(levels))
 
 
 def is_finite_to_one(code):

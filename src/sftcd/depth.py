@@ -20,14 +20,14 @@ routing set of an occurring endpoint pair, so the depth of w is a minimum
 hitting set size, found exhaustively in increasing size order.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
-with fiber matrices A = P_u and B = P_v the routing set of (s, t) is
-{m : m in A[s], t in B[m]}, so the depth at n is fixed by the pair (A, B).
-The fiber-matrix closure of fiber.py minimises that over every reachable
-pair, and the block it returns replays as a routing certificate.  Each
-state's rows (its side as A) and columns (its side as B) are taken once,
-so the routing family of a pair is one set comprehension, and equal pairs
-of sides are scored once per closure.  Mask steps read the byte tables of
-core.VertexShift.
+with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
+row s of A meets column t of B, and its routing set is their
+intersection.  So the depth at n is fixed by the set of A's nonzero rows
+and the set of B's nonzero columns: u's left side and v's right side.
+The side closures of fiber.py reach every such pair, each pair's routing
+family is one set comprehension, scored once, and the block attaining
+the minimum replays as a routing certificate.  Mask steps read the byte
+tables of core.VertexShift.
 
 A certificate lists each preimage u with its witness v; paths with the
 same endpoints share one witness block.  verify_certificate replays it by
@@ -44,11 +44,12 @@ from functools import lru_cache
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
-    _block_walk,
+    _block_sides,
     _check_word,
     _closure_minimum,
-    _walk,
+    _side_closures,
     count_fiber,
+    forward_layers,
     iter_fiber,
     pruned_layers,
 )
@@ -338,17 +339,6 @@ def _scan_preconditions(code):
     return True
 
 
-def _transpose(rows):
-    cols = [0] * len(rows)
-    for m, row in enumerate(rows):
-        bit = 1 << m
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return cols
-
-
 def _routing_value(family, limit):
     """Minimum hitting set size of family when it is at most limit (None:
     no limit), otherwise None."""
@@ -361,48 +351,20 @@ def _routing_value(family, limit):
     return None
 
 
-def _closure_degree(seeds, successors, alphabet, cap):
-    """Exact minimum depth over the fiber-matrix closure.  Endpoint pairs
-    come from a state's first matrix, routing sets from its last, so one
-    matrix per state gives absolute depth and a (phi, pi) pair gives
-    relative depth.
+def _routing_score(rows, cols, limit):
+    """Depth at a split, from the left side's rows and the right side's
+    columns: (s, t) is an endpoint pair when first-track row s meets
+    first-track column t, and its routing set is the last-track row s &
+    the last-track column t."""
+    family = {r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0]}
+    return _routing_value(family, limit)
 
-    A state's two sides of a split are computed once: as A, its nonzero
-    (first-track row, last-track row) pairs; as B, its nonzero
-    (first-track column, last-track column) pairs.  A pair (s, t) is an
-    endpoint pair of the split when A's row s meets B's column t, and its
-    routing set is A's last-track row s & B's last-track column t.  Equal
-    sides are numbered alike, and each distinct pair of sides is scored
-    once: the closure's limit never grows, so a pair that found no value
-    within it finds none later either.
-    """
-    numbers = {}
-    values = {}
 
-    def side(state):
-        first, last = state[2], state[-1]
-        rows = tuple((f, r) for f, r in zip(first, last) if f)
-        cols_first = _transpose(first)
-        cols_last = cols_first if last is first else _transpose(last)
-        cols = tuple((f, c) for f, c in zip(cols_first, cols_last) if f)
-        return (
-            numbers.setdefault(rows, (len(numbers), rows)),
-            numbers.setdefault(cols, (len(numbers), cols)),
-        )
-
-    def score(a, b, limit):
-        (na, rows), (nb, cols) = a[0], b[1]
-        key = na << 32 | nb  # smaller than a tuple; na, nb < 2**32
-        if key in values:
-            value = values[key]
-        else:
-            family = {ra & cb for fa, ra in rows for fb, cb in cols if fa & fb}
-            value = values[key] = _routing_value(family, limit)
-        if value is None or (limit is not None and value > limit):
-            return None
-        return value
-
-    found = _closure_minimum(seeds, successors, side, score, cap)
+def _closure_degree(sides, alphabet):
+    """Exact minimum depth over the side closures.  Endpoint pairs come
+    from the first track and routing sets from the last, so one track
+    gives absolute depth and a (phi, pi) pair of tracks relative depth."""
+    found = _closure_minimum(sides, _routing_score)
     if found is None:
         return None
     value, word, _, depth = found
@@ -413,29 +375,30 @@ def class_degree(code, max_len, cap=DEFAULT_CAP):
     """Minimum depth over all codomain blocks, exactly, with the shortest
     (then lexicographically least) block attaining it.
 
-    The closure either finishes, and the estimate is certified, or raises
-    ResourceLimit past cap states.  max_len is only checked to be
-    positive; scanned_length is the closure depth.
+    The side closures either finish, and the estimate is certified, or
+    raise ResourceLimit past cap sides each.  max_len is only checked to
+    be positive; scanned_length is the larger level count of the two
+    side closures.
     """
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     _scan_preconditions(code)
     letters = code.codomain_alphabet.symbols
-    est = _closure_degree(*_block_walk(((code, letters),)), letters, cap)
+    est = _closure_degree(_block_sides(((code, letters),), cap), letters)
     if est is None:
         raise EmptyFiber("the code has an empty image language")
     return est
 
 
 def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
-    """Minimum relative depth over all blocks of Y, exactly: the closure
-    runs over pairs (P^phi_w, P^pi_psi(w)), with the same certification
-    and max_len rules as class_degree."""
+    """Minimum relative depth over all blocks of Y, exactly: the sides
+    carry rows and columns of (P^phi_w, P^pi_psi(w)), with the same
+    certification and max_len rules as class_degree."""
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     letters = triple.phi.codomain_alphabet.symbols
     tracks = ((triple.phi, letters), (triple.pi, triple.psi_word(letters)))
-    est = _closure_degree(*_block_walk(tracks), letters, cap)
+    est = _closure_degree(_block_sides(tracks, cap), letters)
     if est is None:
         raise EmptyFiber("phi has an empty image language")
     return est
@@ -443,28 +406,30 @@ def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
 
 def periodic_point_relative_degree(triple, y, max_len, cap=DEFAULT_CAP):
     """Minimum relative depth over the blocks occurring in the periodic
-    point y, exactly: the closure walks the cycle of y, keeping the phases
-    of a block's ends in its state.  max_len is only checked to be
-    positive."""
+    point y, exactly: the side closures walk the cycle of y, a side
+    keeping the phase of its end.  EmptyFiber when a block of y has no
+    phi-preimage.  max_len is only checked to be positive."""
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     if not is_point_of(triple.Y, y):
         raise PreconditionUnmet(f"{y.text()} is not a point of Y")
     cycle = y.cycle.symbols
     period = len(cycle)
+    # a path through |X| + 1 turns of the cycle repeats a (phase, symbol)
+    # pair, so it exists exactly when y, and with it every block of y,
+    # has a phi-preimage
+    if forward_layers(triple.phi, cycle * (len(triple.X.alphabet) + 1)) is None:
+        raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
     tracks = ((triple.phi, cycle), (triple.pi, triple.psi_word(cycle)))
     labels = [triple.Y.alphabet.index(s) for s in cycle]
-    seeds, successors = _walk(tracks, labels, lambda p: ((p + 1) % period,))
-
-    def forced(state):
-        nxt = list(successors(state))
-        if not nxt:
-            raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
-        return nxt
-
-    if len(seeds) < period:
-        raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
-    return _closure_degree(seeds, forced, triple.Y.alphabet.symbols, cap)
+    sides = _side_closures(
+        tracks,
+        labels,
+        lambda p: ((p + 1) % period,),
+        lambda p: ((p - 1) % period,),
+        cap,
+    )
+    return _closure_degree(sides, triple.Y.alphabet.symbols)
 
 
 def _spells(code, word, block):

@@ -56,7 +56,7 @@ def load_system(doc) -> VertexShift:
             raise ParseError(f"duplicate allowed pair {item!r}")
         seen.add((a, b))
         pairs.append((a, b))
-    return VertexShift.build(tuple(alphabet), pairs)
+    return _construct(VertexShift.build, tuple(alphabet), pairs)
 
 
 def system_doc(shift) -> dict:
@@ -69,7 +69,7 @@ def system_doc(shift) -> dict:
 def _alphabet(raw, what):
     if not (isinstance(raw, list) and raw and all(isinstance(s, str) and s for s in raw)):
         raise ParseError(f"{what} must be a nonempty list of nonempty strings")
-    return Alphabet(tuple(raw))
+    return _construct(Alphabet, tuple(raw))
 
 
 def _integer(doc, key):
@@ -143,8 +143,9 @@ def _strings(values, what):
 
 
 def _construct(build, *args):
-    """A code from its constructor; the invariants it checks (a total
-    rule or map, memory >= 0, edge compatibility) are errors of the
+    """A system, alphabet or code from its constructor; the invariants it
+    checks (distinct, well-formed symbols, a symbol surviving the trim, a
+    total rule or map, memory >= 0, edge compatibility) are errors of the
     document, so they come out as ParseError with the same message."""
     try:
         return build(*args)

@@ -10,24 +10,24 @@ listing any.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
-What a block shows at a split point depends only on the matrices of the
-two pieces, and the reachable matrices form a finite set, so a
-breadth-first closure of that set followed by a minimum over joinable
-pairs is exhaustive (Lind & Marcus, section 9.1).
+What a block u + v[1:] shows at its split depends only on u's left side
+(its last letter and the set of nonzero rows of P_u) and v's right side
+(its first letter and the set of nonzero columns of P_v).  Rows step on
+their own when a letter is appended and columns when one is prepended,
+so the reachable sides form two finite sets: a level-by-level closure of
+each (graphs.closure) followed by a minimum over joinable pairs is
+exhaustive (Lind & Marcus, section 9.1).
 
-A closure steps every row of a matrix by a table lookup: per track and
-distinct letter it builds a union_table of the domain's successor masks
-with the letter's mask folded in (domains past WALK_TABLE_SYMBOLS
-symbols step through code.step instead).  Those per-letter tables live
-only as long as one walk; kept on the codes, they would stay alive with
-every code the harness caches hold.  The scoring of a split reads sides
-computed once per state.
+A closure steps every row or column by a table lookup: per track, letter
+and direction it builds a union_table of the domain's successor or
+predecessor masks with the letter's mask folded in (domains past
+WALK_TABLE_SYMBOLS symbols step through the byte tables instead).  Those
+tables live only as long as one closure; kept on the codes, they would
+stay alive with every code the harness caches hold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import groupby
 
 from .core import Block, DEFAULT_CAP, iter_bits, union_table
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
@@ -61,112 +61,117 @@ def pruned_layers(code, word):
     return layers
 
 
-def _letter_matrix(code, letter):
-    """P_a as row bitmasks: row s is {s} when s carries letter, else empty."""
-    mask = code.letter_mask(letter)
-    return tuple(mask & (1 << s) for s in range(len(code.domain.alphabet)))
-
-
-# a walk steps rows through one union_table (2**n entries) up to this many
-# domain symbols, through code.step beyond it: building up to 1024 entries
-# per letter costs less than a second lookup on every row step
+# a side closure steps through one union_table (2**n entries) up to this
+# many domain symbols, through the byte tables beyond it: building up to
+# 1024 entries per letter costs less than a second lookup on every step
 WALK_TABLE_SYMBOLS = 10
 
 
-def _row_stepper(code, letter):
-    """One row of a fiber-matrix step: successors of the row that carry
-    letter, read off a table with the letter mask folded in."""
-    masks = code.domain.succ_masks
+def _row_stepper(code, letter, back):
+    """One row of a fiber-matrix step (back: one column): the successors
+    (predecessors) of a mask that carry letter, read off a table with the
+    letter mask folded in."""
+    domain, keep = code.domain, code.letter_mask(letter)
+    masks = domain.pred_masks if back else domain.succ_masks
     if len(masks) <= WALK_TABLE_SYMBOLS:
-        return union_table(masks, code.letter_mask(letter)).__getitem__
-    return partial(code.step, letter=letter)
+        return union_table(masks, keep).__getitem__
+    step = domain.step_mask_back if back else domain.step_mask
+    return lambda mask: step(mask) & keep
 
 
-def _track_steppers(code, letters):
+def _track_steppers(code, letters, back):
     """_row_stepper for every slot, one per distinct letter: a cycle's
     phases and the letters psi merges share theirs."""
-    steppers = {letter: _row_stepper(code, letter) for letter in dict.fromkeys(letters)}
+    steppers = {
+        letter: _row_stepper(code, letter, back) for letter in dict.fromkeys(letters)
+    }
     return [steppers[letter] for letter in letters]
 
 
-def _walk(tracks, labels, follows):
-    """Seeds and successors of a fiber-matrix closure.
+def _side_closures(tracks, labels, follows, precedes, cap):
+    """Left and right side closures of the fiber-matrix engine.
 
-    A state is (head, tail, P_1, ..., P_k): head and tail are the slots of
-    the block's first and last letter, one matrix per track.  Slots are
-    letters, or phases of a cycle; labels[slot] is the letter index a word
-    records and follows(slot) the slots that may come next, in order.
-    tracks are (code, letters) with letters[slot] the code's codomain
-    letter there.  A block belongs when its first matrix is nonzero.
+    Slots are letters, or phases of a cycle; labels[slot] is the letter
+    index a word records, and follows(slot) and precedes(slot) are the
+    slots that may come after and before it.  tracks are (code, letters)
+    with letters[slot] the code's codomain letter there; each track's
+    code sends the symbols carrying the first track's letter to its own.
 
-    Each track steps its matrix rows through one table per letter,
-    built here and dropped with the walk (see the module docstring).
+    A block's fiber matrix has row s = the end symbols of its fiber paths
+    from s.  Its left side is (tail slot, the tuples (row s of each
+    track's matrix) whose first-track row is nonzero), its right side
+    (head slot, the same tuples of columns).  Appending a slot steps
+    every row forwards, prepending one steps every column backwards,
+    through one table per letter and direction built here and dropped
+    with the closure.  Tuples whose first track empties are dropped, and
+    so is a side with none left.  Both closures start from the one-letter
+    blocks, whose rows and columns are alike.  Returns the (left, right)
+    levels of graphs.closure.
     """
-    # steppers[slot] holds each track's stepper for the slot
-    steppers = list(zip(*(_track_steppers(code, letters) for code, letters in tracks)))
-
+    first, first_letters = tracks[0]
     seeds = []
-    for slot in sorted(range(len(labels)), key=labels.__getitem__):
-        mats = tuple(_letter_matrix(code, letters[slot]) for code, letters in tracks)
-        if any(mats[0]):
-            seeds.append(((slot, slot) + mats, (labels[slot],)))
+    for slot, letter in enumerate(first_letters):
+        mask = first.letter_mask(letter)
+        if mask:
+            unit = frozenset((1 << s,) * len(tracks) for s in iter_bits(mask))
+            seeds.append(((slot, unit), (labels[slot],)))
 
-    def successors(state):
-        for slot in follows(state[1]):
-            # each track's rows through that track's stepper
-            mats = tuple(map(tuple, map(map, steppers[slot], state[2:])))
-            if any(mats[0]):
-                yield labels[slot], (state[0], slot) + mats
+    def grower(back, nexts):
+        # steppers[slot] holds each track's stepper for the slot
+        steppers = list(zip(*(_track_steppers(code, ls, back) for code, ls in tracks)))
 
-    return seeds, successors
+        def grow(side, word):
+            for slot in nexts(side[0]):
+                step = steppers[slot]
+                moved = (tuple(f(m) for f, m in zip(step, vec)) for vec in side[1])
+                vecs = frozenset(vec for vec in moved if vec[0])
+                if vecs:
+                    label = (labels[slot],)
+                    yield (slot, vecs), label + word if back else word + label
+
+        return grow
+
+    return (
+        closure(seeds, grower(False, follows), cap),
+        closure(seeds, grower(True, precedes), cap),
+    )
 
 
-def _block_walk(tracks):
-    """Closure inputs over every block of the first track's codomain."""
+def _block_sides(tracks, cap):
+    """Side closures over every block of the first track's codomain."""
     letters = range(len(tracks[0][1]))
-    return _walk(tracks, letters, lambda _: letters)
+    return _side_closures(tracks, letters, lambda _: letters, lambda _: letters, cap)
 
 
-def _closure_minimum(seeds, successors, side, score, cap):
+def _closure_minimum(sides, score):
     """Exact minimum of score over every block and split point.
 
-    seeds are (state, word) for the one-letter blocks in letter order and
-    successors(state) yields (letter, state) in letter order, so
-    graphs.closure keeps the shortlex-least word of every state.
-    side(state) is what score needs of a state, computed once, when the
-    state's length is first reached.  Block u + v[1:] splits into states
-    (A, B) with A's tail equal to B's head; score(side(A), side(B), limit)
-    returns the pair's value when it is at most limit (None: no limit),
-    otherwise None.  Pairs are scored one total length at a time, and
-    limit never grows from one call to the next.  Returns (value, word,
-    split, depth) for the shortest block attaining the minimum,
-    lexicographically least among those, at its first attaining split,
-    with depth the closure's number of levels; None when no pair scores.
-    Raises ResourceLimit past cap states.
+    sides are the (left, right) levels of _side_closures.  Block
+    u + v[1:] splits into u's left side and v's right side, u's tail slot
+    being v's head slot; score(rows, cols, limit) returns the pair's value
+    when it is at most limit (None: no limit), otherwise None.  Pairs are
+    scored one total length at a time, each once, and limit never grows
+    from one call to the next.  Every side keeps the least of its
+    shortest words, so the pairs reach the shortest block attaining the
+    minimum, lexicographically least among those, at its first attaining
+    split.  Returns (value, word, split, depth) for it, with depth the
+    larger level count of the two closures; None when no pair scores.
     """
-    words = closure(seeds, successors, cap)
-    if not words:
-        return None
-    depth = max(map(len, words.values()))
-    # words is in breadth-first order, so its states come level by level
-    levels = groupby(words.items(), lambda item: len(item[1]))
-    by_len = [[] for _ in range(depth + 1)]
-    by_head = {}
+    left, right = sides
+    heads = []  # per right level: head slot -> [(cols, word)]
+    for level in right:
+        by_head = {}
+        for (head, cols), word in level:
+            by_head.setdefault(head, []).append((cols, word))
+        heads.append(by_head)
     best = None  # (value, total length, word, split)
     limit = None  # ties allowed within best's total length, not after it
-    for total in range(1, 2 * depth):
-        if total <= depth:  # states of length n first pair up at total n
-            n, level = next(levels)
-            assert n == total
-            for state, word in level:
-                entry = (state[1], word, side(state))
-                by_len[total].append(entry)
-                by_head.setdefault((total, state[0]), []).append(entry)
-        for la in range(max(1, total + 1 - depth), min(total, depth) + 1):
-            lb = total + 1 - la
-            for tail, word_a, side_a in by_len[la]:
-                for _, word_b, side_b in by_head.get((lb, tail), ()):
-                    value = score(side_a, side_b, limit)
+    for total in range(1, len(left) + len(right)):
+        for la in range(max(1, total + 1 - len(right)), min(total, len(left)) + 1):
+            by_head = heads[total - la]
+            for (tail, rows), word_a in left[la - 1]:
+                for cols, word_b in by_head.get(tail, ()):
+                    value = score(rows, cols, limit)
                     if value is None:
                         continue
                     key = (value, total, word_a + word_b[1:], la)
@@ -179,7 +184,7 @@ def _closure_minimum(seeds, successors, side, score, cap):
             limit = best[0] - 1
     if best is None:
         return None
-    return best[0], best[2], best[3], depth
+    return best[0], best[2], best[3], max(len(left), len(right))
 
 
 def _check_word(code, block):
@@ -287,20 +292,15 @@ class MagicBlockResult:
     certified: StabilizationInfo
 
 
-def _magic_side(state):
-    """(ends, starts) of the first matrix: the end symbols of its paths
-    and the start symbols that have one."""
+def _magic_score(rows, cols, limit):
+    """Preimage symbols at the split: ends of the left piece's paths that
+    start the right piece's."""
     ends = starts = 0
-    for s, row in enumerate(state[2]):
-        if row:
-            ends |= row
-            starts |= 1 << s
-    return ends, starts
-
-
-def _magic_score(a, b, limit):
-    """Preimage symbols at the split: ends of A's paths that start B's."""
-    count = (a[0] & b[1]).bit_count()
+    for row in rows:
+        ends |= row[0]
+    for col in cols:
+        starts |= col[0]
+    count = (ends & starts).bit_count()
     return count if count and (limit is None or count <= limit) else None
 
 
@@ -311,14 +311,12 @@ def find_magic_block(code, max_len, cap=DEFAULT_CAP):
     Ties break to the shortest block, then lexicographic in
     codomain_alphabet order, then the smallest coordinate.  max_len is
     only checked to be positive; the reported scanned_length is the
-    closure depth.
+    larger level count of the two side closures.
     """
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     letters = code.codomain_alphabet.symbols
-    found = _closure_minimum(
-        *_block_walk(((code, letters),)), _magic_side, _magic_score, cap
-    )
+    found = _closure_minimum(_block_sides(((code, letters),), cap), _magic_score)
     if found is None:
         raise InvalidBlock("codomain language is empty")
     value, word, coordinate, depth = found

@@ -1,6 +1,6 @@
 """Small graph helpers used throughout: SCCs, reachability, periods, and
-the breadth-first closure behind the exact surjectivity check and the
-fiber-matrix engine.
+the level-by-level closure behind the exact surjectivity check and both
+side closures of the fiber-matrix engine.
 
 Nodes are arbitrary hashables; successor structure is a plain dict
 node -> iterable of nodes, except for the closure, whose successors are
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import gcd
+from operator import itemgetter
 
 from .errors import ResourceLimit
 
@@ -86,28 +87,37 @@ def reachable_from(starts, succ):
     return seen
 
 
-def closure(seeds, successors, cap):
-    """Breadth-first closure that keeps one word per state.
+def closure(seeds, grow, cap):
+    """Level-by-level closure that keeps one word per state.
 
-    seeds are (state, word) and successors(state) yields (letter, state).
-    With the seeds in shortlex order and successors in letter order, each
-    state keeps the shortlex-least word reaching it.  Returns a dict
-    state -> word whose order is the order the states were reached.
-    Raises ResourceLimit past cap states.
+    seeds are (state, word) pairs of one length, and grow(state, word)
+    yields the (state, word) pairs one letter longer, whether it appends
+    the letter or prepends it.  Each level is sorted by word before its
+    states are kept, so every state keeps the shortlex-least word reaching
+    it.  Returns the levels: lists of (state, word) in word order, each
+    state in the level where it was first reached.  Raises ResourceLimit
+    past cap states.
     """
-    words = {}
-    for state, word in seeds:
-        words.setdefault(state, word)
-    queue = list(words)
-    for state in queue:  # the queue grows while it is walked
-        word = words[state]
-        for letter, nxt in successors(state):
-            if nxt not in words:
-                words[nxt] = word + (letter,)
-                queue.append(nxt)
-                if len(words) > cap:
-                    raise ResourceLimit(f"closure states exceeded the cap of {cap}")
-    return words
+    seen = set()
+    levels = []
+    level = list(seeds)
+    while level:
+        level.sort(key=itemgetter(1))
+        kept = []
+        for state, word in level:
+            if state not in seen:
+                seen.add(state)
+                kept.append((state, word))
+        if len(seen) > cap:
+            raise ResourceLimit(f"closure states exceeded the cap of {cap}")
+        levels.append(kept)
+        level = [
+            nxt
+            for state, word in kept
+            for nxt in grow(state, word)
+            if nxt[0] not in seen
+        ]
+    return levels
 
 
 def component_period(component, succ):

@@ -3,8 +3,8 @@
 The checks treat the proved degree identities as oracles: on any generated
 triple a conclusive failure is an implementation bug, never a
 counterexample, so failing cases are archived in full for debugging.
-Every degree is exact (depth.py on the fiber-matrix closure of
-fiber.py), so each check either passes or fails.
+Every degree is exact (depth.py on the side closures of fiber.py), so
+each check either passes or fails.
 """
 from __future__ import annotations
 

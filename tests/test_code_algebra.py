@@ -170,6 +170,15 @@ class TestCheckOnto:
         res = check_onto(gap, full)
         assert (res.ok, res.checked_length, res.missing_block.text()) == (False, 3, "101")
 
+    def test_least_missing_block_in_alphabet_order(self):
+        # "ba" and "ab" both lack a preimage; b comes first in the
+        # alphabet, so "ba" is the least, where sorting text gives "ab"
+        full = VertexShift.full_shift(("b", "a"))
+        loops = VertexShift.build(("p", "q"), [("p", "p"), ("q", "q")])
+        code = OneBlockCode.from_dict(loops, full.alphabet, {"p": "b", "q": "a"}, full)
+        res = check_onto(code, full)
+        assert (res.ok, res.checked_length, res.missing_block.text()) == (False, 2, "ba")
+
     def test_cap_raises_resource_limit(self, monkeypatch):
         full = VertexShift.full_shift(("0", "1"))
         code = OneBlockCode.from_dict(

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fiber_paths, naive_class_degree, naive_depth, small_codes
-from sftcd.codes import CodeTriple, OneBlockCode, identity_code, trivial_code
-from sftcd.corpus import additive_recoding
+from sftcd.codes import CodeTriple, OneBlockCode, compose, identity_code, trivial_code
+from sftcd.corpus import BUILTIN_NAMES, additive_recoding, builtin_triple
 from sftcd.core import Block, VertexShift, enumerate_blocks, parse_block_text, union_table
 from sftcd.depth import (
     DegreeEstimate,
@@ -31,7 +31,8 @@ from sftcd.errors import (
     ResourceLimit,
     UnknownSymbol,
 )
-from sftcd.harness import generate_triple, spec_for_seed
+from sftcd.fiber import find_magic_block
+from sftcd.harness import TripleGenSpec, generate_triple, spec_for_seed
 
 
 def yblock(triple, text):
@@ -329,9 +330,34 @@ class TestPeriodicPointDegree:
         p = PeriodicPoint.make(Block(("0",) * 39 + ("1",)), 0)
         est = periodic_point_relative_degree(xor2, p, 8)
         assert (est.value, est.minimal_block.text()) == (1, "00000")
-        # phi's track steps through one table per Y letter, pi's through
-        # one per letter of psi's image, whatever the period
-        assert len(built) == len(xor2.Y.alphabet) + len(xor2.psi.codomain_alphabet)
+        # in each direction, phi's track steps through one table per Y
+        # letter and pi's through one per letter of psi's image, whatever
+        # the period
+        assert len(built) == 2 * (len(xor2.Y.alphabet) + len(xor2.psi.codomain_alphabet))
+
+    @staticmethod
+    def _unchecked_triple(x, phi_map):
+        # X -> full 2-shift by phi_map, then the identity; assembled
+        # directly, because CodeTriple.build refuses a phi that is not onto
+        y = VertexShift.full_shift(("0", "1"))
+        phi = OneBlockCode.from_dict(x, y.alphabet, phi_map, y)
+        psi = identity_code(y)
+        return CodeTriple(x, y, y.alphabet, phi, psi, compose(phi, psi))
+
+    def test_blocks_without_phi_preimage(self):
+        golden = VertexShift.build(("0", "1"), [("0", "0"), ("0", "1"), ("1", "0")])
+        t = self._unchecked_triple(golden, {"0": "0", "1": "1"})
+        for cycle in ("1", "011"):
+            # each point carries 11, which the golden mean shift forbids
+            with pytest.raises(EmptyFiber):
+                periodic_point_relative_degree(t, PeriodicPoint.make(tuple(cycle)), 4)
+        est = periodic_point_relative_degree(t, PeriodicPoint.make(("0", "1")), 4)
+        assert est.value == 1
+
+    def test_phase_letter_without_phi_preimage(self):
+        t = self._unchecked_triple(VertexShift.full_shift(("a",)), {"a": "0"})
+        with pytest.raises(EmptyFiber):
+            periodic_point_relative_degree(t, PeriodicPoint.make(("1",)), 4)
 
     def test_rejects_non_points(self, golden_identity):
         p = PeriodicPoint.make(Block(("1",)), 0)
@@ -509,6 +535,39 @@ def test_certificate_fingerprint():
     assert h.hexdigest() == (
         "9e8633bea027744873a51b3d8b6549426ae61e5bdd72b99c35a8cbf00a734d85"
     )
+
+
+def test_degree_fingerprint():
+    # sha256 over (value, block) of class_degree on phi, psi and pi and of
+    # relative_class_degree, and over (value, block, coordinate) of
+    # find_magic_block on phi, psi and pi, for the builtins and seeds
+    # 1..200, taken on the whole-state closure: closing sides instead
+    # must not change a value or a witness.  scanned_length is left out.
+    h = hashlib.sha256()
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 201)]
+    for t in triples:
+        for est in [class_degree(code, 8) for code in (t.phi, t.psi, t.pi)] + [
+            relative_class_degree(t, 8)
+        ]:
+            h.update(repr((est.value, est.minimal_block.symbols)).encode() + b"\n")
+        for code in (t.phi, t.psi, t.pi):
+            m = find_magic_block(code, 8)
+            h.update(repr((m.value, m.block.symbols, m.coordinate)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "b8a32fd0b073c326ea3562c7668c31659efb45bcb0fa58eac9d085530464ad7d"
+    )
+
+
+def test_relative_degree_on_fifteen_domain_symbols():
+    # the whole-state closure needs 197,978 states here; the side
+    # closures hold 1,550 left and 994 right sides
+    t = generate_triple(
+        TripleGenSpec(seed=2, y_symbols=5, blowup_max=3, z_symbols=2, edge_density=0.5)
+    )
+    assert len(t.X.alphabet) == 15
+    est = relative_class_degree(t, 8, cap=5_000)
+    assert (est.value, est.minimal_block.text()) == (1, "y3·y0·y2·y4·y0·y2·y4·y4")
 
 
 @settings(max_examples=300, deadline=None)

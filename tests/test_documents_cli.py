@@ -65,9 +65,20 @@ def collapse_doc():
     }
 
 
+def malformed_system_docs():
+    """(system document, error pattern) pairs the shift and alphabet
+    constructors reject."""
+    return [
+        ({"alphabet": ["a", "a"], "allowed": [["a", "a"]]}, "duplicate symbols"),
+        ({"alphabet": ["a·b"], "allowed": [["a·b", "a·b"]]}, "bad symbol"),
+        ({"alphabet": ["a", "b"], "allowed": []}, "every symbol was trimmed away"),
+    ]
+
+
 def malformed_code_docs():
-    """(code document, error pattern) pairs of wrongly typed fields and
-    of rules or maps the code constructors reject."""
+    """(code document, error pattern) pairs of wrongly typed fields, of
+    malformed systems and alphabets, and of rules or maps the code
+    constructors reject."""
     rule = xor_doc()["codes"]["phi"]
     sliding = {**rule, "codomain": FULL2}
     partial_rule = {k: v for k, v in rule["rule"].items() if k != "11"}
@@ -92,6 +103,13 @@ def malformed_code_docs():
             {**one_block, "codomain": golden, "map": {"0": "1", "1": "1"}},
             "not edge-compatible",
         ),
+        (
+            {"domain": FULL2, "codomain_alphabet": ["a", "a"], "map": {"0": "a", "1": "a"}},
+            "duplicate symbols",
+        ),
+    ] + [
+        ({"domain": system, "codomain_alphabet": ["z"], "map": {}}, match)
+        for system, match in malformed_system_docs()
     ]
 
 
@@ -113,6 +131,9 @@ class TestSystemDocs:
             load_system({"alphabet": ["a"], "allowed": [["a", "b"]]})
         with pytest.raises(ParseError, match="duplicate"):
             load_system({"alphabet": ["a"], "allowed": [["a", "a"], ["a", "a"]]})
+        for doc, match in malformed_system_docs():
+            with pytest.raises(ParseError, match=match):
+                load_system(doc)
 
 
 class TestCodeDocs:
@@ -518,6 +539,14 @@ class TestCliDocuments:
         )
         assert code == 0
         assert 'digraph "shift"' in out
+
+    def test_malformed_system_exits_two(self, capsys, tmp_path):
+        for i, (doc, match) in enumerate(malformed_system_docs()):
+            path = tmp_path / f"sys{i}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "dump", "--system", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and re.search(match, err)
 
     def test_dump_system_json(self, capsys, tmp_path):
         path = tmp_path / "sys.json"

@@ -20,6 +20,7 @@ from sftcd.core import (
     validate_block,
 )
 from sftcd.errors import InvalidBlock, InvariantViolation, UnknownSymbol
+from sftcd.graphs import closure
 
 
 def golden():
@@ -254,3 +255,18 @@ class TestLanguageOracles:
                 for length in range(1, 6):
                     lang = set(enumerate_blocks(shift, length))
                     assert set(blocks_of_periodic_point(p, length)) <= lang
+
+
+class TestClosure:
+    @staticmethod
+    def _prepend(state, word):
+        # the state is the set of letters the word uses
+        for a in (0, 1):
+            yield state | {a}, (a,) + word
+
+    def test_prepending_keeps_the_least_word(self):
+        # (1, 0) reaches {0, 1} before (0, 1) in generation order
+        seeds = [(frozenset({0}), (0,)), (frozenset({1}), (1,))]
+        levels = closure(seeds, self._prepend, 10)
+        assert levels[1] == [(frozenset({0, 1}), (0, 1))]
+        assert len(levels) == 2
