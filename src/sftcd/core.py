@@ -9,12 +9,14 @@ Sets of symbols are bitmasks over the alphabet index.  Stepping a set to
 its successors (or predecessors) reads byte tables: for each run of 8
 symbols, a table indexed by that byte of the mask holds the union of the
 successor masks of its set bits.  A shift builds them on first use and
-keeps them, so a step costs one lookup per byte of the mask.
+keeps them, so a step costs one lookup per byte of the mask, and its
+step_mask is byte_lookup bound to them.  Listing the members of a set
+reads a table of the bit lists of every byte the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
 from .graphs import strongly_connected_components
@@ -24,12 +26,22 @@ DEFAULT_CAP = 10**6
 SEPARATOR = "·"  # interpunct, used to join multi-character symbols
 
 
+# _BYTE_BITS[b] = the set bit positions of the byte b, lowest first
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def iter_bits(mask):
-    """Yield set bit positions of mask, lowest first."""
+    """Set bit positions of mask, lowest first, as a tuple: the bit list
+    of each byte read off _BYTE_BITS and moved to that byte's offset."""
+    bits = _BYTE_BITS[mask & 0xFF]
+    mask >>= 8
+    offset = 8
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        if mask & 0xFF:
+            bits += tuple([offset + i for i in _BYTE_BITS[mask & 0xFF]])
+        mask >>= 8
+        offset += 8
+    return bits
 
 
 def union_table(masks, keep=-1):
@@ -247,14 +259,18 @@ class VertexShift:
     def successors(self, a):
         return self.succ_lists[a]
 
-    def step_mask(self, mask):
-        """Union of successors of every symbol in mask, one table lookup
-        per byte of mask."""
-        return byte_lookup(self.succ_tables, mask)
+    @cached_property
+    def step_mask(self):
+        """step_mask(mask): union of successors of every symbol in mask,
+        one table lookup per byte of mask (byte_lookup bound to
+        succ_tables, so a step adds no frame of its own)."""
+        return partial(byte_lookup, self.succ_tables)
 
-    def step_mask_back(self, mask):
-        """Union of predecessors of every symbol in mask."""
-        return byte_lookup(self.pred_tables, mask)
+    @cached_property
+    def step_mask_back(self):
+        """step_mask_back(mask): union of predecessors of every symbol in
+        mask, byte_lookup bound to pred_tables."""
+        return partial(byte_lookup, self.pred_tables)
 
 
 def validate_block(shift, block):

@@ -33,7 +33,7 @@ A certificate lists each preimage u with its witness v; paths with the
 same endpoints share one witness block.  verify_certificate replays it by
 counting: each u must spell w along allowed transitions, each distinct v
 must spell w's image in the witness fiber, and the distinct u must number
-fiber.count_fiber of w's pruned layers, so they are the whole fiber and
+fiber.count_fiber of w's forward layers, so they are the whole fiber and
 the replay never enumerates it.
 """
 from __future__ import annotations
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .codes import CodeTriple, check_onto
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
@@ -57,20 +58,26 @@ from .fiber import (
 
 class _Reach:
     """Per-start forward sets and per-end backward sets over the pruned
-    layers of one word's fiber."""
+    layers of one word's fiber, for the start symbols in the mask starts
+    and the end symbols in the mask ends (default: all of them).  A
+    relative reach is built on pi's fiber over psi(w) but needs only the
+    endpoints of w's phi-fiber: a phi-preimage of w is a pi-preimage of
+    psi(w), so every endpoint pair a certificate routes stays covered."""
 
     __slots__ = ("code", "layers", "fs", "bs")
 
-    def __init__(self, code, word):
+    def __init__(self, code, word, starts=-1, ends=-1):
         self.code = code
         self.layers = layers = pruned_layers(code, word)
         self.fs = {}
         self.bs = {}
         if layers is None:
             return
-        self.fs = _forward_sets(code.domain, layers)
+        self.fs = _forward_sets(code.domain, layers, starts)
         back, behind = code.domain.step_mask_back, layers[-2::-1]
-        self.bs = {t: _sweep(back, 1 << t, behind)[::-1] for t in iter_bits(layers[-1])}
+        self.bs = {
+            t: _sweep(back, 1 << t, behind)[::-1] for t in iter_bits(layers[-1] & ends)
+        }
 
     @property
     def empty(self):
@@ -120,10 +127,11 @@ def _least_path(domain, s, t, layers):
     return _extend_least(domain.succ_masks, [s], toward[1:])
 
 
-def _forward_sets(domain, layers):
-    """{s: the symbols of each layer reachable from s} for s in layers[0]."""
+def _forward_sets(domain, layers, starts=-1):
+    """{s: the symbols of each layer reachable from s} for s in layers[0]
+    and in the mask starts."""
     step, ahead = domain.step_mask, layers[1:]
-    return {s: _sweep(step, 1 << s, ahead) for s in iter_bits(layers[0])}
+    return {s: _sweep(step, 1 << s, ahead) for s in iter_bits(layers[0] & starts)}
 
 
 def _endpoint_pairs(fs):
@@ -241,7 +249,7 @@ def _routing_outcome(u_code, u_layers, wit, w, M, n, mode, cap):
     with the same endpoints share one witness block."""
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
-    m_sorted = tuple(sorted(M, key=u_code.domain.alphabet.index))
+    m_sorted = tuple(sorted(set(M), key=u_code.domain.alphabet.index))
     m_mask = _mask_of(u_code, m_sorted)
     spell = u_code.domain.alphabet.symbols.__getitem__
     witnesses = []
@@ -304,7 +312,7 @@ def relative_is_presented(triple, w, M, n, cap=DEFAULT_CAP):
     u_layers = pruned_layers(triple.phi, word)
     if u_layers is None:
         raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
-    wit = _Reach(triple.pi, triple.psi_word(word))
+    wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
     return _routing_outcome(triple.phi, u_layers, wit, w, M, n, "relative", cap)
 
 
@@ -313,7 +321,7 @@ def relative_depth(triple, w, cap=DEFAULT_CAP):
     u_layers = pruned_layers(triple.phi, word)
     if u_layers is None:
         raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
-    wit = _Reach(triple.pi, triple.psi_word(word))
+    wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
     e_pairs = _endpoint_pairs(_forward_sets(triple.phi.domain, u_layers))
     size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
     symbols = triple.X.alphabet.symbols
@@ -325,8 +333,6 @@ def relative_depth(triple, w, cap=DEFAULT_CAP):
 
 @lru_cache(maxsize=None)
 def _scan_preconditions(code):
-    from .codes import check_onto
-
     if not is_irreducible(code.domain):
         raise PreconditionUnmet("domain is not irreducible")
     if code.codomain is not None:
@@ -448,12 +454,11 @@ def verify_certificate(subject, cert):
 
     The fiber is counted, not enumerated: every claimed preimage must be
     a domain path with image w, and the distinct claims must number
-    count_fiber of w's pruned layers, so together they are the whole
-    fiber.  Each distinct witness block is checked once.  A position
-    outside 1..|w|, a symbol outside the alphabets or a mode that does
-    not match the subject gives False, like any other tampering."""
-    from .codes import CodeTriple
-
+    count_fiber of w's forward layers (pruning them would not change the
+    count), so together they are the whole fiber.  Each distinct witness
+    block is checked once.  A position outside 1..|w|, a symbol outside
+    the alphabets or a mode that does not match the subject gives False,
+    like any other tampering."""
     w, n = cert.w.symbols, cert.n
     if cert.mode != ("relative" if isinstance(subject, CodeTriple) else "absolute"):
         return False
@@ -478,4 +483,4 @@ def verify_certificate(subject, cert):
         if v[0] != u[0] or v[-1] != u[-1] or v[n - 1] not in m_set:
             return False
         claimed.add(u)
-    return 0 < len(claimed) == count_fiber(u_code, pruned_layers(u_code, w))
+    return 0 < len(claimed) == count_fiber(u_code, forward_layers(u_code, w))

@@ -6,7 +6,7 @@ forward sweep and a backward sweep prune the layers so that exactly the
 symbols lying on complete preimage paths remain.  On pruned layers every
 prefix extends, so iter_fiber grows the paths one layer at a time, and
 count_fiber counts them by a sweep of per-symbol path counts without
-listing any.
+listing any (forward layers give it the same count).
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
@@ -198,36 +198,32 @@ def iter_fiber(code, word_layers, cap=DEFAULT_CAP):
     """Yield preimage paths through pruned layers in lexicographic order
     of domain symbol indices; past cap paths, raise ResourceLimit.
 
-    Prefixes grow one layer at a time, each symbol's successors in the
-    next layer listed once, and the last layer is added one path at a
-    time as they are yielded.  On pruned layers every prefix extends, so
-    the first cap + 1 prefixes of a layer hold the first cap + 1 paths
-    and the rest are dropped."""
+    Prefixes grow one layer at a time, each by the iter_bits list of its
+    last symbol's successors in the next layer, and the last layer is
+    added one path at a time as they are yielded.  On pruned layers every
+    prefix extends, so the first cap + 1 prefixes of a layer hold the
+    first cap + 1 paths and the rest are dropped."""
     if word_layers is None:
         return
     succ = code.domain.succ_masks
     paths = [(s,) for s in iter_bits(word_layers[0])]
     if len(word_layers) > 1:
-        for prev, layer in zip(word_layers, word_layers[1:-1]):
-            ext = _extensions(succ, prev, layer)
-            paths = [path + t for path in paths for t in ext[path[-1]]]
+        for layer in word_layers[1:-1]:
+            paths = [p + (t,) for p in paths for t in iter_bits(succ[p[-1]] & layer)]
             del paths[cap + 1 :]
-        ext = _extensions(succ, word_layers[-2], word_layers[-1])
-        paths = (path + t for path in paths for t in ext[path[-1]])
+        last = word_layers[-1]
+        paths = (p + (t,) for p in paths for t in iter_bits(succ[p[-1]] & last))
     for count, path in enumerate(paths, 1):
         if count > cap:
             raise ResourceLimit(f"fiber larger than {cap} blocks")
         yield path
 
 
-def _extensions(succ, prev, layer):
-    """{s: [(t,) for each successor t of s in layer]} for s in prev."""
-    return {s: [(t,) for t in iter_bits(succ[s] & layer)] for s in iter_bits(prev)}
-
-
 def count_fiber(code, word_layers):
-    """Number of preimage paths through pruned layers (0 for None), by a
-    forward sweep of per-symbol path counts."""
+    """Number of preimage paths through forward or pruned layers (0 for
+    None), by a forward sweep of per-symbol path counts.  On forward
+    layers a dead-end symbol's count never reaches the last layer, so
+    both give the same number."""
     if word_layers is None:
         return 0
     succ = code.domain.succ_masks

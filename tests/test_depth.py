@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, naive_class_degree, naive_depth, small_codes
 from sftcd.codes import CodeTriple, OneBlockCode, compose, identity_code, trivial_code
 from sftcd.corpus import BUILTIN_NAMES, additive_recoding, builtin_triple
-from sftcd.core import Block, VertexShift, enumerate_blocks, parse_block_text, union_table
+from sftcd.core import (
+    Block,
+    VertexShift,
+    enumerate_blocks,
+    iter_bits,
+    parse_block_text,
+    union_table,
+)
 from sftcd.depth import (
     DegreeEstimate,
     _hitting_set,
@@ -31,7 +39,7 @@ from sftcd.errors import (
     ResourceLimit,
     UnknownSymbol,
 )
-from sftcd.fiber import find_magic_block
+from sftcd.fiber import find_magic_block, pruned_layers
 from sftcd.harness import TripleGenSpec, generate_triple, spec_for_seed
 
 
@@ -74,6 +82,16 @@ class TestIsPresented:
         cert = is_presented(xor2.phi, yblock(xor2, "0000"), {"00", "11"}, 2)
         for u, v in cert.witnesses:
             assert (u.at(1), u.at(len(u))) == (v.at(1), v.at(len(v)))
+
+    def test_repeated_routing_symbols_count_once(self, xor2):
+        w = yblock(xor2, "000")
+        M = ("00", "11", "00", "11")
+        for subject, cert in (
+            (xor2.phi, is_presented(xor2.phi, w, M, 1)),
+            (xor2, relative_is_presented(xor2, w, M, 1)),
+        ):
+            assert cert.M == ("00", "11")
+            assert verify_certificate(subject, cert)
 
 
 class TestDepth:
@@ -535,6 +553,59 @@ def test_certificate_fingerprint():
     assert h.hexdigest() == (
         "9e8633bea027744873a51b3d8b6549426ae61e5bdd72b99c35a8cbf00a734d85"
     )
+
+
+def test_wide_certificate_fingerprint():
+    # sha256 over (value, n, M, witnesses) of depth and relative_depth and
+    # the replay of each certificate, on every Y block of length <= 6 of
+    # seeds 6..20, taken before the witness reach was limited to the
+    # phi-fiber's endpoints and the replay counted forward layers
+    h = hashlib.sha256()
+    for seed in range(6, 21):
+        t = generate_triple(spec_for_seed(seed))
+        for n in range(1, 7):
+            for w in enumerate_blocks(t.Y, n):
+                for subject, res in ((t.phi, depth(t.phi, w)), (t, relative_depth(t, w))):
+                    c = res.certificate
+                    pairs = tuple((u.symbols, v.symbols) for u, v in c.witnesses)
+                    replay = verify_certificate(subject, c)
+                    h.update(repr((res.value, c.n, c.M, pairs, replay)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "285a4cc12af2de3bf4af7467f38f1a2293d716c45b1d2905a9a41f1843abc8a5"
+    )
+
+
+def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
+    # relative_depth builds pi's reach for the start and end symbols of
+    # the phi-fiber only; on these blocks that is fewer sweeps than the
+    # whole pi-fiber would need.  The module is read off sys.modules
+    # because the package exports the function depth under its name.
+    depth_module = sys.modules["sftcd.depth"]
+    reaches = []
+
+    class RecordingReach(depth_module._Reach):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            reaches.append(self)
+
+    monkeypatch.setattr(depth_module, "_Reach", RecordingReach)
+    narrower = 0
+    for seed in range(1, 6):
+        t = generate_triple(spec_for_seed(seed))
+        for n in range(1, 5):
+            for w in enumerate_blocks(t.Y, n):
+                reaches.clear()
+                relative_depth(t, w)
+                (wit,) = reaches
+                u_layers = pruned_layers(t.phi, w.symbols)
+                assert set(wit.fs) == set(iter_bits(u_layers[0]))
+                assert set(wit.bs) == set(iter_bits(u_layers[-1]))
+                narrower += len(wit.fs) + len(wit.bs) < (
+                    wit.layers[0].bit_count() + wit.layers[-1].bit_count()
+                )
+    assert narrower > 0
 
 
 def test_degree_fingerprint():

@@ -116,6 +116,29 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
     assert got == list(iter_fiber(code, layers))[:cap]
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
+def test_count_fiber_on_forward_and_pruned_layers(code, word):
+    # a dead-end symbol's count never reaches the last layer, so counting
+    # over the forward layers gives the fiber size, like the pruned ones
+    forward = count_fiber(code, forward_layers(code, word))
+    pruned = count_fiber(code, pruned_layers(code, word))
+    assert forward == pruned == len(list(iter_fiber(code, pruned_layers(code, word))))
+
+
+def test_count_fiber_past_a_dead_end():
+    # b carries 0 but steps only to c, which carries 1: over 00 it is a
+    # dead end in the first forward layer, which pruning removes
+    dom = VertexShift.build(
+        ("a", "b", "c"), [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a")]
+    )
+    code = OneBlockCode.from_dict(dom, ("0", "1"), {"a": "0", "b": "0", "c": "1"})
+    forward = forward_layers(code, ("0", "0"))
+    pruned = pruned_layers(code, ("0", "0"))
+    assert (forward, pruned) == ([3, 3], [1, 3])
+    assert count_fiber(code, forward) == count_fiber(code, pruned) == 2
+
+
 class TestPreimageBlocks:
     def test_xor2_fiber_of_00(self, xor2):
         slice_ = preimage_blocks(xor2.phi, w(xor2, "00"))

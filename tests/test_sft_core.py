@@ -14,6 +14,7 @@ from sftcd.core import (
     enumerate_blocks,
     is_irreducible,
     is_point_of,
+    iter_bits,
     parse_block_text,
     parse_point_text,
     periodic_points_of,
@@ -202,6 +203,30 @@ def test_mask_steps_match_the_bit_loop(subject):
         for letter in code.codomain_alphabet:
             carriers = sum(1 << i for i, s in enumerate(code.mapping) if s == letter)
             assert code.step(mask, letter) == forward & carriers
+
+
+def shifted_bits(mask):
+    """The set bit positions of mask by the plain shift-and-mask loop that
+    iter_bits answers from a byte table."""
+    bits = []
+    i = 0
+    while mask:
+        if mask & 1:
+            bits.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**300))
+def test_iter_bits_match_the_shift_loop(mask):
+    assert iter_bits(mask) == shifted_bits(mask)
+
+
+@pytest.mark.parametrize("mask", [0, 255, 256, 2**64 + 1])
+def test_iter_bits_at_byte_edges(mask):
+    assert iter_bits(mask) == shifted_bits(mask)
 
 
 class TestLanguageOracles:
