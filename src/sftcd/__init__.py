@@ -46,7 +46,6 @@ from .depth import (
     RoutingCertificate,
     RoutingRefusal,
     class_degree,
-    depth,
     is_presented,
     periodic_point_relative_degree,
     relative_class_degree,

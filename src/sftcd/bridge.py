@@ -7,6 +7,13 @@ constructively: when the windows of x and x' over a presented block both
 reroute through one symbol, splicing the two rerouted witnesses at that
 symbol yields bridges in both directions.
 
+Every path here comes from one search, depth._least_path: the least path
+by symbol index through given layer masks.  A rerouted window is what
+_Reach.lex_path_through, which wrote the certificate's own witnesses,
+finds through the splice symbol; a searched bridge's middle is the least
+path across the fiber frontier; a class representative is the shortest,
+then least, cycle through its component's least symbol.
+
 The class oracle counts, for a fixed codomain symbol z, the mutual-
 reachability classes of periodic preimages of z^oo: cyclic strongly
 connected pieces of the preimage subgraph, with plain reachability giving
@@ -15,6 +22,7 @@ the one-way transition preorder between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .codes import CodeTriple, OneBlockCode, apply_to_block, apply_to_point
 from .core import Block, PeriodicPoint, iter_bits
@@ -106,25 +114,19 @@ def _window(point, start, length):
 
 
 def _witness_through(subject, cert, u, a):
-    """A fiber block with u's endpoints passing through symbol a at the
-    certificate's position; prefers the recorded witness, falls back to a
-    fresh reachability search."""
-    recorded = cert.witness_for(u)
-    if recorded is not None and recorded.at(cert.n) == a:
-        return recorded
+    """The least fiber block with u's endpoints passing through symbol a
+    at the certificate's position, from the search that wrote the
+    certificate's own witnesses."""
     if cert.mode == "relative":
         wit = _Reach(subject.pi, subject.psi_word(cert.w.symbols))
     else:
         wit = _Reach(_bridge_code(subject, cert.mode), cert.w.symbols)
-    idx = _u_code(subject, cert.mode).domain.alphabet.index
-    s, t, m = idx(u.at(1)), idx(u.at(len(u))), idx(a)
-    if wit.empty or s not in wit.fs or t not in wit.bs:
+    alphabet = _u_code(subject, cert.mode).domain.alphabet
+    idx = alphabet.index
+    path = wit.lex_path_through(idx(u.at(1)), idx(a), idx(u.at(len(u))), cert.n)
+    if path is None:
         raise NotRoutable(f"{u.text()!r} has no witness through {a!r}")
-    if not (wit.route(cert.n, s, t) >> m) & 1:
-        raise NotRoutable(f"{u.text()!r} has no witness through {a!r}")
-    path = wit.lex_path_through(s, m, t, cert.n)
-    symbols = _u_code(subject, cert.mode).domain.alphabet.symbols
-    return Block(tuple(symbols[i] for i in path))
+    return Block(tuple(alphabet.symbols[i] for i in path))
 
 
 def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
@@ -217,33 +219,16 @@ class ClassOracleResult:
     caveat: str
 
 
-def _shortest_lex_cycle(shift, comp, succ):
-    """Least-length, then lexicographically least, cycle through the
-    smallest symbol of the component."""
-    s = comp[0]
-    dist_to_s = {s: 0}
-    frontier = [s]
-    rev = {v: [u for u in comp if v in succ[u]] for v in comp}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in rev[v]:
-                if u not in dist_to_s:
-                    dist_to_s[u] = dist_to_s[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    length = min(1 + dist_to_s[u] for u in succ[s] if u in dist_to_s)
-    path = [s]
-    for step in range(1, length):
-        path.append(
-            min(
-                v
-                for v in succ[path[-1]]
-                if v in dist_to_s and dist_to_s[v] == length - step
-            )
-        )
+def _least_cycle(shift, comp):
+    """Shortest, then least by symbol index, cycle through the component's
+    least symbol: the first least path from it back to itself through
+    k = 0, 1, ... layers of the component."""
+    s, inside = comp[0], sum(1 << v for v in comp)
+    home = 1 << s
+    loops = (_least_path(shift, s, s, [home] + [inside] * k + [home]) for k in count())
+    path = next(p for p in loops if p is not None)
     symbols = shift.alphabet.symbols
-    return PeriodicPoint.make(Block(tuple(symbols[i] for i in path)), 0)
+    return PeriodicPoint.make(Block(tuple(symbols[i] for i in path[:-1])), 0)
 
 
 def fixed_point_class_oracle(code, z):
@@ -276,7 +261,7 @@ def fixed_point_class_oracle(code, z):
     )
     if not cyclic:
         raise NoFixedPoint(f"no periodic preimage of {z!r} repeated forever")
-    reps = tuple(_shortest_lex_cycle(shift, c, adj) for c in cyclic)
+    reps = tuple(_least_cycle(shift, c) for c in cyclic)
     reach = [reachable_from(c, adj) for c in cyclic]
     preorder = tuple(
         (i, j)

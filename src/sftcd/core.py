@@ -422,8 +422,11 @@ def blocks_of_periodic_point(point, length):
 
 
 def periodic_points_of(shift, max_period, cap=DEFAULT_CAP):
-    """All periodic points of period at most max_period, via cycle
-    enumeration, deduplicated by rotation.  Sorted by (period, cycle)."""
+    """Periodic points of period at most max_period, via cycle
+    enumeration: one point for each start of a cycle at its least symbol,
+    so every orbit is present, once per occurrence of that symbol (the
+    golden mean shift gives (0001), (0001)@1 and (0001)@2).  Sorted by
+    (period, cycle, phase)."""
     found = set()
     symbols = shift.alphabet.symbols
 
@@ -444,4 +447,4 @@ def periodic_points_of(shift, max_period, cap=DEFAULT_CAP):
 
     for s in symbols:
         walk([s], s)
-    return sorted(found, key=lambda q: (q.period, q.cycle.symbols))
+    return sorted(found, key=lambda q: (q.period, q.cycle.symbols, q.phase))

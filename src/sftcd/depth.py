@@ -17,7 +17,9 @@ a routing set R_n(s, t) = (forward set of s at n) & (backward set of t at
 n) lists the symbols through which some witness from s to t passes at
 position n.  w is presented through M at n exactly when M hits every
 routing set of an occurring endpoint pair, so the depth of w is a minimum
-hitting set size, found exhaustively in increasing size order.
+hitting set size.  One driver, _min_hitting_set, finds every such
+minimum: it scores a block's positions here exactly as it scores the
+splits of the side closures below, and names the least mask.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -30,16 +32,17 @@ the minimum replays as a routing certificate.  Mask steps read the byte
 tables of core.VertexShift.
 
 A certificate lists each preimage u with its witness v; paths with the
-same endpoints share one witness block.  verify_certificate replays it by
-counting: each u must spell w along allowed transitions, each distinct v
-must spell w's image in the witness fiber, and the distinct u must number
-fiber.count_fiber of w's forward layers, so they are the whole fiber and
-the replay never enumerates it.
+same endpoints share one witness block: _Reach.lex_path_through's least
+path through the least usable symbol of M, the search bridge.py also
+asks for the blocks it splices.  verify_certificate replays a
+certificate by counting: each u must spell w along allowed transitions,
+each distinct v must spell w's image in the witness fiber, and the
+distinct u must number fiber.count_fiber of w's forward layers, so they
+are the whole fiber and the replay never enumerates it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .codes import CodeTriple, check_onto
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
@@ -169,23 +172,25 @@ def _hitting_set(family, k, allowed=None):
 def _depth_search(e_pairs, fs, bs, length):
     """Minimum hitting set over the routing families of every position.
 
-    Returns (size, position, mask) with the smallest size, breaking ties
-    towards the smallest position and then the lexicographically least
-    symbol set.
+    Positions are scored by _min_hitting_set under the limit rule of
+    _closure_minimum's splits: once some position scores, a later one
+    must score strictly less, so a family equal to the one before it,
+    scored under a limit no lower, is skipped.  Returns (size, position,
+    mask) with the smallest size, then the smallest position, then the
+    least symbol set in combination order.
     """
-    families = []
+    best = limit = family = None
     for n in range(1, length + 1):
-        family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
-        mask = _hitting_set(family, 1)
+        previous, family = family, {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
+        if family == previous:
+            continue
+        mask = _min_hitting_set(family, limit)
         if mask:
-            return 1, n, mask
-        families.append(family)
-    for k in range(2, min(map(len, families)) + 1):
-        for n0, family in enumerate(families):
-            mask = _hitting_set(family, k)
-            if mask:
-                return k, n0 + 1, mask
-    raise AssertionError("hitting set search must succeed")
+            best = mask.bit_count(), n, mask
+            if best[0] == 1:
+                break
+            limit = best[0] - 1
+    return best
 
 
 @dataclass(frozen=True)
@@ -201,12 +206,6 @@ class RoutingCertificate:
 
     def __bool__(self):
         return True
-
-    def witness_for(self, u):
-        for a, b in self.witnesses:
-            if a == u:
-                return b
-        return None
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,6 @@ def relative_depth(triple, w, cap=DEFAULT_CAP):
     return DepthResult(w, size, cert)
 
 
-@lru_cache(maxsize=None)
 def _scan_preconditions(code):
     if not is_irreducible(code.domain):
         raise PreconditionUnmet("domain is not irreducible")
@@ -342,18 +340,18 @@ def _scan_preconditions(code):
                 f"code is not onto its codomain: {onto.missing_block.text()!r} "
                 "has no preimage"
             )
-    return True
 
 
-def _routing_value(family, limit):
-    """Minimum hitting set size of family when it is at most limit (None:
-    no limit), otherwise None."""
-    if not family:
-        return None
-    bound = len(family) if limit is None else min(len(family), limit)
-    for k in range(1, bound + 1):
-        if _hitting_set(family, k):
-            return k
+def _min_hitting_set(family, limit):
+    """Least mask, in combination order, among the smallest hitting sets
+    of family when those have at most limit symbols (None: no limit),
+    otherwise None.  Routing sets are never empty, so one symbol of each
+    hits them all and len(family) symbols always suffice."""
+    if family:
+        for k in range(1, (limit or len(family)) + 1):
+            mask = _hitting_set(family, k)
+            if mask:
+                return mask
     return None
 
 
@@ -363,7 +361,8 @@ def _routing_score(rows, cols, limit):
     first-track column t, and its routing set is the last-track row s &
     the last-track column t."""
     family = {r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0]}
-    return _routing_value(family, limit)
+    mask = _min_hitting_set(family, limit)
+    return None if mask is None else mask.bit_count()
 
 
 def _closure_degree(sides, alphabet):

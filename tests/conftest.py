@@ -4,9 +4,13 @@ The oracles here deliberately avoid the bitmask machinery of the package:
 fibers are enumerated as explicit symbol tuples and minimization is done
 with itertools over whole alphabets.  Slow but unarguable.  small_codes is
 the Hypothesis strategy of random small codes that the differential tests
-share.
+share, and run_under_hash_seeds runs a snippet in fresh interpreters.
 """
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -233,3 +237,25 @@ def small_codes(draw):
     return OneBlockCode.from_dict(
         VertexShift.build(symbols, sorted(pairs)), ("a", "b"), dict(zip(symbols, images))
     )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_under_hash_seeds(snippet, seeds=("0", "1")):
+    """stdout of python -c snippet, one fresh interpreter per
+    PYTHONHASHSEED in seeds, with this checkout's src on the path and no
+    verify cache: --jobs workers and cache entries assume that output
+    does not depend on the process that made it."""
+    env = {k: v for k, v in os.environ.items() if k != "SFTCD_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = []
+    for seed in seeds:
+        proc = subprocess.run(
+            [sys.executable, "-c", snippet],
+            env=dict(env, PYTHONHASHSEED=seed),
+            capture_output=True,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    return outputs

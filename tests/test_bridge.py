@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -10,7 +11,13 @@ from sftcd.bridge import (
     fixed_point_class_oracle,
     verify_bridge,
 )
-from sftcd.codes import OneBlockCode, apply_to_point, identity_code, trivial_code
+from sftcd.codes import (
+    OneBlockCode,
+    apply_to_block,
+    apply_to_point,
+    identity_code,
+    trivial_code,
+)
 from sftcd.core import (
     Block,
     PeriodicPoint,
@@ -20,8 +27,15 @@ from sftcd.core import (
     parse_block_text,
     periodic_points_of,
 )
+from sftcd.corpus import BUILTIN_NAMES, builtin_triple
 from sftcd.depth import depth, relative_depth, relative_is_presented
-from sftcd.errors import ImageMismatch, NoFixedPoint, NotRoutable, UnknownSymbol
+from sftcd.errors import (
+    ImageMismatch,
+    NoFixedPoint,
+    NotRoutable,
+    SftcdError,
+    UnknownSymbol,
+)
 from sftcd.harness import generate_triple, spec_for_seed
 
 
@@ -260,3 +274,83 @@ class TestFixedPointOracle:
         )
         with pytest.raises(NoFixedPoint):
             fixed_point_class_oracle(code, "p")
+
+
+def brute_least_cycle(code, comp):
+    """Shortest, then least by symbol index, cycle through the least
+    symbol of comp, by listing every path inside comp of each length."""
+    index = code.domain.alphabet.index
+    s = comp[0]
+    paths = [(s,)]
+    while True:
+        closed = [p for p in paths if s in code.domain.successors(p[-1])]
+        if closed:
+            return min(closed, key=lambda p: [index(x) for x in p])
+        paths = [p + (t,) for p in paths for t in code.domain.successors(p[-1]) if t in comp]
+
+
+def brute_cyclic_components(code, z):
+    """Cyclic mutual-reachability classes of the symbols mapping to z, each
+    sorted by symbol index, in order of their least symbols."""
+    index = code.domain.alphabet.index
+    fiber = [s for s in code.domain.alphabet.symbols if code.apply_symbol(s) == z]
+    reach = {}
+    for s in fiber:
+        seen, todo = set(), [s]
+        while todo:
+            for t in code.domain.successors(todo.pop()):
+                if t in fiber and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[s] = seen
+    comps = {
+        tuple(sorted((t for t in fiber if t in reach[s] and s in reach[t]), key=index))
+        for s in fiber
+        if s in reach[s]
+    }
+    return sorted(comps, key=lambda c: index(c[0]))
+
+
+def test_oracle_representatives_are_least_shortest_cycles(subjects):
+    checked = 0
+    for t in [builtin_triple(name) for name in BUILTIN_NAMES] + subjects[1:]:
+        for code in (t.phi, t.pi):
+            for z in code.codomain_alphabet.symbols:
+                if not code.codomain.allows(z, z):
+                    continue
+                comps = brute_cyclic_components(code, z)
+                if not comps:
+                    with pytest.raises(NoFixedPoint):
+                        fixed_point_class_oracle(code, z)
+                    continue
+                expected = [point(*brute_least_cycle(code, c)) for c in comps]
+                assert list(fixed_point_class_oracle(code, z).representatives) == expected
+                checked += 1
+    assert checked == 72
+
+
+def test_construct_bridge_fingerprint(subjects):
+    # sha256 over the two middles of construct_bridge, or the name of the
+    # error it raises, for every splice symbol and every ordered pair of X
+    # points of period <= 3 showing a Y block of length 2 at 1, in both
+    # modes, on seeds 1..10; taken while a witness recorded in the
+    # certificate could stand in for the search.  The points are sorted
+    # here so that the pin does not rest on periodic_points_of's order.
+    h = hashlib.sha256()
+    for t in subjects[1:11]:
+        points = sorted(
+            periodic_points_of(t.X, 3), key=lambda p: (p.period, p.cycle.symbols, p.phase)
+        )
+        for w in enumerate_blocks(t.Y, 2):
+            showing = [x for x in points if apply_to_block(t.phi, x.window(1, 2)) == w]
+            for subject, res in ((t.phi, depth(t.phi, w)), (t, relative_depth(t, w))):
+                for x, xp, a in product(showing, showing, t.X.alphabet.symbols):
+                    try:
+                        fwd, rev = construct_bridge(subject, x, xp, 1, res.certificate, a)
+                        row = (fwd.middle_symbols, rev.middle_symbols)
+                    except SftcdError as e:
+                        row = type(e).__name__
+                    h.update(repr((w.symbols, x.text(), xp.text(), a, row)).encode() + b"\n")
+    assert h.hexdigest() == (
+        "7f3aa5c473421465771c442f8960dd82f507d691ca299187b44d5ba23f3893ea"
+    )

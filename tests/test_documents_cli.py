@@ -3,9 +3,12 @@
 import json
 import os
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from conftest import run_under_hash_seeds
 from sftcd.cli import main
 from sftcd.codes import SlidingBlockCode
 from sftcd.core import parse_block_text
@@ -741,3 +744,39 @@ class TestCliVerify:
         code, half_warm, _ = run_cli(capsys, *argv)
         assert code == 0
         assert half_warm == uncached
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_json_examples():
+    """{command: stdout} for each `$ sftcd ...` line of the README that is
+    followed by its JSON output."""
+    examples = {}
+    pattern = re.compile(r"^\$ sftcd ([^\n]+)\n(\{\n.*?\n\})$", re.M | re.S)
+    for match in pattern.finditer(README.read_text()):
+        examples[match.group(1)] = match.group(2) + "\n"
+    return examples
+
+
+def test_readme_json_examples_match_the_cli(capsys):
+    examples = readme_json_examples()
+    assert sorted(cmd.split()[0] for cmd in examples) == [
+        "class-degree",
+        "classes-fixed",
+        "rdepth",
+    ]
+    for cmd, expected in examples.items():
+        code, out, _ = run_cli(capsys, *shlex.split(cmd))
+        assert code == 0, cmd
+        assert out == expected, cmd
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--seeds", "1..10"], ["classes-fixed", "--code", "builtin:mod3/phi", "--z", "0"]],
+)
+def test_cli_output_is_the_same_in_every_process(argv):
+    snippet = f"import sys\nfrom sftcd.cli import main\nsys.exit(main({argv!r}))\n"
+    first, second = run_under_hash_seeds(snippet)
+    assert first and first == second

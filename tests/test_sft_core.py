@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_step_mask, reference_step_mask_back
+import sftcd
+from conftest import reference_step_mask, reference_step_mask_back, run_under_hash_seeds
 from sftcd.codes import OneBlockCode
 
 from sftcd.core import (
@@ -139,6 +143,18 @@ class TestPeriodicPoint:
         g = golden()
         pts = periodic_points_of(g, 2)
         assert [p.text() for p in pts] == ["(0)", "(01)"]
+
+    def test_periodic_points_order_is_the_same_in_every_process(self):
+        # phases of one cycle used to tie on (period, cycle) and come back
+        # in set order, which moves with the hash seed
+        snippet = (
+            "from sftcd.core import VertexShift, periodic_points_of\n"
+            "g = VertexShift.build(('0', '1'), [('0', '0'), ('0', '1'), ('1', '0')])\n"
+            "print([p.text() for p in periodic_points_of(g, 4)])\n"
+        )
+        expected = "['(0)', '(01)', '(001)', '(001)@1', '(0001)', '(0001)@1', '(0001)@2']"
+        for out in run_under_hash_seeds(snippet, [str(seed) for seed in range(6)]):
+            assert out.decode().strip() == expected
 
     def test_parse_point_text(self):
         alpha = Alphabet(("0", "1"))
@@ -295,3 +311,12 @@ class TestClosure:
         levels = closure(seeds, self._prepend, 10)
         assert levels[1] == [(frozenset({0, 1}), (0, 1))]
         assert len(levels) == 2
+
+
+def test_every_submodule_is_a_package_attribute():
+    # a package-level name must not shadow a submodule: import sftcd.depth
+    # as m has to bind the module, not a function exported under its name
+    names = [info.name for info in pkgutil.iter_modules(sftcd.__path__)]
+    assert "depth" in names
+    for name in names:
+        assert getattr(sftcd, name) is importlib.import_module(f"sftcd.{name}"), name
