@@ -7,12 +7,19 @@ constructively: when the windows of x and x' over a presented block both
 reroute through one symbol, splicing the two rerouted witnesses at that
 symbol yields bridges in both directions.
 
-Every path here comes from one search, depth._least_path: the least path
-by symbol index through given layer masks.  A rerouted window is what
+Every path here comes from one search: the least path by symbol index
+through given layer masks.  A rerouted window is what
 _Reach.lex_path_through, which wrote the certificate's own witnesses,
-finds through the splice symbol; a searched bridge's middle is the least
-path across the fiber frontier; a class representative is the shortest,
-then least, cycle through its component's least symbol.
+finds through the splice symbol, and both windows of a splice ask one
+reach, so they share its sweep toward that symbol; a searched bridge's
+middle is depth._least_path across the fiber frontier; a class
+representative is the shortest, then least, cycle through its
+component's least symbol.
+
+verify_bridge and the self-check of bounded_bridge_exists run one
+replay, _replays.  The search has already computed and compared the
+image points of its two ends, so it passes that image in and the replay
+makes every other check (ordering, middle length, seams, middle images).
 
 The class oracle counts, for a fixed codomain symbol z, the mutual-
 reachability classes of periodic preimages of z^oo: cyclic strongly
@@ -90,16 +97,23 @@ def verify_bridge(subject, b: BridgeWitness) -> bool:
     """Mechanical replay: seam pairs allowed, middle valid and inside the
     fiber of the shared image point.  Relative-mode class preservation is
     recorded provenance, not re-checked here (it concerns infinite tails)."""
-    code = _bridge_code(subject, b.mode)
-    shift = code.domain
+    return _replays(_bridge_code(subject, b.mode), b)
+
+
+def _replays(code, b, image=None):
+    """verify_bridge's replay under code.  A caller that has already
+    computed and compared the image points of b's two ends passes that
+    image, and the replay checks everything else."""
     if b.n <= b.m or len(b.middle_symbols) != b.n - b.m - 1:
         return False
-    image = apply_to_point(code, b.left)
-    if image != apply_to_point(code, b.right):
-        return False
+    if image is None:
+        image = apply_to_point(code, b.left)
+        if image != apply_to_point(code, b.right):
+            return False
     seam = (
         [b.left.symbol_at(b.m)] + list(b.middle_symbols) + [b.right.symbol_at(b.n)]
     )
+    shift = code.domain
     for a, c in zip(seam, seam[1:]):
         if not shift.allows(a, c):
             return False
@@ -113,17 +127,12 @@ def _window(point, start, length):
     return Block(tuple(point.symbol_at(start + k) for k in range(length)))
 
 
-def _witness_through(subject, cert, u, a):
-    """The least fiber block with u's endpoints passing through symbol a
-    at the certificate's position, from the search that wrote the
-    certificate's own witnesses."""
-    if cert.mode == "relative":
-        wit = _Reach(subject.pi, subject.psi_word(cert.w.symbols))
-    else:
-        wit = _Reach(_bridge_code(subject, cert.mode), cert.w.symbols)
-    alphabet = _u_code(subject, cert.mode).domain.alphabet
+def _witness_through(wit, alphabet, n, u, a):
+    """The least block of wit's fiber with u's endpoints passing through
+    symbol a at position n, from the search that wrote the certificate's
+    own witnesses."""
     idx = alphabet.index
-    path = wit.lex_path_through(idx(u.at(1)), idx(a), idx(u.at(len(u))), cert.n)
+    path = wit.lex_path_through(idx(u.at(1)), idx(a), idx(u.at(len(u))), n)
     if path is None:
         raise NotRoutable(f"{u.text()!r} has no witness through {a!r}")
     return Block(tuple(alphabet.symbols[i] for i in path))
@@ -148,8 +157,17 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
             raise PreconditionUnmet(
                 f"{point.text()} does not show {cert.w.text()!r} at {occurrence}"
             )
-    v = _witness_through(subject, cert, u, a)
-    vp = _witness_through(subject, cert, up, a)
+    # one reach serves both windows: backward sets for their two end
+    # symbols only, and no forward sets, which lex_path_through never reads
+    if cert.mode == "relative":
+        wit_code, wit_word = subject.pi, subject.psi_word(cert.w.symbols)
+    else:
+        wit_code, wit_word = u_code, cert.w.symbols
+    alphabet = u_code.domain.alphabet
+    ends = (1 << alphabet.index(u.at(length))) | (1 << alphabet.index(up.at(length)))
+    wit = _Reach(wit_code, wit_word, starts=0, ends=ends)
+    v = _witness_through(wit, alphabet, cert.n, u, a)
+    vp = _witness_through(wit, alphabet, cert.n, up, a)
     cut = cert.n
     mid_fwd = v.symbols[: cut - 1] + (a,) + vp.symbols[cut:]
     mid_rev = vp.symbols[: cut - 1] + (a,) + v.symbols[cut:]
@@ -203,7 +221,7 @@ def bounded_bridge_exists(code, x, xp, m, window=None):
             witness = BridgeWitness(
                 x, xp, m, n, middle, "absolute", "found by bounded fiber search"
             )
-            if not verify_bridge(code, witness):
+            if not _replays(code, witness, image):
                 raise InvariantViolation("searched bridge failed replay")
             return BridgeSearch(True, witness, window, "")
     return BridgeSearch(

@@ -10,8 +10,10 @@ its successors (or predecessors) reads byte tables: for each run of 8
 symbols, a table indexed by that byte of the mask holds the union of the
 successor masks of its set bits.  A shift builds them on first use and
 keeps them, so a step costs one lookup per byte of the mask, and its
-step_mask is byte_lookup bound to them.  Listing the members of a set
-reads a table of the bit lists of every byte the same way.
+step_mask is byte_lookup bound to them; a shift of at most 8 symbols has
+one table, and its step_mask is that table's own __getitem__, the same
+lookup without the loop.  Listing the members of a set reads a table of
+the bit lists of every byte the same way.
 """
 from __future__ import annotations
 
@@ -262,15 +264,23 @@ class VertexShift:
     @cached_property
     def step_mask(self):
         """step_mask(mask): union of successors of every symbol in mask,
-        one table lookup per byte of mask (byte_lookup bound to
-        succ_tables, so a step adds no frame of its own)."""
-        return partial(byte_lookup, self.succ_tables)
+        one table lookup per byte of mask (_stepper of succ_tables)."""
+        return _stepper(self.succ_tables)
 
     @cached_property
     def step_mask_back(self):
         """step_mask_back(mask): union of predecessors of every symbol in
-        mask, byte_lookup bound to pred_tables."""
-        return partial(byte_lookup, self.pred_tables)
+        mask, _stepper of pred_tables."""
+        return _stepper(self.pred_tables)
+
+
+def _stepper(tables):
+    """byte_lookup bound to tables, so a step adds no frame of its own.
+    One table (at most 8 symbols) is indexed by the whole mask, which is
+    then its only byte: byte_lookup over it is exactly its __getitem__."""
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    return partial(byte_lookup, tables)
 
 
 def validate_block(shift, block):

@@ -34,8 +34,12 @@ tables of core.VertexShift.
 A certificate lists each preimage u with its witness v; paths with the
 same endpoints share one witness block: _Reach.lex_path_through's least
 path through the least usable symbol of M, the search bridge.py also
-asks for the blocks it splices.  verify_certificate replays a
-certificate by counting: each u must spell w along allowed transitions,
+asks for the blocks it splices.  Its head is read off a backward sweep
+toward that symbol at n: one sweep per routing symbol (and position) on
+a reach, shared by every endpoint pair routed through it.  The routing
+set travels as the mask _min_hitting_set named, and only the
+certificate spells it.  verify_certificate replays a certificate by
+counting: each u must spell w along allowed transitions,
 each distinct v must spell w's image in the witness fiber, and the
 distinct u must number fiber.count_fiber of w's forward layers, so they
 are the whole fiber and the replay never enumerates it.
@@ -65,15 +69,18 @@ class _Reach:
     and the end symbols in the mask ends (default: all of them).  A
     relative reach is built on pi's fiber over psi(w) but needs only the
     endpoints of w's phi-fiber: a phi-preimage of w is a pi-preimage of
-    psi(w), so every endpoint pair a certificate routes stays covered."""
+    psi(w), so every endpoint pair a certificate routes stays covered.
+    lex_path_through keeps its backward sweeps toward routing symbols in
+    to_m, one per (symbol, position)."""
 
-    __slots__ = ("code", "layers", "fs", "bs")
+    __slots__ = ("code", "layers", "fs", "bs", "to_m")
 
     def __init__(self, code, word, starts=-1, ends=-1):
         self.code = code
         self.layers = layers = pruned_layers(code, word)
         self.fs = {}
         self.bs = {}
+        self.to_m = {}
         if layers is None:
             return
         self.fs = _forward_sets(code.domain, layers, starts)
@@ -91,17 +98,21 @@ class _Reach:
 
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
-        position n to t, or None when no such path exists.  bs[t] holds
-        the symbols that still reach t, so the tail after m is the least
-        successor within it at each step."""
+        position n to t, or None when no such path exists.  The head up
+        to m is the least successor, at each step, within the symbols
+        that still reach m at n (a sweep made once per (m, n) and shared
+        by every pair routed there); the tail after m the least within
+        bs[t], the symbols that still reach t."""
         toward_t = self.bs.get(t)
         if toward_t is None or not (toward_t[n - 1] >> m) & 1:
             return None
-        dom = self.code.domain
-        head = _least_path(dom, s, m, self.layers[:n])
-        if head is None:
+        toward_m = self.to_m.get((m, n))
+        if toward_m is None:
+            toward_m = self.to_m[m, n] = _toward(self.code.domain, m, self.layers[:n])
+        if not (toward_m[0] >> s) & 1:
             return None
-        return _extend_least(dom.succ_masks, list(head), toward_t[n:])
+        succ = self.code.domain.succ_masks
+        return _extend_least(succ, [s], toward_m[1:] + toward_t[n:])
 
 
 def _sweep(step, mask, layers):
@@ -121,10 +132,15 @@ def _extend_least(succ, path, masks):
     return tuple(path)
 
 
+def _toward(domain, t, layers):
+    """The symbols of each of layers that reach t in the last one."""
+    return _sweep(domain.step_mask_back, layers[-1] & (1 << t), layers[-2::-1])[::-1]
+
+
 def _least_path(domain, s, t, layers):
     """Least path (by symbol index) from s to t whose i-th symbol lies in
     layers[i], or None when there is none."""
-    toward = _sweep(domain.step_mask_back, layers[-1] & (1 << t), layers[-2::-1])[::-1]
+    toward = _toward(domain, t, layers)
     if not (toward[0] >> s) & 1:
         return None
     return _extend_least(domain.succ_masks, [s], toward[1:])
@@ -235,22 +251,24 @@ class DegreeEstimate:
     minimal_block: Block
 
 
-def _mask_of(code, M):
+def _mask_of(alphabet, M):
+    """Bitmask of the routing symbols M; UnknownSymbol for a foreign one."""
     mask = 0
     for s in M:
-        mask |= 1 << code.domain.alphabet.index(s)
+        if s not in alphabet:
+            raise UnknownSymbol(f"symbol {s!r} not in domain alphabet")
+        mask |= 1 << alphabet.index(s)
     return mask
 
 
-def _routing_outcome(u_code, u_layers, wit, w, M, n, mode, cap):
+def _routing_outcome(u_code, u_layers, wit, w, m_mask, n, mode, cap):
     """Shared core of the presentation checks: route every u-fiber path
-    through M at n inside the witness reach, or name a blocker.  Paths
-    with the same endpoints share one witness block."""
+    through the symbols of m_mask at n inside the witness reach, or name
+    a blocker.  Paths with the same endpoints share one witness block."""
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
-    m_sorted = tuple(sorted(set(M), key=u_code.domain.alphabet.index))
-    m_mask = _mask_of(u_code, m_sorted)
     spell = u_code.domain.alphabet.symbols.__getitem__
+    m_sorted = tuple(map(spell, iter_bits(m_mask)))
     witnesses = []
     by_ends = {}
     for path in iter_fiber(u_code, u_layers, cap):
@@ -278,13 +296,11 @@ def _routing_outcome(u_code, u_layers, wit, w, M, n, mode, cap):
 def is_presented(code, w, M, n, cap=DEFAULT_CAP):
     """Certificate or refusal for routing w's own fiber through M at n."""
     word = _check_word(code, w)
-    for s in M:
-        if s not in code.domain.alphabet:
-            raise UnknownSymbol(f"symbol {s!r} not in domain alphabet")
+    m_mask = _mask_of(code.domain.alphabet, M)
     wit = _Reach(code, word)
     if wit.empty:
         raise EmptyFiber(f"{w.text()!r} has no preimage")
-    return _routing_outcome(code, wit.layers, wit, w, M, n, "absolute", cap)
+    return _routing_outcome(code, wit.layers, wit, w, m_mask, n, "absolute", cap)
 
 
 def depth(code, w, cap=DEFAULT_CAP):
@@ -294,9 +310,7 @@ def depth(code, w, cap=DEFAULT_CAP):
     if wit.empty:
         raise EmptyFiber(f"{w.text()!r} has no preimage")
     size, n, mask = _depth_search(_endpoint_pairs(wit.fs), wit.fs, wit.bs, len(word))
-    symbols = code.domain.alphabet.symbols
-    M = tuple(symbols[i] for i in iter_bits(mask))
-    cert = _routing_outcome(code, wit.layers, wit, w, M, n, "absolute", cap)
+    cert = _routing_outcome(code, wit.layers, wit, w, mask, n, "absolute", cap)
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
@@ -305,14 +319,12 @@ def relative_is_presented(triple, w, M, n, cap=DEFAULT_CAP):
     """Like is_presented, but preimages run over the phi-fiber of w while
     witnesses may use the whole composite fiber over psi(w)."""
     word = _check_word(triple.phi, w)
-    for s in M:
-        if s not in triple.X.alphabet:
-            raise UnknownSymbol(f"symbol {s!r} not in domain alphabet")
+    m_mask = _mask_of(triple.X.alphabet, M)
     u_layers = pruned_layers(triple.phi, word)
     if u_layers is None:
         raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
     wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
-    return _routing_outcome(triple.phi, u_layers, wit, w, M, n, "relative", cap)
+    return _routing_outcome(triple.phi, u_layers, wit, w, m_mask, n, "relative", cap)
 
 
 def relative_depth(triple, w, cap=DEFAULT_CAP):
@@ -323,9 +335,7 @@ def relative_depth(triple, w, cap=DEFAULT_CAP):
     wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
     e_pairs = _endpoint_pairs(_forward_sets(triple.phi.domain, u_layers))
     size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
-    symbols = triple.X.alphabet.symbols
-    M = tuple(symbols[i] for i in iter_bits(mask))
-    cert = _routing_outcome(triple.phi, u_layers, wit, w, M, n, "relative", cap)
+    cert = _routing_outcome(triple.phi, u_layers, wit, w, mask, n, "relative", cap)
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
@@ -465,20 +475,20 @@ def verify_certificate(subject, cert):
         u_code, wit_code = subject.phi, subject.pi
     else:
         u_code = wit_code = subject
-    if not 1 <= n <= len(w) or not all(map(u_code.codomain_alphabet.__contains__, w)):
+    if not 1 <= n <= len(w) or not all(map(u_code.letter_masks.__contains__, w)):
         return False
     wit_word = w if wit_code is u_code else subject.psi_word(w)
     m_set = set(cert.M)
     claimed = set()
-    checked = set()
-    for u, v in cert.witnesses:
-        if not _spells(u_code, w, u):
+    checked = set()  # symbol tuples of the witness blocks already spelled
+    for u_block, v_block in cert.witnesses:
+        if not _spells(u_code, w, u_block):
             return False
+        u, v = u_block.symbols, v_block.symbols
         if v not in checked:
-            if not _spells(wit_code, wit_word, v):
+            if not _spells(wit_code, wit_word, v_block):
                 return False
             checked.add(v)
-        u, v = u.symbols, v.symbols
         if v[0] != u[0] or v[-1] != u[-1] or v[n - 1] not in m_set:
             return False
         claimed.add(u)

@@ -37,7 +37,12 @@ from .graphs import closure
 def forward_layers(code, word):
     """Raw forward filter: layers[i] = symbols carrying word[i] reachable
     from layer i-1.  Returns None as soon as a layer dies."""
-    layers = [code.letter_mask(letter) for letter in word]
+    try:
+        layers = list(map(code.letter_masks.__getitem__, word))
+    except KeyError as missing:
+        raise UnknownSymbol(
+            f"symbol {missing.args[0]!r} not in codomain alphabet"
+        ) from None
     step = code.domain.step_mask
     mask = layers[0]
     for i in range(1, len(layers)):
@@ -188,10 +193,14 @@ def _closure_minimum(sides, score):
 
 
 def _check_word(code, block):
-    for s in block.symbols:
-        if s not in code.codomain_alphabet:
-            raise UnknownSymbol(f"symbol {s!r} not in codomain alphabet")
-    return tuple(block.symbols)
+    """block's symbols, or UnknownSymbol for the first one outside the
+    codomain alphabet (the keys of code.letter_masks)."""
+    word = tuple(block.symbols)
+    known = code.letter_masks
+    if not all(map(known.__contains__, word)):
+        s = next(s for s in word if s not in known)
+        raise UnknownSymbol(f"symbol {s!r} not in codomain alphabet")
+    return word
 
 
 def iter_fiber(code, word_layers, cap=DEFAULT_CAP):

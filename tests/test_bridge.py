@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from itertools import product
 
 import pytest
@@ -69,6 +70,28 @@ class TestConstructBridge:
             assert verify_bridge(xor2, rev)
             assert (fwd.left, fwd.right) == (x, xp)
             assert (rev.left, rev.right) == (xp, x)
+
+    def test_one_reach_per_call(self, xor2, xor2_cert, monkeypatch):
+        # both windows ask one reach, with backward sets for their two end
+        # symbols and no forward sets; bridge imports the name _Reach, so
+        # the name in bridge is the one patched
+        bridge_module = sys.modules["sftcd.bridge"]
+        real, built = bridge_module._Reach, []
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(bridge_module, "_Reach", counting)
+        index = xor2.X.alphabet.index
+        pts = [point("00"), point("11")]
+        for x, xp in product(pts, pts):
+            built.clear()
+            construct_bridge(xor2, x, xp, 1, xor2_cert, "00")
+            (wit,) = built
+            assert wit.fs == {}
+            ends = {index(p.symbol_at(len(xor2_cert.w))) for p in (x, xp)}
+            assert set(wit.bs) == ends
 
     def test_cross_track_middles(self, xor2, xor2_cert):
         fwd, rev = construct_bridge(

@@ -1,6 +1,6 @@
 import hashlib
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +39,7 @@ from sftcd.errors import (
     ResourceLimit,
     UnknownSymbol,
 )
-from sftcd.fiber import find_magic_block, pruned_layers
+from sftcd.fiber import find_magic_block, iter_fiber, pruned_layers
 from sftcd.harness import TripleGenSpec, generate_triple, spec_for_seed
 
 
@@ -111,6 +111,18 @@ class TestDepth:
         sub = OneBlockCode.from_dict(g, ("0", "1"), {"0": "0", "1": "0"})
         with pytest.raises(EmptyFiber):
             depth(sub, Block(("1",)))
+
+    def test_foreign_word_symbol_is_named(self, xor2):
+        # both flavours check the word against phi.letter_masks and name
+        # the first foreign symbol
+        stray = Block(("0", "q", "0"))
+        for take in (
+            lambda: depth(xor2.phi, stray),
+            lambda: relative_depth(xor2, stray),
+        ):
+            with pytest.raises(UnknownSymbol) as err:
+                take()
+            assert str(err.value) == "symbol 'q' not in codomain alphabet"
 
     def test_matches_naive_oracle_on_builtins(self, xor2, mod3):
         for triple in (xor2, mod3):
@@ -659,3 +671,35 @@ def test_hitting_set_is_the_first_combination_that_hits(family, k):
             expected = mask
             break
     assert _hitting_set(set(family), k) == expected
+
+
+def test_lex_path_through_is_the_least_fiber_path():
+    # on one reach per word, every (s, m, t, n) is asked, each routing
+    # symbol m at every position n in turn, so a backward sweep kept for
+    # m at one position must not answer at another; the answer must be
+    # the first path iter_fiber lists from s through m at n to t (it lists
+    # in lexicographic order of symbol indices), or None when it lists none
+    depth_module = sys.modules["sftcd.depth"]
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 11)]
+    asked = found = 0
+    for triple in triples:
+        symbols = range(len(triple.X.alphabet))
+        for length in range(1, 6):
+            for w in enumerate_blocks(triple.Y, length):
+                for code, word in (
+                    (triple.phi, w.symbols),
+                    (triple.pi, triple.psi_word(w.symbols)),
+                ):
+                    reach = depth_module._Reach(code, word)
+                    least = {}
+                    for path in iter_fiber(code, reach.layers):
+                        for n, m in enumerate(path, 1):
+                            least.setdefault((path[0], m, path[-1], n), path)
+                    positions = range(1, length + 1)
+                    for m, n, s, t in product(symbols, positions, symbols, symbols):
+                        path = reach.lex_path_through(s, m, t, n)
+                        assert path == least.get((s, m, t, n))
+                        asked += 1
+                        found += path is not None
+    assert 0 < found < asked

@@ -49,6 +49,17 @@ class TestLayers:
         sub = OneBlockCode.from_dict(g, ("0", "1"), {"0": "0", "1": "0"})
         assert pruned_layers(sub, ("1",)) is None
 
+    def test_foreign_letter_is_named(self, xor2):
+        # the layers read code.letter_masks; a missing key is named as a
+        # foreign codomain symbol, and counting forward layers raises it too
+        for take in (
+            lambda: forward_layers(xor2.phi, ("0", "q")),
+            lambda: count_fiber(xor2.phi, forward_layers(xor2.phi, ("0", "q"))),
+        ):
+            with pytest.raises(UnknownSymbol) as err:
+                take()
+            assert str(err.value) == "symbol 'q' not in codomain alphabet"
+
 
 class TestIterFiber:
     def test_lex_order(self, xor2):

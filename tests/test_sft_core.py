@@ -221,6 +221,21 @@ def test_mask_steps_match_the_bit_loop(subject):
             assert code.step(mask, letter) == forward & carriers
 
 
+@pytest.mark.parametrize("size, tables", [(8, 1), (9, 2)])
+def test_mask_steps_on_both_sides_of_one_byte_table(size, tables):
+    # up to 8 symbols the step is the one table's own lookup, from 9 on
+    # byte_lookup over two tables; both must match the bit loop on every
+    # mask of the alphabet
+    symbols = tuple(f"s{i}" for i in range(size))
+    pairs = {(symbols[i], symbols[(i + 1) % size]) for i in range(size)}
+    pairs |= {(symbols[i], symbols[(3 * i + 2) % size]) for i in range(size)}
+    shift = VertexShift(Alphabet(symbols), frozenset(pairs))
+    assert len(shift.succ_tables) == len(shift.pred_tables) == tables
+    for mask in range(2**size):
+        assert shift.step_mask(mask) == reference_step_mask(shift, mask)
+        assert shift.step_mask_back(mask) == reference_step_mask_back(shift, mask)
+
+
 def shifted_bits(mask):
     """The set bit positions of mask by the plain shift-and-mask loop that
     iter_bits answers from a byte table."""
