@@ -16,10 +16,11 @@ middle is depth._least_path across the fiber frontier; a class
 representative is the shortest, then least, cycle through its
 component's least symbol.
 
-verify_bridge and the self-check of bounded_bridge_exists run one
-replay, _replays.  The search has already computed and compared the
-image points of its two ends, so it passes that image in and the replay
-makes every other check (ordering, middle length, seams, middle images).
+verify_bridge and the self-checks of bounded_bridge_exists and
+construct_bridge run one replay, _replays.  Each of the two has computed
+and compared the image points of its two ends once, so it passes that
+image in and the replay makes every other check (ordering, middle
+length, seams, middle images).
 
 The class oracle counts, for a fixed codomain symbol z, the mutual-
 reachability classes of periodic preimages of z^oo: cyclic strongly
@@ -181,9 +182,13 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
     rev = BridgeWitness(
         xp, x, occurrence - 1, occurrence + length, Block(mid_rev), cert.mode, note
     )
-    for b in (fwd, rev):
-        if not verify_bridge(subject, b):
-            raise InvariantViolation("constructed bridge failed replay")
+    # both bridges replay against one image point, computed once per end
+    code = _bridge_code(subject, cert.mode)
+    image = apply_to_point(code, x)
+    if image != apply_to_point(code, xp) or not all(
+        _replays(code, b, image) for b in (fwd, rev)
+    ):
+        raise InvariantViolation("constructed bridge failed replay")
     return fwd, rev
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
@@ -42,11 +43,11 @@ from .fiber import find_magic_block
 from .harness import (
     CheckResult,
     HarnessCase,
-    SuiteSummary,
     TheoremReport,
     TripleGenSpec,
     generate_triple,
-    run_suite,
+    map_cases,
+    run_case,
     spec_for_seed,
 )
 
@@ -305,11 +306,16 @@ def _report_from_dict(d):
     return TheoremReport(d["case_id"], d.get("values") or {}, checks)
 
 
-def _cache_read(path):
-    """The cached reports, or None on a miss.  An unreadable entry is a
-    miss too, noted on stderr."""
+def _cache_read(path, case):
+    """The case's report documents, or None on a miss.  An entry that does
+    not read back as exactly its case's reports is a miss, noted on stderr."""
     try:
-        return [_report_from_dict(d) for d in json.loads(path.read_text())]
+        docs = json.loads(path.read_text())
+        ids = [f"{case.case_id}/{kind}" for kind in case.checks]
+        back = [to_jsonable(_report_from_dict(d)) for d in docs]
+        if [d["case_id"] for d in back] != ids or back != docs:
+            raise ValueError(f"it does not hold the reports of {case.case_id}")
+        return docs
     except FileNotFoundError:
         return None
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -317,40 +323,28 @@ def _cache_read(path):
         return None
 
 
-def _cache_write(path, reports):
+def _cache_write(path, docs):
     """Write an entry whole or not at all: a temp file beside it, then
     os.replace."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as out:
-            out.write(json.dumps([to_jsonable(r) for r in reports], sort_keys=True))
+            out.write(json.dumps(docs, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
 
 
-def _run_with_cache(cases, L, jobs, archive, cache_dir):
-    """run_suite behind a per-case cache: hits are read back, misses run
-    through run_suite and are written, and reports come out in case
-    order."""
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    paths = [
-        None if case.kind == "file" else cache / (_case_key(case) + ".json")
-        for case in cases
-    ]
-    cached = [path and _cache_read(path) for path in paths]
-    misses = [case for case, hit in zip(cases, cached) if hit is None]
-    fresh = iter(run_suite(misses, L, jobs=jobs, archive_dir=archive).reports)
-    reports = []
-    for case, path, hit in zip(cases, paths, cached):
-        if hit is None:
-            hit = [next(fresh) for _ in case.checks]
-            if path is not None:
-                _cache_write(path, hit)
-        reports.extend(hit)
-    return SuiteSummary(tuple(reports))
+def _verify_case(item):
+    """One case's report documents, written to its cache entry when it
+    has one.  A worker runs this whole, so the parent only reads hits and
+    prints."""
+    case, L, archive, path = item
+    docs = [to_jsonable(r) for r in run_case(case, L, archive)]
+    if path is not None:
+        _cache_write(path, docs)
+    return docs
 
 
 def cmd_verify(args):
@@ -359,19 +353,24 @@ def cmd_verify(args):
         raise ParseError("--max-len must be positive")
     if args.jobs < 1:
         raise ParseError("--jobs must be positive")
-    cache_dir = os.environ.get("SFTCD_CACHE_DIR")
-    if cache_dir:
-        summary = _run_with_cache(cases, args.max_len, args.jobs, args.archive, cache_dir)
-    else:
-        summary = run_suite(cases, args.max_len, jobs=args.jobs, archive_dir=args.archive)
-    for report in summary.reports:
-        print(json.dumps(to_jsonable(report), sort_keys=True))
-    totals = summary.to_dict()
-    _note(
-        "cases {cases}: {passed} passed, {failed} failed, "
-        "{skipped} skipped".format(**totals)
-    )
-    return 0 if summary.ok else 1
+    cache = os.environ.get("SFTCD_CACHE_DIR")
+    if cache:
+        Path(cache).mkdir(parents=True, exist_ok=True)
+    paths = [
+        Path(cache, _case_key(case) + ".json") if cache and case.kind != "file" else None
+        for case in cases
+    ]
+    hits = [path and _cache_read(path, case) for case, path in zip(cases, paths)]
+    work = zip(cases, paths, hits)
+    misses = [(c, args.max_len, args.archive, p) for c, p, hit in work if hit is None]
+    fresh = iter(map_cases(_verify_case, misses, args.jobs))
+    docs = [doc for hit in hits for doc in (next(fresh) if hit is None else hit)]
+    for doc in docs:
+        print(json.dumps(doc, sort_keys=True))
+    verdicts = Counter(c["verdict"] for doc in docs for c in doc["checks"])
+    _note(f"cases {len(docs)}: {verdicts['pass']} passed, {verdicts['fail']} failed, "
+          f"{verdicts['skipped']} skipped")
+    return 1 if verdicts["fail"] else 0
 
 
 def _build_parser():

@@ -12,7 +12,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .codes import CodeTriple, OneBlockCode, check_onto, compose, is_finite_to_one
@@ -436,18 +436,21 @@ class SuiteSummary:
         }
 
 
-def _suite_worker(args):
-    case, L, archive_dir = args
-    return run_case(case, L, archive_dir)
+def map_cases(fn, work, jobs):
+    """[fn(item) for item in work], in order.  With jobs > 1 the items
+    go to that many worker processes in batches of about
+    len(work) // (8 * jobs), so each task carries enough work to pay for
+    its round trip; with jobs == 1, or fewer than two items, fn runs in
+    this process and no worker starts."""
+    work = list(work)
+    jobs = min(jobs, len(work))
+    if jobs <= 1:
+        return [fn(item) for item in work]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, work, chunksize=max(1, len(work) // (8 * jobs))))
 
 
 def run_suite(cases, L, jobs=1, archive_dir=None) -> SuiteSummary:
     """Run every case's checks, in order, optionally across processes."""
-    cases = list(cases)
-    if jobs > 1:
-        work = [(case, L, archive_dir) for case in cases]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_suite_worker, work))
-    else:
-        chunks = [run_case(case, L, archive_dir) for case in cases]
+    chunks = map_cases(partial(run_case, L=L, archive_dir=archive_dir), cases, jobs)
     return SuiteSummary(tuple(r for chunk in chunks for r in chunk))

@@ -32,6 +32,7 @@ from sftcd.corpus import BUILTIN_NAMES, builtin_triple
 from sftcd.depth import depth, relative_depth, relative_is_presented
 from sftcd.errors import (
     ImageMismatch,
+    InvariantViolation,
     NoFixedPoint,
     NotRoutable,
     SftcdError,
@@ -92,6 +93,30 @@ class TestConstructBridge:
             assert wit.fs == {}
             ends = {index(p.symbol_at(len(xor2_cert.w))) for p in (x, xp)}
             assert set(wit.bs) == ends
+
+    def test_one_image_per_end(self, xor2, xor2_cert, monkeypatch):
+        # the self-check compares the two ends' image points once and
+        # replays both bridges against that image
+        bridge_module = sys.modules["sftcd.bridge"]
+        calls = []
+
+        def counting(code, p):
+            calls.append(p)
+            return apply_to_point(code, p)
+
+        monkeypatch.setattr(bridge_module, "apply_to_point", counting)
+        pts = [point("00"), point("11")]
+        for x, xp in product(pts, pts):
+            calls.clear()
+            construct_bridge(xor2, x, xp, 1, xor2_cert, "00")
+            assert calls == [x, xp]
+
+    def test_image_mismatch_fails_the_self_check(self, xor2, xor2_cert, monkeypatch):
+        bridge_module = sys.modules["sftcd.bridge"]
+        images = iter([point("0"), point("1")])
+        monkeypatch.setattr(bridge_module, "apply_to_point", lambda code, p: next(images))
+        with pytest.raises(InvariantViolation):
+            construct_bridge(xor2, point("00"), point("11"), 1, xor2_cert, "00")
 
     def test_cross_track_middles(self, xor2, xor2_cert):
         fwd, rev = construct_bridge(

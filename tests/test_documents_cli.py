@@ -745,6 +745,73 @@ class TestCliVerify:
         assert code == 0
         assert half_warm == uncached
 
+    @pytest.mark.parametrize("damage", ["empty", "foreign", "null-values"])
+    def test_entry_that_is_not_its_case_is_a_miss(
+        self, capsys, tmp_path, monkeypatch, damage
+    ):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
+        argv = ("verify", "--seeds", "1..2")
+        code, warm, _ = run_cli(capsys, *argv)
+        assert code == 0
+        entries = {
+            json.loads(p.read_text())[0]["case_id"].split("/")[0]: p
+            for p in cache.iterdir()
+        }
+        entry, other = entries["seed:1"], entries["seed:2"]
+        good = entry.read_text()
+        if damage == "empty":
+            entry.write_text("[]")
+        elif damage == "foreign":
+            entry.write_text(other.read_text())
+        else:
+            docs = json.loads(good)
+            docs[0]["values"] = None
+            entry.write_text(json.dumps(docs, sort_keys=True))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert f"unreadable cache entry {entry.name}" in err
+        assert "cases 6:" in err and "Traceback" not in err
+        assert out == warm
+        assert entry.read_text() == good
+
+    def test_every_verify_path_prints_the_same_bytes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # uncached, cache cold and cache warm, each at --jobs 1 and 2; the
+        # two cold passes also write the same entry files
+        runs = {}
+        for jobs in ("1", "2"):
+            argv = ("verify", "--seeds", "1..24", "--jobs", jobs)
+            monkeypatch.delenv("SFTCD_CACHE_DIR", raising=False)
+            runs["uncached", jobs] = run_cli(capsys, *argv)
+            monkeypatch.setenv("SFTCD_CACHE_DIR", str(tmp_path / jobs))
+            runs["cold", jobs] = run_cli(capsys, *argv)
+            runs["warm", jobs] = run_cli(capsys, *argv)
+        first = runs["uncached", "1"]
+        assert first[0] == 0 and first[1].count("\n") == 72
+        assert all(run == first for run in runs.values())
+
+        def files(jobs):
+            return {p.name: p.read_bytes() for p in (tmp_path / jobs).iterdir()}
+
+        assert len(files("1")) == 24
+        assert files("1") == files("2")
+
+    def test_all_hit_run_starts_no_worker(self, capsys, tmp_path, monkeypatch):
+        from sftcd import harness
+
+        monkeypatch.setenv("SFTCD_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ("verify", "--seeds", "3..6", "--jobs", "2")
+        code, cold, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert run_cli(capsys, *argv)[:2] == (0, cold)
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

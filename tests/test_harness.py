@@ -1,5 +1,6 @@
 import pytest
 
+from sftcd import harness
 from sftcd.codes import CodeTriple, check_onto, identity_code, is_finite_to_one
 from sftcd.core import is_irreducible
 from sftcd.corpus import builtin_cases, builtin_triple
@@ -15,6 +16,7 @@ from sftcd.harness import (
     check_special_cases,
     generate_chain_code,
     generate_triple,
+    map_cases,
     run_case,
     run_suite,
     spec_for_seed,
@@ -191,6 +193,48 @@ class TestSuite:
             for r in parallel.reports
             for c in r.checks
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 35])
+    def test_parallel_keeps_case_order(self, n):
+        # 35 cases go in batches of 2, so the last batch is short
+        cases = [
+            HarnessCase(f"seed-{s}", "generated", gen=spec_for_seed(s))
+            for s in range(n, 0, -1)
+        ]
+        parallel = run_suite(cases, 6, jobs=2)
+        assert [r.case_id for r in parallel.reports] == [
+            f"{c.case_id}/main" for c in cases
+        ]
+        assert [r.values["pi"].value for r in parallel.reports] == [
+            r.values["pi"].value for r in run_suite(cases, 6).reports
+        ]
+
+    def test_batches_follow_the_cases_and_jobs(self, monkeypatch):
+        # about len // (8 * jobs) items per task, and no pool for one item
+        pools = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize):
+                pools.append((self.max_workers, chunksize))
+                return map(fn, work)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+        assert map_cases(abs, range(-200, 0), 2) == list(range(200, 0, -1))
+        assert map_cases(abs, range(-17, 0), 2) == list(range(17, 0, -1))
+        assert map_cases(abs, range(-200, 0), 3) == list(range(200, 0, -1))
+        assert map_cases(abs, [-1], 2) == [1]
+        assert map_cases(abs, [], 2) == []
+        assert map_cases(abs, range(-5, 0), 1) == [5, 4, 3, 2, 1]
+        assert pools == [(2, 12), (2, 1), (3, 8)]
 
     def test_run_case_chain_kinds(self, xor2):
         ident = HarnessCase(
