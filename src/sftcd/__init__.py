@@ -48,6 +48,7 @@ from .depth import (
     class_degree,
     is_presented,
     periodic_point_relative_degree,
+    preimages,
     relative_class_degree,
     relative_depth,
     relative_is_presented,

@@ -9,12 +9,13 @@ symbol yields bridges in both directions.
 
 Every path here comes from one search: the least path by symbol index
 through given layer masks.  A rerouted window is what
-_Reach.lex_path_through, which wrote the certificate's own witnesses,
-finds through the splice symbol, and both windows of a splice ask one
-reach, so they share its sweep toward that symbol; a searched bridge's
-middle is depth._least_path across the fiber frontier; a class
-representative is the shortest, then least, cycle through its
-component's least symbol.
+_Reach.lex_path_through finds through the splice symbol.  That search
+wrote the witness a certificate lists for the window's endpoint pair, so
+a window the certificate routes through the splice symbol gets that very
+witness back.  Both windows of a splice ask one reach and share its
+sweep toward that symbol.  A searched bridge's middle is
+depth._least_path across the fiber frontier; a class representative is
+the shortest, then least, cycle through its component's least symbol.
 
 verify_bridge and the self-checks of bounded_bridge_exists and
 construct_bridge run one replay, _replays.  Each of the two has computed
@@ -130,8 +131,8 @@ def _window(point, start, length):
 
 def _witness_through(wit, alphabet, n, u, a):
     """The least block of wit's fiber with u's endpoints passing through
-    symbol a at position n, from the search that wrote the certificate's
-    own witnesses."""
+    symbol a at position n, from the search that wrote the witness the
+    certificate lists for those endpoints."""
     idx = alphabet.index
     path = wit.lex_path_through(idx(u.at(1)), idx(a), idx(u.at(len(u))), n)
     if path is None:

@@ -31,18 +31,21 @@ family is one set comprehension, scored once, and the block attaining
 the minimum replays as a routing certificate.  Mask steps read the byte
 tables of core.VertexShift.
 
-A certificate lists each preimage u with its witness v; paths with the
-same endpoints share one witness block: _Reach.lex_path_through's least
-path through the least usable symbol of M, the search bridge.py also
-asks for the blocks it splices.  Its head is read off a backward sweep
-toward that symbol at n: one sweep per routing symbol (and position) on
-a reach, shared by every endpoint pair routed through it.  The routing
-set travels as the mask _min_hitting_set named, and only the
-certificate spells it.  verify_certificate replays a certificate by
-counting: each u must spell w along allowed transitions,
-each distinct v must spell w's image in the witness fiber, and the
-distinct u must number fiber.count_fiber of w's forward layers, so they
-are the whole fiber and the replay never enumerates it.
+A certificate lists one witness per endpoint pair, not per preimage:
+rerouting u asks only for a witness with u's first and last symbols, so
+every preimage with endpoints (s, t) shares the one v listed for (s, t).
+Making it walks the endpoint pairs depth has already computed and never
+lists the fiber; preimages() spells the (u, v) pairs out for callers who
+want them.  Each v is _Reach.lex_path_through's least path through the
+least usable symbol of M, the search bridge.py also asks for the blocks
+it splices.  Its head is read off a backward sweep toward that symbol at
+n: one sweep per routing symbol (and position) on a reach, shared by
+every endpoint pair routed through it.  verify_certificate replays a
+certificate by checking each listed (s, t, v) once, that v spells w's
+image in the witness fiber from s to t through M at n, and that the
+listed pairs are exactly the u-fiber's endpoint pairs, read off one
+forward sweep per start symbol; so it covers every preimage without
+enumerating any.
 """
 from __future__ import annotations
 
@@ -56,7 +59,6 @@ from .fiber import (
     _check_word,
     _closure_minimum,
     _side_closures,
-    count_fiber,
     forward_layers,
     iter_fiber,
     pruned_layers,
@@ -211,13 +213,19 @@ def _depth_search(e_pairs, fs, bs, length):
 
 @dataclass(frozen=True)
 class RoutingCertificate:
-    """Witness that w is presented through M at position n: for every
-    preimage u a fiber block v with matching endpoints and v|_n in M."""
+    """Witness that w is presented through M at position n.
+
+    witnesses holds one (s, t, v) per endpoint pair (s, t) of w's u-fiber
+    (the fiber of w in absolute mode, of w under phi in relative mode),
+    in _endpoint_pairs order: s and t are domain symbols and v is a
+    witness-fiber block from s to t with v|_n in M.  Every preimage u runs
+    from some listed s to its t, so the pair's v reroutes it;
+    preimages() lists the (u, v) pairs this covers."""
 
     w: Block
     n: int
     M: tuple
-    witnesses: tuple  # pairs (u, v)
+    witnesses: tuple  # triples (s, t, v)
     mode: str
 
     def __bool__(self):
@@ -261,81 +269,85 @@ def _mask_of(alphabet, M):
     return mask
 
 
-def _routing_outcome(u_code, u_layers, wit, w, m_mask, n, mode, cap):
-    """Shared core of the presentation checks: route every u-fiber path
-    through the symbols of m_mask at n inside the witness reach, or name
-    a blocker.  Paths with the same endpoints share one witness block."""
+def _routing_outcome(u_domain, u_layers, e_pairs, wit, w, m_mask, n, mode):
+    """Shared core of the presentation checks: route every endpoint pair
+    of the u-fiber through the symbols of m_mask at n inside the witness
+    reach, or name a blocker: the least u-fiber path among the pairs that
+    do not route, so the first such path in iter_fiber order."""
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
-    spell = u_code.domain.alphabet.symbols.__getitem__
+    spell = u_domain.alphabet.symbols.__getitem__
     m_sorted = tuple(map(spell, iter_bits(m_mask)))
     witnesses = []
-    by_ends = {}
-    for path in iter_fiber(u_code, u_layers, cap):
-        s, t = path[0], path[-1]
-        v = by_ends.get((s, t))
-        if v is None:
-            routable = wit.route(n, s, t) & m_mask
-            if routable == 0:
-                return RoutingRefusal(
-                    w,
-                    n,
-                    m_sorted,
-                    Block(tuple(map(spell, path))),
-                    "no fiber block with these endpoints passes through M "
-                    f"at position {n}",
-                )
+    blocked = []
+    for s, t in e_pairs:
+        routable = wit.route(n, s, t) & m_mask
+        if not routable:
+            blocked.append((s, t))
+        elif not blocked:
             through = (routable & -routable).bit_length() - 1
-            v = by_ends[s, t] = Block(
-                tuple(map(spell, wit.lex_path_through(s, through, t, n)))
-            )
-        witnesses.append((Block(tuple(map(spell, path))), v))
+            v = wit.lex_path_through(s, through, t, n)
+            witnesses.append((spell(s), spell(t), Block(tuple(map(spell, v)))))
+    if blocked:
+        path = min(_least_path(u_domain, s, t, u_layers) for s, t in blocked)
+        return RoutingRefusal(
+            w,
+            n,
+            m_sorted,
+            Block(tuple(map(spell, path))),
+            f"no fiber block with these endpoints passes through M at position {n}",
+        )
     return RoutingCertificate(w, n, m_sorted, tuple(witnesses), mode)
 
 
-def is_presented(code, w, M, n, cap=DEFAULT_CAP):
+def is_presented(code, w, M, n):
     """Certificate or refusal for routing w's own fiber through M at n."""
     word = _check_word(code, w)
     m_mask = _mask_of(code.domain.alphabet, M)
     wit = _Reach(code, word)
     if wit.empty:
         raise EmptyFiber(f"{w.text()!r} has no preimage")
-    return _routing_outcome(code, wit.layers, wit, w, m_mask, n, "absolute", cap)
+    e_pairs = _endpoint_pairs(wit.fs)
+    return _routing_outcome(code.domain, wit.layers, e_pairs, wit, w, m_mask, n, "absolute")
 
 
-def depth(code, w, cap=DEFAULT_CAP):
+def depth(code, w):
     """Smallest |M| presenting w at some position, with a certificate."""
     word = _check_word(code, w)
     wit = _Reach(code, word)
     if wit.empty:
         raise EmptyFiber(f"{w.text()!r} has no preimage")
-    size, n, mask = _depth_search(_endpoint_pairs(wit.fs), wit.fs, wit.bs, len(word))
-    cert = _routing_outcome(code, wit.layers, wit, w, mask, n, "absolute", cap)
+    e_pairs = _endpoint_pairs(wit.fs)
+    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
+    cert = _routing_outcome(code.domain, wit.layers, e_pairs, wit, w, mask, n, "absolute")
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
 
-def relative_is_presented(triple, w, M, n, cap=DEFAULT_CAP):
+def _relative_reach(triple, w, word):
+    """(layers, endpoint pairs) of w's phi-fiber, and the witness reach on
+    pi's fiber over psi(w) for the endpoints of that fiber."""
+    u_layers = pruned_layers(triple.phi, word)
+    if u_layers is None:
+        raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
+    wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
+    return u_layers, _endpoint_pairs(_forward_sets(triple.phi.domain, u_layers)), wit
+
+
+def relative_is_presented(triple, w, M, n):
     """Like is_presented, but preimages run over the phi-fiber of w while
     witnesses may use the whole composite fiber over psi(w)."""
     word = _check_word(triple.phi, w)
     m_mask = _mask_of(triple.X.alphabet, M)
-    u_layers = pruned_layers(triple.phi, word)
-    if u_layers is None:
-        raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
-    wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
-    return _routing_outcome(triple.phi, u_layers, wit, w, m_mask, n, "relative", cap)
+    u_layers, e_pairs, wit = _relative_reach(triple, w, word)
+    return _routing_outcome(triple.X, u_layers, e_pairs, wit, w, m_mask, n, "relative")
 
 
-def relative_depth(triple, w, cap=DEFAULT_CAP):
+def relative_depth(triple, w):
     word = _check_word(triple.phi, w)
-    u_layers = pruned_layers(triple.phi, word)
-    if u_layers is None:
-        raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
-    wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
-    e_pairs = _endpoint_pairs(_forward_sets(triple.phi.domain, u_layers))
-    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
-    cert = _routing_outcome(triple.phi, u_layers, wit, w, mask, n, "relative", cap)
+    u_layers, e_pairs, wit = _relative_reach(triple, w, word)
+    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(w))
+    cert = _routing_outcome(triple.X, u_layers, e_pairs, wit, w, mask, n, "relative")
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
@@ -455,41 +467,61 @@ def _spells(code, word, block):
     )
 
 
+def _codes_of(subject, mode):
+    """(u-code, witness code) of a certificate's mode."""
+    if mode == "relative":
+        return subject.phi, subject.pi
+    return subject, subject
+
+
 def verify_certificate(subject, cert):
     """Mechanically replay a routing certificate against a code (absolute
-    mode) or a triple (relative mode).  True when every preimage is
-    covered and every witness is a fiber block with matching endpoints
-    passing through M at n.
+    mode) or a triple (relative mode).  True when the listed (s, t) are
+    exactly the endpoint pairs of w's u-fiber, each listed once, and each
+    listed v is a witness-fiber block from s to t passing through M at n.
 
-    The fiber is counted, not enumerated: every claimed preimage must be
-    a domain path with image w, and the distinct claims must number
-    count_fiber of w's forward layers (pruning them would not change the
-    count), so together they are the whole fiber.  Each distinct witness
-    block is checked once.  A position outside 1..|w|, a symbol outside
-    the alphabets or a mode that does not match the subject gives False,
-    like any other tampering."""
+    Every preimage u of w is a u-fiber path, so (u's first symbol, u's
+    last symbol) is one of those pairs, and the v listed for it reroutes
+    u: the replay covers every preimage without listing any.  The pairs
+    are read off one forward sweep per start symbol over w's forward
+    layers (a dead-end symbol reaches no end symbol, so they need no
+    pruning).  A position outside 1..|w|, a symbol outside the alphabets
+    or a mode that does not match the subject gives False, like any other
+    tampering."""
     w, n = cert.w.symbols, cert.n
     if cert.mode != ("relative" if isinstance(subject, CodeTriple) else "absolute"):
         return False
-    if cert.mode == "relative":
-        u_code, wit_code = subject.phi, subject.pi
-    else:
-        u_code = wit_code = subject
+    u_code, wit_code = _codes_of(subject, cert.mode)
     if not 1 <= n <= len(w) or not all(map(u_code.letter_masks.__contains__, w)):
         return False
     wit_word = w if wit_code is u_code else subject.psi_word(w)
     m_set = set(cert.M)
     claimed = set()
-    checked = set()  # symbol tuples of the witness blocks already spelled
-    for u_block, v_block in cert.witnesses:
-        if not _spells(u_code, w, u_block):
+    for s, t, v_block in cert.witnesses:
+        v = v_block.symbols
+        if (s, t) in claimed or not _spells(wit_code, wit_word, v_block):
             return False
-        u, v = u_block.symbols, v_block.symbols
-        if v not in checked:
-            if not _spells(wit_code, wit_word, v_block):
-                return False
-            checked.add(v)
-        if v[0] != u[0] or v[-1] != u[-1] or v[n - 1] not in m_set:
+        if v[0] != s or v[-1] != t or v[n - 1] not in m_set:
             return False
-        claimed.add(u)
-    return 0 < len(claimed) == count_fiber(u_code, forward_layers(u_code, w))
+        claimed.add((s, t))
+    layers = forward_layers(u_code, w)
+    if layers is None:
+        return False
+    spell = u_code.domain.alphabet.symbols.__getitem__
+    pairs = _endpoint_pairs(_forward_sets(u_code.domain, layers))
+    return len(claimed) == len(pairs) and claimed.issuperset(
+        (spell(s), spell(t)) for s, t in pairs
+    )
+
+
+def preimages(subject, cert, cap=DEFAULT_CAP):
+    """Yield (u, v) for every preimage u of cert.w, in iter_fiber order,
+    with v the witness the certificate lists for u's endpoints; past cap
+    preimages, raise ResourceLimit.  This spells out what a replayed
+    certificate covers; making and replaying one never lists the fiber."""
+    u_code = _codes_of(subject, cert.mode)[0]
+    spell = u_code.domain.alphabet.symbols.__getitem__
+    by_ends = {(s, t): v for s, t, v in cert.witnesses}
+    for path in iter_fiber(u_code, pruned_layers(u_code, cert.w.symbols), cap):
+        u = tuple(map(spell, path))
+        yield Block(u), by_ends[u[0], u[-1]]

@@ -295,6 +295,13 @@ def to_jsonable(x):
     """Lossy one-way projection of result objects onto JSON values."""
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
+    # plain JSON is most of what comes through (a cache hit is re-checked
+    # here); no result type subclasses these containers
+    if isinstance(x, dict):
+        return {str(k): to_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, set, frozenset)):
+        items = [to_jsonable(v) for v in x]
+        return sorted(items, key=repr) if isinstance(x, (set, frozenset)) else items
     if isinstance(x, Block):
         return x.text()
     if isinstance(x, PeriodicPoint):
@@ -307,11 +314,6 @@ def to_jsonable(x):
         return triple_doc(x)
     if isinstance(x, (OneBlockCode, SlidingBlockCode)):
         return code_doc(x)
-    if isinstance(x, dict):
-        return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = [to_jsonable(v) for v in x]
-        return sorted(items, key=repr) if isinstance(x, (set, frozenset)) else items
     if dataclasses.is_dataclass(x):
         return {
             f.name: to_jsonable(getattr(x, f.name))

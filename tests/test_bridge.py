@@ -234,21 +234,20 @@ class TestBoundedBridge:
 
 class TestRoutingWitnesses:
     def test_witnesses_are_least_paths(self, subjects):
-        # each witness is the least fiber path with u's endpoints through
+        # each listed witness is the least fiber path from s to t through
         # the least symbol of M that any such path passes at n
-        for t in subjects:
-            for w in (b for L in range(1, 5) for b in enumerate_blocks(t.Y, L)):
+        for tr in subjects:
+            for w in (b for L in range(1, 5) for b in enumerate_blocks(tr.Y, L)):
                 for cert, code, word in (
-                    (depth(t.phi, w).certificate, t.phi, w.symbols),
-                    (relative_depth(t, w).certificate, t.pi, t.psi_word(w.symbols)),
+                    (depth(tr.phi, w).certificate, tr.phi, w.symbols),
+                    (relative_depth(tr, w).certificate, tr.pi, tr.psi_word(w.symbols)),
                 ):
                     paths = fiber_paths(code, word)
-                    for u, v in cert.witnesses:
+                    for s, t, v in cert.witnesses:
                         through = [
                             p
                             for p in paths
-                            if (p[0], p[-1]) == (u.symbols[0], u.symbols[-1])
-                            and p[cert.n - 1] in cert.M
+                            if (p[0], p[-1]) == (s, t) and p[cert.n - 1] in cert.M
                         ]
                         least = min(
                             (p[cert.n - 1] for p in through),

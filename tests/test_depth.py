@@ -1,5 +1,4 @@
 import hashlib
-import sys
 from itertools import combinations, product
 
 import pytest
@@ -17,6 +16,7 @@ from sftcd.core import (
     parse_block_text,
     union_table,
 )
+import sftcd.depth as depth_module
 from sftcd.depth import (
     DegreeEstimate,
     _hitting_set,
@@ -26,6 +26,7 @@ from sftcd.depth import (
     depth,
     is_presented,
     periodic_point_relative_degree,
+    preimages,
     relative_class_degree,
     relative_depth,
     relative_is_presented,
@@ -52,7 +53,8 @@ class TestIsPresented:
         cert = is_presented(xor2.phi, yblock(xor2, "000"), {"00", "11"}, 2)
         assert cert
         assert cert.M == ("00", "11")
-        assert all(v.at(2) in {"00", "11"} for _, v in cert.witnesses)
+        assert [(s, t) for s, t, _ in cert.witnesses] == [("00", "00"), ("11", "11")]
+        assert all(v.at(2) in {"00", "11"} for _, _, v in cert.witnesses)
 
     def test_refusal_names_a_blocker(self, xor2):
         ref = is_presented(xor2.phi, yblock(xor2, "000"), {"00"}, 2)
@@ -71,17 +73,46 @@ class TestIsPresented:
 
     def test_refusal_among_the_first_cap_paths(self, xor2):
         # the fiber of 000 is 00·00·00 then 11·11·11; no witness from 00
-        # to 00 passes 11, so the first path already blocks
-        ref = is_presented(xor2.phi, yblock(xor2, "000"), {"11"}, 2, cap=1)
+        # to 00 passes 11, so the first path blocks; spelling out the
+        # preimages a certificate covers stops past cap paths
+        ref = is_presented(xor2.phi, yblock(xor2, "000"), {"11"}, 2)
         assert isinstance(ref, RoutingRefusal)
         assert ref.blocking.text() == "00·00·00"
+        cert = is_presented(xor2.phi, yblock(xor2, "000"), {"00", "11"}, 2)
+        listed = preimages(xor2.phi, cert, cap=1)
+        assert next(listed)[0].text() == "00·00·00"
         with pytest.raises(ResourceLimit, match="fiber larger than 1 blocks"):
-            is_presented(xor2.phi, yblock(xor2, "000"), {"00"}, 2, cap=1)
+            next(listed)
 
     def test_witnesses_share_endpoints(self, xor2):
         cert = is_presented(xor2.phi, yblock(xor2, "0000"), {"00", "11"}, 2)
-        for u, v in cert.witnesses:
+        for s, t, v in cert.witnesses:
+            assert (s, t) == (v.at(1), v.at(len(v)))
+        for u, v in preimages(xor2.phi, cert):
             assert (u.at(1), u.at(len(u))) == (v.at(1), v.at(len(v)))
+
+    def test_blocker_is_the_first_unroutable_path(self):
+        # a path is unroutable when no fiber path with its endpoints has m
+        # at n; the blocker is the first such path in index order, which
+        # is not always a path of the first unroutable endpoint pair
+        for seed in range(1, 6):
+            t = generate_triple(spec_for_seed(seed))
+            index = t.X.alphabet.index
+            for w in (b for L in (2, 3, 4) for b in enumerate_blocks(t.Y, L)):
+                u_paths = fiber_paths(t.phi, w.symbols)
+                u_paths.sort(key=lambda p: [*map(index, p)])
+                for code, wit_word, present in (
+                    (t.phi, w.symbols, lambda M, n: is_presented(t.phi, w, M, n)),
+                    (t.pi, t.psi_word(w.symbols), lambda M, n: relative_is_presented(t, w, M, n)),
+                ):
+                    wit_paths = fiber_paths(code, wit_word)
+                    for n, m in product(range(1, len(w) + 1), t.X.alphabet.symbols):
+                        routed = {(p[0], p[-1]) for p in wit_paths if p[n - 1] == m}
+                        blocked = [p for p in u_paths if (p[0], p[-1]) not in routed]
+                        outcome = present({m}, n)
+                        assert (None if outcome else outcome.blocking.symbols) == (
+                            blocked[0] if blocked else None
+                        )
 
     def test_repeated_routing_symbols_count_once(self, xor2):
         w = yblock(xor2, "000")
@@ -153,11 +184,15 @@ class TestRelativeDepth:
         assert cert.M == ("00",)
         assert cert.n == 3
         assert cert.mode == "relative"
-        texts = {u.text(): v.text() for u, v in cert.witnesses}
-        assert texts["00·00·00·00·00"] == "00·00·00·00·00"
+        texts = {(s, t): v.text() for s, t, v in cert.witnesses}
+        assert texts[("00", "00")] == "00·00·00·00·00"
         # the witness for the ones track dives through 00: only possible
         # inside the larger composite fiber
-        assert texts["11·11·11·11·11"] == "11·10·00·01·11"
+        assert texts[("11", "11")] == "11·10·00·01·11"
+        assert [(u.text(), v.text()) for u, v in preimages(xor2, cert)] == [
+            ("00·00·00·00·00", "00·00·00·00·00"),
+            ("11·11·11·11·11", "11·10·00·01·11"),
+        ]
 
     def test_short_block_needs_both_tracks(self, xor2):
         res = relative_depth(xor2, Block(("0",)))
@@ -422,6 +457,7 @@ class TestVerifyCertificate:
         assert not verify_certificate(xor2, bad)
 
     def test_rejects_missing_preimage(self, xor2):
+        # dropping the pair (00, 00) leaves the preimage 00·00·00 unrouted
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
         bad = RoutingCertificate(cert.w, cert.n, cert.M, cert.witnesses[1:], cert.mode)
         assert not verify_certificate(xor2.phi, bad)
@@ -440,13 +476,13 @@ class TestVerifyCertificate:
 
     def test_rejects_symbols_outside_the_alphabets(self, xor2):
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
-        (u, v), rest = cert.witnesses[0], cert.witnesses[1:]
+        (s, t, v), rest = cert.witnesses[0], cert.witnesses[1:]
         stray = Block(v.symbols[:1] + ("q",) + v.symbols[2:])
-        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((u, stray),) + rest, cert.mode)
+        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((s, t, stray),) + rest, cert.mode)
         assert not verify_certificate(xor2.phi, bad)
-        stray = Block(("q",) + u.symbols[1:])
-        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((stray, v),) + rest, cert.mode)
-        assert not verify_certificate(xor2.phi, bad)
+        for ends in (("q", t), (s, "q")):
+            bad = RoutingCertificate(cert.w, cert.n, cert.M, (ends + (v,),) + rest, cert.mode)
+            assert not verify_certificate(xor2.phi, bad)
         bad = RoutingCertificate(Block(("q",) * 3), cert.n, cert.M, cert.witnesses, cert.mode)
         assert not verify_certificate(xor2.phi, bad)
         assert not verify_certificate(xor2, RoutingCertificate(
@@ -454,45 +490,67 @@ class TestVerifyCertificate:
         ))
 
     def test_rejects_duplicated_preimage(self, xor2):
-        # the witness count stays right, but one preimage goes unclaimed
+        # a pair listed twice keeps the number of pairs right, but (11, 11)
+        # goes unlisted and with it the preimage 11·11·11; listed twice
+        # besides every pair, it is refused too
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
         assert len(cert.witnesses) == 2
+        for claims in ((cert.witnesses[0],) * 2, cert.witnesses + cert.witnesses[:1]):
+            bad = RoutingCertificate(cert.w, cert.n, cert.M, claims, cert.mode)
+            assert not verify_certificate(xor2.phi, bad)
+
+    def test_rejects_pair_outside_the_fiber(self, xor2):
+        # 00·00·00·01·11 is a block of pi's fiber over psi(00000) through
+        # 00 at position 3, but no phi-preimage of 00000 runs from 00 to
+        # 11: listing (00, 11) for (00, 00) keeps the number of pairs, and
+        # listing it besides them adds one too many
+        cert = relative_depth(xor2, Block(("0",) * 5)).certificate
+        forged = ("00", "11", Block(("00", "00", "00", "01", "11")))
+        assert cert.witnesses[0][:2] == ("00", "00")
+        for claims in ((forged,) + cert.witnesses[1:], cert.witnesses + (forged,)):
+            bad = RoutingCertificate(cert.w, cert.n, cert.M, claims, cert.mode)
+            assert not verify_certificate(xor2, bad)
+
+    def test_rejects_pairs_of_an_empty_phi_fiber(self):
+        # 11 has no phi-preimage in the golden mean shift, but pi sends
+        # 0·0 to zz = psi(11): a valid pi-fiber witness routes no pair
+        golden = VertexShift.build(("0", "1"), [("0", "0"), ("0", "1"), ("1", "0")])
+        y = VertexShift.full_shift(("0", "1"))
+        phi = OneBlockCode.from_dict(golden, y.alphabet, {"0": "0", "1": "1"}, y)
+        psi = trivial_code(y)
+        t = CodeTriple(golden, y, psi.codomain_alphabet, phi, psi, compose(phi, psi))
+        w = Block(("1", "1"))
+        for claims in ((("0", "0", Block(("0", "0"))),), ()):
+            bad = RoutingCertificate(w, 1, ("0",), claims, "relative")
+            assert not verify_certificate(t, bad)
+
+    def test_rejects_witness_with_other_endpoints(self, xor2):
+        # the zeros track's witness is a valid block through 00 at position
+        # 3, but it does not run from 11 to 11
+        cert = relative_depth(xor2, Block(("0",) * 5)).certificate
+        zeros, ones = cert.witnesses
         bad = RoutingCertificate(
-            cert.w, cert.n, cert.M, (cert.witnesses[0],) * 2, cert.mode
+            cert.w, cert.n, cert.M, (zeros, ones[:2] + zeros[2:]), cert.mode
         )
-        assert not verify_certificate(xor2.phi, bad)
+        assert not verify_certificate(xor2, bad)
 
-    def test_rejects_preimage_with_forbidden_transition(self, xor2):
-        # 00·11·00 spells 000 but 00 -> 11 is no edge of X; it replaces
-        # 00·00·00, so the claims still number the fiber's two paths
+    def test_rejects_witness_of_wrong_length(self, xor2):
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
-        (u, v), rest = cert.witnesses[0], cert.witnesses[1:]
-        assert u.text() == "00·00·00"
-        forged = Block(("00", "11", "00"))
-        assert not xor2.X.allows("00", "11")
-        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((forged, v),) + rest, cert.mode)
-        assert not verify_certificate(xor2.phi, bad)
-
-    def test_rejects_preimage_of_wrong_length(self, xor2):
-        cert = depth(xor2.phi, yblock(xor2, "000")).certificate
-        (u, v), rest = cert.witnesses[0], cert.witnesses[1:]
-        longer = Block(u.symbols + u.symbols[-1:])
-        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((longer, v),) + rest, cert.mode)
-        assert not verify_certificate(xor2.phi, bad)
-        shorter = Block(u.symbols[:-1])
-        bad = RoutingCertificate(cert.w, cert.n, cert.M, ((shorter, v),) + rest, cert.mode)
-        assert not verify_certificate(xor2.phi, bad)
+        (s, t, v), rest = cert.witnesses[0], cert.witnesses[1:]
+        for other in (Block(v.symbols + v.symbols[-1:]), Block(v.symbols[1:])):
+            bad = RoutingCertificate(cert.w, cert.n, cert.M, ((s, t, other),) + rest, cert.mode)
+            assert not verify_certificate(xor2.phi, bad)
 
     def test_rejects_witness_with_forbidden_transition(self, xor2):
         # 11·00·00·00·11 has the ones track's endpoints and passes 00 at
         # position 3, but 11 -> 00 is no edge of X
         cert = relative_depth(xor2, Block(("0",) * 5)).certificate
-        texts = [(u.text(), v.text()) for u, v in cert.witnesses]
-        assert texts[-1] == ("11·11·11·11·11", "11·10·00·01·11")
+        s, t, v = cert.witnesses[-1]
+        assert (s, t, v.text()) == ("11", "11", "11·10·00·01·11")
         forged = Block(("11", "00", "00", "00", "11"))
+        assert not xor2.X.allows("11", "00")
         bad = RoutingCertificate(
-            cert.w, cert.n, cert.M, cert.witnesses[:-1] + ((cert.witnesses[-1][0], forged),),
-            cert.mode,
+            cert.w, cert.n, cert.M, cert.witnesses[:-1] + ((s, t, forged),), cert.mode
         )
         assert not verify_certificate(xor2, bad)
 
@@ -500,6 +558,15 @@ class TestVerifyCertificate:
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
         bad = RoutingCertificate(cert.w, cert.n, cert.M, (), cert.mode)
         assert not verify_certificate(xor2.phi, bad)
+
+    def test_long_block_without_listing_the_fiber(self):
+        # y0^60 on seed 128 has a fiber far past the default cap, but only
+        # nine endpoint pairs, one witness each
+        t = generate_triple(spec_for_seed(128))
+        w = Block(("y0",) * 60)
+        for subject, res in ((t.phi, depth(t.phi, w)), (t, relative_depth(t, w))):
+            assert (res.value, len(res.certificate.witnesses)) == (1, 9)
+            assert verify_certificate(subject, res.certificate)
 
 
 class TestScanMonotonicity:
@@ -537,8 +604,8 @@ def test_closure_against_naive_class_degree(code):
 @settings(max_examples=60, deadline=None)
 @given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=6))
 def test_certificates_replay_on_small_codes(code, word):
-    # the counted replay accepts every certificate depth makes, and a
-    # certificate that drops a preimage, or claims one twice, is refused
+    # the replay accepts every certificate depth makes, and a certificate
+    # that drops an endpoint pair, or lists one twice, is refused
     if not fiber_paths(code, word):
         return
     cert = depth(code, Block(tuple(word))).certificate
@@ -548,19 +615,44 @@ def test_certificates_replay_on_small_codes(code, word):
         assert verify_certificate(code, bad) == (len(set(claims)) == len(cert.witnesses))
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=6))
+def test_preimages_pair_each_fiber_path_with_its_witness(code, word):
+    # the certificate lists one witness per endpoint pair, in index order;
+    # preimages spells out every brute-force fiber path, in index order,
+    # with its pair's witness
+    paths = fiber_paths(code, word)
+    if not paths:
+        return
+    cert = depth(code, Block(tuple(word))).certificate
+    assert verify_certificate(code, cert)
+    by_index = code.domain.alphabet.index
+
+    def key(symbols):
+        return tuple(map(by_index, symbols))
+
+    by_ends = {(s, t): v for s, t, v in cert.witnesses}
+    assert list(by_ends) == sorted({(p[0], p[-1]) for p in paths}, key=key)
+    paths.sort(key=key)
+    assert [(u.symbols, v) for u, v in preimages(code, cert)] == [
+        (p, by_ends[p[0], p[-1]]) for p in paths
+    ]
+
+
 def test_certificate_fingerprint():
-    # sha256 over (value, n, M, witnesses) of depth and relative_depth on
-    # every Y block of length <= 5 of seeds 1..5, taken before fibers were
-    # counted and grown layer-wise: kernel work must not change a
-    # certificate
+    # sha256 over (value, n, M, the (u, v) pairs preimages lists) of depth
+    # and relative_depth on every Y block of length <= 5 of seeds 1..5,
+    # taken before fibers were counted and grown layer-wise and when
+    # certificates still listed every preimage: kernel work must not
+    # change a certificate
     h = hashlib.sha256()
     for seed in range(1, 6):
         t = generate_triple(spec_for_seed(seed))
         for n in range(1, 6):
             for w in enumerate_blocks(t.Y, n):
-                for res in (depth(t.phi, w), relative_depth(t, w)):
+                for subject, res in ((t.phi, depth(t.phi, w)), (t, relative_depth(t, w))):
                     c = res.certificate
-                    pairs = tuple((u.symbols, v.symbols) for u, v in c.witnesses)
+                    pairs = tuple((u.symbols, v.symbols) for u, v in preimages(subject, c))
                     h.update(repr((res.value, c.n, c.M, pairs)).encode() + b"\n")
     assert h.hexdigest() == (
         "9e8633bea027744873a51b3d8b6549426ae61e5bdd72b99c35a8cbf00a734d85"
@@ -568,10 +660,11 @@ def test_certificate_fingerprint():
 
 
 def test_wide_certificate_fingerprint():
-    # sha256 over (value, n, M, witnesses) of depth and relative_depth and
-    # the replay of each certificate, on every Y block of length <= 6 of
-    # seeds 6..20, taken before the witness reach was limited to the
-    # phi-fiber's endpoints and the replay counted forward layers
+    # sha256 over (value, n, M, the (u, v) pairs preimages lists) of depth
+    # and relative_depth and the replay of each certificate, on every Y
+    # block of length <= 6 of seeds 6..20, taken before the witness reach
+    # was limited to the phi-fiber's endpoints, the replay counted forward
+    # layers and certificates listed endpoint pairs
     h = hashlib.sha256()
     for seed in range(6, 21):
         t = generate_triple(spec_for_seed(seed))
@@ -579,7 +672,7 @@ def test_wide_certificate_fingerprint():
             for w in enumerate_blocks(t.Y, n):
                 for subject, res in ((t.phi, depth(t.phi, w)), (t, relative_depth(t, w))):
                     c = res.certificate
-                    pairs = tuple((u.symbols, v.symbols) for u, v in c.witnesses)
+                    pairs = tuple((u.symbols, v.symbols) for u, v in preimages(subject, c))
                     replay = verify_certificate(subject, c)
                     h.update(repr((res.value, c.n, c.M, pairs, replay)).encode() + b"\n")
     assert h.hexdigest() == (
@@ -590,9 +683,7 @@ def test_wide_certificate_fingerprint():
 def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
     # relative_depth builds pi's reach for the start and end symbols of
     # the phi-fiber only; on these blocks that is fewer sweeps than the
-    # whole pi-fiber would need.  The module is read off sys.modules
-    # because the package exports the function depth under its name.
-    depth_module = sys.modules["sftcd.depth"]
+    # whole pi-fiber would need
     reaches = []
 
     class RecordingReach(depth_module._Reach):
@@ -679,7 +770,6 @@ def test_lex_path_through_is_the_least_fiber_path():
     # m at one position must not answer at another; the answer must be
     # the first path iter_fiber lists from s through m at n to t (it lists
     # in lexicographic order of symbol indices), or None when it lists none
-    depth_module = sys.modules["sftcd.depth"]
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 11)]
     asked = found = 0
