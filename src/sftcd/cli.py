@@ -288,7 +288,7 @@ def _verify_cases(args):
 
 # Names the engine and the report schema behind a cache entry; change it
 # whenever either changes, so that older entries miss.
-_CACHE_VERSION = "sftcd-verify/3 fiber-matrix side closures"
+_CACHE_VERSION = "sftcd-verify/4 prove-and-stop side closures"
 
 
 def _case_key(case):

@@ -308,9 +308,10 @@ def check_onto(code, codomain_shift):
     automaton of fiber end symbols, whose states are (y, mask), with
     words of alphabet indices.  A state with mask 0 ends a block without
     preimage and is not extended; the first one in level order names the
-    shortest, then least (in alphabet order), missing block.
-    checked_length is that block's length, or the closure depth when the
-    code is onto.  Raises ResourceLimit past DEFAULT_CAP states.
+    shortest, then least (in alphabet order), missing block, and no
+    later level is grown.  checked_length is that block's length, or the
+    closure depth when the code is onto.  Raises ResourceLimit once the
+    levels grown hold more than DEFAULT_CAP states.
     """
     if code.codomain_alphabet != codomain_shift.alphabet:
         raise AlphabetMismatch("codomain shift alphabet mismatch")
@@ -324,13 +325,13 @@ def check_onto(code, codomain_shift):
             for y2 in iter_bits(succ[y]):
                 yield (y2, code.step(mask, symbols[y2])), word + (y2,)
 
-    levels = closure(seeds, grow, DEFAULT_CAP)
-    for level in levels:
+    depth = 0
+    for depth, level in enumerate(closure(seeds, grow, DEFAULT_CAP), 1):
         for (_, mask), word in level:
             if not mask:
                 block = Block(tuple(symbols[y] for y in word))
                 return OntoCheck(False, len(word), block)
-    return OntoCheck(True, len(levels))
+    return OntoCheck(True, depth)
 
 
 def is_finite_to_one(code):

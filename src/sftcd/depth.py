@@ -28,8 +28,10 @@ intersection.  So the depth at n is fixed by the set of A's nonzero rows
 and the set of B's nonzero columns: u's left side and v's right side.
 The side closures of fiber.py reach every such pair, each pair's routing
 family is one set comprehension, scored once, and the block attaining
-the minimum replays as a routing certificate.  Mask steps read the byte
-tables of core.VertexShift.
+the minimum replays as a routing certificate.  Depth is never below 1,
+so the closures grow only until a depth-1 pair turns up, or to their
+end when the minimum is larger.  Mask steps read the byte tables of
+core.VertexShift.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so
@@ -402,10 +404,12 @@ def class_degree(code, max_len, cap=DEFAULT_CAP):
     """Minimum depth over all codomain blocks, exactly, with the shortest
     (then lexicographically least) block attaining it.
 
-    The side closures either finish, and the estimate is certified, or
-    raise ResourceLimit past cap sides each.  max_len is only checked to
-    be positive; scanned_length is the larger level count of the two
-    side closures.
+    The side closures grow one level per block length scored until the
+    minimum is proved: at a block of depth 1, or when both are complete.
+    Either way the estimate is certified; a closure that passes cap
+    sides first raises ResourceLimit.  max_len is only checked to be
+    positive; scanned_length is the larger number of levels grown in the
+    two side closures, at most the block's length when the value is 1.
     """
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
@@ -420,7 +424,8 @@ def class_degree(code, max_len, cap=DEFAULT_CAP):
 def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
     """Minimum relative depth over all blocks of Y, exactly: the sides
     carry rows and columns of (P^phi_w, P^pi_psi(w)), with the same
-    certification and max_len rules as class_degree."""
+    stopping, certification, cap, max_len and scanned_length rules as
+    class_degree."""
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     letters = triple.phi.codomain_alphabet.symbols
@@ -434,8 +439,9 @@ def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
 def periodic_point_relative_degree(triple, y, max_len, cap=DEFAULT_CAP):
     """Minimum relative depth over the blocks occurring in the periodic
     point y, exactly: the side closures walk the cycle of y, a side
-    keeping the phase of its end.  EmptyFiber when a block of y has no
-    phi-preimage.  max_len is only checked to be positive."""
+    keeping the phase of its end, and stop as class_degree's do.
+    EmptyFiber when a block of y has no phi-preimage.  max_len is only
+    checked to be positive."""
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")
     if not is_point_of(triple.Y, y):

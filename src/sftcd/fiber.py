@@ -4,9 +4,7 @@ The preimage set of a codomain word is handled as a layered graph: layer i
 holds the domain symbols that can sit at coordinate i of a preimage.  A
 forward sweep and a backward sweep prune the layers so that exactly the
 symbols lying on complete preimage paths remain.  On pruned layers every
-prefix extends, so iter_fiber grows the paths one layer at a time, and
-count_fiber counts them by a sweep of per-symbol path counts without
-listing any (forward layers give it the same count).
+prefix extends, so iter_fiber grows the paths one layer at a time.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
@@ -15,19 +13,24 @@ What a block u + v[1:] shows at its split depends only on u's left side
 (its first letter and the set of nonzero columns of P_v).  Rows step on
 their own when a letter is appended and columns when one is prepended,
 so the reachable sides form two finite sets: a level-by-level closure of
-each (graphs.closure) followed by a minimum over joinable pairs is
-exhaustive (Lind & Marcus, section 9.1).
+each (graphs.closure) with a minimum over joinable pairs is exhaustive
+(Lind & Marcus, section 9.1).  The minimum pulls the levels of both
+closures one block length at a time and stops at a pair of value 1, the
+least any score takes, so such a minimum is proved without growing the
+closures to their end.
 
 A closure steps every row or column by a table lookup: per track, letter
 and direction it builds a union_table of the domain's successor or
 predecessor masks with the letter's mask folded in (domains past
-WALK_TABLE_SYMBOLS symbols step through the byte tables instead).  Those
-tables live only as long as one closure; kept on the codes, they would
-stay alive with every code the harness caches hold.
+WALK_TABLE_SYMBOLS symbols step through the byte tables instead), on its
+first step past the one-letter seeds.  Those tables live only as long as
+one closure; kept on the codes, they would stay alive with every code the
+harness caches hold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .core import Block, DEFAULT_CAP, iter_bits, union_table
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
@@ -107,11 +110,12 @@ def _side_closures(tracks, labels, follows, precedes, cap):
     track's matrix) whose first-track row is nonzero), its right side
     (head slot, the same tuples of columns).  Appending a slot steps
     every row forwards, prepending one steps every column backwards,
-    through one table per letter and direction built here and dropped
-    with the closure.  Tuples whose first track empties are dropped, and
-    so is a side with none left.  Both closures start from the one-letter
-    blocks, whose rows and columns are alike.  Returns the (left, right)
-    levels of graphs.closure.
+    through one table per letter and direction, built on the closure's
+    first step and dropped with it.  Tuples whose first track empties
+    are dropped, and so is a side with none left.  Both closures start
+    from the one-letter blocks, whose rows and columns are alike.
+    Returns the (left, right) closures: graphs.closure generators, which
+    grow a level only when it is asked for.
     """
     first, first_letters = tracks[0]
     seeds = []
@@ -122,10 +126,16 @@ def _side_closures(tracks, labels, follows, precedes, cap):
             seeds.append(((slot, unit), (labels[slot],)))
 
     def grower(back, nexts):
-        # steppers[slot] holds each track's stepper for the slot
-        steppers = list(zip(*(_track_steppers(code, ls, back) for code, ls in tracks)))
+        # steppers[slot] holds each track's stepper for the slot, built on
+        # the first call: a minimum proved at the seeds needs none
+        steppers = None
 
         def grow(side, word):
+            nonlocal steppers
+            if steppers is None:
+                steppers = list(
+                    zip(*(_track_steppers(code, ls, back) for code, ls in tracks))
+                )
             for slot in nexts(side[0]):
                 step = steppers[slot]
                 moved = (tuple(f(m) for f, m in zip(step, vec)) for vec in side[1])
@@ -151,28 +161,36 @@ def _block_sides(tracks, cap):
 def _closure_minimum(sides, score):
     """Exact minimum of score over every block and split point.
 
-    sides are the (left, right) levels of _side_closures.  Block
-    u + v[1:] splits into u's left side and v's right side, u's tail slot
-    being v's head slot; score(rows, cols, limit) returns the pair's value
-    when it is at most limit (None: no limit), otherwise None.  Pairs are
-    scored one total length at a time, each once, and limit never grows
-    from one call to the next.  Every side keeps the least of its
-    shortest words, so the pairs reach the shortest block attaining the
-    minimum, lexicographically least among those, at its first attaining
-    split.  Returns (value, word, split, depth) for it, with depth the
-    larger level count of the two closures; None when no pair scores.
+    sides are the (left, right) closures of _side_closures, generators of
+    levels.  Block u + v[1:] splits into u's left side and v's right
+    side, u's tail slot being v's head slot; score(rows, cols, limit)
+    returns the pair's value, at least 1, when it is at most limit (None:
+    no limit), otherwise None.  Pairs are scored one total length at a
+    time, each once, and limit never grows from one call to the next.
+    Total length t needs levels 1..t of each closure, so each level is
+    pulled when its total length comes up, and a value of 1 ends the
+    search before any later level is grown.  Every side keeps the least
+    of its shortest words, so the pairs reach the shortest block
+    attaining the minimum, lexicographically least among those, at its
+    first attaining split.  Returns (value, word, split, depth) for it,
+    with depth the larger count of levels pulled from the two closures
+    (all of them unless the value is 1); None when no pair scores.
     """
-    left, right = sides
-    heads = []  # per right level: head slot -> [(cols, word)]
-    for level in right:
-        by_head = {}
-        for (head, cols), word in level:
-            by_head.setdefault(head, []).append((cols, word))
-        heads.append(by_head)
+    left_levels, right_levels = sides
+    left = []
+    heads = []  # per right level pulled: head slot -> [(cols, word)]
     best = None  # (value, total length, word, split)
     limit = None  # ties allowed within best's total length, not after it
-    for total in range(1, len(left) + len(right)):
-        for la in range(max(1, total + 1 - len(right)), min(total, len(left)) + 1):
+    for total in count(1):
+        left.extend(islice(left_levels, 1))
+        for level in islice(right_levels, 1):
+            by_head = {}
+            for (head, cols), word in level:
+                by_head.setdefault(head, []).append((cols, word))
+            heads.append(by_head)
+        if total >= len(left) + len(heads):
+            break
+        for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
             by_head = heads[total - la]
             for (tail, rows), word_a in left[la - 1]:
                 for cols, word_b in by_head.get(tail, ()):
@@ -189,7 +207,7 @@ def _closure_minimum(sides, score):
             limit = best[0] - 1
     if best is None:
         return None
-    return best[0], best[2], best[3], max(len(left), len(right))
+    return best[0], best[2], best[3], max(len(left), len(heads))
 
 
 def _check_word(code, block):
@@ -226,24 +244,6 @@ def iter_fiber(code, word_layers, cap=DEFAULT_CAP):
         if count > cap:
             raise ResourceLimit(f"fiber larger than {cap} blocks")
         yield path
-
-
-def count_fiber(code, word_layers):
-    """Number of preimage paths through forward or pruned layers (0 for
-    None), by a forward sweep of per-symbol path counts.  On forward
-    layers a dead-end symbol's count never reaches the last layer, so
-    both give the same number."""
-    if word_layers is None:
-        return 0
-    succ = code.domain.succ_masks
-    counts = dict.fromkeys(iter_bits(word_layers[0]), 1)
-    for layer in word_layers[1:]:
-        nxt = {}
-        for s, c in counts.items():
-            for t in iter_bits(succ[s] & layer):
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    return sum(counts.values())
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,9 @@ def find_magic_block(code, max_len, cap=DEFAULT_CAP):
     Ties break to the shortest block, then lexicographic in
     codomain_alphabet order, then the smallest coordinate.  max_len is
     only checked to be positive; the reported scanned_length is the
-    larger level count of the two side closures.
+    larger number of levels grown in the two side closures: all of them,
+    unless a coordinate with one preimage symbol ends the search at its
+    block's length.  ResourceLimit when a closure passes cap sides first.
     """
     if max_len < 1:
         raise InvalidBlock("max_len must be positive")

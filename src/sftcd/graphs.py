@@ -94,13 +94,14 @@ def closure(seeds, grow, cap):
     yields the (state, word) pairs one letter longer, whether it appends
     the letter or prepends it.  Each level is sorted by word before its
     states are kept, so every state keeps the shortlex-least word reaching
-    it.  Returns the levels: lists of (state, word) in word order, each
-    state in the level where it was first reached.  Raises ResourceLimit
-    past cap states.
+    it.  Yields the levels one at a time, each a list of (state, word) in
+    word order holding the states first reached there; a level is grown
+    only when the caller asks for it.  Raises ResourceLimit, naming the
+    level, once more than cap states have been reached.
     """
     seen = set()
-    levels = []
     level = list(seeds)
+    depth = 0
     while level:
         level.sort(key=itemgetter(1))
         kept = []
@@ -108,16 +109,18 @@ def closure(seeds, grow, cap):
             if state not in seen:
                 seen.add(state)
                 kept.append((state, word))
+        depth += 1
         if len(seen) > cap:
-            raise ResourceLimit(f"closure states exceeded the cap of {cap}")
-        levels.append(kept)
+            raise ResourceLimit(
+                f"closure states exceeded the cap of {cap} at level {depth}"
+            )
+        yield kept
         level = [
             nxt
             for state, word in kept
             for nxt in grow(state, word)
             if nxt[0] not in seen
         ]
-    return levels
 
 
 def component_period(component, succ):

@@ -195,6 +195,24 @@ class TestCheckOnto:
             check_onto(code, full)
 
 
+    def test_missing_block_ends_the_closure(self, monkeypatch):
+        # a 4-cycle read 0100: "11" has no preimage, and the closure
+        # reaches it at level 2 with 5 states of the 8 it holds over 4
+        # levels; no later level is grown, so a cap of 5 is not passed
+        full = VertexShift.full_shift(("0", "1"))
+        code = OneBlockCode.from_dict(
+            VertexShift.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+            full.alphabet,
+            {"a": "0", "b": "1", "c": "0", "d": "0"},
+            full,
+        )
+        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 5)
+        res = check_onto(code, full)
+        assert (res.ok, res.checked_length, res.missing_block.text()) == (False, 2, "11")
+        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 4)
+        with pytest.raises(ResourceLimit, match="cap of 4 at level 2$"):
+            check_onto(code, full)
+
 @st.composite
 def small_onto_subjects(draw):
     """A code from a vertex shift of at most 4 symbols into an irreducible

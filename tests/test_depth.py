@@ -17,6 +17,7 @@ from sftcd.core import (
     union_table,
 )
 import sftcd.depth as depth_module
+import sftcd.fiber as fiber_module
 from sftcd.depth import (
     DegreeEstimate,
     _hitting_set,
@@ -742,6 +743,130 @@ def test_relative_degree_on_fifteen_domain_symbols():
     assert len(t.X.alphabet) == 15
     est = relative_class_degree(t, 8, cap=5_000)
     assert (est.value, est.minimal_block.text()) == (1, "y3·y0·y2·y4·y0·y2·y4·y4")
+
+
+def _closure_minima(run, eager):
+    """Every (value, word, split, depth) _closure_minimum returns while
+    run() runs, with the side closures grown on demand or, when eager,
+    each grown to its last level before the first pair is scored; and
+    the level count of every closure grown in full."""
+    found, full = [], []
+    minimum, closure = fiber_module._closure_minimum, fiber_module.closure
+
+    def recording(sides, score):
+        found.append(minimum(sides, score))
+        return found[-1]
+
+    def grown(*args):
+        levels = list(closure(*args))
+        full.append(len(levels))
+        return iter(levels)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fiber_module, "_closure_minimum", recording)
+        m.setattr(depth_module, "_closure_minimum", recording)
+        if eager:
+            m.setattr(fiber_module, "closure", grown)
+        run()
+    return found, full
+
+
+def _assert_lazy_levels_prove_the_minimum(run):
+    # levels pulled on demand give the minimum of the full closures, and
+    # the depth reports the levels pulled: at most the witness's length
+    # when the value is 1, every level of both closures otherwise
+    lazy, _ = _closure_minima(run, eager=False)
+    eager, full = _closure_minima(run, eager=True)
+    assert lazy == eager and len(full) == 2 * len(lazy)
+    for (value, word, _, pulled), left, right in zip(lazy, full[::2], full[1::2]):
+        if value == 1:
+            assert pulled <= min(len(word), max(left, right))
+        else:
+            assert pulled == max(left, right)
+
+
+def _assert_value_one_stops_at_its_block(est):
+    if est.value == 1:
+        assert est.scanned_length <= len(est.minimal_block)
+
+
+def test_lazy_levels_on_generated_triples():
+    # seeds 1..200: class degrees of phi, psi and pi, the relative class
+    # degree and the magic blocks of phi, psi and pi
+    for seed in range(1, 201):
+        t = generate_triple(spec_for_seed(seed))
+
+        def run():
+            for code in (t.phi, t.psi, t.pi):
+                _assert_value_one_stops_at_its_block(class_degree(code, 8))
+                m = find_magic_block(code, 8)
+                if m.value == 1:
+                    assert m.certified.scanned_length <= len(m.block)
+            _assert_value_one_stops_at_its_block(relative_class_degree(t, 8))
+
+        _assert_lazy_levels_prove_the_minimum(run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_lazy_levels_on_small_codes(code):
+    def run():
+        _assert_value_one_stops_at_its_block(class_degree(code, 1))
+        find_magic_block(code, 1)
+
+    _assert_lazy_levels_prove_the_minimum(run)
+
+
+def test_lazy_levels_on_deep_periodic_points():
+    # the points of seeds 17 and 29 whose depth-1 blocks have length 12
+    for seed, cycle in ((17, "y0·y1·y2"), (29, "y0·y2·y1")):
+        t = generate_triple(spec_for_seed(seed))
+        y = PeriodicPoint.make(yblock(t, cycle), 0)
+
+        def run():
+            est = periodic_point_relative_degree(t, y, 12)
+            assert (est.value, len(est.minimal_block)) == (1, 12)
+            _assert_value_one_stops_at_its_block(est)
+
+        _assert_lazy_levels_prove_the_minimum(run)
+
+
+def test_minimum_at_the_seeds_builds_no_table(monkeypatch):
+    # seed 197's relative degree is 1 at the one-letter block y2, so
+    # neither side closure steps past its seeds; phi's class degree on
+    # the same triple, 1 as well, needs only the seeds too, while pi's
+    # needs three levels and builds its tables
+    built = []
+
+    def counting_union_table(masks, keep=-1):
+        built.append(keep)
+        return union_table(masks, keep)
+
+    monkeypatch.setattr(fiber_module, "union_table", counting_union_table)
+    t = generate_triple(spec_for_seed(197))
+    assert len(t.X.alphabet) <= fiber_module.WALK_TABLE_SYMBOLS
+    for est in (relative_class_degree(t, 8), class_degree(t.phi, 8)):
+        assert (est.value, est.minimal_block.text(), est.scanned_length) == (1, "y2", 1)
+    assert built == []
+    assert class_degree(t.pi, 8).value == 1
+    assert built
+
+
+def test_value_one_is_proved_before_the_cap():
+    # both side closures of this relative degree pass 20,000 sides, the
+    # left at level 14 and the right at level 13, but a relative-depth-1
+    # block of length 10 proves the minimum first
+    t = generate_triple(TripleGenSpec(4, y_symbols=4, blowup_max=5, z_symbols=2))
+    est = relative_class_degree(t, 8, cap=20_000)
+    assert (est.value, est.minimal_block.text()) == (1, "y0·y1·y1·y1·y1·y1·y1·y1·y1·y1")
+    assert est.scanned_length <= 10
+
+
+def test_cap_names_the_level_it_reached(xor2):
+    with pytest.raises(ResourceLimit, match="^closure states exceeded the cap of 2 at level 3$"):
+        class_degree(xor2.pi, 8, cap=2)
+    with pytest.raises(ResourceLimit, match="^closure states exceeded the cap of 2 at level 2$"):
+        relative_class_degree(xor2, 8, cap=2)
 
 
 @settings(max_examples=300, deadline=None)

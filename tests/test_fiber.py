@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, small_codes
 from sftcd.codes import OneBlockCode
 from sftcd.core import Block, VertexShift, parse_block_text
+from sftcd.depth import _endpoint_pairs, _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
-    count_fiber,
     degree_finite_to_one,
     find_magic_block,
     forward_layers,
@@ -51,10 +51,10 @@ class TestLayers:
 
     def test_foreign_letter_is_named(self, xor2):
         # the layers read code.letter_masks; a missing key is named as a
-        # foreign codomain symbol, and counting forward layers raises it too
+        # foreign codomain symbol, and pruning the layers raises it too
         for take in (
             lambda: forward_layers(xor2.phi, ("0", "q")),
-            lambda: count_fiber(xor2.phi, forward_layers(xor2.phi, ("0", "q"))),
+            lambda: pruned_layers(xor2.phi, ("0", "q")),
         ):
             with pytest.raises(UnknownSymbol) as err:
                 take()
@@ -96,14 +96,6 @@ class TestIterFiber:
         with pytest.raises(ResourceLimit, match="fiber larger than 15 blocks"):
             list(iter_fiber(xor2.pi, layers, cap=15))
 
-    def test_count_fiber(self, xor2, mod3):
-        assert count_fiber(xor2.pi, pruned_layers(xor2.pi, ("z",) * 6)) == 4 * 2**5
-        assert count_fiber(xor2.pi, None) == 0
-        word = tuple(w(mod3, "012").symbols)
-        assert count_fiber(mod3.phi, pruned_layers(mod3.phi, word)) == len(
-            fiber_paths(mod3.phi, word)
-        )
-
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -118,7 +110,6 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
     symbols = code.domain.alphabet.symbols
     paths = [tuple(symbols[i] for i in p) for p in iter_fiber(code, layers)]
     assert paths == sorted(fiber_paths(code, word))
-    assert count_fiber(code, layers) == len(paths)
     # capped: the first cap paths, then ResourceLimit past cap
     capped = iter_fiber(code, layers, cap)
     got = []
@@ -129,15 +120,20 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
 
 @settings(max_examples=80, deadline=None)
 @given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
-def test_count_fiber_on_forward_and_pruned_layers(code, word):
-    # a dead-end symbol's count never reaches the last layer, so counting
-    # over the forward layers gives the fiber size, like the pruned ones
-    forward = count_fiber(code, forward_layers(code, word))
-    pruned = count_fiber(code, pruned_layers(code, word))
-    assert forward == pruned == len(list(iter_fiber(code, pruned_layers(code, word))))
+def test_endpoint_pairs_on_forward_and_pruned_layers(code, word):
+    # the certificate replay reads a fiber's endpoint pairs off forward
+    # layers: a dead-end symbol reaches no end symbol, so they give the
+    # pairs of the pruned layers, those of the fiber's paths
+    pruned = pruned_layers(code, word)
+    if pruned is None:
+        assert forward_layers(code, word) is None
+        return
+    forward = _endpoint_pairs(_forward_sets(code.domain, forward_layers(code, word)))
+    ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
+    assert forward == _endpoint_pairs(_forward_sets(code.domain, pruned)) == ends
 
 
-def test_count_fiber_past_a_dead_end():
+def test_endpoint_pairs_past_a_dead_end():
     # b carries 0 but steps only to c, which carries 1: over 00 it is a
     # dead end in the first forward layer, which pruning removes
     dom = VertexShift.build(
@@ -147,7 +143,8 @@ def test_count_fiber_past_a_dead_end():
     forward = forward_layers(code, ("0", "0"))
     pruned = pruned_layers(code, ("0", "0"))
     assert (forward, pruned) == ([3, 3], [1, 3])
-    assert count_fiber(code, forward) == count_fiber(code, pruned) == 2
+    pairs = [_endpoint_pairs(_forward_sets(dom, layers)) for layers in (forward, pruned)]
+    assert pairs == [[(0, 0), (0, 1)]] * 2
 
 
 class TestPreimageBlocks:

@@ -323,7 +323,7 @@ class TestClosure:
     def test_prepending_keeps_the_least_word(self):
         # (1, 0) reaches {0, 1} before (0, 1) in generation order
         seeds = [(frozenset({0}), (0,)), (frozenset({1}), (1,))]
-        levels = closure(seeds, self._prepend, 10)
+        levels = list(closure(seeds, self._prepend, 10))
         assert levels[1] == [(frozenset({0, 1}), (0, 1))]
         assert len(levels) == 2
 
