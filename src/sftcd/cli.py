@@ -146,7 +146,7 @@ def _emit_estimate(est):
 
 def cmd_class_degree(args):
     t = _triple_from_arg(args.triple)
-    est = class_degree(_pick(t, args.code), args.max_len)
+    est = class_degree(_pick(t, args.code))
     _emit_estimate(est)
     _note(f"class degree {est.value} (certified)")
     return 0
@@ -154,18 +154,18 @@ def cmd_class_degree(args):
 
 def cmd_relative(args):
     t = _triple_from_arg(args.triple)
-    est = relative_class_degree(t, args.max_len)
+    est = relative_class_degree(t)
     _emit_estimate(est)
     _note(f"relative class degree {est.value} (certified)")
     return 0
 
 
 def cmd_magic(args):
-    if args.code:
+    if args.code is not None:
         code = _code_from_arg(args.code)
     else:
         code = _pick(_triple_from_arg(args.triple), args.which)
-    res = find_magic_block(code, args.max_len)
+    res = find_magic_block(code)
     _emit(res)
     _note(f"preimage symbol count {res.value} at coordinate {res.coordinate}")
     return 0
@@ -205,7 +205,7 @@ def cmd_generate(args):
 
 
 def cmd_dump(args):
-    if args.triple:
+    if args.triple is not None:
         t = _triple_from_arg(args.triple)
         if args.format == "dot":
             print(dot_graph(t.X, t.phi, "X"), end="")
@@ -292,8 +292,7 @@ _CACHE_VERSION = "sftcd-verify/4 prove-and-stop side closures"
 
 
 def _case_key(case):
-    """Cache key of a case.  The scan length is left out: the exact
-    engine does not read it."""
+    """Cache key of a case: the engine version and the case itself."""
     text = repr((_CACHE_VERSION, case))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -340,8 +339,8 @@ def _verify_case(item):
     """One case's report documents, written to its cache entry when it
     has one.  A worker runs this whole, so the parent only reads hits and
     prints."""
-    case, L, archive, path = item
-    docs = [to_jsonable(r) for r in run_case(case, L, archive)]
+    case, archive, path = item
+    docs = [to_jsonable(r) for r in run_case(case, archive_dir=archive)]
     if path is not None:
         _cache_write(path, docs)
     return docs
@@ -349,8 +348,6 @@ def _verify_case(item):
 
 def cmd_verify(args):
     cases = _verify_cases(args)
-    if args.max_len < 1:
-        raise ParseError("--max-len must be positive")
     if args.jobs < 1:
         raise ParseError("--jobs must be positive")
     cache = os.environ.get("SFTCD_CACHE_DIR")
@@ -362,14 +359,14 @@ def cmd_verify(args):
     ]
     hits = [path and _cache_read(path, case) for case, path in zip(cases, paths)]
     work = zip(cases, paths, hits)
-    misses = [(c, args.max_len, args.archive, p) for c, p, hit in work if hit is None]
+    misses = [(c, args.archive, p) for c, p, hit in work if hit is None]
     fresh = iter(map_cases(_verify_case, misses, args.jobs))
     docs = [doc for hit in hits for doc in (next(fresh) if hit is None else hit)]
     for doc in docs:
         print(json.dumps(doc, sort_keys=True))
     verdicts = Counter(c["verdict"] for doc in docs for c in doc["checks"])
-    _note(f"cases {len(docs)}: {verdicts['pass']} passed, {verdicts['fail']} failed, "
-          f"{verdicts['skipped']} skipped")
+    _note(f"{len(cases)} cases, {len(docs)} reports: {verdicts['pass']} passed, "
+          f"{verdicts['fail']} failed, {verdicts['skipped']} skipped")
     return 1 if verdicts["fail"] else 0
 
 
@@ -381,13 +378,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, triple=True, scan=False):
-        if triple:
-            p.add_argument(
-                "--triple", required=True, help="triple document path or builtin:NAME"
-            )
-        if scan:
-            p.add_argument("--max-len", type=int, default=8)
+    def common(p):
+        p.add_argument(
+            "--triple", required=True, help="triple document path or builtin:NAME"
+        )
 
     p = sub.add_parser("depth", help="depth of a codomain block")
     common(p)
@@ -403,19 +397,19 @@ def _build_parser():
     p = sub.add_parser(
         "class-degree", help="exact minimum depth over all blocks of a code"
     )
-    common(p, scan=True)
+    common(p)
     p.add_argument("--code", choices=("phi", "psi", "pi"), default="phi")
     p.set_defaults(func=cmd_class_degree)
 
     p = sub.add_parser("relative", help="relative class degree of a triple")
-    common(p, scan=True)
+    common(p)
     p.set_defaults(func=cmd_relative)
 
     p = sub.add_parser("magic", help="minimizing block for preimage symbol counts")
-    p.add_argument("--code", help="code document path or builtin:NAME[/phi|psi|pi]")
-    p.add_argument("--triple", help="triple document path or builtin:NAME")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--code", help="code document path or builtin:NAME[/phi|psi|pi]")
+    source.add_argument("--triple", help="triple document path or builtin:NAME")
     p.add_argument("--which", choices=("phi", "psi", "pi"), default="phi")
-    p.add_argument("--max-len", type=int, default=8)
     p.set_defaults(func=cmd_magic)
 
     p = sub.add_parser("bridge", help="bounded bridge search between periodic points")
@@ -435,7 +429,6 @@ def _build_parser():
     p.add_argument("--corpus", help='"builtin" or a directory of triple documents')
     p.add_argument("--gen", help="JSON file with a list of generator specs")
     p.add_argument("--seeds", help='seed range "A..B" for the default sweep')
-    p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--archive", help="directory for failed-case dumps")
     p.set_defaults(func=cmd_verify)
@@ -450,8 +443,9 @@ def _build_parser():
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("dump", help="canonical JSON or DOT for documents")
-    p.add_argument("--triple", help="triple document path or builtin:NAME")
-    p.add_argument("--system", help="system document path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--triple", help="triple document path or builtin:NAME")
+    source.add_argument("--system", help="system document path")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_dump)
 
@@ -464,12 +458,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    if args.command == "magic" and not (args.code or args.triple):
-        _note("error: magic needs --code or --triple")
-        return 2
-    if args.command == "dump" and not (args.triple or args.system):
-        _note("error: dump needs --triple or --system")
-        return 2
     try:
         return args.func(args)
     except _USAGE_ERRORS as e:

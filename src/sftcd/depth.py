@@ -400,19 +400,18 @@ def _closure_degree(sides, alphabet):
     return DegreeEstimate(value, depth, True, Block(tuple(alphabet[i] for i in word)))
 
 
-def class_degree(code, max_len, cap=DEFAULT_CAP):
+def class_degree(code, max_len=None, cap=DEFAULT_CAP):
     """Minimum depth over all codomain blocks, exactly, with the shortest
     (then lexicographically least) block attaining it.
 
     The side closures grow one level per block length scored until the
     minimum is proved: at a block of depth 1, or when both are complete.
     Either way the estimate is certified; a closure that passes cap
-    sides first raises ResourceLimit.  max_len is only checked to be
-    positive; scanned_length is the larger number of levels grown in the
-    two side closures, at most the block's length when the value is 1.
+    sides first raises ResourceLimit.  scanned_length is the larger
+    number of levels grown in the two side closures, at most the block's
+    length when the value is 1.  max_len is neither read nor checked: it
+    stays only for callers that still pass a scan length positionally.
     """
-    if max_len < 1:
-        raise InvalidBlock("max_len must be positive")
     _scan_preconditions(code)
     letters = code.codomain_alphabet.symbols
     est = _closure_degree(_block_sides(((code, letters),), cap), letters)
@@ -421,13 +420,11 @@ def class_degree(code, max_len, cap=DEFAULT_CAP):
     return est
 
 
-def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
+def relative_class_degree(triple, max_len=None, cap=DEFAULT_CAP):
     """Minimum relative depth over all blocks of Y, exactly: the sides
     carry rows and columns of (P^phi_w, P^pi_psi(w)), with the same
-    stopping, certification, cap, max_len and scanned_length rules as
-    class_degree."""
-    if max_len < 1:
-        raise InvalidBlock("max_len must be positive")
+    stopping, certification, cap and scanned_length rules as
+    class_degree, and the same unread max_len slot."""
     letters = triple.phi.codomain_alphabet.symbols
     tracks = ((triple.phi, letters), (triple.pi, triple.psi_word(letters)))
     est = _closure_degree(_block_sides(tracks, cap), letters)
@@ -436,14 +433,12 @@ def relative_class_degree(triple, max_len, cap=DEFAULT_CAP):
     return est
 
 
-def periodic_point_relative_degree(triple, y, max_len, cap=DEFAULT_CAP):
+def periodic_point_relative_degree(triple, y, max_len=None, cap=DEFAULT_CAP):
     """Minimum relative depth over the blocks occurring in the periodic
     point y, exactly: the side closures walk the cycle of y, a side
     keeping the phase of its end, and stop as class_degree's do.
-    EmptyFiber when a block of y has no phi-preimage.  max_len is only
-    checked to be positive."""
-    if max_len < 1:
-        raise InvalidBlock("max_len must be positive")
+    EmptyFiber when a block of y has no phi-preimage.  max_len is unread,
+    as in class_degree."""
     if not is_point_of(triple.Y, y):
         raise PreconditionUnmet(f"{y.text()} is not a point of Y")
     cycle = y.cycle.symbols

@@ -309,19 +309,18 @@ def _magic_score(rows, cols, limit):
     return count if count and (limit is None or count <= limit) else None
 
 
-def find_magic_block(code, max_len, cap=DEFAULT_CAP):
+def find_magic_block(code, max_len=None, cap=DEFAULT_CAP):
     """Minimise the per-coordinate preimage symbol count over all codomain
     blocks, exactly, by the fiber-matrix closure.
 
     Ties break to the shortest block, then lexicographic in
-    codomain_alphabet order, then the smallest coordinate.  max_len is
-    only checked to be positive; the reported scanned_length is the
-    larger number of levels grown in the two side closures: all of them,
-    unless a coordinate with one preimage symbol ends the search at its
-    block's length.  ResourceLimit when a closure passes cap sides first.
+    codomain_alphabet order, then the smallest coordinate.  The reported
+    scanned_length is the larger number of levels grown in the two side
+    closures: all of them, unless a coordinate with one preimage symbol
+    ends the search at its block's length.  ResourceLimit when a closure
+    passes cap sides first.  max_len is neither read nor checked: it
+    stays only for callers that still pass a scan length positionally.
     """
-    if max_len < 1:
-        raise InvalidBlock("max_len must be positive")
     letters = code.codomain_alphabet.symbols
     found = _closure_minimum(_block_sides(((code, letters),), cap), _magic_score)
     if found is None:
@@ -331,11 +330,11 @@ def find_magic_block(code, max_len, cap=DEFAULT_CAP):
     return MagicBlockResult(block, coordinate, value, StabilizationInfo(depth, True))
 
 
-def degree_finite_to_one(code, max_len, cap=DEFAULT_CAP):
+def degree_finite_to_one(code, *, cap=DEFAULT_CAP):
     """Preimage count of typical points of a finite-to-one code, read off
     the magic block minimum."""
     from .codes import is_finite_to_one
 
     if not is_finite_to_one(code):
         raise NotFiniteToOne("code has unboundedly many preimages")
-    return find_magic_block(code, max_len, cap).value
+    return find_magic_block(code, cap=cap).value

@@ -256,31 +256,31 @@ def _check(name, ok, detail):
 
 
 @lru_cache(maxsize=4096)
-def _degree(code, L):
-    return class_degree(code, L)
+def _degree(code):
+    return class_degree(code)
 
 
 @lru_cache(maxsize=4096)
-def _relative(triple, L):
-    return relative_class_degree(triple, L)
+def _relative(triple):
+    return relative_class_degree(triple)
 
 
-def triple_degrees(t: CodeTriple, L):
-    """The four headline estimates of a triple, cached per (code, L)."""
+def triple_degrees(t: CodeTriple):
+    """The four headline estimates of a triple, cached per code."""
     return {
-        "pi": _degree(t.pi, L),
-        "phi": _degree(t.phi, L),
-        "psi": _degree(t.psi, L),
-        "relative": _relative(t, L),
+        "pi": _degree(t.pi),
+        "phi": _degree(t.phi),
+        "psi": _degree(t.psi),
+        "relative": _relative(t),
     }
 
 
-def check_main_identity(t: CodeTriple, L, case_id="") -> TheoremReport:
+def check_main_identity(t: CodeTriple, *, case_id="") -> TheoremReport:
     """Product identity and its companions: the composite class degree
     factors as d(psi) * d(phi relative to psi); the relative degree
     divides and is bounded by d(phi); the composite never exceeds the
     product of the parts."""
-    v = triple_degrees(t, L)
+    v = triple_degrees(t)
     pi, phi, psi, rel = v["pi"].value, v["phi"].value, v["psi"].value, v["relative"].value
     checks = (
         _check("product-identity", pi == psi * rel, f"{pi} vs {psi}*{rel}"),
@@ -295,11 +295,11 @@ def check_main_identity(t: CodeTriple, L, case_id="") -> TheoremReport:
     return TheoremReport(case_id, v, checks)
 
 
-def check_special_cases(t: CodeTriple, L, case_id="") -> TheoremReport:
+def check_special_cases(t: CodeTriple, *, case_id="") -> TheoremReport:
     """Degenerate settings with sharper conclusions: a degree-one phi
     makes the composite degree collapse to psi's, and a finite-to-one psi
     makes the relative degree absolute."""
-    v = triple_degrees(t, L)
+    v = triple_degrees(t)
     pi, phi, psi, rel = v["pi"].value, v["phi"].value, v["psi"].value, v["relative"].value
     checks = []
     if phi == 1:
@@ -323,7 +323,7 @@ def check_special_cases(t: CodeTriple, L, case_id="") -> TheoremReport:
 
 
 def check_chain_identity(
-    t: CodeTriple, varphi: OneBlockCode, L, case_id=""
+    t: CodeTriple, varphi: OneBlockCode, *, case_id=""
 ) -> TheoremReport:
     """Three-code chain law: with a further code out of Z, the relative
     degree of the composite over it factors into the outer code's relative
@@ -334,9 +334,9 @@ def check_chain_identity(
     outer = CodeTriple.build(t.psi, varphi)
     inner = CodeTriple.build(t.phi, compose(t.psi, varphi))
     v = {
-        "pi_over_varphi": _relative(whole, L),
-        "psi_over_varphi": _relative(outer, L),
-        "phi_over_varphi_psi": _relative(inner, L),
+        "pi_over_varphi": _relative(whole),
+        "psi_over_varphi": _relative(outer),
+        "phi_over_varphi_psi": _relative(inner),
     }
     a, b, c = (e.value for e in v.values())
     checks = (_check("chain-product", a == b * c, f"{a} vs {b}*{c}"),)
@@ -368,15 +368,19 @@ def resolve_case(case: HarnessCase) -> CodeTriple:
     raise PreconditionUnmet(f"unknown case kind {case.kind!r}")
 
 
-def run_case(case: HarnessCase, L, archive_dir=None):
+def run_case(case: HarnessCase, max_len=None, *, archive_dir=None):
+    """Run the case's checks on its triple, archiving each failed report
+    under archive_dir when one is given.  max_len is neither read nor
+    checked: it stays only for callers that still pass a scan length
+    positionally."""
     triple = resolve_case(case)
     reports = []
     for kind in case.checks:
         cid = f"{case.case_id}/{kind}"
         if kind == "main":
-            reports.append(check_main_identity(triple, L, cid))
+            reports.append(check_main_identity(triple, case_id=cid))
         elif kind == "special":
-            reports.append(check_special_cases(triple, L, cid))
+            reports.append(check_special_cases(triple, case_id=cid))
         elif kind == "chain":
             if case.chain_kind == "identity":
                 from .codes import identity_code
@@ -385,7 +389,7 @@ def run_case(case: HarnessCase, L, archive_dir=None):
             else:
                 w = 1 + case.chain_seed % len(triple.Z_shift.alphabet)
                 varphi = generate_chain_code(triple, case.chain_seed, w)
-            reports.append(check_chain_identity(triple, varphi, L, cid))
+            reports.append(check_chain_identity(triple, varphi, case_id=cid))
         else:
             raise PreconditionUnmet(f"unknown check kind {kind!r}")
     if archive_dir is not None:
@@ -426,15 +430,6 @@ class SuiteSummary:
     def ok(self):
         return not self.failed_cases
 
-    def to_dict(self):
-        return {
-            "cases": len(self.reports),
-            "passed": self.count("pass"),
-            "failed": self.count("fail"),
-            "skipped": self.count("skipped"),
-            "failed_cases": list(self.failed_cases),
-        }
-
 
 def map_cases(fn, work, jobs):
     """[fn(item) for item in work], in order.  With jobs > 1 the items
@@ -450,7 +445,7 @@ def map_cases(fn, work, jobs):
         return list(pool.map(fn, work, chunksize=max(1, len(work) // (8 * jobs))))
 
 
-def run_suite(cases, L, jobs=1, archive_dir=None) -> SuiteSummary:
+def run_suite(cases, *, jobs=1, archive_dir=None) -> SuiteSummary:
     """Run every case's checks, in order, optionally across processes."""
-    chunks = map_cases(partial(run_case, L=L, archive_dir=archive_dir), cases, jobs)
+    chunks = map_cases(partial(run_case, archive_dir=archive_dir), cases, jobs)
     return SuiteSummary(tuple(r for chunk in chunks for r in chunk))

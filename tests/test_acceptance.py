@@ -44,12 +44,12 @@ def _line(num, ok, detail):
 def test_01_builtin_parity_headline(xor2):
     t0 = time.monotonic()
     est = {
-        "phi": class_degree(xor2.phi, 6),
-        "psi": class_degree(xor2.psi, 6),
-        "pi": class_degree(xor2.pi, 6),
-        "relative": relative_class_degree(xor2, 6),
+        "phi": class_degree(xor2.phi),
+        "psi": class_degree(xor2.psi),
+        "pi": class_degree(xor2.pi),
+        "relative": relative_class_degree(xor2),
     }
-    report = check_main_identity(xor2, 6, case_id="xor2")
+    report = check_main_identity(xor2, case_id="xor2")
     elapsed = time.monotonic() - t0
     values = {k: e.value for k, e in est.items()}
     strict = any(
@@ -78,8 +78,8 @@ def test_02_finite_to_one_consistency(xor2, mod3):
     ok = True
     for t, expect in ((xor2, 2), (mod3, 3)):
         t0 = time.monotonic()
-        d = degree_finite_to_one(t.phi, 8)
-        cd = class_degree(t.phi, 8)
+        d = degree_finite_to_one(t.phi)
+        cd = class_degree(t.phi)
         elapsed = time.monotonic() - t0
         good = d == expect and cd.value == expect and cd.certified and elapsed < 10.0
         ok = ok and good
@@ -95,7 +95,7 @@ def test_03_generated_sweep_identity():
         )
         for s in range(1, 201)
     ]
-    summary = run_suite(cases, 8)
+    summary = run_suite(cases)
     elapsed = time.monotonic() - t0
     fails = summary.count("fail")
     certified = sum(
@@ -192,7 +192,7 @@ def test_06_fixed_point_oracle_cross_check(xor2, mod3, golden_identity):
         if must_be_one and oracle.count != 1:
             mismatches.append((label, "trivial", oracle.count))
         est = periodic_point_relative_degree(
-            identity_extension(code), PeriodicPoint.make(Block((z,))), 8
+            identity_extension(code), PeriodicPoint.make(Block((z,)))
         )
         if est.certified:
             compared += 1
@@ -239,7 +239,7 @@ def test_08_special_and_chain_suite():
         )
         for s in range(1, 51)
     ]
-    summary = run_suite(cases, 8)
+    summary = run_suite(cases)
     fails = summary.count("fail")
     passes = summary.count("pass")
     ok = fails == 0 and passes > 0

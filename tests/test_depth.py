@@ -231,17 +231,17 @@ class TestRelativeDepth:
 
 class TestClassDegree:
     def test_xor2_quadruple(self, xor2):
-        est = class_degree(xor2.phi, 6)
+        est = class_degree(xor2.phi)
         assert (est.value, est.certified, est.minimal_block.text()) == (2, True, "0")
-        est = class_degree(xor2.psi, 6)
+        est = class_degree(xor2.psi)
         assert (est.value, est.certified) == (1, True)
-        est = class_degree(xor2.pi, 6)
+        est = class_degree(xor2.pi)
         assert (est.value, est.certified, est.minimal_block.text()) == (
             1,
             True,
             "zzzzz",
         )
-        est = relative_class_degree(xor2, 6)
+        est = relative_class_degree(xor2)
         assert (est.value, est.certified, est.minimal_block.text()) == (
             1,
             True,
@@ -249,22 +249,22 @@ class TestClassDegree:
         )
 
     def test_mod3_quadruple(self, mod3):
-        assert class_degree(mod3.phi, 6).value == 3
-        assert class_degree(mod3.psi, 6).value == 1
-        assert class_degree(mod3.pi, 6).value == 1
-        assert relative_class_degree(mod3, 6).value == 1
+        assert class_degree(mod3.phi).value == 3
+        assert class_degree(mod3.psi).value == 1
+        assert class_degree(mod3.pi).value == 1
+        assert relative_class_degree(mod3).value == 1
 
     def test_identity_triples_are_all_one(self, golden_identity, golden_trivial):
         for t in (golden_identity, golden_trivial):
-            assert class_degree(t.phi, 4).value == 1
-            assert class_degree(t.psi, 4).value == 1
-            assert relative_class_degree(t, 4).value == 1
+            assert class_degree(t.phi).value == 1
+            assert class_degree(t.psi).value == 1
+            assert relative_class_degree(t).value == 1
 
     def test_matches_naive_scan(self, xor2, mod3):
         # the naive scan up to L bounds the exact value from above and
         # meets it once L covers the witness
         for code, L in ((xor2.phi, 3), (mod3.phi, 3), (xor2.psi, 2)):
-            est = class_degree(code, L)
+            est = class_degree(code)
             assert est.value <= naive_class_degree(code, L)
             assert est.value == naive_class_degree(code, len(est.minimal_block))
 
@@ -272,12 +272,12 @@ class TestClassDegree:
         # additive_recoding(4) has 16 domain symbols, so every mask step of
         # the closure reads two byte tables
         phi = additive_recoding(4).code
-        est = class_degree(phi, 1)
+        est = class_degree(phi)
         assert (est.value, est.minimal_block.text()) == (4, "0")
         for L in (1, 2):
             assert naive_class_degree(phi, L) == est.value
         pi = CodeTriple.build(phi, trivial_code(phi.codomain)).pi
-        est = class_degree(pi, 1)
+        est = class_degree(pi)
         assert (est.value, est.minimal_block.text()) == (1, "zzzzz")
         # naive_class_degree(pi, L) for L = 1..5, worked out once (it takes
         # half a minute): no shorter block reaches depth one
@@ -290,11 +290,11 @@ class TestClassDegree:
         for seed in range(90, 100):
             t = generate_triple(spec_for_seed(seed))
             subjects = [
-                (class_degree(code, 1), code.codomain, lambda b, c=code: depth(c, b))
+                (class_degree(code), code.codomain, lambda b, c=code: depth(c, b))
                 for code in (t.phi, t.pi)
             ]
             subjects.append(
-                (relative_class_degree(t, 1), t.Y, lambda b, t=t: relative_depth(t, b))
+                (relative_class_degree(t), t.Y, lambda b, t=t: relative_depth(t, b))
             )
             for est, shift, depth_of in subjects:
                 length = len(est.minimal_block)
@@ -309,17 +309,16 @@ class TestClassDegree:
                 assert first == est.minimal_block
 
     def test_result_does_not_depend_on_max_len(self, xor2):
-        # the closure is exhaustive, so a short max_len loses nothing
-        assert class_degree(xor2.phi, 1) == class_degree(xor2.phi, 6)
-        assert class_degree(xor2.pi, 1) == class_degree(xor2.pi, 50)
-        with pytest.raises(InvalidBlock):
-            class_degree(xor2.phi, 0)
+        # the closure is exhaustive and max_len is unread, so a short or
+        # even nonpositive scan length changes nothing
+        for code in (xor2.phi, xor2.pi):
+            assert {class_degree(code, L) for L in (0, 1, 6, 50)} == {class_degree(code)}
 
     def test_seed29_pi_is_exactly_one(self):
         # a length-bounded scan stopped at max_len 12 on a value of 2; the
         # shortest depth-one block has length 13
         t = generate_triple(spec_for_seed(29))
-        est = class_degree(t.pi, 12)
+        est = class_degree(t.pi)
         assert (est.value, est.certified) == (1, True)
         assert est.minimal_block.text() == "z0·z1·z1·z0·z1·z1·z0·z1·z1·z0·z1·z1·z0"
         d = depth(t.pi, est.minimal_block)
@@ -328,12 +327,12 @@ class TestClassDegree:
 
     def test_cap_raises_resource_limit(self, xor2):
         with pytest.raises(ResourceLimit, match="closure states"):
-            class_degree(xor2.pi, 8, cap=2)
+            class_degree(xor2.pi, cap=2)
         with pytest.raises(ResourceLimit, match="closure states"):
-            relative_class_degree(xor2, 8, cap=2)
+            relative_class_degree(xor2, cap=2)
 
     def test_floor_one_stops_scan(self, xor2):
-        est = class_degree(xor2.psi, 50)
+        est = class_degree(xor2.psi)
         assert est.value == 1
         assert est.scanned_length == 2
 
@@ -343,13 +342,13 @@ class TestClassDegree:
         )
         code = identity_code(oneway)
         with pytest.raises(PreconditionUnmet):
-            class_degree(code, 3)
+            class_degree(code)
         g = VertexShift.build(("0", "1"), [("0", "0"), ("0", "1"), ("1", "0")])
         sub = OneBlockCode.from_dict(
             g, ("0", "1"), {"0": "0", "1": "0"}, codomain=g
         )
         with pytest.raises(PreconditionUnmet):
-            class_degree(sub, 3)
+            class_degree(sub)
 
     def test_monotone_under_extension(self, xor2):
         # depth can only drop when the block grows on either side
@@ -371,7 +370,7 @@ class TestClassDegree:
 class TestPeriodicPointDegree:
     def test_xor2_zero_point(self, xor2):
         p = PeriodicPoint.make(Block(("0",)), 0)
-        est = periodic_point_relative_degree(xor2, p, 8)
+        est = periodic_point_relative_degree(xor2, p)
         assert (est.value, est.certified) == (1, True)
 
     def test_identity_extension_counts_fiber_tracks(self, xor2):
@@ -379,7 +378,7 @@ class TestPeriodicPointDegree:
 
         t = identity_extension(xor2.phi)
         p = PeriodicPoint.make(Block(("0",)), 0)
-        est = periodic_point_relative_degree(t, p, 8)
+        est = periodic_point_relative_degree(t, p)
         # the 00-track and the 11-track over (0)^oo never communicate
         assert (est.value, est.certified) == (2, True)
 
@@ -394,7 +393,7 @@ class TestPeriodicPointDegree:
 
         monkeypatch.setattr(fiber, "union_table", counting_union_table)
         p = PeriodicPoint.make(Block(("0",) * 39 + ("1",)), 0)
-        est = periodic_point_relative_degree(xor2, p, 8)
+        est = periodic_point_relative_degree(xor2, p)
         assert (est.value, est.minimal_block.text()) == (1, "00000")
         # in each direction, phi's track steps through one table per Y
         # letter and pi's through one per letter of psi's image, whatever
@@ -416,19 +415,19 @@ class TestPeriodicPointDegree:
         for cycle in ("1", "011"):
             # each point carries 11, which the golden mean shift forbids
             with pytest.raises(EmptyFiber):
-                periodic_point_relative_degree(t, PeriodicPoint.make(tuple(cycle)), 4)
-        est = periodic_point_relative_degree(t, PeriodicPoint.make(("0", "1")), 4)
+                periodic_point_relative_degree(t, PeriodicPoint.make(tuple(cycle)))
+        est = periodic_point_relative_degree(t, PeriodicPoint.make(("0", "1")))
         assert est.value == 1
 
     def test_phase_letter_without_phi_preimage(self):
         t = self._unchecked_triple(VertexShift.full_shift(("a",)), {"a": "0"})
         with pytest.raises(EmptyFiber):
-            periodic_point_relative_degree(t, PeriodicPoint.make(("1",)), 4)
+            periodic_point_relative_degree(t, PeriodicPoint.make(("1",)))
 
     def test_rejects_non_points(self, golden_identity):
         p = PeriodicPoint.make(Block(("1",)), 0)
         with pytest.raises(PreconditionUnmet):
-            periodic_point_relative_degree(golden_identity, p, 4)
+            periodic_point_relative_degree(golden_identity, p)
 
 
 class TestVerifyCertificate:
@@ -595,7 +594,7 @@ class TestScanMonotonicity:
 def test_closure_against_naive_class_degree(code):
     # the naive scan over blocks of length <= L never goes below the exact
     # value, and reaches it once L covers the witness
-    est = class_degree(code, 1)
+    est = class_degree(code)
     for L in range(1, 6):
         assert est.value <= naive_class_degree(code, L)
     assert naive_class_degree(code, len(est.minimal_block)) == est.value
@@ -722,12 +721,12 @@ def test_degree_fingerprint():
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 201)]
     for t in triples:
-        for est in [class_degree(code, 8) for code in (t.phi, t.psi, t.pi)] + [
-            relative_class_degree(t, 8)
+        for est in [class_degree(code) for code in (t.phi, t.psi, t.pi)] + [
+            relative_class_degree(t)
         ]:
             h.update(repr((est.value, est.minimal_block.symbols)).encode() + b"\n")
         for code in (t.phi, t.psi, t.pi):
-            m = find_magic_block(code, 8)
+            m = find_magic_block(code)
             h.update(repr((m.value, m.block.symbols, m.coordinate)).encode() + b"\n")
     assert h.hexdigest() == (
         "b8a32fd0b073c326ea3562c7668c31659efb45bcb0fa58eac9d085530464ad7d"
@@ -741,7 +740,7 @@ def test_relative_degree_on_fifteen_domain_symbols():
         TripleGenSpec(seed=2, y_symbols=5, blowup_max=3, z_symbols=2, edge_density=0.5)
     )
     assert len(t.X.alphabet) == 15
-    est = relative_class_degree(t, 8, cap=5_000)
+    est = relative_class_degree(t, cap=5_000)
     assert (est.value, est.minimal_block.text()) == (1, "y3·y0·y2·y4·y0·y2·y4·y4")
 
 
@@ -798,11 +797,11 @@ def test_lazy_levels_on_generated_triples():
 
         def run():
             for code in (t.phi, t.psi, t.pi):
-                _assert_value_one_stops_at_its_block(class_degree(code, 8))
-                m = find_magic_block(code, 8)
+                _assert_value_one_stops_at_its_block(class_degree(code))
+                m = find_magic_block(code)
                 if m.value == 1:
                     assert m.certified.scanned_length <= len(m.block)
-            _assert_value_one_stops_at_its_block(relative_class_degree(t, 8))
+            _assert_value_one_stops_at_its_block(relative_class_degree(t))
 
         _assert_lazy_levels_prove_the_minimum(run)
 
@@ -811,8 +810,8 @@ def test_lazy_levels_on_generated_triples():
 @given(small_codes())
 def test_lazy_levels_on_small_codes(code):
     def run():
-        _assert_value_one_stops_at_its_block(class_degree(code, 1))
-        find_magic_block(code, 1)
+        _assert_value_one_stops_at_its_block(class_degree(code))
+        find_magic_block(code)
 
     _assert_lazy_levels_prove_the_minimum(run)
 
@@ -824,7 +823,7 @@ def test_lazy_levels_on_deep_periodic_points():
         y = PeriodicPoint.make(yblock(t, cycle), 0)
 
         def run():
-            est = periodic_point_relative_degree(t, y, 12)
+            est = periodic_point_relative_degree(t, y)
             assert (est.value, len(est.minimal_block)) == (1, 12)
             _assert_value_one_stops_at_its_block(est)
 
@@ -845,10 +844,10 @@ def test_minimum_at_the_seeds_builds_no_table(monkeypatch):
     monkeypatch.setattr(fiber_module, "union_table", counting_union_table)
     t = generate_triple(spec_for_seed(197))
     assert len(t.X.alphabet) <= fiber_module.WALK_TABLE_SYMBOLS
-    for est in (relative_class_degree(t, 8), class_degree(t.phi, 8)):
+    for est in (relative_class_degree(t), class_degree(t.phi)):
         assert (est.value, est.minimal_block.text(), est.scanned_length) == (1, "y2", 1)
     assert built == []
-    assert class_degree(t.pi, 8).value == 1
+    assert class_degree(t.pi).value == 1
     assert built
 
 
@@ -857,16 +856,16 @@ def test_value_one_is_proved_before_the_cap():
     # left at level 14 and the right at level 13, but a relative-depth-1
     # block of length 10 proves the minimum first
     t = generate_triple(TripleGenSpec(4, y_symbols=4, blowup_max=5, z_symbols=2))
-    est = relative_class_degree(t, 8, cap=20_000)
+    est = relative_class_degree(t, cap=20_000)
     assert (est.value, est.minimal_block.text()) == (1, "y0·y1·y1·y1·y1·y1·y1·y1·y1·y1")
     assert est.scanned_length <= 10
 
 
 def test_cap_names_the_level_it_reached(xor2):
     with pytest.raises(ResourceLimit, match="^closure states exceeded the cap of 2 at level 3$"):
-        class_degree(xor2.pi, 8, cap=2)
+        class_degree(xor2.pi, cap=2)
     with pytest.raises(ResourceLimit, match="^closure states exceeded the cap of 2 at level 2$"):
-        relative_class_degree(xor2, 8, cap=2)
+        relative_class_degree(xor2, cap=2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -353,6 +353,16 @@ class TestCliBasics:
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
 
+    def test_no_subcommand_takes_a_scan_length(self, capsys):
+        commands = (
+            "depth", "rdepth", "class-degree", "relative", "magic", "bridge",
+            "classes-fixed", "verify", "generate", "dump",
+        )
+        for command in commands:
+            code, out, _ = run_cli(capsys, command, "--help")
+            assert code == 0 and "usage: sftcd " + command in out
+            assert "--max-len" not in out
+
     def test_usage_errors(self, capsys):
         assert run_cli(capsys)[0] == 2
         assert run_cli(capsys, "nope")[0] == 2
@@ -372,10 +382,23 @@ class TestCliBasics:
             assert err.startswith("error: ") and re.search(match, err)
 
     def test_magic_and_dump_need_a_source(self, capsys):
-        code, _, err = run_cli(capsys, "magic")
-        assert code == 2 and "--code or --triple" in err
-        code, _, err = run_cli(capsys, "dump")
-        assert code == 2 and "--triple or --system" in err
+        # exactly one source: neither, or both, is a usage error
+        sources = {
+            "magic": ("--code", "builtin:xor2/phi", "--triple", "builtin:xor2"),
+            "dump": ("--triple", "builtin:xor2", "--system", "no-such-system.json"),
+        }
+        for command, (a, a_value, b, b_value) in sources.items():
+            code, out, err = run_cli(capsys, command)
+            assert (code, out) == (2, "")
+            assert f"one of the arguments {a} {b} is required" in err
+            code, out, err = run_cli(capsys, command, a, a_value, b, b_value)
+            assert (code, out) == (2, "")
+            assert f"argument {b}: not allowed with argument {a}" in err
+            for option in (a, b):
+                # an empty source is given, and unreadable
+                code, out, err = run_cli(capsys, command, option, "")
+                assert (code, out) == (2, "")
+                assert err.startswith("error: cannot read") and "Traceback" not in err
 
 
 class TestCliMeasures:
@@ -614,7 +637,7 @@ class TestCliDocuments:
 class TestCliVerify:
     def test_builtin_corpus(self, capsys):
         code, out, err = run_cli(
-            capsys, "verify", "--corpus", "builtin", "--max-len", "6"
+            capsys, "verify", "--corpus", "builtin"
         )
         assert code == 0
         lines = [l for l in out.splitlines() if l]
@@ -627,7 +650,7 @@ class TestCliVerify:
     def test_seeds_with_jobs(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "verify", "--seeds", "3..4", "--max-len", "6", "--jobs", "2",
+            "verify", "--seeds", "3..4", "--jobs", "2",
         )
         assert code == 0
         ids = [json.loads(l)["case_id"] for l in out.splitlines() if l]
@@ -651,7 +674,7 @@ class TestCliVerify:
             )
         )
         code, out, _ = run_cli(
-            capsys, "verify", "--gen", str(path), "--max-len", "6"
+            capsys, "verify", "--gen", str(path)
         )
         assert code == 0
         assert any("gen:5/" in l for l in out.splitlines())
@@ -664,7 +687,10 @@ class TestCliVerify:
         assert run_cli(capsys, "verify")[0] == 2
         assert run_cli(capsys, "verify", "--seeds", "5..2")[0] == 2
         assert run_cli(capsys, "verify", "--seeds", "a..b")[0] == 2
-        assert run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "0")[0] == 2
+        # the scan length is gone: --max-len is an unknown option
+        code, out, err = run_cli(capsys, "verify", "--seeds", "1..2", "--max-len", "6")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --max-len 6" in err
         for jobs in ("0", "-1"):
             code, out, err = run_cli(
                 capsys, "verify", "--seeds", "3..3", "--jobs", jobs
@@ -676,12 +702,12 @@ class TestCliVerify:
         cache = tmp_path / "cache"
         monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
         code, out1, _ = run_cli(
-            capsys, "verify", "--seeds", "3..3", "--max-len", "6"
+            capsys, "verify", "--seeds", "3..3"
         )
         assert code == 0
         assert any(cache.iterdir())
         code, out2, _ = run_cli(
-            capsys, "verify", "--seeds", "3..3", "--max-len", "6"
+            capsys, "verify", "--seeds", "3..3"
         )
         assert code == 0
         assert sorted(out1.splitlines()) == sorted(out2.splitlines())
@@ -715,18 +741,18 @@ class TestCliVerify:
             real_replace(src, dst)
 
         monkeypatch.setattr(cli.os, "replace", replace)
-        assert run_cli(capsys, "verify", "--seeds", "3..4", "--max-len", "6")[0] == 0
+        assert run_cli(capsys, "verify", "--seeds", "3..4")[0] == 0
         assert moves == [(str(cache), str(cache))] * 2
         assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
 
     def test_unreadable_cache_entry_is_a_miss(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
-        code, out1, _ = run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "6")
+        code, out1, _ = run_cli(capsys, "verify", "--seeds", "3..3")
         assert code == 0
         (entry,) = cache.iterdir()
         entry.write_text("{half written")
-        code, out2, err = run_cli(capsys, "verify", "--seeds", "3..3", "--max-len", "6")
+        code, out2, err = run_cli(capsys, "verify", "--seeds", "3..3")
         assert code == 0
         assert "unreadable cache entry" in err and "Traceback" not in err
         assert out2 == out1
@@ -771,7 +797,7 @@ class TestCliVerify:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
         assert f"unreadable cache entry {entry.name}" in err
-        assert "cases 6:" in err and "Traceback" not in err
+        assert "2 cases, 6 reports:" in err and "Traceback" not in err
         assert out == warm
         assert entry.read_text() == good
 

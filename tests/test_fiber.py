@@ -182,26 +182,26 @@ class TestSymbolCount:
 
 class TestMagicBlock:
     def test_xor2_phi(self, xor2):
-        res = find_magic_block(xor2.phi, 6)
+        res = find_magic_block(xor2.phi)
         assert (res.block.text(), res.coordinate, res.value) == ("0", 1, 2)
         assert res.certified.certified
 
     def test_trivial_pi_floor_is_alphabet_size(self, xor2):
         # every coordinate of every preimage can carry any of the four
         # symbols, so no block does better than 4
-        res = find_magic_block(xor2.pi, 5)
+        res = find_magic_block(xor2.pi)
         assert res.value == 4
         assert res.block.text() == "z"
         assert res.coordinate == 1
         assert res.certified.certified
 
     def test_mod3_phi(self, mod3):
-        res = find_magic_block(mod3.phi, 6)
+        res = find_magic_block(mod3.phi)
         assert res.value == 3
         assert res.certified.certified
 
     def test_identity_is_instantly_magic(self, golden_identity):
-        res = find_magic_block(golden_identity.phi, 4)
+        res = find_magic_block(golden_identity.phi)
         assert res.value == 1
         assert len(res.block) == 1
         assert res.certified.certified
@@ -209,7 +209,7 @@ class TestMagicBlock:
     def test_counts_lower_bound_fiber_spread(self, xor2, mod3):
         # the reported value equals the count seen at the block itself
         for triple in (xor2, mod3):
-            res = find_magic_block(triple.phi, 5)
+            res = find_magic_block(triple.phi)
             assert (
                 preimage_symbol_count(triple.phi, res.block, res.coordinate)
                 == res.value
@@ -218,14 +218,14 @@ class TestMagicBlock:
 
 class TestDegreeFiniteToOne:
     def test_xor2_phi_degree(self, xor2):
-        assert degree_finite_to_one(xor2.phi, 6) == 2
+        assert degree_finite_to_one(xor2.phi) == 2
 
     def test_mod3_phi_degree(self, mod3):
-        assert degree_finite_to_one(mod3.phi, 6) == 3
+        assert degree_finite_to_one(mod3.phi) == 3
 
     def test_rejects_infinite_to_one(self, xor2):
         with pytest.raises(NotFiniteToOne):
-            degree_finite_to_one(xor2.psi, 6)
+            degree_finite_to_one(xor2.psi)
 
 
 class TestFiberInvariants:
@@ -275,4 +275,4 @@ class TestFiberInvariants:
                 periodic_preimage_points(t.phi, p)
                 for p in periodic_points_of(t.Y, 6)
             )
-            assert best == degree_finite_to_one(t.phi, 8) == expect
+            assert best == degree_finite_to_one(t.phi) == expect

@@ -103,7 +103,7 @@ class TestChainCode:
 
 class TestChecks:
     def test_xor2_main_identity(self, xor2):
-        rep = check_main_identity(xor2, 6, case_id="xor2")
+        rep = check_main_identity(xor2, case_id="xor2")
         assert rep.verdict == "pass"
         by_name = {c.name: c for c in rep.checks}
         assert set(by_name) == {
@@ -116,23 +116,23 @@ class TestChecks:
         assert rep.values["phi"].value == 2
 
     def test_mod3_composite_bound_detail(self, mod3):
-        rep = check_main_identity(mod3, 6)
+        rep = check_main_identity(mod3)
         assert rep.verdict == "pass"
         by_name = {c.name: c for c in rep.checks}
         assert by_name["composite-upper-bound"].detail == "strict: 1 vs 1*3"
 
     def test_xor2_special_cases_all_skipped(self, xor2):
-        rep = check_special_cases(xor2, 6)
+        rep = check_special_cases(xor2)
         assert rep.verdict == "pass"
         assert [c.verdict for c in rep.checks] == ["skipped"] * 3
 
     def test_identity_triple_special_cases_apply(self, golden_identity):
         assert is_finite_to_one(golden_identity.psi)
-        rep = check_special_cases(golden_identity, 4)
+        rep = check_special_cases(golden_identity)
         assert [c.verdict for c in rep.checks] == ["pass"] * 3
 
     def test_chain_identity_with_identity_tail(self, xor2):
-        rep = check_chain_identity(xor2, identity_code(xor2.Z_shift), 6)
+        rep = check_chain_identity(xor2, identity_code(xor2.Z_shift))
         assert rep.verdict == "pass"
         assert set(rep.values) == {
             "pi_over_varphi",
@@ -143,7 +143,7 @@ class TestChecks:
     def test_seed17_main_identity_is_conclusive(self):
         # a length-8 scan left pi at 2 here; the exact value is 1
         t = generate_triple(spec_for_seed(17))
-        rep = check_main_identity(t, 8)
+        rep = check_main_identity(t)
         assert [c.verdict for c in rep.checks] == ["pass"] * 4
         assert {k: e.value for k, e in rep.values.items()} == {
             "pi": 1, "phi": 3, "psi": 1, "relative": 1,
@@ -151,9 +151,59 @@ class TestChecks:
         assert all(e.certified for e in rep.values.values())
 
     def test_degrees_are_cached(self, xor2):
-        a = triple_degrees(xor2, 6)
-        b = triple_degrees(xor2, 6)
+        a = triple_degrees(xor2)
+        b = triple_degrees(xor2)
         assert a["phi"] is b["phi"]
+
+
+class TestScanLengthRetired:
+    def test_scan_length_slots_are_unread(self, xor2):
+        # the five functions that keep a max_len slot give the same result
+        # without a scan length and with any one, 0 included
+        from sftcd.core import PeriodicPoint
+        from sftcd.depth import (
+            class_degree,
+            periodic_point_relative_degree,
+            relative_class_degree,
+        )
+        from sftcd.fiber import find_magic_block
+
+        point = PeriodicPoint.make(("0", "1"))
+        case = HarnessCase("xor2", "builtin", "xor2", checks=("main", "special"))
+        calls = (
+            (class_degree, (xor2.pi,)),
+            (relative_class_degree, (xor2,)),
+            (periodic_point_relative_degree, (xor2, point)),
+            (find_magic_block, (xor2.phi,)),
+        )
+        for fn, args in calls:
+            expected = fn(*args)
+            for scan in (0, 1, 8):
+                assert fn(*args, scan) == expected, (fn.__name__, scan)
+
+        def summary(reports):
+            return [(r.case_id, r.values, r.checks) for r in reports]
+
+        expected = summary(run_case(case))
+        for scan in (0, 1, 8):
+            assert summary(run_case(case, scan)) == expected
+
+    def test_old_positional_scan_lengths_raise(self, xor2):
+        from sftcd.fiber import degree_finite_to_one
+
+        cases = [HarnessCase("xor2", "builtin", "xor2")]
+        with pytest.raises(TypeError):
+            run_suite(cases, 8)
+        with pytest.raises(TypeError):
+            check_main_identity(xor2, 8)
+        with pytest.raises(TypeError):
+            check_special_cases(xor2, 8)
+        with pytest.raises(TypeError):
+            check_chain_identity(xor2, identity_code(xor2.Z_shift), 8)
+        with pytest.raises(TypeError):
+            triple_degrees(xor2, 8)
+        with pytest.raises(TypeError):
+            degree_finite_to_one(xor2.phi, 8)
 
 
 class TestReportShape:
@@ -167,20 +217,17 @@ class TestReportShape:
 
 class TestSuite:
     def test_builtin_corpus_passes(self):
-        summary = run_suite(builtin_cases(), 6)
+        summary = run_suite(builtin_cases())
         assert summary.ok
         assert summary.count("fail") == 0
-        d = summary.to_dict()
-        assert d["cases"] == len(summary.reports)
-        assert d["failed_cases"] == []
 
     def test_parallel_matches_serial(self):
         cases = [
             HarnessCase(f"seed-{s}", "generated", gen=spec_for_seed(s), chain_seed=s)
             for s in (1, 2, 3, 4)
         ]
-        serial = run_suite(cases, 6, jobs=1)
-        parallel = run_suite(cases, 6, jobs=2)
+        serial = run_suite(cases, jobs=1)
+        parallel = run_suite(cases, jobs=2)
         assert [r.case_id for r in serial.reports] == [
             r.case_id for r in parallel.reports
         ]
@@ -201,12 +248,12 @@ class TestSuite:
             HarnessCase(f"seed-{s}", "generated", gen=spec_for_seed(s))
             for s in range(n, 0, -1)
         ]
-        parallel = run_suite(cases, 6, jobs=2)
+        parallel = run_suite(cases, jobs=2)
         assert [r.case_id for r in parallel.reports] == [
             f"{c.case_id}/main" for c in cases
         ]
         assert [r.values["pi"].value for r in parallel.reports] == [
-            r.values["pi"].value for r in run_suite(cases, 6).reports
+            r.values["pi"].value for r in run_suite(cases).reports
         ]
 
     def test_batches_follow_the_cases_and_jobs(self, monkeypatch):
@@ -244,17 +291,17 @@ class TestSuite:
             "b", "builtin", "xor2", checks=("chain",), chain_seed=3
         )
         for case in (ident, gen):
-            reports = run_case(case, 6)
+            reports = run_case(case)
             assert len(reports) == 1
             assert reports[0].verdict == "pass"
 
     def test_archive_only_on_failure(self, tmp_path):
         case = HarnessCase("good", "builtin", "xor2", checks=("main",))
-        run_case(case, 6, archive_dir=tmp_path)
+        run_case(case, archive_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PreconditionUnmet):
-            run_case(HarnessCase("x", "nope"), 4)
+            run_case(HarnessCase("x", "nope"))
         with pytest.raises(PreconditionUnmet):
-            run_case(HarnessCase("x", "builtin", "xor2", checks=("bogus",)), 4)
+            run_case(HarnessCase("x", "builtin", "xor2", checks=("bogus",)))

@@ -334,4 +334,7 @@ def test_every_submodule_is_a_package_attribute():
     names = [info.name for info in pkgutil.iter_modules(sftcd.__path__)]
     assert "depth" in names
     for name in names:
-        assert getattr(sftcd, name) is importlib.import_module(f"sftcd.{name}"), name
+        # importing the submodule binds it on the package unless a name
+        # defined in sftcd/__init__.py shadows it
+        module = importlib.import_module(f"sftcd.{name}")
+        assert getattr(sftcd, name) is module, name
