@@ -162,9 +162,11 @@ def cmd_relative(args):
 
 def cmd_magic(args):
     if args.code is not None:
+        if args.which is not None:
+            raise ParseError("--which picks a code of --triple, not of --code")
         code = _code_from_arg(args.code)
     else:
-        code = _pick(_triple_from_arg(args.triple), args.which)
+        code = _pick(_triple_from_arg(args.triple), args.which or "phi")
     res = find_magic_block(code)
     _emit(res)
     _note(f"preimage symbol count {res.value} at coordinate {res.coordinate}")
@@ -409,7 +411,9 @@ def _build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--code", help="code document path or builtin:NAME[/phi|psi|pi]")
     source.add_argument("--triple", help="triple document path or builtin:NAME")
-    p.add_argument("--which", choices=("phi", "psi", "pi"), default="phi")
+    p.add_argument(
+        "--which", choices=("phi", "psi", "pi"), help="code of --triple (default: phi)"
+    )
     p.set_defaults(func=cmd_magic)
 
     p = sub.add_parser("bridge", help="bounded bridge search between periodic points")

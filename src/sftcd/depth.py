@@ -57,10 +57,10 @@ from .codes import CodeTriple, check_onto
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
-    _block_sides,
+    _block_minimum,
     _check_word,
-    _closure_minimum,
-    _side_closures,
+    _letter_masks,
+    _side_minimum,
     forward_layers,
     iter_fiber,
     pruned_layers,
@@ -389,11 +389,11 @@ def _routing_score(rows, cols, limit):
     return None if mask is None else mask.bit_count()
 
 
-def _closure_degree(sides, alphabet):
-    """Exact minimum depth over the side closures.  Endpoint pairs come
-    from the first track and routing sets from the last, so one track
-    gives absolute depth and a (phi, pi) pair of tracks relative depth."""
-    found = _closure_minimum(sides, _routing_score)
+def _closure_degree(found, alphabet):
+    """The estimate of a side-closure minimum of _routing_score, whose
+    words are indices into alphabet.  Endpoint pairs come from the first
+    track and routing sets from the last, so one track gives absolute
+    depth and a (phi, pi) pair of tracks relative depth."""
     if found is None:
         return None
     value, word, _, depth = found
@@ -414,7 +414,9 @@ def class_degree(code, max_len=None, cap=DEFAULT_CAP):
     """
     _scan_preconditions(code)
     letters = code.codomain_alphabet.symbols
-    est = _closure_degree(_block_sides(((code, letters),), cap), letters)
+    tracks = (_letter_masks(code, letters),)
+    found = _block_minimum(code.domain, tracks, _routing_score, cap)
+    est = _closure_degree(found, letters)
     if est is None:
         raise EmptyFiber("the code has an empty image language")
     return est
@@ -426,8 +428,12 @@ def relative_class_degree(triple, max_len=None, cap=DEFAULT_CAP):
     stopping, certification, cap and scanned_length rules as
     class_degree, and the same unread max_len slot."""
     letters = triple.phi.codomain_alphabet.symbols
-    tracks = ((triple.phi, letters), (triple.pi, triple.psi_word(letters)))
-    est = _closure_degree(_block_sides(tracks, cap), letters)
+    tracks = (
+        _letter_masks(triple.phi, letters),
+        _letter_masks(triple.pi, triple.psi_word(letters)),
+    )
+    found = _block_minimum(triple.X, tracks, _routing_score, cap)
+    est = _closure_degree(found, letters)
     if est is None:
         raise EmptyFiber("phi has an empty image language")
     return est
@@ -442,22 +448,18 @@ def periodic_point_relative_degree(triple, y, max_len=None, cap=DEFAULT_CAP):
     if not is_point_of(triple.Y, y):
         raise PreconditionUnmet(f"{y.text()} is not a point of Y")
     cycle = y.cycle.symbols
-    period = len(cycle)
     # a path through |X| + 1 turns of the cycle repeats a (phase, symbol)
     # pair, so it exists exactly when y, and with it every block of y,
     # has a phi-preimage
     if forward_layers(triple.phi, cycle * (len(triple.X.alphabet) + 1)) is None:
         raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
-    tracks = ((triple.phi, cycle), (triple.pi, triple.psi_word(cycle)))
-    labels = [triple.Y.alphabet.index(s) for s in cycle]
-    sides = _side_closures(
-        tracks,
-        labels,
-        lambda p: ((p + 1) % period,),
-        lambda p: ((p - 1) % period,),
-        cap,
+    tracks = (
+        _letter_masks(triple.phi, cycle),
+        _letter_masks(triple.pi, triple.psi_word(cycle)),
     )
-    return _closure_degree(sides, triple.Y.alphabet.symbols)
+    labels = map(triple.Y.alphabet.index, cycle)
+    found = _side_minimum(triple.X, tracks, labels, True, _routing_score, cap)
+    return _closure_degree(found, triple.Y.alphabet.symbols)
 
 
 def _spells(code, word, block):

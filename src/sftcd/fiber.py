@@ -20,12 +20,16 @@ least any score takes, so such a minimum is proved without growing the
 closures to their end.
 
 A closure steps every row or column by a table lookup: per track, letter
-and direction it builds a union_table of the domain's successor or
+mask and direction it builds a union_table of the domain's successor or
 predecessor masks with the letter's mask folded in (domains past
 WALK_TABLE_SYMBOLS symbols step through the byte tables instead), on its
 first step past the one-letter seeds.  Those tables live only as long as
 one closure; kept on the codes, they would stay alive with every code the
-harness caches hold.
+harness caches hold.  What is kept is the minimum: the closures read
+nothing but the domain's successor masks and each track's letter masks,
+so _side_minimum keeps each minimum under those, the slot labels, the
+walk, the score and the cap, and answers a repeated question without
+growing a side.
 """
 from __future__ import annotations
 
@@ -74,12 +78,22 @@ def pruned_layers(code, word):
 # 1024 entries per letter costs less than a second lookup on every step
 WALK_TABLE_SYMBOLS = 10
 
+# side-closure minima by their whole input, oldest first: _side_minimum
+# keeps at most MINIMA_KEPT of them
+_MINIMA = {}
+MINIMA_KEPT = 4096
 
-def _row_stepper(code, letter, back):
+
+def _letter_masks(code, letters):
+    """Per slot, the mask of the domain symbols that code sends to the
+    slot's letter: one track of a side closure."""
+    return tuple(map(code.letter_mask, letters))
+
+
+def _row_stepper(domain, keep, back):
     """One row of a fiber-matrix step (back: one column): the successors
-    (predecessors) of a mask that carry letter, read off a table with the
-    letter mask folded in."""
-    domain, keep = code.domain, code.letter_mask(letter)
+    (predecessors) of a mask within keep, a track's mask at the slot,
+    read off a table with keep folded in."""
     masks = domain.pred_masks if back else domain.succ_masks
     if len(masks) <= WALK_TABLE_SYMBOLS:
         return union_table(masks, keep).__getitem__
@@ -87,22 +101,21 @@ def _row_stepper(code, letter, back):
     return lambda mask: step(mask) & keep
 
 
-def _track_steppers(code, letters, back):
-    """_row_stepper for every slot, one per distinct letter: a cycle's
-    phases and the letters psi merges share theirs."""
-    steppers = {
-        letter: _row_stepper(code, letter, back) for letter in dict.fromkeys(letters)
-    }
-    return [steppers[letter] for letter in letters]
+def _track_steppers(domain, masks, back):
+    """_row_stepper for every slot of a track, one per distinct mask: a
+    cycle's phases and the letters psi merges share theirs."""
+    steppers = {keep: _row_stepper(domain, keep, back) for keep in dict.fromkeys(masks)}
+    return [steppers[keep] for keep in masks]
 
 
-def _side_closures(tracks, labels, follows, precedes, cap):
+def _side_closures(domain, tracks, labels, cycle, cap):
     """Left and right side closures of the fiber-matrix engine.
 
     Slots are letters, or phases of a cycle; labels[slot] is the letter
-    index a word records, and follows(slot) and precedes(slot) are the
-    slots that may come after and before it.  tracks are (code, letters)
-    with letters[slot] the code's codomain letter there; each track's
+    index a word records.  Any slot may follow any other, or, when cycle
+    is set, slot p + 1 follows slot p and slot 0 the last.  tracks hold
+    one mask per slot each: tracks[k][slot] is the set of domain symbols
+    that the k-th code sends to its letter at the slot, and each track's
     code sends the symbols carrying the first track's letter to its own.
 
     A block's fiber matrix has row s = the end symbols of its fiber paths
@@ -110,17 +123,22 @@ def _side_closures(tracks, labels, follows, precedes, cap):
     track's matrix) whose first-track row is nonzero), its right side
     (head slot, the same tuples of columns).  Appending a slot steps
     every row forwards, prepending one steps every column backwards,
-    through one table per letter and direction, built on the closure's
+    through one table per mask and direction, built on the closure's
     first step and dropped with it.  Tuples whose first track empties
     are dropped, and so is a side with none left.  Both closures start
     from the one-letter blocks, whose rows and columns are alike.
     Returns the (left, right) closures: graphs.closure generators, which
-    grow a level only when it is asked for.
+    grow a level only when it is asked for.  They read nothing but these
+    arguments and the domain's successor masks.
     """
-    first, first_letters = tracks[0]
+    slots = range(len(labels))
+    if cycle:
+        follows = [((p + 1) % len(slots),) for p in slots]
+        precedes = [((p - 1) % len(slots),) for p in slots]
+    else:
+        follows = precedes = [slots] * len(slots)
     seeds = []
-    for slot, letter in enumerate(first_letters):
-        mask = first.letter_mask(letter)
+    for slot, mask in enumerate(tracks[0]):
         if mask:
             unit = frozenset((1 << s,) * len(tracks) for s in iter_bits(mask))
             seeds.append(((slot, unit), (labels[slot],)))
@@ -134,9 +152,9 @@ def _side_closures(tracks, labels, follows, precedes, cap):
             nonlocal steppers
             if steppers is None:
                 steppers = list(
-                    zip(*(_track_steppers(code, ls, back) for code, ls in tracks))
+                    zip(*(_track_steppers(domain, masks, back) for masks in tracks))
                 )
-            for slot in nexts(side[0]):
+            for slot in nexts[side[0]]:
                 step = steppers[slot]
                 moved = (tuple(f(m) for f, m in zip(step, vec)) for vec in side[1])
                 vecs = frozenset(vec for vec in moved if vec[0])
@@ -152,10 +170,39 @@ def _side_closures(tracks, labels, follows, precedes, cap):
     )
 
 
-def _block_sides(tracks, cap):
-    """Side closures over every block of the first track's codomain."""
-    letters = range(len(tracks[0][1]))
-    return _side_closures(tracks, letters, lambda _: letters, lambda _: letters, cap)
+def _side_minimum(domain, tracks, labels, cycle, score, cap):
+    """_closure_minimum of score over _side_closures(domain, tracks,
+    labels, cycle, cap), computed once per distinct question.
+
+    A last track whose masks equal the first track's slot by slot (psi
+    one-to-one on phi's letters) is dropped first: its rows would repeat
+    the first track's in every tuple, so score reads the same sets from
+    the one track, and the closures grow the same levels.  The minimum
+    is then kept in _MINIMA under everything the closures and score
+    read: the domain's successor masks (its predecessor masks and step
+    tables follow from them), the tracks, labels, cycle, score and cap.
+    Words are label indices, so equal keys give equal answers whatever
+    the symbols are called, and a relative degree over a one-to-one psi
+    shares the absolute degree's entry.  A closure that passes cap
+    raises ResourceLimit and keeps nothing.
+    """
+    if tracks[-1] == tracks[0]:
+        tracks = tracks[:1]
+    labels = tuple(labels)
+    key = (domain.succ_masks, tracks, labels, cycle, score, cap)
+    if key in _MINIMA:
+        return _MINIMA[key]
+    found = _closure_minimum(_side_closures(domain, tracks, labels, cycle, cap), score)
+    if len(_MINIMA) >= MINIMA_KEPT:
+        del _MINIMA[next(iter(_MINIMA))]
+    _MINIMA[key] = found
+    return found
+
+
+def _block_minimum(domain, tracks, score, cap):
+    """_side_minimum over every block of the first track's codomain: one
+    slot per letter, in alphabet order."""
+    return _side_minimum(domain, tracks, range(len(tracks[0])), False, score, cap)
 
 
 def _closure_minimum(sides, score):
@@ -322,7 +369,8 @@ def find_magic_block(code, max_len=None, cap=DEFAULT_CAP):
     stays only for callers that still pass a scan length positionally.
     """
     letters = code.codomain_alphabet.symbols
-    found = _closure_minimum(_block_sides(((code, letters),), cap), _magic_score)
+    tracks = (_letter_masks(code, letters),)
+    found = _block_minimum(code.domain, tracks, _magic_score, cap)
     if found is None:
         raise InvalidBlock("codomain language is empty")
     value, word, coordinate, depth = found

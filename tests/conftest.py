@@ -15,9 +15,17 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import sftcd.fiber as fiber_module
 from sftcd.codes import CodeTriple, OneBlockCode
 from sftcd.core import VertexShift
 from sftcd.corpus import builtin_triple
+
+
+@pytest.fixture(autouse=True)
+def fresh_minima():
+    """Every test starts with no side-closure minimum kept, so whether a
+    closure runs never depends on the tests before it."""
+    fiber_module._MINIMA.clear()
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,12 @@ from sftcd.errors import (
     UnknownSymbol,
 )
 from sftcd.fiber import find_magic_block, iter_fiber, pruned_layers
-from sftcd.harness import TripleGenSpec, generate_triple, spec_for_seed
+from sftcd.harness import (
+    TripleGenSpec,
+    generate_chain_code,
+    generate_triple,
+    spec_for_seed,
+)
 
 
 def yblock(triple, text):
@@ -763,7 +768,6 @@ def _closure_minima(run, eager):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fiber_module, "_closure_minimum", recording)
-        m.setattr(depth_module, "_closure_minimum", recording)
         if eager:
             m.setattr(fiber_module, "closure", grown)
         run()
@@ -774,7 +778,10 @@ def _assert_lazy_levels_prove_the_minimum(run):
     # levels pulled on demand give the minimum of the full closures, and
     # the depth reports the levels pulled: at most the witness's length
     # when the value is 1, every level of both closures otherwise
+    # each run starts with no minimum kept, or it reads the one before's
+    fiber_module._MINIMA.clear()
     lazy, _ = _closure_minima(run, eager=False)
+    fiber_module._MINIMA.clear()
     eager, full = _closure_minima(run, eager=True)
     assert lazy == eager and len(full) == 2 * len(lazy)
     for (value, word, _, pulled), left, right in zip(lazy, full[::2], full[1::2]):
@@ -917,3 +924,104 @@ def test_lex_path_through_is_the_least_fiber_path():
                         asked += 1
                         found += path is not None
     assert 0 < found < asked
+
+
+def _summary(est):
+    return est.value, est.minimal_block, est.scanned_length
+
+
+def test_kept_minima_answer_as_fresh_closures_do():
+    # the estimates a verify case asks for: class degrees of phi, psi and
+    # pi, the relative degree and the chain check's three relatives over
+    # its chain code (the identity of Z for a builtin).  Each is computed
+    # once with no minimum kept, then all of them in one run that keeps
+    # every minimum and reads repeats back; value, block and
+    # scanned_length must agree question by question, and the run must
+    # have been served from the memo
+    cases = [
+        (builtin_triple(name), identity_code(builtin_triple(name).Z_shift))
+        for name in BUILTIN_NAMES
+    ]
+    for seed in range(1, 201):
+        t = generate_triple(spec_for_seed(seed))
+        w = 1 + seed % len(t.Z_shift.alphabet)
+        cases.append((t, generate_chain_code(t, seed, w)))
+    calls = []
+    for t, varphi in cases:
+        calls += [(class_degree, code) for code in (t.phi, t.psi, t.pi)]
+        calls += [
+            (relative_class_degree, triple)
+            for triple in (
+                t,
+                CodeTriple.build(t.pi, varphi),
+                CodeTriple.build(t.psi, varphi),
+                CodeTriple.build(t.phi, compose(t.psi, varphi)),
+            )
+        ]
+    cold = []
+    for f, subject in calls:
+        fiber_module._MINIMA.clear()
+        cold.append(_summary(f(subject)))
+    fiber_module._MINIMA.clear()
+    warm = [_summary(f(subject)) for f, subject in calls]
+    assert warm == cold
+    assert len(fiber_module._MINIMA) < len(calls) // 2
+
+
+def test_kept_minima_are_keyed_by_the_cap(xor2):
+    # a minimum kept at the default cap must not answer a smaller cap
+    class_degree(xor2.pi)
+    relative_class_degree(xor2)
+    with pytest.raises(ResourceLimit, match="cap of 2 at level 3$"):
+        class_degree(xor2.pi, cap=2)
+    with pytest.raises(ResourceLimit, match="cap of 2 at level 2$"):
+        relative_class_degree(xor2, cap=2)
+
+
+def test_a_closure_past_its_cap_keeps_nothing(xor2):
+    for _ in range(2):
+        with pytest.raises(ResourceLimit, match="cap of 2 at level 3$"):
+            class_degree(xor2.pi, cap=2)
+        with pytest.raises(ResourceLimit, match="cap of 2 at level 2$"):
+            relative_class_degree(xor2, cap=2)
+    assert fiber_module._MINIMA == {}
+
+
+def _renamed_psi(t):
+    """t with psi a one-to-one renaming of Y's letters onto a copy of Y
+    whose alphabet lists them in reverse."""
+    names = {y: "r" + y for y in t.Y.alphabet.symbols}
+    Z = VertexShift.build(
+        [names[y] for y in reversed(t.Y.alphabet.symbols)],
+        [(names[a], names[b]) for a, b in t.Y.allowed],
+    )
+    return CodeTriple.build(t.phi, OneBlockCode.from_dict(t.Y, Z.alphabet, names, Z))
+
+
+def _kept_track_counts():
+    return [len(key[1]) for key in fiber_module._MINIMA]
+
+
+def test_a_track_that_repeats_phi_is_dropped():
+    # over a one-to-one psi, pi's masks equal phi's letter by letter: the
+    # relative closure runs on one track, the relative degree is phi's
+    # class degree from the same kept minimum, and its block's relative
+    # certificate replays
+    renamed = _renamed_psi(generate_triple(spec_for_seed(9)))
+    for t in (builtin_triple("golden_identity"), renamed):
+        fiber_module._MINIMA.clear()
+        rel = relative_class_degree(t)
+        assert _kept_track_counts() == [1]
+        assert _summary(class_degree(t.phi)) == _summary(rel)
+        assert _kept_track_counts() == [1]
+        d = relative_depth(t, rel.minimal_block)
+        assert d.value == rel.value and verify_certificate(t, d.certificate)
+
+
+def test_a_track_that_differs_from_phi_is_kept():
+    # seed 9's psi sends three letters of Y to two of Z
+    t = generate_triple(spec_for_seed(9))
+    assert len(t.Z_alphabet) < len(t.Y.alphabet)
+    relative_class_degree(t)
+    class_degree(t.phi)
+    assert _kept_track_counts() == [2, 1]

@@ -469,6 +469,23 @@ class TestCliMeasures:
         assert code == 0
         assert json.loads(out)["value"] == 3
 
+    def test_magic_which_needs_a_triple(self, capsys):
+        # --which used to be ignored with --code: phi's value 2, exit 0
+        for spelling in (("--which", "pi"), ("--which=phi",)):
+            for argv in (
+                ("--code", "builtin:xor2/phi", *spelling),
+                (*spelling, "--code", "builtin:xor2/phi"),
+            ):
+                code, out, err = run_cli(capsys, "magic", *argv)
+                assert (code, out) == (2, "")
+                assert err == "error: --which picks a code of --triple, not of --code\n"
+        values = {}
+        for argv in ((), ("--which", "phi"), ("--which=pi",)):
+            code, out, _ = run_cli(capsys, "magic", "--triple", "builtin:xor2", *argv)
+            assert code == 0
+            values[argv] = json.loads(out)["value"]
+        assert values == {(): 2, ("--which", "phi"): 2, ("--which=pi",): 4}
+
 
 class TestCliWitnesses:
     def test_bridge_found(self, capsys):
