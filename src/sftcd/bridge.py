@@ -5,7 +5,9 @@ from coordinate n on, stays in the same fiber, and fills the gap with an
 explicitly checkable middle block.  Routing certificates give bridges
 constructively: when the windows of x and x' over a presented block both
 reroute through one symbol, splicing the two rerouted witnesses at that
-symbol yields bridges in both directions.
+symbol yields bridges in both directions.  depth._codes_of names the
+codes of a mode: the windows lie in the u-code's fiber, and a bridge's
+image condition is the witness code's.
 
 Every path here comes from one search: the least path by symbol index
 through given layer masks.  A rerouted window is what
@@ -33,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .codes import CodeTriple, OneBlockCode, apply_to_block, apply_to_point
+from .codes import apply_to_block, apply_to_point
 from .core import Block, PeriodicPoint, iter_bits
-from .depth import _Reach, _least_path, RoutingCertificate
+from .depth import _Reach, _codes_of, _least_path, RoutingCertificate
 from .errors import (
     ImageMismatch,
     InvariantViolation,
@@ -77,29 +79,12 @@ class BridgeSearch:
         return self.found
 
 
-def _bridge_code(subject, mode):
-    """The code whose image condition a bridge in this mode must satisfy."""
-    if isinstance(subject, CodeTriple):
-        return subject.pi
-    if isinstance(subject, OneBlockCode):
-        if mode == "relative":
-            raise PreconditionUnmet("relative bridges need a full code triple")
-        return subject
-    raise PreconditionUnmet(f"cannot bridge against {type(subject).__name__}")
-
-
-def _u_code(subject, mode):
-    """The code whose fiber the spliced windows live in."""
-    if mode == "relative":
-        return subject.phi
-    return _bridge_code(subject, mode)
-
-
 def verify_bridge(subject, b: BridgeWitness) -> bool:
     """Mechanical replay: seam pairs allowed, middle valid and inside the
-    fiber of the shared image point.  Relative-mode class preservation is
-    recorded provenance, not re-checked here (it concerns infinite tails)."""
-    return _replays(_bridge_code(subject, b.mode), b)
+    fiber of the shared image point under the witness code of b's mode.
+    Relative-mode class preservation is recorded provenance, not
+    re-checked here (it concerns infinite tails)."""
+    return _replays(_codes_of(subject, b.mode)[1], b)
 
 
 def _replays(code, b, image=None):
@@ -150,7 +135,7 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
     giving one bridge each way: follow x, run the spliced middle, continue
     as x'; and symmetrically.  Returns the pair (x to x', x' to x).
     """
-    u_code = _u_code(subject, cert.mode)
+    u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
     length = len(cert.w)
     u = _window(x, occurrence, length)
     up = _window(xp, occurrence, length)
@@ -161,13 +146,9 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
             )
     # one reach serves both windows: backward sets for their two end
     # symbols only, and no forward sets, which lex_path_through never reads
-    if cert.mode == "relative":
-        wit_code, wit_word = subject.pi, subject.psi_word(cert.w.symbols)
-    else:
-        wit_code, wit_word = u_code, cert.w.symbols
     alphabet = u_code.domain.alphabet
     ends = (1 << alphabet.index(u.at(length))) | (1 << alphabet.index(up.at(length)))
-    wit = _Reach(wit_code, wit_word, starts=0, ends=ends)
+    wit = _Reach(wit_code, to_wit(cert.w.symbols), starts=0, ends=ends)
     v = _witness_through(wit, alphabet, cert.n, u, a)
     vp = _witness_through(wit, alphabet, cert.n, up, a)
     cut = cert.n
@@ -184,10 +165,9 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
         xp, x, occurrence - 1, occurrence + length, Block(mid_rev), cert.mode, note
     )
     # both bridges replay against one image point, computed once per end
-    code = _bridge_code(subject, cert.mode)
-    image = apply_to_point(code, x)
-    if image != apply_to_point(code, xp) or not all(
-        _replays(code, b, image) for b in (fwd, rev)
+    image = apply_to_point(wit_code, x)
+    if image != apply_to_point(wit_code, xp) or not all(
+        _replays(wit_code, b, image) for b in (fwd, rev)
     ):
         raise InvariantViolation("constructed bridge failed replay")
     return fwd, rev

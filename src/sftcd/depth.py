@@ -10,7 +10,11 @@ blocks gives the class degree of the code.
 In the relative flavour, attached to a composition phi then psi, the
 preimages u run over the phi-fiber of w but the witnesses v may use the
 larger fiber of the composite over psi(w).  This asymmetry is essential
-and deliberately not collapsed.
+and deliberately not collapsed.  The absolute flavour is the relative one
+over a one-to-one psi: u and v share one fiber.  _codes_of names, for
+each mode, the code of u (the u-code), the code of v (the witness code)
+and the map from w to the word v spells; every function here and in
+bridge.py runs one body for both modes on those three.
 
 All reachability is done on the layered fiber graph with bitmask layers:
 a routing set R_n(s, t) = (forward set of s at n) & (backward set of t at
@@ -53,11 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import CodeTriple, check_onto
+from .codes import CodeTriple, OneBlockCode, check_onto
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
-    _block_minimum,
     _check_word,
     _letter_masks,
     _side_minimum,
@@ -271,11 +274,13 @@ def _mask_of(alphabet, M):
     return mask
 
 
-def _routing_outcome(u_domain, u_layers, e_pairs, wit, w, m_mask, n, mode):
+def _routing_outcome(fiber, w, m_mask, n, mode):
     """Shared core of the presentation checks: route every endpoint pair
     of the u-fiber through the symbols of m_mask at n inside the witness
     reach, or name a blocker: the least u-fiber path among the pairs that
-    do not route, so the first such path in iter_fiber order."""
+    do not route, so the first such path in iter_fiber order.  fiber is
+    _routing's (u-domain, u-layers, endpoint pairs, witness reach)."""
+    u_domain, u_layers, e_pairs, wit = fiber
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
     spell = u_domain.alphabet.symbols.__getitem__
@@ -302,56 +307,76 @@ def _routing_outcome(u_domain, u_layers, e_pairs, wit, w, m_mask, n, mode):
     return RoutingCertificate(w, n, m_sorted, tuple(witnesses), mode)
 
 
-def is_presented(code, w, M, n):
-    """Certificate or refusal for routing w's own fiber through M at n."""
-    word = _check_word(code, w)
-    m_mask = _mask_of(code.domain.alphabet, M)
-    wit = _Reach(code, word)
-    if wit.empty:
-        raise EmptyFiber(f"{w.text()!r} has no preimage")
-    e_pairs = _endpoint_pairs(wit.fs)
-    return _routing_outcome(code.domain, wit.layers, e_pairs, wit, w, m_mask, n, "absolute")
+def _codes_of(subject, mode):
+    """(u-code, witness code, map from a u-word to the witness word) of
+    mode on subject: the one place that says what a mode means.
+
+    Relative mode on a triple routes w's phi-fiber through pi's fiber
+    over psi(w).  Absolute mode is relative mode over a one-to-one psi:
+    a code's fiber routes through itself, a triple's code being pi.
+    PreconditionUnmet for any other subject or mode."""
+    if mode == "relative" and isinstance(subject, CodeTriple):
+        return subject.phi, subject.pi, subject.psi_word
+    code = subject.pi if isinstance(subject, CodeTriple) else subject
+    if mode != "absolute" or not isinstance(code, OneBlockCode):
+        kind = type(subject).__name__
+        raise PreconditionUnmet(f"{mode!r} mode has no codes for a {kind}")
+    return code, code, tuple  # words are tuples: tuple returns one unchanged
 
 
-def depth(code, w):
-    """Smallest |M| presenting w at some position, with a certificate."""
-    word = _check_word(code, w)
-    wit = _Reach(code, word)
-    if wit.empty:
-        raise EmptyFiber(f"{w.text()!r} has no preimage")
-    e_pairs = _endpoint_pairs(wit.fs)
-    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(word))
-    cert = _routing_outcome(code.domain, wit.layers, e_pairs, wit, w, mask, n, "absolute")
+def _routing(subject, w, mode, M=()):
+    """((u-domain, u-fiber layers, their endpoint pairs, witness reach),
+    mask of M) for w in mode.  A witness reach on another code is built
+    for the u-fiber's endpoints only; an absolute reach is its own
+    u-fiber."""
+    u_code, wit_code, to_wit = _codes_of(subject, mode)
+    word = _check_word(u_code, w)
+    m_mask = _mask_of(u_code.domain.alphabet, M)
+    if wit_code is u_code:
+        wit = _Reach(u_code, word)
+        u_layers, fs = wit.layers, wit.fs
+    else:
+        u_layers = pruned_layers(u_code, word)
+        fs = u_layers and _forward_sets(u_code.domain, u_layers)
+        wit = u_layers and _Reach(wit_code, to_wit(word), u_layers[0], u_layers[-1])
+    if u_layers is None:
+        what = "preimage" if wit_code is u_code else "phi-preimage"
+        raise EmptyFiber(f"{w.text()!r} has no {what}")
+    return (u_code.domain, u_layers, _endpoint_pairs(fs), wit), m_mask
+
+
+def _is_presented(subject, w, M, n, mode):
+    fiber, m_mask = _routing(subject, w, mode, M)
+    return _routing_outcome(fiber, w, m_mask, n, mode)
+
+
+def _depth(subject, w, mode):
+    fiber, _ = _routing(subject, w, mode)
+    _, _, e_pairs, wit = fiber
+    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(w))
+    cert = _routing_outcome(fiber, w, mask, n, mode)
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
 
-def _relative_reach(triple, w, word):
-    """(layers, endpoint pairs) of w's phi-fiber, and the witness reach on
-    pi's fiber over psi(w) for the endpoints of that fiber."""
-    u_layers = pruned_layers(triple.phi, word)
-    if u_layers is None:
-        raise EmptyFiber(f"{w.text()!r} has no phi-preimage")
-    wit = _Reach(triple.pi, triple.psi_word(word), u_layers[0], u_layers[-1])
-    return u_layers, _endpoint_pairs(_forward_sets(triple.phi.domain, u_layers)), wit
+def is_presented(code, w, M, n):
+    """Certificate or refusal for routing w's own fiber through M at n."""
+    return _is_presented(code, w, M, n, "absolute")
+
+
+def depth(code, w):
+    """Smallest |M| presenting w at some position, with a certificate."""
+    return _depth(code, w, "absolute")
 
 
 def relative_is_presented(triple, w, M, n):
     """Like is_presented, but preimages run over the phi-fiber of w while
     witnesses may use the whole composite fiber over psi(w)."""
-    word = _check_word(triple.phi, w)
-    m_mask = _mask_of(triple.X.alphabet, M)
-    u_layers, e_pairs, wit = _relative_reach(triple, w, word)
-    return _routing_outcome(triple.X, u_layers, e_pairs, wit, w, m_mask, n, "relative")
+    return _is_presented(triple, w, M, n, "relative")
 
 
 def relative_depth(triple, w):
-    word = _check_word(triple.phi, w)
-    u_layers, e_pairs, wit = _relative_reach(triple, w, word)
-    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(w))
-    cert = _routing_outcome(triple.X, u_layers, e_pairs, wit, w, mask, n, "relative")
-    assert isinstance(cert, RoutingCertificate)
-    return DepthResult(w, size, cert)
+    return _depth(triple, w, "relative")
 
 
 def _scan_preconditions(code):
@@ -389,11 +414,22 @@ def _routing_score(rows, cols, limit):
     return None if mask is None else mask.bit_count()
 
 
-def _closure_degree(found, alphabet):
-    """The estimate of a side-closure minimum of _routing_score, whose
-    words are indices into alphabet.  Endpoint pairs come from the first
-    track and routing sets from the last, so one track gives absolute
-    depth and a (phi, pi) pair of tracks relative depth."""
+def _least_depth(subject, mode, cap, cycle=None):
+    """The estimate of the least depth in mode over every block of the
+    u-code's codomain, or over the blocks of a periodic point's cycle;
+    None when no block has a u-preimage.  The side closures carry the
+    u-code's fiber matrices over a word and the witness code's over its
+    witness word: endpoint pairs come from the first track and routing
+    sets from the last, so the two give relative depth.  In absolute
+    mode the tracks are equal and _side_minimum keeps one."""
+    u_code, wit_code, to_wit = _codes_of(subject, mode)
+    alphabet = u_code.codomain_alphabet.symbols
+    letters = alphabet if cycle is None else cycle
+    labels = range(len(alphabet)) if cycle is None else map(alphabet.index, cycle)
+    tracks = (_letter_masks(u_code, letters), _letter_masks(wit_code, to_wit(letters)))
+    found = _side_minimum(
+        u_code.domain, tracks, labels, cycle is not None, _routing_score, cap
+    )
     if found is None:
         return None
     value, word, _, depth = found
@@ -413,10 +449,7 @@ def class_degree(code, max_len=None, cap=DEFAULT_CAP):
     stays only for callers that still pass a scan length positionally.
     """
     _scan_preconditions(code)
-    letters = code.codomain_alphabet.symbols
-    tracks = (_letter_masks(code, letters),)
-    found = _block_minimum(code.domain, tracks, _routing_score, cap)
-    est = _closure_degree(found, letters)
+    est = _least_depth(code, "absolute", cap)
     if est is None:
         raise EmptyFiber("the code has an empty image language")
     return est
@@ -427,13 +460,7 @@ def relative_class_degree(triple, max_len=None, cap=DEFAULT_CAP):
     carry rows and columns of (P^phi_w, P^pi_psi(w)), with the same
     stopping, certification, cap and scanned_length rules as
     class_degree, and the same unread max_len slot."""
-    letters = triple.phi.codomain_alphabet.symbols
-    tracks = (
-        _letter_masks(triple.phi, letters),
-        _letter_masks(triple.pi, triple.psi_word(letters)),
-    )
-    found = _block_minimum(triple.X, tracks, _routing_score, cap)
-    est = _closure_degree(found, letters)
+    est = _least_depth(triple, "relative", cap)
     if est is None:
         raise EmptyFiber("phi has an empty image language")
     return est
@@ -453,13 +480,7 @@ def periodic_point_relative_degree(triple, y, max_len=None, cap=DEFAULT_CAP):
     # has a phi-preimage
     if forward_layers(triple.phi, cycle * (len(triple.X.alphabet) + 1)) is None:
         raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
-    tracks = (
-        _letter_masks(triple.phi, cycle),
-        _letter_masks(triple.pi, triple.psi_word(cycle)),
-    )
-    labels = map(triple.Y.alphabet.index, cycle)
-    found = _side_minimum(triple.X, tracks, labels, True, _routing_score, cap)
-    return _closure_degree(found, triple.Y.alphabet.symbols)
+    return _least_depth(triple, "relative", cap, cycle)
 
 
 def _spells(code, word, block):
@@ -468,13 +489,6 @@ def _spells(code, word, block):
     return tuple(map(code.symbol_map.get, path)) == word and all(
         map(code.domain.allowed.__contains__, zip(path, path[1:]))
     )
-
-
-def _codes_of(subject, mode):
-    """(u-code, witness code) of a certificate's mode."""
-    if mode == "relative":
-        return subject.phi, subject.pi
-    return subject, subject
 
 
 def verify_certificate(subject, cert):
@@ -494,10 +508,10 @@ def verify_certificate(subject, cert):
     w, n = cert.w.symbols, cert.n
     if cert.mode != ("relative" if isinstance(subject, CodeTriple) else "absolute"):
         return False
-    u_code, wit_code = _codes_of(subject, cert.mode)
+    u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
     if not 1 <= n <= len(w) or not all(map(u_code.letter_masks.__contains__, w)):
         return False
-    wit_word = w if wit_code is u_code else subject.psi_word(w)
+    wit_word = to_wit(w)
     m_set = set(cert.M)
     claimed = set()
     for s, t, v_block in cert.witnesses:
@@ -518,13 +532,15 @@ def verify_certificate(subject, cert):
 
 
 def preimages(subject, cert, cap=DEFAULT_CAP):
-    """Yield (u, v) for every preimage u of cert.w, in iter_fiber order,
-    with v the witness the certificate lists for u's endpoints; past cap
-    preimages, raise ResourceLimit.  This spells out what a replayed
-    certificate covers; making and replaying one never lists the fiber."""
+    """Iterator of (u, v) for every preimage u of cert.w, in iter_fiber
+    order, with v the witness the certificate lists for u's endpoints;
+    past cap preimages, it raises ResourceLimit.  A mode the subject has
+    no codes for raises PreconditionUnmet at the call.  This spells out
+    what a replayed certificate covers; making and replaying one never
+    lists the fiber."""
     u_code = _codes_of(subject, cert.mode)[0]
     spell = u_code.domain.alphabet.symbols.__getitem__
     by_ends = {(s, t): v for s, t, v in cert.witnesses}
-    for path in iter_fiber(u_code, pruned_layers(u_code, cert.w.symbols), cap):
-        u = tuple(map(spell, path))
-        yield Block(u), by_ends[u[0], u[-1]]
+    paths = iter_fiber(u_code, pruned_layers(u_code, cert.w.symbols), cap)
+    us = (tuple(map(spell, path)) for path in paths)
+    return ((Block(u), by_ends[u[0], u[-1]]) for u in us)

@@ -24,8 +24,8 @@ mask and direction it builds a union_table of the domain's successor or
 predecessor masks with the letter's mask folded in (domains past
 WALK_TABLE_SYMBOLS symbols step through the byte tables instead), on its
 first step past the one-letter seeds.  Those tables live only as long as
-one closure; kept on the codes, they would stay alive with every code the
-harness caches hold.  What is kept is the minimum: the closures read
+one closure; kept on the codes, they would live as long as each code
+does.  What is kept is the minimum, and it holds no code: the closures read
 nothing but the domain's successor masks and each track's letter masks,
 so _side_minimum keeps each minimum under those, the slot labels, the
 walk, the score and the cap, and answers a repeated question without

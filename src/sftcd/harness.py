@@ -12,7 +12,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 from .codes import CodeTriple, OneBlockCode, check_onto, compose, is_finite_to_one
@@ -255,23 +255,14 @@ def _check(name, ok, detail):
     return CheckResult(name, "pass" if ok else "fail", detail)
 
 
-@lru_cache(maxsize=4096)
-def _degree(code):
-    return class_degree(code)
-
-
-@lru_cache(maxsize=4096)
-def _relative(triple):
-    return relative_class_degree(triple)
-
-
 def triple_degrees(t: CodeTriple):
-    """The four headline estimates of a triple, cached per code."""
+    """The four headline estimates of a triple; a repeated question is
+    answered from the side-closure minima fiber.py keeps."""
     return {
-        "pi": _degree(t.pi),
-        "phi": _degree(t.phi),
-        "psi": _degree(t.psi),
-        "relative": _relative(t),
+        "pi": class_degree(t.pi),
+        "phi": class_degree(t.phi),
+        "psi": class_degree(t.psi),
+        "relative": relative_class_degree(t),
     }
 
 
@@ -334,9 +325,9 @@ def check_chain_identity(
     outer = CodeTriple.build(t.psi, varphi)
     inner = CodeTriple.build(t.phi, compose(t.psi, varphi))
     v = {
-        "pi_over_varphi": _relative(whole),
-        "psi_over_varphi": _relative(outer),
-        "phi_over_varphi_psi": _relative(inner),
+        "pi_over_varphi": relative_class_degree(whole),
+        "psi_over_varphi": relative_class_degree(outer),
+        "phi_over_varphi_psi": relative_class_degree(inner),
     }
     a, b, c = (e.value for e in v.values())
     checks = (_check("chain-product", a == b * c, f"{a} vs {b}*{c}"),)

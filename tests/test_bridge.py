@@ -35,6 +35,7 @@ from sftcd.errors import (
     InvariantViolation,
     NoFixedPoint,
     NotRoutable,
+    PreconditionUnmet,
     SftcdError,
     UnknownSymbol,
 )
@@ -133,6 +134,10 @@ class TestConstructBridge:
         with pytest.raises(NotRoutable):
             construct_bridge(xor2.phi, point("11"), point("11"), 1, cert, "00")
 
+    def test_relative_certificate_needs_a_triple(self, xor2, xor2_cert):
+        with pytest.raises(PreconditionUnmet):
+            construct_bridge(xor2.phi, point("00"), point("00"), 1, xor2_cert, "00")
+
     def test_bridges_carry_provenance(self, xor2, xor2_cert):
         fwd, _ = construct_bridge(
             xor2, point("00"), point("00"), 1, xor2_cert, "00"
@@ -169,6 +174,22 @@ class TestVerifyBridge:
     def test_rejects_mismatched_images(self, xor2):
         w = BridgeWitness(point("00"), point("01", "10"), 0, 2, None, "absolute")
         assert not verify_bridge(xor2.phi, w)
+
+    def test_relative_bridge_needs_a_triple(self, xor2, xor2_cert):
+        fwd, _ = construct_bridge(
+            xor2, point("00"), point("11"), 1, xor2_cert, "00"
+        )
+        with pytest.raises(PreconditionUnmet):
+            verify_bridge(xor2.phi, fwd)
+
+    def test_subject_must_be_a_code_or_a_triple(self, xor2, xor2_cert):
+        fwd, _ = construct_bridge(
+            xor2, point("00"), point("11"), 1, xor2_cert, "00"
+        )
+        absolute = BridgeWitness(fwd.left, fwd.right, fwd.m, fwd.n, fwd.middle, "absolute")
+        for b in (fwd, absolute):
+            with pytest.raises(PreconditionUnmet):
+                verify_bridge("junk", b)
 
 
 class TestBoundedBridge:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -89,6 +90,12 @@ class TestIsPresented:
         assert next(listed)[0].text() == "00·00·00"
         with pytest.raises(ResourceLimit, match="fiber larger than 1 blocks"):
             next(listed)
+
+    def test_preimages_of_a_relative_certificate_need_a_triple(self, xor2):
+        # refused at the call, before any preimage is asked for
+        cert = relative_depth(xor2, Block(("0",) * 5)).certificate
+        with pytest.raises(PreconditionUnmet):
+            preimages(xor2.phi, cert)
 
     def test_witnesses_share_endpoints(self, xor2):
         cert = is_presented(xor2.phi, yblock(xor2, "0000"), {"00", "11"}, 2)
@@ -1025,3 +1032,31 @@ def test_a_track_that_differs_from_phi_is_kept():
     relative_class_degree(t)
     class_degree(t.phi)
     assert _kept_track_counts() == [2, 1]
+
+
+def test_relative_over_a_one_to_one_psi_is_absolute():
+    # relative mode over a one-to-one psi and absolute mode take one path
+    # through depth._codes_of: on every Y block up to length 5, depth and
+    # presentation through each one-symbol M, and through all of X, at
+    # each position agree with phi's, refusal blockers included, and
+    # every certificate replays.  Seed 14 has routing sets of several
+    # symbols, and seed 17's phi has class degree 3 over nine X symbols
+    renamed = [_renamed_psi(generate_triple(spec_for_seed(s))) for s in (14, 17)]
+    for t in [builtin_triple("golden_identity")] + renamed:
+        sets = [{a} for a in t.X.alphabet.symbols] + [set(t.X.alphabet.symbols)]
+        for n in range(1, 6):
+            for w in enumerate_blocks(t.Y, n):
+                rel, ab = relative_depth(t, w), depth(t.phi, w)
+                assert (rel.value, rel.certificate.mode) == (ab.value, "relative")
+                assert rel.certificate == replace(ab.certificate, mode="relative")
+                assert verify_certificate(t, rel.certificate)
+                assert verify_certificate(t.phi, ab.certificate)
+                for pos, M in product(range(1, n + 1), sets):
+                    rel = relative_is_presented(t, w, M, pos)
+                    ab = is_presented(t.phi, w, M, pos)
+                    if ab:
+                        assert rel == replace(ab, mode="relative")
+                        assert verify_certificate(t, rel)
+                        assert verify_certificate(t.phi, ab)
+                    else:
+                        assert rel == ab

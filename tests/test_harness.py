@@ -1,6 +1,6 @@
 import pytest
 
-from sftcd import harness
+from sftcd import fiber, harness
 from sftcd.codes import CodeTriple, check_onto, identity_code, is_finite_to_one
 from sftcd.core import is_irreducible
 from sftcd.corpus import builtin_cases, builtin_triple
@@ -150,10 +150,16 @@ class TestChecks:
         }
         assert all(e.certified for e in rep.values.values())
 
-    def test_degrees_are_cached(self, xor2):
+    def test_degrees_are_cached(self, xor2, monkeypatch):
+        # the second ask is answered from the kept side-closure minima:
+        # equal estimates, no closure run and no entry added
         a = triple_degrees(xor2)
+        kept = dict(fiber._MINIMA)
+        assert kept
+        monkeypatch.setattr(fiber, "_closure_minimum", None)
         b = triple_degrees(xor2)
-        assert a["phi"] is b["phi"]
+        assert a == b
+        assert fiber._MINIMA == kept
 
 
 class TestScanLengthRetired:
