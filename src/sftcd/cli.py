@@ -7,12 +7,8 @@ hit, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-import tempfile
-from collections import Counter
 from pathlib import Path
 
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
@@ -41,13 +37,10 @@ from .errors import (
 )
 from .fiber import find_magic_block
 from .harness import (
-    CheckResult,
     HarnessCase,
-    TheoremReport,
     TripleGenSpec,
     generate_triple,
-    map_cases,
-    run_case,
+    run_suite,
     spec_for_seed,
 )
 
@@ -288,88 +281,17 @@ def _verify_cases(args):
     return cases
 
 
-# Names the engine and the report schema behind a cache entry; change it
-# whenever either changes, so that older entries miss.
-_CACHE_VERSION = "sftcd-verify/4 prove-and-stop side closures"
-
-
-def _case_key(case):
-    """Cache key of a case: the engine version and the case itself."""
-    text = repr((_CACHE_VERSION, case))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _report_from_dict(d):
-    checks = tuple(
-        CheckResult(c["name"], c["verdict"], c.get("detail", ""))
-        for c in d["checks"]
-    )
-    return TheoremReport(d["case_id"], d.get("values") or {}, checks)
-
-
-def _cache_read(path, case):
-    """The case's report documents, or None on a miss.  An entry that does
-    not read back as exactly its case's reports is a miss, noted on stderr."""
-    try:
-        docs = json.loads(path.read_text())
-        ids = [f"{case.case_id}/{kind}" for kind in case.checks]
-        back = [to_jsonable(_report_from_dict(d)) for d in docs]
-        if [d["case_id"] for d in back] != ids or back != docs:
-            raise ValueError(f"it does not hold the reports of {case.case_id}")
-        return docs
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        _note(f"warning: ignoring unreadable cache entry {path.name}: {e}")
-        return None
-
-
-def _cache_write(path, docs):
-    """Write an entry whole or not at all: a temp file beside it, then
-    os.replace."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as out:
-            out.write(json.dumps(docs, sort_keys=True))
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
-def _verify_case(item):
-    """One case's report documents, written to its cache entry when it
-    has one.  A worker runs this whole, so the parent only reads hits and
-    prints."""
-    case, archive, path = item
-    docs = [to_jsonable(r) for r in run_case(case, archive_dir=archive)]
-    if path is not None:
-        _cache_write(path, docs)
-    return docs
-
-
 def cmd_verify(args):
     cases = _verify_cases(args)
     if args.jobs < 1:
         raise ParseError("--jobs must be positive")
-    cache = os.environ.get("SFTCD_CACHE_DIR")
-    if cache:
-        Path(cache).mkdir(parents=True, exist_ok=True)
-    paths = [
-        Path(cache, _case_key(case) + ".json") if cache and case.kind != "file" else None
-        for case in cases
-    ]
-    hits = [path and _cache_read(path, case) for case, path in zip(cases, paths)]
-    work = zip(cases, paths, hits)
-    misses = [(c, args.archive, p) for c, p, hit in work if hit is None]
-    fresh = iter(map_cases(_verify_case, misses, args.jobs))
-    docs = [doc for hit in hits for doc in (next(fresh) if hit is None else hit)]
-    for doc in docs:
-        print(json.dumps(doc, sort_keys=True))
-    verdicts = Counter(c["verdict"] for doc in docs for c in doc["checks"])
-    _note(f"{len(cases)} cases, {len(docs)} reports: {verdicts['pass']} passed, "
-          f"{verdicts['fail']} failed, {verdicts['skipped']} skipped")
-    return 1 if verdicts["fail"] else 0
+    summary = run_suite(cases, jobs=args.jobs, archive_dir=args.archive)
+    for report in summary.reports:
+        print(json.dumps(to_jsonable(report), sort_keys=True))
+    _note(f"{len(cases)} cases, {len(summary.reports)} reports: "
+          f"{summary.count('pass')} passed, {summary.count('fail')} failed, "
+          f"{summary.count('skipped')} skipped")
+    return 0 if summary.ok else 1
 
 
 def _build_parser():

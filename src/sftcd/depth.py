@@ -503,12 +503,13 @@ def verify_certificate(subject, cert):
     are read off one forward sweep per start symbol over w's forward
     layers (a dead-end symbol reaches no end symbol, so they need no
     pruning).  A position outside 1..|w|, a symbol outside the alphabets
-    or a mode that does not match the subject gives False, like any other
-    tampering."""
+    or a mode the subject has no codes for (_codes_of) gives False, like
+    any other tampering."""
     w, n = cert.w.symbols, cert.n
-    if cert.mode != ("relative" if isinstance(subject, CodeTriple) else "absolute"):
+    try:
+        u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
+    except PreconditionUnmet:
         return False
-    u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
     if not 1 <= n <= len(w) or not all(map(u_code.letter_masks.__contains__, w)):
         return False
     wit_word = to_wit(w)

@@ -295,8 +295,8 @@ def to_jsonable(x):
     """Lossy one-way projection of result objects onto JSON values."""
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
-    # plain JSON is most of what comes through (a cache hit is re-checked
-    # here); no result type subclasses these containers
+    # reports reach this through their dicts and tuples; no result type
+    # subclasses these containers
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, set, frozenset)):

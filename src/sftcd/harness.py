@@ -35,8 +35,9 @@ class TripleGenSpec:
     edge_density: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise PreconditionUnmet("seed must be an integer")
+        for name in ("seed", "y_symbols", "blowup_min", "blowup_max", "z_symbols"):
+            if not isinstance(getattr(self, name), int):
+                raise PreconditionUnmet(f"{name} must be an integer")
         if self.y_symbols < 1:
             raise PreconditionUnmet("y_symbols must be positive")
         if not 1 <= self.blowup_min <= self.blowup_max:

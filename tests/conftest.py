@@ -252,10 +252,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run_under_hash_seeds(snippet, seeds=("0", "1")):
     """stdout of python -c snippet, one fresh interpreter per
-    PYTHONHASHSEED in seeds, with this checkout's src on the path and no
-    verify cache: --jobs workers and cache entries assume that output
-    does not depend on the process that made it."""
-    env = {k: v for k, v in os.environ.items() if k != "SFTCD_CACHE_DIR"}
+    PYTHONHASHSEED in seeds, with this checkout's src on the path:
+    --jobs workers assume that output does not depend on the process
+    that made it."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     outputs = []
     for seed in seeds:

@@ -456,6 +456,17 @@ class TestVerifyCertificate:
         assert not verify_certificate(xor2.phi, res.certificate)
         assert not verify_certificate(xor2, depth(xor2.phi, yblock(xor2, "000")).certificate)
 
+    def test_absolute_mode_on_a_triple_replays_against_pi(self, xor2):
+        # the same mode rule as _codes_of and construct_bridge: a triple's
+        # absolute code is pi, so its own certificate and pi's replay on both
+        w = parse_block_text(xor2.pi.codomain_alphabet, "zzz")
+        own, of_pi = depth(xor2, w).certificate, depth(xor2.pi, w).certificate
+        for subject in (xor2, xor2.pi):
+            assert verify_certificate(subject, own)
+            assert verify_certificate(subject, of_pi)
+        relative = relative_depth(xor2, Block(("0",) * 5)).certificate
+        assert not verify_certificate(xor2.phi, relative)
+
     def test_rejects_unknown_mode(self, xor2):
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
         bad = RoutingCertificate(cert.w, cert.n, cert.M, cert.witnesses, "bogus")

@@ -1,7 +1,6 @@
 """Document parsing, canonical dumps, and the command-line surface."""
 
 import json
-import os
 import re
 import shlex
 from pathlib import Path
@@ -696,7 +695,12 @@ class TestCliVerify:
         assert code == 0
         assert any("gen:5/" in l for l in out.splitlines())
         bad = tmp_path / "bad_specs.json"
-        for entry in ({"nope": 1}, {"seed": "x"}):
+        for entry in (
+            {"nope": 1},
+            {"seed": "x"},
+            {"seed": 1, "y_symbols": 2.5},
+            {"seed": 1, "blowup_max": 2.5},
+        ):
             bad.write_text(json.dumps([entry]))
             assert run_cli(capsys, "verify", "--gen", str(bad))[0] == 2
 
@@ -715,145 +719,51 @@ class TestCliVerify:
             assert (code, out) == (2, "")
             assert "error: --jobs must be positive" in err
 
-    def test_cache_round_trip(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
-        code, out1, _ = run_cli(
-            capsys, "verify", "--seeds", "3..3"
-        )
-        assert code == 0
-        assert any(cache.iterdir())
-        code, out2, _ = run_cli(
-            capsys, "verify", "--seeds", "3..3"
-        )
-        assert code == 0
-        assert sorted(out1.splitlines()) == sorted(out2.splitlines())
-
-    def test_cache_key_names_the_engine_version(self, monkeypatch):
-        import hashlib
-
-        from sftcd import cli
-        from sftcd.harness import HarnessCase, spec_for_seed
-
-        case = HarnessCase("seed:3", "generated", gen=spec_for_seed(3))
-        key = cli._case_key(case)
-        # the key the length-bounded scan used, over (case, L, plateau)
-        scan_key = hashlib.sha256(repr((case, 8, 3)).encode()).hexdigest()
-        assert key != scan_key
-        monkeypatch.setattr(cli, "_CACHE_VERSION", "another engine")
-        assert cli._case_key(case) != key
-
-    def test_cache_entries_are_replaced_whole(self, capsys, tmp_path, monkeypatch):
-        from sftcd import cli
-
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
-        real_replace = os.replace
-        moves = []
-
-        def replace(src, dst):
-            # the temp file is complete, beside its target, when moved
-            json.loads(open(src).read())
-            moves.append((os.path.dirname(src), os.path.dirname(dst)))
-            real_replace(src, dst)
-
-        monkeypatch.setattr(cli.os, "replace", replace)
-        assert run_cli(capsys, "verify", "--seeds", "3..4")[0] == 0
-        assert moves == [(str(cache), str(cache))] * 2
-        assert sorted(p.suffix for p in cache.iterdir()) == [".json", ".json"]
-
-    def test_unreadable_cache_entry_is_a_miss(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
-        code, out1, _ = run_cli(capsys, "verify", "--seeds", "3..3")
-        assert code == 0
-        (entry,) = cache.iterdir()
-        entry.write_text("{half written")
-        code, out2, err = run_cli(capsys, "verify", "--seeds", "3..3")
-        assert code == 0
-        assert "unreadable cache entry" in err and "Traceback" not in err
-        assert out2 == out1
-        assert json.loads(entry.read_text())
-
-    def test_half_warm_cache_prints_what_an_uncached_run_prints(
+    def test_failed_check_exits_1_is_counted_and_archived(
         self, capsys, tmp_path, monkeypatch
     ):
-        argv = ("verify", "--seeds", "3..6", "--jobs", "2")
-        code, uncached, _ = run_cli(capsys, *argv)
-        assert code == 0
-        monkeypatch.setenv("SFTCD_CACHE_DIR", str(tmp_path / "cache"))
-        # warm the later half, so hits printed first would show
-        assert run_cli(capsys, "verify", "--seeds", "5..6")[0] == 0
-        code, half_warm, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert half_warm == uncached
+        from dataclasses import replace
 
-    @pytest.mark.parametrize("damage", ["empty", "foreign", "null-values"])
-    def test_entry_that_is_not_its_case_is_a_miss(
-        self, capsys, tmp_path, monkeypatch, damage
-    ):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("SFTCD_CACHE_DIR", str(cache))
-        argv = ("verify", "--seeds", "1..2")
-        code, warm, _ = run_cli(capsys, *argv)
-        assert code == 0
-        entries = {
-            json.loads(p.read_text())[0]["case_id"].split("/")[0]: p
-            for p in cache.iterdir()
-        }
-        entry, other = entries["seed:1"], entries["seed:2"]
-        good = entry.read_text()
-        if damage == "empty":
-            entry.write_text("[]")
-        elif damage == "foreign":
-            entry.write_text(other.read_text())
-        else:
-            docs = json.loads(good)
-            docs[0]["values"] = None
-            entry.write_text(json.dumps(docs, sort_keys=True))
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 0
-        assert f"unreadable cache entry {entry.name}" in err
-        assert "2 cases, 6 reports:" in err and "Traceback" not in err
-        assert out == warm
-        assert entry.read_text() == good
-
-    def test_every_verify_path_prints_the_same_bytes(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        # uncached, cache cold and cache warm, each at --jobs 1 and 2; the
-        # two cold passes also write the same entry files
-        runs = {}
-        for jobs in ("1", "2"):
-            argv = ("verify", "--seeds", "1..24", "--jobs", jobs)
-            monkeypatch.delenv("SFTCD_CACHE_DIR", raising=False)
-            runs["uncached", jobs] = run_cli(capsys, *argv)
-            monkeypatch.setenv("SFTCD_CACHE_DIR", str(tmp_path / jobs))
-            runs["cold", jobs] = run_cli(capsys, *argv)
-            runs["warm", jobs] = run_cli(capsys, *argv)
-        first = runs["uncached", "1"]
-        assert first[0] == 0 and first[1].count("\n") == 72
-        assert all(run == first for run in runs.values())
-
-        def files(jobs):
-            return {p.name: p.read_bytes() for p in (tmp_path / jobs).iterdir()}
-
-        assert len(files("1")) == 24
-        assert files("1") == files("2")
-
-    def test_all_hit_run_starts_no_worker(self, capsys, tmp_path, monkeypatch):
         from sftcd import harness
 
-        monkeypatch.setenv("SFTCD_CACHE_DIR", str(tmp_path / "cache"))
-        argv = ("verify", "--seeds", "3..6", "--jobs", "2")
-        code, cold, _ = run_cli(capsys, *argv)
-        assert code == 0
+        real = harness.triple_degrees
+        calls = []
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker process was started")
+        def pi_off_by_one_once(t):
+            # the first question is seed 3's main check
+            v = real(t)
+            calls.append(t)
+            if len(calls) == 1:
+                v = dict(v, pi=replace(v["pi"], value=v["pi"].value + 1))
+            return v
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        assert run_cli(capsys, *argv)[:2] == (0, cold)
+        monkeypatch.setattr(harness, "triple_degrees", pi_off_by_one_once)
+        archive = tmp_path / "archive"
+        argv = ("verify", "--seeds", "3..4", "--archive", str(archive))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()]
+        failed = [
+            (r["case_id"], c["name"])
+            for r in reports
+            for c in r["checks"]
+            if c["verdict"] == "fail"
+        ]
+        assert ("seed:3/main", "product-identity") in failed
+        assert {case for case, _ in failed} == {"seed:3/main"}
+        assert len(failed) == 2  # pi + 1 also breaks the composite bound
+        assert err == "2 cases, 6 reports: 9 passed, 2 failed, 5 skipped\n"
+        assert [p.name for p in archive.iterdir()] == ["seed:3_main.json"]
+        dump = json.loads((archive / "seed:3_main.json").read_text())
+        assert dump["case"] == "seed:3" and dump["report"] == reports[0]
+
+    def test_every_verify_path_prints_the_same_bytes(self, capsys):
+        jobs1, jobs2 = (
+            run_cli(capsys, "verify", "--seeds", "1..24", "--jobs", jobs)
+            for jobs in ("1", "2")
+        )
+        assert jobs1[0] == 0 and jobs1[1].count("\n") == 72
+        assert jobs2 == jobs1
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
