@@ -26,9 +26,12 @@ image in and the replay makes every other check (ordering, middle
 length, seams, middle images).
 
 The class oracle counts, for a fixed codomain symbol z, the mutual-
-reachability classes of periodic preimages of z^oo: cyclic strongly
-connected pieces of the preimage subgraph, with plain reachability giving
-the one-way transition preorder between them.
+reachability classes of periodic preimages of z^oo.  Inside the mask F
+of symbols over z, the class of v is what v reaches forwards intersected
+with what it reaches backwards (graphs.reach), and a class counts when
+it carries a cycle, an edge from the class into itself.  Classes come in
+the order of their least symbols, and forward reach from one class
+gives the one-way transition preorder between them.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .codes import apply_to_block, apply_to_point
-from .core import Block, PeriodicPoint, iter_bits
+from .core import Block, PeriodicPoint
 from .depth import _Reach, _codes_of, _least_path, RoutingCertificate
 from .errors import (
     ImageMismatch,
@@ -44,9 +47,8 @@ from .errors import (
     NoFixedPoint,
     NotRoutable,
     PreconditionUnmet,
-    UnknownSymbol,
 )
-from .graphs import has_cycle, reachable_from, strongly_connected_components
+from .graphs import reach
 
 
 @dataclass(frozen=True)
@@ -224,12 +226,12 @@ class ClassOracleResult:
 
 
 def _least_cycle(shift, comp):
-    """Shortest, then least by symbol index, cycle through the component's
-    least symbol: the first least path from it back to itself through
-    k = 0, 1, ... layers of the component."""
-    s, inside = comp[0], sum(1 << v for v in comp)
-    home = 1 << s
-    loops = (_least_path(shift, s, s, [home] + [inside] * k + [home]) for k in count())
+    """Shortest, then least by symbol index, cycle through the least
+    symbol of the component comp (a mask): the first least path from it
+    back to itself through k = 0, 1, ... layers of the component."""
+    home = comp & -comp
+    s = home.bit_length() - 1
+    loops = (_least_path(shift, s, s, [home] + [comp] * k + [home]) for k in count())
     path = next(p for p in loops if p is not None)
     symbols = shift.alphabet.symbols
     return PeriodicPoint.make(Block(tuple(symbols[i] for i in path[:-1])), 0)
@@ -238,40 +240,34 @@ def _least_cycle(shift, comp):
 def fixed_point_class_oracle(code, z):
     """Transition classes of periodic preimages of the fixed point on z.
 
-    Restricts the domain graph to symbols mapping to z, takes its strongly
-    connected components that contain a cycle, and reports one periodic
-    representative per component plus the reachability preorder between
-    components.  Aperiodic preimages of z^oo are outside this census; the
-    caveat field says so.
+    Restricts the domain graph to symbols mapping to z, takes its
+    mutual-reachability classes that contain a cycle, and reports one
+    periodic representative per class plus the reachability preorder
+    between classes.  Aperiodic preimages of z^oo are outside this
+    census; the caveat field says so.
     """
-    if z not in code.codomain_alphabet:
-        raise UnknownSymbol(f"symbol {z!r} not in codomain alphabet")
+    fiber = code.letter_mask(z)
     if code.codomain is not None and not code.codomain.allows(z, z):
         raise NoFixedPoint(f"{z!r} is not a fixed symbol of the codomain")
     shift = code.domain
-    fiber = [
-        i
-        for i, s in enumerate(shift.alphabet.symbols)
-        if code.apply_symbol(s) == z
-    ]
-    fiber_set = set(fiber)
-    adj = {
-        i: [j for j in iter_bits(shift.succ_masks[i]) if j in fiber_set]
-        for i in fiber
-    }
-    comps = strongly_connected_components(fiber, adj)
-    cyclic = sorted(
-        (c for c in comps if has_cycle(c, adj)), key=lambda c: c[0]
-    )
+    ahead, behind = shift.step_mask, shift.step_mask_back
+    cyclic = []
+    left = fiber
+    while left:
+        v = left & -left
+        comp = reach(ahead, v, fiber) & reach(behind, v, fiber)
+        left &= ~comp
+        if comp & ahead(comp):
+            cyclic.append(comp)
     if not cyclic:
         raise NoFixedPoint(f"no periodic preimage of {z!r} repeated forever")
     reps = tuple(_least_cycle(shift, c) for c in cyclic)
-    reach = [reachable_from(c, adj) for c in cyclic]
+    reached = [reach(ahead, c, fiber) for c in cyclic]
     preorder = tuple(
         (i, j)
         for i in range(len(cyclic))
         for j in range(len(cyclic))
-        if i != j and any(v in reach[i] for v in cyclic[j])
+        if i != j and reached[i] & cyclic[j]
     )
     return ClassOracleResult(
         len(cyclic),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
 from .codes import recode_to_one_block, SlidingBlockCode
-from .core import parse_block_text, parse_point_text
+from .core import is_point_of, parse_block_text, parse_point_text
 from .depth import class_degree, depth, relative_class_degree, relative_depth
 from .documents import (
     canonical_json,
@@ -172,6 +172,9 @@ def cmd_bridge(args):
     code = _code_from_arg(args.code)
     x = parse_point_text(code.domain.alphabet, args.src)
     xp = parse_point_text(code.domain.alphabet, args.dst)
+    for text, point in ((args.src, x), (args.dst, xp)):
+        if not is_point_of(code.domain, point):
+            raise PreconditionUnmet(f"{text} is not a point of the domain")
     search = bounded_bridge_exists(code, x, xp, args.m, args.window)
     _emit(search)
     _note("bridge found" if search.found else search.note)

@@ -9,7 +9,7 @@ the rule becomes letter-to-letter.
 Surjectivity (check_onto) is decided exactly, on the level-by-level
 closure of graphs.py that also closes the fiber-matrix engine's sides,
 and so is finite-to-one-ness (is_finite_to_one), by reachability on the
-pair graph.
+pair graph of same-image symbol pairs, kept as one bitmask per symbol.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .core import (
     iter_bits,
     validate_block,
 )
-from .graphs import closure, reachable_from
+from .graphs import closure
 
 
 @dataclass(frozen=True)
@@ -337,28 +337,32 @@ def check_onto(code, codomain_shift):
 def is_finite_to_one(code):
     """Exact test: the code on an irreducible domain is finite-to-one iff
     no two distinct equal-image paths share both endpoints.  Runs on the
-    pair graph of ordered same-image symbol pairs; the bad pattern is a
-    path from a diagonal node through an off-diagonal node back to the
-    diagonal."""
+    pair graph of ordered same-image symbol pairs; the bad pattern is an
+    off-diagonal pair that is reached from the diagonal and reaches back
+    to it."""
     domain = code.domain
-    symbols = domain.alphabet.symbols
-    nodes = [
-        (a, b)
-        for a in symbols
-        for b in symbols
-        if code.apply_symbol(a) == code.apply_symbol(b)
-    ]
-    succ = {}
-    for a, b in nodes:
-        outs = []
-        for a2 in domain.successors(a):
-            for b2 in domain.successors(b):
-                if code.apply_symbol(a2) == code.apply_symbol(b2):
-                    outs.append((a2, b2))
-        succ[(a, b)] = outs
-    diagonal = [(a, a) for a in symbols]
-    off = [p for p in reachable_from(diagonal, succ) if p[0] != p[1]]
-    return all(a != b for a, b in reachable_from(off, succ))
+    same = [code.letter_masks[z] for z in code.mapping]
+    ahead = _pairs_reached(domain.succ_masks, domain.step_mask, same)
+    behind = _pairs_reached(domain.pred_masks, domain.step_mask_back, same)
+    return not any(f & b & ~(1 << a) for a, (f, b) in enumerate(zip(ahead, behind)))
+
+
+def _pairs_reached(masks_of, step, same):
+    """pairs[a] = mask of the b for which the same-image pair (a, b) is
+    reached from the diagonal, each step moving both sides one edge:
+    masks_of[a] and step are the domain's successors (or predecessors),
+    and same[a] is the mask of the symbols sharing a's image."""
+    pairs = [1 << a for a in range(len(same))]
+    todo = list(range(len(same)))
+    while todo:
+        a = todo.pop()
+        out = step(pairs[a])
+        for a2 in iter_bits(masks_of[a]):
+            grown = pairs[a2] | out & same[a2]
+            if grown != pairs[a2]:
+                pairs[a2] = grown
+                todo.append(a2)
+    return pairs
 
 
 @dataclass(frozen=True)

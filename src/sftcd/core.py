@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
-from .graphs import strongly_connected_components
+from .graphs import reach
 
 DEFAULT_CAP = 10**6
 
@@ -331,9 +331,10 @@ def count_blocks(shift, length):
 
 
 def is_irreducible(shift):
-    """Irreducible = its presentation graph is strongly connected."""
-    succ = {s: shift.successors(s) for s in shift.alphabet}
-    return len(strongly_connected_components(shift.alphabet.symbols, succ)) == 1
+    """Irreducible = its presentation graph is strongly connected: symbol
+    0 reaches every symbol forwards and backwards."""
+    full = (1 << len(shift.alphabet)) - 1
+    return reach(shift.step_mask, 1) == full == reach(shift.step_mask_back, 1)
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,6 @@ from .codes import CodeTriple, OneBlockCode, check_onto
 from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
-    _check_word,
     _letter_masks,
     _side_minimum,
     forward_layers,
@@ -330,8 +329,7 @@ def _routing(subject, w, mode, M=()):
     for the u-fiber's endpoints only; an absolute reach is its own
     u-fiber."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
-    word = _check_word(u_code, w)
-    m_mask = _mask_of(u_code.domain.alphabet, M)
+    word = tuple(w.symbols)
     if wit_code is u_code:
         wit = _Reach(u_code, word)
         u_layers, fs = wit.layers, wit.fs
@@ -339,6 +337,7 @@ def _routing(subject, w, mode, M=()):
         u_layers = pruned_layers(u_code, word)
         fs = u_layers and _forward_sets(u_code.domain, u_layers)
         wit = u_layers and _Reach(wit_code, to_wit(word), u_layers[0], u_layers[-1])
+    m_mask = _mask_of(u_code.domain.alphabet, M)
     if u_layers is None:
         what = "preimage" if wit_code is u_code else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")

@@ -257,17 +257,6 @@ def _closure_minimum(sides, score):
     return best[0], best[2], best[3], max(len(left), len(heads))
 
 
-def _check_word(code, block):
-    """block's symbols, or UnknownSymbol for the first one outside the
-    codomain alphabet (the keys of code.letter_masks)."""
-    word = tuple(block.symbols)
-    known = code.letter_masks
-    if not all(map(known.__contains__, word)):
-        s = next(s for s in word if s not in known)
-        raise UnknownSymbol(f"symbol {s!r} not in codomain alphabet")
-    return word
-
-
 def iter_fiber(code, word_layers, cap=DEFAULT_CAP):
     """Yield preimage paths through pruned layers in lexicographic order
     of domain symbol indices; past cap paths, raise ResourceLimit.
@@ -306,7 +295,7 @@ class FiberSlice:
 
 
 def preimage_blocks(code, w, cap=DEFAULT_CAP):
-    word = _check_word(code, w)
+    word = tuple(w.symbols)
     layers = pruned_layers(code, word)
     symbols = code.domain.alphabet.symbols
     if layers is None:
@@ -321,10 +310,10 @@ def preimage_blocks(code, w, cap=DEFAULT_CAP):
 def preimage_symbol_count(code, w, i):
     """Number of distinct symbols occurring at coordinate i (1-based)
     among the preimages of w.  Zero when the fiber is empty."""
-    word = _check_word(code, w)
+    word = tuple(w.symbols)
+    layers = pruned_layers(code, word)
     if not 1 <= i <= len(word):
         raise InvalidBlock(f"coordinate {i} outside 1..{len(word)}")
-    layers = pruned_layers(code, word)
     if layers is None:
         return 0
     return layers[i - 1].bit_count()

@@ -16,10 +16,10 @@ from functools import partial
 from pathlib import Path
 
 from .codes import CodeTriple, OneBlockCode, check_onto, compose, is_finite_to_one
-from .core import VertexShift, is_irreducible
+from .core import VertexShift, byte_lookup, byte_tables, is_irreducible
 from .depth import class_degree, relative_class_degree
 from .errors import GenerationFailed, PreconditionUnmet
-from .graphs import strongly_connected_components
+from .graphs import reach
 
 _ONTO_TRIES = 8
 _GEN_TRIES = 32
@@ -107,27 +107,28 @@ def _lifted_edges(rng, copies, y_pairs, density):
 def _repair_connectivity(rng, x_symbols, x_pairs, phi_map, y_shift):
     """Add codomain-compatible copy pairs until strongly connected.  The
     full lift is strongly connected when the codomain is, so this always
-    terminates."""
+    terminates.  Each round gives every copy the mask of its component:
+    what it reaches forwards intersected with what it reaches backwards."""
     pairs = set(x_pairs)
-    for _ in range(len(x_symbols) ** 2 + 1):
-        succ_map = {s: [] for s in x_symbols}
+    n = len(x_symbols)
+    index = {s: i for i, s in enumerate(x_symbols)}
+    for _ in range(n**2 + 1):
+        succ = [0] * n
+        pred = [0] * n
         for a, b in pairs:
-            succ_map[a].append(b)
-        index = {s: i for i, s in enumerate(x_symbols)}
-        adj = {index[s]: [index[b] for b in succ_map[s]] for s in x_symbols}
-        comps = strongly_connected_components(list(adj), adj)
-        if len(comps) == 1:
+            succ[index[a]] |= 1 << index[b]
+            pred[index[b]] |= 1 << index[a]
+        ahead = partial(byte_lookup, byte_tables(succ))
+        behind = partial(byte_lookup, byte_tables(pred))
+        comp = [reach(ahead, 1 << v) & reach(behind, 1 << v) for v in range(n)]
+        if comp[0] == (1 << n) - 1:
             return pairs
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
         candidates = sorted(
             (a, b)
             for a in x_symbols
             for b in x_symbols
             if (a, b) not in pairs
-            and comp_of[index[a]] != comp_of[index[b]]
+            and not comp[index[a]] >> index[b] & 1
             and y_shift.allows(phi_map[a], phi_map[b])
         )
         if not candidates:

@@ -24,7 +24,6 @@ from sftcd.depth import (
 )
 from sftcd.errors import NotRoutable
 from sftcd.fiber import degree_finite_to_one
-from sftcd.graphs import component_period, has_cycle, strongly_connected_components
 from sftcd.harness import (
     HarnessCase,
     check_main_identity,
@@ -151,16 +150,25 @@ def test_05_relative_never_exceeds_absolute():
 
 def _aperiodic_fixed_fiber(code, z):
     """The oracle counts one class per cyclic component, so it is compared
-    only where components cannot split into phases."""
+    only where components cannot split into phases.  Brute force on the
+    z-fiber's n symbols: v lies on a cycle when it has a closed walk of
+    length 1..n, and its component is aperiodic exactly when it has
+    closed walks of both lengths n^2 and n^2 + 1 (Wielandt's bound)."""
     dom = code.domain
-    fiber = [s for s in dom.alphabet.symbols if code.apply_symbol(s) == z]
-    fset = set(fiber)
-    adj = {s: [b for (a, b) in dom.allowed if a == s and b in fset] for s in fiber}
-    comps = strongly_connected_components(fiber, adj)
-    cyclic = [c for c in comps if has_cycle(c, adj)]
-    if not cyclic:
-        return False
-    return all(component_period(c, adj) == 1 for c in cyclic)
+    fiber = {s for s in dom.alphabet.symbols if code.apply_symbol(s) == z}
+    n = len(fiber)
+    on_cycle = False
+    for v in fiber:
+        walks, returns = {v}, set()
+        for k in range(1, n * n + 2):
+            walks = {b for (a, b) in dom.allowed if a in walks and b in fiber}
+            if v in walks:
+                returns.add(k)
+        if returns & set(range(1, n + 1)):
+            on_cycle = True
+            if not {n * n, n * n + 1} <= returns:
+                return False
+    return on_cycle
 
 
 def test_06_fixed_point_oracle_cross_check(xor2, mod3, golden_identity):

@@ -3,8 +3,9 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import fiber_paths
+from conftest import fiber_paths, small_codes
 from sftcd.bridge import (
     BridgeWitness,
     bounded_bridge_exists,
@@ -357,10 +358,9 @@ def brute_least_cycle(code, comp):
         paths = [p + (t,) for p in paths for t in code.domain.successors(p[-1]) if t in comp]
 
 
-def brute_cyclic_components(code, z):
-    """Cyclic mutual-reachability classes of the symbols mapping to z, each
-    sorted by symbol index, in order of their least symbols."""
-    index = code.domain.alphabet.index
+def brute_fiber_reach(code, z):
+    """s -> the symbols mapping to z that s reaches in one or more steps
+    inside the symbols mapping to z, for each such s."""
     fiber = [s for s in code.domain.alphabet.symbols if code.apply_symbol(s) == z]
     reach = {}
     for s in fiber:
@@ -371,12 +371,43 @@ def brute_cyclic_components(code, z):
                     seen.add(t)
                     todo.append(t)
         reach[s] = seen
+    return reach
+
+
+def brute_cyclic_components(code, z):
+    """Cyclic mutual-reachability classes of the symbols mapping to z, each
+    sorted by symbol index, in order of their least symbols."""
+    index = code.domain.alphabet.index
+    reach = brute_fiber_reach(code, z)
     comps = {
-        tuple(sorted((t for t in fiber if t in reach[s] and s in reach[t]), key=index))
-        for s in fiber
+        tuple(sorted((t for t in reach if t in reach[s] and s in reach[t]), key=index))
+        for s in reach
         if s in reach[s]
     }
     return sorted(comps, key=lambda c: index(c[0]))
+
+
+def check_oracle_by_brute_force(code, z):
+    """The oracle on z against brute_cyclic_components: one least shortest
+    cycle per class in class order, and the preorder pair (i, j) exactly
+    when class i reaches class j.  Returns whether a class exists; with
+    none the oracle must refuse."""
+    comps = brute_cyclic_components(code, z)
+    if not comps:
+        with pytest.raises(NoFixedPoint):
+            fixed_point_class_oracle(code, z)
+        return False
+    res = fixed_point_class_oracle(code, z)
+    assert res.count == len(comps)
+    assert list(res.representatives) == [point(*brute_least_cycle(code, c)) for c in comps]
+    reach = brute_fiber_reach(code, z)
+    assert res.preorder == tuple(
+        (i, j)
+        for i, ci in enumerate(comps)
+        for j, cj in enumerate(comps)
+        if i != j and any(t in reach[s] for s in ci for t in cj)
+    )
+    return True
 
 
 def test_oracle_representatives_are_least_shortest_cycles(subjects):
@@ -384,17 +415,16 @@ def test_oracle_representatives_are_least_shortest_cycles(subjects):
     for t in [builtin_triple(name) for name in BUILTIN_NAMES] + subjects[1:]:
         for code in (t.phi, t.pi):
             for z in code.codomain_alphabet.symbols:
-                if not code.codomain.allows(z, z):
-                    continue
-                comps = brute_cyclic_components(code, z)
-                if not comps:
-                    with pytest.raises(NoFixedPoint):
-                        fixed_point_class_oracle(code, z)
-                    continue
-                expected = [point(*brute_least_cycle(code, c)) for c in comps]
-                assert list(fixed_point_class_oracle(code, z).representatives) == expected
-                checked += 1
+                if code.codomain.allows(z, z):
+                    checked += check_oracle_by_brute_force(code, z)
     assert checked == 72
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_oracle_matches_brute_classes_on_small_codes(code):
+    for z in code.codomain_alphabet.symbols:
+        check_oracle_by_brute_force(code, z)
 
 
 def test_construct_bridge_fingerprint(subjects):

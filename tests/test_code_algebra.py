@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_paths, naive_finite_to_one
+from conftest import fiber_paths, naive_finite_to_one, small_codes
 from sftcd.codes import (
     CodeTriple,
     OneBlockCode,
@@ -273,8 +273,10 @@ class TestFiniteToOne:
         )
         assert not is_finite_to_one(code)
 
-    def test_against_pair_counting_oracle(self, xor2, mod3):
-        cases = [xor2.phi, xor2.psi, xor2.pi, mod3.phi, mod3.psi]
+    @settings(max_examples=100, deadline=None)
+    @given(small_codes())
+    def test_against_pair_counting_oracle(self, xor2, mod3, drawn):
+        cases = [xor2.phi, xor2.psi, xor2.pi, mod3.phi, mod3.psi, drawn]
         dom = VertexShift.build(
             ("a", "b", "c", "d"),
             [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "a")],

@@ -527,6 +527,18 @@ class TestCliWitnesses:
         assert code == 2
         assert "error:" in err
 
+    def test_bridge_points_must_lie_in_the_domain(self, capsys):
+        # 00 -> 11 is not an allowed transition of xor2's X
+        bad = "(11·00)"
+        for src, dst in ((bad, "(00)"), ("(00)", bad)):
+            code, out, err = run_cli(
+                capsys,
+                "bridge", "--code", "builtin:xor2/phi",
+                "--from", src, "--to", dst,
+            )
+            assert (code, out) == (2, "")
+            assert f"error: {bad} is not a point of the domain" in err
+
     def test_classes_fixed(self, capsys):
         code, out, _ = run_cli(
             capsys, "classes-fixed", "--code", "builtin:xor2/phi", "--z", "0"

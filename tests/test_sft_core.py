@@ -2,7 +2,7 @@ import importlib
 import pkgutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sftcd
 from conftest import reference_step_mask, reference_step_mask_back, run_under_hash_seeds
@@ -25,7 +25,7 @@ from sftcd.core import (
     validate_block,
 )
 from sftcd.errors import InvalidBlock, InvariantViolation, UnknownSymbol
-from sftcd.graphs import closure
+from sftcd.graphs import closure, reach
 
 
 def golden():
@@ -221,6 +221,37 @@ def test_mask_steps_match_the_bit_loop(subject):
             assert code.step(mask, letter) == forward & carriers
 
 
+def set_reach(edges, starts, within):
+    """The symbols reachable from starts by walks inside within, starts
+    included, by a search over symbol sets along the (a, b) edges."""
+    seen, todo = set(starts), list(starts)
+    while todo:
+        a = todo.pop()
+        for b in {b for x, b in edges if x == a} & within - seen:
+            seen.add(b)
+            todo.append(b)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifts_with_masks())
+def test_reach_matches_a_set_search(subject):
+    shift, _, masks = subject
+    symbols = shift.alphabet.symbols
+    back = {(b, a) for a, b in shift.allowed}
+
+    def members(mask):
+        return {s for i, s in enumerate(symbols) if mask >> i & 1}
+
+    for step, edges in ((shift.step_mask, shift.allowed), (shift.step_mask_back, back)):
+        for start in masks:
+            for within in masks + [-1]:
+                want = set_reach(edges, members(start), members(within))
+                assert reach(step, start, within) == sum(
+                    1 << i for i, s in enumerate(symbols) if s in want
+                )
+
+
 @pytest.mark.parametrize("size, tables", [(8, 1), (9, 2)])
 def test_mask_steps_on_both_sides_of_one_byte_table(size, tables):
     # up to 8 symbols the step is the one table's own lookup, from 9 on
@@ -279,7 +310,21 @@ class TestLanguageOracles:
                 assert len(blocks) == count_blocks(shift, length)
                 assert all(validate_block(shift, b) for b in blocks)
 
-    def test_irreducibility_matches_joining_words(self):
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_irreducibility_matches_joining_words(self, data):
+        # drawn shifts have no cycle forced through every symbol, so
+        # reducible ones occur among them
+        n = data.draw(st.integers(1, 7))
+        symbols = tuple(f"s{i}" for i in range(n))
+        pairs = data.draw(
+            st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols)), min_size=1)
+        )
+        try:
+            drawn = VertexShift.build(symbols, sorted(pairs))
+        except InvariantViolation:  # every symbol was trimmed away
+            assume(False)
+
         def brute(shift):
             syms = set(shift.alphabet.symbols)
             for u in syms:
@@ -301,6 +346,7 @@ class TestLanguageOracles:
                 ("a", "b", "c"),
                 [("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")],
             ),
+            drawn,
         ]
         for shift in cases:
             assert is_irreducible(shift) == brute(shift)
