@@ -5,20 +5,21 @@ block of the shift exactly when every adjacent pair of symbols is an allowed
 edge.  Coordinates are 1-based in the public interface, matching the usual
 window notation w|_1 .. w|_{|w|}.
 
-Sets of symbols are bitmasks over the alphabet index.  Stepping a set to
-its successors (or predecessors) reads byte tables: for each run of 8
-symbols, a table indexed by that byte of the mask holds the union of the
-successor masks of its set bits.  A shift builds them on first use and
-keeps them, so a step costs one lookup per byte of the mask, and its
-step_mask is byte_lookup bound to them; a shift of at most 8 symbols has
-one table, and its step_mask is that table's own __getitem__, the same
-lookup without the loop.  Listing the members of a set reads a table of
-the bit lists of every byte the same way.
+Sets of symbols are bitmasks over the alphabet index.  One function,
+stepper, steps a set: step(mask) is the union of masks[i] (a symbol's
+successors, say) over the set bits i of mask, read off one union_table
+per run of TABLE_SYMBOLS masks, with an optional keep mask folded into
+every entry.  A shift's step_mask and step_mask_back are steppers of its
+successor and predecessor masks, built on first use and kept; a shift of
+at most TABLE_SYMBOLS symbols has one table, and its step is that
+table's own __getitem__, one lookup with no Python frame of its own.
+Listing the members of a set reads a table of the bit lists of every
+byte.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
 from .graphs import reach
@@ -56,19 +57,32 @@ def union_table(masks, keep=-1):
     return tuple(table)
 
 
-def byte_tables(masks):
-    """union_table of each run of 8 masks: tables[k] serves byte k of a
-    mask, so stepping a mask costs one lookup per byte."""
-    return tuple(union_table(masks[i : i + 8]) for i in range(0, len(masks), 8))
+# masks per stepper table (2**10 entries): domains of up to 10 symbols,
+# mod3's 9 among them, step by one lookup
+TABLE_SYMBOLS = 10
+_RUN = (1 << TABLE_SYMBOLS) - 1
 
 
-def byte_lookup(tables, mask):
-    """Union of masks[i] over the set bits i of mask, read off byte_tables."""
-    out = 0
-    for table in tables:
-        out |= table[mask & 0xFF]
-        mask >>= 8
-    return out
+def stepper(masks, keep=-1):
+    """step(mask) = the union of masks[i] over the set bits i of mask,
+    intersected with keep.  One union_table per run of TABLE_SYMBOLS
+    masks, keep folded in; with a single run, step is that table's own
+    __getitem__."""
+    tables = [
+        union_table(masks[i : i + TABLE_SYMBOLS], keep)
+        for i in range(0, len(masks), TABLE_SYMBOLS)
+    ]
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def step(mask):
+        out = 0
+        for table in tables:
+            out |= table[mask & _RUN]
+            mask >>= TABLE_SYMBOLS
+        return out
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -236,16 +250,6 @@ class VertexShift:
         return tuple(masks)
 
     @cached_property
-    def succ_tables(self):
-        """byte_tables of succ_masks, built on first use."""
-        return byte_tables(self.succ_masks)
-
-    @cached_property
-    def pred_tables(self):
-        """byte_tables of pred_masks, built on first use."""
-        return byte_tables(self.pred_masks)
-
-    @cached_property
     def succ_lists(self):
         return {
             s: tuple(
@@ -263,24 +267,14 @@ class VertexShift:
 
     @cached_property
     def step_mask(self):
-        """step_mask(mask): union of successors of every symbol in mask,
-        one table lookup per byte of mask (_stepper of succ_tables)."""
-        return _stepper(self.succ_tables)
+        """step_mask(mask): union of successors of every symbol in mask."""
+        return stepper(self.succ_masks)
 
     @cached_property
     def step_mask_back(self):
         """step_mask_back(mask): union of predecessors of every symbol in
-        mask, _stepper of pred_tables."""
-        return _stepper(self.pred_tables)
-
-
-def _stepper(tables):
-    """byte_lookup bound to tables, so a step adds no frame of its own.
-    One table (at most 8 symbols) is indexed by the whole mask, which is
-    then its only byte: byte_lookup over it is exactly its __getitem__."""
-    if len(tables) == 1:
-        return tables[0].__getitem__
-    return partial(byte_lookup, tables)
+        mask."""
+        return stepper(self.pred_masks)
 
 
 def validate_block(shift, block):
@@ -438,6 +432,8 @@ def periodic_points_of(shift, max_period, cap=DEFAULT_CAP):
     so every orbit is present, once per occurrence of that symbol (the
     golden mean shift gives (0001), (0001)@1 and (0001)@2).  Sorted by
     (period, cycle, phase)."""
+    if max_period < 1:
+        raise InvalidBlock("max_period must be positive")
     found = set()
     symbols = shift.alphabet.symbols
 

@@ -34,8 +34,7 @@ The side closures of fiber.py reach every such pair, each pair's routing
 family is one set comprehension, scored once, and the block attaining
 the minimum replays as a routing certificate.  Depth is never below 1,
 so the closures grow only until a depth-1 pair turns up, or to their
-end when the minimum is larger.  Mask steps read the byte tables of
-core.VertexShift.
+end when the minimum is larger.  Every mask step is a core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so
@@ -63,6 +62,7 @@ from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
     _letter_masks,
     _side_minimum,
+    _sweep,
     forward_layers,
     iter_fiber,
     pruned_layers,
@@ -90,14 +90,9 @@ class _Reach:
         if layers is None:
             return
         self.fs = _forward_sets(code.domain, layers, starts)
-        back, behind = code.domain.step_mask_back, layers[-2::-1]
         self.bs = {
-            t: _sweep(back, 1 << t, behind)[::-1] for t in iter_bits(layers[-1] & ends)
+            t: _toward(code.domain, t, layers) for t in iter_bits(layers[-1] & ends)
         }
-
-    @property
-    def empty(self):
-        return self.layers is None
 
     def route(self, n, s, t):
         return self.fs[s][n - 1] & self.bs[t][n - 1]
@@ -119,15 +114,6 @@ class _Reach:
             return None
         succ = self.code.domain.succ_masks
         return _extend_least(succ, [s], toward_m[1:] + toward_t[n:])
-
-
-def _sweep(step, mask, layers):
-    """[mask, then mask stepped into each of layers in turn]."""
-    hist = [mask]
-    for layer in layers:
-        mask = step(mask) & layer
-        hist.append(mask)
-    return hist
 
 
 def _extend_least(succ, path, masks):

@@ -19,44 +19,47 @@ closures one block length at a time and stops at a pair of value 1, the
 least any score takes, so such a minimum is proved without growing the
 closures to their end.
 
-A closure steps every row or column by a table lookup: per track, letter
-mask and direction it builds a union_table of the domain's successor or
-predecessor masks with the letter's mask folded in (domains past
-WALK_TABLE_SYMBOLS symbols step through the byte tables instead), on its
-first step past the one-letter seeds.  Those tables live only as long as
-one closure; kept on the codes, they would live as long as each code
-does.  What is kept is the minimum, and it holds no code: the closures read
-nothing but the domain's successor masks and each track's letter masks,
-so _side_minimum keeps each minimum under those, the slot labels, the
-walk, the score and the cap, and answers a repeated question without
-growing a side.
+A closure steps every row or column through core.stepper: per track,
+letter mask and direction, a stepper of the domain's successor or
+predecessor masks with the letter's mask folded in, built on the
+closure's first step past the one-letter seeds.  Those steppers live
+only as long as one closure; kept on the codes, they would live as long
+as each code does.  What is kept is the minimum, and it holds no code:
+the closures read nothing but the domain's successor masks and each
+track's letter masks, so _side_minimum keeps each minimum under those,
+the slot labels, the walk, the score and the cap, and answers a repeated
+question without growing a side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
 
-from .core import Block, DEFAULT_CAP, iter_bits, union_table
+from .core import Block, DEFAULT_CAP, iter_bits, stepper
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from .graphs import closure
 
 
+def _sweep(step, mask, layers):
+    """[mask, then mask stepped into each of layers in turn]."""
+    hist = [mask]
+    for layer in layers:
+        mask = step(mask) & layer
+        hist.append(mask)
+    return hist
+
+
 def forward_layers(code, word):
     """Raw forward filter: layers[i] = symbols carrying word[i] reachable
-    from layer i-1.  Returns None as soon as a layer dies."""
+    from layer i-1.  None when a layer dies, and with it the last."""
     try:
         layers = list(map(code.letter_masks.__getitem__, word))
     except KeyError as missing:
         raise UnknownSymbol(
             f"symbol {missing.args[0]!r} not in codomain alphabet"
         ) from None
-    step = code.domain.step_mask
-    mask = layers[0]
-    for i in range(1, len(layers)):
-        if not mask:
-            return None
-        mask = layers[i] = step(mask) & layers[i]
-    return layers if mask else None
+    layers = _sweep(code.domain.step_mask, layers[0], layers[1:])
+    return layers if layers[-1] else None
 
 
 def pruned_layers(code, word):
@@ -66,17 +69,8 @@ def pruned_layers(code, word):
     layers = forward_layers(code, word)
     if layers is None:
         return None
-    back = code.domain.step_mask_back
-    mask = layers[-1]
-    for i in range(len(layers) - 2, -1, -1):
-        mask = layers[i] = back(mask) & layers[i]
-    return layers
+    return _sweep(code.domain.step_mask_back, layers[-1], layers[-2::-1])[::-1]
 
-
-# a side closure steps through one union_table (2**n entries) up to this
-# many domain symbols, through the byte tables beyond it: building up to
-# 1024 entries per letter costs less than a second lookup on every step
-WALK_TABLE_SYMBOLS = 10
 
 # side-closure minima by their whole input, oldest first: _side_minimum
 # keeps at most MINIMA_KEPT of them
@@ -90,21 +84,12 @@ def _letter_masks(code, letters):
     return tuple(map(code.letter_mask, letters))
 
 
-def _row_stepper(domain, keep, back):
-    """One row of a fiber-matrix step (back: one column): the successors
-    (predecessors) of a mask within keep, a track's mask at the slot,
-    read off a table with keep folded in."""
-    masks = domain.pred_masks if back else domain.succ_masks
-    if len(masks) <= WALK_TABLE_SYMBOLS:
-        return union_table(masks, keep).__getitem__
-    step = domain.step_mask_back if back else domain.step_mask
-    return lambda mask: step(mask) & keep
-
-
 def _track_steppers(domain, masks, back):
-    """_row_stepper for every slot of a track, one per distinct mask: a
-    cycle's phases and the letters psi merges share theirs."""
-    steppers = {keep: _row_stepper(domain, keep, back) for keep in dict.fromkeys(masks)}
+    """Per slot of a track, a stepper of the domain's successor masks
+    (back: predecessor masks) within the slot's mask, one per distinct
+    mask: a cycle's phases and the letters psi merges share theirs."""
+    steps = domain.pred_masks if back else domain.succ_masks
+    steppers = {keep: stepper(steps, keep) for keep in dict.fromkeys(masks)}
     return [steppers[keep] for keep in masks]
 
 
@@ -123,7 +108,7 @@ def _side_closures(domain, tracks, labels, cycle, cap):
     track's matrix) whose first-track row is nonzero), its right side
     (head slot, the same tuples of columns).  Appending a slot steps
     every row forwards, prepending one steps every column backwards,
-    through one table per mask and direction, built on the closure's
+    through one stepper per mask and direction, built on the closure's
     first step and dropped with it.  Tuples whose first track empties
     are dropped, and so is a side with none left.  Both closures start
     from the one-letter blocks, whose rows and columns are alike.
@@ -197,12 +182,6 @@ def _side_minimum(domain, tracks, labels, cycle, score, cap):
         del _MINIMA[next(iter(_MINIMA))]
     _MINIMA[key] = found
     return found
-
-
-def _block_minimum(domain, tracks, score, cap):
-    """_side_minimum over every block of the first track's codomain: one
-    slot per letter, in alphabet order."""
-    return _side_minimum(domain, tracks, range(len(tracks[0])), False, score, cap)
 
 
 def _closure_minimum(sides, score):
@@ -359,7 +338,9 @@ def find_magic_block(code, max_len=None, cap=DEFAULT_CAP):
     """
     letters = code.codomain_alphabet.symbols
     tracks = (_letter_masks(code, letters),)
-    found = _block_minimum(code.domain, tracks, _magic_score, cap)
+    found = _side_minimum(
+        code.domain, tracks, range(len(letters)), False, _magic_score, cap
+    )
     if found is None:
         raise InvalidBlock("codomain language is empty")
     value, word, coordinate, depth = found

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .codes import CodeTriple, OneBlockCode, check_onto, compose, is_finite_to_one
-from .core import VertexShift, byte_lookup, byte_tables, is_irreducible
+from .core import VertexShift, is_irreducible, stepper
 from .depth import class_degree, relative_class_degree
 from .errors import GenerationFailed, PreconditionUnmet
 from .graphs import reach
@@ -35,9 +35,13 @@ class TripleGenSpec:
     edge_density: float = 0.5
 
     def __post_init__(self):
+        # bool is an int subclass: a JSON true must not pass as 1
         for name in ("seed", "y_symbols", "blowup_min", "blowup_max", "z_symbols"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise PreconditionUnmet(f"{name} must be an integer")
+        if isinstance(self.edge_density, bool):
+            raise PreconditionUnmet("edge_density must be a number")
         if self.y_symbols < 1:
             raise PreconditionUnmet("y_symbols must be positive")
         if not 1 <= self.blowup_min <= self.blowup_max:
@@ -118,8 +122,7 @@ def _repair_connectivity(rng, x_symbols, x_pairs, phi_map, y_shift):
         for a, b in pairs:
             succ[index[a]] |= 1 << index[b]
             pred[index[b]] |= 1 << index[a]
-        ahead = partial(byte_lookup, byte_tables(succ))
-        behind = partial(byte_lookup, byte_tables(pred))
+        ahead, behind = stepper(succ), stepper(pred)
         comp = [reach(ahead, 1 << v) & reach(behind, 1 << v) for v in range(n)]
         if comp[0] == (1 << n) - 1:
             return pairs

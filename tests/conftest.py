@@ -158,7 +158,7 @@ def naive_finite_to_one(code, slack=2):
 
 def reference_step_mask(shift, mask):
     """Successors of the symbols in mask, one allowed pair at a time: the
-    plain loop that VertexShift.step_mask answers from byte tables."""
+    plain loop that VertexShift.step_mask answers from its tables."""
     index = shift.alphabet.index
     out = 0
     for a, b in shift.allowed:

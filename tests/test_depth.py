@@ -15,7 +15,7 @@ from sftcd.core import (
     enumerate_blocks,
     iter_bits,
     parse_block_text,
-    union_table,
+    stepper,
 )
 import sftcd.depth as depth_module
 import sftcd.fiber as fiber_module
@@ -282,7 +282,7 @@ class TestClassDegree:
 
     def test_closure_on_a_two_byte_domain(self):
         # additive_recoding(4) has 16 domain symbols, so every mask step of
-        # the closure reads two byte tables
+        # the closure reads two tables, one per run of ten symbols
         phi = additive_recoding(4).code
         est = class_degree(phi)
         assert (est.value, est.minimal_block.text()) == (4, "0")
@@ -399,15 +399,15 @@ class TestPeriodicPointDegree:
 
         built = []
 
-        def counting_union_table(masks, keep=-1):
+        def counting_stepper(masks, keep=-1):
             built.append(keep)
-            return union_table(masks, keep)
+            return stepper(masks, keep)
 
-        monkeypatch.setattr(fiber, "union_table", counting_union_table)
+        monkeypatch.setattr(fiber, "stepper", counting_stepper)
         p = PeriodicPoint.make(Block(("0",) * 39 + ("1",)), 0)
         est = periodic_point_relative_degree(xor2, p)
         assert (est.value, est.minimal_block.text()) == (1, "00000")
-        # in each direction, phi's track steps through one table per Y
+        # in each direction, phi's track steps through one stepper per Y
         # letter and pi's through one per letter of psi's image, whatever
         # the period
         assert len(built) == 2 * (len(xor2.Y.alphabet) + len(xor2.psi.codomain_alphabet))
@@ -859,16 +859,15 @@ def test_minimum_at_the_seeds_builds_no_table(monkeypatch):
     # seed 197's relative degree is 1 at the one-letter block y2, so
     # neither side closure steps past its seeds; phi's class degree on
     # the same triple, 1 as well, needs only the seeds too, while pi's
-    # needs three levels and builds its tables
+    # needs three levels and builds its steppers
     built = []
 
-    def counting_union_table(masks, keep=-1):
+    def counting_stepper(masks, keep=-1):
         built.append(keep)
-        return union_table(masks, keep)
+        return stepper(masks, keep)
 
-    monkeypatch.setattr(fiber_module, "union_table", counting_union_table)
+    monkeypatch.setattr(fiber_module, "stepper", counting_stepper)
     t = generate_triple(spec_for_seed(197))
-    assert len(t.X.alphabet) <= fiber_module.WALK_TABLE_SYMBOLS
     for est in (relative_class_degree(t), class_degree(t.phi)):
         assert (est.value, est.minimal_block.text(), est.scanned_length) == (1, "y2", 1)
     assert built == []

@@ -1,13 +1,16 @@
 """Document parsing, canonical dumps, and the command-line surface."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import run_under_hash_seeds
+from conftest import SRC, run_under_hash_seeds
 from sftcd.cli import main
 from sftcd.codes import SlidingBlockCode
 from sftcd.core import parse_block_text
@@ -712,9 +715,33 @@ class TestCliVerify:
             {"seed": "x"},
             {"seed": 1, "y_symbols": 2.5},
             {"seed": 1, "blowup_max": 2.5},
+            {"seed": True, "y_symbols": True},
+            {"seed": 1, "edge_density": True},
         ):
             bad.write_text(json.dumps([entry]))
             assert run_cli(capsys, "verify", "--gen", str(bad))[0] == 2
+
+    def test_closed_stdout_exits_without_a_traceback(self):
+        # the read end is closed before the command writes, as `| head -1`
+        # does after its line: the first flush meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from sftcd.cli import entry; entry()",
+                 "verify", "--seeds", "1..2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
     def test_bad_arguments(self, capsys):
         assert run_cli(capsys, "verify")[0] == 2

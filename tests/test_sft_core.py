@@ -22,8 +22,11 @@ from sftcd.core import (
     parse_block_text,
     parse_point_text,
     periodic_points_of,
+    stepper,
+    union_table,
     validate_block,
 )
+import sftcd.core as core_module
 from sftcd.errors import InvalidBlock, InvariantViolation, UnknownSymbol
 from sftcd.graphs import closure, reach
 
@@ -144,6 +147,11 @@ class TestPeriodicPoint:
         pts = periodic_points_of(g, 2)
         assert [p.text() for p in pts] == ["(0)", "(01)"]
 
+    @pytest.mark.parametrize("max_period", [0, -1])
+    def test_periodic_points_need_a_positive_period(self, max_period):
+        with pytest.raises(InvalidBlock, match="max_period must be positive"):
+            periodic_points_of(golden(), max_period)
+
     def test_periodic_points_order_is_the_same_in_every_process(self):
         # phases of one cycle used to tie on (period, cycle) and come back
         # in set order, which moves with the hash seed
@@ -252,19 +260,46 @@ def test_reach_matches_a_set_search(subject):
                 )
 
 
-@pytest.mark.parametrize("size, tables", [(8, 1), (9, 2)])
-def test_mask_steps_on_both_sides_of_one_byte_table(size, tables):
-    # up to 8 symbols the step is the one table's own lookup, from 9 on
-    # byte_lookup over two tables; both must match the bit loop on every
+@pytest.mark.parametrize("size, tables", [(10, 1), (11, 2)])
+def test_mask_steps_on_both_sides_of_one_table(size, tables, monkeypatch):
+    # up to TABLE_SYMBOLS = 10 symbols a step is one table's own lookup,
+    # from 11 on a loop over two; both must match the bit loop on every
     # mask of the alphabet
+    built = []
+
+    def counting_union_table(masks, keep=-1):
+        built.append(len(masks))
+        return union_table(masks, keep)
+
+    monkeypatch.setattr(core_module, "union_table", counting_union_table)
     symbols = tuple(f"s{i}" for i in range(size))
     pairs = {(symbols[i], symbols[(i + 1) % size]) for i in range(size)}
     pairs |= {(symbols[i], symbols[(3 * i + 2) % size]) for i in range(size)}
     shift = VertexShift(Alphabet(symbols), frozenset(pairs))
-    assert len(shift.succ_tables) == len(shift.pred_tables) == tables
+    forward, backward = shift.step_mask, shift.step_mask_back
+    # one table per run in each direction, the runs covering every symbol
+    assert (len(built), sum(built)) == (2 * tables, 2 * size)
     for mask in range(2**size):
-        assert shift.step_mask(mask) == reference_step_mask(shift, mask)
-        assert shift.step_mask_back(mask) == reference_step_mask_back(shift, mask)
+        assert forward(mask) == reference_step_mask(shift, mask)
+        assert backward(mask) == reference_step_mask_back(shift, mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**25 - 1), min_size=1, max_size=25),
+    st.integers(-1, 2**25 - 1),
+    st.data(),
+)
+def test_stepper_matches_the_bit_loop(masks, keep, data):
+    # 1..25 masks: one table up to TABLE_SYMBOLS, a loop over up to three
+    # past it, keep folded into every entry either way
+    step = stepper(masks, keep)
+    for mask in data.draw(st.lists(st.integers(0, 2 ** len(masks) - 1), max_size=8)):
+        want = 0
+        for i, m in enumerate(masks):
+            if mask >> i & 1:
+                want |= m
+        assert step(mask) == want & keep
 
 
 def shifted_bits(mask):
