@@ -10,6 +10,13 @@ Surjectivity (check_onto) is decided exactly, on the level-by-level
 closure of graphs.py that also closes the fiber-matrix engine's sides,
 and so is finite-to-one-ness (is_finite_to_one), by reachability on the
 pair graph of same-image symbol pairs, kept as one bitmask per symbol.
+Each surjectivity question is closed once per process: _ONTO keeps the
+answer, its missing block as alphabet indices, under the masks the
+closure reads and the cap, so a repeated question, or the same one
+under other symbol names, is read back and spelled in the asker's
+symbols.  Constructors that refuse a pair of symbols name the least one
+in alphabet-index order, found from successor masks, so a message never
+depends on the order a set of pairs is iterated in.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ from .core import (
     iter_bits,
     validate_block,
 )
-from .graphs import closure
+from .graphs import closure, remember
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,13 @@ class OneBlockCode:
                 raise AlphabetMismatch(
                     "attached codomain shift disagrees with codomain alphabet"
                 )
-            for a, b in self.domain.allowed:
-                fa, fb = self.apply_symbol(a), self.apply_symbol(b)
-                if not self.codomain.allows(fa, fb):
-                    raise InvariantViolation(
-                        f"code is not edge-compatible: ({a!r},{b!r}) maps to "
-                        f"forbidden pair ({fa!r},{fb!r})"
-                    )
+            bad = _unsound_pair(self, self.codomain)
+            if bad:
+                (a, b), (fa, fb) = bad
+                raise InvariantViolation(
+                    f"code is not edge-compatible: ({a!r},{b!r}) maps to "
+                    f"forbidden pair ({fa!r},{fb!r})"
+                )
 
     @staticmethod
     def from_dict(domain, codomain_alphabet, mapping, codomain=None):
@@ -110,6 +117,28 @@ class OneBlockCode:
     def step(self, mask, letter):
         """Forward one position: successors of mask that carry letter."""
         return self.domain.step_mask(mask) & self.letter_mask(letter)
+
+
+def _unsound_pair(code, shift):
+    """The least allowed pair of code's domain, by the alphabet index of
+    its first symbol and then its second, whose image pair shift (on
+    code's codomain alphabet) forbids: ((a, b), (image of a, image of
+    b)), or None.  Walks the domain symbols by index with their successor
+    masks, so the answer never depends on the order of a set of pairs."""
+    letters = tuple(code.letter_masks.values())
+    # fits[y]: the domain symbols whose image may follow the letter y
+    fits = [0] * len(letters)
+    for y, nexts in enumerate(shift.succ_masks):
+        for z in iter_bits(nexts):
+            fits[y] |= letters[z]
+    index = shift.alphabet.index
+    for a, nexts in enumerate(code.domain.succ_masks):
+        bad = nexts & ~fits[index(code.mapping[a])]
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            pair = code.domain.alphabet.symbols[a], code.domain.alphabet.symbols[b]
+            return pair, (code.mapping[a], code.mapping[b])
+    return None
 
 
 def identity_code(shift):
@@ -276,13 +305,13 @@ def compose(f, g):
     alphabet and f must land inside g's domain shift."""
     if f.codomain_alphabet != g.domain.alphabet:
         raise AlphabetMismatch("codomain of f does not match domain of g")
-    for a, b in f.domain.allowed:
-        fa, fb = f.apply_symbol(a), f.apply_symbol(b)
-        if not g.domain.allows(fa, fb):
-            raise InvariantViolation(
-                f"composition unsound: f maps ({a!r},{b!r}) onto pair "
-                f"({fa!r},{fb!r}) forbidden in g's domain"
-            )
+    bad = _unsound_pair(f, g.domain)
+    if bad:
+        (a, b), (fa, fb) = bad
+        raise InvariantViolation(
+            f"composition unsound: f maps ({a!r},{b!r}) onto pair "
+            f"({fa!r},{fb!r}) forbidden in g's domain"
+        )
     return OneBlockCode(
         f.domain,
         g.codomain_alphabet,
@@ -301,6 +330,11 @@ class OntoCheck:
         return self.ok
 
 
+# check_onto's answers by everything its closure reads, oldest first
+# (graphs.remember): (ok, checked_length, missing word as indices or None)
+_ONTO = {}
+
+
 def check_onto(code, codomain_shift):
     """Does every block of the codomain shift have a preimage block?
 
@@ -312,26 +346,47 @@ def check_onto(code, codomain_shift):
     later level is grown.  checked_length is that block's length, or the
     closure depth when the code is onto.  Raises ResourceLimit once the
     levels grown hold more than DEFAULT_CAP states.
+
+    Each question is closed once: the answer is kept in _ONTO under all
+    the closure reads, the domain's successor masks, the letter masks in
+    codomain order, the codomain's successor masks and DEFAULT_CAP as it
+    is at the call.  The missing word is kept as indices and spelled in
+    the caller's symbols, so a renamed copy of a code shares its entry.
+    A closure that raises ResourceLimit keeps nothing.
     """
     if code.codomain_alphabet != codomain_shift.alphabet:
         raise AlphabetMismatch("codomain shift alphabet mismatch")
     symbols = codomain_shift.alphabet.symbols
+    letters = tuple(map(code.letter_mask, symbols))
     succ = codomain_shift.succ_masks
-    seeds = [((y, code.letter_mask(s)), (y,)) for y, s in enumerate(symbols)]
+    cap = DEFAULT_CAP
+    key = (code.domain.succ_masks, letters, succ, cap)
+    found = _ONTO.get(key)
+    if found is None:
+        found = remember(_ONTO, key, _onto_closure(code.domain, letters, succ, cap))
+    ok, length, word = found
+    return OntoCheck(ok, length, word and Block(tuple(symbols[y] for y in word)))
+
+
+def _onto_closure(domain, letters, succ, cap):
+    """check_onto's closure over the codomain successor masks succ, with
+    letters[y] the domain symbols carrying the codomain letter y: (ok,
+    checked_length, the least missing word as indices or None)."""
+    step = domain.step_mask
+    seeds = [((y, mask), (y,)) for y, mask in enumerate(letters)]
 
     def grow(state, word):
         y, mask = state
         if mask:
             for y2 in iter_bits(succ[y]):
-                yield (y2, code.step(mask, symbols[y2])), word + (y2,)
+                yield (y2, step(mask) & letters[y2]), word + (y2,)
 
     depth = 0
-    for depth, level in enumerate(closure(seeds, grow, DEFAULT_CAP), 1):
+    for depth, level in enumerate(closure(seeds, grow, cap), 1):
         for (_, mask), word in level:
             if not mask:
-                block = Block(tuple(symbols[y] for y in word))
-                return OntoCheck(False, len(word), block)
-    return OntoCheck(True, depth)
+                return False, len(word), word
+    return True, depth, None
 
 
 def is_finite_to_one(code):

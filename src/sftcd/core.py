@@ -185,9 +185,7 @@ class VertexShift:
     allowed: frozenset
 
     def __post_init__(self):
-        for a, b in self.allowed:
-            if a not in self.alphabet or b not in self.alphabet:
-                raise UnknownSymbol(f"pair ({a!r}, {b!r}) uses unknown symbols")
+        _check_pairs(self.alphabet._index, self.allowed)
         outs = {s: 0 for s in self.alphabet}
         ins = {s: 0 for s in self.alphabet}
         for a, b in self.allowed:
@@ -205,9 +203,7 @@ class VertexShift:
         incoming pair until the presentation is essential."""
         symbols = list(symbols)
         pairs = set(tuple(p) for p in pairs)
-        for a, b in pairs:
-            if a not in symbols or b not in symbols:
-                raise UnknownSymbol(f"pair ({a!r}, {b!r}) uses unknown symbols")
+        _check_pairs({s: i for i, s in enumerate(dict.fromkeys(symbols))}, pairs)
         alive = set(symbols)
         while True:
             outs = {s: 0 for s in alive}
@@ -266,6 +262,13 @@ class VertexShift:
         return self.succ_lists[a]
 
     @cached_property
+    def irreducible(self):
+        """Its presentation graph is strongly connected: symbol 0 reaches
+        every symbol forwards and backwards."""
+        full = (1 << len(self.alphabet)) - 1
+        return reach(self.step_mask, 1) == full == reach(self.step_mask_back, 1)
+
+    @cached_property
     def step_mask(self):
         """step_mask(mask): union of successors of every symbol in mask."""
         return stepper(self.succ_masks)
@@ -275,6 +278,18 @@ class VertexShift:
         """step_mask_back(mask): union of predecessors of every symbol in
         mask."""
         return stepper(self.pred_masks)
+
+
+def _check_pairs(index, pairs):
+    """UnknownSymbol naming the least pair that uses a symbol outside
+    index (symbol -> alphabet index): least by its first symbol's index,
+    then its second's, an unknown symbol coming after every known one and
+    unknown ones in name order, so the message never depends on the order
+    a set of pairs is iterated in."""
+    strays = [p for p in pairs if p[0] not in index or p[1] not in index]
+    if strays:
+        a, b = min(strays, key=lambda p: [(index.get(s, len(index)), s) for s in p])
+        raise UnknownSymbol(f"pair ({a!r}, {b!r}) uses unknown symbols")
 
 
 def validate_block(shift, block):
@@ -325,10 +340,9 @@ def count_blocks(shift, length):
 
 
 def is_irreducible(shift):
-    """Irreducible = its presentation graph is strongly connected: symbol
-    0 reaches every symbol forwards and backwards."""
-    full = (1 << len(shift.alphabet)) - 1
-    return reach(shift.step_mask, 1) == full == reach(shift.step_mask_back, 1)
+    """Irreducible = its presentation graph is strongly connected, decided
+    once per shift (VertexShift.irreducible)."""
+    return shift.irreducible
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,12 @@ The side closures of fiber.py reach every such pair, each pair's routing
 family is one set comprehension, scored once, and the block attaining
 the minimum replays as a routing certificate.  Depth is never below 1,
 so the closures grow only until a depth-1 pair turns up, or to their
-end when the minimum is larger.  Every mask step is a core.stepper.
+end when the minimum is larger.  Once a depth of 2 is found, the pairs
+after it are asked only whether they score 1: one symbol lying in every
+routing set, that is, a nonzero intersection.  Such a pair's sets are
+intersected as they are made, with no family collected, and the first
+set that empties the intersection ends the score.  Every mask step is a
+core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so
@@ -155,14 +160,20 @@ def _hitting_set(family, k, allowed=None):
     set of family, or None when there is none; allowed (default: the
     union of family) bounds the symbols it may use.
 
-    Combinations starting with symbol i come before those starting with
-    a larger one, and the rest of such a combination only has to meet
-    the sets that miss i, so the search recurses on those.  It gives up
-    once fewer than k symbols are left or some set has none of them."""
+    One symbol hits them all when it lies in their intersection, which
+    is read in one pass over family, stopping at the first set that
+    empties it; so at k = 1 family may be any iterable.  Combinations
+    starting with symbol i come before those starting with a larger one,
+    and the rest of such a combination only has to meet the sets that
+    miss i, so the search recurses on those.  It gives up once fewer
+    than k symbols are left or some set has none of them."""
     if k == 1:
-        inter = -1 if allowed is None else allowed
+        family = iter(family)
+        inter = next(family, 0) if allowed is None else allowed
         for r in family:
             inter &= r
+            if not inter:
+                return None
         return inter & -inter or None
     if allowed is None:
         allowed = 0
@@ -380,7 +391,9 @@ def _min_hitting_set(family, limit):
     """Least mask, in combination order, among the smallest hitting sets
     of family when those have at most limit symbols (None: no limit),
     otherwise None.  Routing sets are never empty, so one symbol of each
-    hits them all and len(family) symbols always suffice."""
+    hits them all and len(family) symbols always suffice.  At limit 1
+    only _hitting_set's one pass reads family, so it may be an iterator
+    there (an empty one has no hitting set either)."""
     if family:
         for k in range(1, (limit or len(family)) + 1):
             mask = _hitting_set(family, k)
@@ -393,9 +406,11 @@ def _routing_score(rows, cols, limit):
     """Depth at a split, from the left side's rows and the right side's
     columns: (s, t) is an endpoint pair when first-track row s meets
     first-track column t, and its routing set is the last-track row s &
-    the last-track column t."""
-    family = {r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0]}
-    mask = _min_hitting_set(family, limit)
+    the last-track column t.  At limit 1 the routing sets are not
+    collected: _hitting_set intersects them as they come and stops at
+    the first that leaves no symbol."""
+    family = (r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0])
+    mask = _min_hitting_set(family if limit == 1 else set(family), limit)
     return None if mask is None else mask.bit_count()
 
 

@@ -22,22 +22,26 @@ closures to their end.
 A closure steps every row or column through core.stepper: per track,
 letter mask and direction, a stepper of the domain's successor or
 predecessor masks with the letter's mask folded in, built on the
-closure's first step past the one-letter seeds.  Those steppers live
+closure's first step past the one-letter seeds.  A side is stepped track
+by track: the side's tuples are split into one column per track, each
+column is mapped through its track's stepper, and zip rejoins the
+stepped tuples, so no Python frame runs per tuple.  Those steppers live
 only as long as one closure; kept on the codes, they would live as long
 as each code does.  What is kept is the minimum, and it holds no code:
 the closures read nothing but the domain's successor masks and each
 track's letter masks, so _side_minimum keeps each minimum under those,
-the slot labels, the walk, the score and the cap, and answers a repeated
-question without growing a side.
+the slot labels, the walk, the score and the cap (graphs.remember), and
+answers a repeated question without growing a side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
+from operator import itemgetter
 
 from .core import Block, DEFAULT_CAP, iter_bits, stepper
 from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
-from .graphs import closure
+from .graphs import closure, remember
 
 
 def _sweep(step, mask, layers):
@@ -72,16 +76,17 @@ def pruned_layers(code, word):
     return _sweep(code.domain.step_mask_back, layers[-1], layers[-2::-1])[::-1]
 
 
-# side-closure minima by their whole input, oldest first: _side_minimum
-# keeps at most MINIMA_KEPT of them
+# side-closure minima by their whole input, oldest first (graphs.remember)
 _MINIMA = {}
-MINIMA_KEPT = 4096
 
 
 def _letter_masks(code, letters):
     """Per slot, the mask of the domain symbols that code sends to the
     slot's letter: one track of a side closure."""
     return tuple(map(code.letter_mask, letters))
+
+
+_first = itemgetter(0)
 
 
 def _track_steppers(domain, masks, back):
@@ -139,10 +144,13 @@ def _side_closures(domain, tracks, labels, cycle, cap):
                 steppers = list(
                     zip(*(_track_steppers(domain, masks, back) for masks in tracks))
                 )
+            # the side's tuples track by track: each track's stepper maps
+            # its column, zip puts the stepped tuples back together, and
+            # _first drops those whose first track emptied
+            by_track = tuple(zip(*side[1]))
             for slot in nexts[side[0]]:
-                step = steppers[slot]
-                moved = (tuple(f(m) for f, m in zip(step, vec)) for vec in side[1])
-                vecs = frozenset(vec for vec in moved if vec[0])
+                moved = zip(*map(map, steppers[slot], by_track))
+                vecs = frozenset(filter(_first, moved))
                 if vecs:
                     label = (labels[slot],)
                     yield (slot, vecs), label + word if back else word + label
@@ -178,10 +186,7 @@ def _side_minimum(domain, tracks, labels, cycle, score, cap):
     if key in _MINIMA:
         return _MINIMA[key]
     found = _closure_minimum(_side_closures(domain, tracks, labels, cycle, cap), score)
-    if len(_MINIMA) >= MINIMA_KEPT:
-        del _MINIMA[next(iter(_MINIMA))]
-    _MINIMA[key] = found
-    return found
+    return remember(_MINIMA, key, found)
 
 
 def _closure_minimum(sides, score):

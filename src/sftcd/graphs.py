@@ -1,6 +1,7 @@
 """Two graph helpers: reachability on bitmask sets, and the
 level-by-level closure behind the exact surjectivity check and both side
-closures of the fiber-matrix engine.
+closures of the fiber-matrix engine; and remember, the one bounded store
+of the answers those closures give.
 
 reach decides irreducibility and finds the transition classes of the
 class oracle and of the generator's connectivity repair: two nodes share
@@ -9,13 +10,18 @@ forwards intersected with what it reaches backwards.  Its nodes are bit
 positions and its successors a stepper over masks.  The closure's
 states are arbitrary hashables, their successors computed on demand, and
 its levels come in a deterministic order so results are reproducible
-across runs.
+across runs.  A closure's answer is kept, by whoever asks, under
+everything the closure reads, so equal keys give equal answers; remember
+keeps at most MINIMA_KEPT of them per memo, oldest out first.
 """
 from __future__ import annotations
 
 from operator import itemgetter
 
 from .errors import ResourceLimit
+
+# answers kept per memo of closure results (fiber._MINIMA, codes._ONTO)
+MINIMA_KEPT = 4096
 
 
 def reach(step, mask, within=-1):
@@ -64,3 +70,13 @@ def closure(seeds, grow, cap):
             for nxt in grow(state, word)
             if nxt[0] not in seen
         ]
+
+
+def remember(memo, key, value):
+    """memo[key] = value, the oldest entry dropped first once memo holds
+    MINIMA_KEPT; returns value.  Store an answer only once its closure
+    has completed: one that raised has nothing to keep."""
+    if len(memo) >= MINIMA_KEPT:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import sftcd.codes as codes_module
 import sftcd.fiber as fiber_module
 from sftcd.codes import CodeTriple, OneBlockCode
 from sftcd.core import VertexShift
@@ -22,10 +23,12 @@ from sftcd.corpus import builtin_triple
 
 
 @pytest.fixture(autouse=True)
-def fresh_minima():
-    """Every test starts with no side-closure minimum kept, so whether a
-    closure runs never depends on the tests before it."""
+def fresh_memos():
+    """Every test starts with no side-closure minimum and no check_onto
+    answer kept, so whether a closure runs never depends on the tests
+    before it."""
     fiber_module._MINIMA.clear()
+    codes_module._ONTO.clear()
 
 
 @pytest.fixture(scope="session")

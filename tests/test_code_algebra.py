@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_paths, naive_finite_to_one, small_codes
+import sftcd.codes as codes_module
+from conftest import fiber_paths, naive_finite_to_one, run_under_hash_seeds, small_codes
 from sftcd.codes import (
     CodeTriple,
     OneBlockCode,
@@ -85,6 +86,43 @@ class TestOneBlockCode:
         assert triv.codomain.alphabet.symbols == ("z",)
 
 
+# a code from the full shift on (b, a) into the 2-cycle x <-> y: b -> x
+# and a -> y, so (b, b) and (a, a) both map onto forbidden loops; (b, b)
+# comes first in alphabet-index order, (a, a) first by name
+_UNSOUND_SETUP = (
+    "from sftcd.codes import OneBlockCode, compose, identity_code\n"
+    "from sftcd.core import VertexShift\n"
+    "from sftcd.errors import InvariantViolation\n"
+    "cyc = VertexShift.build('xy', [('x', 'y'), ('y', 'x')])\n"
+    "ba = VertexShift.full_shift(('b', 'a'))\n"
+    "try:\n"
+    "    {}\n"
+    "except InvariantViolation as e:\n"
+    "    print(e)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            "OneBlockCode.from_dict(ba, cyc.alphabet, {'b': 'x', 'a': 'y'}, cyc)",
+            "code is not edge-compatible: ('b','b') maps to forbidden pair ('x','x')",
+        ),
+        (
+            "compose(OneBlockCode(ba, cyc.alphabet, ('x', 'y')), identity_code(cyc))",
+            "composition unsound: f maps ('b','b') onto pair ('x','x') forbidden "
+            "in g's domain",
+        ),
+    ],
+)
+def test_unsound_pair_is_the_least_in_alphabet_order(make, message):
+    # the offending pair is named in alphabet-index order, the same in
+    # every process, not in the order of the domain's set of pairs
+    outputs = run_under_hash_seeds(_UNSOUND_SETUP.format(make), "0123")
+    assert [out.decode().strip() for out in outputs] == [message] * 4
+
+
 class TestSlidingRecode:
     def test_xor_rule_windows(self):
         code = xor_sliding()
@@ -128,6 +166,14 @@ class TestCompose:
     def test_compose_checks_alphabets(self, xor2):
         with pytest.raises(AlphabetMismatch):
             compose(xor2.psi, xor2.phi)
+
+
+def _onto_abc():
+    """An onto code into the full 2-shift whose closure passes a cap of 2."""
+    full = VertexShift.full_shift(("0", "1"))
+    edges = [("a", "a"), ("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"), ("c", "c")]
+    images = {"a": "0", "b": "0", "c": "1"}
+    return OneBlockCode.from_dict(VertexShift.build("abc", edges), full.alphabet, images, full), full
 
 
 class TestCheckOnto:
@@ -180,20 +226,60 @@ class TestCheckOnto:
         assert (res.ok, res.checked_length, res.missing_block.text()) == (False, 2, "ba")
 
     def test_cap_raises_resource_limit(self, monkeypatch):
-        full = VertexShift.full_shift(("0", "1"))
-        code = OneBlockCode.from_dict(
-            VertexShift.build(
-                "abc",
-                [("a", "a"), ("a", "b"), ("a", "c"), ("b", "c"), ("c", "a"), ("c", "c")],
-            ),
-            full.alphabet,
-            {"a": "0", "b": "0", "c": "1"},
-            full,
-        )
+        code, full = _onto_abc()
         monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
         with pytest.raises(ResourceLimit, match="cap of 2"):
             check_onto(code, full)
 
+
+    def test_a_kept_answer_does_not_serve_a_smaller_cap(self, monkeypatch):
+        # the answer kept at the default cap is keyed by that cap, so the
+        # same question under a cap of 2 closes again and passes it
+        code, full = _onto_abc()
+        assert check_onto(code, full).ok
+        assert len(codes_module._ONTO) == 1
+        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
+        with pytest.raises(ResourceLimit, match="cap of 2"):
+            check_onto(code, full)
+
+    def test_a_closure_past_its_cap_keeps_nothing(self, monkeypatch):
+        code, full = _onto_abc()
+        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
+        for _ in range(2):
+            with pytest.raises(ResourceLimit, match="cap of 2"):
+                check_onto(code, full)
+        assert codes_module._ONTO == {}
+
+    def test_a_renamed_copy_is_answered_in_its_own_symbols(self, monkeypatch):
+        # the gap code of test_closure_depth_and_shortest_missing_block
+        # with every symbol renamed: the kept answer serves the copy, with
+        # the missing block spelled in the copy's letters, as a fresh
+        # closure spells it
+        def gap(names, letters):
+            full = VertexShift.full_shift(letters)
+            edges = [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "c")]
+            images = {"a": letters[0], "b": letters[0], "c": letters[1]}
+            X = VertexShift.build(
+                [names[s] for s in "abc"], [(names[a], names[b]) for a, b in edges]
+            )
+            return OneBlockCode.from_dict(
+                X, full.alphabet, {names[s]: y for s, y in images.items()}, full
+            ), full
+
+        plain = check_onto(*gap({s: s for s in "abc"}, ("0", "1")))
+        assert (plain.ok, plain.checked_length, plain.missing_block.text()) == (False, 3, "101")
+        closures = []
+        real = codes_module._onto_closure
+        monkeypatch.setattr(
+            codes_module, "_onto_closure", lambda *a: closures.append(a) or real(*a)
+        )
+        copy = gap({"a": "p", "b": "q", "c": "r"}, ("L", "H"))
+        kept = check_onto(*copy)
+        assert closures == []
+        codes_module._ONTO.clear()
+        assert check_onto(*copy) == kept
+        assert len(closures) == 1
+        assert (kept.ok, kept.checked_length, kept.missing_block.text()) == (False, 3, "HLH")
 
     def test_missing_block_ends_the_closure(self, monkeypatch):
         # a 4-cycle read 0100: "11" has no preimage, and the closure

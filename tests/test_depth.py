@@ -3,7 +3,7 @@ from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fiber_paths, naive_class_degree, naive_depth, small_codes
@@ -910,6 +910,27 @@ def test_hitting_set_is_the_first_combination_that_hits(family, k):
             expected = mask
             break
     assert _hitting_set(set(family), k) == expected
+
+
+_split_sides = st.frozensets(
+    st.tuples(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_sides, _split_sides)
+@example(frozenset({(1, 3)}), frozenset({(2, 3)}))
+def test_limit_one_score_is_the_family_search(rows, cols):
+    # at limit 1 _routing_score intersects routing sets as they come and
+    # stops at an empty one; the reference builds the family of a split
+    # and searches it for one symbol.  Rows and columns of one track, and
+    # of two; the example has no meeting pair
+    for tracks in (1, 2):
+        r = {vec[:tracks] for vec in rows}
+        c = {vec[:tracks] for vec in cols}
+        family = {a[-1] & b[-1] for a in r for b in c if a[0] & b[0]}
+        mask = depth_module._min_hitting_set(family, 1)
+        assert depth_module._routing_score(r, c, 1) == (mask and mask.bit_count())
 
 
 def test_lex_path_through_is_the_least_fiber_path():

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_paths, small_codes
+from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
 from sftcd.codes import OneBlockCode
-from sftcd.core import Block, VertexShift, parse_block_text
+from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
 from sftcd.depth import _endpoint_pairs, _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
+    _letter_masks,
+    _side_closures,
     degree_finite_to_one,
     find_magic_block,
     forward_layers,
@@ -18,6 +20,7 @@ from sftcd.fiber import (
     preimage_symbol_count,
     pruned_layers,
 )
+from sftcd.graphs import closure
 
 
 def w(triple, text):
@@ -131,6 +134,57 @@ def test_endpoint_pairs_on_forward_and_pruned_layers(code, word):
     forward = _endpoint_pairs(_forward_sets(code.domain, forward_layers(code, word)))
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
     assert forward == _endpoint_pairs(_forward_sets(code.domain, pruned)) == ends
+
+
+def _side_closures_vector_by_vector(domain, tracks, labels, cap):
+    """Reference for _side_closures on every block (no cycle): each tuple
+    of a side stepped on its own, track by track, by the plain pair loop
+    of conftest.reference_step_mask, and kept when its first track is
+    nonzero."""
+    slots = range(len(labels))
+    seeds = [
+        ((slot, frozenset((1 << s,) * len(tracks) for s in iter_bits(mask))), (labels[slot],))
+        for slot, mask in enumerate(tracks[0])
+        if mask
+    ]
+
+    def grower(back):
+        ref = reference_step_mask_back if back else reference_step_mask
+
+        def grow(side, word):
+            for slot in slots:
+                moved = [
+                    tuple(ref(domain, m) & masks[slot] for m, masks in zip(vec, tracks))
+                    for vec in side[1]
+                ]
+                vecs = frozenset(vec for vec in moved if vec[0])
+                if vecs:
+                    label = (labels[slot],)
+                    yield (slot, vecs), label + word if back else word + label
+
+        return grow
+
+    return closure(seeds, grower(False), cap), closure(seeds, grower(True), cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.booleans())
+def test_side_closures_step_as_each_vector_would(code, relative):
+    # a side is stepped track by track, each track's members through one
+    # stepper; every level of both closures must hold the sides and words
+    # that stepping each tuple on its own gives.  Relative mode adds the
+    # track of a psi that merges both letters, whose masks hold every
+    # domain symbol
+    letters = code.codomain_alphabet.symbols
+    tracks = (_letter_masks(code, letters),)
+    if relative:
+        everything = (1 << len(code.domain.alphabet)) - 1
+        tracks += ((everything,) * len(letters),)
+    labels = tuple(range(len(letters)))
+    got = _side_closures(code.domain, tracks, labels, False, DEFAULT_CAP)
+    want = _side_closures_vector_by_vector(code.domain, tracks, labels, DEFAULT_CAP)
+    for side, reference in zip(got, want):
+        assert list(side) == list(reference)
 
 
 def test_endpoint_pairs_past_a_dead_end():

@@ -86,6 +86,28 @@ class TestVertexShift:
         with pytest.raises(UnknownSymbol):
             VertexShift.build(("a",), [("a", "b")])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            "VertexShift(Alphabet(('b', 'a')), frozenset(pairs))",
+            "VertexShift.build(('b', 'a'), pairs)",
+        ],
+    )
+    def test_unknown_pair_is_the_least_in_alphabet_order(self, make):
+        # (a, x), (y, b) and (b, z) use unknown symbols; b comes first in
+        # the alphabet, so (b, z) is named in every process, where the
+        # set's order varies with the hash seed and names put (a, x) first
+        snippet = (
+            "from sftcd.core import Alphabet, VertexShift\n"
+            "from sftcd.errors import UnknownSymbol\n"
+            "pairs = [('a', 'x'), ('y', 'b'), ('b', 'a'), ('a', 'b'), ('b', 'z')]\n"
+            f"try:\n    {make}\n"
+            "except UnknownSymbol as e:\n    print(e)\n"
+        )
+        outputs = run_under_hash_seeds(snippet, "0123")
+        expected = "pair ('b', 'z') uses unknown symbols"
+        assert [out.decode().strip() for out in outputs] == [expected] * 4
+
     def test_build_rejects_everything_stranded(self):
         with pytest.raises(InvariantViolation):
             VertexShift.build(("a", "b"), [("a", "b")])
@@ -109,6 +131,8 @@ class TestVertexShift:
             ("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")]
         )
         assert not is_irreducible(oneway)
+        # decided once per shift and kept on it
+        assert oneway.__dict__["irreducible"] is False
 
 
 class TestPeriodicPoint:
