@@ -100,6 +100,15 @@ class OneBlockCode:
         except KeyError:
             raise UnknownSymbol(f"symbol {s!r} not in domain alphabet") from None
 
+    def apply_word(self, word):
+        """The images of word's symbols, as a tuple, in one map call over
+        symbol_map; UnknownSymbol as apply_symbol raises it."""
+        try:
+            return tuple(map(self.symbol_map.__getitem__, word))
+        except KeyError as missing:
+            s = missing.args[0]
+            raise UnknownSymbol(f"symbol {s!r} not in domain alphabet") from None
+
     @cached_property
     def letter_masks(self):
         """Codomain symbol -> bitmask of domain symbols mapping to it."""
@@ -156,14 +165,13 @@ def apply_to_block(code, block):
     domain shift."""
     if not validate_block(code.domain, block):
         raise InvalidBlock(f"{block.text()!r} is not a block of the domain")
-    return Block(tuple(code.apply_symbol(s) for s in block.symbols))
+    return Block(code.apply_word(block.symbols))
 
 
 def apply_to_point(code, point):
     """Image of a periodic point; the cycle maps coordinate-wise and the
     result is renormalised."""
-    mapped = tuple(code.apply_symbol(s) for s in point.cycle.symbols)
-    return PeriodicPoint.make(mapped, point.phase)
+    return PeriodicPoint.make(code.apply_word(point.cycle.symbols), point.phase)
 
 
 @dataclass(frozen=True)
@@ -315,7 +323,7 @@ def compose(f, g):
     return OneBlockCode(
         f.domain,
         g.codomain_alphabet,
-        tuple(g.apply_symbol(s) for s in f.mapping),
+        g.apply_word(f.mapping),
         g.codomain,
     )
 
@@ -441,7 +449,7 @@ class CodeTriple:
             raise InvariantViolation("psi's domain is not Y")
         if self.psi.codomain_alphabet != self.Z_alphabet:
             raise InvariantViolation("psi's codomain alphabet is not Z_alphabet")
-        expected = tuple(self.psi.apply_symbol(s) for s in self.phi.mapping)
+        expected = self.psi.apply_word(self.phi.mapping)
         if self.pi.mapping != expected or self.pi.domain != self.X:
             raise InvariantViolation("pi is not the composite of phi and psi")
 
@@ -474,4 +482,4 @@ class CodeTriple:
         return self.psi.codomain
 
     def psi_word(self, word):
-        return tuple(self.psi.apply_symbol(s) for s in word)
+        return self.psi.apply_word(word)

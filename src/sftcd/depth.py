@@ -23,7 +23,10 @@ position n.  w is presented through M at n exactly when M hits every
 routing set of an occurring endpoint pair, so the depth of w is a minimum
 hitting set size.  One driver, _min_hitting_set, finds every such
 minimum: it scores a block's positions here exactly as it scores the
-splits of the side closures below, and names the least mask.
+splits of the side closures below, and names the least mask.  Position 1
+seeds a block's search with no family built: there the routing set of a
+pair (s, t) is {s}, so the least hitting set is the mask of the fiber's
+start symbols, and a single start symbol ends the search at once.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -53,9 +56,11 @@ n: one sweep per routing symbol (and position) on a reach, shared by
 every endpoint pair routed through it.  verify_certificate replays a
 certificate by checking each listed (s, t, v) once, that v spells w's
 image in the witness fiber from s to t through M at n, and that the
-listed pairs are exactly the u-fiber's endpoint pairs, read off one
-forward sweep per start symbol; so it covers every preimage without
-enumerating any.
+listed pairs are exactly the u-fiber's endpoint pairs, read off the end
+mask of one forward sweep per start symbol (_end_pairs, which keeps no
+history); so it covers every preimage without enumerating any.  Relative
+mode reads its u-fiber's pairs the same way: only the witness reach's
+forward sets feed routing sets.
 """
 from __future__ import annotations
 
@@ -155,6 +160,20 @@ def _endpoint_pairs(fs):
     return [(s, t) for s, hist in fs.items() for t in iter_bits(hist[-1])]
 
 
+def _end_pairs(domain, layers):
+    """_endpoint_pairs(_forward_sets(domain, layers)) without the
+    histories: each start symbol is stepped to the last layer keeping
+    only the current mask."""
+    step, ahead = domain.step_mask, layers[1:]
+    pairs = []
+    for s in iter_bits(layers[0]):
+        mask = 1 << s
+        for layer in ahead:
+            mask = step(mask) & layer
+        pairs += [(s, t) for t in iter_bits(mask)]
+    return pairs
+
+
 def _hitting_set(family, k, allowed=None):
     """Least k-symbol mask, in combination order, meeting every routing
     set of family, or None when there is none; allowed (default: the
@@ -191,24 +210,31 @@ def _hitting_set(family, k, allowed=None):
 def _depth_search(e_pairs, fs, bs, length):
     """Minimum hitting set over the routing families of every position.
 
-    Positions are scored by _min_hitting_set under the limit rule of
-    _closure_minimum's splits: once some position scores, a later one
-    must score strictly less, so a family equal to the one before it,
-    scored under a limit no lower, is skipped.  Returns (size, position,
-    mask) with the smallest size, then the smallest position, then the
-    least symbol set in combination order.
+    Position 1 seeds the search without a family: the routing set of an
+    endpoint pair (s, t) there is {s}, so the least hitting set is the
+    mask of the start symbols, of size its popcount.  Later positions are
+    scored by _min_hitting_set under the limit rule of _closure_minimum's
+    splits: a position must score strictly less than the best so far, so
+    a family equal to the one before it is skipped.  Returns (size,
+    position, mask) with the smallest size, then the smallest position,
+    then the least symbol set in combination order.
     """
-    best = limit = family = None
-    for n in range(1, length + 1):
+    mask = 0
+    for s, _ in e_pairs:
+        mask |= 1 << s
+    best = mask.bit_count(), 1, mask
+    if best[0] == 1:
+        return best
+    family = {1 << s for s in iter_bits(mask)}
+    for n in range(2, length + 1):
         previous, family = family, {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
         if family == previous:
             continue
-        mask = _min_hitting_set(family, limit)
+        mask = _min_hitting_set(family, best[0] - 1)
         if mask:
             best = mask.bit_count(), n, mask
             if best[0] == 1:
                 break
-            limit = best[0] - 1
     return best
 
 
@@ -323,22 +349,23 @@ def _codes_of(subject, mode):
 def _routing(subject, w, mode, M=()):
     """((u-domain, u-fiber layers, their endpoint pairs, witness reach),
     mask of M) for w in mode.  A witness reach on another code is built
-    for the u-fiber's endpoints only; an absolute reach is its own
-    u-fiber."""
+    for the u-fiber's endpoints only, and the pairs are read off the
+    u-fiber's end masks; an absolute reach is its own u-fiber, and its
+    forward sets give the pairs."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
     if wit_code is u_code:
         wit = _Reach(u_code, word)
-        u_layers, fs = wit.layers, wit.fs
+        u_layers, e_pairs = wit.layers, _endpoint_pairs(wit.fs)
     else:
         u_layers = pruned_layers(u_code, word)
-        fs = u_layers and _forward_sets(u_code.domain, u_layers)
+        e_pairs = u_layers and _end_pairs(u_code.domain, u_layers)
         wit = u_layers and _Reach(wit_code, to_wit(word), u_layers[0], u_layers[-1])
     m_mask = _mask_of(u_code.domain.alphabet, M)
     if u_layers is None:
         what = "preimage" if wit_code is u_code else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")
-    return (u_code.domain, u_layers, _endpoint_pairs(fs), wit), m_mask
+    return (u_code.domain, u_layers, e_pairs, wit), m_mask
 
 
 def _is_presented(subject, w, M, n, mode):
@@ -500,11 +527,11 @@ def verify_certificate(subject, cert):
     Every preimage u of w is a u-fiber path, so (u's first symbol, u's
     last symbol) is one of those pairs, and the v listed for it reroutes
     u: the replay covers every preimage without listing any.  The pairs
-    are read off one forward sweep per start symbol over w's forward
-    layers (a dead-end symbol reaches no end symbol, so they need no
-    pruning).  A position outside 1..|w|, a symbol outside the alphabets
-    or a mode the subject has no codes for (_codes_of) gives False, like
-    any other tampering."""
+    are read off the end mask of one forward sweep per start symbol over
+    w's forward layers (a dead-end symbol reaches no end symbol, so they
+    need no pruning).  A position outside 1..|w|, a symbol outside the
+    alphabets or a mode the subject has no codes for (_codes_of) gives
+    False, like any other tampering."""
     w, n = cert.w.symbols, cert.n
     try:
         u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
@@ -526,7 +553,7 @@ def verify_certificate(subject, cert):
     if layers is None:
         return False
     spell = u_code.domain.alphabet.symbols.__getitem__
-    pairs = _endpoint_pairs(_forward_sets(u_code.domain, layers))
+    pairs = _end_pairs(u_code.domain, layers)
     return len(claimed) == len(pairs) and claimed.issuperset(
         (spell(s), spell(t)) for s, t in pairs
     )

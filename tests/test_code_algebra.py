@@ -32,6 +32,7 @@ from sftcd.errors import (
     InvariantViolation,
     ResourceLimit,
     SftcdError,
+    UnknownSymbol,
 )
 
 
@@ -70,6 +71,35 @@ class TestOneBlockCode:
     def test_apply_to_point_renormalizes(self, xor2):
         p = PeriodicPoint.make(Block(("01", "10")), 0)
         assert apply_to_point(xor2.phi, p).text() == "(1)"
+
+    def test_apply_to_point_reduces_a_period_four_point(self, xor2):
+        # 00·01·11·10 maps to 0·1·0·1: the image keeps phase 1 on the
+        # primitive least rotation 01, so coordinate 1 still carries 1
+        p = PeriodicPoint.make(("00", "01", "11", "10"), 1)
+        assert (p.period, p.phase) == (4, 1)
+        image = apply_to_point(xor2.phi, p)
+        assert image == PeriodicPoint(Block(("0", "1")), 1)
+        assert [image.symbol_at(i) for i in range(1, 9)] == [
+            xor2.phi.apply_symbol(p.symbol_at(i)) for i in range(1, 9)
+        ]
+
+    def test_word_maps_name_a_foreign_symbol_as_apply_symbol_does(self, xor2):
+        # psi_word and apply_to_point map a whole word at once; a symbol
+        # outside the domain alphabet raises apply_symbol's exact error
+        with pytest.raises(UnknownSymbol) as want_psi:
+            xor2.psi.apply_symbol("2")
+        with pytest.raises(UnknownSymbol) as got_psi:
+            xor2.psi_word(("0", "2", "1"))
+        with pytest.raises(UnknownSymbol) as want_phi:
+            xor2.phi.apply_symbol("02")
+        with pytest.raises(UnknownSymbol) as got_phi:
+            apply_to_point(xor2.phi, PeriodicPoint.make(("00", "02")))
+        assert str(got_psi.value) == str(want_psi.value) == (
+            "symbol '2' not in domain alphabet"
+        )
+        assert str(got_phi.value) == str(want_phi.value) == (
+            "symbol '02' not in domain alphabet"
+        )
 
     def test_mapping_must_cover_alphabet(self):
         g = golden()

@@ -734,6 +734,53 @@ def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
     assert narrower > 0
 
 
+def _scored_at_every_position(e_pairs, fs, bs, length):
+    """Reference for _depth_search: every position's family scored with
+    no limit, from position 1 on, then the least (size, position)."""
+    scores = []
+    for n in range(1, length + 1):
+        family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
+        mask = depth_module._min_hitting_set(family, None)
+        scores.append((mask.bit_count(), n, mask))
+    return min(scores)
+
+
+def _assert_seeded_search_scores_every_position(e_pairs, wit, length):
+    args = e_pairs, wit.fs, wit.bs, length
+    assert depth_module._depth_search(*args) == _scored_at_every_position(*args)
+
+
+def test_position_one_seed_on_builtins_and_generated_triples():
+    # _depth_search seeds position 1 with the mask of the start symbols
+    # instead of scoring its family; on every Y block up to length 6 of
+    # the builtins and seeds 1..20, in both modes, it answers as scoring
+    # every position does
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 21)]
+    for t in triples:
+        for n in range(1, 7):
+            for w in enumerate_blocks(t.Y, n):
+                for subject, mode in ((t.phi, "absolute"), (t, "relative")):
+                    (_, _, e_pairs, wit), _ = depth_module._routing(subject, w, mode)
+                    _assert_seeded_search_scores_every_position(e_pairs, wit, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=6))
+def test_position_one_seed_on_small_codes(code, word):
+    # absolute mode, and a relative reach on the code that merges both
+    # letters, so witnesses run over every domain path of the word's
+    # length while the endpoint pairs stay the code's own
+    layers = pruned_layers(code, word)
+    if layers is None:
+        return
+    (_, _, e_pairs, wit), _ = depth_module._routing(code, Block(tuple(word)), "absolute")
+    _assert_seeded_search_scores_every_position(e_pairs, wit, len(word))
+    merged = trivial_code(code.domain)
+    wide = depth_module._Reach(merged, ("z",) * len(word), layers[0], layers[-1])
+    _assert_seeded_search_scores_every_position(e_pairs, wide, len(word))
+
+
 def test_degree_fingerprint():
     # sha256 over (value, block) of class_degree on phi, psi and pi and of
     # relative_class_degree, and over (value, block, coordinate) of

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
 from sftcd.codes import OneBlockCode
 from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
-from sftcd.depth import _endpoint_pairs, _forward_sets
+from sftcd.depth import _end_pairs, _endpoint_pairs, _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
     _letter_masks,
@@ -134,6 +134,22 @@ def test_endpoint_pairs_on_forward_and_pruned_layers(code, word):
     forward = _endpoint_pairs(_forward_sets(code.domain, forward_layers(code, word)))
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
     assert forward == _endpoint_pairs(_forward_sets(code.domain, pruned)) == ends
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
+def test_end_pairs_read_off_end_masks(code, word):
+    # _end_pairs keeps only each start symbol's current mask; on forward
+    # and pruned layers it lists the pairs _endpoint_pairs reads off whole
+    # forward sets, in the same order, and those are the endpoints of the
+    # fiber's paths in index order
+    pruned = pruned_layers(code, word)
+    if pruned is None:
+        return
+    ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
+    for layers in (forward_layers(code, word), pruned):
+        from_sets = _endpoint_pairs(_forward_sets(code.domain, layers))
+        assert _end_pairs(code.domain, layers) == from_sets == ends
 
 
 def _side_closures_vector_by_vector(domain, tracks, labels, cap):
