@@ -12,8 +12,8 @@ and so is finite-to-one-ness (is_finite_to_one), by reachability on the
 pair graph of same-image symbol pairs, kept as one bitmask per symbol.
 Each surjectivity question is closed once per process: _ONTO keeps the
 answer, its missing block as alphabet indices, under the masks the
-closure reads and the cap, so a repeated question, or the same one
-under other symbol names, is read back and spelled in the asker's
+closure reads and core.DEFAULT_CAP, so a repeated question, or the same
+one under other symbol names, is read back and spelled in the asker's
 symbols.  Constructors that refuse a pair of symbols name the least one
 in alphabet-index order, found from successor masks, so a message never
 depends on the order a set of pairs is iterated in.
@@ -32,7 +32,6 @@ from .errors import (
 from .core import (
     Alphabet,
     Block,
-    DEFAULT_CAP,
     PeriodicPoint,
     VertexShift,
     enumerate_blocks,
@@ -40,6 +39,7 @@ from .core import (
     iter_bits,
     validate_block,
 )
+from . import core
 from .graphs import closure, remember
 
 
@@ -272,7 +272,7 @@ class RecodedCode:
         return PeriodicPoint.make(tuple(names), point.phase)
 
 
-def recode_to_one_block(code, cap=DEFAULT_CAP):
+def recode_to_one_block(code):
     """Replace a sliding-block code by a letter-to-letter one on the window
     shift of its domain.  Window symbols are named by their block text and
     ordered lexicographically; w -> w' is an edge when the windows overlap
@@ -280,7 +280,7 @@ def recode_to_one_block(code, cap=DEFAULT_CAP):
     if isinstance(code, OneBlockCode):
         raise InvariantViolation("code is already letter-to-letter")
     width = code.width
-    windows = enumerate_blocks(code.domain, width, cap=cap)
+    windows = enumerate_blocks(code.domain, width)
     names = tuple(b.text() for b in windows)
     if len(set(names)) != len(names):
         raise InvariantViolation("window names collide")
@@ -353,11 +353,11 @@ def check_onto(code, codomain_shift):
     shortest, then least (in alphabet order), missing block, and no
     later level is grown.  checked_length is that block's length, or the
     closure depth when the code is onto.  Raises ResourceLimit once the
-    levels grown hold more than DEFAULT_CAP states.
+    levels grown hold more than core.DEFAULT_CAP states.
 
     Each question is closed once: the answer is kept in _ONTO under all
     the closure reads, the domain's successor masks, the letter masks in
-    codomain order, the codomain's successor masks and DEFAULT_CAP as it
+    codomain order, the codomain's successor masks and the cap as it
     is at the call.  The missing word is kept as indices and spelled in
     the caller's symbols, so a renamed copy of a code shares its entry.
     A closure that raises ResourceLimit keeps nothing.
@@ -367,7 +367,7 @@ def check_onto(code, codomain_shift):
     symbols = codomain_shift.alphabet.symbols
     letters = tuple(map(code.letter_mask, symbols))
     succ = codomain_shift.succ_masks
-    cap = DEFAULT_CAP
+    cap = core.DEFAULT_CAP
     key = (code.domain.succ_masks, letters, succ, cap)
     found = _ONTO.get(key)
     if found is None:

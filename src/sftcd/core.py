@@ -15,6 +15,10 @@ at most TABLE_SYMBOLS symbols has one table, and its step is that
 table's own __getitem__, one lookup with no Python frame of its own.
 Listing the members of a set reads a table of the bit lists of every
 byte.
+
+Every enumeration and closure stops at one bound, DEFAULT_CAP, read when
+it starts.  One lister, iter_paths, lists a shift's blocks (paths through
+full layers) and a fiber's preimages, and nothing here recurses.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from functools import cached_property
 from .errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
 from .graphs import reach
 
+# the one bound of every enumeration and closure, read when each starts
 DEFAULT_CAP = 10**6
 
 SEPARATOR = "·"  # interpunct, used to join multi-character symbols
@@ -245,21 +250,13 @@ class VertexShift:
             masks[self.alphabet.index(b)] |= 1 << self.alphabet.index(a)
         return tuple(masks)
 
-    @cached_property
-    def succ_lists(self):
-        return {
-            s: tuple(
-                self.alphabet.symbols[i]
-                for i in iter_bits(self.succ_masks[self.alphabet.index(s)])
-            )
-            for s in self.alphabet
-        }
-
     def allows(self, a, b):
         return (a, b) in self.allowed
 
     def successors(self, a):
-        return self.succ_lists[a]
+        """The successors of the symbol a, in alphabet order."""
+        spell = self.alphabet.symbols.__getitem__
+        return tuple(map(spell, iter_bits(self.succ_masks[self.alphabet.index(a)])))
 
     @cached_property
     def irreducible(self):
@@ -302,41 +299,55 @@ def validate_block(shift, block):
     )
 
 
-def enumerate_blocks(shift, length, cap=DEFAULT_CAP):
+def iter_paths(succ, layers, too_many, names=None):
+    """Yield the paths through layers, bitmasks of symbol indices (succ[i]
+    the mask of symbol i's successors), in lexicographic order of the
+    indices, each as the tuple of names[i] over its symbols i (default:
+    the indices); past DEFAULT_CAP paths, raise
+    ResourceLimit(too_many.format(cap=DEFAULT_CAP)).  Every prefix must
+    extend to a path (pruned fiber layers, or full layers of an
+    essential shift), so the first cap + 1 prefixes of a layer hold the
+    first cap + 1 paths and the rest are dropped; the last layer grows
+    one path at a time as they are yielded."""
+    cap = DEFAULT_CAP
+    spell = (range(len(succ)) if names is None else names).__getitem__
+    paths = [(spell(s),) for s in iter_bits(layers[0])]
+    for k in range(1, len(layers)):
+        ends = {
+            spell(s): tuple(map(spell, iter_bits(succ[s] & layers[k])))
+            for s in iter_bits(layers[k - 1])
+        }
+        if k == len(layers) - 1:
+            paths = (p + (t,) for p in paths for t in ends[p[-1]])
+        else:
+            paths = [p + (t,) for p in paths for t in ends[p[-1]]]
+            del paths[cap + 1 :]
+    for count, path in enumerate(paths, 1):
+        if count > cap:
+            raise ResourceLimit(too_many.format(cap=cap))
+        yield path
+
+
+def enumerate_blocks(shift, length):
     """All blocks of the given length in lexicographic order of the
-    alphabet.  Raises ResourceLimit beyond cap blocks."""
+    alphabet: the paths through length full layers.  Raises
+    ResourceLimit beyond DEFAULT_CAP blocks."""
     if length < 1:
         raise InvalidBlock("length must be positive")
-    out = []
-    symbols = shift.alphabet.symbols
-    succ = shift.succ_lists
-
-    def extend(prefix):
-        if len(prefix) == length:
-            out.append(Block(tuple(prefix)))
-            if len(out) > cap:
-                raise ResourceLimit(f"more than {cap} blocks of length {length}")
-            return
-        for nxt in succ[prefix[-1]]:
-            prefix.append(nxt)
-            extend(prefix)
-            prefix.pop()
-
-    for first in symbols:
-        extend([first])
-    return out
+    full = [(1 << len(shift.alphabet)) - 1] * length
+    too_many = "more than {cap} blocks of length " + str(length)
+    paths = iter_paths(shift.succ_masks, full, too_many, shift.alphabet.symbols)
+    return list(map(Block, paths))
 
 
 def count_blocks(shift, length):
     """Number of blocks of the given length, by dynamic programming."""
     if length < 1:
         raise InvalidBlock("length must be positive")
-    counts = {s: 1 for s in shift.alphabet}
+    counts = [1] * len(shift.alphabet)
     for _ in range(length - 1):
-        counts = {
-            s: sum(counts[t] for t in shift.successors(s)) for s in shift.alphabet
-        }
-    return sum(counts.values())
+        counts = [sum(counts[t] for t in iter_bits(m)) for m in shift.succ_masks]
+    return sum(counts)
 
 
 def is_irreducible(shift):
@@ -440,32 +451,30 @@ def blocks_of_periodic_point(point, length):
     return [Block(t) for t in sorted(seen)]
 
 
-def periodic_points_of(shift, max_period, cap=DEFAULT_CAP):
+def periodic_points_of(shift, max_period):
     """Periodic points of period at most max_period, via cycle
     enumeration: one point for each start of a cycle at its least symbol,
     so every orbit is present, once per occurrence of that symbol (the
     golden mean shift gives (0001), (0001)@1 and (0001)@2).  Sorted by
-    (period, cycle, phase)."""
+    (period, cycle, phase).  Paths are walked from an explicit stack;
+    past DEFAULT_CAP points, raises ResourceLimit."""
     if max_period < 1:
         raise InvalidBlock("max_period must be positive")
+    cap = DEFAULT_CAP
     found = set()
     symbols = shift.alphabet.symbols
-
-    def walk(path, start):
-        if len(found) > cap:
-            raise ResourceLimit(f"more than {cap} periodic points")
-        last = path[-1]
-        if shift.allows(last, start):
-            found.add(PeriodicPoint.make(tuple(path)))
-        if len(path) == max_period:
-            return
-        for nxt in shift.successors(last):
-            # only canonical starts: avoid cycles through smaller symbols
-            if nxt >= start:
-                path.append(nxt)
-                walk(path, start)
-                path.pop()
-
-    for s in symbols:
-        walk([s], s)
+    succ = shift.succ_masks
+    for s, start in enumerate(symbols):
+        # only canonical starts: no symbol named below start
+        within = sum(1 << i for i, name in enumerate(symbols) if name >= start)
+        stack = [((start,), s)]
+        while stack:
+            path, last = stack.pop()
+            if succ[last] >> s & 1:
+                found.add(PeriodicPoint.make(path))
+                if len(found) > cap:
+                    raise ResourceLimit(f"more than {cap} periodic points")
+            if len(path) < max_period:
+                for t in iter_bits(succ[last] & within):
+                    stack.append((path + (symbols[t],), t))
     return sorted(found, key=lambda q: (q.period, q.cycle.symbols, q.phase))

@@ -67,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import CodeTriple, OneBlockCode, check_onto
-from .core import Block, DEFAULT_CAP, is_irreducible, is_point_of, iter_bits
+from .core import Block, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
     _letter_masks,
@@ -441,7 +441,7 @@ def _routing_score(rows, cols, limit):
     return None if mask is None else mask.bit_count()
 
 
-def _least_depth(subject, mode, cap, cycle=None):
+def _least_depth(subject, mode, cycle=None):
     """The estimate of the least depth in mode over every block of the
     u-code's codomain, or over the blocks of a periodic point's cycle;
     None when no block has a u-preimage.  The side closures carry the
@@ -455,7 +455,7 @@ def _least_depth(subject, mode, cap, cycle=None):
     labels = range(len(alphabet)) if cycle is None else map(alphabet.index, cycle)
     tracks = (_letter_masks(u_code, letters), _letter_masks(wit_code, to_wit(letters)))
     found = _side_minimum(
-        u_code.domain, tracks, labels, cycle is not None, _routing_score, cap
+        u_code.domain, tracks, labels, cycle is not None, _routing_score
     )
     if found is None:
         return None
@@ -463,37 +463,37 @@ def _least_depth(subject, mode, cap, cycle=None):
     return DegreeEstimate(value, depth, True, Block(tuple(alphabet[i] for i in word)))
 
 
-def class_degree(code, max_len=None, cap=DEFAULT_CAP):
+def class_degree(code, max_len=None):
     """Minimum depth over all codomain blocks, exactly, with the shortest
     (then lexicographically least) block attaining it.
 
     The side closures grow one level per block length scored until the
     minimum is proved: at a block of depth 1, or when both are complete.
-    Either way the estimate is certified; a closure that passes cap
-    sides first raises ResourceLimit.  scanned_length is the larger
-    number of levels grown in the two side closures, at most the block's
-    length when the value is 1.  max_len is neither read nor checked: it
-    stays only for callers that still pass a scan length positionally.
+    Either way the estimate is certified; a closure that passes the cap
+    first raises ResourceLimit.  scanned_length is the larger number of
+    levels grown in the two side closures, at most the block's length
+    when the value is 1.  max_len is neither read nor checked: it stays
+    only for callers that still pass a scan length positionally.
     """
     _scan_preconditions(code)
-    est = _least_depth(code, "absolute", cap)
+    est = _least_depth(code, "absolute")
     if est is None:
         raise EmptyFiber("the code has an empty image language")
     return est
 
 
-def relative_class_degree(triple, max_len=None, cap=DEFAULT_CAP):
+def relative_class_degree(triple, max_len=None):
     """Minimum relative depth over all blocks of Y, exactly: the sides
     carry rows and columns of (P^phi_w, P^pi_psi(w)), with the same
     stopping, certification, cap and scanned_length rules as
     class_degree, and the same unread max_len slot."""
-    est = _least_depth(triple, "relative", cap)
+    est = _least_depth(triple, "relative")
     if est is None:
         raise EmptyFiber("phi has an empty image language")
     return est
 
 
-def periodic_point_relative_degree(triple, y, max_len=None, cap=DEFAULT_CAP):
+def periodic_point_relative_degree(triple, y, max_len=None):
     """Minimum relative depth over the blocks occurring in the periodic
     point y, exactly: the side closures walk the cycle of y, a side
     keeping the phase of its end, and stop as class_degree's do.
@@ -507,7 +507,7 @@ def periodic_point_relative_degree(triple, y, max_len=None, cap=DEFAULT_CAP):
     # has a phi-preimage
     if forward_layers(triple.phi, cycle * (len(triple.X.alphabet) + 1)) is None:
         raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
-    return _least_depth(triple, "relative", cap, cycle)
+    return _least_depth(triple, "relative", cycle)
 
 
 def _spells(code, word, block):
@@ -559,16 +559,16 @@ def verify_certificate(subject, cert):
     )
 
 
-def preimages(subject, cert, cap=DEFAULT_CAP):
+def preimages(subject, cert):
     """Iterator of (u, v) for every preimage u of cert.w, in iter_fiber
     order, with v the witness the certificate lists for u's endpoints;
-    past cap preimages, it raises ResourceLimit.  A mode the subject has
-    no codes for raises PreconditionUnmet at the call.  This spells out
-    what a replayed certificate covers; making and replaying one never
-    lists the fiber."""
+    past DEFAULT_CAP preimages, it raises ResourceLimit.  A mode the
+    subject has no codes for raises PreconditionUnmet at the call.  This
+    spells out what a replayed certificate covers; making and replaying
+    one never lists the fiber."""
     u_code = _codes_of(subject, cert.mode)[0]
     spell = u_code.domain.alphabet.symbols.__getitem__
     by_ends = {(s, t): v for s, t, v in cert.witnesses}
-    paths = iter_fiber(u_code, pruned_layers(u_code, cert.w.symbols), cap)
+    paths = iter_fiber(u_code, pruned_layers(u_code, cert.w.symbols))
     us = (tuple(map(spell, path)) for path in paths)
     return ((Block(u), by_ends[u[0], u[-1]]) for u in us)

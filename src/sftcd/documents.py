@@ -73,11 +73,11 @@ def _alphabet(raw, what):
 
 
 def _integer(doc, key):
+    # bool is an int subclass: a JSON true must not pass as 1
     value = doc.get(key, 0)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{key} must be an integer, not {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 def _resolve_system(ref, systems, what):

@@ -42,7 +42,7 @@ class NoFixedPoint(SftcdError):
 
 
 class ResourceLimit(SftcdError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration or closure passed core.DEFAULT_CAP."""
 
 
 class GenerationFailed(SftcdError):

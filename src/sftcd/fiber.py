@@ -4,7 +4,8 @@ The preimage set of a codomain word is handled as a layered graph: layer i
 holds the domain symbols that can sit at coordinate i of a preimage.  A
 forward sweep and a backward sweep prune the layers so that exactly the
 symbols lying on complete preimage paths remain.  On pruned layers every
-prefix extends, so iter_fiber grows the paths one layer at a time.
+prefix extends, so iter_fiber lists the paths with core.iter_paths, the
+lister that also lists a shift's blocks.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
@@ -30,8 +31,9 @@ only as long as one closure; kept on the codes, they would live as long
 as each code does.  What is kept is the minimum, and it holds no code:
 the closures read nothing but the domain's successor masks and each
 track's letter masks, so _side_minimum keeps each minimum under those,
-the slot labels, the walk, the score and the cap (graphs.remember), and
-answers a repeated question without growing a side.
+the slot labels, the walk, the score and core.DEFAULT_CAP as it is at
+the call (graphs.remember), and answers a repeated question without
+growing a side.
 """
 from __future__ import annotations
 
@@ -39,8 +41,9 @@ from dataclasses import dataclass
 from itertools import count, islice
 from operator import itemgetter
 
-from .core import Block, DEFAULT_CAP, iter_bits, stepper
-from .errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
+from . import core
+from .core import Block, iter_bits, iter_paths, stepper
+from .errors import InvalidBlock, NotFiniteToOne, UnknownSymbol
 from .graphs import closure, remember
 
 
@@ -98,7 +101,7 @@ def _track_steppers(domain, masks, back):
     return [steppers[keep] for keep in masks]
 
 
-def _side_closures(domain, tracks, labels, cycle, cap):
+def _side_closures(domain, tracks, labels, cycle):
     """Left and right side closures of the fiber-matrix engine.
 
     Slots are letters, or phases of a cycle; labels[slot] is the letter
@@ -118,8 +121,9 @@ def _side_closures(domain, tracks, labels, cycle, cap):
     are dropped, and so is a side with none left.  Both closures start
     from the one-letter blocks, whose rows and columns are alike.
     Returns the (left, right) closures: graphs.closure generators, which
-    grow a level only when it is asked for.  They read nothing but these
-    arguments and the domain's successor masks.
+    grow a level only when it is asked for, each bounded by
+    core.DEFAULT_CAP as it is at the call.  They read nothing but these
+    arguments, the cap and the domain's successor masks.
     """
     slots = range(len(labels))
     if cycle:
@@ -158,14 +162,14 @@ def _side_closures(domain, tracks, labels, cycle, cap):
         return grow
 
     return (
-        closure(seeds, grower(False, follows), cap),
-        closure(seeds, grower(True, precedes), cap),
+        closure(seeds, grower(False, follows), core.DEFAULT_CAP),
+        closure(seeds, grower(True, precedes), core.DEFAULT_CAP),
     )
 
 
-def _side_minimum(domain, tracks, labels, cycle, score, cap):
+def _side_minimum(domain, tracks, labels, cycle, score):
     """_closure_minimum of score over _side_closures(domain, tracks,
-    labels, cycle, cap), computed once per distinct question.
+    labels, cycle), computed once per distinct question.
 
     A last track whose masks equal the first track's slot by slot (psi
     one-to-one on phi's letters) is dropped first: its rows would repeat
@@ -173,19 +177,20 @@ def _side_minimum(domain, tracks, labels, cycle, score, cap):
     the one track, and the closures grow the same levels.  The minimum
     is then kept in _MINIMA under everything the closures and score
     read: the domain's successor masks (its predecessor masks and step
-    tables follow from them), the tracks, labels, cycle, score and cap.
+    tables follow from them), the tracks, labels, cycle, score and
+    core.DEFAULT_CAP as it is at the call.
     Words are label indices, so equal keys give equal answers whatever
     the symbols are called, and a relative degree over a one-to-one psi
-    shares the absolute degree's entry.  A closure that passes cap
+    shares the absolute degree's entry.  A closure that passes the cap
     raises ResourceLimit and keeps nothing.
     """
     if tracks[-1] == tracks[0]:
         tracks = tracks[:1]
     labels = tuple(labels)
-    key = (domain.succ_masks, tracks, labels, cycle, score, cap)
+    key = (domain.succ_masks, tracks, labels, cycle, score, core.DEFAULT_CAP)
     if key in _MINIMA:
         return _MINIMA[key]
-    found = _closure_minimum(_side_closures(domain, tracks, labels, cycle, cap), score)
+    found = _closure_minimum(_side_closures(domain, tracks, labels, cycle), score)
     return remember(_MINIMA, key, found)
 
 
@@ -241,29 +246,14 @@ def _closure_minimum(sides, score):
     return best[0], best[2], best[3], max(len(left), len(heads))
 
 
-def iter_fiber(code, word_layers, cap=DEFAULT_CAP):
-    """Yield preimage paths through pruned layers in lexicographic order
-    of domain symbol indices; past cap paths, raise ResourceLimit.
-
-    Prefixes grow one layer at a time, each by the iter_bits list of its
-    last symbol's successors in the next layer, and the last layer is
-    added one path at a time as they are yielded.  On pruned layers every
-    prefix extends, so the first cap + 1 prefixes of a layer hold the
-    first cap + 1 paths and the rest are dropped."""
-    if word_layers is None:
-        return
-    succ = code.domain.succ_masks
-    paths = [(s,) for s in iter_bits(word_layers[0])]
-    if len(word_layers) > 1:
-        for layer in word_layers[1:-1]:
-            paths = [p + (t,) for p in paths for t in iter_bits(succ[p[-1]] & layer)]
-            del paths[cap + 1 :]
-        last = word_layers[-1]
-        paths = (p + (t,) for p in paths for t in iter_bits(succ[p[-1]] & last))
-    for count, path in enumerate(paths, 1):
-        if count > cap:
-            raise ResourceLimit(f"fiber larger than {cap} blocks")
-        yield path
+def iter_fiber(code, word_layers):
+    """Yield preimage paths through pruned layers (None: an empty fiber)
+    in lexicographic order of domain symbol indices, by core.iter_paths;
+    past DEFAULT_CAP paths, raise ResourceLimit."""
+    if word_layers is not None:
+        yield from iter_paths(
+            code.domain.succ_masks, word_layers, "fiber larger than {cap} blocks"
+        )
 
 
 @dataclass(frozen=True)
@@ -278,16 +268,14 @@ class FiberSlice:
         return len(self.preimages)
 
 
-def preimage_blocks(code, w, cap=DEFAULT_CAP):
+def preimage_blocks(code, w):
     word = tuple(w.symbols)
     layers = pruned_layers(code, word)
-    symbols = code.domain.alphabet.symbols
+    spell = code.domain.alphabet.symbols.__getitem__
     if layers is None:
         return FiberSlice(w, (), tuple(() for _ in word))
-    pre = tuple(
-        Block(tuple(symbols[i] for i in path)) for path in iter_fiber(code, layers, cap)
-    )
-    by_coord = tuple(tuple(symbols[i] for i in iter_bits(m)) for m in layers)
+    pre = tuple(Block(tuple(map(spell, p))) for p in iter_fiber(code, layers))
+    by_coord = tuple(tuple(map(spell, iter_bits(m))) for m in layers)
     return FiberSlice(w, pre, by_coord)
 
 
@@ -329,7 +317,7 @@ def _magic_score(rows, cols, limit):
     return count if count and (limit is None or count <= limit) else None
 
 
-def find_magic_block(code, max_len=None, cap=DEFAULT_CAP):
+def find_magic_block(code, max_len=None):
     """Minimise the per-coordinate preimage symbol count over all codomain
     blocks, exactly, by the fiber-matrix closure.
 
@@ -338,13 +326,13 @@ def find_magic_block(code, max_len=None, cap=DEFAULT_CAP):
     scanned_length is the larger number of levels grown in the two side
     closures: all of them, unless a coordinate with one preimage symbol
     ends the search at its block's length.  ResourceLimit when a closure
-    passes cap sides first.  max_len is neither read nor checked: it
-    stays only for callers that still pass a scan length positionally.
+    passes the cap first.  max_len is neither read nor checked: it stays
+    only for callers that still pass a scan length positionally.
     """
     letters = code.codomain_alphabet.symbols
     tracks = (_letter_masks(code, letters),)
     found = _side_minimum(
-        code.domain, tracks, range(len(letters)), False, _magic_score, cap
+        code.domain, tracks, range(len(letters)), False, _magic_score
     )
     if found is None:
         raise InvalidBlock("codomain language is empty")
@@ -353,11 +341,11 @@ def find_magic_block(code, max_len=None, cap=DEFAULT_CAP):
     return MagicBlockResult(block, coordinate, value, StabilizationInfo(depth, True))
 
 
-def degree_finite_to_one(code, *, cap=DEFAULT_CAP):
+def degree_finite_to_one(code):
     """Preimage count of typical points of a finite-to-one code, read off
     the magic block minimum."""
     from .codes import is_finite_to_one
 
     if not is_finite_to_one(code):
         raise NotFiniteToOne("code has unboundedly many preimages")
-    return find_magic_block(code, cap=cap).value
+    return find_magic_block(code).value

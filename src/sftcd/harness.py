@@ -40,7 +40,8 @@ class TripleGenSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise PreconditionUnmet(f"{name} must be an integer")
-        if isinstance(self.edge_density, bool):
+        density = self.edge_density
+        if isinstance(density, bool) or not isinstance(density, (int, float)):
             raise PreconditionUnmet("edge_density must be a number")
         if self.y_symbols < 1:
             raise PreconditionUnmet("y_symbols must be positive")

@@ -257,7 +257,7 @@ class TestCheckOnto:
 
     def test_cap_raises_resource_limit(self, monkeypatch):
         code, full = _onto_abc()
-        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
         with pytest.raises(ResourceLimit, match="cap of 2"):
             check_onto(code, full)
 
@@ -268,13 +268,13 @@ class TestCheckOnto:
         code, full = _onto_abc()
         assert check_onto(code, full).ok
         assert len(codes_module._ONTO) == 1
-        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
         with pytest.raises(ResourceLimit, match="cap of 2"):
             check_onto(code, full)
 
     def test_a_closure_past_its_cap_keeps_nothing(self, monkeypatch):
         code, full = _onto_abc()
-        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 2)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
         for _ in range(2):
             with pytest.raises(ResourceLimit, match="cap of 2"):
                 check_onto(code, full)
@@ -322,10 +322,10 @@ class TestCheckOnto:
             {"a": "0", "b": "1", "c": "0", "d": "0"},
             full,
         )
-        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 5)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 5)
         res = check_onto(code, full)
         assert (res.ok, res.checked_length, res.missing_block.text()) == (False, 2, "11")
-        monkeypatch.setattr("sftcd.codes.DEFAULT_CAP", 4)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 4)
         with pytest.raises(ResourceLimit, match="cap of 4 at level 2$"):
             check_onto(code, full)
 

@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fiber_paths, naive_class_degree, naive_depth, small_codes
-from sftcd.codes import CodeTriple, OneBlockCode, compose, identity_code, trivial_code
+from sftcd.codes import (
+    CodeTriple,
+    OneBlockCode,
+    SlidingBlockCode,
+    check_onto,
+    compose,
+    identity_code,
+    recode_to_one_block,
+    trivial_code,
+)
 from sftcd.corpus import BUILTIN_NAMES, additive_recoding, builtin_triple
 from sftcd.core import (
     Block,
@@ -15,6 +24,7 @@ from sftcd.core import (
     enumerate_blocks,
     iter_bits,
     parse_block_text,
+    periodic_points_of,
     stepper,
 )
 import sftcd.depth as depth_module
@@ -42,7 +52,13 @@ from sftcd.errors import (
     ResourceLimit,
     UnknownSymbol,
 )
-from sftcd.fiber import find_magic_block, iter_fiber, pruned_layers
+from sftcd.fiber import (
+    degree_finite_to_one,
+    find_magic_block,
+    iter_fiber,
+    preimage_blocks,
+    pruned_layers,
+)
 from sftcd.harness import (
     TripleGenSpec,
     generate_chain_code,
@@ -78,7 +94,7 @@ class TestIsPresented:
         with pytest.raises(UnknownSymbol):
             is_presented(xor2.phi, yblock(xor2, "000"), {"0"}, 1)
 
-    def test_refusal_among_the_first_cap_paths(self, xor2):
+    def test_refusal_among_the_first_cap_paths(self, xor2, monkeypatch):
         # the fiber of 000 is 00·00·00 then 11·11·11; no witness from 00
         # to 00 passes 11, so the first path blocks; spelling out the
         # preimages a certificate covers stops past cap paths
@@ -86,7 +102,8 @@ class TestIsPresented:
         assert isinstance(ref, RoutingRefusal)
         assert ref.blocking.text() == "00·00·00"
         cert = is_presented(xor2.phi, yblock(xor2, "000"), {"00", "11"}, 2)
-        listed = preimages(xor2.phi, cert, cap=1)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 1)
+        listed = preimages(xor2.phi, cert)
         assert next(listed)[0].text() == "00·00·00"
         with pytest.raises(ResourceLimit, match="fiber larger than 1 blocks"):
             next(listed)
@@ -337,11 +354,12 @@ class TestClassDegree:
         assert d.value == 1
         assert verify_certificate(t.pi, d.certificate)
 
-    def test_cap_raises_resource_limit(self, xor2):
+    def test_cap_raises_resource_limit(self, xor2, monkeypatch):
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
         with pytest.raises(ResourceLimit, match="closure states"):
-            class_degree(xor2.pi, cap=2)
+            class_degree(xor2.pi)
         with pytest.raises(ResourceLimit, match="closure states"):
-            relative_class_degree(xor2, cap=2)
+            relative_class_degree(xor2)
 
     def test_floor_one_stops_scan(self, xor2):
         est = class_degree(xor2.psi)
@@ -803,14 +821,15 @@ def test_degree_fingerprint():
     )
 
 
-def test_relative_degree_on_fifteen_domain_symbols():
+def test_relative_degree_on_fifteen_domain_symbols(monkeypatch):
     # the whole-state closure needs 197,978 states here; the side
     # closures hold 1,550 left and 994 right sides
     t = generate_triple(
         TripleGenSpec(seed=2, y_symbols=5, blowup_max=3, z_symbols=2, edge_density=0.5)
     )
     assert len(t.X.alphabet) == 15
-    est = relative_class_degree(t, cap=5_000)
+    monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 5_000)
+    est = relative_class_degree(t)
     assert (est.value, est.minimal_block.text()) == (1, "y3·y0·y2·y4·y0·y2·y4·y4")
 
 
@@ -922,21 +941,23 @@ def test_minimum_at_the_seeds_builds_no_table(monkeypatch):
     assert built
 
 
-def test_value_one_is_proved_before_the_cap():
+def test_value_one_is_proved_before_the_cap(monkeypatch):
     # both side closures of this relative degree pass 20,000 sides, the
     # left at level 14 and the right at level 13, but a relative-depth-1
     # block of length 10 proves the minimum first
     t = generate_triple(TripleGenSpec(4, y_symbols=4, blowup_max=5, z_symbols=2))
-    est = relative_class_degree(t, cap=20_000)
+    monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 20_000)
+    est = relative_class_degree(t)
     assert (est.value, est.minimal_block.text()) == (1, "y0·y1·y1·y1·y1·y1·y1·y1·y1·y1")
     assert est.scanned_length <= 10
 
 
-def test_cap_names_the_level_it_reached(xor2):
+def test_cap_names_the_level_it_reached(xor2, monkeypatch):
+    monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
     with pytest.raises(ResourceLimit, match="^closure states exceeded the cap of 2 at level 3$"):
-        class_degree(xor2.pi, cap=2)
+        class_degree(xor2.pi)
     with pytest.raises(ResourceLimit, match="^closure states exceeded the cap of 2 at level 2$"):
-        relative_class_degree(xor2, cap=2)
+        relative_class_degree(xor2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1053,22 +1074,70 @@ def test_kept_minima_answer_as_fresh_closures_do():
     assert len(fiber_module._MINIMA) < len(calls) // 2
 
 
-def test_kept_minima_are_keyed_by_the_cap(xor2):
+ONE_BOUND = (
+    "class_degree",
+    "relative_class_degree",
+    "periodic_point_relative_degree",
+    "find_magic_block",
+    "degree_finite_to_one",
+    "preimages",
+    "preimage_blocks",
+    "iter_fiber",
+    "enumerate_blocks",
+    "periodic_points_of",
+    "recode_to_one_block",
+    "check_onto",
+)
+
+
+@pytest.mark.parametrize("name", ONE_BOUND)
+def test_one_bound_reaches_every_enumeration(name, xor2, monkeypatch):
+    # no function takes a cap of its own: each reads core.DEFAULT_CAP at
+    # the call, so a bound of 1 stops every one on these small inputs
+    w = yblock(xor2, "000")
+    rule = {(a, b): "01"[a != b] for a in "01" for b in "01"}
+    sliding = SlidingBlockCode.from_dict(xor2.Y, xor2.Y.alphabet, 0, 1, rule, xor2.Y)
+    cert = depth(xor2.phi, w).certificate
+    layers = pruned_layers(xor2.phi, w.symbols)
+    point = PeriodicPoint.make(yblock(xor2, "01"))
+    calls = {
+        "class_degree": lambda: class_degree(xor2.pi),
+        "relative_class_degree": lambda: relative_class_degree(xor2),
+        "periodic_point_relative_degree": lambda: periodic_point_relative_degree(xor2, point),
+        "find_magic_block": lambda: find_magic_block(xor2.phi),
+        "degree_finite_to_one": lambda: degree_finite_to_one(xor2.phi),
+        "preimages": lambda: list(preimages(xor2.phi, cert)),
+        "preimage_blocks": lambda: preimage_blocks(xor2.phi, w),
+        "iter_fiber": lambda: list(iter_fiber(xor2.phi, layers)),
+        "enumerate_blocks": lambda: enumerate_blocks(xor2.Y, 1),
+        "periodic_points_of": lambda: periodic_points_of(xor2.Y, 1),
+        "recode_to_one_block": lambda: recode_to_one_block(sliding),
+        "check_onto": lambda: check_onto(xor2.phi, xor2.Y),
+    }
+    assert set(calls) == set(ONE_BOUND)
+    monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 1)
+    with pytest.raises(ResourceLimit):
+        calls[name]()
+
+
+def test_kept_minima_are_keyed_by_the_cap(xor2, monkeypatch):
     # a minimum kept at the default cap must not answer a smaller cap
     class_degree(xor2.pi)
     relative_class_degree(xor2)
+    monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
     with pytest.raises(ResourceLimit, match="cap of 2 at level 3$"):
-        class_degree(xor2.pi, cap=2)
+        class_degree(xor2.pi)
     with pytest.raises(ResourceLimit, match="cap of 2 at level 2$"):
-        relative_class_degree(xor2, cap=2)
+        relative_class_degree(xor2)
 
 
-def test_a_closure_past_its_cap_keeps_nothing(xor2):
+def test_a_closure_past_its_cap_keeps_nothing(xor2, monkeypatch):
+    monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 2)
     for _ in range(2):
         with pytest.raises(ResourceLimit, match="cap of 2 at level 3$"):
-            class_degree(xor2.pi, cap=2)
+            class_degree(xor2.pi)
         with pytest.raises(ResourceLimit, match="cap of 2 at level 2$"):
-            relative_class_degree(xor2, cap=2)
+            relative_class_degree(xor2)
     assert fiber_module._MINIMA == {}
 
 

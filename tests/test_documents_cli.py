@@ -91,6 +91,10 @@ def malformed_code_docs():
     golden = {"alphabet": ["0", "1"], "allowed": [["0", "0"], ["0", "1"], ["1", "0"]]}
     return [
         ({**rule, "codomain": FULL2, "memory": "x"}, "memory must be an integer"),
+        # a float, a JSON true or a numeral string is not an integer
+        ({**sliding, "memory": 0.7, "anticipation": True}, "memory must be an integer"),
+        ({**sliding, "memory": 0, "anticipation": True}, "anticipation must be an integer"),
+        ({**sliding, "memory": "3"}, "memory must be an integer"),
         ({**rule, "codomain": FULL2, "rule": [1, 2]}, "rule must be an object"),
         (
             {"domain": FULL2, "codomain_alphabet": 5, "map": {"0": "0", "1": "1"}},
@@ -622,6 +626,22 @@ class TestCliDocuments:
         assert "recoded" in err
         assert json.loads(out)["value"] == 2
 
+    def test_long_memory_rule_runs_without_recursion(self, capsys, tmp_path):
+        # a window of 1501 symbols used to be listed by a recursion 1501
+        # calls deep, which ended in a RecursionError traceback
+        doc = {
+            "domain": {"alphabet": ["a"], "allowed": [["a", "a"]]},
+            "codomain_alphabet": ["z"],
+            "memory": 1500,
+            "anticipation": 0,
+            "rule": {"a" * 1501: "z"},
+        }
+        path = tmp_path / "long_memory.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "magic", "--code", str(path))
+        assert code == 0 and "Traceback" not in err
+        assert (json.loads(out)["block"], json.loads(out)["value"]) == ("z", 1)
+
     def test_non_onto_triple_file_fails(self, capsys, tmp_path):
         path = tmp_path / "collapse.json"
         path.write_text(json.dumps(collapse_doc()))
@@ -717,6 +737,7 @@ class TestCliVerify:
             {"seed": 1, "blowup_max": 2.5},
             {"seed": True, "y_symbols": True},
             {"seed": 1, "edge_density": True},
+            {"seed": 1, "edge_density": "0.5"},
         ):
             bad.write_text(json.dumps([entry]))
             assert run_cli(capsys, "verify", "--gen", str(bad))[0] == 2

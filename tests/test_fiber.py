@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -88,16 +89,19 @@ class TestIterFiber:
             }
             assert got == set(fiber_paths(triple.phi, word))
 
-    def test_cap_enforced(self, xor2):
+    def test_cap_enforced(self, xor2, monkeypatch):
         layers = pruned_layers(xor2.pi, ("z",) * 6)
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 3)
         with pytest.raises(ResourceLimit):
-            list(iter_fiber(xor2.pi, layers, cap=3))
+            list(iter_fiber(xor2.pi, layers))
 
-    def test_cap_is_inclusive(self, xor2):
+    def test_cap_is_inclusive(self, xor2, monkeypatch):
         layers = pruned_layers(xor2.pi, ("z",) * 3)
-        assert len(list(iter_fiber(xor2.pi, layers, cap=16))) == 16
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 16)
+        assert len(list(iter_fiber(xor2.pi, layers))) == 16
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 15)
         with pytest.raises(ResourceLimit, match="fiber larger than 15 blocks"):
-            list(iter_fiber(xor2.pi, layers, cap=15))
+            list(iter_fiber(xor2.pi, layers))
 
 
 @settings(max_examples=80, deadline=None)
@@ -114,10 +118,10 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
     paths = [tuple(symbols[i] for i in p) for p in iter_fiber(code, layers)]
     assert paths == sorted(fiber_paths(code, word))
     # capped: the first cap paths, then ResourceLimit past cap
-    capped = iter_fiber(code, layers, cap)
     got = []
-    with pytest.raises(ResourceLimit) if len(paths) > cap else nullcontext():
-        got.extend(capped)
+    with patch("sftcd.core.DEFAULT_CAP", cap):
+        with pytest.raises(ResourceLimit) if len(paths) > cap else nullcontext():
+            got.extend(iter_fiber(code, layers))
     assert got == list(iter_fiber(code, layers))[:cap]
 
 
@@ -197,7 +201,7 @@ def test_side_closures_step_as_each_vector_would(code, relative):
         everything = (1 << len(code.domain.alphabet)) - 1
         tracks += ((everything,) * len(letters),)
     labels = tuple(range(len(letters)))
-    got = _side_closures(code.domain, tracks, labels, False, DEFAULT_CAP)
+    got = _side_closures(code.domain, tracks, labels, False)
     want = _side_closures_vector_by_vector(code.domain, tracks, labels, DEFAULT_CAP)
     for side, reference in zip(got, want):
         assert list(side) == list(reference)

@@ -36,6 +36,10 @@ class TestGenSpec:
             TripleGenSpec(seed=1, edge_density=1.5)
         with pytest.raises(PreconditionUnmet, match="seed must be an integer"):
             TripleGenSpec(seed="x")
+        for density in ("0.5", None, True):
+            with pytest.raises(PreconditionUnmet, match="^edge_density must be a number$"):
+                TripleGenSpec(seed=1, edge_density=density)
+        assert TripleGenSpec(seed=1, edge_density=1).edge_density == 1
 
     def test_seed_sweep_stays_in_bounds(self):
         for seed in range(1, 60):

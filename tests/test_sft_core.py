@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -119,6 +120,13 @@ class TestVertexShift:
         with pytest.raises(UnknownSymbol):
             validate_block(g, Block(("2",)))
 
+    def test_blocks_in_alphabet_order(self):
+        # the alphabet runs against name order; blocks are listed in
+        # index order, as the paths through full layers
+        shift = VertexShift.build(("b", "a"), [("b", "b"), ("b", "a"), ("a", "b")])
+        texts = [w.text() for w in enumerate_blocks(shift, 3)]
+        assert texts == ["bbb", "bba", "bab", "abb", "aba"]
+
     def test_block_counts_follow_fibonacci(self):
         g = golden()
         # language sizes of the no-11 shift: 2, 3, 5, 8, 13
@@ -175,6 +183,40 @@ class TestPeriodicPoint:
     def test_periodic_points_need_a_positive_period(self, max_period):
         with pytest.raises(InvalidBlock, match="max_period must be positive"):
             periodic_points_of(golden(), max_period)
+
+    def test_no_recursion_at_length_or_period_2000(self):
+        # the lister and the cycle walk keep explicit state: a block or
+        # a period past the interpreter's recursion limit is listed
+        one = VertexShift.full_shift(("a",))
+        assert enumerate_blocks(one, 2000) == [Block(("a",) * 2000)]
+        assert periodic_points_of(one, 2000) == [PeriodicPoint.make(Block(("a",)))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_periodic_points_against_brute_force(self, data):
+        # every closed word whose first symbol is its least by name, as a
+        # point; the names run against index order, so a walk that
+        # compared indices would start other phases
+        n = data.draw(st.integers(1, 4))
+        symbols = tuple(f"s{i}" for i in range(n))[::-1]
+        pairs = data.draw(
+            st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols)), min_size=1)
+        )
+        try:
+            shift = VertexShift.build(symbols, sorted(pairs))
+        except InvariantViolation:  # every symbol was trimmed away
+            assume(False)
+        max_period = data.draw(st.integers(1, 5))
+        names = shift.alphabet.symbols
+        want = {
+            PeriodicPoint.make(word)
+            for length in range(1, max_period + 1)
+            for word in product(names, repeat=length)
+            if word[0] == min(word)
+            and all(map(shift.allows, word, word[1:] + word[:1]))
+        }
+        got = periodic_points_of(shift, max_period)
+        assert got == sorted(want, key=lambda q: (q.period, q.cycle.symbols, q.phase))
 
     def test_periodic_points_order_is_the_same_in_every_process(self):
         # phases of one cycle used to tie on (period, cycle) and come back
