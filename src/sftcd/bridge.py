@@ -21,9 +21,12 @@ the shortest, then least, cycle through its component's least symbol.
 
 verify_bridge and the self-checks of bounded_bridge_exists and
 construct_bridge run one replay, _replays.  Each of the two has computed
-and compared the image points of its two ends once, so it passes that
-image in and the replay makes every other check (ordering, middle
-length, seams, middle images).
+and compared the images of its two ends once, so it passes that image
+in and the replay makes every other check (ordering, middle length,
+seams, middle images).  An image is compared and read as letters, not
+as a canonical point: the image letters of both ends at coordinates
+1..L, L the lcm of their periods (_shared_image).  Both image sequences
+repeat with period L, so equal stretches mean equal images.
 
 The class oracle counts, for a fixed codomain symbol z, the mutual-
 reachability classes of periodic preimages of z^oo.  Inside the mask F
@@ -37,8 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from math import lcm
 
-from .codes import apply_to_block, apply_to_point
+from .codes import apply_to_block
 from .core import Block, PeriodicPoint
 from .depth import _Reach, _codes_of, _least_path, RoutingCertificate
 from .errors import (
@@ -89,15 +93,31 @@ def verify_bridge(subject, b: BridgeWitness) -> bool:
     return _replays(_codes_of(subject, b.mode)[1], b)
 
 
+def _image_letters(code, point, length):
+    """The image letters of point at coordinates 1..length, a multiple of
+    its period."""
+    symbols, k = point.cycle.symbols, point.phase
+    return code.apply_word(symbols[k:] + symbols[:k]) * (length // point.period)
+
+
+def _shared_image(code, x, xp):
+    """The image letters of x and x' at coordinates 1..L, L the lcm of
+    their periods, or None when their images differ.  Coordinate i of
+    the common image carries letter (i - 1) mod L."""
+    length = lcm(x.period, xp.period)
+    image = _image_letters(code, x, length)
+    return image if image == _image_letters(code, xp, length) else None
+
+
 def _replays(code, b, image=None):
     """verify_bridge's replay under code.  A caller that has already
-    computed and compared the image points of b's two ends passes that
-    image, and the replay checks everything else."""
+    computed and compared the images of b's two ends passes that
+    _shared_image, and the replay checks everything else."""
     if b.n <= b.m or len(b.middle_symbols) != b.n - b.m - 1:
         return False
     if image is None:
-        image = apply_to_point(code, b.left)
-        if image != apply_to_point(code, b.right):
+        image = _shared_image(code, b.left, b.right)
+        if image is None:
             return False
     seam = (
         [b.left.symbol_at(b.m)] + list(b.middle_symbols) + [b.right.symbol_at(b.n)]
@@ -106,8 +126,9 @@ def _replays(code, b, image=None):
     for a, c in zip(seam, seam[1:]):
         if not shift.allows(a, c):
             return False
+    period = len(image)
     for j, s in enumerate(b.middle_symbols):
-        if code.apply_symbol(s) != image.symbol_at(b.m + 1 + j):
+        if code.apply_symbol(s) != image[(b.m + j) % period]:
             return False
     return True
 
@@ -166,11 +187,9 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
     rev = BridgeWitness(
         xp, x, occurrence - 1, occurrence + length, Block(mid_rev), cert.mode, note
     )
-    # both bridges replay against one image point, computed once per end
-    image = apply_to_point(wit_code, x)
-    if image != apply_to_point(wit_code, xp) or not all(
-        _replays(wit_code, b, image) for b in (fwd, rev)
-    ):
+    # both bridges replay against one image, computed once per end
+    image = _shared_image(wit_code, x, xp)
+    if image is None or not all(_replays(wit_code, b, image) for b in (fwd, rev)):
         raise InvariantViolation("constructed bridge failed replay")
     return fwd, rev
 
@@ -185,18 +204,19 @@ def bounded_bridge_exists(code, x, xp, m, window=None):
     """
     if window is None:
         window = 2 * len(code.domain.alphabet)
-    image = apply_to_point(code, x)
-    if image != apply_to_point(code, xp):
+    image = _shared_image(code, x, xp)
+    if image is None:
         raise ImageMismatch(
             f"{x.text()} and {xp.text()} have different image points"
         )
+    period = len(image)
     idx = code.domain.alphabet.index
     symbols = code.domain.alphabet.symbols
     start = idx(x.symbol_at(m))
     frontier = [1 << start]
     for j in range(1, window + 1):
         n = m + j
-        cur = code.step(frontier[-1], image.symbol_at(n))
+        cur = code.step(frontier[-1], image[(n - 1) % period])
         if not cur:
             break
         frontier.append(cur)

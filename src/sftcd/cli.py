@@ -10,6 +10,8 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
@@ -41,7 +43,8 @@ from .harness import (
     HarnessCase,
     TripleGenSpec,
     generate_triple,
-    run_suite,
+    map_cases,
+    report_lines,
     spec_for_seed,
 )
 
@@ -286,16 +289,27 @@ def _verify_cases(args):
 
 
 def cmd_verify(args):
+    """Print one JSON line per report, in case order, and tally the checks
+    on stderr; exit 1 when any check failed.  At every --jobs the cases go
+    through harness.map_cases as report_lines, so whichever process ran
+    a case also serialised its reports (and archived its failures), and
+    this process only prints the finished lines and counts verdicts."""
     cases = _verify_cases(args)
     if args.jobs < 1:
         raise ParseError("--jobs must be positive")
-    summary = run_suite(cases, jobs=args.jobs, archive_dir=args.archive)
-    for report in summary.reports:
-        print(json.dumps(to_jsonable(report), sort_keys=True))
-    _note(f"{len(cases)} cases, {len(summary.reports)} reports: "
-          f"{summary.count('pass')} passed, {summary.count('fail')} failed, "
-          f"{summary.count('skipped')} skipped")
-    return 0 if summary.ok else 1
+    tally = Counter()
+    reports = 0
+    for lines in map_cases(
+        partial(report_lines, archive_dir=args.archive), cases, args.jobs
+    ):
+        for verdicts, line in lines:
+            print(line)
+            tally.update(verdicts)
+            reports += 1
+    _note(f"{len(cases)} cases, {reports} reports: "
+          f"{tally['pass']} passed, {tally['fail']} failed, "
+          f"{tally['skipped']} skipped")
+    return 1 if tally["fail"] else 0
 
 
 def _build_parser():

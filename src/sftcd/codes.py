@@ -285,10 +285,16 @@ def recode_to_one_block(code):
     if len(set(names)) != len(names):
         raise InvariantViolation("window names collide")
     constituents = [b.symbols for b in windows]
+    # join each window's tail w[1:] against the windows indexed by their
+    # head w2[:-1]: linear in the edges, not quadratic in the windows
+    by_head = {}
+    for j, w2 in enumerate(constituents):
+        by_head.setdefault(w2[:-1], []).append(j)
+    allows = code.domain.allows
     pairs = set()
     for i, w in enumerate(constituents):
-        for j, w2 in enumerate(constituents):
-            if w[1:] == w2[:-1] and code.domain.allows(w[-1], w2[-1]):
+        for j in by_head.get(w[1:], ()):
+            if allows(w[-1], constituents[j][-1]):
                 pairs.add((names[i], names[j]))
     window_shift = VertexShift(Alphabet(names), frozenset(pairs))
     conj = OneBlockCode(

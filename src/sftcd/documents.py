@@ -291,8 +291,32 @@ def triple_doc(triple) -> dict:
     }
 
 
+_SCALARS = frozenset({type(None), bool, int, float, str})
+_FIELD_NAMES = {}  # dataclass type -> its field names, filled on first use
+
+
 def to_jsonable(x):
-    """Lossy one-way projection of result objects onto JSON values."""
+    """Lossy one-way projection of result objects onto JSON values.
+
+    The exact types a report is made of (scalars, dicts, lists, tuples,
+    sets, blocks, points and plain result dataclasses, whose field names
+    are read once per type) are dispatched on type(x) first; everything
+    else, subclasses included, goes down the isinstance order below, so
+    both routes give the same value."""
+    kind = type(x)
+    if kind in _SCALARS:
+        return x
+    if kind is dict:
+        return {str(k): to_jsonable(v) for k, v in x.items()}
+    if kind is tuple or kind is list:
+        return [to_jsonable(v) for v in x]
+    if kind is frozenset or kind is set:
+        return sorted([to_jsonable(v) for v in x], key=repr)
+    if kind is Block or kind is PeriodicPoint:
+        return x.text()
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        return {name: to_jsonable(getattr(x, name)) for name in names}
     if x is None or isinstance(x, (bool, int, float, str)):
         return x
     # reports reach this through their dicts and tuples; no result type
@@ -314,11 +338,11 @@ def to_jsonable(x):
         return triple_doc(x)
     if isinstance(x, (OneBlockCode, SlidingBlockCode)):
         return code_doc(x)
-    if dataclasses.is_dataclass(x):
-        return {
-            f.name: to_jsonable(getattr(x, f.name))
-            for f in dataclasses.fields(x)
-        }
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        # only a type that reaches this branch is cached, so a cached
+        # type is never one of the special cases above
+        names = _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(x))
+        return {name: to_jsonable(getattr(x, name)) for name in names}
     raise ParseError(f"cannot serialise {type(x).__name__}")
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from .codes import CodeTriple, OneBlockCode, check_onto, compose, is_finite_to_one
 from .core import VertexShift, is_irreducible, stepper
 from .depth import class_degree, relative_class_degree
+from .documents import to_jsonable
 from .errors import GenerationFailed, PreconditionUnmet
 from .graphs import reach
 
@@ -396,9 +397,21 @@ def run_case(case: HarnessCase, max_len=None, *, archive_dir=None):
     return reports
 
 
-def _archive(archive_dir, case, triple, report):
-    from .documents import to_jsonable
+def report_lines(case: HarnessCase, archive_dir=None):
+    """run_case's reports as (verdicts, line) pairs: each report's check
+    verdicts in order and its finished `sftcd verify` line.  A worker
+    process returns these flat strings and tuples, so whoever prints
+    them serialises nothing."""
+    return [
+        (
+            tuple(c.verdict for c in report.checks),
+            json.dumps(to_jsonable(report), sort_keys=True),
+        )
+        for report in run_case(case, archive_dir=archive_dir)
+    ]
 
+
+def _archive(archive_dir, case, triple, report):
     path = Path(archive_dir)
     path.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -433,7 +446,9 @@ def map_cases(fn, work, jobs):
     go to that many worker processes in batches of about
     len(work) // (8 * jobs), so each task carries enough work to pay for
     its round trip; with jobs == 1, or fewer than two items, fn runs in
-    this process and no worker starts."""
+    this process and no worker starts.  Every result is pickled back to
+    this process, so an fn whose results are small and flat (as
+    report_lines' are) leaves it little to unpickle."""
     work = list(work)
     jobs = min(jobs, len(work))
     if jobs <= 1:

@@ -97,16 +97,17 @@ class TestConstructBridge:
             assert set(wit.bs) == ends
 
     def test_one_image_per_end(self, xor2, xor2_cert, monkeypatch):
-        # the self-check compares the two ends' image points once and
-        # replays both bridges against that image
+        # the self-check computes each end's image letters once, compares
+        # them, and replays both bridges against that image
         bridge_module = sys.modules["sftcd.bridge"]
+        letters = bridge_module._image_letters
         calls = []
 
-        def counting(code, p):
+        def counting(code, p, length):
             calls.append(p)
-            return apply_to_point(code, p)
+            return letters(code, p, length)
 
-        monkeypatch.setattr(bridge_module, "apply_to_point", counting)
+        monkeypatch.setattr(bridge_module, "_image_letters", counting)
         pts = [point("00"), point("11")]
         for x, xp in product(pts, pts):
             calls.clear()
@@ -115,8 +116,10 @@ class TestConstructBridge:
 
     def test_image_mismatch_fails_the_self_check(self, xor2, xor2_cert, monkeypatch):
         bridge_module = sys.modules["sftcd.bridge"]
-        images = iter([point("0"), point("1")])
-        monkeypatch.setattr(bridge_module, "apply_to_point", lambda code, p: next(images))
+        images = iter([("0",), ("1",)])
+        monkeypatch.setattr(
+            bridge_module, "_image_letters", lambda code, p, length: next(images)
+        )
         with pytest.raises(InvariantViolation):
             construct_bridge(xor2, point("00"), point("11"), 1, xor2_cert, "00")
 
@@ -145,6 +148,28 @@ class TestConstructBridge:
         )
         assert fwd.mode == "relative"
         assert fwd.provenance
+
+
+def test_shared_image_reads_the_image_points(subjects):
+    # the letters over lcm of the two periods stand for the image point:
+    # None exactly when the image points differ, else letter (i - 1) mod L
+    # is the image point's symbol at coordinate i
+    from sftcd.bridge import _shared_image
+
+    for t in subjects[:6]:
+        points = [p for n in (1, 2, 3) for p in periodic_points_of(t.X, n)]
+        points += [p.shifted(1) for p in points]
+        for code in (t.pi, t.phi):
+            for x, xp in product(points, points):
+                image = apply_to_point(code, x)
+                letters = _shared_image(code, x, xp)
+                if image != apply_to_point(code, xp):
+                    assert letters is None
+                    continue
+                assert len(letters) % image.period == 0
+                assert list(letters) == [
+                    image.symbol_at(i) for i in range(1, len(letters) + 1)
+                ]
 
 
 class TestVerifyBridge:

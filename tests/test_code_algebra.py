@@ -19,6 +19,7 @@ from sftcd.codes import (
     trivial_code,
 )
 from sftcd.core import (
+    Alphabet,
     Block,
     PeriodicPoint,
     VertexShift,
@@ -186,6 +187,33 @@ class TestSlidingRecode:
         assert rec.width == 2
         assert rec.offset == 0
         assert rec.conjugacy.apply_symbol("01") == "0"
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shift", ["golden", "full2", "full3"])
+    def test_window_edges_are_the_all_pairs_rule(self, shift, width):
+        # the edges join windows by overlap; they must be exactly the
+        # pairs the all-pairs rule finds, in the same named window shift
+        domain = {
+            "golden": golden(),
+            "full2": VertexShift.full_shift(("0", "1")),
+            "full3": VertexShift.full_shift(("0", "1", "2")),
+        }[shift]
+        windows = [b.symbols for b in enumerate_blocks(domain, width)]
+        rule = {w: str(sum(map(int, w)) % 2) for w in windows}
+        memory = width // 2
+        code = SlidingBlockCode.from_dict(
+            domain, ("0", "1"), memory, width - 1 - memory, rule
+        )
+        names = tuple("".join(w) for w in windows)
+        pairs = frozenset(
+            (names[i], names[j])
+            for i, w in enumerate(windows)
+            for j, w2 in enumerate(windows)
+            if w[1:] == w2[:-1] and domain.allows(w[-1], w2[-1])
+        )
+        rec = recode_to_one_block(code)
+        assert rec.window_shift == VertexShift(Alphabet(names), pairs)
+        assert rec.window_shift.alphabet.symbols == names
 
 
 class TestCompose:

@@ -1,6 +1,7 @@
 """Document parsing, canonical dumps, and the command-line surface."""
 
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -13,7 +14,7 @@ import pytest
 from conftest import SRC, run_under_hash_seeds
 from sftcd.cli import main
 from sftcd.codes import SlidingBlockCode
-from sftcd.core import parse_block_text
+from sftcd.core import Block, PeriodicPoint, parse_block_text
 from sftcd.documents import (
     canonical_json,
     dot_graph,
@@ -331,6 +332,48 @@ class TestJsonable:
         assert to_jsonable({1: (2, 3)}) == {"1": [2, 3]}
         with pytest.raises(ParseError, match="cannot serialise"):
             to_jsonable(object())
+        # a dataclass type is not a result: it has no field values
+        with pytest.raises(ParseError, match="cannot serialise type"):
+            to_jsonable(StabilizationInfo)
+
+    def test_exact_types_and_subclasses_agree(self, xor2):
+        # type(x) dispatch covers the exact types; subclasses and other
+        # dataclasses take the isinstance route, and both must agree
+        from dataclasses import dataclass
+
+        from sftcd.harness import CheckResult, TheoremReport
+
+        class Tagged(dict):
+            pass
+
+        @dataclass(frozen=True)
+        class Wider(StabilizationInfo):
+            extra: tuple = ()
+
+        blocks = frozenset(
+            parse_block_text(xor2.X.alphabet, t) for t in ("11", "00·01", "10")
+        )
+        point = PeriodicPoint.make(Block(("0", "1")), 1)
+        report = TheoremReport(
+            "c", {"x": StabilizationInfo(3, True)}, (CheckResult("n", "pass"),)
+        )
+        for _ in range(2):  # the second round reads the cached field names
+            assert to_jsonable(Tagged({1: (2, None)})) == {"1": [2, None]}
+            assert to_jsonable(blocks) == ["00·01", "10", "11"]  # by repr
+            assert to_jsonable(point) == "(01)@1"
+            assert to_jsonable(report) == {
+                "case_id": "c",
+                "values": {"x": {"scanned_length": 3, "certified": True}},
+                "checks": [{"name": "n", "verdict": "pass", "detail": ""}],
+            }
+            assert to_jsonable(Wider(2, False, (point,))) == {
+                "scanned_length": 2,
+                "certified": False,
+                "extra": ["(01)@1"],
+            }
+            assert to_jsonable([True, 1.5, {"k": {point}}]) == [
+                True, 1.5, {"k": ["(01)@1"]}
+            ]
 
     def test_canonical_json_shape(self, xor2):
         text = canonical_json(xor2)
@@ -816,6 +859,47 @@ class TestCliVerify:
         assert [p.name for p in archive.iterdir()] == ["seed:3_main.json"]
         dump = json.loads((archive / "seed:3_main.json").read_text())
         assert dump["case"] == "seed:3" and dump["report"] == reports[0]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the monkeypatch reaches the workers only through fork",
+    )
+    def test_failed_check_at_two_jobs_is_counted_and_archived(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the workers serialise and archive the reports and the parent
+        # tallies their verdicts; the patch keys on seed 3's triple, not
+        # on the call count, since each forked worker counts its own calls
+        from dataclasses import replace
+
+        from sftcd import harness
+
+        real = harness.triple_degrees
+        seed3_x = harness.generate_triple(harness.spec_for_seed(3)).X
+        seen = []
+
+        def pi_off_by_one_in_seed_3_main(t):
+            v = real(t)
+            if t.X == seed3_x:
+                seen.append(t)
+                if len(seen) == 1:  # seed 3's first question is its main check
+                    v = dict(v, pi=replace(v["pi"], value=v["pi"].value + 1))
+            return v
+
+        monkeypatch.setattr(harness, "triple_degrees", pi_off_by_one_in_seed_3_main)
+        archive = tmp_path / "archive"
+        argv = ("verify", "--seeds", "3..4", "--jobs", "2", "--archive", str(archive))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert [json.loads(line)["case_id"] for line in lines] == [
+            f"seed:{s}/{k}" for s in (3, 4) for k in ("main", "special", "chain")
+        ]
+        assert err == "2 cases, 6 reports: 9 passed, 2 failed, 5 skipped\n"
+        assert not seen  # every check ran in a worker
+        assert [p.name for p in archive.iterdir()] == ["seed:3_main.json"]
+        dump = json.loads((archive / "seed:3_main.json").read_text())
+        assert dump["case"] == "seed:3" and dump["report"] == json.loads(lines[0])
 
     def test_every_verify_path_prints_the_same_bytes(self, capsys):
         jobs1, jobs2 = (

@@ -1,10 +1,12 @@
+import json
+
 import pytest
 
 from sftcd import fiber, harness
 from sftcd.codes import CodeTriple, check_onto, identity_code, is_finite_to_one
 from sftcd.core import is_irreducible
 from sftcd.corpus import builtin_cases, builtin_triple
-from sftcd.documents import canonical_json
+from sftcd.documents import canonical_json, to_jsonable
 from sftcd.errors import PreconditionUnmet
 from sftcd.harness import (
     CheckResult,
@@ -17,6 +19,7 @@ from sftcd.harness import (
     generate_chain_code,
     generate_triple,
     map_cases,
+    report_lines,
     run_case,
     run_suite,
     spec_for_seed,
@@ -304,6 +307,26 @@ class TestSuite:
             reports = run_case(case)
             assert len(reports) == 1
             assert reports[0].verdict == "pass"
+
+    def test_report_lines_are_the_printed_reports(self):
+        # each pair is a report's verdicts and its finished verify line
+        cases = [
+            HarnessCase("b", "builtin", "xor2", checks=("main", "special", "chain")),
+            HarnessCase(
+                "s", "generated", gen=spec_for_seed(12),
+                checks=("main", "special", "chain"), chain_seed=12,
+            ),
+        ]
+        for case in cases:
+            reports = run_case(case)
+            assert report_lines(case) == [
+                (
+                    tuple(c.verdict for c in r.checks),
+                    json.dumps(to_jsonable(r), sort_keys=True),
+                )
+                for r in reports
+            ]
+            assert len(reports) == 3
 
     def test_archive_only_on_failure(self, tmp_path):
         case = HarnessCase("good", "builtin", "xor2", checks=("main",))
