@@ -200,7 +200,10 @@ def bounded_bridge_exists(code, x, xp, m, window=None):
 
     The middle is found by stepping the fiber frontier along the image
     point's letters from x's symbol at m until it covers x's-partner
-    symbol at n.  A miss only means no bridge this short exists.
+    symbol at n.  A miss only means no bridge this short exists.  A step
+    reads only the frontier and n mod L, L the shared image's length (a
+    multiple of the period of x'), so the search stops at the first
+    repeated pair: every later step would repeat one that missed.
     """
     if window is None:
         window = 2 * len(code.domain.alphabet)
@@ -214,11 +217,13 @@ def bounded_bridge_exists(code, x, xp, m, window=None):
     symbols = code.domain.alphabet.symbols
     start = idx(x.symbol_at(m))
     frontier = [1 << start]
+    seen = set()
     for j in range(1, window + 1):
         n = m + j
         cur = code.step(frontier[-1], image[(n - 1) % period])
-        if not cur:
+        if not cur or (cur, n % period) in seen:
             break
+        seen.add((cur, n % period))
         frontier.append(cur)
         t = idx(xp.symbol_at(n))
         if (cur >> t) & 1:

@@ -7,7 +7,6 @@ hit, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -17,6 +16,7 @@ from pathlib import Path
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
 from .codes import recode_to_one_block, SlidingBlockCode
 from .core import is_point_of, parse_block_text, parse_point_text
+from .corpus import builtin_cases, builtin_triple
 from .depth import class_degree, depth, relative_class_degree, relative_depth
 from .documents import (
     canonical_json,
@@ -25,7 +25,6 @@ from .documents import (
     load_system,
     load_triple,
     read_json,
-    to_jsonable,
 )
 from .errors import (
     AlphabetMismatch,
@@ -61,7 +60,7 @@ _USAGE_ERRORS = (
 
 
 def _emit(payload):
-    print(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
+    print(canonical_json(payload), end="")
 
 
 def _note(text):
@@ -70,8 +69,6 @@ def _note(text):
 
 def _triple_from_arg(value):
     if value.startswith("builtin:"):
-        from .corpus import builtin_triple
-
         return builtin_triple(value.split(":", 1)[1])
     loaded = load_triple(value)
     for w in loaded.warnings:
@@ -84,8 +81,6 @@ def _code_from_arg(value):
     if value.startswith("builtin:"):
         rest = value.split(":", 1)[1]
         name, _, which = rest.partition("/")
-        from .corpus import builtin_triple
-
         return _pick(builtin_triple(name), which or "phi")
     code = load_code(read_json(value))
     if isinstance(code, SlidingBlockCode):
@@ -202,7 +197,7 @@ def cmd_generate(args):
         z_symbols=args.z_symbols,
         edge_density=args.density,
     )
-    print(canonical_json(generate_triple(spec)), end="")
+    _emit(generate_triple(spec))
     return 0
 
 
@@ -213,13 +208,13 @@ def cmd_dump(args):
             print(dot_graph(t.X, t.phi, "X"), end="")
             print(dot_graph(t.Y, t.psi, "Y"), end="")
         else:
-            print(canonical_json(t), end="")
+            _emit(t)
         return 0
     shift = load_system(read_json(args.system))
     if args.format == "dot":
         print(dot_graph(shift, None, "shift"), end="")
     else:
-        print(canonical_json(shift), end="")
+        _emit(shift)
     return 0
 
 
@@ -238,8 +233,6 @@ def _verify_cases(args):
     cases = []
     if args.corpus:
         if args.corpus == "builtin":
-            from .corpus import builtin_cases
-
             cases.extend(builtin_cases())
         else:
             root = Path(args.corpus)
@@ -254,35 +247,28 @@ def _verify_cases(args):
                         checks=("main", "special"),
                     )
                 )
+    generated = []
     if args.gen:
         spec_doc = read_json(args.gen)
         if not isinstance(spec_doc, list):
             raise ParseError("generator spec file must hold a list of specs")
         for entry in spec_doc:
             try:
-                gen = TripleGenSpec(**entry)
+                generated.append(("gen", TripleGenSpec(**entry)))
             except TypeError as e:
                 raise ParseError(f"bad generator spec {entry!r}: {e}") from None
-            cases.append(
-                HarnessCase(
-                    case_id=f"gen:{gen.seed}",
-                    kind="generated",
-                    gen=gen,
-                    checks=("main", "special", "chain"),
-                    chain_seed=gen.seed,
-                )
-            )
     if args.seeds:
-        for seed in _parse_seed_range(args.seeds):
-            cases.append(
-                HarnessCase(
-                    case_id=f"seed:{seed}",
-                    kind="generated",
-                    gen=spec_for_seed(seed),
-                    checks=("main", "special", "chain"),
-                    chain_seed=seed,
-                )
+        generated += [("seed", spec_for_seed(s)) for s in _parse_seed_range(args.seeds)]
+    for prefix, spec in generated:
+        cases.append(
+            HarnessCase(
+                case_id=f"{prefix}:{spec.seed}",
+                kind="generated",
+                gen=spec,
+                checks=("main", "special", "chain"),
+                chain_seed=spec.seed,
             )
+        )
     if not cases:
         raise ParseError("nothing to verify: give --corpus, --gen, or --seeds")
     return cases

@@ -72,7 +72,6 @@ def builtin_cases():
             kind="builtin",
             name=name,
             checks=("main", "special", "chain"),
-            chain_kind="identity",
         )
         for name in BUILTIN_NAMES
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from operator import methodcaller
 from pathlib import Path
 
 from .codes import (
@@ -291,59 +292,56 @@ def triple_doc(triple) -> dict:
     }
 
 
-_SCALARS = frozenset({type(None), bool, int, float, str})
-_FIELD_NAMES = {}  # dataclass type -> its field names, filled on first use
+def _items(x):
+    return [to_jsonable(v) for v in x]
+
+
+def _sorted_items(x):
+    return sorted(_items(x), key=repr)
+
+
+_PROJECTIONS = {
+    **dict.fromkeys((type(None), bool, int, float, str), lambda x: x),
+    dict: lambda x: {str(k): to_jsonable(v) for k, v in x.items()},
+    list: _items,
+    tuple: _items,
+    set: _sorted_items,
+    frozenset: _sorted_items,
+    Block: methodcaller("text"),
+    PeriodicPoint: methodcaller("text"),
+    Alphabet: lambda x: list(x.symbols),
+    VertexShift: system_doc,
+    CodeTriple: triple_doc,
+    OneBlockCode: code_doc,
+    SlidingBlockCode: code_doc,
+}
+_RESOLVED = dict(_PROJECTIONS)  # exact type -> projection, filled on first use
+
+
+def _resolve(kind):
+    # the walk reads the static table only: a subclass of a cached
+    # dataclass must project its own fields, not its base's
+    for base in kind.__mro__:
+        if base in _PROJECTIONS:
+            return _PROJECTIONS[base]
+    if dataclasses.is_dataclass(kind):
+        names = tuple(f.name for f in dataclasses.fields(kind))
+        return lambda x: {name: to_jsonable(getattr(x, name)) for name in names}
+    raise ParseError(f"cannot serialise {kind.__name__}")
 
 
 def to_jsonable(x):
     """Lossy one-way projection of result objects onto JSON values.
 
-    The exact types a report is made of (scalars, dicts, lists, tuples,
-    sets, blocks, points and plain result dataclasses, whose field names
-    are read once per type) are dispatched on type(x) first; everything
-    else, subclasses included, goes down the isinstance order below, so
-    both routes give the same value."""
+    Every value goes through one table keyed by its exact type.  A type
+    not listed is resolved once, then kept: it projects as the nearest
+    listed class in its MRO, else (a dataclass) as a dict of its own
+    fields, else it raises ParseError and nothing is kept."""
     kind = type(x)
-    if kind in _SCALARS:
-        return x
-    if kind is dict:
-        return {str(k): to_jsonable(v) for k, v in x.items()}
-    if kind is tuple or kind is list:
-        return [to_jsonable(v) for v in x]
-    if kind is frozenset or kind is set:
-        return sorted([to_jsonable(v) for v in x], key=repr)
-    if kind is Block or kind is PeriodicPoint:
-        return x.text()
-    names = _FIELD_NAMES.get(kind)
-    if names is not None:
-        return {name: to_jsonable(getattr(x, name)) for name in names}
-    if x is None or isinstance(x, (bool, int, float, str)):
-        return x
-    # reports reach this through their dicts and tuples; no result type
-    # subclasses these containers
-    if isinstance(x, dict):
-        return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set, frozenset)):
-        items = [to_jsonable(v) for v in x]
-        return sorted(items, key=repr) if isinstance(x, (set, frozenset)) else items
-    if isinstance(x, Block):
-        return x.text()
-    if isinstance(x, PeriodicPoint):
-        return x.text()
-    if isinstance(x, Alphabet):
-        return list(x.symbols)
-    if isinstance(x, VertexShift):
-        return system_doc(x)
-    if isinstance(x, CodeTriple):
-        return triple_doc(x)
-    if isinstance(x, (OneBlockCode, SlidingBlockCode)):
-        return code_doc(x)
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        # only a type that reaches this branch is cached, so a cached
-        # type is never one of the special cases above
-        names = _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(x))
-        return {name: to_jsonable(getattr(x, name)) for name in names}
-    raise ParseError(f"cannot serialise {type(x).__name__}")
+    project = _RESOLVED.get(kind)
+    if project is None:
+        project = _RESOLVED[kind] = _resolve(kind)
+    return project(x)
 
 
 def canonical_json(obj) -> str:

@@ -42,6 +42,7 @@ from itertools import count, islice
 from operator import itemgetter
 
 from . import core
+from .codes import is_finite_to_one
 from .core import Block, iter_bits, iter_paths, stepper
 from .errors import InvalidBlock, NotFiniteToOne, UnknownSymbol
 from .graphs import closure, remember
@@ -344,8 +345,6 @@ def find_magic_block(code, max_len=None):
 def degree_finite_to_one(code):
     """Preimage count of typical points of a finite-to-one code, read off
     the magic block minimum."""
-    from .codes import is_finite_to_one
-
     if not is_finite_to_one(code):
         raise NotFiniteToOne("code has unboundedly many preimages")
     return find_magic_block(code).value

@@ -15,10 +15,17 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .codes import CodeTriple, OneBlockCode, check_onto, compose, is_finite_to_one
+from .codes import (
+    CodeTriple,
+    OneBlockCode,
+    check_onto,
+    compose,
+    identity_code,
+    is_finite_to_one,
+)
 from .core import VertexShift, is_irreducible, stepper
 from .depth import class_degree, relative_class_degree
-from .documents import to_jsonable
+from .documents import canonical_json, load_triple, to_jsonable
 from .errors import GenerationFailed, PreconditionUnmet
 from .graphs import reach
 
@@ -56,14 +63,16 @@ class TripleGenSpec:
             raise PreconditionUnmet("edge_density must be in [0, 1]")
 
 
-def spec_for_seed(seed, y_max=3, blowup_max=3, z_max=2):
-    """Deterministic small-parameter sweep used by the suite and the CLI."""
+def spec_for_seed(seed):
+    """The generator spec of `sftcd verify --seeds`: 2 or 3 Y symbols,
+    blowups up to 1, 2 or 3 copies and 1 or 2 Z symbols, each cycling
+    with the seed, and an edge density of 0.3 to 0.7."""
     return TripleGenSpec(
         seed=seed,
-        y_symbols=2 + seed % max(1, y_max - 1),
+        y_symbols=2 + seed % 2,
         blowup_min=1,
-        blowup_max=1 + seed % blowup_max,
-        z_symbols=1 + seed % z_max,
+        blowup_max=1 + seed % 3,
+        z_symbols=1 + seed % 2,
         edge_density=0.3 + 0.1 * (seed % 5),
     )
 
@@ -343,25 +352,27 @@ def check_chain_identity(
 
 @dataclass(frozen=True)
 class HarnessCase:
+    """One triple and the checks to run on it.  The chain check's outer
+    code is the identity on Z for a builtin case, and for every other
+    case generate_chain_code's code seeded with chain_seed."""
+
     case_id: str
     kind: str  # builtin | generated | file
     name: str = ""  # builtin name or file path
     gen: TripleGenSpec | None = None
     checks: tuple = ("main",)
-    chain_kind: str = "generated"  # or "identity"
     chain_seed: int = 0
 
 
 def resolve_case(case: HarnessCase) -> CodeTriple:
     if case.kind == "builtin":
+        # call-time import: corpus imports this module for HarnessCase
         from .corpus import builtin_triple
 
         return builtin_triple(case.name)
     if case.kind == "generated":
         return generate_triple(case.gen)
     if case.kind == "file":
-        from .documents import load_triple
-
         return load_triple(case.name).triple
     raise PreconditionUnmet(f"unknown case kind {case.kind!r}")
 
@@ -380,9 +391,7 @@ def run_case(case: HarnessCase, max_len=None, *, archive_dir=None):
         elif kind == "special":
             reports.append(check_special_cases(triple, case_id=cid))
         elif kind == "chain":
-            if case.chain_kind == "identity":
-                from .codes import identity_code
-
+            if case.kind == "builtin":
                 varphi = identity_code(triple.Z_shift)
             else:
                 w = 1 + case.chain_seed % len(triple.Z_shift.alphabet)
@@ -414,13 +423,9 @@ def report_lines(case: HarnessCase, archive_dir=None):
 def _archive(archive_dir, case, triple, report):
     path = Path(archive_dir)
     path.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "case": case.case_id,
-        "triple": to_jsonable(triple),
-        "report": to_jsonable(report),
-    }
+    payload = {"case": case.case_id, "triple": triple, "report": report}
     name = report.case_id.replace("/", "_") + ".json"
-    (path / name).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    (path / name).write_text(canonical_json(payload))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -253,6 +254,48 @@ class TestBoundedBridge:
     def test_image_mismatch_rejected(self, xor2):
         with pytest.raises(ImageMismatch):
             bounded_bridge_exists(xor2.phi, point("00"), point("01", "10"), 0)
+
+    def test_a_huge_window_ends_at_the_first_repeated_state(self, xor2):
+        # no bridge exists, and the walk stops once its state repeats
+        # instead of stepping through all 10**9 coordinates
+        started = time.perf_counter()
+        search = bounded_bridge_exists(xor2.phi, point("00"), point("11"), 0, 10**9)
+        assert time.perf_counter() - started < 1
+        assert not search.found and search.window == 10**9
+        assert search.note == "no bridge found with rejoin within 1000000000 steps"
+
+    def test_stopping_at_a_repeat_changes_no_answer(self, subjects):
+        # against a walk over the whole window that never stops early; on
+        # seed 14 a stop keyed on the frontier alone, without n mod L,
+        # misses a rejoin
+        from sftcd.bridge import _shared_image
+        from sftcd.depth import _least_path
+
+        def first_rejoin(code, x, xp, window):
+            image = _shared_image(code, x, xp)
+            idx = code.domain.alphabet.index
+            start = idx(x.symbol_at(0))
+            frontier = [1 << start]
+            for n in range(1, window + 1):
+                cur = code.step(frontier[-1], image[(n - 1) % len(image)])
+                frontier.append(cur)
+                t = idx(xp.symbol_at(n))
+                if cur >> t & 1:
+                    path = _least_path(code.domain, start, t, frontier)
+                    return n, tuple(code.domain.alphabet.symbols[i] for i in path[1:-1])
+            return None
+
+        for t in [builtin_triple(name) for name in BUILTIN_NAMES] + subjects:
+            for code in (t.phi, t.psi, t.pi):
+                points = periodic_points_of(code.domain, 3)
+                for x, xp in product(points, points):
+                    if _shared_image(code, x, xp) is None:
+                        continue
+                    rejoin = first_rejoin(code, x, xp, 30)
+                    for window in range(1, 31):
+                        w = bounded_bridge_exists(code, x, xp, 0, window).witness
+                        expected = rejoin if rejoin and rejoin[0] <= window else None
+                        assert (w and (w.n, w.middle_symbols)) == expected
 
     def test_middles_are_least_on_generated_codes(self, subjects):
         # brute force: the first rejoin n with a fiber path from x at m to

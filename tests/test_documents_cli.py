@@ -337,13 +337,17 @@ class TestJsonable:
             to_jsonable(StabilizationInfo)
 
     def test_exact_types_and_subclasses_agree(self, xor2):
-        # type(x) dispatch covers the exact types; subclasses and other
-        # dataclasses take the isinstance route, and both must agree
+        # one table keyed by exact type: a subclass projects as its
+        # nearest listed base, a dataclass as its own fields, and a
+        # type's second value reads the projection kept for it
         from dataclasses import dataclass
 
         from sftcd.harness import CheckResult, TheoremReport
 
         class Tagged(dict):
+            pass
+
+        class Marked(Block):
             pass
 
         @dataclass(frozen=True)
@@ -357,8 +361,9 @@ class TestJsonable:
         report = TheoremReport(
             "c", {"x": StabilizationInfo(3, True)}, (CheckResult("n", "pass"),)
         )
-        for _ in range(2):  # the second round reads the cached field names
+        for _ in range(2):  # the second round reads the kept projections
             assert to_jsonable(Tagged({1: (2, None)})) == {"1": [2, None]}
+            assert to_jsonable(Marked(("0", "1"))) == "01"
             assert to_jsonable(blocks) == ["00·01", "10", "11"]  # by repr
             assert to_jsonable(point) == "(01)@1"
             assert to_jsonable(report) == {
@@ -857,8 +862,12 @@ class TestCliVerify:
         assert len(failed) == 2  # pi + 1 also breaks the composite bound
         assert err == "2 cases, 6 reports: 9 passed, 2 failed, 5 skipped\n"
         assert [p.name for p in archive.iterdir()] == ["seed:3_main.json"]
-        dump = json.loads((archive / "seed:3_main.json").read_text())
-        assert dump["case"] == "seed:3" and dump["report"] == reports[0]
+        dump = (archive / "seed:3_main.json").read_text()
+        triple = harness.generate_triple(harness.spec_for_seed(3))
+        # an archive file is a canonical document, newline-terminated
+        assert dump == canonical_json(
+            {"case": "seed:3", "triple": triple, "report": reports[0]}
+        )
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -898,8 +907,11 @@ class TestCliVerify:
         assert err == "2 cases, 6 reports: 9 passed, 2 failed, 5 skipped\n"
         assert not seen  # every check ran in a worker
         assert [p.name for p in archive.iterdir()] == ["seed:3_main.json"]
-        dump = json.loads((archive / "seed:3_main.json").read_text())
-        assert dump["case"] == "seed:3" and dump["report"] == json.loads(lines[0])
+        dump = (archive / "seed:3_main.json").read_text()
+        triple = harness.generate_triple(harness.spec_for_seed(3))
+        assert dump == canonical_json(
+            {"case": "seed:3", "triple": triple, "report": json.loads(lines[0])}
+        )
 
     def test_every_verify_path_prints_the_same_bytes(self, capsys):
         jobs1, jobs2 = (

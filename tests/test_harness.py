@@ -217,6 +217,8 @@ class TestScanLengthRetired:
             triple_degrees(xor2, 8)
         with pytest.raises(TypeError):
             degree_finite_to_one(xor2.phi, 8)
+        with pytest.raises(TypeError):
+            spec_for_seed(1, y_max=3)
 
 
 class TestReportShape:
@@ -297,11 +299,11 @@ class TestSuite:
         assert pools == [(2, 12), (2, 1), (3, 8)]
 
     def test_run_case_chain_kinds(self, xor2):
-        ident = HarnessCase(
-            "a", "builtin", "xor2", checks=("chain",), chain_kind="identity"
-        )
+        # a builtin case chains through the identity on Z, a generated
+        # one through generate_chain_code
+        ident = HarnessCase("a", "builtin", "xor2", checks=("chain",))
         gen = HarnessCase(
-            "b", "builtin", "xor2", checks=("chain",), chain_seed=3
+            "b", "generated", gen=spec_for_seed(3), checks=("chain",), chain_seed=3
         )
         for case in (ident, gen):
             reports = run_case(case)
