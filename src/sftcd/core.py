@@ -307,25 +307,52 @@ def iter_paths(succ, layers, too_many, names=None):
     ResourceLimit(too_many.format(cap=DEFAULT_CAP)).  Every prefix must
     extend to a path (pruned fiber layers, or full layers of an
     essential shift), so the first cap + 1 prefixes of a layer hold the
-    first cap + 1 paths and the rest are dropped; the last layer grows
-    one path at a time as they are yielded."""
+    first cap + 1 paths and the rest are dropped.  A prefix is kept as a
+    link (index of its parent prefix, last symbol), not as a tuple, so
+    the work is linear in the length; the last layer grows one path at a
+    time, each spelled once as it is yielded."""
     cap = DEFAULT_CAP
     spell = (range(len(succ)) if names is None else names).__getitem__
-    paths = [(spell(s),) for s in iter_bits(layers[0])]
-    for k in range(1, len(layers)):
+    tiers = [[(None, s) for s in iter_bits(layers[0])]]
+    for before, layer in zip(layers, layers[1:-1]):
+        ends = {s: iter_bits(succ[s] & layer) for s in iter_bits(before)}
+        tier = [(i, t) for i, (_, s) in enumerate(tiers[-1]) for t in ends[s]]
+        del tier[cap + 1 :]
+        tiers.append(tier)
+    if len(layers) == 1:
+        paths = ((spell(s),) for _, s in tiers[0])
+    else:
         ends = {
-            spell(s): tuple(map(spell, iter_bits(succ[s] & layers[k])))
-            for s in iter_bits(layers[k - 1])
+            s: [(spell(t),) for t in iter_bits(succ[s] & layers[-1])]
+            for s in iter_bits(layers[-2])
         }
-        if k == len(layers) - 1:
-            paths = (p + (t,) for p in paths for t in ends[p[-1]])
-        else:
-            paths = [p + (t,) for p in paths for t in ends[p[-1]]]
-            del paths[cap + 1 :]
+        paths = _spelled(tiers, ends, spell)
     for count, path in enumerate(paths, 1):
         if count > cap:
             raise ResourceLimit(too_many.format(cap=cap))
         yield path
+
+
+def _spelled(tiers, ends, spell):
+    """The spelled paths through the prefixes of tiers, each extended by
+    the spelled one-symbol tuples of ends[its last symbol].  A prefix is
+    spelled back along its links only as far as the first link it shares
+    with the prefix before it, whose spelling it keeps, so each link is
+    spelled once."""
+    # chain[k + 1] is the current prefix's link in tiers[k]; chain[0] is
+    # the parent of every first-tier link, so each walk stops by then
+    chain = [None] * (len(tiers) + 1)
+    prefix = [None] * len(tiers)
+    for node, (_, s) in enumerate(tiers[-1]):
+        k, i = len(tiers), node
+        while chain[k] != i:
+            chain[k] = i
+            i, symbol = tiers[k - 1][i]
+            prefix[k - 1] = spell(symbol)
+            k -= 1
+        spelled = tuple(prefix)
+        for t in ends[s]:
+            yield spelled + t
 
 
 def enumerate_blocks(shift, length):

@@ -23,10 +23,23 @@ position n.  w is presented through M at n exactly when M hits every
 routing set of an occurring endpoint pair, so the depth of w is a minimum
 hitting set size.  One driver, _min_hitting_set, finds every such
 minimum: it scores a block's positions here exactly as it scores the
-splits of the side closures below, and names the least mask.  Position 1
-seeds a block's search with no family built: there the routing set of a
-pair (s, t) is {s}, so the least hitting set is the mask of the fiber's
-start symbols, and a single start symbol ends the search at once.
+splits of the side closures below, and names the least mask.  A reach
+builds only what its answer reads.  Position 1 seeds a block's search
+with no family built: there the routing set of a pair (s, t) is {s}, so
+the least hitting set is the mask of the fiber's start symbols, and a
+single start symbol ends the search before any forward set is swept;
+the reach sweeps its forward sets on first read, which only a later
+position makes.  A lone start or end symbol of the pruned layers needs
+no sweep at all: the layers are its forward or backward sets.
+
+Whenever the limit is 1, that is, only a score of 1 would improve on
+the best so far, no family is built either.  One symbol lies in every
+routing set exactly when it lies in their intersection, and as every
+start and every end symbol lies in some endpoint pair, that is the
+intersection of the starts' forward sets and the ends' backward sets:
+|S| + |T| masks rather than |S| * |T| routing sets.  A block's search
+asks this past a position of depth 2, and a split of the side closures
+below at limit 1, over the rows and columns that join something.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -37,11 +50,8 @@ The side closures of fiber.py reach every such pair, each pair's routing
 family is one set comprehension, scored once, and the block attaining
 the minimum replays as a routing certificate.  Depth is never below 1,
 so the closures grow only until a depth-1 pair turns up, or to their
-end when the minimum is larger.  Once a depth of 2 is found, the pairs
-after it are asked only whether they score 1: one symbol lying in every
-routing set, that is, a nonzero intersection.  Such a pair's sets are
-intersected as they are made, with no family collected, and the first
-set that empties the intersection ends the score.  Every mask step is a
+end when the minimum is larger; once a depth of 2 is found, the pairs
+after it are scored at limit 1 as above.  Every mask step is a
 core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
@@ -51,16 +61,18 @@ Making it walks the endpoint pairs depth has already computed and never
 lists the fiber; preimages() spells the (u, v) pairs out for callers who
 want them.  Each v is _Reach.lex_path_through's least path through the
 least usable symbol of M, the search bridge.py also asks for the blocks
-it splices.  Its head is read off a backward sweep toward that symbol at
-n: one sweep per routing symbol (and position) on a reach, shared by
-every endpoint pair routed through it.  verify_certificate replays a
-certificate by checking each listed (s, t, v) once, that v spells w's
-image in the witness fiber from s to t through M at n, and that the
-listed pairs are exactly the u-fiber's endpoint pairs, read off the end
-mask of one forward sweep per start symbol (_end_pairs, which keeps no
-history); so it covers every preimage without enumerating any.  Relative
-mode reads its u-fiber's pairs the same way: only the witness reach's
-forward sets feed routing sets.
+it splices.  At position 1 it starts at that symbol and is read off the
+backward set of its end.  Past it, its head is read off a backward sweep
+toward that symbol at n: one sweep per routing symbol (and position) on
+a reach, shared by every endpoint pair routed through it.
+
+verify_certificate replays a certificate by checking each listed
+(s, t, v) once, that v spells w's image in the witness fiber from s to t
+through M at n, and that the listed pairs are exactly the u-fiber's
+endpoint pairs, read off the end mask of one forward sweep per start
+symbol (_end_pairs, which keeps no history); so it covers every preimage
+without enumerating any.  Relative mode reads its u-fiber's pairs the
+same way: only the witness reach's forward sets feed routing sets.
 """
 from __future__ import annotations
 
@@ -86,44 +98,73 @@ class _Reach:
     relative reach is built on pi's fiber over psi(w) but needs only the
     endpoints of w's phi-fiber: a phi-preimage of w is a pi-preimage of
     psi(w), so every endpoint pair a certificate routes stays covered.
-    lex_path_through keeps its backward sweeps toward routing symbols in
-    to_m, one per (symbol, position)."""
 
-    __slots__ = ("code", "layers", "fs", "bs", "to_m")
+    The backward sets are built at once, since every witness reads one.
+    The forward sets are built on first read of fs, which only a search
+    or a routing test past position 1 makes.  A lone start or end symbol
+    of the pruned layers needs no sweep: every symbol of those layers
+    lies on a path from it (to it), so the layers are its sets.
+    lex_path_through keeps its backward sweeps toward routing symbols
+    past position 1 in to_m, one per (symbol, position)."""
+
+    __slots__ = ("code", "layers", "starts", "_fs", "bs", "to_m")
 
     def __init__(self, code, word, starts=-1, ends=-1):
         self.code = code
         self.layers = layers = pruned_layers(code, word)
-        self.fs = {}
+        self.starts = starts
+        self._fs = None
         self.bs = {}
         self.to_m = {}
-        if layers is None:
-            return
-        self.fs = _forward_sets(code.domain, layers, starts)
-        self.bs = {
-            t: _toward(code.domain, t, layers) for t in iter_bits(layers[-1] & ends)
-        }
+        if layers is not None:
+            last = len(layers)
+            self.bs = {t: self._reaching(t, last) for t in iter_bits(layers[-1] & ends)}
 
-    def route(self, n, s, t):
-        return self.fs[s][n - 1] & self.bs[t][n - 1]
+    @property
+    def fs(self):
+        """{s: the symbols of each layer reachable from s}, swept on the
+        first read."""
+        if self._fs is None:
+            layers = self.layers
+            if layers is None:
+                self._fs = {}
+            elif layers[0] & (layers[0] - 1):
+                self._fs = _forward_sets(self.code.domain, layers, self.starts)
+            else:
+                self._fs = {s: layers for s in iter_bits(layers[0] & self.starts)}
+        return self._fs
+
+    def _reaching(self, t, n):
+        """The symbols of each of the first n layers that reach t at n:
+        those layers themselves when t is alone there."""
+        layers = self.layers[:n]
+        if layers[-1] == 1 << t:
+            return layers
+        return _toward(self.code.domain, t, layers)
 
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
-        position n to t, or None when no such path exists.  The head up
-        to m is the least successor, at each step, within the symbols
-        that still reach m at n (a sweep made once per (m, n) and shared
-        by every pair routed there); the tail after m the least within
-        bs[t], the symbols that still reach t."""
+        position n to t, or None when no such path exists.  The tail after
+        m is the least successor, at each step, within bs[t], the symbols
+        that still reach t.  At position 1 the path starts at m, so it is
+        that tail alone.  Past it, the head up to m is the least within
+        the symbols that still reach m at n (a sweep made once per (m, n)
+        and shared by every pair routed there)."""
         toward_t = self.bs.get(t)
         if toward_t is None or not (toward_t[n - 1] >> m) & 1:
             return None
-        toward_m = self.to_m.get((m, n))
-        if toward_m is None:
-            toward_m = self.to_m[m, n] = _toward(self.code.domain, m, self.layers[:n])
-        if not (toward_m[0] >> s) & 1:
-            return None
-        succ = self.code.domain.succ_masks
-        return _extend_least(succ, [s], toward_m[1:] + toward_t[n:])
+        if n == 1:
+            if m != s:
+                return None
+            ahead = toward_t[1:]
+        else:
+            toward_m = self.to_m.get((m, n))
+            if toward_m is None:
+                toward_m = self.to_m[m, n] = self._reaching(m, n)
+            if not (toward_m[0] >> s) & 1:
+                return None
+            ahead = toward_m[1:] + toward_t[n:]
+        return _extend_least(self.code.domain.succ_masks, [s], ahead)
 
 
 def _extend_least(succ, path, masks):
@@ -163,7 +204,11 @@ def _endpoint_pairs(fs):
 def _end_pairs(domain, layers):
     """_endpoint_pairs(_forward_sets(domain, layers)) without the
     histories: each start symbol is stepped to the last layer keeping
-    only the current mask."""
+    only the current mask.  A lone start reaches the whole last layer of
+    forward or pruned layers, so it is paired with each of its symbols
+    with no step."""
+    if not layers[0] & (layers[0] - 1):
+        return [(layers[0].bit_length() - 1, t) for t in iter_bits(layers[-1])]
     step, ahead = domain.step_mask, layers[1:]
     pairs = []
     for s in iter_bits(layers[0]):
@@ -179,25 +224,22 @@ def _hitting_set(family, k, allowed=None):
     set of family, or None when there is none; allowed (default: the
     union of family) bounds the symbols it may use.
 
-    One symbol hits them all when it lies in their intersection, which
-    is read in one pass over family, stopping at the first set that
-    empties it; so at k = 1 family may be any iterable.  Combinations
+    One symbol hits them all when it lies in their intersection, read in
+    one pass that stops at the first set emptying it.  Combinations
     starting with symbol i come before those starting with a larger one,
     and the rest of such a combination only has to meet the sets that
     miss i, so the search recurses on those.  It gives up once fewer
     than k symbols are left or some set has none of them."""
-    if k == 1:
-        family = iter(family)
-        inter = next(family, 0) if allowed is None else allowed
-        for r in family:
-            inter &= r
-            if not inter:
-                return None
-        return inter & -inter or None
     if allowed is None:
         allowed = 0
         for r in family:
             allowed |= r
+    if k == 1:
+        for r in family:
+            allowed &= r
+            if not allowed:
+                return None
+        return allowed & -allowed or None
     while allowed.bit_count() >= k and all(r & allowed for r in family):
         low = allowed & -allowed
         allowed ^= low
@@ -207,34 +249,47 @@ def _hitting_set(family, k, allowed=None):
     return None
 
 
-def _depth_search(e_pairs, fs, bs, length):
+def _depth_search(e_pairs, reach, length):
     """Minimum hitting set over the routing families of every position.
 
     Position 1 seeds the search without a family: the routing set of an
     endpoint pair (s, t) there is {s}, so the least hitting set is the
-    mask of the start symbols, of size its popcount.  Later positions are
+    mask of the start symbols, of size its popcount; one start ends the
+    search before reach's forward sets are read.  Later positions are
     scored by _min_hitting_set under the limit rule of _closure_minimum's
     splits: a position must score strictly less than the best so far, so
-    a family equal to the one before it is skipped.  Returns (size,
-    position, mask) with the smallest size, then the smallest position,
-    then the least symbol set in combination order.
+    a family equal to the one before it is skipped.  Once the best is 2,
+    a later position scores only with one symbol in every routing set,
+    read off the intersection of the starts' forward sets and the ends'
+    backward sets with no family built.  Returns (size, position, mask)
+    with the smallest size, then the smallest position, then the least
+    symbol set in combination order.
     """
-    mask = 0
+    starts = 0
     for s, _ in e_pairs:
-        mask |= 1 << s
-    best = mask.bit_count(), 1, mask
+        starts |= 1 << s
+    best = starts.bit_count(), 1, starts
     if best[0] == 1:
         return best
-    family = {1 << s for s in iter_bits(mask)}
-    for n in range(2, length + 1):
+    fs, bs = reach.fs, reach.bs
+    family = {1 << s for s in iter_bits(starts)}
+    n = 1
+    while best[0] > 2 and n < length:
+        n += 1
         previous, family = family, {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
-        if family == previous:
-            continue
-        mask = _min_hitting_set(family, best[0] - 1)
-        if mask:
-            best = mask.bit_count(), n, mask
-            if best[0] == 1:
-                break
+        if family != previous:
+            mask = _min_hitting_set(family, best[0] - 1)
+            if mask:
+                best = mask.bit_count(), n, mask
+    if best[0] == 2:
+        ends = {t for _, t in e_pairs}
+        sides = [fs[s] for s in iter_bits(starts)] + [bs[t] for t in ends]
+        for n in range(n + 1, length + 1):
+            inter = -1
+            for side in sides:
+                inter &= side[n - 1]
+            if inter:
+                return 1, n, inter & -inter
     return best
 
 
@@ -307,10 +362,13 @@ def _routing_outcome(fiber, w, m_mask, n, mode):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
     spell = u_domain.alphabet.symbols.__getitem__
     m_sorted = tuple(map(spell, iter_bits(m_mask)))
+    # R_n(s, t) is {s} & bs[t] at position 1, so no forward set is read
+    fs, bs = None if n == 1 else wit.fs, wit.bs
     witnesses = []
     blocked = []
     for s, t in e_pairs:
-        routable = wit.route(n, s, t) & m_mask
+        head = 1 << s if fs is None else fs[s][n - 1]
+        routable = head & bs[t][n - 1] & m_mask
         if not routable:
             blocked.append((s, t))
         elif not blocked:
@@ -351,7 +409,9 @@ def _routing(subject, w, mode, M=()):
     mask of M) for w in mode.  A witness reach on another code is built
     for the u-fiber's endpoints only, and the pairs are read off the
     u-fiber's end masks; an absolute reach is its own u-fiber, and its
-    forward sets give the pairs."""
+    forward sets give the pairs.  A lone start's forward sets are the
+    layers and need no sweep; more starts sweep the ones their search
+    past position 1 reads anyway."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
     if wit_code is u_code:
@@ -376,7 +436,7 @@ def _is_presented(subject, w, M, n, mode):
 def _depth(subject, w, mode):
     fiber, _ = _routing(subject, w, mode)
     _, _, e_pairs, wit = fiber
-    size, n, mask = _depth_search(e_pairs, wit.fs, wit.bs, len(w))
+    size, n, mask = _depth_search(e_pairs, wit, len(w))
     cert = _routing_outcome(fiber, w, mask, n, mode)
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
@@ -418,14 +478,15 @@ def _min_hitting_set(family, limit):
     """Least mask, in combination order, among the smallest hitting sets
     of family when those have at most limit symbols (None: no limit),
     otherwise None.  Routing sets are never empty, so one symbol of each
-    hits them all and len(family) symbols always suffice.  At limit 1
-    only _hitting_set's one pass reads family, so it may be an iterator
-    there (an empty one has no hitting set either)."""
-    if family:
-        for k in range(1, (limit or len(family)) + 1):
-            mask = _hitting_set(family, k)
-            if mask:
-                return mask
+    hits them all and len(family) symbols always suffice; an empty family
+    has no hitting set."""
+    allowed = 0
+    for r in family:
+        allowed |= r
+    for k in range(1, (limit or len(family)) + 1):
+        mask = _hitting_set(family, k, allowed)
+        if mask:
+            return mask
     return None
 
 
@@ -433,11 +494,27 @@ def _routing_score(rows, cols, limit):
     """Depth at a split, from the left side's rows and the right side's
     columns: (s, t) is an endpoint pair when first-track row s meets
     first-track column t, and its routing set is the last-track row s &
-    the last-track column t.  At limit 1 the routing sets are not
-    collected: _hitting_set intersects them as they come and stops at
-    the first that leaves no symbol."""
-    family = (r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0])
-    mask = _min_hitting_set(family if limit == 1 else set(family), limit)
+    the last-track column t.  At limit 1 no family is built: the split
+    scores 1 when one symbol lies in every last-track row and column
+    that joins something, their intersection being the family's (when
+    nothing joins, inter stays -1: no pair, no score)."""
+    if limit == 1:
+        heads = ends = 0
+        for r in rows:
+            ends |= r[0]
+        for c in cols:
+            heads |= c[0]
+        inter = -1
+        for r in rows:
+            if r[0] & heads:
+                inter &= r[-1]
+        for c in cols:
+            if c[0] & ends:
+                inter &= c[-1]
+        return 1 if inter > 0 else None
+    mask = _min_hitting_set(
+        {r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0]}, limit
+    )
     return None if mask is None else mask.bit_count()
 
 

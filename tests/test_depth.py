@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -721,10 +722,36 @@ def test_wide_certificate_fingerprint():
     )
 
 
+def test_witness_fingerprint():
+    # sha256 over every field of depth's and relative_depth's certificate,
+    # each witness block spelled out, on every Y block of length <= 6 of
+    # the builtins and seeds 1..20, taken before position-1 witnesses
+    # were read off the backward sets: the least-path witnesses stay put
+    h = hashlib.sha256()
+    named = [(name, builtin_triple(name)) for name in BUILTIN_NAMES]
+    named += [(f"seed{s}", generate_triple(spec_for_seed(s))) for s in range(1, 21)]
+    rows = 0
+    for name, t in named:
+        for length in range(1, 7):
+            for w in enumerate_blocks(t.Y, length):
+                results = (("phi", depth(t.phi, w)), ("rel", relative_depth(t, w)))
+                for tag, res in results:
+                    c = res.certificate
+                    witnesses = [[s, u, v.text()] for s, u, v in c.witnesses]
+                    row = [name, tag, w.text(), res.value, c.n, list(c.M), witnesses]
+                    h.update(json.dumps(row).encode() + b"\n")
+                    rows += 1
+    assert rows == 10822
+    assert h.hexdigest() == (
+        "abc2dfc950e84bb0f5cf95fd77fd612543024b7b3e1054947359f33bf7e113ed"
+    )
+
+
 def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
     # relative_depth builds pi's reach for the start and end symbols of
     # the phi-fiber only; on these blocks that is fewer sweeps than the
-    # whole pi-fiber would need
+    # whole pi-fiber would need.  The forward sets are swept on first
+    # read, so a one-start fiber's are first read here, after the call
     reaches = []
 
     class RecordingReach(depth_module._Reach):
@@ -764,8 +791,8 @@ def _scored_at_every_position(e_pairs, fs, bs, length):
 
 
 def _assert_seeded_search_scores_every_position(e_pairs, wit, length):
-    args = e_pairs, wit.fs, wit.bs, length
-    assert depth_module._depth_search(*args) == _scored_at_every_position(*args)
+    searched = depth_module._depth_search(e_pairs, wit, length)
+    assert searched == _scored_at_every_position(e_pairs, wit.fs, wit.bs, length)
 
 
 def test_position_one_seed_on_builtins_and_generated_triples():
@@ -788,7 +815,9 @@ def test_position_one_seed_on_builtins_and_generated_triples():
 def test_position_one_seed_on_small_codes(code, word):
     # absolute mode, and a relative reach on the code that merges both
     # letters, so witnesses run over every domain path of the word's
-    # length while the endpoint pairs stay the code's own
+    # length while the endpoint pairs stay the code's own; the reference
+    # builds every family, where the search past a best of 2 intersects
+    # the starts' forward sets and the ends' backward sets
     layers = pruned_layers(code, word)
     if layers is None:
         return
@@ -797,6 +826,35 @@ def test_position_one_seed_on_small_codes(code, word):
     merged = trivial_code(code.domain)
     wide = depth_module._Reach(merged, ("z",) * len(word), layers[0], layers[-1])
     _assert_seeded_search_scores_every_position(e_pairs, wide, len(word))
+
+
+def test_one_start_fibers_sweep_no_forward_sets(monkeypatch):
+    # a fiber with one start symbol answers at position 1, so neither
+    # depth nor relative_depth sweeps a forward set for it; a fiber with
+    # more starts does, which shows the counter counts
+    calls = []
+    real = depth_module._forward_sets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(depth_module, "_forward_sets", counting)
+    lone = swept = 0
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 6)]
+    for t in triples:
+        for n in range(1, 6):
+            for w in enumerate_blocks(t.Y, n):
+                starts = pruned_layers(t.phi, w.symbols)[0].bit_count()
+                calls.clear()
+                d, r = depth(t.phi, w), relative_depth(t, w)
+                if starts == 1:
+                    assert (d.value, d.certificate.n) == (r.value, r.certificate.n) == (1, 1)
+                    assert calls == []
+                    lone += 1
+                swept += bool(calls)
+    assert lone > 0 and swept > 0
 
 
 def test_degree_fingerprint():
@@ -981,24 +1039,34 @@ def test_hitting_set_is_the_first_combination_that_hits(family, k):
 
 
 _split_sides = st.frozensets(
-    st.tuples(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1)), min_size=1, max_size=6
+    st.tuples(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1)), max_size=6
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_split_sides, _split_sides)
 @example(frozenset({(1, 3)}), frozenset({(2, 3)}))
+@example(frozenset({(1, 3), (4, 8)}), frozenset({(1, 3)}))
+@example(frozenset(), frozenset({(1, 3)}))
+@example(frozenset({(1, 3)}), frozenset())
 def test_limit_one_score_is_the_family_search(rows, cols):
-    # at limit 1 _routing_score intersects routing sets as they come and
-    # stops at an empty one; the reference builds the family of a split
-    # and searches it for one symbol.  Rows and columns of one track, and
-    # of two; the example has no meeting pair
+    # at limit 1 _routing_score intersects the last-track rows and
+    # columns that join something, with no family built; the reference
+    # builds the family of a split, intersects it and searches it for
+    # one symbol.  Rows and columns of one track, and of two.  The
+    # examples: no meeting pair; a row, (4, 8), that joins nothing and
+    # would empty the intersection; an empty side
     for tracks in (1, 2):
         r = {vec[:tracks] for vec in rows}
         c = {vec[:tracks] for vec in cols}
         family = {a[-1] & b[-1] for a in r for b in c if a[0] & b[0]}
+        inter = -1
+        for routing_set in family:
+            inter &= routing_set
+        expected = 1 if family and inter else None
         mask = depth_module._min_hitting_set(family, 1)
-        assert depth_module._routing_score(r, c, 1) == (mask and mask.bit_count())
+        assert (mask and mask.bit_count()) == expected
+        assert depth_module._routing_score(r, c, 1) == expected
 
 
 def test_lex_path_through_is_the_least_fiber_path():

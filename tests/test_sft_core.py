@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import time
 from itertools import product
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import sftcd
 from conftest import reference_step_mask, reference_step_mask_back, run_under_hash_seeds
-from sftcd.codes import OneBlockCode
+from sftcd.codes import OneBlockCode, SlidingBlockCode
 
 from sftcd.core import (
     Alphabet,
@@ -190,6 +191,17 @@ class TestPeriodicPoint:
         one = VertexShift.full_shift(("a",))
         assert enumerate_blocks(one, 2000) == [Block(("a",) * 2000)]
         assert periodic_points_of(one, 2000) == [PeriodicPoint.make(Block(("a",)))]
+
+    def test_a_long_window_lists_in_linear_time(self):
+        # the lister keeps (parent, symbol) links and spells a path once,
+        # so one window of 40,001 symbols lists in linear time; a lister
+        # that copied every prefix would take seconds here
+        one = VertexShift.full_shift(("a",))
+        window = ("a",) * 40_001
+        start = time.perf_counter()
+        code = SlidingBlockCode.from_dict(one, ("a",), 40_000, 0, {window: "a"})
+        assert time.perf_counter() - start < 1
+        assert code.rule == ((window, "a"),)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
