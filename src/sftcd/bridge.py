@@ -168,10 +168,11 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
                 f"{point.text()} does not show {cert.w.text()!r} at {occurrence}"
             )
     # one reach serves both windows: backward sets for their two end
-    # symbols only, and no forward sets, which lex_path_through never reads
+    # symbols only; its forward sets, which lex_path_through never reads,
+    # are never swept
     alphabet = u_code.domain.alphabet
     ends = (1 << alphabet.index(u.at(length))) | (1 << alphabet.index(up.at(length)))
-    wit = _Reach(wit_code, to_wit(cert.w.symbols), starts=0, ends=ends)
+    wit = _Reach(wit_code, to_wit(cert.w.symbols), ends=ends)
     v = _witness_through(wit, alphabet, cert.n, u, a)
     vp = _witness_through(wit, alphabet, cert.n, up, a)
     cut = cert.n

@@ -32,27 +32,28 @@ the reach sweeps its forward sets on first read, which only a later
 position makes.  A lone start or end symbol of the pruned layers needs
 no sweep at all: the layers are its forward or backward sets.
 
-Whenever the limit is 1, that is, only a score of 1 would improve on
-the best so far, no family is built either.  One symbol lies in every
-routing set exactly when it lies in their intersection, and as every
-start and every end symbol lies in some endpoint pair, that is the
-intersection of the starts' forward sets and the ends' backward sets:
-|S| + |T| masks rather than |S| * |T| routing sets.  A block's search
-asks this past a position of depth 2, and a split of the side closures
-below at limit 1, over the rows and columns that join something.
+Whether a score of 1 is possible is asked with no family built either.
+One symbol lies in every routing set exactly when it lies in their
+intersection, and as every start and every end symbol lies in some
+endpoint pair, that is the intersection of the starts' forward sets and
+the ends' backward sets: |S| + |T| masks rather than |S| * |T| routing
+sets.  A block's search asks this past a position of depth 2, and the
+side closures below ask it of every split first, over the rows and
+columns that join something.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
 row s of A meets column t of B, and its routing set is their
 intersection.  So the depth at n is fixed by the set of A's nonzero rows
 and the set of B's nonzero columns: u's left side and v's right side.
-The side closures of fiber.py reach every such pair, each pair's routing
-family is one set comprehension, scored once, and the block attaining
-the minimum replays as a routing certificate.  Depth is never below 1,
-so the closures grow only until a depth-1 pair turns up, or to their
-end when the minimum is larger; once a depth of 2 is found, the pairs
-after it are scored at limit 1 as above.  Every mask step is a
-core.stepper.
+The side closures of fiber.py reach every such pair, and the block
+attaining the minimum replays as a routing certificate.  Depth is never
+below 1, so while the closures grow each pair is only asked whether it
+scores 1, as above, and they grow only until such a pair turns up.  Only
+when both are complete with none is a pair's routing family built (one
+set comprehension, scored once), so only a minimum of 2 or more builds
+families; once a depth of 2 is found, no longer block is scored.  Every
+mask step is a core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so

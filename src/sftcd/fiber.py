@@ -15,10 +15,13 @@ What a block u + v[1:] shows at its split depends only on u's left side
 their own when a letter is appended and columns when one is prepended,
 so the reachable sides form two finite sets: a level-by-level closure of
 each (graphs.closure) with a minimum over joinable pairs is exhaustive
-(Lind & Marcus, section 9.1).  The minimum pulls the levels of both
-closures one block length at a time and stops at a pair of value 1, the
-least any score takes, so such a minimum is proved without growing the
-closures to their end.
+(Lind & Marcus, section 9.1).  The minimum is taken in two passes.  The
+first pulls the levels of both closures one block length at a time and
+asks each pair only whether it scores 1, the least any score takes and
+the cheapest question, so a minimum of 1 is proved at its block, without
+growing the closures to their end.  Only when both closures are complete
+and no pair scored 1 does the second pass give every pair its full
+score, so only a minimum of 2 or more pays for full scores.
 
 A closure steps every row or column through core.stepper: per track,
 letter mask and direction, a stepper of the domain's successor or
@@ -195,6 +198,17 @@ def _side_minimum(domain, tracks, labels, cycle, score):
     return remember(_MINIMA, key, found)
 
 
+def _joinable_pairs(left, heads, total):
+    """(split, rows, cols, left word, right word) for every pair of a
+    left and a right side that joins into a block of total length
+    total, split ascending."""
+    for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
+        by_head = heads[total - la]
+        for (tail, rows), word_a in left[la - 1]:
+            for cols, word_b in by_head.get(tail, ()):
+                yield la, rows, cols, word_a, word_b
+
+
 def _closure_minimum(sides, score):
     """Exact minimum of score over every block and split point.
 
@@ -202,22 +216,27 @@ def _closure_minimum(sides, score):
     levels.  Block u + v[1:] splits into u's left side and v's right
     side, u's tail slot being v's head slot; score(rows, cols, limit)
     returns the pair's value, at least 1, when it is at most limit (None:
-    no limit), otherwise None.  Pairs are scored one total length at a
-    time, each once, and limit never grows from one call to the next.
-    Total length t needs levels 1..t of each closure, so each level is
-    pulled when its total length comes up, and a value of 1 ends the
-    search before any later level is grown.  Every side keeps the least
-    of its shortest words, so the pairs reach the shortest block
-    attaining the minimum, lexicographically least among those, at its
-    first attaining split.  Returns (value, word, split, depth) for it,
-    with depth the larger count of levels pulled from the two closures
-    (all of them unless the value is 1); None when no pair scores.
+    no limit), otherwise None.  Every side keeps the least of its
+    shortest words, so the pairs reach the shortest block attaining the
+    minimum, lexicographically least among those, at its first attaining
+    split.  Returns (value, word, split, depth) for it, with depth the
+    larger count of levels pulled from the two closures; None when no
+    pair scores.
+
+    Two passes.  The first pulls the levels one total length at a time
+    (total length t needs levels 1..t of each closure) and asks each
+    pair only whether it scores 1, the least any score takes and the
+    cheapest question: the first total length with such a pair returns
+    its least (word, split) before any later level is grown.  Only when
+    both closures are complete and no pair scored 1 does the second pass
+    score every pair again, one total length at a time under a limit
+    that never grows: ties are allowed within the best's total length,
+    only lower values after it, and as no pair scores 1, a best of 2
+    ends the pass with its total length.
     """
     left_levels, right_levels = sides
     left = []
     heads = []  # per right level pulled: head slot -> [(cols, word)]
-    best = None  # (value, total length, word, split)
-    limit = None  # ties allowed within best's total length, not after it
     for total in count(1):
         left.extend(islice(left_levels, 1))
         for level in islice(right_levels, 1):
@@ -227,24 +246,30 @@ def _closure_minimum(sides, score):
             heads.append(by_head)
         if total >= len(left) + len(heads):
             break
-        for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
-            by_head = heads[total - la]
-            for (tail, rows), word_a in left[la - 1]:
-                for cols, word_b in by_head.get(tail, ()):
-                    value = score(rows, cols, limit)
-                    if value is None:
-                        continue
-                    key = (value, total, word_a + word_b[1:], la)
-                    if best is None or key < best:
-                        best = key
-                        limit = value
+        ones = [
+            (word_a + word_b[1:], la)
+            for la, rows, cols, word_a, word_b in _joinable_pairs(left, heads, total)
+            if score(rows, cols, 1)
+        ]
+        if ones:
+            return (1, *min(ones), max(len(left), len(heads)))
+    best = None  # (value, word, split)
+    limit = None
+    for total in range(1, len(left) + len(heads)):
+        for la, rows, cols, word_a, word_b in _joinable_pairs(left, heads, total):
+            value = score(rows, cols, limit)
+            if value is not None:
+                key = (value, word_a + word_b[1:], la)
+                if best is None or key < best:
+                    best = key
+                    limit = value
         if best is not None:
-            if best[0] == 1:
+            if best[0] == 2:
                 break
             limit = best[0] - 1
     if best is None:
         return None
-    return best[0], best[2], best[3], max(len(left), len(heads))
+    return (*best, max(len(left), len(heads)))
 
 
 def iter_fiber(code, word_layers):

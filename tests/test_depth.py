@@ -1,7 +1,8 @@
 import hashlib
 import json
 from dataclasses import replace
-from itertools import combinations, product
+from functools import partial
+from itertools import combinations, count, islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -1008,6 +1009,147 @@ def test_value_one_is_proved_before_the_cap(monkeypatch):
     est = relative_class_degree(t)
     assert (est.value, est.minimal_block.text()) == (1, "y0·y1·y1·y1·y1·y1·y1·y1·y1·y1")
     assert est.scanned_length <= 10
+
+
+def _interleaved_minimum(sides, score):
+    """The side-closure minimum as one loop that scores every pair as its
+    levels are pulled, under a limit that never grows, and stops at a
+    value of 1: the reference the two passes of _closure_minimum match."""
+    left_levels, right_levels = sides
+    left = []
+    heads = []
+    best = None  # (value, total length, word, split)
+    limit = None
+    for total in count(1):
+        left.extend(islice(left_levels, 1))
+        for level in islice(right_levels, 1):
+            by_head = {}
+            for (head, cols), word in level:
+                by_head.setdefault(head, []).append((cols, word))
+            heads.append(by_head)
+        if total >= len(left) + len(heads):
+            break
+        for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
+            by_head = heads[total - la]
+            for (tail, rows), word_a in left[la - 1]:
+                for cols, word_b in by_head.get(tail, ()):
+                    value = score(rows, cols, limit)
+                    if value is None:
+                        continue
+                    key = (value, total, word_a + word_b[1:], la)
+                    if best is None or key < best:
+                        best = key
+                        limit = value
+        if best is not None:
+            if best[0] == 1:
+                break
+            limit = best[0] - 1
+    if best is None:
+        return None
+    return best[0], best[2], best[3], max(len(left), len(heads))
+
+
+def _minimum_asks(t):
+    """Every side-closure minimum sftcd asks of a triple: the class
+    degrees and magic blocks of phi, psi and pi, the relative class
+    degree, and the relative degrees of the points of period 3 or less."""
+    codes = (t.phi, t.psi, t.pi)
+    asks = [partial(class_degree, code) for code in codes]
+    asks += [partial(find_magic_block, code) for code in codes]
+    asks.append(partial(relative_class_degree, t))
+    points = periodic_points_of(t.Y, 3)
+    return asks + [partial(periodic_point_relative_degree, t, y) for y in points]
+
+
+def _two_passes_against_one_loop(asks):
+    """The (value, word, split, depth) of every minimum the asks compute,
+    each ask run with no minimum kept; each is checked against
+    _interleaved_minimum on fresh closures of the same question."""
+    questions, found = [], []
+    closures, minimum = fiber_module._side_closures, fiber_module._closure_minimum
+
+    def recording(*args):
+        questions.append(args)
+        return closures(*args)
+
+    def comparing(sides, score):
+        found.append(minimum(sides, score))
+        assert found[-1] == _interleaved_minimum(closures(*questions[-1]), score)
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fiber_module, "_side_closures", recording)
+        m.setattr(fiber_module, "_closure_minimum", comparing)
+        for ask in asks:
+            fiber_module._MINIMA.clear()
+            try:
+                ask()
+            except (PreconditionUnmet, EmptyFiber):
+                pass  # refused before any closure, or none of its pairs scores
+    return found
+
+
+def test_two_passes_match_one_loop_on_builtins_and_generated_triples():
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 41)]
+    triples += [
+        generate_triple(TripleGenSpec(seed, y_symbols=y, blowup_max=4, z_symbols=2))
+        for y in (3, 4)
+        for seed in range(1, 11)
+    ]
+    found = _two_passes_against_one_loop([a for t in triples for a in _minimum_asks(t)])
+    values = {f[0] for f in found if f is not None}
+    # value-1 minima end in the first pass, larger ones in the second
+    assert 1 in values and max(values) >= 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+def test_two_passes_match_one_loop_on_small_codes(code):
+    _two_passes_against_one_loop([partial(class_degree, code), partial(find_magic_block, code)])
+
+
+def _families_built(monkeypatch, ask):
+    """(the estimate ask() returns with no minimum kept, the limits of the
+    _min_hitting_set calls it made)."""
+    limits = []
+    search = depth_module._min_hitting_set
+
+    def counting(family, limit):
+        limits.append(limit)
+        return search(family, limit)
+
+    monkeypatch.setattr(depth_module, "_min_hitting_set", counting)
+    fiber_module._MINIMA.clear()
+    return ask(), limits
+
+
+def test_value_one_minima_build_no_family(monkeypatch):
+    # the deep bench table's depth-1 minima: each pair is only asked
+    # whether it scores 1, the AND of its joined rows and columns
+    t17, t29 = (generate_triple(spec_for_seed(s)) for s in (17, 29))
+    y = PeriodicPoint.make(yblock(t29, "y0·y2·y1"), 0)
+    for ask in (
+        partial(class_degree, t29.pi),
+        partial(relative_class_degree, t17),
+        partial(periodic_point_relative_degree, t29, y),
+    ):
+        est, limits = _families_built(monkeypatch, ask)
+        assert est.value == 1 and limits == []
+
+
+def test_larger_minima_still_build_families(mod3, monkeypatch):
+    # with no pair of depth 1 in the complete closures, the second pass
+    # scores full families: mod3's phi has 3 at the one-letter block 0,
+    # seed 11's relative degree 2 at y0
+    t11 = generate_triple(spec_for_seed(11))
+    for ask, expected in (
+        (partial(class_degree, mod3.phi), (3, "0")),
+        (partial(relative_class_degree, t11), (2, "y0")),
+    ):
+        est, limits = _families_built(monkeypatch, ask)
+        assert (est.value, est.minimal_block.text()) == expected
+        assert len(limits) == 3
 
 
 def test_cap_names_the_level_it_reached(xor2, monkeypatch):
