@@ -261,30 +261,34 @@ class RecodedCode:
 
     def lift_point(self, point):
         """Image of a domain periodic point under the window conjugacy."""
-        p = point.period
-        names = []
-        for i in range(1, p + 1):
-            window = tuple(
-                point.symbol_at(i + k)
-                for k in range(-self.offset, self.width - self.offset)
-            )
-            names.append(Block(window).text())
-        return PeriodicPoint.make(tuple(names), point.phase)
+        span = range(-self.offset, self.width - self.offset)
+        windows = (
+            tuple(point.symbol_at(i + k) for k in span)
+            for i in range(1, point.period + 1)
+        )
+        names = _window_names(self.conjugacy.codomain_alphabet, windows)
+        return PeriodicPoint.make(names, point.phase)
+
+
+def _window_names(alphabet, windows):
+    """Each window's symbols joined into its name: plainly on a
+    single-character alphabet (xor2's 00, 01, ...), else by "_", never by
+    SEPARATOR, which no symbol of the window shift may contain."""
+    return tuple(map(("" if alphabet.single_char else "_").join, windows))
 
 
 def recode_to_one_block(code):
     """Replace a sliding-block code by a letter-to-letter one on the window
-    shift of its domain.  Window symbols are named by their block text and
+    shift of its domain.  Window symbols are named by _window_names and
     ordered lexicographically; w -> w' is an edge when the windows overlap
     by all but one symbol and the joint word stays valid."""
     if isinstance(code, OneBlockCode):
         raise InvariantViolation("code is already letter-to-letter")
     width = code.width
-    windows = enumerate_blocks(code.domain, width)
-    names = tuple(b.text() for b in windows)
+    constituents = [b.symbols for b in enumerate_blocks(code.domain, width)]
+    names = _window_names(code.domain.alphabet, constituents)
     if len(set(names)) != len(names):
         raise InvariantViolation("window names collide")
-    constituents = [b.symbols for b in windows]
     # join each window's tail w[1:] against the windows indexed by their
     # head w2[:-1]: linear in the edges, not quadratic in the windows
     by_head = {}

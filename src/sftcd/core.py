@@ -18,7 +18,8 @@ byte.
 
 Every enumeration and closure stops at one bound, DEFAULT_CAP, read when
 it starts.  One lister, iter_paths, lists a shift's blocks (paths through
-full layers) and a fiber's preimages, and nothing here recurses.
+full layers) and a fiber's preimages by a depth-first walk that holds one
+prefix at a time, and nothing here recurses.
 """
 from __future__ import annotations
 
@@ -304,55 +305,46 @@ def iter_paths(succ, layers, too_many, names=None):
     the mask of symbol i's successors), in lexicographic order of the
     indices, each as the tuple of names[i] over its symbols i (default:
     the indices); past DEFAULT_CAP paths, raise
-    ResourceLimit(too_many.format(cap=DEFAULT_CAP)).  Every prefix must
-    extend to a path (pruned fiber layers, or full layers of an
-    essential shift), so the first cap + 1 prefixes of a layer hold the
-    first cap + 1 paths and the rest are dropped.  A prefix is kept as a
-    link (index of its parent prefix, last symbol), not as a tuple, so
-    the work is linear in the length; the last layer grows one path at a
-    time, each spelled once as it is yielded."""
+    ResourceLimit(too_many.format(cap=DEFAULT_CAP)).  The walk is depth
+    first from an explicit stack: stack[k] holds the untried symbols of
+    layers[k] that can follow the current prefix, whose spelled symbols
+    are kept in one list.  Each symbol of the last-but-one layer is
+    spelled with the prefix once and extended by each of its successors
+    in the last layer, spelled once per call.  So the walk holds one
+    prefix and a path costs its length; where every prefix extends
+    (pruned fiber layers, or full layers of an essential shift), so does
+    the first path."""
     cap = DEFAULT_CAP
     spell = (range(len(succ)) if names is None else names).__getitem__
-    tiers = [[(None, s) for s in iter_bits(layers[0])]]
-    for before, layer in zip(layers, layers[1:-1]):
-        ends = {s: iter_bits(succ[s] & layer) for s in iter_bits(before)}
-        tier = [(i, t) for i, (_, s) in enumerate(tiers[-1]) for t in ends[s]]
-        del tier[cap + 1 :]
-        tiers.append(tier)
     if len(layers) == 1:
-        paths = ((spell(s),) for _, s in tiers[0])
+        # a one-layer path is its symbol, extended by nothing
+        tails = dict.fromkeys(iter_bits(layers[0]), ((),))
     else:
-        ends = {
+        tails = {
             s: [(spell(t),) for t in iter_bits(succ[s] & layers[-1])]
             for s in iter_bits(layers[-2])
         }
-        paths = _spelled(tiers, ends, spell)
-    for count, path in enumerate(paths, 1):
-        if count > cap:
-            raise ResourceLimit(too_many.format(cap=cap))
-        yield path
-
-
-def _spelled(tiers, ends, spell):
-    """The spelled paths through the prefixes of tiers, each extended by
-    the spelled one-symbol tuples of ends[its last symbol].  A prefix is
-    spelled back along its links only as far as the first link it shares
-    with the prefix before it, whose spelling it keeps, so each link is
-    spelled once."""
-    # chain[k + 1] is the current prefix's link in tiers[k]; chain[0] is
-    # the parent of every first-tier link, so each walk stops by then
-    chain = [None] * (len(tiers) + 1)
-    prefix = [None] * len(tiers)
-    for node, (_, s) in enumerate(tiers[-1]):
-        k, i = len(tiers), node
-        while chain[k] != i:
-            chain[k] = i
-            i, symbol = tiers[k - 1][i]
-            prefix[k - 1] = spell(symbol)
-            k -= 1
-        spelled = tuple(prefix)
-        for t in ends[s]:
-            yield spelled + t
+    bottom = len(layers) - 1  # stack depth at the last-but-one layer
+    left = cap
+    prefix = []
+    stack = [iter(iter_bits(layers[0]))]
+    while stack:
+        for s in stack[-1]:
+            if len(stack) < bottom:
+                prefix.append(spell(s))
+                stack.append(iter(iter_bits(succ[s] & layers[len(stack)])))
+                break
+            head = (*prefix, spell(s))
+            ends = tails[s]
+            left -= len(ends)
+            # past the cap, yield the paths up to it and raise
+            for t in ends if left >= 0 else ends[:left]:
+                yield head + t
+            if left < 0:
+                raise ResourceLimit(too_many.format(cap=cap))
+        else:
+            stack.pop()
+            del prefix[-1:]
 
 
 def enumerate_blocks(shift, length):

@@ -3,9 +3,10 @@
 The preimage set of a codomain word is handled as a layered graph: layer i
 holds the domain symbols that can sit at coordinate i of a preimage.  A
 forward sweep and a backward sweep prune the layers so that exactly the
-symbols lying on complete preimage paths remain.  On pruned layers every
-prefix extends, so iter_fiber lists the paths with core.iter_paths, the
-lister that also lists a shift's blocks.
+symbols lying on complete preimage paths remain.  iter_fiber lists the
+paths with core.iter_paths, the depth-first lister that also lists a
+shift's blocks; on pruned layers every prefix extends, so the first path
+costs only its length and a long fiber is listed lazily.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.

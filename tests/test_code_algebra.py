@@ -24,6 +24,7 @@ from sftcd.core import (
     PeriodicPoint,
     VertexShift,
     enumerate_blocks,
+    is_point_of,
     parse_block_text,
     validate_block,
 )
@@ -180,6 +181,26 @@ class TestSlidingRecode:
         rec = recode_to_one_block(code)
         p = PeriodicPoint.make(Block(("0", "1", "1")), 0)
         lifted = rec.lift_point(p)
+        assert apply_to_point(rec.code, lifted) == apply_sliding_to_point(code, p)
+
+    @pytest.mark.parametrize("symbols", [("a0", "a1"), ("a", "bc")])
+    def test_lift_point_on_a_multi_character_domain(self, symbols):
+        # windows are named by joining their symbols with "_", every
+        # window alike, so lift_point lands on symbols of the window shift
+        full = VertexShift.full_shift(symbols)
+        rule = {
+            (a, b): str((i + j) % 2)
+            for i, a in enumerate(symbols)
+            for j, b in enumerate(symbols)
+        }
+        code = SlidingBlockCode.from_dict(full, ("0", "1"), 0, 1, rule)
+        rec = recode_to_one_block(code)
+        a, b = symbols
+        names = (f"{a}_{a}", f"{a}_{b}", f"{b}_{a}", f"{b}_{b}")
+        assert rec.window_shift.alphabet.symbols == names
+        p = PeriodicPoint.make((a, b, b))
+        lifted = rec.lift_point(p)
+        assert is_point_of(rec.window_shift, lifted)
         assert apply_to_point(rec.code, lifted) == apply_sliding_to_point(code, p)
 
     def test_conjugacy_is_window_to_central_symbol(self):

@@ -29,23 +29,34 @@ from sftcd.documents import (
 from sftcd.errors import InvariantViolation, ParseError
 from sftcd.fiber import StabilizationInfo
 
-FULL2 = {"alphabet": ["0", "1"], "allowed": [[a, b] for a in "01" for b in "01"]}
-FULLZ = {"alphabet": ["z"], "allowed": [["z", "z"]]}
+
+def full_shift_doc(symbols):
+    return {"alphabet": list(symbols), "allowed": [[a, b] for a in symbols for b in symbols]}
 
 
-def xor_doc():
-    """Two-letter parity triple with phi written as a width-two rule."""
+FULL2 = full_shift_doc("01")
+FULLZ = full_shift_doc("z")
+
+
+def xor_doc(x="01", y="01"):
+    """Two-letter parity triple with phi written as a width-two rule on
+    the full shift on x, onto the full shift on y."""
+    rule = {
+        Block((a, b)).text(): y[(i + j) % 2]
+        for i, a in enumerate(x)
+        for j, b in enumerate(x)
+    }
     return {
-        "systems": {"Y": FULL2, "Z": FULLZ},
+        "systems": {"Y": full_shift_doc(y), "Z": FULLZ},
         "codes": {
             "phi": {
-                "domain": FULL2,
+                "domain": full_shift_doc(x),
                 "codomain": "Y",
                 "memory": 0,
                 "anticipation": 1,
-                "rule": {"00": "0", "01": "1", "10": "1", "11": "0"},
+                "rule": rule,
             },
-            "psi": {"domain": "Y", "codomain": "Z", "map": {"0": "z", "1": "z"}},
+            "psi": {"domain": "Y", "codomain": "Z", "map": {s: "z" for s in y}},
         },
         "triple": {"phi": "phi", "psi": "psi"},
     }
@@ -493,6 +504,26 @@ class TestCliMeasures:
         assert payload["value"] == 2
         assert payload["certified"] is True
         assert "class degree 2 (certified)" in err
+
+    def test_window_names_on_a_multi_character_domain(self, capsys, tmp_path):
+        # the windows of a0 and a1 are named a0_a0, ...: joined by the
+        # block separator, a name could not be a symbol.  The rule reads
+        # the same value at the same block as on 0 and 1
+        path = tmp_path / "doc.json"
+        answers = []
+        for x in ("01", ("a0", "a1")):
+            path.write_text(json.dumps(xor_doc(x, ("p", "q"))))
+            code, out, _ = run_cli(
+                capsys, "class-degree", "--triple", str(path), "--code", "phi"
+            )
+            assert code == 0
+            payload = json.loads(out)
+            answers.append((payload["value"], payload["block"]))
+        assert answers == [(2, "p")] * 2
+        code, out, _ = run_cli(capsys, "dump", "--triple", str(path))
+        assert code == 0
+        windows = ["a0_a0", "a0_a1", "a1_a0", "a1_a1"]
+        assert json.loads(out)["systems"]["X"]["alphabet"] == windows
 
     def test_class_degree_pi(self, capsys):
         code, out, _ = run_cli(

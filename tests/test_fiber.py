@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 from unittest.mock import patch
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
-from sftcd.codes import OneBlockCode
+from sftcd.codes import OneBlockCode, trivial_code
 from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
 from sftcd.depth import _end_pairs, _endpoint_pairs, _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
@@ -102,6 +103,23 @@ class TestIterFiber:
         monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 15)
         with pytest.raises(ResourceLimit, match="fiber larger than 15 blocks"):
             list(iter_fiber(xor2.pi, layers))
+
+    def test_the_first_path_costs_only_its_length(self, monkeypatch):
+        # a fiber of 2**60 paths: the first one is yielded before any
+        # other prefix is built.  A lister that built each layer's
+        # prefixes up to the cap first would hold tens of MB even at this
+        # cap, and gigabytes at the default one
+        monkeypatch.setattr("sftcd.core.DEFAULT_CAP", 10**4)
+        code = trivial_code(VertexShift.full_shift(("a", "b")))
+        layers = pruned_layers(code, ("z",) * 60)
+        tracemalloc.start()
+        try:
+            path = next(iter_fiber(code, layers))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path == (0,) * 60
+        assert peak < 2**20
 
 
 @settings(max_examples=80, deadline=None)

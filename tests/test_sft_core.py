@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import time
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,7 +30,7 @@ from sftcd.core import (
     validate_block,
 )
 import sftcd.core as core_module
-from sftcd.errors import InvalidBlock, InvariantViolation, UnknownSymbol
+from sftcd.errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
 from sftcd.graphs import closure, reach
 
 
@@ -193,7 +194,7 @@ class TestPeriodicPoint:
         assert periodic_points_of(one, 2000) == [PeriodicPoint.make(Block(("a",)))]
 
     def test_a_long_window_lists_in_linear_time(self):
-        # the lister keeps (parent, symbol) links and spells a path once,
+        # the lister walks depth first and holds one prefix, spelled once,
         # so one window of 40,001 symbols lists in linear time; a lister
         # that copied every prefix would take seconds here
         one = VertexShift.full_shift(("a",))
@@ -422,6 +423,38 @@ class TestLanguageOracles:
                 assert len(blocks) == walk_count(shift, length)
                 assert len(blocks) == count_blocks(shift, length)
                 assert all(validate_block(shift, b) for b in blocks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_blocks_against_brute_force(self, data):
+        # every word over the alphabet, in index order, whose adjacent
+        # pairs are all allowed; the names run against index order and
+        # have two characters, so the spelling goes through names.  Capped
+        # at c, the lister raises exactly when there are more than c
+        n = data.draw(st.integers(1, 4))
+        symbols = tuple(f"s{i}" for i in range(n))[::-1]
+        pairs = data.draw(
+            st.sets(st.tuples(st.sampled_from(symbols), st.sampled_from(symbols)), min_size=1)
+        )
+        try:
+            shift = VertexShift.build(symbols, sorted(pairs))
+        except InvariantViolation:  # every symbol was trimmed away
+            assume(False)
+        length = data.draw(st.integers(1, 5))
+        want = [
+            Block(word)
+            for word in product(shift.alphabet.symbols, repeat=length)
+            if all(map(shift.allows, word, word[1:]))
+        ]
+        assert enumerate_blocks(shift, length) == want
+        cap = data.draw(st.integers(1, len(want) + 1))
+        with patch.object(core_module, "DEFAULT_CAP", cap):
+            if count_blocks(shift, length) > cap:
+                message = f"^more than {cap} blocks of length {length}$"
+                with pytest.raises(ResourceLimit, match=message):
+                    enumerate_blocks(shift, length)
+            else:
+                assert enumerate_blocks(shift, length) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
