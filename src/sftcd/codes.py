@@ -273,8 +273,17 @@ class RecodedCode:
 def _window_names(alphabet, windows):
     """Each window's symbols joined into its name: plainly on a
     single-character alphabet (xor2's 00, 01, ...), else by "_", never by
-    SEPARATOR, which no symbol of the window shift may contain."""
-    return tuple(map(("" if alphabet.single_char else "_").join, windows))
+    SEPARATOR, which no symbol of the window shift may contain.  When a
+    symbol of the alphabet contains "_", every symbol's "\\" and "_" are
+    escaped by a "\\" first (a_b and c give a\\_b_c), so distinct windows
+    of one width always get distinct names."""
+    if alphabet.single_char:
+        return tuple(map("".join, windows))
+    if any("_" in s for s in alphabet):
+        windows = (
+            [s.replace("\\", "\\\\").replace("_", "\\_") for s in w] for w in windows
+        )
+    return tuple(map("_".join, windows))
 
 
 def recode_to_one_block(code):

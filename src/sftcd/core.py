@@ -9,10 +9,13 @@ Sets of symbols are bitmasks over the alphabet index.  One function,
 stepper, steps a set: step(mask) is the union of masks[i] (a symbol's
 successors, say) over the set bits i of mask, read off one union_table
 per run of TABLE_SYMBOLS masks, with an optional keep mask folded into
-every entry.  A shift's step_mask and step_mask_back are steppers of its
-successor and predecessor masks, built on first use and kept; a shift of
-at most TABLE_SYMBOLS symbols has one table, and its step is that
-table's own __getitem__, one lookup with no Python frame of its own.
+every entry.  A shift keeps one stepper of its successor or predecessor
+masks per (direction, keep mask), built on the first ask
+(VertexShift.kept_stepper), so the closures on one shift share them and
+they go when the shift does; step_mask and step_mask_back are its
+entries with nothing kept out.  A shift of at most TABLE_SYMBOLS symbols
+has one table per stepper, and the step is that table's own
+__getitem__, one lookup with no Python frame of its own.
 Listing the members of a set reads a table of the bit lists of every
 byte.
 
@@ -267,15 +270,32 @@ class VertexShift:
         return reach(self.step_mask, 1) == full == reach(self.step_mask_back, 1)
 
     @cached_property
+    def _steppers(self):
+        # (back, keep) -> kept_stepper(keep, back), filled on first ask
+        return {}
+
+    def kept_stepper(self, keep=-1, back=False):
+        """step(mask): the union of the successors (back: predecessors) of
+        every symbol in mask, intersected with keep.  Built by stepper on
+        the first ask and kept with the shift, so every closure on it
+        shares one stepper per (direction, keep), and the tables go when
+        the shift does."""
+        step = self._steppers.get((back, keep))
+        if step is None:
+            masks = self.pred_masks if back else self.succ_masks
+            step = self._steppers[back, keep] = stepper(masks, keep)
+        return step
+
+    @cached_property
     def step_mask(self):
         """step_mask(mask): union of successors of every symbol in mask."""
-        return stepper(self.succ_masks)
+        return self.kept_stepper()
 
     @cached_property
     def step_mask_back(self):
         """step_mask_back(mask): union of predecessors of every symbol in
         mask."""
-        return stepper(self.pred_masks)
+        return self.kept_stepper(back=True)
 
 
 def _check_pairs(index, pairs):

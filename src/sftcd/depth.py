@@ -39,7 +39,9 @@ endpoint pair, that is the intersection of the starts' forward sets and
 the ends' backward sets: |S| + |T| masks rather than |S| * |T| routing
 sets.  A block's search asks this past a position of depth 2, and the
 side closures below ask it of every split first, over the rows and
-columns that join something.
+columns that join something (_routing_ones): the rows meeting the right
+side's heads, ANDed once per (side, heads) and kept with the side, and
+the columns meeting the left side's ends, kept alike.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -85,6 +87,7 @@ from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
     _letter_masks,
     _side_minimum,
+    _SplitScore,
     _sweep,
     forward_layers,
     iter_fiber,
@@ -491,32 +494,29 @@ def _min_hitting_set(family, limit):
     return None
 
 
-def _routing_score(rows, cols, limit):
+def _routing_depth(rows, cols, limit):
     """Depth at a split, from the left side's rows and the right side's
     columns: (s, t) is an endpoint pair when first-track row s meets
     first-track column t, and its routing set is the last-track row s &
-    the last-track column t.  At limit 1 no family is built: the split
-    scores 1 when one symbol lies in every last-track row and column
-    that joins something, their intersection being the family's (when
-    nothing joins, inter stays -1: no pair, no score)."""
-    if limit == 1:
-        heads = ends = 0
-        for r in rows:
-            ends |= r[0]
-        for c in cols:
-            heads |= c[0]
-        inter = -1
-        for r in rows:
-            if r[0] & heads:
-                inter &= r[-1]
-        for c in cols:
-            if c[0] & ends:
-                inter &= c[-1]
-        return 1 if inter > 0 else None
+    the last-track column t."""
     mask = _min_hitting_set(
         {r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0]}, limit
     )
     return None if mask is None else mask.bit_count()
+
+
+def _routing_ones(left, heads, group):
+    """The right sides of group at which the split scores 1, with no
+    family built.  One symbol lies in every routing set exactly when it
+    lies in every last-track row and column that joins something: the
+    rows that meet heads, and, for a right side, the columns that meet
+    left.union.  Both are non-empty, as left.union & heads is."""
+    rows = left.part(heads)
+    ends = left.union
+    return [right for right in group if rows & right.part(ends)]
+
+
+_routing_score = _SplitScore(_routing_depth, _routing_ones)
 
 
 def _least_depth(subject, mode, cycle=None):

@@ -24,26 +24,32 @@ growing the closures to their end.  Only when both closures are complete
 and no pair scored 1 does the second pass give every pair its full
 score, so only a minimum of 2 or more pays for full scores.
 
-A closure steps every row or column through core.stepper: per track,
-letter mask and direction, a stepper of the domain's successor or
-predecessor masks with the letter's mask folded in, built on the
-closure's first step past the one-letter seeds.  A side is stepped track
-by track: the side's tuples are split into one column per track, each
-column is mapped through its track's stepper, and zip rejoins the
-stepped tuples, so no Python frame runs per tuple.  Those steppers live
-only as long as one closure; kept on the codes, they would live as long
-as each code does.  What is kept is the minimum, and it holds no code:
-the closures read nothing but the domain's successor masks and each
-track's letter masks, so _side_minimum keeps each minimum under those,
-the slot labels, the walk, the score and core.DEFAULT_CAP as it is at
-the call (graphs.remember), and answers a repeated question without
-growing a side.
+A closure steps every row or column through a stepper the domain keeps
+(VertexShift.kept_stepper): per letter mask and direction, a core.stepper
+of the domain's successor or predecessor masks with the letter's mask
+folded in, built on the first ask and kept with the shift, so the
+closures of phi, pi, the relative degree, the magic block and periodic
+points on one domain share it, and it goes when the shift does.  A
+closure asks for its steppers on its first step past the one-letter
+seeds.  A side is stepped track by track: the side's tuples are split
+into one column per track, each column is mapped through its track's
+stepper, and zip rejoins the stepped tuples, so no Python frame runs per
+tuple.  The first pass reads what belongs to one side off summaries made
+once per side (_Side): the union of its first track, and per union of
+the other side's first track, the AND of its last-track rows or columns
+that meet it, kept as long as the minimum runs.  What outlives the
+minimum is its answer, and it holds no code: the closures read nothing
+but the domain's successor masks and each track's letter masks, so
+_side_minimum keeps each minimum under those, the slot labels, the walk,
+the score and core.DEFAULT_CAP as it is at the call (graphs.remember),
+and answers a repeated question without growing a side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count, islice
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from . import core
 from .codes import is_finite_to_one
@@ -97,15 +103,6 @@ def _letter_masks(code, letters):
 _first = itemgetter(0)
 
 
-def _track_steppers(domain, masks, back):
-    """Per slot of a track, a stepper of the domain's successor masks
-    (back: predecessor masks) within the slot's mask, one per distinct
-    mask: a cycle's phases and the letters psi merges share theirs."""
-    steps = domain.pred_masks if back else domain.succ_masks
-    steppers = {keep: stepper(steps, keep) for keep in dict.fromkeys(masks)}
-    return [steppers[keep] for keep in masks]
-
-
 def _side_closures(domain, tracks, labels, cycle):
     """Left and right side closures of the fiber-matrix engine.
 
@@ -121,10 +118,11 @@ def _side_closures(domain, tracks, labels, cycle):
     track's matrix) whose first-track row is nonzero), its right side
     (head slot, the same tuples of columns).  Appending a slot steps
     every row forwards, prepending one steps every column backwards,
-    through one stepper per mask and direction, built on the closure's
-    first step and dropped with it.  Tuples whose first track empties
-    are dropped, and so is a side with none left.  Both closures start
-    from the one-letter blocks, whose rows and columns are alike.
+    through the domain's kept stepper of each mask and direction
+    (VertexShift.kept_stepper), asked for on the closure's first step.
+    Tuples whose first track empties are dropped, and so is a side with
+    none left.  Both closures start from the one-letter blocks, whose
+    rows and columns are alike.
     Returns the (left, right) closures: graphs.closure generators, which
     grow a level only when it is asked for, each bounded by
     core.DEFAULT_CAP as it is at the call.  They read nothing but these
@@ -143,15 +141,16 @@ def _side_closures(domain, tracks, labels, cycle):
             seeds.append(((slot, unit), (labels[slot],)))
 
     def grower(back, nexts):
-        # steppers[slot] holds each track's stepper for the slot, built on
-        # the first call: a minimum proved at the seeds needs none
+        # steppers[slot] holds each track's stepper for the slot, asked of
+        # the domain on the first call: a minimum proved at the seeds
+        # asks for none, so a shift that no closure steps builds none
         steppers = None
 
         def grow(side, word):
             nonlocal steppers
             if steppers is None:
                 steppers = list(
-                    zip(*(_track_steppers(domain, masks, back) for masks in tracks))
+                    zip(*([domain.kept_stepper(m, back) for m in ms] for ms in tracks))
                 )
             # the side's tuples track by track: each track's stepper maps
             # its column, zip puts the stepped tuples back together, and
@@ -199,71 +198,126 @@ def _side_minimum(domain, tracks, labels, cycle, score):
     return remember(_MINIMA, key, found)
 
 
-def _joinable_pairs(left, heads, total):
-    """(split, rows, cols, left word, right word) for every pair of a
-    left and a right side that joins into a block of total length
-    total, split ascending."""
+class _Side:
+    """A side as _closure_minimum reads it: its slot (tail or head), its
+    tuples (rows or columns), its word, and the union of their first
+    tracks (a left side's ends, a right side's heads), made once when the
+    side is pulled.  part(u) is the AND of the last tracks of the tuples
+    whose first track meets u, kept per u as long as the side is."""
+
+    __slots__ = ("slot", "vecs", "word", "union", "_parts")
+
+    def __init__(self, state, word):
+        self.slot, self.vecs = state
+        self.word = word
+        self.union = reduce(or_, map(_first, self.vecs), 0)
+        self._parts = {}
+
+    def part(self, u):
+        part = self._parts.get(u)
+        if part is None:
+            part = -1
+            for vec in self.vecs:
+                if vec[0] & u:
+                    part &= vec[-1]
+            self._parts[u] = part
+        return part
+
+
+class _SplitScore:
+    """What _closure_minimum scores a split by.  full(rows, cols, limit)
+    is the pair's value, at least 1, when it is at most limit (None: no
+    limit), otherwise None; calling the score calls it.  ones(left,
+    heads, group) gives the right sides of group, all with the union
+    heads, that score 1 with the left side; it is asked only when
+    left.union & heads is nonzero, so that every pair shares an endpoint.
+    Each score is one module-level instance, so it keys _MINIMA as
+    itself."""
+
+    __slots__ = ("full", "ones")
+
+    def __init__(self, full, ones):
+        self.full = full
+        self.ones = ones
+
+    def __call__(self, rows, cols, limit):
+        return self.full(rows, cols, limit)
+
+
+def _joinable_groups(left, heads, total):
+    """(split, left side, heads, group) for every left side and every
+    group of right sides, all with the union heads, that join it into a
+    block of total length total and share an end symbol of its with a
+    start symbol of theirs, split ascending.  A group sharing none
+    gives no endpoint pair, so no score, and is skipped whole."""
     for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
         by_head = heads[total - la]
-        for (tail, rows), word_a in left[la - 1]:
-            for cols, word_b in by_head.get(tail, ()):
-                yield la, rows, cols, word_a, word_b
+        for side in left[la - 1]:
+            for union, group in by_head.get(side.slot, {}).items():
+                if side.union & union:
+                    yield la, side, union, group
 
 
 def _closure_minimum(sides, score):
-    """Exact minimum of score over every block and split point.
+    """Exact minimum of score (a _SplitScore) over every block and split
+    point.
 
     sides are the (left, right) closures of _side_closures, generators of
     levels.  Block u + v[1:] splits into u's left side and v's right
-    side, u's tail slot being v's head slot; score(rows, cols, limit)
-    returns the pair's value, at least 1, when it is at most limit (None:
-    no limit), otherwise None.  Every side keeps the least of its
-    shortest words, so the pairs reach the shortest block attaining the
-    minimum, lexicographically least among those, at its first attaining
-    split.  Returns (value, word, split, depth) for it, with depth the
-    larger count of levels pulled from the two closures; None when no
-    pair scores.
+    side, u's tail slot being v's head slot.  Every side keeps the least
+    of its shortest words, so the pairs reach the shortest block
+    attaining the minimum, lexicographically least among those, at its
+    first attaining split.  Returns (value, word, split, depth) for it,
+    with depth the larger count of levels pulled from the two closures;
+    None when no pair scores.
 
-    Two passes.  The first pulls the levels one total length at a time
-    (total length t needs levels 1..t of each closure) and asks each
-    pair only whether it scores 1, the least any score takes and the
-    cheapest question: the first total length with such a pair returns
-    its least (word, split) before any later level is grown.  Only when
-    both closures are complete and no pair scored 1 does the second pass
-    score every pair again, one total length at a time under a limit
-    that never grows: ties are allowed within the best's total length,
-    only lower values after it, and as no pair scores 1, a best of 2
-    ends the pass with its total length.
+    Each side pulled becomes a _Side, and the right sides of a level are
+    grouped by head slot, then by union, so a left side skips a whole
+    group when its ends miss the group's heads.  Two passes.  The first
+    pulls the levels one total length at a time (total length t needs
+    levels 1..t of each closure) and asks each group only which of its
+    sides score 1 (score.ones), the least any score takes and the
+    cheapest question, read off the sides' summaries: the first total
+    length with such a pair returns its least (word, split) before any
+    later level is grown.  Only when both closures are complete and no
+    pair scored 1 does the second pass score every pair again in full,
+    one total length at a time under a limit that never grows: ties are
+    allowed within the best's total length, only lower values after it,
+    and as no pair scores 1, a best of 2 ends the pass with its total
+    length.
     """
     left_levels, right_levels = sides
     left = []
-    heads = []  # per right level pulled: head slot -> [(cols, word)]
+    heads = []  # per right level pulled: head slot -> {union: [_Side]}
     for total in count(1):
-        left.extend(islice(left_levels, 1))
+        for level in islice(left_levels, 1):
+            left.append([_Side(*side) for side in level])
         for level in islice(right_levels, 1):
             by_head = {}
-            for (head, cols), word in level:
-                by_head.setdefault(head, []).append((cols, word))
+            for side in level:
+                side = _Side(*side)
+                by_head.setdefault(side.slot, {}).setdefault(side.union, []).append(side)
             heads.append(by_head)
         if total >= len(left) + len(heads):
             break
         ones = [
-            (word_a + word_b[1:], la)
-            for la, rows, cols, word_a, word_b in _joinable_pairs(left, heads, total)
-            if score(rows, cols, 1)
+            (side.word + right.word[1:], la)
+            for la, side, union, group in _joinable_groups(left, heads, total)
+            for right in score.ones(side, union, group)
         ]
         if ones:
             return (1, *min(ones), max(len(left), len(heads)))
     best = None  # (value, word, split)
     limit = None
     for total in range(1, len(left) + len(heads)):
-        for la, rows, cols, word_a, word_b in _joinable_pairs(left, heads, total):
-            value = score(rows, cols, limit)
-            if value is not None:
-                key = (value, word_a + word_b[1:], la)
-                if best is None or key < best:
-                    best = key
-                    limit = value
+        for la, side, _, group in _joinable_groups(left, heads, total):
+            for right in group:
+                value = score(side.vecs, right.vecs, limit)
+                if value is not None:
+                    key = (value, side.word + right.word[1:], la)
+                    if best is None or key < best:
+                        best = key
+                        limit = value
         if best is not None:
             if best[0] == 2:
                 break
@@ -332,7 +386,7 @@ class MagicBlockResult:
     certified: StabilizationInfo
 
 
-def _magic_score(rows, cols, limit):
+def _magic_count(rows, cols, limit):
     """Preimage symbols at the split: ends of the left piece's paths that
     start the right piece's."""
     ends = starts = 0
@@ -342,6 +396,15 @@ def _magic_score(rows, cols, limit):
         starts |= col[0]
     count = (ends & starts).bit_count()
     return count if count and (limit is None or count <= limit) else None
+
+
+def _magic_ones(left, heads, group):
+    """The count at the split is that of left.union & heads, the same for
+    the whole group."""
+    return group if (left.union & heads).bit_count() == 1 else ()
+
+
+_magic_score = _SplitScore(_magic_count, _magic_ones)
 
 
 def find_magic_block(code, max_len=None):

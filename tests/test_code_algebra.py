@@ -203,6 +203,27 @@ class TestSlidingRecode:
         assert is_point_of(rec.window_shift, lifted)
         assert apply_to_point(rec.code, lifted) == apply_sliding_to_point(code, p)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.text(alphabet="ab_\\", min_size=1, max_size=3),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        ),
+        st.integers(1, 3),
+    )
+    def test_window_names_are_distinct(self, symbols, width):
+        # symbols may hold "_", the joiner of multi-character windows,
+        # and "\\", its escape: the names of all windows of one width
+        # still differ from each other
+        alphabet = Alphabet(tuple(symbols))
+        windows = [()]
+        for _ in range(width):
+            windows = [w + (s,) for w in windows for s in symbols]
+        names = codes_module._window_names(alphabet, windows)
+        assert len(set(names)) == len(windows)
+
     def test_conjugacy_is_window_to_central_symbol(self):
         rec = recode_to_one_block(xor_sliding())
         assert rec.width == 2

@@ -29,6 +29,7 @@ from sftcd.core import (
     periodic_points_of,
     stepper,
 )
+import sftcd.core as core_module
 import sftcd.depth as depth_module
 import sftcd.fiber as fiber_module
 from sftcd.depth import (
@@ -399,6 +400,26 @@ class TestClassDegree:
                         assert relative_depth(xor2, ext).value <= r
 
 
+def _fresh_xor2():
+    # xor2 built anew: builtin_triple and additive_recoding keep theirs
+    # for the process, and with them the steppers their shifts keep
+    phi = additive_recoding.__wrapped__(2).code
+    return CodeTriple.build(phi, trivial_code(phi.codomain))
+
+
+def _count_steppers(monkeypatch):
+    """The (masks, keep) of every stepper built from here on, appended as
+    it is built: shifts build theirs through core.stepper."""
+    built = []
+
+    def counting_stepper(masks, keep=-1):
+        built.append((masks, keep))
+        return stepper(masks, keep)
+
+    monkeypatch.setattr(core_module, "stepper", counting_stepper)
+    return built
+
+
 class TestPeriodicPointDegree:
     def test_xor2_zero_point(self, xor2):
         p = PeriodicPoint.make(Block(("0",)), 0)
@@ -414,16 +435,9 @@ class TestPeriodicPointDegree:
         # the 00-track and the 11-track over (0)^oo never communicate
         assert (est.value, est.certified) == (2, True)
 
-    def test_step_tables_grow_with_the_alphabet_not_the_period(self, xor2, monkeypatch):
-        import sftcd.fiber as fiber
-
-        built = []
-
-        def counting_stepper(masks, keep=-1):
-            built.append(keep)
-            return stepper(masks, keep)
-
-        monkeypatch.setattr(fiber, "stepper", counting_stepper)
+    def test_step_tables_grow_with_the_alphabet_not_the_period(self, monkeypatch):
+        xor2 = _fresh_xor2()
+        built = _count_steppers(monkeypatch)
         p = PeriodicPoint.make(Block(("0",) * 39 + ("1",)), 0)
         est = periodic_point_relative_degree(xor2, p)
         assert (est.value, est.minimal_block.text()) == (1, "00000")
@@ -985,19 +999,35 @@ def test_minimum_at_the_seeds_builds_no_table(monkeypatch):
     # neither side closure steps past its seeds; phi's class degree on
     # the same triple, 1 as well, needs only the seeds too, while pi's
     # needs three levels and builds its steppers
-    built = []
-
-    def counting_stepper(masks, keep=-1):
-        built.append(keep)
-        return stepper(masks, keep)
-
-    monkeypatch.setattr(fiber_module, "stepper", counting_stepper)
     t = generate_triple(spec_for_seed(197))
+    built = _count_steppers(monkeypatch)
     for est in (relative_class_degree(t), class_degree(t.phi)):
         assert (est.value, est.minimal_block.text(), est.scanned_length) == (1, "y2", 1)
     assert built == []
     assert class_degree(t.pi).value == 1
     assert built
+
+
+def test_closures_on_one_shift_build_each_stepper_once(monkeypatch):
+    # pi's class degree and the relative degree close sides on seed 17's
+    # X, and the relative closures' second track steps by pi's letter
+    # masks again: the shift keeps each (direction, keep) stepper from
+    # its first ask, so none is built twice, and closures grown again on
+    # the same shift build none
+    t = generate_triple(spec_for_seed(17))
+    built = _count_steppers(monkeypatch)
+    class_degree(t.pi)
+    by_pi = len(built)
+    relative_class_degree(t)
+    assert {id(masks) for masks, _ in built} <= {id(t.X.succ_masks), id(t.X.pred_masks)}
+    keys = [(masks is t.X.pred_masks, keep) for masks, keep in built]
+    assert len(set(keys)) == len(keys) and 0 < by_pi < len(keys)
+    pi_keeps = set(fiber_module._letter_masks(t.pi, t.Z_alphabet.symbols))
+    assert {(back, keep) for back in (False, True) for keep in pi_keeps} == set(keys[:by_pi])
+    fiber_module._MINIMA.clear()
+    class_degree(t.pi)
+    relative_class_degree(t)
+    assert len(built) == len(keys)
 
 
 def test_value_one_is_proved_before_the_cap(monkeypatch):
@@ -1192,12 +1222,14 @@ _split_sides = st.frozensets(
 @example(frozenset(), frozenset({(1, 3)}))
 @example(frozenset({(1, 3)}), frozenset())
 def test_limit_one_score_is_the_family_search(rows, cols):
-    # at limit 1 _routing_score intersects the last-track rows and
-    # columns that join something, with no family built; the reference
-    # builds the family of a split, intersects it and searches it for
-    # one symbol.  Rows and columns of one track, and of two.  The
-    # examples: no meeting pair; a row, (4, 8), that joins nothing and
-    # would empty the intersection; an empty side
+    # pass 1 of _closure_minimum asks a split whether it scores 1 from
+    # per-side summaries, with no family built: _routing_ones ANDs the
+    # left side's last-track rows that meet the right side's heads with
+    # the right side's columns that meet the left side's ends.  The
+    # reference builds the family of a split, intersects it and
+    # searches it for one symbol.  Rows and columns of one track, and of
+    # two.  The examples: no meeting pair; a row, (4, 8), that joins
+    # nothing and would empty the intersection; an empty side
     for tracks in (1, 2):
         r = {vec[:tracks] for vec in rows}
         c = {vec[:tracks] for vec in cols}
@@ -1208,7 +1240,35 @@ def test_limit_one_score_is_the_family_search(rows, cols):
         expected = 1 if family and inter else None
         mask = depth_module._min_hitting_set(family, 1)
         assert (mask and mask.bit_count()) == expected
-        assert depth_module._routing_score(r, c, 1) == expected
+        assert _scores_one(depth_module._routing_score, r, c) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_sides, _split_sides)
+@example(frozenset({(1, 3)}), frozenset({(2, 3)}))
+@example(frozenset({(1, 3)}), frozenset({(3, 3)}))
+@example(frozenset({(3, 3)}), frozenset({(3, 3)}))
+@example(frozenset(), frozenset({(1, 3)}))
+def test_limit_one_magic_score_is_the_symbol_count(rows, cols):
+    # the magic pass-1 test reads one popcount off the two sides' first-
+    # track unions; the reference counts the symbols that end a row and
+    # start a column one by one.  The examples: no shared symbol, one,
+    # two, an empty side
+    ends = {s for vec in rows for s in iter_bits(vec[0])}
+    starts = {s for vec in cols for s in iter_bits(vec[0])}
+    expected = 1 if len(ends & starts) == 1 else None
+    assert _scores_one(fiber_module._magic_score, rows, cols) == expected
+    assert fiber_module._magic_score(rows, cols, 1) == expected
+
+
+def _scores_one(score, rows, cols):
+    """1 when score.ones finds that the split of a left side with the
+    tuples rows and a right side with the tuples cols scores 1, asked as
+    _closure_minimum asks it: only when the sides' unions meet; else None."""
+    left, right = (fiber_module._Side((0, frozenset(vecs)), ()) for vecs in (rows, cols))
+    if not left.union & right.union:
+        return None
+    return 1 if list(score.ones(left, right.union, [right])) else None
 
 
 def test_lex_path_through_is_the_least_fiber_path():
@@ -1417,3 +1477,45 @@ def test_relative_over_a_one_to_one_psi_is_absolute():
                         assert verify_certificate(t.phi, ab)
                     else:
                         assert rel == ab
+
+
+def reversed_triple(t):
+    """t with every allowed pair of X, Y and Z flipped and the same symbol
+    maps: a point of the reversed shift is a point of the shift read
+    backwards, and the codes still map it letter by letter."""
+
+    def flipped(shift):
+        if shift is None:
+            return None
+        return VertexShift(shift.alphabet, frozenset((b, a) for a, b in shift.allowed))
+
+    x, y = flipped(t.X), flipped(t.Y)
+    phi = OneBlockCode(x, t.phi.codomain_alphabet, t.phi.mapping, y)
+    psi = OneBlockCode(y, t.psi.codomain_alphabet, t.psi.mapping, flipped(t.psi.codomain))
+    return CodeTriple.build(phi, psi)
+
+
+def _degrees_and_lengths(t):
+    """(value, witness-block length) of the class degrees of phi, psi and
+    pi and of the relative class degree."""
+    estimates = [class_degree(code) for code in (t.phi, t.psi, t.pi)]
+    estimates.append(relative_class_degree(t))
+    return [(est.value, len(est.minimal_block)) for est in estimates]
+
+
+def test_degrees_are_invariant_under_reversal():
+    # the class degrees are defined by transition classes of points, so
+    # reading every point backwards changes none of them, and the least
+    # length of a block of each depth is the same read backwards; the
+    # closures of a reversed triple are grown from columns where the
+    # original's are grown from rows, so this checks the left and right
+    # sides, and their summaries, against each other
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 41)]
+    triples += [
+        generate_triple(TripleGenSpec(seed, y_symbols=y, blowup_max=4, z_symbols=2))
+        for y, seeds in ((3, 40), (4, 20))
+        for seed in range(1, seeds + 1)
+    ]
+    for index, t in enumerate(triples):
+        assert _degrees_and_lengths(reversed_triple(t)) == _degrees_and_lengths(t), index

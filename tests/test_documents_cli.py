@@ -14,7 +14,7 @@ import pytest
 from conftest import SRC, run_under_hash_seeds
 from sftcd.cli import main
 from sftcd.codes import SlidingBlockCode
-from sftcd.core import Block, PeriodicPoint, parse_block_text
+from sftcd.core import SEPARATOR, Block, PeriodicPoint, parse_block_text
 from sftcd.documents import (
     canonical_json,
     dot_graph,
@@ -524,6 +524,36 @@ class TestCliMeasures:
         assert code == 0
         windows = ["a0_a0", "a0_a1", "a1_a0", "a1_a1"]
         assert json.loads(out)["systems"]["X"]["alphabet"] == windows
+
+    def test_window_names_stay_distinct_when_symbols_hold_the_joiner(
+        self, capsys, tmp_path
+    ):
+        # a_b·c and a·b_c would both be named a_b_c; with "\\" and "_"
+        # escaped inside symbols the names differ, and the rule reads the
+        # value at the block it reads on four plain symbols
+        path = tmp_path / "doc.json"
+        answers = []
+        for x in ("wxyz", ("a_b", "c", "a", "b_c")):
+            doc = xor_doc(x, ("p", "q"))
+            # c·c, not Block.text()'s cc, which this alphabet reads as a symbol
+            doc["codes"]["phi"]["rule"] = {
+                SEPARATOR.join((a, b)): "pq"[(i + j) % 2]
+                for i, a in enumerate(x)
+                for j, b in enumerate(x)
+            }
+            path.write_text(json.dumps(doc))
+            code, out, _ = run_cli(
+                capsys, "class-degree", "--triple", str(path), "--code", "phi"
+            )
+            assert code == 0
+            payload = json.loads(out)
+            answers.append((payload["value"], payload["block"]))
+        assert answers[0] == answers[1]
+        code, out, _ = run_cli(capsys, "dump", "--triple", str(path))
+        assert code == 0
+        names = json.loads(out)["systems"]["X"]["alphabet"]
+        assert len(set(names)) == 16
+        assert {"a\\_b_c", "a_b\\_c"} <= set(names)
 
     def test_class_degree_pi(self, capsys):
         code, out, _ = run_cli(
