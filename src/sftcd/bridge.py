@@ -52,6 +52,7 @@ from .errors import (
     NotRoutable,
     PreconditionUnmet,
 )
+from .fiber import pruned_layers
 from .graphs import reach
 
 
@@ -133,10 +134,6 @@ def _replays(code, b, image=None):
     return True
 
 
-def _window(point, start, length):
-    return Block(tuple(point.symbol_at(start + k) for k in range(length)))
-
-
 def _witness_through(wit, alphabet, n, u, a):
     """The least block of wit's fiber with u's endpoints passing through
     symbol a at position n, from the search that wrote the witness the
@@ -160,8 +157,8 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
     """
     u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
     length = len(cert.w)
-    u = _window(x, occurrence, length)
-    up = _window(xp, occurrence, length)
+    u = x.window(occurrence, occurrence + length - 1)
+    up = xp.window(occurrence, occurrence + length - 1)
     for point, w in ((x, u), (xp, up)):
         if apply_to_block(u_code, w) != cert.w:
             raise PreconditionUnmet(
@@ -169,10 +166,12 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
             )
     # one reach serves both windows: backward sets for their two end
     # symbols only; its forward sets, which lex_path_through never reads,
-    # are never swept
+    # are never swept.  The windows lie in the witness fiber, so it is
+    # not empty
     alphabet = u_code.domain.alphabet
     ends = (1 << alphabet.index(u.at(length))) | (1 << alphabet.index(up.at(length)))
-    wit = _Reach(wit_code, to_wit(cert.w.symbols), ends=ends)
+    layers = pruned_layers(wit_code, to_wit(cert.w.symbols))
+    wit = _Reach(wit_code, layers, ends=ends)
     v = _witness_through(wit, alphabet, cert.n, u, a)
     vp = _witness_through(wit, alphabet, cert.n, up, a)
     cut = cert.n

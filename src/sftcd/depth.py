@@ -29,8 +29,8 @@ with no family built: there the routing set of a pair (s, t) is {s}, so
 the least hitting set is the mask of the fiber's start symbols, and a
 single start symbol ends the search before any forward set is swept;
 the reach sweeps its forward sets on first read, which only a later
-position makes.  A lone start or end symbol of the pruned layers needs
-no sweep at all: the layers are its forward or backward sets.
+position makes.  A lone end symbol of the pruned layers needs no
+backward sweep: the layers are its backward sets.
 
 Whether a score of 1 is possible is asked with no family built either.
 One symbol lies in every routing set exactly when it lies in their
@@ -41,7 +41,9 @@ sets.  A block's search asks this past a position of depth 2, and the
 side closures below ask it of every split first, over the rows and
 columns that join something (_routing_ones): the rows meeting the right
 side's heads, ANDed once per (side, heads) and kept with the side, and
-the columns meeting the left side's ends, kept alike.
+the columns meeting the left side's ends, kept alike; a side none of
+whose rows or columns meets the other's union reads 0, so a split with
+no endpoint pair does not score.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -74,8 +76,9 @@ verify_certificate replays a certificate by checking each listed
 through M at n, and that the listed pairs are exactly the u-fiber's
 endpoint pairs, read off the end mask of one forward sweep per start
 symbol (_end_pairs, which keeps no history); so it covers every preimage
-without enumerating any.  Relative mode reads its u-fiber's pairs the
-same way: only the witness reach's forward sets feed routing sets.
+without enumerating any.  Depth and presentation read the u-fiber's
+pairs the same way in both modes, off its pruned layers (_routing): only
+the witness reach's forward sets feed routing sets.
 """
 from __future__ import annotations
 
@@ -97,45 +100,38 @@ from .fiber import (
 
 class _Reach:
     """Per-start forward sets and per-end backward sets over the pruned
-    layers of one word's fiber, for the start symbols in the mask starts
-    and the end symbols in the mask ends (default: all of them).  A
-    relative reach is built on pi's fiber over psi(w) but needs only the
-    endpoints of w's phi-fiber: a phi-preimage of w is a pi-preimage of
-    psi(w), so every endpoint pair a certificate routes stays covered.
+    layers of one non-empty fiber, for the start symbols in the mask
+    starts and the end symbols in the mask ends (default: all of them).
+    The caller prunes the layers.  A relative reach is built on pi's
+    fiber over psi(w) but needs only the endpoints of w's phi-fiber: a
+    phi-preimage of w is a pi-preimage of psi(w), so every endpoint pair
+    a certificate routes stays covered.
 
     The backward sets are built at once, since every witness reads one.
     The forward sets are built on first read of fs, which only a search
-    or a routing test past position 1 makes.  A lone start or end symbol
-    of the pruned layers needs no sweep: every symbol of those layers
-    lies on a path from it (to it), so the layers are its sets.
+    or a routing test past position 1 makes.  A lone end symbol of the
+    pruned layers needs no backward sweep: every symbol of those layers
+    lies on a path to it, so the layers are its sets.
     lex_path_through keeps its backward sweeps toward routing symbols
     past position 1 in to_m, one per (symbol, position)."""
 
     __slots__ = ("code", "layers", "starts", "_fs", "bs", "to_m")
 
-    def __init__(self, code, word, starts=-1, ends=-1):
+    def __init__(self, code, layers, starts=-1, ends=-1):
         self.code = code
-        self.layers = layers = pruned_layers(code, word)
+        self.layers = layers
         self.starts = starts
         self._fs = None
-        self.bs = {}
         self.to_m = {}
-        if layers is not None:
-            last = len(layers)
-            self.bs = {t: self._reaching(t, last) for t in iter_bits(layers[-1] & ends)}
+        last = len(layers)
+        self.bs = {t: self._reaching(t, last) for t in iter_bits(layers[-1] & ends)}
 
     @property
     def fs(self):
         """{s: the symbols of each layer reachable from s}, swept on the
         first read."""
         if self._fs is None:
-            layers = self.layers
-            if layers is None:
-                self._fs = {}
-            elif layers[0] & (layers[0] - 1):
-                self._fs = _forward_sets(self.code.domain, layers, self.starts)
-            else:
-                self._fs = {s: layers for s in iter_bits(layers[0] & self.starts)}
+            self._fs = _forward_sets(self.code.domain, self.layers, self.starts)
         return self._fs
 
     def _reaching(self, t, n):
@@ -200,17 +196,11 @@ def _forward_sets(domain, layers, starts=-1):
     return {s: _sweep(step, 1 << s, ahead) for s in iter_bits(layers[0] & starts)}
 
 
-def _endpoint_pairs(fs):
-    """(s, t) for every fiber path from s to t, given its forward sets."""
-    return [(s, t) for s, hist in fs.items() for t in iter_bits(hist[-1])]
-
-
 def _end_pairs(domain, layers):
-    """_endpoint_pairs(_forward_sets(domain, layers)) without the
-    histories: each start symbol is stepped to the last layer keeping
-    only the current mask.  A lone start reaches the whole last layer of
-    forward or pruned layers, so it is paired with each of its symbols
-    with no step."""
+    """(s, t) for every path from s to t through forward or pruned
+    layers, s ascending, then t: each start symbol is stepped to the last
+    layer keeping only the current mask.  A lone start reaches the whole
+    last layer, so it is paired with each of its symbols with no step."""
     if not layers[0] & (layers[0] - 1):
         return [(layers[0].bit_length() - 1, t) for t in iter_bits(layers[-1])]
     step, ahead = domain.step_mask, layers[1:]
@@ -223,10 +213,10 @@ def _end_pairs(domain, layers):
     return pairs
 
 
-def _hitting_set(family, k, allowed=None):
+def _hitting_set(family, k, allowed):
     """Least k-symbol mask, in combination order, meeting every routing
-    set of family, or None when there is none; allowed (default: the
-    union of family) bounds the symbols it may use.
+    set of family, or None when there is none; allowed, the union of
+    family at the top call, bounds the symbols it may use.
 
     One symbol hits them all when it lies in their intersection, read in
     one pass that stops at the first set emptying it.  Combinations
@@ -234,10 +224,6 @@ def _hitting_set(family, k, allowed=None):
     and the rest of such a combination only has to meet the sets that
     miss i, so the search recurses on those.  It gives up once fewer
     than k symbols are left or some set has none of them."""
-    if allowed is None:
-        allowed = 0
-        for r in family:
-            allowed |= r
     if k == 1:
         for r in family:
             allowed &= r
@@ -303,7 +289,7 @@ class RoutingCertificate:
 
     witnesses holds one (s, t, v) per endpoint pair (s, t) of w's u-fiber
     (the fiber of w in absolute mode, of w under phi in relative mode),
-    in _endpoint_pairs order: s and t are domain symbols and v is a
+    in _end_pairs order: s and t are domain symbols and v is a
     witness-fiber block from s to t with v|_n in M.  Every preimage u runs
     from some listed s to its t, so the pair's v reroutes it;
     preimages() lists the (u, v) pairs this covers."""
@@ -410,25 +396,25 @@ def _codes_of(subject, mode):
 
 def _routing(subject, w, mode, M=()):
     """((u-domain, u-fiber layers, their endpoint pairs, witness reach),
-    mask of M) for w in mode.  A witness reach on another code is built
-    for the u-fiber's endpoints only, and the pairs are read off the
-    u-fiber's end masks; an absolute reach is its own u-fiber, and its
-    forward sets give the pairs.  A lone start's forward sets are the
-    layers and need no sweep; more starts sweep the ones their search
-    past position 1 reads anyway."""
+    mask of M) for w in mode.  One set-up for both modes: the u-layers
+    are pruned once, the pairs are read off their end masks (_end_pairs),
+    and the witness reach is built for the u-fiber's start and end
+    symbols, on those same layers when the witness code is the u-code
+    and on its own pruned layers over the witness word otherwise.  Its
+    forward sets are swept only when a search or a routing test past
+    position 1 reads them."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
-    if wit_code is u_code:
-        wit = _Reach(u_code, word)
-        u_layers, e_pairs = wit.layers, _endpoint_pairs(wit.fs)
-    else:
-        u_layers = pruned_layers(u_code, word)
-        e_pairs = u_layers and _end_pairs(u_code.domain, u_layers)
-        wit = u_layers and _Reach(wit_code, to_wit(word), u_layers[0], u_layers[-1])
+    u_layers = pruned_layers(u_code, word)
     m_mask = _mask_of(u_code.domain.alphabet, M)
     if u_layers is None:
         what = "preimage" if wit_code is u_code else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")
+    e_pairs = _end_pairs(u_code.domain, u_layers)
+    wit_layers = (
+        u_layers if wit_code is u_code else pruned_layers(wit_code, to_wit(word))
+    )
+    wit = _Reach(wit_code, wit_layers, u_layers[0], u_layers[-1])
     return (u_code.domain, u_layers, e_pairs, wit), m_mask
 
 
@@ -505,15 +491,13 @@ def _routing_depth(rows, cols, limit):
     return None if mask is None else mask.bit_count()
 
 
-def _routing_ones(left, heads, group):
-    """The right sides of group at which the split scores 1, with no
-    family built.  One symbol lies in every routing set exactly when it
-    lies in every last-track row and column that joins something: the
-    rows that meet heads, and, for a right side, the columns that meet
-    left.union.  Both are non-empty, as left.union & heads is."""
-    rows = left.part(heads)
-    ends = left.union
-    return [right for right in group if rows & right.part(ends)]
+def _routing_ones(left, right):
+    """Whether the split scores 1, with no family built.  One symbol lies
+    in every routing set exactly when it lies in every last-track row and
+    column that joins something: the rows that meet right.union and the
+    columns that meet left.union.  A part is 0 when the unions miss each
+    other, so a split with no endpoint pair does not score."""
+    return left.part(right.union) & right.part(left.union)
 
 
 _routing_score = _SplitScore(_routing_depth, _routing_ones)

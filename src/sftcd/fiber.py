@@ -34,15 +34,19 @@ closure asks for its steppers on its first step past the one-letter
 seeds.  A side is stepped track by track: the side's tuples are split
 into one column per track, each column is mapped through its track's
 stepper, and zip rejoins the stepped tuples, so no Python frame runs per
-tuple.  The first pass reads what belongs to one side off summaries made
-once per side (_Side): the union of its first track, and per union of
-the other side's first track, the AND of its last-track rows or columns
-that meet it, kept as long as the minimum runs.  What outlives the
-minimum is its answer, and it holds no code: the closures read nothing
-but the domain's successor masks and each track's letter masks, so
-_side_minimum keeps each minimum under those, the slot labels, the walk,
-the score and core.DEFAULT_CAP as it is at the call (graphs.remember),
-and answers a repeated question without growing a side.
+tuple.  Right sides are kept by head slot, and both passes walk the same
+pairs: each left side with every right side it joins (_joinable_pairs).
+The first pass reads what belongs to one side off summaries made once
+per side (_Side): the union of its first track, and per union of the
+other side's first track, the AND of its last-track rows or columns that
+meet it (0 when none does), kept as long as the minimum runs.  A pair
+whose unions miss each other has no endpoint pair, so neither pass
+scores it.  What outlives the minimum is its answer, and it holds no
+code: the closures read nothing but the domain's successor masks and
+each track's letter masks, so _side_minimum keeps each minimum under
+those, the slot labels, the walk, the score and core.DEFAULT_CAP as it
+is at the call (graphs.remember), and answers a repeated question
+without growing a side.
 """
 from __future__ import annotations
 
@@ -203,7 +207,9 @@ class _Side:
     tuples (rows or columns), its word, and the union of their first
     tracks (a left side's ends, a right side's heads), made once when the
     side is pulled.  part(u) is the AND of the last tracks of the tuples
-    whose first track meets u, kept per u as long as the side is."""
+    whose first track meets u, kept per u as long as the side is; it is
+    0 when the union misses u, so a pair with no endpoint pair has no
+    symbol in common to route through."""
 
     __slots__ = ("slot", "vecs", "word", "union", "_parts")
 
@@ -216,7 +222,7 @@ class _Side:
     def part(self, u):
         part = self._parts.get(u)
         if part is None:
-            part = -1
+            part = -1 if self.union & u else 0
             for vec in self.vecs:
                 if vec[0] & u:
                     part &= vec[-1]
@@ -228,11 +234,10 @@ class _SplitScore:
     """What _closure_minimum scores a split by.  full(rows, cols, limit)
     is the pair's value, at least 1, when it is at most limit (None: no
     limit), otherwise None; calling the score calls it.  ones(left,
-    heads, group) gives the right sides of group, all with the union
-    heads, that score 1 with the left side; it is asked only when
-    left.union & heads is nonzero, so that every pair shares an endpoint.
-    Each score is one module-level instance, so it keys _MINIMA as
-    itself."""
+    right) is true when the pair of a left and a right side scores 1,
+    read off the sides' summaries; a pair whose unions are disjoint has
+    no endpoint pair, so neither scores it.  Each score is one
+    module-level instance, so it keys _MINIMA as itself."""
 
     __slots__ = ("full", "ones")
 
@@ -244,18 +249,15 @@ class _SplitScore:
         return self.full(rows, cols, limit)
 
 
-def _joinable_groups(left, heads, total):
-    """(split, left side, heads, group) for every left side and every
-    group of right sides, all with the union heads, that join it into a
-    block of total length total and share an end symbol of its with a
-    start symbol of theirs, split ascending.  A group sharing none
-    gives no endpoint pair, so no score, and is skipped whole."""
-    for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
-        by_head = heads[total - la]
+def _joinable_pairs(left, right, total):
+    """(split, left side, right side) for every pair of a left side and a
+    right side with its tail slot as head that join into a block of
+    total length total, split ascending."""
+    for la in range(max(1, total + 1 - len(right)), min(total, len(left)) + 1):
+        by_head = right[total - la]
         for side in left[la - 1]:
-            for union, group in by_head.get(side.slot, {}).items():
-                if side.union & union:
-                    yield la, side, union, group
+            for other in by_head.get(side.slot, ()):
+                yield la, side, other
 
 
 def _closure_minimum(sides, score):
@@ -272,23 +274,22 @@ def _closure_minimum(sides, score):
     None when no pair scores.
 
     Each side pulled becomes a _Side, and the right sides of a level are
-    grouped by head slot, then by union, so a left side skips a whole
-    group when its ends miss the group's heads.  Two passes.  The first
+    kept by head slot, so each left side walks only the right sides it
+    joins (_joinable_pairs).  Two passes walk the same pairs.  The first
     pulls the levels one total length at a time (total length t needs
-    levels 1..t of each closure) and asks each group only which of its
-    sides score 1 (score.ones), the least any score takes and the
-    cheapest question, read off the sides' summaries: the first total
-    length with such a pair returns its least (word, split) before any
-    later level is grown.  Only when both closures are complete and no
-    pair scored 1 does the second pass score every pair again in full,
-    one total length at a time under a limit that never grows: ties are
-    allowed within the best's total length, only lower values after it,
-    and as no pair scores 1, a best of 2 ends the pass with its total
-    length.
+    levels 1..t of each closure) and asks each pair only whether it
+    scores 1 (score.ones), the least any score takes and the cheapest
+    question, read off the sides' summaries: the first total length with
+    such a pair returns its least (word, split) before any later level
+    is grown.  Only when both closures are complete and no pair scored 1
+    does the second pass score every pair again in full, one total
+    length at a time under a limit that never grows: ties are allowed
+    within the best's total length, only lower values after it, and as
+    no pair scores 1, a best of 2 ends the pass with its total length.
     """
     left_levels, right_levels = sides
     left = []
-    heads = []  # per right level pulled: head slot -> {union: [_Side]}
+    right = []  # per right level pulled: head slot -> [_Side]
     for total in count(1):
         for level in islice(left_levels, 1):
             left.append([_Side(*side) for side in level])
@@ -296,35 +297,34 @@ def _closure_minimum(sides, score):
             by_head = {}
             for side in level:
                 side = _Side(*side)
-                by_head.setdefault(side.slot, {}).setdefault(side.union, []).append(side)
-            heads.append(by_head)
-        if total >= len(left) + len(heads):
+                by_head.setdefault(side.slot, []).append(side)
+            right.append(by_head)
+        if total >= len(left) + len(right):
             break
         ones = [
-            (side.word + right.word[1:], la)
-            for la, side, union, group in _joinable_groups(left, heads, total)
-            for right in score.ones(side, union, group)
+            (side.word + other.word[1:], la)
+            for la, side, other in _joinable_pairs(left, right, total)
+            if score.ones(side, other)
         ]
         if ones:
-            return (1, *min(ones), max(len(left), len(heads)))
+            return (1, *min(ones), max(len(left), len(right)))
     best = None  # (value, word, split)
     limit = None
-    for total in range(1, len(left) + len(heads)):
-        for la, side, _, group in _joinable_groups(left, heads, total):
-            for right in group:
-                value = score(side.vecs, right.vecs, limit)
-                if value is not None:
-                    key = (value, side.word + right.word[1:], la)
-                    if best is None or key < best:
-                        best = key
-                        limit = value
+    for total in range(1, len(left) + len(right)):
+        for la, side, other in _joinable_pairs(left, right, total):
+            value = score(side.vecs, other.vecs, limit)
+            if value is not None:
+                key = (value, side.word + other.word[1:], la)
+                if best is None or key < best:
+                    best = key
+                    limit = value
         if best is not None:
             if best[0] == 2:
                 break
             limit = best[0] - 1
     if best is None:
         return None
-    return (*best, max(len(left), len(heads)))
+    return (*best, max(len(left), len(right)))
 
 
 def iter_fiber(code, word_layers):
@@ -398,10 +398,10 @@ def _magic_count(rows, cols, limit):
     return count if count and (limit is None or count <= limit) else None
 
 
-def _magic_ones(left, heads, group):
-    """The count at the split is that of left.union & heads, the same for
-    the whole group."""
-    return group if (left.union & heads).bit_count() == 1 else ()
+def _magic_ones(left, right):
+    """Whether the count at the split, that of left.union & right.union,
+    is 1."""
+    return (left.union & right.union).bit_count() == 1
 
 
 _magic_score = _SplitScore(_magic_count, _magic_ones)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fiber_paths, naive_class_degree, naive_depth, small_codes
+from conftest import (
+    fiber_paths,
+    identity_extension,
+    naive_class_degree,
+    naive_depth,
+    small_codes,
+)
 from sftcd.codes import (
     CodeTriple,
     OneBlockCode,
@@ -839,7 +845,8 @@ def test_position_one_seed_on_small_codes(code, word):
     (_, _, e_pairs, wit), _ = depth_module._routing(code, Block(tuple(word)), "absolute")
     _assert_seeded_search_scores_every_position(e_pairs, wit, len(word))
     merged = trivial_code(code.domain)
-    wide = depth_module._Reach(merged, ("z",) * len(word), layers[0], layers[-1])
+    wide_layers = pruned_layers(merged, ("z",) * len(word))
+    wide = depth_module._Reach(merged, wide_layers, layers[0], layers[-1])
     _assert_seeded_search_scores_every_position(e_pairs, wide, len(word))
 
 
@@ -1139,6 +1146,75 @@ def test_two_passes_match_one_loop_on_small_codes(code):
     _two_passes_against_one_loop([partial(class_degree, code), partial(find_magic_block, code)])
 
 
+def _even_shift_code():
+    """A code on a..f with no attached codomain whose image is the even
+    shift: a and d go to 1, the rest to 0, and every run of 0s between
+    two 1s has even length."""
+    edges = "aa ab bc cb ca ad dd de ef fe fd da fa cd".split()
+    dom = VertexShift.build(tuple("abcdef"), [tuple(e) for e in edges])
+    images = {s: "1" if s in "ad" else "0" for s in "abcdef"}
+    return OneBlockCode.from_dict(dom, ("0", "1"), images)
+
+
+def test_sides_that_do_not_join_match_one_loop(monkeypatch):
+    # on this code some left side and right side that meet at a slot
+    # share no end and start symbol: 1 such pair in class_degree's
+    # closures and 4 in find_magic_block's.  Both passes walk them, and
+    # no score may count them, so each minimum still equals the one-loop
+    # reference
+    code = _even_shift_code()
+    assert code.codomain is None
+    real, apart = fiber_module._joinable_pairs, []
+
+    def recording(left, right, total):
+        for la, side, other in real(left, right, total):
+            apart.append(not side.union & other.union)
+            yield la, side, other
+
+    monkeypatch.setattr(fiber_module, "_joinable_pairs", recording)
+    found = []
+    for ask in (partial(class_degree, code), partial(find_magic_block, code)):
+        apart.clear()
+        found += _two_passes_against_one_loop([ask])
+        assert any(apart)
+    assert found == [(1, (0, 1, 1), 2, 3), (2, (1,), 1, 4)]
+
+
+def test_sides_that_share_no_symbol_do_not_score():
+    # the left side's ends (a, b) miss the right side's heads (c, d), so
+    # the split has no endpoint pair: neither pass-1 test says it scores
+    # 1, though both last tracks hold e, and neither full score scores it
+    rows, cols = frozenset({(0b00011, 0b10000)}), frozenset({(0b01100, 0b10000)})
+    left, right = (fiber_module._Side((0, vecs), ()) for vecs in (rows, cols))
+    for score in (depth_module._routing_score, fiber_module._magic_score):
+        assert not score.ones(left, right)
+        assert score(rows, cols, None) is None
+        assert score(rows, cols, 1) is None
+
+
+def test_relative_depth_over_the_identity_is_depth():
+    # absolute mode is relative mode over a one-to-one psi: over the
+    # identity on a code's codomain, relative depth routes w's fiber
+    # through pi's fiber over w, which is the code's own, read off pi's
+    # own layers; value, position, routing set and witnesses must agree
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 11)]
+
+    def answer(result):
+        cert = result.certificate
+        return result.value, cert.n, cert.M, cert.witnesses
+
+    blocks = 0
+    for t in triples:
+        for code in (t.phi, t.pi):
+            extension = identity_extension(code)
+            for length in range(1, 6):
+                for w in enumerate_blocks(code.codomain, length):
+                    assert answer(depth(code, w)) == answer(relative_depth(extension, w))
+                    blocks += 1
+    assert blocks == 1796
+
+
 def _families_built(monkeypatch, ask):
     """(the estimate ask() returns with no minimum kept, the limits of the
     _min_hitting_set calls it made)."""
@@ -1207,7 +1283,7 @@ def test_hitting_set_is_the_first_combination_that_hits(family, k):
         if all(r & mask for r in family):
             expected = mask
             break
-    assert _hitting_set(set(family), k) == expected
+    assert _hitting_set(set(family), k, union) == expected
 
 
 _split_sides = st.frozensets(
@@ -1262,13 +1338,11 @@ def test_limit_one_magic_score_is_the_symbol_count(rows, cols):
 
 
 def _scores_one(score, rows, cols):
-    """1 when score.ones finds that the split of a left side with the
+    """1 when score.ones says that the split of a left side with the
     tuples rows and a right side with the tuples cols scores 1, asked as
-    _closure_minimum asks it: only when the sides' unions meet; else None."""
+    _closure_minimum asks it, of every pair; else None."""
     left, right = (fiber_module._Side((0, frozenset(vecs)), ()) for vecs in (rows, cols))
-    if not left.union & right.union:
-        return None
-    return 1 if list(score.ones(left, right.union, [right])) else None
+    return 1 if score.ones(left, right) else None
 
 
 def test_lex_path_through_is_the_least_fiber_path():
@@ -1288,7 +1362,7 @@ def test_lex_path_through_is_the_least_fiber_path():
                     (triple.phi, w.symbols),
                     (triple.pi, triple.psi_word(w.symbols)),
                 ):
-                    reach = depth_module._Reach(code, word)
+                    reach = depth_module._Reach(code, pruned_layers(code, word))
                     least = {}
                     for path in iter_fiber(code, reach.layers):
                         for n, m in enumerate(path, 1):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
 from sftcd.codes import OneBlockCode, trivial_code
 from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
-from sftcd.depth import _end_pairs, _endpoint_pairs, _forward_sets
+from sftcd.depth import _end_pairs, _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
     _letter_masks,
@@ -153,16 +153,23 @@ def test_endpoint_pairs_on_forward_and_pruned_layers(code, word):
     if pruned is None:
         assert forward_layers(code, word) is None
         return
-    forward = _endpoint_pairs(_forward_sets(code.domain, forward_layers(code, word)))
+    forward = _end_pairs(code.domain, forward_layers(code, word))
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
-    assert forward == _endpoint_pairs(_forward_sets(code.domain, pruned)) == ends
+    assert forward == _end_pairs(code.domain, pruned) == ends
+
+
+def _pairs_off_forward_sets(domain, layers):
+    """Reference for _end_pairs: (s, t) for each start symbol s and each
+    symbol t of the last layer of its whole forward sets."""
+    fs = _forward_sets(domain, layers)
+    return [(s, t) for s, hist in fs.items() for t in iter_bits(hist[-1])]
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
 def test_end_pairs_read_off_end_masks(code, word):
     # _end_pairs keeps only each start symbol's current mask; on forward
-    # and pruned layers it lists the pairs _endpoint_pairs reads off whole
+    # and pruned layers it lists the pairs the reference reads off whole
     # forward sets, in the same order, and those are the endpoints of the
     # fiber's paths in index order
     pruned = pruned_layers(code, word)
@@ -170,7 +177,7 @@ def test_end_pairs_read_off_end_masks(code, word):
         return
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
     for layers in (forward_layers(code, word), pruned):
-        from_sets = _endpoint_pairs(_forward_sets(code.domain, layers))
+        from_sets = _pairs_off_forward_sets(code.domain, layers)
         assert _end_pairs(code.domain, layers) == from_sets == ends
 
 
@@ -235,8 +242,9 @@ def test_endpoint_pairs_past_a_dead_end():
     forward = forward_layers(code, ("0", "0"))
     pruned = pruned_layers(code, ("0", "0"))
     assert (forward, pruned) == ([3, 3], [1, 3])
-    pairs = [_endpoint_pairs(_forward_sets(dom, layers)) for layers in (forward, pruned)]
-    assert pairs == [[(0, 0), (0, 1)]] * 2
+    for layers in (forward, pruned):
+        assert _end_pairs(dom, layers) == _pairs_off_forward_sets(dom, layers)
+        assert _end_pairs(dom, layers) == [(0, 0), (0, 1)]
 
 
 class TestPreimageBlocks:
