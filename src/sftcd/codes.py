@@ -1,7 +1,9 @@
 """Letter-to-letter codes between vertex shifts, and compositions of them.
 
 A OneBlockCode maps each domain symbol to a codomain symbol and acts on
-blocks and points coordinate-wise.  Sliding-block rules with memory and
+blocks and points coordinate-wise.  It keeps the letter masks (codomain
+symbol -> mask of the domain symbols mapped to it) that its image check
+builds, and the edge-compatibility check and check_onto read them.  Sliding-block rules with memory and
 anticipation are supported through recoding: the domain is replaced by its
 window shift (symbols are the valid windows, edges are overlaps) on which
 the rule becomes letter-to-letter.
@@ -21,7 +23,6 @@ depends on the order a set of pairs is iterated in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     AlphabetMismatch,
@@ -34,6 +35,7 @@ from .core import (
     Block,
     PeriodicPoint,
     VertexShift,
+    cached,
     enumerate_blocks,
     is_irreducible,
     iter_bits,
@@ -47,7 +49,11 @@ from .graphs import closure, remember
 class OneBlockCode:
     """Symbol map between shifts.  mapping[i] is the image of the i-th
     domain symbol.  When a codomain shift is attached the map is checked
-    to be edge-compatible with it."""
+    to be edge-compatible with it.
+
+    letter_masks maps each codomain symbol, in codomain alphabet order,
+    to the bitmask of the domain symbols that map to it; it is built in
+    the pass that checks every image is a codomain symbol."""
 
     domain: VertexShift
     codomain_alphabet: Alphabet
@@ -57,9 +63,12 @@ class OneBlockCode:
     def __post_init__(self):
         if len(self.mapping) != len(self.domain.alphabet):
             raise InvariantViolation("mapping length does not match domain alphabet")
-        for s in self.mapping:
-            if s not in self.codomain_alphabet:
+        masks = dict.fromkeys(self.codomain_alphabet, 0)
+        for i, s in enumerate(self.mapping):
+            if s not in masks:
                 raise UnknownSymbol(f"image symbol {s!r} not in codomain alphabet")
+            masks[s] |= 1 << i
+        object.__setattr__(self, "letter_masks", masks)
         if self.codomain is not None:
             if self.codomain.alphabet != self.codomain_alphabet:
                 raise AlphabetMismatch(
@@ -77,20 +86,19 @@ class OneBlockCode:
     def from_dict(domain, codomain_alphabet, mapping, codomain=None):
         if not isinstance(codomain_alphabet, Alphabet):
             codomain_alphabet = Alphabet(tuple(codomain_alphabet))
-        missing = [s for s in domain.alphabet if s not in mapping]
+        symbols = domain.alphabet.symbols
+        missing = [s for s in symbols if s not in mapping]
         if missing:
             raise InvariantViolation(f"mapping not total, missing {missing}")
-        extra = [s for s in mapping if s not in domain.alphabet]
-        if extra:
+        # every domain symbol is a key, so a key outside them is one more
+        if len(mapping) > len(symbols):
+            extra = [s for s in mapping if s not in domain.alphabet]
             raise UnknownSymbol(f"mapping mentions unknown symbols {extra}")
         return OneBlockCode(
-            domain,
-            codomain_alphabet,
-            tuple(mapping[s] for s in domain.alphabet),
-            codomain,
+            domain, codomain_alphabet, tuple(map(mapping.__getitem__, symbols)), codomain
         )
 
-    @cached_property
+    @cached
     def symbol_map(self):
         return dict(zip(self.domain.alphabet.symbols, self.mapping))
 
@@ -108,14 +116,6 @@ class OneBlockCode:
         except KeyError as missing:
             s = missing.args[0]
             raise UnknownSymbol(f"symbol {s!r} not in domain alphabet") from None
-
-    @cached_property
-    def letter_masks(self):
-        """Codomain symbol -> bitmask of domain symbols mapping to it."""
-        masks = {s: 0 for s in self.codomain_alphabet}
-        for i, s in enumerate(self.mapping):
-            masks[s] |= 1 << i
-        return masks
 
     def letter_mask(self, letter):
         try:
@@ -140,9 +140,9 @@ def _unsound_pair(code, shift):
     for y, nexts in enumerate(shift.succ_masks):
         for z in iter_bits(nexts):
             fits[y] |= letters[z]
-    index = shift.alphabet.index
-    for a, nexts in enumerate(code.domain.succ_masks):
-        bad = nexts & ~fits[index(code.mapping[a])]
+    fit = dict(zip(shift.alphabet.symbols, fits))
+    for a, (nexts, image) in enumerate(zip(code.domain.succ_masks, code.mapping)):
+        bad = nexts & ~fit[image]
         if bad:
             b = (bad & -bad).bit_length() - 1
             pair = code.domain.alphabet.symbols[a], code.domain.alphabet.symbols[b]
@@ -224,7 +224,7 @@ class SlidingBlockCode:
     def width(self):
         return self.memory + self.anticipation + 1
 
-    @cached_property
+    @cached
     def rule_map(self):
         return dict(self.rule)
 
@@ -384,7 +384,8 @@ def check_onto(code, codomain_shift):
     if code.codomain_alphabet != codomain_shift.alphabet:
         raise AlphabetMismatch("codomain shift alphabet mismatch")
     symbols = codomain_shift.alphabet.symbols
-    letters = tuple(map(code.letter_mask, symbols))
+    # letter_masks runs in codomain alphabet order, the shift's own
+    letters = tuple(code.letter_masks.values())
     succ = codomain_shift.succ_masks
     cap = core.DEFAULT_CAP
     key = (code.domain.succ_masks, letters, succ, cap)

@@ -19,6 +19,13 @@ __getitem__, one lookup with no Python frame of its own.
 Listing the members of a set reads a table of the bit lists of every
 byte.
 
+Construction keeps what it validates.  An Alphabet keeps the symbol
+index that its duplicate check builds, and a VertexShift the successor
+and predecessor masks of the one pass that checks its pairs and finds
+stranded symbols; VertexShift.build trims on the same masks.  Whatever a
+shift computes on first read (its steppers, irreducibility) is kept by
+cached, functools.cached_property without the lock.
+
 Every enumeration and closure stops at one bound, DEFAULT_CAP, read when
 it starts.  One lister, iter_paths, lists a shift's blocks (paths through
 full layers) and a fiber's preimages by a depth-first walk that holds one
@@ -27,7 +34,6 @@ prefix at a time, and nothing here recurses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
 from .graphs import reach
@@ -66,6 +72,27 @@ def union_table(masks, keep=-1):
     return tuple(table)
 
 
+class cached:
+    """An attribute computed on its first read and kept: the value goes
+    into the instance's __dict__ under the attribute's name, where every
+    later read finds it before this (non-data) descriptor.  It is
+    functools.cached_property without the lock that Python 3.10 and 3.11
+    take on each first read; nothing here reads one from two threads."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 # masks per stepper table (2**10 entries): domains of up to 10 symbols,
 # mod3's 9 among them, step by one lookup
 TABLE_SYMBOLS = 10
@@ -101,15 +128,14 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols:
             raise InvariantViolation("alphabet is empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        # symbol -> alphabet index, kept from the duplicate check
+        index = {s: i for i, s in enumerate(self.symbols)}
+        if len(index) != len(self.symbols):
             raise InvariantViolation("alphabet has duplicate symbols")
         for s in self.symbols:
             if not s or SEPARATOR in s:
                 raise InvariantViolation(f"bad symbol {s!r}")
-
-    @cached_property
-    def _index(self):
-        return {s: i for i, s in enumerate(self.symbols)}
+        object.__setattr__(self, "_index", index)
 
     def index(self, symbol):
         try:
@@ -188,23 +214,24 @@ class VertexShift:
     allowed pair, so every symbol occurs in a bi-infinite point.  Use
     VertexShift.build to construct from raw data; it trims stranded
     symbols iteratively before fixing the alphabet.
+
+    succ_masks[i] (pred_masks[i]) is the bitmask of the successors
+    (predecessors) of the symbol of alphabet index i, built in the one
+    pass over allowed that checks its pairs.
     """
 
     alphabet: Alphabet
     allowed: frozenset
 
     def __post_init__(self):
-        _check_pairs(self.alphabet._index, self.allowed)
-        outs = {s: 0 for s in self.alphabet}
-        ins = {s: 0 for s in self.alphabet}
-        for a, b in self.allowed:
-            outs[a] += 1
-            ins[b] += 1
-        for s in self.alphabet:
-            if outs[s] == 0 or ins[s] == 0:
+        succ, pred = _adjacency(self.alphabet._index, self.allowed)
+        for s, out, into in zip(self.alphabet.symbols, succ, pred):
+            if not out or not into:
                 raise InvariantViolation(
                     f"symbol {s!r} is stranded (use VertexShift.build to trim)"
                 )
+        object.__setattr__(self, "succ_masks", tuple(succ))
+        object.__setattr__(self, "pred_masks", tuple(pred))
 
     @staticmethod
     def build(symbols, pairs):
@@ -212,23 +239,24 @@ class VertexShift:
         incoming pair until the presentation is essential."""
         symbols = list(symbols)
         pairs = set(tuple(p) for p in pairs)
-        _check_pairs({s: i for i, s in enumerate(dict.fromkeys(symbols))}, pairs)
-        alive = set(symbols)
+        index = {s: i for i, s in enumerate(dict.fromkeys(symbols))}
+        succ, pred = _adjacency(index, pairs)
+        # alive: the mask of the symbols not yet trimmed
+        alive = (1 << len(index)) - 1
         while True:
-            outs = {s: 0 for s in alive}
-            ins = {s: 0 for s in alive}
-            for a, b in pairs:
-                if a in alive and b in alive:
-                    outs[a] += 1
-                    ins[b] += 1
-            dead = {s for s in alive if outs[s] == 0 or ins[s] == 0}
-            if not dead:
+            held = 0
+            for i in iter_bits(alive):
+                if succ[i] & alive and pred[i] & alive:
+                    held |= 1 << i
+            if held == alive:
                 break
-            alive -= dead
+            alive = held
             if not alive:
                 raise InvariantViolation("every symbol was trimmed away")
-        kept = tuple(s for s in symbols if s in alive)
-        kept_pairs = frozenset((a, b) for a, b in pairs if a in alive and b in alive)
+        kept = tuple(s for s in symbols if alive >> index[s] & 1)
+        kept_pairs = frozenset(
+            (a, b) for a, b in pairs if (alive >> index[a]) & (alive >> index[b]) & 1
+        )
         return VertexShift(Alphabet(kept), kept_pairs)
 
     @staticmethod
@@ -238,22 +266,6 @@ class VertexShift:
             Alphabet(symbols), frozenset((a, b) for a in symbols for b in symbols)
         )
 
-    # cached adjacency structure, all keyed by alphabet index
-
-    @cached_property
-    def succ_masks(self):
-        masks = [0] * len(self.alphabet)
-        for a, b in self.allowed:
-            masks[self.alphabet.index(a)] |= 1 << self.alphabet.index(b)
-        return tuple(masks)
-
-    @cached_property
-    def pred_masks(self):
-        masks = [0] * len(self.alphabet)
-        for a, b in self.allowed:
-            masks[self.alphabet.index(b)] |= 1 << self.alphabet.index(a)
-        return tuple(masks)
-
     def allows(self, a, b):
         return (a, b) in self.allowed
 
@@ -262,14 +274,14 @@ class VertexShift:
         spell = self.alphabet.symbols.__getitem__
         return tuple(map(spell, iter_bits(self.succ_masks[self.alphabet.index(a)])))
 
-    @cached_property
+    @cached
     def irreducible(self):
         """Its presentation graph is strongly connected: symbol 0 reaches
         every symbol forwards and backwards."""
         full = (1 << len(self.alphabet)) - 1
         return reach(self.step_mask, 1) == full == reach(self.step_mask_back, 1)
 
-    @cached_property
+    @cached
     def _steppers(self):
         # (back, keep) -> kept_stepper(keep, back), filled on first ask
         return {}
@@ -286,16 +298,35 @@ class VertexShift:
             step = self._steppers[back, keep] = stepper(masks, keep)
         return step
 
-    @cached_property
+    @cached
     def step_mask(self):
         """step_mask(mask): union of successors of every symbol in mask."""
         return self.kept_stepper()
 
-    @cached_property
+    @cached
     def step_mask_back(self):
         """step_mask_back(mask): union of predecessors of every symbol in
         mask."""
         return self.kept_stepper(back=True)
+
+
+def _adjacency(index, pairs):
+    """(succ, pred) in one pass over pairs: succ[i] (pred[i]) the mask of
+    the indices of the symbols that may follow (precede) the symbol of
+    index i, index mapping symbol -> alphabet index.  A pair outside
+    index raises UnknownSymbol, naming the least such pair as
+    _check_pairs does."""
+    succ = [0] * len(index)
+    pred = [0] * len(index)
+    try:
+        for a, b in pairs:
+            i, j = index[a], index[b]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+    except KeyError:
+        _check_pairs(index, pairs)
+        raise
+    return succ, pred
 
 
 def _check_pairs(index, pairs):

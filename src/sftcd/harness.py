@@ -5,6 +5,11 @@ triple a conclusive failure is an implementation bug, never a
 counterexample, so failing cases are archived in full for debugging.
 Every degree is exact (depth.py on the side closures of fiber.py), so
 each check either passes or fails.
+
+A generation attempt draws psi maps until one is onto.  Every draw is
+made, so a seed always gives the same triple, but a map the attempt has
+already refused is not built again, and phi is built only for the psi
+that is kept.
 """
 from __future__ import annotations
 
@@ -217,16 +222,24 @@ def _generate_once(rng, spec):
         raise _Retry
     if matched and not is_irreducible(X):
         raise _Retry
-    phi = OneBlockCode.from_dict(
-        X, Y.alphabet, {c: phi_map[c] for c in x_syms}, codomain=Y
-    )
     z_syms = tuple(f"z{i}" for i in range(spec.z_symbols))
     Z = VertexShift.full_shift(z_syms)
+    # every draw is made, so the stream stays the same; a map this
+    # attempt already refused is not built again
+    refused = set()
     for _ in range(_ONTO_TRIES):
         psi_map = _surjection(rng, y_syms, z_syms)
+        images = tuple(psi_map.values())
+        if images in refused:
+            continue
         psi = OneBlockCode.from_dict(Y, Z.alphabet, psi_map, codomain=Z)
         if check_onto(psi, Z).ok:
+            # phi draws nothing and is sound by construction
+            phi = OneBlockCode.from_dict(
+                X, Y.alphabet, {c: phi_map[c] for c in x_syms}, codomain=Y
+            )
             return CodeTriple.build(phi, psi)
+        refused.add(images)
     raise _Retry
 
 

@@ -107,6 +107,13 @@ class TestOneBlockCode:
         g = golden()
         with pytest.raises(InvariantViolation):
             OneBlockCode.from_dict(g, ("a",), {"0": "a"})
+        # a missing symbol is named before a key outside the alphabet, and
+        # every such key is named, in the mapping's order
+        with pytest.raises(InvariantViolation, match=r"^mapping not total, missing \['1'\]$"):
+            OneBlockCode.from_dict(g, ("a",), {"0": "a", "x": "a"})
+        message = r"^mapping mentions unknown symbols \['y', 'x'\]$"
+        with pytest.raises(UnknownSymbol, match=message):
+            OneBlockCode.from_dict(g, ("a",), {"y": "a", "0": "a", "1": "a", "x": "a"})
 
     def test_identity_and_trivial(self):
         g = golden()

@@ -1593,3 +1593,36 @@ def test_degrees_are_invariant_under_reversal():
     ]
     for index, t in enumerate(triples):
         assert _degrees_and_lengths(reversed_triple(t)) == _degrees_and_lengths(t), index
+
+
+def two_block_phi_triple(t):
+    """t with X replaced by its 2-block presentation X^[2], whose symbols
+    are the allowed pairs of X, and phi read off each window's first
+    symbol; psi is unchanged."""
+    rule = {(a, b): t.phi.apply_symbol(a) for a, b in t.X.allowed}
+    sliding = SlidingBlockCode.from_dict(t.X, t.Y.alphabet, 0, 1, rule, codomain=t.Y)
+    return CodeTriple.build(recode_to_one_block(sliding).code, t.psi)
+
+
+def test_degrees_are_invariant_under_two_block_presentation():
+    # X^[2] is conjugate to X through the window code, so phi's and pi's
+    # class degrees and the relative degree keep their values; only the
+    # values are compared, since witness blocks get longer under the
+    # recoding (xor2's phi block grows from 1 symbol to 2)
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 41)]
+    triples += [
+        generate_triple(TripleGenSpec(seed, y_symbols=3, blowup_max=4, z_symbols=2))
+        for seed in range(1, 21)
+    ]
+    def values(t):
+        phi, pi = class_degree(t.phi), class_degree(t.pi)
+        return [phi.value, pi.value, relative_class_degree(t).value]
+
+    widest = 0
+    for index, t in enumerate(triples):
+        t2 = two_block_phi_triple(t)
+        widest = max(widest, len(t2.X.alphabet))
+        assert values(t2) == values(t), index
+    # some window shift steps its sets through more than one table
+    assert widest > core_module.TABLE_SYMBOLS

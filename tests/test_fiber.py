@@ -143,21 +143,6 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
     assert got == list(iter_fiber(code, layers))[:cap]
 
 
-@settings(max_examples=80, deadline=None)
-@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
-def test_endpoint_pairs_on_forward_and_pruned_layers(code, word):
-    # the certificate replay reads a fiber's endpoint pairs off forward
-    # layers: a dead-end symbol reaches no end symbol, so they give the
-    # pairs of the pruned layers, those of the fiber's paths
-    pruned = pruned_layers(code, word)
-    if pruned is None:
-        assert forward_layers(code, word) is None
-        return
-    forward = _end_pairs(code.domain, forward_layers(code, word))
-    ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
-    assert forward == _end_pairs(code.domain, pruned) == ends
-
-
 def _pairs_off_forward_sets(domain, layers):
     """Reference for _end_pairs: (s, t) for each start symbol s and each
     symbol t of the last layer of its whole forward sets."""
@@ -171,9 +156,11 @@ def test_end_pairs_read_off_end_masks(code, word):
     # _end_pairs keeps only each start symbol's current mask; on forward
     # and pruned layers it lists the pairs the reference reads off whole
     # forward sets, in the same order, and those are the endpoints of the
-    # fiber's paths in index order
+    # fiber's paths in index order; an empty pruned fiber has no forward
+    # layers either
     pruned = pruned_layers(code, word)
     if pruned is None:
+        assert forward_layers(code, word) is None
         return
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
     for layers in (forward_layers(code, word), pruned):

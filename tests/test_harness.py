@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,63 @@ class TestGenerateTriple:
         for a in z.alphabet.symbols:
             for b in z.alphabet.symbols:
                 assert z.allows(a, b)
+
+
+    def test_output_is_pinned(self):
+        # the canonical JSON of every triple of the verify sweep's seeds and
+        # of the (3,3) band with two Z symbols, hashed in order: a change to
+        # the random stream or to what is built from it moves the digest
+        specs = [spec_for_seed(seed) for seed in range(1, 201)]
+        specs += [
+            TripleGenSpec(seed, y_symbols=3, blowup_max=3, z_symbols=2)
+            for seed in range(1, 41)
+        ]
+        digest = hashlib.sha256()
+        for spec in specs:
+            digest.update(canonical_json(generate_triple(spec)).encode())
+        expected = "7a5a57a6a4ee8233d2c6eefcbe56aae06734ccec95dd85dc2e60c2ae96e5e28d"
+        assert digest.hexdigest() == expected
+
+    def test_codes_built_once_per_distinct_draw(self, monkeypatch):
+        # each attempt draws psi maps until one is onto; a map it already
+        # refused is drawn (the stream stays the same) but not built
+        # again, and phi is built once, for the triple returned
+        attempts = []  # per attempt: [psi maps drawn, codomain letters built]
+        generate_once, surjection = harness._generate_once, harness._surjection
+        from_dict = harness.OneBlockCode.from_dict
+
+        def once(rng, spec):
+            attempts.append(([], []))
+            return generate_once(rng, spec)
+
+        def drawn(rng, sources, targets):
+            mapping = surjection(rng, sources, targets)
+            attempts[-1][0].append(tuple(mapping.values()))
+            return mapping
+
+        def built(domain, codomain_alphabet, mapping, codomain=None):
+            attempts[-1][1].append(tuple(codomain_alphabet)[0][0])
+            return from_dict(domain, codomain_alphabet, mapping, codomain)
+
+        monkeypatch.setattr(harness, "_generate_once", once)
+        monkeypatch.setattr(harness, "_surjection", drawn)
+        monkeypatch.setattr(harness.OneBlockCode, "from_dict", staticmethod(built))
+        specs = [spec_for_seed(seed) for seed in range(1, 61)]
+        specs += [
+            TripleGenSpec(seed, y_symbols=3, blowup_max=3, z_symbols=2)
+            for seed in range(1, 41)
+        ]
+        # the last spec takes 4 attempts and draws 25 maps, 16 of them
+        # distinct within their attempt
+        specs.append(TripleGenSpec(12, y_symbols=3, blowup_max=3, z_symbols=2))
+        for spec in specs:
+            attempts.clear()
+            generate_triple(spec)
+            for k, (maps, letters) in enumerate(attempts):
+                phi_built = k == len(attempts) - 1
+                assert sorted(letters) == ["y"] * phi_built + ["z"] * len(set(maps))
+        assert [len(maps) for maps, _ in attempts] == [8, 8, 8, 1]
+        assert sum(len(set(maps)) for maps, _ in attempts) == 16
 
 
 class TestChainCode:

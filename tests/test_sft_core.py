@@ -5,7 +5,7 @@ from itertools import product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sftcd
 from conftest import reference_step_mask, reference_step_mask_back, run_under_hash_seeds
@@ -30,7 +30,13 @@ from sftcd.core import (
     validate_block,
 )
 import sftcd.core as core_module
-from sftcd.errors import InvalidBlock, InvariantViolation, ResourceLimit, UnknownSymbol
+from sftcd.errors import (
+    AlphabetMismatch,
+    InvalidBlock,
+    InvariantViolation,
+    ResourceLimit,
+    UnknownSymbol,
+)
 from sftcd.graphs import closure, reach
 
 
@@ -530,3 +536,189 @@ def test_every_submodule_is_a_package_attribute():
         # defined in sftcd/__init__.py shadows it
         module = importlib.import_module(f"sftcd.{name}")
         assert getattr(sftcd, name) is module, name
+
+
+# Reference constructors: the dict-counting construction that the one-pass
+# bitmask constructors replaced, kept here to compare them against.  Each
+# returns what the real one keeps or raises what it raises.
+
+
+def _reference_alphabet(symbols):
+    if not symbols:
+        raise InvariantViolation("alphabet is empty")
+    if len(set(symbols)) != len(symbols):
+        raise InvariantViolation("alphabet has duplicate symbols")
+    for s in symbols:
+        if not s or core_module.SEPARATOR in s:
+            raise InvariantViolation(f"bad symbol {s!r}")
+    return tuple(symbols)
+
+
+def _reference_check_pairs(index, pairs):
+    strays = [p for p in pairs if p[0] not in index or p[1] not in index]
+    if strays:
+        a, b = min(strays, key=lambda p: [(index.get(s, len(index)), s) for s in p])
+        raise UnknownSymbol(f"pair ({a!r}, {b!r}) uses unknown symbols")
+
+
+def _reference_shift(symbols, allowed):
+    """(symbols, allowed, succ masks, pred masks) of
+    VertexShift(Alphabet(symbols), allowed)."""
+    symbols = _reference_alphabet(symbols)
+    index = {s: i for i, s in enumerate(symbols)}
+    _reference_check_pairs(index, allowed)
+    outs = {s: 0 for s in symbols}
+    ins = {s: 0 for s in symbols}
+    for a, b in allowed:
+        outs[a] += 1
+        ins[b] += 1
+    for s in symbols:
+        if outs[s] == 0 or ins[s] == 0:
+            raise InvariantViolation(
+                f"symbol {s!r} is stranded (use VertexShift.build to trim)"
+            )
+    succ = [0] * len(symbols)
+    pred = [0] * len(symbols)
+    for a, b in allowed:
+        succ[index[a]] |= 1 << index[b]
+        pred[index[b]] |= 1 << index[a]
+    return symbols, frozenset(allowed), tuple(succ), tuple(pred)
+
+
+def _reference_build(symbols, pairs):
+    symbols = list(symbols)
+    pairs = set(tuple(p) for p in pairs)
+    _reference_check_pairs({s: i for i, s in enumerate(dict.fromkeys(symbols))}, pairs)
+    alive = set(symbols)
+    while True:
+        outs = {s: 0 for s in alive}
+        ins = {s: 0 for s in alive}
+        for a, b in pairs:
+            if a in alive and b in alive:
+                outs[a] += 1
+                ins[b] += 1
+        dead = {s for s in alive if outs[s] == 0 or ins[s] == 0}
+        if not dead:
+            break
+        alive -= dead
+        if not alive:
+            raise InvariantViolation("every symbol was trimmed away")
+    kept = tuple(s for s in symbols if s in alive)
+    return _reference_shift(kept, {(a, b) for a, b in pairs if a in alive and b in alive})
+
+
+def _reference_letter_masks(domain, codomain_alphabet, mapping, codomain):
+    """The letter masks of OneBlockCode(domain, Alphabet(codomain_alphabet),
+    mapping, codomain), as (symbol, mask) pairs in codomain order."""
+    if len(mapping) != len(domain.alphabet):
+        raise InvariantViolation("mapping length does not match domain alphabet")
+    for s in mapping:
+        if s not in codomain_alphabet:
+            raise UnknownSymbol(f"image symbol {s!r} not in codomain alphabet")
+    if codomain is not None:
+        if codomain.alphabet.symbols != codomain_alphabet:
+            raise AlphabetMismatch("attached codomain shift disagrees with codomain alphabet")
+        image = dict(zip(domain.alphabet.symbols, mapping))
+        for a, b in product(domain.alphabet.symbols, repeat=2):
+            if domain.allows(a, b) and not codomain.allows(image[a], image[b]):
+                raise InvariantViolation(
+                    f"code is not edge-compatible: ({a!r},{b!r}) maps to "
+                    f"forbidden pair ({image[a]!r},{image[b]!r})"
+                )
+    masks = {s: 0 for s in codomain_alphabet}
+    for i, s in enumerate(mapping):
+        masks[s] |= 1 << i
+    return list(masks.items())
+
+
+def _outcome(make, kept):
+    """kept(make()), or the type and text of what make raised."""
+    try:
+        return kept(make())
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _shift_parts(shift):
+    return shift.alphabet.symbols, shift.allowed, shift.succ_masks, shift.pred_masks
+
+
+_NAMES = ("a", "b", "c", "d")
+
+
+@st.composite
+def _shift_data(draw):
+    """(symbols, pairs): distinct names, now and then followed by a
+    repeat or a refused name ("" or one holding SEPARATOR); the pairs
+    join those symbols, now and then with one more that may name a
+    symbol outside them ("x")."""
+    symbols = draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))
+    odd = ("a", "", "a" + core_module.SEPARATOR + "b")
+    symbols += draw(st.lists(st.sampled_from(odd), max_size=1))
+    names = st.sampled_from(symbols or _NAMES)
+    pairs = draw(st.lists(st.tuples(names, names), max_size=12))
+    stray = st.sampled_from([*(symbols or _NAMES), "x"])
+    return symbols, pairs + draw(st.lists(st.tuples(stray, stray), max_size=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shift_data())
+@example((["a", "b"], [("a", "b"), ("b", "a"), ("b", "x"), ("x", "a")]))  # unknown symbols
+@example((["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "a")]))  # stranded
+@example((["a", "b"], [("a", "b")]))  # every symbol trimmed away
+@example((["a", "b", "a"], [("a", "b"), ("b", "a")]))  # duplicate symbols
+def test_shift_construction_matches_the_dict_counting_reference(data):
+    # the constructor and build keep the masks they check pairs and
+    # strandedness with; they agree with counting in dicts, on every
+    # error too, down to its type and text
+    symbols, pairs = data
+    direct = _outcome(
+        lambda: VertexShift(Alphabet(tuple(symbols)), frozenset(pairs)), _shift_parts
+    )
+    reference = _outcome(lambda: _reference_shift(tuple(symbols), frozenset(pairs)), tuple)
+    assert direct == reference
+    built = _outcome(lambda: VertexShift.build(symbols, pairs), _shift_parts)
+    assert built == _outcome(lambda: _reference_build(symbols, pairs), tuple)
+    alphabet = _outcome(lambda: Alphabet(tuple(symbols)), lambda a: a._index)
+    reference = _outcome(
+        lambda: _reference_alphabet(tuple(symbols)), lambda t: {s: i for i, s in enumerate(t)}
+    )
+    assert alphabet == reference
+
+
+def _ringed(draw, symbols):
+    """A shift on symbols: a cycle through them and some drawn pairs."""
+    ring = list(zip(symbols, symbols[1:] + symbols[:1]))
+    extra = draw(st.lists(st.tuples(*[st.sampled_from(symbols)] * 2), max_size=6))
+    return VertexShift(Alphabet(tuple(symbols)), frozenset(ring + extra))
+
+
+@st.composite
+def _code_data(draw):
+    """(domain, codomain symbols, mapping, codomain shift or None): the
+    mapping may name a foreign image ("s"), and the codomain shift may
+    forbid image pairs."""
+    domain = _ringed(draw, draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True)))
+    letters = tuple(draw(st.lists(st.sampled_from("pqr"), min_size=1, unique=True)))
+    n = len(domain.alphabet)
+    mapping = tuple(draw(st.lists(st.sampled_from(letters + ("s",)), min_size=n, max_size=n)))
+    codomain = _ringed(draw, letters) if draw(st.booleans()) else None
+    return domain, letters, mapping, codomain
+
+
+_PQ = VertexShift(Alphabet(("p", "q")), frozenset({("p", "p"), ("p", "q"), ("q", "p")}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_data())
+@example((VertexShift.full_shift("ab"), ("p",), ("p", "s"), None))  # foreign image
+@example((VertexShift.full_shift("abc"), ("p", "q"), ("p", "q", "q"), _PQ))  # (b, b) unsound
+def test_code_construction_matches_the_dict_counting_reference(data):
+    # the letter masks are kept from the image check, and the least
+    # unsound pair is named as the reference names it
+    domain, letters, mapping, codomain = data
+    made = _outcome(
+        lambda: OneBlockCode(domain, Alphabet(letters), mapping, codomain),
+        lambda code: list(code.letter_masks.items()),
+    )
+    assert made == _outcome(lambda: _reference_letter_masks(*data), list)
