@@ -43,7 +43,7 @@ from itertools import count
 from math import lcm
 
 from .codes import apply_to_block
-from .core import Block, PeriodicPoint
+from .core import Block, PeriodicPoint, iter_bits
 from .depth import _Reach, _codes_of, _least_path, RoutingCertificate
 from .errors import (
     ImageMismatch,
@@ -275,14 +275,14 @@ def fixed_point_class_oracle(code, z):
     if code.codomain is not None and not code.codomain.allows(z, z):
         raise NoFixedPoint(f"{z!r} is not a fixed symbol of the codomain")
     shift = code.domain
-    ahead, behind = shift.step_mask, shift.step_mask_back
+    ahead, behind = shift.succ_masks, shift.pred_masks
     cyclic = []
     left = fiber
     while left:
         v = left & -left
         comp = reach(ahead, v, fiber) & reach(behind, v, fiber)
         left &= ~comp
-        if comp & ahead(comp):
+        if any(ahead[s] & comp for s in iter_bits(comp)):
             cyclic.append(comp)
     if not cyclic:
         raise NoFixedPoint(f"no periodic preimage of {z!r} repeated forever")

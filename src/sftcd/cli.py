@@ -253,6 +253,8 @@ def _verify_cases(args):
         if not isinstance(spec_doc, list):
             raise ParseError("generator spec file must hold a list of specs")
         for entry in spec_doc:
+            if not isinstance(entry, dict):
+                raise ParseError(f"bad generator spec {entry!r}: not an object")
             try:
                 generated.append(("gen", TripleGenSpec(**entry)))
             except TypeError as e:

@@ -279,7 +279,7 @@ class VertexShift:
         """Its presentation graph is strongly connected: symbol 0 reaches
         every symbol forwards and backwards."""
         full = (1 << len(self.alphabet)) - 1
-        return reach(self.step_mask, 1) == full == reach(self.step_mask_back, 1)
+        return reach(self.succ_masks, 1) == full == reach(self.pred_masks, 1)
 
     @cached
     def _steppers(self):

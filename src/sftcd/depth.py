@@ -38,12 +38,12 @@ intersection, and as every start and every end symbol lies in some
 endpoint pair, that is the intersection of the starts' forward sets and
 the ends' backward sets: |S| + |T| masks rather than |S| * |T| routing
 sets.  A block's search asks this past a position of depth 2, and the
-side closures below ask it of every split first, over the rows and
-columns that join something (_routing_ones): the rows meeting the right
-side's heads, ANDed once per (side, heads) and kept with the side, and
-the columns meeting the left side's ends, kept alike; a side none of
-whose rows or columns meets the other's union reads 0, so a split with
-no endpoint pair does not score.
+side closures below ask it of every split first: _routing_score, the
+one score of a split, reads it at limit 1 off the rows and columns that
+join something, the rows meeting the right side's heads, ANDed once per
+(side, heads) and kept with the side, and the columns meeting the left
+side's ends, kept alike; a side none of whose rows or columns meets the
+other's union reads 0, so a split with no endpoint pair does not score.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -54,10 +54,10 @@ The side closures of fiber.py reach every such pair, and the block
 attaining the minimum replays as a routing certificate.  Depth is never
 below 1, so while the closures grow each pair is only asked whether it
 scores 1, as above, and they grow only until such a pair turns up.  Only
-when both are complete with none is a pair's routing family built (one
-set comprehension, scored once), so only a minimum of 2 or more builds
-families; once a depth of 2 is found, no longer block is scored.  Every
-mask step is a core.stepper.
+when both are complete with none does _routing_score, above limit 1,
+build a pair's routing family (one set comprehension, scored once), so
+only a minimum of 2 or more builds families; once a depth of 2 is
+found, no longer block is scored.  Every mask step is a core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so
@@ -90,7 +90,6 @@ from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
     _letter_masks,
     _side_minimum,
-    _SplitScore,
     _sweep,
     forward_layers,
     iter_fiber,
@@ -480,27 +479,22 @@ def _min_hitting_set(family, limit):
     return None
 
 
-def _routing_depth(rows, cols, limit):
-    """Depth at a split, from the left side's rows and the right side's
-    columns: (s, t) is an endpoint pair when first-track row s meets
-    first-track column t, and its routing set is the last-track row s &
-    the last-track column t."""
+def _routing_score(left, right, limit):
+    """Depth at the split of two _Sides when it is at most limit (None:
+    no limit), otherwise None: (s, t) is an endpoint pair when first-track
+    row s meets first-track column t, and its routing set is the
+    last-track row s & the last-track column t.  At limit 1 no family is
+    built: one symbol lies in every routing set exactly when it lies in
+    every last-track row and column that joins something, the rows that
+    meet right.union and the columns that meet left.union.  A part is 0
+    when the unions miss each other, so a split with no endpoint pair
+    does not score."""
+    if limit == 1:
+        return 1 if left.part(right.union) & right.part(left.union) else None
     mask = _min_hitting_set(
-        {r[-1] & c[-1] for r in rows for c in cols if r[0] & c[0]}, limit
+        {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}, limit
     )
     return None if mask is None else mask.bit_count()
-
-
-def _routing_ones(left, right):
-    """Whether the split scores 1, with no family built.  One symbol lies
-    in every routing set exactly when it lies in every last-track row and
-    column that joins something: the rows that meet right.union and the
-    columns that meet left.union.  A part is 0 when the unions miss each
-    other, so a split with no endpoint pair does not score."""
-    return left.part(right.union) & right.part(left.union)
-
-
-_routing_score = _SplitScore(_routing_depth, _routing_ones)
 
 
 def _least_depth(subject, mode, cycle=None):

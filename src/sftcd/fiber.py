@@ -18,11 +18,11 @@ so the reachable sides form two finite sets: a level-by-level closure of
 each (graphs.closure) with a minimum over joinable pairs is exhaustive
 (Lind & Marcus, section 9.1).  The minimum is taken in two passes.  The
 first pulls the levels of both closures one block length at a time and
-asks each pair only whether it scores 1, the least any score takes and
-the cheapest question, so a minimum of 1 is proved at its block, without
-growing the closures to their end.  Only when both closures are complete
-and no pair scored 1 does the second pass give every pair its full
-score, so only a minimum of 2 or more pays for full scores.
+scores each pair at limit 1, the least any score takes and the cheapest
+question, so a minimum of 1 is proved at its block, without growing the
+closures to their end.  Only when both closures are complete and no
+pair scored 1 does the second pass score every pair with no such limit,
+so only a minimum of 2 or more pays for full scores.
 
 A closure steps every row or column through a stepper the domain keeps
 (VertexShift.kept_stepper): per letter mask and direction, a core.stepper
@@ -34,19 +34,20 @@ closure asks for its steppers on its first step past the one-letter
 seeds.  A side is stepped track by track: the side's tuples are split
 into one column per track, each column is mapped through its track's
 stepper, and zip rejoins the stepped tuples, so no Python frame runs per
-tuple.  Right sides are kept by head slot, and both passes walk the same
-pairs: each left side with every right side it joins (_joinable_pairs).
-The first pass reads what belongs to one side off summaries made once
-per side (_Side): the union of its first track, and per union of the
-other side's first track, the AND of its last-track rows or columns that
-meet it (0 when none does), kept as long as the minimum runs.  A pair
-whose unions miss each other has no endpoint pair, so neither pass
-scores it.  What outlives the minimum is its answer, and it holds no
-code: the closures read nothing but the domain's successor masks and
-each track's letter masks, so _side_minimum keeps each minimum under
-those, the slot labels, the walk, the score and core.DEFAULT_CAP as it
-is at the call (graphs.remember), and answers a repeated question
-without growing a side.
+tuple.  Right sides are kept by head slot, and both passes find their
+least pair through one loop (_least_split) over the same pairs: each
+left side with every right side it joins (_joinable_pairs).  A score is
+one function of two sides and a limit, and reads what belongs to one
+side off summaries made once per side (_Side): the union of its first
+track, and per union of the other side's first track, the AND of its
+last-track rows or columns that meet it (0 when none does), kept as
+long as the minimum runs.  A pair whose unions miss each other has no
+endpoint pair, so no score counts it.  What outlives the minimum is its
+answer, and it holds no code: the closures read nothing but the
+domain's successor masks and each track's letter masks, so _side_minimum
+keeps each minimum under those, the slot labels, the walk, the score and
+core.DEFAULT_CAP as it is at the call (graphs.remember), and answers a
+repeated question without growing a side.
 """
 from __future__ import annotations
 
@@ -203,10 +204,10 @@ def _side_minimum(domain, tracks, labels, cycle, score):
 
 
 class _Side:
-    """A side as _closure_minimum reads it: its slot (tail or head), its
-    tuples (rows or columns), its word, and the union of their first
-    tracks (a left side's ends, a right side's heads), made once when the
-    side is pulled.  part(u) is the AND of the last tracks of the tuples
+    """A side as _closure_minimum and its scores read it: its slot (tail
+    or head), its tuples (rows or columns), its word, and the union of
+    their first tracks (a left side's ends, a right side's heads), made
+    once when the side is pulled.  part(u) is the AND of the last tracks of the tuples
     whose first track meets u, kept per u as long as the side is; it is
     0 when the union misses u, so a pair with no endpoint pair has no
     symbol in common to route through."""
@@ -230,25 +231,6 @@ class _Side:
         return part
 
 
-class _SplitScore:
-    """What _closure_minimum scores a split by.  full(rows, cols, limit)
-    is the pair's value, at least 1, when it is at most limit (None: no
-    limit), otherwise None; calling the score calls it.  ones(left,
-    right) is true when the pair of a left and a right side scores 1,
-    read off the sides' summaries; a pair whose unions are disjoint has
-    no endpoint pair, so neither scores it.  Each score is one
-    module-level instance, so it keys _MINIMA as itself."""
-
-    __slots__ = ("full", "ones")
-
-    def __init__(self, full, ones):
-        self.full = full
-        self.ones = ones
-
-    def __call__(self, rows, cols, limit):
-        return self.full(rows, cols, limit)
-
-
 def _joinable_pairs(left, right, total):
     """(split, left side, right side) for every pair of a left side and a
     right side with its tail slot as head that join into a block of
@@ -260,14 +242,31 @@ def _joinable_pairs(left, right, total):
                 yield la, side, other
 
 
+def _least_split(left, right, total, score, limit):
+    """The least (value, word, split) among the pairs of total length
+    total that score at most limit (None: no limit), or None.  limit
+    drops to each new best's value, so later pairs are asked only
+    whether they tie or beat it."""
+    best = None
+    for la, side, other in _joinable_pairs(left, right, total):
+        value = score(side, other, limit)
+        if value is not None:
+            key = (value, side.word + other.word[1:], la)
+            if best is None or key < best:
+                best = key
+                limit = value
+    return best
+
+
 def _closure_minimum(sides, score):
-    """Exact minimum of score (a _SplitScore) over every block and split
-    point.
+    """Exact minimum of score over every block and split point.
 
     sides are the (left, right) closures of _side_closures, generators of
-    levels.  Block u + v[1:] splits into u's left side and v's right
-    side, u's tail slot being v's head slot.  Every side keeps the least
-    of its shortest words, so the pairs reach the shortest block
+    levels; score(left, right, limit) is the value, at least 1, of the
+    split of two _Sides when it is at most limit (None: no limit),
+    otherwise None.  Block u + v[1:] splits into u's left side and v's
+    right side, u's tail slot being v's head slot.  Every side keeps the
+    least of its shortest words, so the pairs reach the shortest block
     attaining the minimum, lexicographically least among those, at its
     first attaining split.  Returns (value, word, split, depth) for it,
     with depth the larger count of levels pulled from the two closures;
@@ -275,17 +274,18 @@ def _closure_minimum(sides, score):
 
     Each side pulled becomes a _Side, and the right sides of a level are
     kept by head slot, so each left side walks only the right sides it
-    joins (_joinable_pairs).  Two passes walk the same pairs.  The first
-    pulls the levels one total length at a time (total length t needs
-    levels 1..t of each closure) and asks each pair only whether it
-    scores 1 (score.ones), the least any score takes and the cheapest
-    question, read off the sides' summaries: the first total length with
-    such a pair returns its least (word, split) before any later level
-    is grown.  Only when both closures are complete and no pair scored 1
-    does the second pass score every pair again in full, one total
-    length at a time under a limit that never grows: ties are allowed
-    within the best's total length, only lower values after it, and as
-    no pair scores 1, a best of 2 ends the pass with its total length.
+    joins (_joinable_pairs).  Both passes find the least pair of one
+    total length through one loop, _least_split.  The first pulls the
+    levels one total length at a time (total length t needs levels 1..t
+    of each closure) and scores each pair at limit 1, the least any
+    score takes and the cheapest question, read off the sides'
+    summaries: the first total length with such a pair returns it
+    before any later level is grown.  Only when both closures are
+    complete and no pair scored 1 does the second pass score every pair
+    again, one total length at a time under a limit that never grows:
+    ties are allowed within the best's total length, only lower values
+    after it, and as no pair scores 1, a best of 2 ends the pass with
+    its total length.
     """
     left_levels, right_levels = sides
     left = []
@@ -301,23 +301,13 @@ def _closure_minimum(sides, score):
             right.append(by_head)
         if total >= len(left) + len(right):
             break
-        ones = [
-            (side.word + other.word[1:], la)
-            for la, side, other in _joinable_pairs(left, right, total)
-            if score.ones(side, other)
-        ]
-        if ones:
-            return (1, *min(ones), max(len(left), len(right)))
+        best = _least_split(left, right, total, score, 1)
+        if best is not None:
+            return (*best, max(len(left), len(right)))
     best = None  # (value, word, split)
     limit = None
     for total in range(1, len(left) + len(right)):
-        for la, side, other in _joinable_pairs(left, right, total):
-            value = score(side.vecs, other.vecs, limit)
-            if value is not None:
-                key = (value, side.word + other.word[1:], la)
-                if best is None or key < best:
-                    best = key
-                    limit = value
+        best = _least_split(left, right, total, score, limit) or best
         if best is not None:
             if best[0] == 2:
                 break
@@ -386,25 +376,11 @@ class MagicBlockResult:
     certified: StabilizationInfo
 
 
-def _magic_count(rows, cols, limit):
-    """Preimage symbols at the split: ends of the left piece's paths that
-    start the right piece's."""
-    ends = starts = 0
-    for row in rows:
-        ends |= row[0]
-    for col in cols:
-        starts |= col[0]
-    count = (ends & starts).bit_count()
+def _magic_score(left, right, limit):
+    """Preimage symbols at the split: the ends of the left piece's paths
+    that start the right piece's, the unions' common symbols."""
+    count = (left.union & right.union).bit_count()
     return count if count and (limit is None or count <= limit) else None
-
-
-def _magic_ones(left, right):
-    """Whether the count at the split, that of left.union & right.union,
-    is 1."""
-    return (left.union & right.union).bit_count() == 1
-
-
-_magic_score = _SplitScore(_magic_count, _magic_ones)
 
 
 def find_magic_block(code, max_len=None):

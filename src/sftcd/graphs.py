@@ -7,12 +7,13 @@ reach decides irreducibility and finds the transition classes of the
 class oracle and of the generator's connectivity repair: two nodes share
 a class when each reaches the other, so the class of v is what v reaches
 forwards intersected with what it reaches backwards.  Its nodes are bit
-positions and its successors a stepper over masks.  The closure's
-states are arbitrary hashables, their successors computed on demand, and
-its levels come in a deterministic order so results are reproducible
-across runs.  A closure's answer is kept, by whoever asks, under
-everything the closure reads, so equal keys give equal answers; remember
-keeps at most MINIMA_KEPT of them per memo, oldest out first.
+positions and its successors a list of masks, one per node, which it
+walks reading each reached node's mask once, with no step table built.
+The closure's states are arbitrary hashables, their successors computed
+on demand, and its levels come in a deterministic order so results are
+reproducible across runs.  A closure's answer is kept, by whoever asks,
+under everything the closure reads, so equal keys give equal answers;
+remember keeps at most MINIMA_KEPT of them per memo, oldest out first.
 """
 from __future__ import annotations
 
@@ -24,16 +25,19 @@ from .errors import ResourceLimit
 MINIMA_KEPT = 4096
 
 
-def reach(step, mask, within=-1):
+def reach(succ, mask, within=-1):
     """Every node reachable from the set mask, the set itself included,
-    by walks inside the set within: the fixpoint of mask | step(mask) &
-    within.  Sets are bitmasks and step(mask) is the union of the
-    successors of mask's members (a shift's step_mask, say)."""
-    while True:
-        grown = mask | step(mask) & within
-        if grown == mask:
-            return mask
-        mask = grown
+    by walks inside the set within.  Sets are bitmasks and succ[i] is the
+    mask of node i's successors (a shift's succ_masks, say); each reached
+    node's mask is read once, when the node is taken off the to-do set."""
+    reached = todo = mask
+    while todo:
+        node = todo & -todo
+        todo ^= node
+        new = succ[node.bit_length() - 1] & within & ~reached
+        reached |= new
+        todo |= new
+    return reached
 
 
 def closure(seeds, grow, cap):

@@ -28,7 +28,7 @@ from .codes import (
     identity_code,
     is_finite_to_one,
 )
-from .core import VertexShift, is_irreducible, stepper
+from .core import VertexShift, _adjacency, is_irreducible
 from .depth import class_degree, relative_class_degree
 from .documents import canonical_json, load_triple, to_jsonable
 from .errors import GenerationFailed, PreconditionUnmet
@@ -133,13 +133,8 @@ def _repair_connectivity(rng, x_symbols, x_pairs, phi_map, y_shift):
     n = len(x_symbols)
     index = {s: i for i, s in enumerate(x_symbols)}
     for _ in range(n**2 + 1):
-        succ = [0] * n
-        pred = [0] * n
-        for a, b in pairs:
-            succ[index[a]] |= 1 << index[b]
-            pred[index[b]] |= 1 << index[a]
-        ahead, behind = stepper(succ), stepper(pred)
-        comp = [reach(ahead, 1 << v) & reach(behind, 1 << v) for v in range(n)]
+        succ, pred = _adjacency(index, pairs)
+        comp = [reach(succ, 1 << v) & reach(pred, 1 << v) for v in range(n)]
         if comp[0] == (1 << n) - 1:
             return pairs
         candidates = sorted(

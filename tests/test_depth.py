@@ -1051,29 +1051,33 @@ def test_value_one_is_proved_before_the_cap(monkeypatch):
 def _interleaved_minimum(sides, score):
     """The side-closure minimum as one loop that scores every pair as its
     levels are pulled, under a limit that never grows, and stops at a
-    value of 1: the reference the two passes of _closure_minimum match."""
+    value of 1: the reference the two passes of _closure_minimum match.
+    Each pair is scored in full, at limit None, and the limit applied
+    here, so the reference never reads the sides' value-1 summaries."""
     left_levels, right_levels = sides
     left = []
     heads = []
     best = None  # (value, total length, word, split)
     limit = None
     for total in count(1):
-        left.extend(islice(left_levels, 1))
+        for level in islice(left_levels, 1):
+            left.append([fiber_module._Side(*side) for side in level])
         for level in islice(right_levels, 1):
             by_head = {}
-            for (head, cols), word in level:
-                by_head.setdefault(head, []).append((cols, word))
+            for side in level:
+                side = fiber_module._Side(*side)
+                by_head.setdefault(side.slot, []).append(side)
             heads.append(by_head)
         if total >= len(left) + len(heads):
             break
         for la in range(max(1, total + 1 - len(heads)), min(total, len(left)) + 1):
             by_head = heads[total - la]
-            for (tail, rows), word_a in left[la - 1]:
-                for cols, word_b in by_head.get(tail, ()):
-                    value = score(rows, cols, limit)
-                    if value is None:
+            for side in left[la - 1]:
+                for other in by_head.get(side.slot, ()):
+                    value = score(side, other, None)
+                    if value is None or limit is not None and value > limit:
                         continue
-                    key = (value, total, word_a + word_b[1:], la)
+                    key = (value, total, side.word + other.word[1:], la)
                     if best is None or key < best:
                         best = key
                         limit = value
@@ -1182,14 +1186,13 @@ def test_sides_that_do_not_join_match_one_loop(monkeypatch):
 
 def test_sides_that_share_no_symbol_do_not_score():
     # the left side's ends (a, b) miss the right side's heads (c, d), so
-    # the split has no endpoint pair: neither pass-1 test says it scores
-    # 1, though both last tracks hold e, and neither full score scores it
-    rows, cols = frozenset({(0b00011, 0b10000)}), frozenset({(0b01100, 0b10000)})
-    left, right = (fiber_module._Side((0, vecs), ()) for vecs in (rows, cols))
+    # the split has no endpoint pair: neither score counts it, at limit 1
+    # (read off the sides' summaries) or with no limit, though both last
+    # tracks hold e
+    left, right = _sides({(0b00011, 0b10000)}, {(0b01100, 0b10000)})
     for score in (depth_module._routing_score, fiber_module._magic_score):
-        assert not score.ones(left, right)
-        assert score(rows, cols, None) is None
-        assert score(rows, cols, 1) is None
+        assert score(left, right, 1) is None
+        assert score(left, right, None) is None
 
 
 def test_relative_depth_over_the_identity_is_depth():
@@ -1298,14 +1301,15 @@ _split_sides = st.frozensets(
 @example(frozenset(), frozenset({(1, 3)}))
 @example(frozenset({(1, 3)}), frozenset())
 def test_limit_one_score_is_the_family_search(rows, cols):
-    # pass 1 of _closure_minimum asks a split whether it scores 1 from
-    # per-side summaries, with no family built: _routing_ones ANDs the
-    # left side's last-track rows that meet the right side's heads with
-    # the right side's columns that meet the left side's ends.  The
+    # pass 1 of _closure_minimum scores a split at limit 1 from per-side
+    # summaries, with no family built: _routing_score ANDs the left
+    # side's last-track rows that meet the right side's heads with the
+    # right side's columns that meet the left side's ends.  The
     # reference builds the family of a split, intersects it and
-    # searches it for one symbol.  Rows and columns of one track, and of
-    # two.  The examples: no meeting pair; a row, (4, 8), that joins
-    # nothing and would empty the intersection; an empty side
+    # searches it for one symbol; and the one function must answer at
+    # limit 1 what its unlimited score says.  Rows and columns of one
+    # track, and of two.  The examples: no meeting pair; a row, (4, 8),
+    # that joins nothing and would empty the intersection; an empty side
     for tracks in (1, 2):
         r = {vec[:tracks] for vec in rows}
         c = {vec[:tracks] for vec in cols}
@@ -1316,7 +1320,7 @@ def test_limit_one_score_is_the_family_search(rows, cols):
         expected = 1 if family and inter else None
         mask = depth_module._min_hitting_set(family, 1)
         assert (mask and mask.bit_count()) == expected
-        assert _scores_one(depth_module._routing_score, r, c) == expected
+        _assert_scores_one(depth_module._routing_score, r, c, expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1326,23 +1330,29 @@ def test_limit_one_score_is_the_family_search(rows, cols):
 @example(frozenset({(3, 3)}), frozenset({(3, 3)}))
 @example(frozenset(), frozenset({(1, 3)}))
 def test_limit_one_magic_score_is_the_symbol_count(rows, cols):
-    # the magic pass-1 test reads one popcount off the two sides' first-
-    # track unions; the reference counts the symbols that end a row and
-    # start a column one by one.  The examples: no shared symbol, one,
-    # two, an empty side
+    # the magic score reads one popcount off the two sides' first-track
+    # unions; the reference counts the symbols that end a row and start
+    # a column one by one.  The examples: no shared symbol, one, two, an
+    # empty side
     ends = {s for vec in rows for s in iter_bits(vec[0])}
     starts = {s for vec in cols for s in iter_bits(vec[0])}
     expected = 1 if len(ends & starts) == 1 else None
-    assert _scores_one(fiber_module._magic_score, rows, cols) == expected
-    assert fiber_module._magic_score(rows, cols, 1) == expected
+    _assert_scores_one(fiber_module._magic_score, rows, cols, expected)
 
 
-def _scores_one(score, rows, cols):
-    """1 when score.ones says that the split of a left side with the
-    tuples rows and a right side with the tuples cols scores 1, asked as
-    _closure_minimum asks it, of every pair; else None."""
-    left, right = (fiber_module._Side((0, frozenset(vecs)), ()) for vecs in (rows, cols))
-    return 1 if score.ones(left, right) else None
+def _sides(rows, cols):
+    """A left side with the tuples rows and a right side with the tuples
+    cols, both at slot 0, as _closure_minimum makes them."""
+    return (fiber_module._Side((0, frozenset(vecs)), ()) for vecs in (rows, cols))
+
+
+def _assert_scores_one(score, rows, cols, expected):
+    """score at limit 1 on the split of _sides(rows, cols) is expected,
+    and is 1 exactly when its score with no limit is 1: one function
+    gives both answers."""
+    left, right = _sides(rows, cols)
+    assert score(left, right, 1) == expected
+    assert score(left, right, 1) == (1 if score(left, right, None) == 1 else None)
 
 
 def test_lex_path_through_is_the_least_fiber_path():

@@ -847,9 +847,16 @@ class TestCliVerify:
             {"seed": True, "y_symbols": True},
             {"seed": 1, "edge_density": True},
             {"seed": 1, "edge_density": "0.5"},
+            1,
+            "x",
+            None,
         ):
             bad.write_text(json.dumps([entry]))
-            assert run_cli(capsys, "verify", "--gen", str(bad))[0] == 2
+            code, _, err = run_cli(capsys, "verify", "--gen", str(bad))
+            assert code == 2
+            # an entry that is no JSON object is named as such, not by
+            # the error unpacking it would raise
+            assert ("not an object" in err) == (not isinstance(entry, dict))
 
     def test_closed_stdout_exits_without_a_traceback(self):
         # the read end is closed before the command writes, as `| head -1`

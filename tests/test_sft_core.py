@@ -150,6 +150,15 @@ class TestVertexShift:
         # decided once per shift and kept on it
         assert oneway.__dict__["irreducible"] is False
 
+    def test_irreducibility_builds_no_step_table(self):
+        # irreducibility walks the successor and predecessor masks, so a
+        # shift that is only checked keeps no stepper (kept_stepper fills
+        # _steppers): its tables are left to the closures and searches
+        # that step it later
+        for shift in (golden(), VertexShift.full_shift(("a", "b", "c"))):
+            assert shift.irreducible
+            assert "_steppers" not in shift.__dict__
+
 
 class TestPeriodicPoint:
     def test_make_normalizes_rotation(self):
@@ -336,11 +345,11 @@ def test_reach_matches_a_set_search(subject):
     def members(mask):
         return {s for i, s in enumerate(symbols) if mask >> i & 1}
 
-    for step, edges in ((shift.step_mask, shift.allowed), (shift.step_mask_back, back)):
+    for succ, edges in ((shift.succ_masks, shift.allowed), (shift.pred_masks, back)):
         for start in masks:
             for within in masks + [-1]:
                 want = set_reach(edges, members(start), members(within))
-                assert reach(step, start, within) == sum(
+                assert reach(succ, start, within) == sum(
                     1 << i for i, s in enumerate(symbols) if s in want
                 )
 
