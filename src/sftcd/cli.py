@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
@@ -229,6 +230,21 @@ def _parse_seed_range(text):
     return range(a, b + 1)
 
 
+def _gen_spec(entry):
+    """The TripleGenSpec of one --gen entry; ParseError naming what is
+    wrong with an entry that is no object, or has an unknown field or
+    lacks a required one."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"bad generator spec {entry!r}: not an object")
+    spec_fields = fields(TripleGenSpec)
+    unknown = sorted(set(entry).difference(f.name for f in spec_fields))
+    missing = [f.name for f in spec_fields if f.default is MISSING and f.name not in entry]
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ParseError(f"bad generator spec {entry!r}: {problem} field {names[0]!r}")
+    return TripleGenSpec(**entry)
+
+
 def _verify_cases(args):
     cases = []
     if args.corpus:
@@ -252,13 +268,7 @@ def _verify_cases(args):
         spec_doc = read_json(args.gen)
         if not isinstance(spec_doc, list):
             raise ParseError("generator spec file must hold a list of specs")
-        for entry in spec_doc:
-            if not isinstance(entry, dict):
-                raise ParseError(f"bad generator spec {entry!r}: not an object")
-            try:
-                generated.append(("gen", TripleGenSpec(**entry)))
-            except TypeError as e:
-                raise ParseError(f"bad generator spec {entry!r}: {e}") from None
+        generated += [("gen", _gen_spec(entry)) for entry in spec_doc]
     if args.seeds:
         generated += [("seed", spec_for_seed(s)) for s in _parse_seed_range(args.seeds)]
     for prefix, spec in generated:

@@ -21,29 +21,31 @@ a routing set R_n(s, t) = (forward set of s at n) & (backward set of t at
 n) lists the symbols through which some witness from s to t passes at
 position n.  w is presented through M at n exactly when M hits every
 routing set of an occurring endpoint pair, so the depth of w is a minimum
-hitting set size.  One driver, _min_hitting_set, finds every such
-minimum: it scores a block's positions here exactly as it scores the
-splits of the side closures below, and names the least mask.  A reach
-builds only what its answer reads.  Position 1 seeds a block's search
-with no family built: there the routing set of a pair (s, t) is {s}, so
-the least hitting set is the mask of the fiber's start symbols, and a
-single start symbol ends the search before any forward set is swept;
-the reach sweeps its forward sets on first read, which only a later
-position makes.  A lone end symbol of the pruned layers needs no
-backward sweep: the layers are its backward sets.
+hitting set size.  Both minimisations, over a block's positions here and
+over the splits of the side closures below, ask answer first: for
+k = 1, 2, ... is there a candidate whose hitting sets have k symbols?
+Every candidate was ruled out below k before k is asked, so one
+_hitting_set call at k answers, and the first candidate in order that
+scores k is the minimum.  A reach builds only what its answer reads.
+Position 1 scores a block's search with no family built: there the
+routing set of a pair (s, t) is {s}, so the least hitting set is the
+mask of the fiber's start symbols, and a single start symbol ends the
+search before any forward set is swept; the reach sweeps its forward
+sets on first read, which only a later position makes.  A lone end
+symbol of the pruned layers needs no backward sweep: the layers are its
+backward sets.
 
-Whether a score of 1 is possible is asked with no family built either.
-One symbol lies in every routing set exactly when it lies in their
-intersection, and as every start and every end symbol lies in some
-endpoint pair, that is the intersection of the starts' forward sets and
-the ends' backward sets: |S| + |T| masks rather than |S| * |T| routing
-sets.  A block's search asks this past a position of depth 2, and the
-side closures below ask it of every split first: _routing_score, the
-one score of a split, reads it at limit 1 off the rows and columns that
-join something, the rows meeting the right side's heads, ANDed once per
-(side, heads) and kept with the side, and the columns meeting the left
-side's ends, kept alike; a side none of whose rows or columns meets the
-other's union reads 0, so a split with no endpoint pair does not score.
+k = 1 is asked with no family built either.  One symbol lies in every
+routing set exactly when it lies in their intersection, and as every
+start and every end symbol lies in some endpoint pair, that is the
+intersection of the starts' forward sets and the ends' backward sets:
+|S| + |T| masks rather than |S| * |T| routing sets.  A block's search
+asks this of every position past 1, and _routing_score, the one score
+of a split, reads it off the rows and columns that join something, the
+rows meeting the right side's heads, ANDed once per (side, heads) and
+kept with the side, and the columns meeting the left side's ends, kept
+alike; a side none of whose rows or columns meets the other's union
+reads 0, so a split with no endpoint pair does not score.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -51,13 +53,13 @@ row s of A meets column t of B, and its routing set is their
 intersection.  So the depth at n is fixed by the set of A's nonzero rows
 and the set of B's nonzero columns: u's left side and v's right side.
 The side closures of fiber.py reach every such pair, and the block
-attaining the minimum replays as a routing certificate.  Depth is never
-below 1, so while the closures grow each pair is only asked whether it
-scores 1, as above, and they grow only until such a pair turns up.  Only
-when both are complete with none does _routing_score, above limit 1,
-build a pair's routing family (one set comprehension, scored once), so
-only a minimum of 2 or more builds families; once a depth of 2 is
-found, no longer block is scored.  Every mask step is a core.stepper.
+attaining the minimum replays as a routing certificate.  While the
+closures grow, each pair is only asked whether it scores 1, as above,
+and they grow only until such a pair turns up.  Only when both are
+complete with none does _routing_score, at k = 2 and on, build a pair's
+routing family (one set comprehension per pair and k), so only a
+minimum of 2 or more builds families.  Every mask step is a
+core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so
@@ -83,6 +85,8 @@ the witness reach's forward sets feed routing sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .codes import CodeTriple, OneBlockCode, check_onto
 from .core import Block, is_irreducible, is_point_of, iter_bits
@@ -238,48 +242,59 @@ def _hitting_set(family, k, allowed):
     return None
 
 
+def _routing_families(e_pairs, fs, bs, length):
+    """(position, routing family, its union) for each position from 2 to
+    length whose family differs from the one at the position before, as
+    those are built: an equal family has the same hitting sets."""
+    previous = {1 << s for s, _ in e_pairs}  # position 1: the starts
+    for n in range(2, length + 1):
+        family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
+        if family != previous:
+            yield n, family, reduce(or_, family)
+        previous = family
+
+
 def _depth_search(e_pairs, reach, length):
     """Minimum hitting set over the routing families of every position.
 
-    Position 1 seeds the search without a family: the routing set of an
-    endpoint pair (s, t) there is {s}, so the least hitting set is the
-    mask of the start symbols, of size its popcount; one start ends the
-    search before reach's forward sets are read.  Later positions are
-    scored by _min_hitting_set under the limit rule of _closure_minimum's
-    splits: a position must score strictly less than the best so far, so
-    a family equal to the one before it is skipped.  Once the best is 2,
-    a later position scores only with one symbol in every routing set,
-    read off the intersection of the starts' forward sets and the ends'
-    backward sets with no family built.  Returns (size, position, mask)
-    with the smallest size, then the smallest position, then the least
-    symbol set in combination order.
+    Position 1 scores without a family: the routing set of an endpoint
+    pair (s, t) there is {s}, so the least hitting set is the mask of
+    the start symbols, of size its popcount; one start ends the search
+    before reach's forward sets are read.  The later positions are asked
+    answer first, as _closure_minimum asks its splits: for k = 1, 2, ...
+    below that size, the first position with a k-symbol hitting set
+    gives the answer.  At k = 1 that is one symbol in the intersection
+    of the starts' forward sets and the ends' backward sets, with no
+    family built.  From k = 2 on, each position's family is built on its
+    first ask and kept for the next k (_routing_families).  Returns
+    (size, position, mask) with the smallest size, then the smallest
+    position, then the least symbol set in combination order.
     """
     starts = 0
     for s, _ in e_pairs:
         starts |= 1 << s
-    best = starts.bit_count(), 1, starts
-    if best[0] == 1:
-        return best
+    size = starts.bit_count()
+    if size == 1:
+        return 1, 1, starts
     fs, bs = reach.fs, reach.bs
-    family = {1 << s for s in iter_bits(starts)}
-    n = 1
-    while best[0] > 2 and n < length:
-        n += 1
-        previous, family = family, {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
-        if family != previous:
-            mask = _min_hitting_set(family, best[0] - 1)
+    ends = {t for _, t in e_pairs}
+    sides = [fs[s] for s in iter_bits(starts)] + [bs[t] for t in ends]
+    for n in range(2, length + 1):
+        inter = -1
+        for side in sides:
+            inter &= side[n - 1]
+        if inter:
+            return 1, n, inter & -inter
+    families = _routing_families(e_pairs, fs, bs, length)
+    for k in range(2, size):
+        kept = []
+        for n, family, union in families:
+            mask = _hitting_set(family, k, union)
             if mask:
-                best = mask.bit_count(), n, mask
-    if best[0] == 2:
-        ends = {t for _, t in e_pairs}
-        sides = [fs[s] for s in iter_bits(starts)] + [bs[t] for t in ends]
-        for n in range(n + 1, length + 1):
-            inter = -1
-            for side in sides:
-                inter &= side[n - 1]
-            if inter:
-                return 1, n, inter & -inter
-    return best
+                return k, n, mask
+            kept.append((n, family, union))
+        families = kept
+    return size, 1, starts
 
 
 @dataclass(frozen=True)
@@ -463,38 +478,20 @@ def _scan_preconditions(code):
             )
 
 
-def _min_hitting_set(family, limit):
-    """Least mask, in combination order, among the smallest hitting sets
-    of family when those have at most limit symbols (None: no limit),
-    otherwise None.  Routing sets are never empty, so one symbol of each
-    hits them all and len(family) symbols always suffice; an empty family
-    has no hitting set."""
-    allowed = 0
-    for r in family:
-        allowed |= r
-    for k in range(1, (limit or len(family)) + 1):
-        mask = _hitting_set(family, k, allowed)
-        if mask:
-            return mask
-    return None
-
-
-def _routing_score(left, right, limit):
-    """Depth at the split of two _Sides when it is at most limit (None:
-    no limit), otherwise None: (s, t) is an endpoint pair when first-track
+def _routing_score(left, right, k):
+    """Whether the depth at the split of two _Sides is k, asked once no
+    split has depth below k: (s, t) is an endpoint pair when first-track
     row s meets first-track column t, and its routing set is the
-    last-track row s & the last-track column t.  At limit 1 no family is
+    last-track row s & the last-track column t.  At k = 1 no family is
     built: one symbol lies in every routing set exactly when it lies in
     every last-track row and column that joins something, the rows that
     meet right.union and the columns that meet left.union.  A part is 0
     when the unions miss each other, so a split with no endpoint pair
-    does not score."""
-    if limit == 1:
-        return 1 if left.part(right.union) & right.part(left.union) else None
-    mask = _min_hitting_set(
-        {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}, limit
-    )
-    return None if mask is None else mask.bit_count()
+    does not score, and neither does its empty family at a larger k."""
+    if k == 1:
+        return left.part(right.union) & right.part(left.union)
+    family = {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}
+    return _hitting_set(family, k, reduce(or_, family, 0))
 
 
 def _least_depth(subject, mode, cycle=None):

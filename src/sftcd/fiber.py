@@ -16,13 +16,14 @@ What a block u + v[1:] shows at its split depends only on u's left side
 their own when a letter is appended and columns when one is prepended,
 so the reachable sides form two finite sets: a level-by-level closure of
 each (graphs.closure) with a minimum over joinable pairs is exhaustive
-(Lind & Marcus, section 9.1).  The minimum is taken in two passes.  The
-first pulls the levels of both closures one block length at a time and
-scores each pair at limit 1, the least any score takes and the cheapest
-question, so a minimum of 1 is proved at its block, without growing the
-closures to their end.  Only when both closures are complete and no
-pair scored 1 does the second pass score every pair with no such limit,
-so only a minimum of 2 or more pays for full scores.
+(Lind & Marcus, section 9.1).  The minimum is found answer first: for
+k = 1, 2, ... it asks every pair, one block length at a time, whether
+it scores k, and the first pair that does gives the answer.  A round
+runs only once every pair was ruled out below k, so a score only
+answers "is the value k?": the cheapest question at k = 1, where the
+levels are pulled as the lengths grow, so a minimum of 1 is proved at
+its block without growing the closures to their end.  Only a minimum
+of 2 or more finds both closures complete and asks again.
 
 A closure steps every row or column through a stepper the domain keeps
 (VertexShift.kept_stepper): per letter mask and direction, a core.stepper
@@ -34,10 +35,10 @@ closure asks for its steppers on its first step past the one-letter
 seeds.  A side is stepped track by track: the side's tuples are split
 into one column per track, each column is mapped through its track's
 stepper, and zip rejoins the stepped tuples, so no Python frame runs per
-tuple.  Right sides are kept by head slot, and both passes find their
+tuple.  Right sides are kept by head slot, and every round finds its
 least pair through one loop (_least_split) over the same pairs: each
 left side with every right side it joins (_joinable_pairs).  A score is
-one function of two sides and a limit, and reads what belongs to one
+one function of two sides and k, and reads what belongs to one
 side off summaries made once per side (_Side): the union of its first
 track, and per union of the other side's first track, the AND of its
 last-track rows or columns that meet it (0 when none does), kept as
@@ -242,79 +243,64 @@ def _joinable_pairs(left, right, total):
                 yield la, side, other
 
 
-def _least_split(left, right, total, score, limit):
-    """The least (value, word, split) among the pairs of total length
-    total that score at most limit (None: no limit), or None.  limit
-    drops to each new best's value, so later pairs are asked only
-    whether they tie or beat it."""
-    best = None
-    for la, side, other in _joinable_pairs(left, right, total):
-        value = score(side, other, limit)
-        if value is not None:
-            key = (value, side.word + other.word[1:], la)
-            if best is None or key < best:
-                best = key
-                limit = value
-    return best
+def _least_split(left, right, total, score, k):
+    """The least (word, split) among the pairs of total length total that
+    score k, or None."""
+    return min(
+        (
+            (side.word + other.word[1:], la)
+            for la, side, other in _joinable_pairs(left, right, total)
+            if score(side, other, k)
+        ),
+        default=None,
+    )
 
 
 def _closure_minimum(sides, score):
     """Exact minimum of score over every block and split point.
 
     sides are the (left, right) closures of _side_closures, generators of
-    levels; score(left, right, limit) is the value, at least 1, of the
-    split of two _Sides when it is at most limit (None: no limit),
-    otherwise None.  Block u + v[1:] splits into u's left side and v's
+    levels; score(left, right, k) of two _Sides is true when the value of
+    their split, at least 1, is k, and is asked only once every split was
+    ruled out below k.  Block u + v[1:] splits into u's left side and v's
     right side, u's tail slot being v's head slot.  Every side keeps the
     least of its shortest words, so the pairs reach the shortest block
     attaining the minimum, lexicographically least among those, at its
     first attaining split.  Returns (value, word, split, depth) for it,
     with depth the larger count of levels pulled from the two closures;
-    None when no pair scores.
+    None when the closures have no seeds.
 
     Each side pulled becomes a _Side, and the right sides of a level are
     kept by head slot, so each left side walks only the right sides it
-    joins (_joinable_pairs).  Both passes find the least pair of one
-    total length through one loop, _least_split.  The first pulls the
-    levels one total length at a time (total length t needs levels 1..t
-    of each closure) and scores each pair at limit 1, the least any
-    score takes and the cheapest question, read off the sides'
-    summaries: the first total length with such a pair returns it
-    before any later level is grown.  Only when both closures are
-    complete and no pair scored 1 does the second pass score every pair
-    again, one total length at a time under a limit that never grows:
-    ties are allowed within the best's total length, only lower values
-    after it, and as no pair scores 1, a best of 2 ends the pass with
-    its total length.
+    joins (_joinable_pairs).  For k = 1, 2, ... the pairs are asked one
+    total length at a time (total length t needs levels 1..t of each
+    closure), and the first total length with a pair that scores k
+    returns the least such pair (_least_split).  Levels are pulled as
+    the lengths grow, so a value of 1 returns before any later level is
+    grown; once both closures are complete, nothing more is pulled and
+    later rounds ask the same pairs.  A one-letter block's pair scores
+    the size of its letter's mask, so some round returns.
     """
     left_levels, right_levels = sides
     left = []
     right = []  # per right level pulled: head slot -> [_Side]
-    for total in count(1):
-        for level in islice(left_levels, 1):
-            left.append([_Side(*side) for side in level])
-        for level in islice(right_levels, 1):
-            by_head = {}
-            for side in level:
-                side = _Side(*side)
-                by_head.setdefault(side.slot, []).append(side)
-            right.append(by_head)
-        if total >= len(left) + len(right):
-            break
-        best = _least_split(left, right, total, score, 1)
-        if best is not None:
-            return (*best, max(len(left), len(right)))
-    best = None  # (value, word, split)
-    limit = None
-    for total in range(1, len(left) + len(right)):
-        best = _least_split(left, right, total, score, limit) or best
-        if best is not None:
-            if best[0] == 2:
+    for k in count(1):
+        for total in count(1):
+            for level in islice(left_levels, 1):
+                left.append([_Side(*side) for side in level])
+            for level in islice(right_levels, 1):
+                by_head = {}
+                for side in level:
+                    side = _Side(*side)
+                    by_head.setdefault(side.slot, []).append(side)
+                right.append(by_head)
+            if total >= len(left) + len(right):
                 break
-            limit = best[0] - 1
-    if best is None:
-        return None
-    return (*best, max(len(left), len(right)))
+            best = _least_split(left, right, total, score, k)
+            if best is not None:
+                return (k, *best, max(len(left), len(right)))
+        if not left:
+            return None
 
 
 def iter_fiber(code, word_layers):
@@ -376,11 +362,11 @@ class MagicBlockResult:
     certified: StabilizationInfo
 
 
-def _magic_score(left, right, limit):
-    """Preimage symbols at the split: the ends of the left piece's paths
-    that start the right piece's, the unions' common symbols."""
-    count = (left.union & right.union).bit_count()
-    return count if count and (limit is None or count <= limit) else None
+def _magic_score(left, right, k):
+    """Whether the split has k preimage symbols, or fewer but some: the
+    ends of the left piece's paths that start the right piece's, the
+    unions' common symbols."""
+    return 0 < (left.union & right.union).bit_count() <= k
 
 
 def find_magic_block(code, max_len=None):

@@ -1,8 +1,9 @@
 import hashlib
 import json
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, count, islice, product
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -800,13 +801,20 @@ def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
     assert narrower > 0
 
 
+def _least_hitting_set(family):
+    """The least mask among the smallest hitting sets of a non-empty
+    family of non-empty sets, asking k = 1, 2, ... in turn."""
+    union = reduce(or_, family)
+    return next(filter(None, (_hitting_set(family, k, union) for k in count(1))))
+
+
 def _scored_at_every_position(e_pairs, fs, bs, length):
-    """Reference for _depth_search: every position's family scored with
-    no limit, from position 1 on, then the least (size, position)."""
+    """Reference for _depth_search: every position's family scored in
+    full, from position 1 on, then the least (size, position)."""
     scores = []
     for n in range(1, length + 1):
         family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
-        mask = depth_module._min_hitting_set(family, None)
+        mask = _least_hitting_set(family)
         scores.append((mask.bit_count(), n, mask))
     return min(scores)
 
@@ -837,7 +845,7 @@ def test_position_one_seed_on_small_codes(code, word):
     # absolute mode, and a relative reach on the code that merges both
     # letters, so witnesses run over every domain path of the word's
     # length while the endpoint pairs stay the code's own; the reference
-    # builds every family, where the search past a best of 2 intersects
+    # builds every family, where the search at k = 1 intersects
     # the starts' forward sets and the ends' backward sets
     layers = pruned_layers(code, word)
     if layers is None:
@@ -1048,12 +1056,24 @@ def test_value_one_is_proved_before_the_cap(monkeypatch):
     assert est.scanned_length <= 10
 
 
+def _full_value(score, left, right, limit=None):
+    """The value of the split of two _Sides when it is at most limit,
+    asking score k = 1, 2, ... up to limit (None: up to the number of
+    domain symbols their masks can name); None when no such k scores.
+    The first k that scores is the value: a larger k scores whenever a
+    smaller one does."""
+    if limit is None:
+        masks = (m for side in (left, right) for vec in side.vecs for m in vec)
+        limit = max((m.bit_length() for m in masks), default=0)
+    return next((k for k in range(1, limit + 1) if score(left, right, k)), None)
+
+
 def _interleaved_minimum(sides, score):
     """The side-closure minimum as one loop that scores every pair as its
     levels are pulled, under a limit that never grows, and stops at a
-    value of 1: the reference the two passes of _closure_minimum match.
-    Each pair is scored in full, at limit None, and the limit applied
-    here, so the reference never reads the sides' value-1 summaries."""
+    value of 1: the falling-limit reference that the answer-first rounds
+    of _closure_minimum match.  Each pair's value is found by asking
+    k = 1, 2, ... up to the limit (_full_value)."""
     left_levels, right_levels = sides
     left = []
     heads = []
@@ -1074,8 +1094,8 @@ def _interleaved_minimum(sides, score):
             by_head = heads[total - la]
             for side in left[la - 1]:
                 for other in by_head.get(side.slot, ()):
-                    value = score(side, other, None)
-                    if value is None or limit is not None and value > limit:
+                    value = _full_value(score, side, other, limit)
+                    if value is None:
                         continue
                     key = (value, total, side.word + other.word[1:], la)
                     if best is None or key < best:
@@ -1102,7 +1122,7 @@ def _minimum_asks(t):
     return asks + [partial(periodic_point_relative_degree, t, y) for y in points]
 
 
-def _two_passes_against_one_loop(asks):
+def _answer_first_against_falling_limits(asks):
     """The (value, word, split, depth) of every minimum the asks compute,
     each ask run with no minimum kept; each is checked against
     _interleaved_minimum on fresh closures of the same question."""
@@ -1130,24 +1150,35 @@ def _two_passes_against_one_loop(asks):
     return found
 
 
-def test_two_passes_match_one_loop_on_builtins_and_generated_triples():
+def test_answer_first_matches_falling_limits_on_builtins_and_generated_triples():
+    # seeds 86, 152 and 166 add class degrees of 2 or more attained
+    # only past one letter, so found only once the closures are
+    # complete: seed 86's pi is 4 at z0·z0·z0, its phi and relative
+    # degree 2 at y0·y1·y0, and pi is 2 at z0^5 on the other two
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
-    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 41)]
+    seeds = (*range(1, 41), 86, 152, 166)
+    triples += [generate_triple(spec_for_seed(seed)) for seed in seeds]
     triples += [
         generate_triple(TripleGenSpec(seed, y_symbols=y, blowup_max=4, z_symbols=2))
         for y in (3, 4)
         for seed in range(1, 11)
     ]
-    found = _two_passes_against_one_loop([a for t in triples for a in _minimum_asks(t)])
+    asks = [a for t in triples for a in _minimum_asks(t)]
+    found = _answer_first_against_falling_limits(asks)
     values = {f[0] for f in found if f is not None}
-    # value-1 minima end in the first pass, larger ones in the second
+    # value-1 minima end in the first round, while the closures grow,
+    # larger ones in later rounds over the complete closures
     assert 1 in values and max(values) >= 3
+    # the three seeds' minima past one letter, as (value, label indices)
+    minima = {f[:2] for f in found if f is not None}
+    assert {(4, (0, 0, 0)), (2, (0, 1, 0)), (2, (0,) * 5)} <= minima
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_codes())
-def test_two_passes_match_one_loop_on_small_codes(code):
-    _two_passes_against_one_loop([partial(class_degree, code), partial(find_magic_block, code)])
+def test_answer_first_matches_falling_limits_on_small_codes(code):
+    asks = [partial(class_degree, code), partial(find_magic_block, code)]
+    _answer_first_against_falling_limits(asks)
 
 
 def _even_shift_code():
@@ -1163,9 +1194,9 @@ def _even_shift_code():
 def test_sides_that_do_not_join_match_one_loop(monkeypatch):
     # on this code some left side and right side that meet at a slot
     # share no end and start symbol: 1 such pair in class_degree's
-    # closures and 4 in find_magic_block's.  Both passes walk them, and
-    # no score may count them, so each minimum still equals the one-loop
-    # reference
+    # closures and 4 in find_magic_block's.  Every round walks them, and
+    # no score may count them, so each minimum still equals the
+    # falling-limit reference
     code = _even_shift_code()
     assert code.codomain is None
     real, apart = fiber_module._joinable_pairs, []
@@ -1179,20 +1210,19 @@ def test_sides_that_do_not_join_match_one_loop(monkeypatch):
     found = []
     for ask in (partial(class_degree, code), partial(find_magic_block, code)):
         apart.clear()
-        found += _two_passes_against_one_loop([ask])
+        found += _answer_first_against_falling_limits([ask])
         assert any(apart)
     assert found == [(1, (0, 1, 1), 2, 3), (2, (1,), 1, 4)]
 
 
 def test_sides_that_share_no_symbol_do_not_score():
     # the left side's ends (a, b) miss the right side's heads (c, d), so
-    # the split has no endpoint pair: neither score counts it, at limit 1
-    # (read off the sides' summaries) or with no limit, though both last
-    # tracks hold e
+    # the split has no endpoint pair: neither score counts it at any k,
+    # at k = 1 (read off the sides' summaries) or above (an empty
+    # routing family), though both last tracks hold e
     left, right = _sides({(0b00011, 0b10000)}, {(0b01100, 0b10000)})
     for score in (depth_module._routing_score, fiber_module._magic_score):
-        assert score(left, right, 1) is None
-        assert score(left, right, None) is None
+        assert not any(score(left, right, k) for k in range(1, 6))
 
 
 def test_relative_depth_over_the_identity_is_depth():
@@ -1219,18 +1249,19 @@ def test_relative_depth_over_the_identity_is_depth():
 
 
 def _families_built(monkeypatch, ask):
-    """(the estimate ask() returns with no minimum kept, the limits of the
-    _min_hitting_set calls it made)."""
-    limits = []
-    search = depth_module._min_hitting_set
+    """(the estimate ask() returns with no minimum kept, the k of each
+    routing family it built: each _routing_score call at k >= 2)."""
+    asked = []
+    score = depth_module._routing_score
 
-    def counting(family, limit):
-        limits.append(limit)
-        return search(family, limit)
+    def counting(left, right, k):
+        if k >= 2:
+            asked.append(k)
+        return score(left, right, k)
 
-    monkeypatch.setattr(depth_module, "_min_hitting_set", counting)
+    monkeypatch.setattr(depth_module, "_routing_score", counting)
     fiber_module._MINIMA.clear()
-    return ask(), limits
+    return ask(), asked
 
 
 def test_value_one_minima_build_no_family(monkeypatch):
@@ -1243,22 +1274,24 @@ def test_value_one_minima_build_no_family(monkeypatch):
         partial(relative_class_degree, t17),
         partial(periodic_point_relative_degree, t29, y),
     ):
-        est, limits = _families_built(monkeypatch, ask)
-        assert est.value == 1 and limits == []
+        est, asked = _families_built(monkeypatch, ask)
+        assert est.value == 1 and asked == []
 
 
 def test_larger_minima_still_build_families(mod3, monkeypatch):
-    # with no pair of depth 1 in the complete closures, the second pass
-    # scores full families: mod3's phi has 3 at the one-letter block 0,
-    # seed 11's relative degree 2 at y0
+    # with no pair of depth 1 in the complete closures, the rounds from
+    # k = 2 on build routing families, one per pair and round: mod3's
+    # phi has 3 at the one-letter block 0, so its 3 one-letter pairs are
+    # asked at k = 2 and again at k = 3; seed 11's relative degree is 2
+    # at y0, found among its 3 one-letter pairs at k = 2
     t11 = generate_triple(spec_for_seed(11))
-    for ask, expected in (
-        (partial(class_degree, mod3.phi), (3, "0")),
-        (partial(relative_class_degree, t11), (2, "y0")),
+    for ask, expected, rounds in (
+        (partial(class_degree, mod3.phi), (3, "0"), [2, 2, 2, 3, 3, 3]),
+        (partial(relative_class_degree, t11), (2, "y0"), [2, 2, 2]),
     ):
-        est, limits = _families_built(monkeypatch, ask)
+        est, asked = _families_built(monkeypatch, ask)
         assert (est.value, est.minimal_block.text()) == expected
-        assert len(limits) == 3
+        assert asked == rounds
 
 
 def test_cap_names_the_level_it_reached(xor2, monkeypatch):
@@ -1301,13 +1334,14 @@ _split_sides = st.frozensets(
 @example(frozenset(), frozenset({(1, 3)}))
 @example(frozenset({(1, 3)}), frozenset())
 def test_limit_one_score_is_the_family_search(rows, cols):
-    # pass 1 of _closure_minimum scores a split at limit 1 from per-side
+    # the round k = 1 of _closure_minimum scores a split from per-side
     # summaries, with no family built: _routing_score ANDs the left
     # side's last-track rows that meet the right side's heads with the
     # right side's columns that meet the left side's ends.  The
     # reference builds the family of a split, intersects it and
-    # searches it for one symbol; and the one function must answer at
-    # limit 1 what its unlimited score says.  Rows and columns of one
+    # searches it for one symbol; and the first k at which the score
+    # answers must be the family's least hitting-set size, found by
+    # trying the combinations of its union.  Rows and columns of one
     # track, and of two.  The examples: no meeting pair; a row, (4, 8),
     # that joins nothing and would empty the intersection; an empty side
     for tracks in (1, 2):
@@ -1317,10 +1351,20 @@ def test_limit_one_score_is_the_family_search(rows, cols):
         inter = -1
         for routing_set in family:
             inter &= routing_set
-        expected = 1 if family and inter else None
-        mask = depth_module._min_hitting_set(family, 1)
-        assert (mask and mask.bit_count()) == expected
-        _assert_scores_one(depth_module._routing_score, r, c, expected)
+        assert bool(family and inter) == bool(
+            _hitting_set(family, 1, reduce(or_, family, 0))
+        )
+        symbols = list(iter_bits(reduce(or_, family, 0)))
+        value = next(
+            (
+                k
+                for k in range(1, len(symbols) + 1)
+                for combo in combinations(symbols, k)
+                if all(any(x >> i & 1 for i in combo) for x in family)
+            ),
+            None,
+        )
+        _assert_first_score(depth_module._routing_score, r, c, value)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1336,8 +1380,8 @@ def test_limit_one_magic_score_is_the_symbol_count(rows, cols):
     # empty side
     ends = {s for vec in rows for s in iter_bits(vec[0])}
     starts = {s for vec in cols for s in iter_bits(vec[0])}
-    expected = 1 if len(ends & starts) == 1 else None
-    _assert_scores_one(fiber_module._magic_score, rows, cols, expected)
+    value = len(ends & starts) or None
+    _assert_first_score(fiber_module._magic_score, rows, cols, value)
 
 
 def _sides(rows, cols):
@@ -1346,13 +1390,13 @@ def _sides(rows, cols):
     return (fiber_module._Side((0, frozenset(vecs)), ()) for vecs in (rows, cols))
 
 
-def _assert_scores_one(score, rows, cols, expected):
-    """score at limit 1 on the split of _sides(rows, cols) is expected,
-    and is 1 exactly when its score with no limit is 1: one function
-    gives both answers."""
+def _assert_first_score(score, rows, cols, value):
+    """On the split of _sides(rows, cols), score scores at k = 1 exactly
+    when value is 1, and the first k at which it scores, asked
+    k = 1, 2, ... as _closure_minimum asks, is value (None: no k)."""
     left, right = _sides(rows, cols)
-    assert score(left, right, 1) == expected
-    assert score(left, right, 1) == (1 if score(left, right, None) == 1 else None)
+    assert bool(score(left, right, 1)) == (value == 1)
+    assert _full_value(score, left, right) == value
 
 
 def test_lex_path_through_is_the_least_fiber_path():

@@ -841,6 +841,8 @@ class TestCliVerify:
         bad = tmp_path / "bad_specs.json"
         for entry in (
             {"nope": 1},
+            {},
+            {"seed": 1, "nope": 1},
             {"seed": "x"},
             {"seed": 1, "y_symbols": 2.5},
             {"seed": 1, "blowup_max": 2.5},
@@ -854,9 +856,14 @@ class TestCliVerify:
             bad.write_text(json.dumps([entry]))
             code, _, err = run_cli(capsys, "verify", "--gen", str(bad))
             assert code == 2
-            # an entry that is no JSON object is named as such, not by
-            # the error unpacking it would raise
+            # an entry that is no JSON object is named as such, and a
+            # missing or unknown field by its name, not by the error
+            # unpacking the entry would raise
             assert ("not an object" in err) == (not isinstance(entry, dict))
+            assert "__init__" not in err
+            if entry in ({}, {"nope": 1}, {"seed": 1, "nope": 1}):
+                named = "missing field 'seed'" if entry == {} else "unknown field 'nope'"
+                assert err.strip().endswith(named)
 
     def test_closed_stdout_exits_without_a_traceback(self):
         # the read end is closed before the command writes, as `| head -1`
