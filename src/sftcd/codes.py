@@ -3,10 +3,13 @@
 A OneBlockCode maps each domain symbol to a codomain symbol and acts on
 blocks and points coordinate-wise.  It keeps the letter masks (codomain
 symbol -> mask of the domain symbols mapped to it) that its image check
-builds, and the edge-compatibility check and check_onto read them.  Sliding-block rules with memory and
-anticipation are supported through recoding: the domain is replaced by its
-window shift (symbols are the valid windows, edges are overlaps) on which
-the rule becomes letter-to-letter.
+builds, also as a tuple by codomain index, and the edge-compatibility
+check, check_onto's memo key and the side closures read them.  compose
+makes that check only when its inner code was not already checked
+against the very shift it lands in.  Sliding-block rules with memory
+and anticipation are supported through recoding: the domain is replaced
+by its window shift (symbols are the valid windows, edges are overlaps)
+on which the rule becomes letter-to-letter.
 
 Surjectivity (check_onto) is decided exactly, on the level-by-level
 closure of graphs.py that also closes the fiber-matrix engine's sides,
@@ -53,7 +56,9 @@ class OneBlockCode:
 
     letter_masks maps each codomain symbol, in codomain alphabet order,
     to the bitmask of the domain symbols that map to it; it is built in
-    the pass that checks every image is a codomain symbol."""
+    the pass that checks every image is a codomain symbol, and
+    masks_by_index holds its masks by codomain index, for the memo keys,
+    the side closures and the soundness walk that read them."""
 
     domain: VertexShift
     codomain_alphabet: Alphabet
@@ -69,6 +74,7 @@ class OneBlockCode:
                 raise UnknownSymbol(f"image symbol {s!r} not in codomain alphabet")
             masks[s] |= 1 << i
         object.__setattr__(self, "letter_masks", masks)
+        object.__setattr__(self, "masks_by_index", tuple(masks.values()))
         if self.codomain is not None:
             if self.codomain.alphabet != self.codomain_alphabet:
                 raise AlphabetMismatch(
@@ -134,7 +140,7 @@ def _unsound_pair(code, shift):
     code's codomain alphabet) forbids: ((a, b), (image of a, image of
     b)), or None.  Walks the domain symbols by index with their successor
     masks, so the answer never depends on the order of a set of pairs."""
-    letters = tuple(code.letter_masks.values())
+    letters = code.masks_by_index
     # fits[y]: the domain symbols whose image may follow the letter y
     fits = [0] * len(letters)
     for y, nexts in enumerate(shift.succ_masks):
@@ -329,10 +335,13 @@ def recode_to_one_block(code):
 
 def compose(f, g):
     """The code 'g after f'.  f's codomain alphabet must equal g's domain
-    alphabet and f must land inside g's domain shift."""
+    alphabet and f must land inside g's domain shift.  When f's attached
+    codomain is g's domain itself, f was checked against it when f was
+    built, so the check is not made again; an equal but distinct shift
+    is checked."""
     if f.codomain_alphabet != g.domain.alphabet:
         raise AlphabetMismatch("codomain of f does not match domain of g")
-    bad = _unsound_pair(f, g.domain)
+    bad = f.codomain is not g.domain and _unsound_pair(f, g.domain)
     if bad:
         (a, b), (fa, fb) = bad
         raise InvariantViolation(
@@ -385,7 +394,7 @@ def check_onto(code, codomain_shift):
         raise AlphabetMismatch("codomain shift alphabet mismatch")
     symbols = codomain_shift.alphabet.symbols
     # letter_masks runs in codomain alphabet order, the shift's own
-    letters = tuple(code.letter_masks.values())
+    letters = code.masks_by_index
     succ = codomain_shift.succ_masks
     cap = core.DEFAULT_CAP
     key = (code.domain.succ_masks, letters, succ, cap)

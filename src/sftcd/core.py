@@ -22,7 +22,9 @@ byte.
 Construction keeps what it validates.  An Alphabet keeps the symbol
 index that its duplicate check builds, and a VertexShift the successor
 and predecessor masks of the one pass that checks its pairs and finds
-stranded symbols; VertexShift.build trims on the same masks.  Whatever a
+stranded symbols.  VertexShift.build trims on masks built in one such
+pass and, when it trims nothing, hands them to the shift it returns, so
+the pairs are not walked again.  Whatever a
 shift computes on first read (its steppers, irreducibility) is kept by
 cached, functools.cached_property without the lock.
 
@@ -236,7 +238,9 @@ class VertexShift:
     @staticmethod
     def build(symbols, pairs):
         """Construct a shift, trimming symbols with no outgoing or no
-        incoming pair until the presentation is essential."""
+        incoming pair until the presentation is essential.  When nothing
+        is trimmed, the masks the trimming read are handed to the shift,
+        so the pairs are walked once."""
         symbols = list(symbols)
         pairs = set(tuple(p) for p in pairs)
         index = {s: i for i, s in enumerate(dict.fromkeys(symbols))}
@@ -253,11 +257,20 @@ class VertexShift:
             alive = held
             if not alive:
                 raise InvariantViolation("every symbol was trimmed away")
-        kept = tuple(s for s in symbols if alive >> index[s] & 1)
-        kept_pairs = frozenset(
-            (a, b) for a, b in pairs if (alive >> index[a]) & (alive >> index[b]) & 1
-        )
-        return VertexShift(Alphabet(kept), kept_pairs)
+        alphabet = Alphabet(tuple(s for s in symbols if alive >> index[s] & 1))
+        if alive != (1 << len(index)) - 1:
+            kept_pairs = frozenset(
+                (a, b) for a, b in pairs if (alive >> index[a]) & (alive >> index[b]) & 1
+            )
+            return VertexShift(alphabet, kept_pairs)
+        # nothing trimmed: succ and pred are the shift's own masks and no
+        # symbol is stranded, so the constructor's walk is not repeated
+        shift = object.__new__(VertexShift)
+        object.__setattr__(shift, "alphabet", alphabet)
+        object.__setattr__(shift, "allowed", frozenset(pairs))
+        object.__setattr__(shift, "succ_masks", tuple(succ))
+        object.__setattr__(shift, "pred_masks", tuple(pred))
+        return shift
 
     @staticmethod
     def full_shift(symbols):
@@ -412,12 +425,21 @@ def enumerate_blocks(shift, length):
 
 def count_blocks(shift, length):
     """Number of blocks of the given length, by dynamic programming."""
-    if length < 1:
+    return block_counts(shift, length)[-1]
+
+
+def block_counts(shift, longest):
+    """(number of blocks of length 1, ..., of length longest), in one
+    dynamic programme: counts[i] is the number of blocks of the current
+    length that start with the symbol of index i."""
+    if longest < 1:
         raise InvalidBlock("length must be positive")
     counts = [1] * len(shift.alphabet)
-    for _ in range(length - 1):
-        counts = [sum(counts[t] for t in iter_bits(m)) for m in shift.succ_masks]
-    return sum(counts)
+    totals = [len(counts)]
+    for _ in range(longest - 1):
+        counts = [sum(map(counts.__getitem__, iter_bits(m))) for m in shift.succ_masks]
+        totals.append(sum(counts))
+    return tuple(totals)
 
 
 def is_irreducible(shift):

@@ -57,8 +57,9 @@ attaining the minimum replays as a routing certificate.  While the
 closures grow, each pair is only asked whether it scores 1, as above,
 and they grow only until such a pair turns up.  Only when both are
 complete with none does _routing_score, at k = 2 and on, build a pair's
-routing family (one set comprehension per pair and k), so only a
-minimum of 2 or more builds families.  Every mask step is a
+routing family (one set comprehension per pair, kept with the pair's
+left side for the later rounds), so only a minimum of 2 or more builds
+families.  Every mask step is a
 core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
@@ -487,11 +488,17 @@ def _routing_score(left, right, k):
     every last-track row and column that joins something, the rows that
     meet right.union and the columns that meet left.union.  A part is 0
     when the unions miss each other, so a split with no endpoint pair
-    does not score, and neither does its empty family at a larger k."""
+    does not score, and neither does its empty family at a larger k.
+    A split's family and its union are built in the first round that
+    asks, from k = 2, and kept with the left side for the rounds after."""
     if k == 1:
         return left.part(right.union) & right.part(left.union)
-    family = {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}
-    return _hitting_set(family, k, reduce(or_, family, 0))
+    kept = left.families.get(right)
+    if kept is None:
+        family = {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}
+        kept = left.families[right] = family, reduce(or_, family, 0)
+    family, union = kept
+    return _hitting_set(family, k, union)
 
 
 def _least_depth(subject, mode, cycle=None):
@@ -501,19 +508,27 @@ def _least_depth(subject, mode, cycle=None):
     u-code's fiber matrices over a word and the witness code's over its
     witness word: endpoint pairs come from the first track and routing
     sets from the last, so the two give relative depth.  In absolute
-    mode the tracks are equal and _side_minimum keeps one."""
+    mode the two codes are one, and so is the track passed.  Over the
+    whole codomain the first track is the masks the u-code keeps."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     alphabet = u_code.codomain_alphabet.symbols
-    letters = alphabet if cycle is None else cycle
-    labels = range(len(alphabet)) if cycle is None else map(alphabet.index, cycle)
-    tracks = (_letter_masks(u_code, letters), _letter_masks(wit_code, to_wit(letters)))
+    if cycle is None:
+        letters, labels = alphabet, range(len(alphabet))
+        track = u_code.masks_by_index
+    else:
+        letters, labels = cycle, map(alphabet.index, cycle)
+        track = _letter_masks(u_code, cycle)
+    tracks = (track,)
+    if wit_code is not u_code:
+        tracks += (_letter_masks(wit_code, to_wit(letters)),)
     found = _side_minimum(
         u_code.domain, tracks, labels, cycle is not None, _routing_score
     )
     if found is None:
         return None
     value, word, _, depth = found
-    return DegreeEstimate(value, depth, True, Block(tuple(alphabet[i] for i in word)))
+    block = Block(tuple(map(alphabet.__getitem__, word)))
+    return DegreeEstimate(value, depth, True, block)
 
 
 def class_degree(code, max_len=None):

@@ -211,15 +211,18 @@ class _Side:
     once when the side is pulled.  part(u) is the AND of the last tracks of the tuples
     whose first track meets u, kept per u as long as the side is; it is
     0 when the union misses u, so a pair with no endpoint pair has no
-    symbol in common to route through."""
+    symbol in common to route through.  families keeps, per right side,
+    what a score builds for the pair in one round and reads again in
+    the next (a routing family), as long as the minimum runs."""
 
-    __slots__ = ("slot", "vecs", "word", "union", "_parts")
+    __slots__ = ("slot", "vecs", "word", "union", "_parts", "families")
 
     def __init__(self, state, word):
         self.slot, self.vecs = state
         self.word = word
         self.union = reduce(or_, map(_first, self.vecs), 0)
         self._parts = {}
+        self.families = {}
 
     def part(self, u):
         part = self._parts.get(u)
@@ -382,9 +385,8 @@ def find_magic_block(code, max_len=None):
     only for callers that still pass a scan length positionally.
     """
     letters = code.codomain_alphabet.symbols
-    tracks = (_letter_masks(code, letters),)
     found = _side_minimum(
-        code.domain, tracks, range(len(letters)), False, _magic_score
+        code.domain, (code.masks_by_index,), range(len(letters)), False, _magic_score
     )
     if found is None:
         raise InvalidBlock("codomain language is empty")

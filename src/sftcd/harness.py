@@ -9,7 +9,10 @@ each check either passes or fails.
 A generation attempt draws psi maps until one is onto.  Every draw is
 made, so a seed always gives the same triple, but a map the attempt has
 already refused is not built again, and phi is built only for the psi
-that is kept.
+that is kept.  Before its first draw an attempt counts Y's and Z's
+blocks of lengths 1 to _COUNTED_LENGTHS; where Y has fewer, no
+letter-to-letter code of Y is onto Z, so the attempt makes its draws and
+builds none of them.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .codes import (
     identity_code,
     is_finite_to_one,
 )
-from .core import VertexShift, _adjacency, is_irreducible
+from .core import VertexShift, _adjacency, block_counts, is_irreducible
 from .depth import class_degree, relative_class_degree
 from .documents import canonical_json, load_triple, to_jsonable
 from .errors import GenerationFailed, PreconditionUnmet
@@ -36,6 +39,8 @@ from .graphs import reach
 
 _ONTO_TRIES = 8
 _GEN_TRIES = 32
+# block lengths whose counts _too_few_blocks compares
+_COUNTED_LENGTHS = 6
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,9 @@ def generate_triple(spec: TripleGenSpec) -> CodeTriple:
     """Deterministic-under-seed random triple satisfying every CodeTriple
     invariant: X an irreducible blowup of an irreducible Y, phi the copy
     projection (onto by construction), psi a verified-onto symbol map to a
-    full shift, pi the composite."""
+    full shift, pi the composite.  An attempt whose Y has fewer n-blocks
+    than Z for some n <= _COUNTED_LENGTHS draws its psi maps, builds none
+    and is retried, as it would be once check_onto had refused them all."""
     rng = random.Random(spec.seed)
     for _ in range(_GEN_TRIES):
         try:
@@ -183,6 +190,15 @@ def _matching_edges(rng, copies, y_pairs):
         rng.shuffle(targets)
         pairs.update(zip(copies[p], targets))
     return pairs
+
+
+def _too_few_blocks(Y, Z):
+    """The least n <= _COUNTED_LENGTHS at which Y has fewer n-blocks than
+    Z, or None.  A letter-to-letter code onto Z maps Y's n-blocks onto
+    Z's, so where Y has fewer no code of Y is onto Z (Lind and Marcus,
+    section 4.1) and check_onto would refuse every one."""
+    pairs = zip(block_counts(Y, _COUNTED_LENGTHS), block_counts(Z, _COUNTED_LENGTHS))
+    return next((n for n, (y, z) in enumerate(pairs, 1) if y < z), None)
 
 
 def _generate_once(rng, spec):
@@ -220,12 +236,14 @@ def _generate_once(rng, spec):
     z_syms = tuple(f"z{i}" for i in range(spec.z_symbols))
     Z = VertexShift.full_shift(z_syms)
     # every draw is made, so the stream stays the same; a map this
-    # attempt already refused is not built again
+    # attempt already refused is not built again, and none is built on a
+    # Y with too few blocks to map onto Z's
+    hopeless = _too_few_blocks(Y, Z)
     refused = set()
     for _ in range(_ONTO_TRIES):
         psi_map = _surjection(rng, y_syms, z_syms)
         images = tuple(psi_map.values())
-        if images in refused:
+        if hopeless or images in refused:
             continue
         psi = OneBlockCode.from_dict(Y, Z.alphabet, psi_map, codomain=Z)
         if check_onto(psi, Z).ok:

@@ -274,6 +274,46 @@ class TestCompose:
         with pytest.raises(AlphabetMismatch):
             compose(xor2.psi, xor2.phi)
 
+    def test_soundness_is_checked_once_per_shift(self, xor2, monkeypatch):
+        # phi was checked against Y when it was built, and psi's domain is
+        # that very shift, so the one soundness walk is the composite's
+        # own, against Z; over an equal copy of Y, phi is walked again
+        walks = []
+        unsound = codes_module._unsound_pair
+
+        def walking(code, shift):
+            walks.append((code, shift))
+            return unsound(code, shift)
+
+        monkeypatch.setattr(codes_module, "_unsound_pair", walking)
+        assert xor2.phi.codomain is xor2.psi.domain
+        pi = compose(xor2.phi, xor2.psi)
+        assert [(c is pi, s is xor2.Z_shift) for c, s in walks] == [(True, True)]
+        copy = VertexShift(xor2.Y.alphabet, xor2.Y.allowed)
+        assert copy == xor2.Y and copy is not xor2.Y
+        psi = OneBlockCode(copy, xor2.Z_alphabet, xor2.psi.mapping, xor2.Z_shift)
+        walks.clear()
+        assert compose(xor2.phi, psi).mapping == pi.mapping
+        assert [(c is xor2.phi, s is copy) for c, s in walks] == [
+            (True, True),
+            (False, False),
+        ]
+
+    def test_a_distinct_domain_is_still_checked(self):
+        # f lands soundly in the full shift on x and y, an unequal shift
+        # on g's domain alphabet: f is walked against g's domain, and the
+        # unsound pair is named as before
+        cyc = VertexShift.build("xy", [("x", "y"), ("y", "x")])
+        full = VertexShift.full_shift(("x", "y"))
+        ba = VertexShift.full_shift(("b", "a"))
+        f = OneBlockCode(ba, full.alphabet, ("x", "y"), full)
+        message = (
+            "^composition unsound: f maps \\('b','b'\\) onto pair "
+            "\\('x','x'\\) forbidden in g's domain$"
+        )
+        with pytest.raises(InvariantViolation, match=message):
+            compose(f, identity_code(cyc))
+
 
 def _onto_abc():
     """An onto code into the full 2-shift whose closure passes a cap of 2."""

@@ -1250,18 +1250,27 @@ def test_relative_depth_over_the_identity_is_depth():
 
 def _families_built(monkeypatch, ask):
     """(the estimate ask() returns with no minimum kept, the k of each
-    routing family it built: each _routing_score call at k >= 2)."""
+    _routing_score call at k >= 2, the number of routing families built:
+    distinct sets handed to _hitting_set, which a recursive call hands
+    lists)."""
     asked = []
-    score = depth_module._routing_score
+    families = []
+    score, hitting_set = depth_module._routing_score, depth_module._hitting_set
 
     def counting(left, right, k):
         if k >= 2:
             asked.append(k)
         return score(left, right, k)
 
+    def searching(family, k, allowed):
+        if isinstance(family, set) and not any(f is family for f in families):
+            families.append(family)
+        return hitting_set(family, k, allowed)
+
     monkeypatch.setattr(depth_module, "_routing_score", counting)
+    monkeypatch.setattr(depth_module, "_hitting_set", searching)
     fiber_module._MINIMA.clear()
-    return ask(), asked
+    return ask(), asked, len(families)
 
 
 def test_value_one_minima_build_no_family(monkeypatch):
@@ -1274,24 +1283,26 @@ def test_value_one_minima_build_no_family(monkeypatch):
         partial(relative_class_degree, t17),
         partial(periodic_point_relative_degree, t29, y),
     ):
-        est, asked = _families_built(monkeypatch, ask)
-        assert est.value == 1 and asked == []
+        est, asked, built = _families_built(monkeypatch, ask)
+        assert est.value == 1 and asked == [] and built == 0
 
 
 def test_larger_minima_still_build_families(mod3, monkeypatch):
     # with no pair of depth 1 in the complete closures, the rounds from
-    # k = 2 on build routing families, one per pair and round: mod3's
-    # phi has 3 at the one-letter block 0, so its 3 one-letter pairs are
-    # asked at k = 2 and again at k = 3; seed 11's relative degree is 2
-    # at y0, found among its 3 one-letter pairs at k = 2
+    # k = 2 on ask every pair, and each pair builds its routing family
+    # once, in the first round that asks it: mod3's phi has 3 at the
+    # one-letter block 0, so its 3 one-letter pairs are asked at k = 2
+    # and again at k = 3, and build 3 families, not 6; seed 11's relative
+    # degree is 2 at y0, found among its 3 one-letter pairs at k = 2
     t11 = generate_triple(spec_for_seed(11))
     for ask, expected, rounds in (
         (partial(class_degree, mod3.phi), (3, "0"), [2, 2, 2, 3, 3, 3]),
         (partial(relative_class_degree, t11), (2, "y0"), [2, 2, 2]),
     ):
-        est, asked = _families_built(monkeypatch, ask)
+        est, asked, built = _families_built(monkeypatch, ask)
         assert (est.value, est.minimal_block.text()) == expected
         assert asked == rounds
+        assert built == 3
 
 
 def test_cap_names_the_level_it_reached(xor2, monkeypatch):

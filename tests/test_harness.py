@@ -1,11 +1,18 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
 from sftcd import fiber, harness
-from sftcd.codes import CodeTriple, check_onto, identity_code, is_finite_to_one
-from sftcd.core import is_irreducible
+from sftcd.codes import (
+    CodeTriple,
+    OneBlockCode,
+    check_onto,
+    identity_code,
+    is_finite_to_one,
+)
+from sftcd.core import count_blocks, is_irreducible
 from sftcd.corpus import builtin_cases, builtin_triple
 from sftcd.documents import canonical_json, to_jsonable
 from sftcd.errors import PreconditionUnmet
@@ -113,13 +120,15 @@ class TestGenerateTriple:
     def test_codes_built_once_per_distinct_draw(self, monkeypatch):
         # each attempt draws psi maps until one is onto; a map it already
         # refused is drawn (the stream stays the same) but not built
-        # again, and phi is built once, for the triple returned
-        attempts = []  # per attempt: [psi maps drawn, codomain letters built]
+        # again, no map is built on a Y with fewer n-blocks than Z, and
+        # phi is built once, for the triple returned
+        attempts = []  # per attempt: psi maps drawn, letters built, Y refused at
         generate_once, surjection = harness._generate_once, harness._surjection
+        too_few = harness._too_few_blocks
         from_dict = harness.OneBlockCode.from_dict
 
         def once(rng, spec):
-            attempts.append(([], []))
+            attempts.append(([], [], []))
             return generate_once(rng, spec)
 
         def drawn(rng, sources, targets):
@@ -131,8 +140,13 @@ class TestGenerateTriple:
             attempts[-1][1].append(tuple(codomain_alphabet)[0][0])
             return from_dict(domain, codomain_alphabet, mapping, codomain)
 
+        def refused(Y, Z):
+            attempts[-1][2].append(too_few(Y, Z))
+            return attempts[-1][2][-1]
+
         monkeypatch.setattr(harness, "_generate_once", once)
         monkeypatch.setattr(harness, "_surjection", drawn)
+        monkeypatch.setattr(harness, "_too_few_blocks", refused)
         monkeypatch.setattr(harness.OneBlockCode, "from_dict", staticmethod(built))
         specs = [spec_for_seed(seed) for seed in range(1, 61)]
         specs += [
@@ -140,16 +154,57 @@ class TestGenerateTriple:
             for seed in range(1, 41)
         ]
         # the last spec takes 4 attempts and draws 25 maps, 16 of them
-        # distinct within their attempt
+        # distinct within their attempt; attempts 1 and 3 have a Y with
+        # too few 5-blocks and 3-blocks, so only 7 are built
         specs.append(TripleGenSpec(12, y_symbols=3, blowup_max=3, z_symbols=2))
         for spec in specs:
             attempts.clear()
             generate_triple(spec)
-            for k, (maps, letters) in enumerate(attempts):
+            for k, (maps, letters, hopeless) in enumerate(attempts):
                 phi_built = k == len(attempts) - 1
-                assert sorted(letters) == ["y"] * phi_built + ["z"] * len(set(maps))
-        assert [len(maps) for maps, _ in attempts] == [8, 8, 8, 1]
-        assert sum(len(set(maps)) for maps, _ in attempts) == 16
+                psi_built = 0 if any(hopeless) else len(set(maps))
+                assert sorted(letters) == ["y"] * phi_built + ["z"] * psi_built
+        assert [len(maps) for maps, _, _ in attempts] == [8, 8, 8, 1]
+        assert sum(len(set(maps)) for maps, _, _ in attempts) == 16
+        assert [hopeless for _, _, hopeless in attempts] == [[5], [None], [3], [None]]
+        assert sum(letters.count("z") for _, letters, _ in attempts) == 7
+
+    def test_refused_ys_have_no_onto_code(self, monkeypatch):
+        # the block-count bound refuses only what check_onto refuses: on
+        # the pinned specs and the CI band, every surjection of a refused
+        # Y onto Z's symbols gives a code that is not onto Z
+        refused = []
+        too_few = harness._too_few_blocks
+
+        def recording(Y, Z):
+            n = too_few(Y, Z)
+            if n:
+                refused.append((Y, Z, n))
+            return n
+
+        monkeypatch.setattr(harness, "_too_few_blocks", recording)
+        specs = [spec_for_seed(seed) for seed in range(1, 201)]
+        specs += [
+            TripleGenSpec(seed, y_symbols=3, blowup_max=3, z_symbols=2)
+            for seed in range(1, 41)
+        ]
+        specs += [
+            TripleGenSpec(seed, y_symbols=4, blowup_max=4, z_symbols=2)
+            for seed in range(1, 21)
+        ]
+        for spec in specs:
+            generate_triple(spec)
+        codes = 0
+        for Y, Z, n in refused:
+            assert count_blocks(Y, n) < count_blocks(Z, n)
+            z_syms = Z.alphabet.symbols
+            for images in product(z_syms, repeat=len(Y.alphabet)):
+                if set(images) == set(z_syms):
+                    psi = OneBlockCode(Y, Z.alphabet, images, Z)
+                    assert not check_onto(psi, Z).ok
+                    codes += 1
+        # 119 refused Ys, with 714 surjections among them
+        assert (len(refused), codes) == (119, 714)
 
 
 class TestChainCode:

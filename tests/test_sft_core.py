@@ -16,6 +16,7 @@ from sftcd.core import (
     Block,
     PeriodicPoint,
     VertexShift,
+    block_counts,
     blocks_of_periodic_point,
     count_blocks,
     enumerate_blocks,
@@ -90,6 +91,34 @@ class TestVertexShift:
             ("a", "b", "c"), [("a", "b"), ("b", "a"), ("a", "c")]
         )
         assert shift.alphabet.symbols == ("a", "b")
+
+    def test_build_walks_the_pairs_once(self, monkeypatch):
+        # when nothing is trimmed, the masks build trims with become the
+        # shift's own, so it walks the pairs once; a build that trims
+        # constructs the shift from the kept pairs, which walks them
+        # again, and a direct construction still refuses a stranded symbol
+        walks = []
+        adjacency = core_module._adjacency
+
+        def walking(index, pairs):
+            walks.append(len(index))
+            return adjacency(index, pairs)
+
+        monkeypatch.setattr(core_module, "_adjacency", walking)
+        pairs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")]
+        whole = VertexShift.build("abc", pairs)
+        # d has no successor, so it is trimmed, and b and c move down
+        trimmed = VertexShift.build("adbc", pairs + [("a", "d")])
+        assert walks == [3, 4, 3]
+        assert trimmed.alphabet.symbols == ("a", "b", "c")
+        for shift in (whole, trimmed):
+            direct = VertexShift(shift.alphabet, shift.allowed)
+            assert shift == direct
+            assert _shift_parts(shift) == _shift_parts(direct)
+        assert walks == [3, 4, 3, 3, 3]
+        stranded = "^symbol 'd' is stranded \\(use VertexShift.build to trim\\)$"
+        with pytest.raises(InvariantViolation, match=stranded):
+            VertexShift(Alphabet(tuple("adbc")), frozenset(pairs + [("a", "d")]))
 
     def test_build_rejects_unknown_pair_symbol(self):
         with pytest.raises(UnknownSymbol):
@@ -438,6 +467,12 @@ class TestLanguageOracles:
                 assert len(blocks) == walk_count(shift, length)
                 assert len(blocks) == count_blocks(shift, length)
                 assert all(validate_block(shift, b) for b in blocks)
+            # every length up to the longest from one programme
+            assert block_counts(shift, 6) == tuple(
+                walk_count(shift, length) for length in range(1, 7)
+            )
+        with pytest.raises(InvalidBlock, match="^length must be positive$"):
+            block_counts(golden(), 0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
