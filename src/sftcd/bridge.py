@@ -56,7 +56,7 @@ from .fiber import pruned_layers
 from .graphs import reach
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BridgeWitness:
     """Middle block gluing the left tail of one point to the right tail of
     another inside a fiber.  The middle fills the open coordinate interval
@@ -75,7 +75,7 @@ class BridgeWitness:
         return () if self.middle is None else self.middle.symbols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BridgeSearch:
     found: bool
     witness: BridgeWitness | None
@@ -242,7 +242,7 @@ def bounded_bridge_exists(code, x, xp, m, window=None):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassOracleResult:
     count: int
     representatives: tuple

@@ -220,9 +220,9 @@ def cmd_dump(args):
 
 
 def _parse_seed_range(text):
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")
     try:
-        a, b = int(lo), int(hi or lo)
+        a, b = int(lo), int(hi if dots else lo)
     except ValueError:
         raise ParseError(f"bad seed range {text!r}") from None
     if b < a:

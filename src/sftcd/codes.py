@@ -253,7 +253,7 @@ def apply_sliding_to_point(code, point):
     return PeriodicPoint.make(out, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecodedCode:
     """Result of passing to the window shift: the letter-to-letter code
     together with the conjugacy back down (window symbol -> central symbol)."""
@@ -356,7 +356,7 @@ def compose(f, g):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OntoCheck:
     ok: bool
     checked_length: int
@@ -457,7 +457,7 @@ def _pairs_reached(masks_of, step, same):
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeTriple:
     """A composition X --phi--> Y --psi--> Z of letter-to-letter codes,
     with pi always the stored composite of the two."""

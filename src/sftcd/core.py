@@ -79,7 +79,8 @@ class cached:
     into the instance's __dict__ under the attribute's name, where every
     later read finds it before this (non-data) descriptor.  It is
     functools.cached_property without the lock that Python 3.10 and 3.11
-    take on each first read; nothing here reads one from two threads."""
+    take on each first read; nothing here reads one from two threads.
+    A class that uses it keeps its __dict__, so it is not slotted."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -159,7 +160,7 @@ class Alphabet:
         return all(len(s) == 1 for s in self.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A finite word.  Validity against a particular shift is checked
     separately by validate_block."""
@@ -448,7 +449,7 @@ def is_irreducible(shift):
     return shift.irreducible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicPoint:
     """The bi-infinite repetition of a primitive cycle.
 

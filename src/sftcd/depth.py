@@ -298,7 +298,7 @@ def _depth_search(e_pairs, reach, length):
     return size, 1, starts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingCertificate:
     """Witness that w is presented through M at position n.
 
@@ -319,7 +319,7 @@ class RoutingCertificate:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingRefusal:
     w: Block
     n: int
@@ -331,14 +331,14 @@ class RoutingRefusal:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepthResult:
     w: Block
     value: int
     certificate: RoutingCertificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeEstimate:
     value: int
     scanned_length: int

@@ -172,7 +172,7 @@ def code_doc(code) -> dict:
     return doc
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LoadedTriple:
     triple: CodeTriple
     warnings: tuple
@@ -187,7 +187,7 @@ def load_triple_doc(doc) -> LoadedTriple:
         raise ParseError("triple document must be an object")
 
     def table(key):
-        value = doc.get(key) or {}
+        value = doc.get(key, {})
         if not isinstance(value, dict):
             raise ParseError(f"triple document's {key} must be an object")
         return value

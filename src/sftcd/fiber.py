@@ -316,7 +316,7 @@ def iter_fiber(code, word_layers):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberSlice:
     """All preimage blocks of a word, with the per-coordinate symbol sets."""
 
@@ -351,13 +351,13 @@ def preimage_symbol_count(code, w, i):
     return layers[i - 1].bit_count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilizationInfo:
     scanned_length: int
     certified: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MagicBlockResult:
     block: Block
     coordinate: int

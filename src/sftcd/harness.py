@@ -43,7 +43,7 @@ _GEN_TRIES = 32
 _COUNTED_LENGTHS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleGenSpec:
     seed: int
     y_symbols: int = 2
@@ -275,14 +275,14 @@ def generate_chain_code(triple: CodeTriple, seed, w_symbols=1) -> OneBlockCode:
     raise GenerationFailed("no onto chain code found")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     verdict: str  # pass | fail | skipped
     detail: str = ""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class TheoremReport:
     case_id: str
     values: dict
@@ -376,7 +376,7 @@ def check_chain_identity(
     return TheoremReport(case_id, v, checks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HarnessCase:
     """One triple and the checks to run on it.  The chain check's outer
     code is the identity on Z for a builtin case, and for every other
@@ -454,7 +454,7 @@ def _archive(archive_dir, case, triple, report):
     (path / name).write_text(canonical_json(payload))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteSummary:
     reports: tuple
 

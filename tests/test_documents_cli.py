@@ -783,15 +783,18 @@ class TestCliDocuments:
             )
             assert code == 2
             assert "error: invalid JSON in" in err
-        for key in ("systems", "triple"):
-            doc = xor_doc()
-            doc[key] = [1]
-            bad.write_text(json.dumps(doc))
-            code, _, err = run_cli(
-                capsys, "depth", "--triple", str(bad), "--block", "0"
-            )
-            assert code == 2
-            assert f"error: triple document's {key} must be an object" in err
+        # only an absent table reads as empty: a present empty list, zero,
+        # false, "" or null is no table
+        for key in ("systems", "codes", "triple"):
+            for value in ([1], [], 0, False, "", None):
+                doc = xor_doc()
+                doc[key] = value
+                bad.write_text(json.dumps(doc))
+                code, _, err = run_cli(
+                    capsys, "depth", "--triple", str(bad), "--block", "0"
+                )
+                assert code == 2
+                assert f"error: triple document's {key} must be an object" in err
 
 
 class TestCliVerify:
@@ -889,8 +892,11 @@ class TestCliVerify:
 
     def test_bad_arguments(self, capsys):
         assert run_cli(capsys, "verify")[0] == 2
-        assert run_cli(capsys, "verify", "--seeds", "5..2")[0] == 2
-        assert run_cli(capsys, "verify", "--seeds", "a..b")[0] == 2
+        # an empty bound is refused on either side: "7.." is no one-seed range
+        for text in ("5..2", "a..b", "7..", "..5"):
+            code, out, err = run_cli(capsys, "verify", "--seeds", text)
+            assert (code, out) == (2, "")
+            assert f"error: bad seed range {text!r}" in err
         # the scan length is gone: --max-len is an unknown option
         code, out, err = run_cli(capsys, "verify", "--seeds", "1..2", "--max-len", "6")
         assert (code, out) == (2, "")
