@@ -17,7 +17,7 @@ from pathlib import Path
 from .bridge import bounded_bridge_exists, fixed_point_class_oracle
 from .codes import recode_to_one_block, SlidingBlockCode
 from .core import is_point_of, parse_block_text, parse_point_text
-from .corpus import builtin_cases, builtin_triple
+from .corpus import builtin_triple
 from .depth import class_degree, depth, relative_class_degree, relative_depth
 from .documents import (
     canonical_json,
@@ -42,6 +42,7 @@ from .fiber import find_magic_block
 from .harness import (
     HarnessCase,
     TripleGenSpec,
+    builtin_cases,
     generate_triple,
     map_cases,
     report_lines,

@@ -9,7 +9,8 @@ makes that check only when its inner code was not already checked
 against the very shift it lands in.  Sliding-block rules with memory
 and anticipation are supported through recoding: the domain is replaced
 by its window shift (symbols are the valid windows, edges are overlaps)
-on which the rule becomes letter-to-letter.
+on which the rule becomes letter-to-letter.  A CodeTriple is its two
+codes, phi: X -> Y and psi: Y -> Z; CodeTriple.build also checks it.
 
 Surjectivity (check_onto) is decided exactly, on the level-by-level
 closure of graphs.py that also closes the fiber-matrix engine's sides,
@@ -25,7 +26,7 @@ depends on the order a set of pairs is iterated in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AlphabetMismatch,
@@ -460,46 +461,31 @@ def _pairs_reached(masks_of, step, same):
 @dataclass(frozen=True, slots=True)
 class CodeTriple:
     """A composition X --phi--> Y --psi--> Z of letter-to-letter codes,
-    with pi always the stored composite of the two."""
+    given by the two: the shifts are read off them, and pi, the composite,
+    is made once here.  It checks only that the codes meet; see build."""
 
-    X: VertexShift
-    Y: VertexShift
-    Z_alphabet: Alphabet
     phi: OneBlockCode
     psi: OneBlockCode
-    pi: OneBlockCode
+    pi: OneBlockCode = field(init=False)
 
     def __post_init__(self):
-        if self.phi.domain != self.X:
-            raise InvariantViolation("phi's domain is not X")
-        if self.phi.codomain != self.Y:
-            raise InvariantViolation("phi's codomain shift is not Y")
-        if self.psi.domain != self.Y:
-            raise InvariantViolation("psi's domain is not Y")
-        if self.psi.codomain_alphabet != self.Z_alphabet:
-            raise InvariantViolation("psi's codomain alphabet is not Z_alphabet")
-        expected = self.psi.apply_word(self.phi.mapping)
-        if self.pi.mapping != expected or self.pi.domain != self.X:
-            raise InvariantViolation("pi is not the composite of phi and psi")
+        if self.phi.codomain is None:
+            raise InvariantViolation("phi needs an attached codomain shift")
+        if self.psi.domain != self.phi.codomain:
+            raise AlphabetMismatch("psi's domain shift is not phi's codomain")
+        object.__setattr__(self, "pi", compose(self.phi, self.psi))
 
     @staticmethod
     def build(phi, psi):
-        """Assemble a triple and check it: X and Y irreducible, phi onto Y
-        (exactly, by check_onto).  phi must carry its codomain shift.  The
-        triple is built first, so its own invariants are reported before
-        these checks."""
-        if phi.codomain is None:
-            raise InvariantViolation("phi needs an attached codomain shift")
-        X, Y = phi.domain, phi.codomain
-        if psi.domain != Y:
-            raise AlphabetMismatch("psi's domain shift is not phi's codomain")
-        pi = compose(phi, psi)
-        triple = CodeTriple(X, Y, psi.codomain_alphabet, phi, psi, pi)
-        if not is_irreducible(X):
+        """The triple of phi and psi, checked: X and Y irreducible, phi
+        onto Y (exactly, by check_onto).  The constructor's errors come
+        first."""
+        triple = CodeTriple(phi, psi)
+        if not is_irreducible(triple.X):
             raise InvariantViolation("X is not irreducible")
-        if not is_irreducible(Y):
+        if not is_irreducible(triple.Y):
             raise InvariantViolation("Y is not irreducible")
-        onto = check_onto(phi, Y)
+        onto = check_onto(phi, triple.Y)
         if not onto.ok:
             raise InvariantViolation(
                 f"phi is not onto: block {onto.missing_block.text()!r} has no preimage"
@@ -507,8 +493,17 @@ class CodeTriple:
         return triple
 
     @property
+    def X(self):
+        return self.phi.domain
+
+    @property
+    def Y(self):
+        return self.phi.codomain
+
+    @property
+    def Z_alphabet(self):
+        return self.psi.codomain_alphabet
+
+    @property
     def Z_shift(self):
         return self.psi.codomain
-
-    def psi_word(self, word):
-        return self.psi.apply_word(word)

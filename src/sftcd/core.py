@@ -193,13 +193,16 @@ class Block:
 
 
 def parse_block_text(alphabet, text):
-    """Parse a block written either as plain characters (single-character
-    alphabets) or with interpunct-separated symbols."""
+    """Parse a block written with interpunct-separated symbols or as plain
+    characters.  Plain text is one symbol, unless the alphabet has only
+    one-character symbols or the text is no symbol but each character is."""
     if not text:
         raise InvalidBlock("empty block text")
     if SEPARATOR in text:
         parts = tuple(text.split(SEPARATOR))
-    elif alphabet.single_char:
+    elif alphabet.single_char or (
+        text not in alphabet and all(c in alphabet for c in text)
+    ):
         parts = tuple(text)
     else:
         parts = (text,)

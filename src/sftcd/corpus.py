@@ -18,7 +18,6 @@ from .codes import (
 )
 from .core import VertexShift
 from .errors import ParseError
-from .harness import HarnessCase
 
 BUILTIN_NAMES = ("xor2", "mod3", "golden_identity", "golden_trivial")
 
@@ -64,14 +63,3 @@ def builtin_triple(name) -> CodeTriple:
         return CodeTriple.build(identity_code(g), trivial_code(g))
     raise ParseError(f"unknown builtin triple {name!r}")
 
-
-def builtin_cases():
-    return tuple(
-        HarnessCase(
-            case_id=f"builtin:{name}",
-            kind="builtin",
-            name=name,
-            checks=("main", "special", "chain"),
-        )
-        for name in BUILTIN_NAMES
-    )

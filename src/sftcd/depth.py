@@ -401,7 +401,7 @@ def _codes_of(subject, mode):
     a code's fiber routes through itself, a triple's code being pi.
     PreconditionUnmet for any other subject or mode."""
     if mode == "relative" and isinstance(subject, CodeTriple):
-        return subject.phi, subject.pi, subject.psi_word
+        return subject.phi, subject.pi, subject.psi.apply_word
     code = subject.pi if isinstance(subject, CodeTriple) else subject
     if mode != "absolute" or not isinstance(code, OneBlockCode):
         kind = type(subject).__name__

@@ -178,9 +178,6 @@ class LoadedTriple:
     warnings: tuple
     recoded: dict  # code name -> RecodedCode for sliding inputs
 
-    def __getattr__(self, name):
-        return getattr(self.triple, name)
-
 
 def load_triple_doc(doc) -> LoadedTriple:
     if not isinstance(doc, dict):

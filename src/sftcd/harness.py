@@ -27,11 +27,11 @@ from .codes import (
     CodeTriple,
     OneBlockCode,
     check_onto,
-    compose,
     identity_code,
     is_finite_to_one,
 )
 from .core import VertexShift, _adjacency, block_counts, is_irreducible
+from .corpus import BUILTIN_NAMES, builtin_triple
 from .depth import class_degree, relative_class_degree
 from .documents import canonical_json, load_triple, to_jsonable
 from .errors import GenerationFailed, PreconditionUnmet
@@ -84,6 +84,19 @@ def spec_for_seed(seed):
         blowup_max=1 + seed % 3,
         z_symbols=1 + seed % 2,
         edge_density=0.3 + 0.1 * (seed % 5),
+    )
+
+
+def builtin_cases():
+    """The cases of `verify --corpus builtin`, each with all three checks."""
+    return tuple(
+        HarnessCase(
+            case_id=f"builtin:{name}",
+            kind="builtin",
+            name=name,
+            checks=("main", "special", "chain"),
+        )
+        for name in BUILTIN_NAMES
     )
 
 
@@ -365,7 +378,7 @@ def check_chain_identity(
         raise PreconditionUnmet("triple's Z is not presented as a vertex shift")
     whole = CodeTriple.build(t.pi, varphi)
     outer = CodeTriple.build(t.psi, varphi)
-    inner = CodeTriple.build(t.phi, compose(t.psi, varphi))
+    inner = CodeTriple.build(t.phi, outer.pi)
     v = {
         "pi_over_varphi": relative_class_degree(whole),
         "psi_over_varphi": relative_class_degree(outer),
@@ -392,9 +405,6 @@ class HarnessCase:
 
 def resolve_case(case: HarnessCase) -> CodeTriple:
     if case.kind == "builtin":
-        # call-time import: corpus imports this module for HarnessCase
-        from .corpus import builtin_triple
-
         return builtin_triple(case.name)
     if case.kind == "generated":
         return generate_triple(case.gen)

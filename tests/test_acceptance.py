@@ -13,7 +13,6 @@ from conftest import identity_extension
 from sftcd.bridge import construct_bridge, fixed_point_class_oracle, verify_bridge
 from sftcd.codes import identity_code, trivial_code
 from sftcd.core import Block, PeriodicPoint, enumerate_blocks, parse_block_text
-from sftcd.corpus import builtin_cases
 from sftcd.depth import (
     class_degree,
     depth,
@@ -26,6 +25,7 @@ from sftcd.errors import NotRoutable
 from sftcd.fiber import degree_finite_to_one
 from sftcd.harness import (
     HarnessCase,
+    builtin_cases,
     check_main_identity,
     generate_triple,
     run_suite,

@@ -330,7 +330,7 @@ class TestRoutingWitnesses:
             for w in (b for L in range(1, 5) for b in enumerate_blocks(tr.Y, L)):
                 for cert, code, word in (
                     (depth(tr.phi, w).certificate, tr.phi, w.symbols),
-                    (relative_depth(tr, w).certificate, tr.pi, tr.psi_word(w.symbols)),
+                    (relative_depth(tr, w).certificate, tr.pi, tr.psi.apply_word(w.symbols)),
                 ):
                     paths = fiber_paths(code, word)
                     for s, t, v in cert.witnesses:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from sftcd.core import (
     parse_block_text,
     validate_block,
 )
+from sftcd.corpus import BUILTIN_NAMES, builtin_triple
 from sftcd.errors import (
     AlphabetMismatch,
     InvalidBlock,
@@ -36,6 +39,7 @@ from sftcd.errors import (
     SftcdError,
     UnknownSymbol,
 )
+from sftcd.harness import generate_triple, spec_for_seed
 
 
 def golden():
@@ -86,12 +90,12 @@ class TestOneBlockCode:
         ]
 
     def test_word_maps_name_a_foreign_symbol_as_apply_symbol_does(self, xor2):
-        # psi_word and apply_to_point map a whole word at once; a symbol
+        # psi.apply_word and apply_to_point map a whole word at once; a symbol
         # outside the domain alphabet raises apply_symbol's exact error
         with pytest.raises(UnknownSymbol) as want_psi:
             xor2.psi.apply_symbol("2")
         with pytest.raises(UnknownSymbol) as got_psi:
-            xor2.psi_word(("0", "2", "1"))
+            xor2.psi.apply_word(("0", "2", "1"))
         with pytest.raises(UnknownSymbol) as want_phi:
             xor2.phi.apply_symbol("02")
         with pytest.raises(UnknownSymbol) as got_phi:
@@ -525,19 +529,38 @@ class TestFiniteToOne:
             assert is_finite_to_one(code) == naive_finite_to_one(code)
 
 
+def _raised(make, *args, **kwargs):
+    """(type, text) of the error make(*args, **kwargs) raises."""
+    with pytest.raises(SftcdError) as caught:
+        make(*args, **kwargs)
+    return type(caught.value), str(caught.value)
+
+
 class TestCodeTriple:
     def test_build_recomputes_pi(self, xor2):
         assert xor2.pi.mapping == tuple(
             xor2.psi.apply_symbol(xor2.phi.apply_symbol(s))
             for s in xor2.X.alphabet.symbols
         )
+        # a triple with another psi carries that psi's composite
+        other = dataclasses.replace(xor2, psi=identity_code(xor2.Y))
+        assert other.pi == compose(xor2.phi, other.psi)
+        assert other.pi.mapping == xor2.phi.mapping
+        assert other.Z_alphabet == xor2.Y.alphabet
+        assert _raised(dataclasses.replace, xor2, psi=trivial_code(golden())) == (
+            AlphabetMismatch,
+            "psi's domain shift is not phi's codomain",
+        )
 
     def test_build_requires_attached_codomain(self):
         g = golden()
         phi = OneBlockCode.from_dict(g, ("z",), {"0": "z", "1": "z"})
         psi = identity_code(VertexShift.full_shift(("z",)))
-        with pytest.raises(InvariantViolation):
-            CodeTriple.build(phi, psi)
+        expected = (InvariantViolation, "phi needs an attached codomain shift")
+        assert _raised(CodeTriple.build, phi, psi) == expected
+        # the constructor raises it too, and before a psi that does not fit
+        assert _raised(CodeTriple, phi, psi) == expected
+        assert _raised(CodeTriple, phi, trivial_code(g)) == expected
 
     def test_build_requires_onto_phi(self):
         g = golden()
@@ -548,11 +571,25 @@ class TestCodeTriple:
 
     def test_build_requires_matching_psi_domain(self, xor2):
         other = trivial_code(golden())
-        with pytest.raises(AlphabetMismatch):
-            CodeTriple.build(xor2.phi, other)
+        expected = (AlphabetMismatch, "psi's domain shift is not phi's codomain")
+        assert _raised(CodeTriple.build, xor2.phi, other) == expected
+        assert _raised(CodeTriple, xor2.phi, other) == expected
+
+    def test_shifts_and_pi_are_read_off_the_codes(self):
+        triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+        triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 21)]
+        for t in triples:
+            assert t.X == t.phi.domain and t.Y == t.phi.codomain
+            assert t.Z_alphabet == t.psi.codomain_alphabet
+            assert t.Z_shift == t.psi.codomain
+            assert t.pi == compose(t.phi, t.psi)
+            assert CodeTriple(t.phi, t.psi) == t
+        assert [f.name for f in dataclasses.fields(CodeTriple)] == ["phi", "psi", "pi"]
+        for name in ("X", "Y", "Z_alphabet", "Z_shift"):
+            assert isinstance(vars(CodeTriple)[name], property), name
 
     def test_psi_word(self, xor2):
-        assert xor2.psi_word(("0", "1", "0")) == ("z", "z", "z")
+        assert xor2.psi.apply_word(("0", "1", "0")) == ("z", "z", "z")
 
     def test_z_shift_is_full(self, xor2):
         z = xor2.Z_shift

@@ -143,7 +143,7 @@ class TestIsPresented:
                 u_paths.sort(key=lambda p: [*map(index, p)])
                 for code, wit_word, present in (
                     (t.phi, w.symbols, lambda M, n: is_presented(t.phi, w, M, n)),
-                    (t.pi, t.psi_word(w.symbols), lambda M, n: relative_is_presented(t, w, M, n)),
+                    (t.pi, t.psi.apply_word(w.symbols), lambda M, n: relative_is_presented(t, w, M, n)),
                 ):
                     wit_paths = fiber_paths(code, wit_word)
                     for n, m in product(range(1, len(w) + 1), t.X.alphabet.symbols):
@@ -254,7 +254,7 @@ class TestRelativeDepth:
                 for b in enumerate_blocks(triple.Y, n):
                     word = b.symbols
                     u_paths = fiber_paths(triple.phi, word)
-                    wit_paths = fiber_paths(triple.pi, triple.psi_word(word))
+                    wit_paths = fiber_paths(triple.pi, triple.psi.apply_word(word))
                     size, pos, M = naive_depth(
                         triple.phi, word, u_paths, wit_paths
                     )
@@ -455,12 +455,11 @@ class TestPeriodicPointDegree:
 
     @staticmethod
     def _unchecked_triple(x, phi_map):
-        # X -> full 2-shift by phi_map, then the identity; assembled
-        # directly, because CodeTriple.build refuses a phi that is not onto
+        # X -> full 2-shift by phi_map, then the identity; unchecked,
+        # because CodeTriple.build refuses a phi that is not onto
         y = VertexShift.full_shift(("0", "1"))
         phi = OneBlockCode.from_dict(x, y.alphabet, phi_map, y)
-        psi = identity_code(y)
-        return CodeTriple(x, y, y.alphabet, phi, psi, compose(phi, psi))
+        return CodeTriple(phi, identity_code(y))
 
     def test_blocks_without_phi_preimage(self):
         golden = VertexShift.build(("0", "1"), [("0", "0"), ("0", "1"), ("1", "0")])
@@ -581,8 +580,7 @@ class TestVerifyCertificate:
         golden = VertexShift.build(("0", "1"), [("0", "0"), ("0", "1"), ("1", "0")])
         y = VertexShift.full_shift(("0", "1"))
         phi = OneBlockCode.from_dict(golden, y.alphabet, {"0": "0", "1": "1"}, y)
-        psi = trivial_code(y)
-        t = CodeTriple(golden, y, psi.codomain_alphabet, phi, psi, compose(phi, psi))
+        t = CodeTriple(phi, trivial_code(y))
         w = Block(("1", "1"))
         for claims in ((("0", "0", Block(("0", "0"))),), ()):
             bad = RoutingCertificate(w, 1, ("0",), claims, "relative")
@@ -1425,7 +1423,7 @@ def test_lex_path_through_is_the_least_fiber_path():
             for w in enumerate_blocks(triple.Y, length):
                 for code, word in (
                     (triple.phi, w.symbols),
-                    (triple.pi, triple.psi_word(w.symbols)),
+                    (triple.pi, triple.psi.apply_word(w.symbols)),
                 ):
                     reach = depth_module._Reach(code, pruned_layers(code, word))
                     least = {}

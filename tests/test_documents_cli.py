@@ -250,7 +250,7 @@ class TestTripleDocs:
         }
         loaded = load_triple_doc(doc)
         assert any("disagreed" in w for w in loaded.warnings)
-        assert loaded.pi.apply_symbol("00") == "z"
+        assert loaded.triple.pi.apply_symbol("00") == "z"
 
     def test_declared_pi_ignored_after_recode(self):
         doc = xor_doc()
@@ -310,7 +310,7 @@ class TestTripleDocs:
             load_triple_doc(doc)
         doc["triple"]["Y"] = FULL2
         loaded = load_triple_doc(doc)
-        assert loaded.Y.alphabet.symbols == ("0", "1")
+        assert loaded.triple.Y.alphabet.symbols == ("0", "1")
 
     def test_non_onto_phi_rejected(self):
         with pytest.raises(InvariantViolation, match="onto"):
@@ -681,7 +681,7 @@ class TestCliDocuments:
         path = tmp_path / "gen5.json"
         path.write_text(out1)
         loaded = load_triple(path)
-        assert loaded.Y.alphabet.symbols
+        assert loaded.triple.Y.alphabet.symbols
         code, out3, _ = run_cli(capsys, "dump", "--triple", str(path))
         assert code == 0
         assert out3 == out1

@@ -13,7 +13,7 @@ from sftcd.codes import (
     is_finite_to_one,
 )
 from sftcd.core import count_blocks, is_irreducible
-from sftcd.corpus import builtin_cases, builtin_triple
+from sftcd.corpus import builtin_triple
 from sftcd.documents import canonical_json, to_jsonable
 from sftcd.errors import PreconditionUnmet
 from sftcd.harness import (
@@ -21,6 +21,7 @@ from sftcd.harness import (
     HarnessCase,
     TheoremReport,
     TripleGenSpec,
+    builtin_cases,
     check_chain_identity,
     check_main_identity,
     check_special_cases,
