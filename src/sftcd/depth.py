@@ -41,11 +41,12 @@ start and every end symbol lies in some endpoint pair, that is the
 intersection of the starts' forward sets and the ends' backward sets:
 |S| + |T| masks rather than |S| * |T| routing sets.  A block's search
 asks this of every position past 1, and _routing_score, the one score
-of a split, reads it off the rows and columns that join something, the
-rows meeting the right side's heads, ANDed once per (side, heads) and
-kept with the side, and the columns meeting the left side's ends, kept
-alike; a side none of whose rows or columns meets the other's union
-reads 0, so a split with no endpoint pair does not score.
+of a split, reads it off the rows and columns that join something: per
+union of the other side's first track, _part ANDs the last-track rows
+(or columns) whose first track meets it, once per (side, union), and
+keeps the AND in the side's kept dict as long as the minimum runs.  A
+side none of whose rows or columns meets the other's union reads 0, so
+a split with no endpoint pair does not score.
 
 Class degrees are exact.  Split w at n into u = w[1..n] and v = w[n..];
 with fiber matrices A = P_u and B = P_v, (s, t) is an endpoint pair when
@@ -57,9 +58,9 @@ attaining the minimum replays as a routing certificate.  While the
 closures grow, each pair is only asked whether it scores 1, as above,
 and they grow only until such a pair turns up.  Only when both are
 complete with none does _routing_score, at k = 2 and on, build a pair's
-routing family (one set comprehension per pair, kept with the pair's
-left side for the later rounds), so only a minimum of 2 or more builds
-families.  Every mask step is a
+routing family (one set comprehension per pair, kept in its left
+side's kept dict for the later rounds), so only a minimum of 2 or more
+builds families.  Every mask step is a
 core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
@@ -479,6 +480,21 @@ def _scan_preconditions(code):
             )
 
 
+def _part(side, u):
+    """The AND of the last tracks of side's tuples whose first track
+    meets u, kept in side.kept per u as long as the side is; 0 when the
+    side's union misses u, so a pair with no endpoint pair has no
+    symbol in common to route through."""
+    part = side.kept.get(u)
+    if part is None:
+        part = -1 if side.union & u else 0
+        for vec in side.vecs:
+            if vec[0] & u:
+                part &= vec[-1]
+        side.kept[u] = part
+    return part
+
+
 def _routing_score(left, right, k):
     """Whether the depth at the split of two _Sides is k, asked once no
     split has depth below k: (s, t) is an endpoint pair when first-track
@@ -486,17 +502,18 @@ def _routing_score(left, right, k):
     last-track row s & the last-track column t.  At k = 1 no family is
     built: one symbol lies in every routing set exactly when it lies in
     every last-track row and column that joins something, the rows that
-    meet right.union and the columns that meet left.union.  A part is 0
-    when the unions miss each other, so a split with no endpoint pair
-    does not score, and neither does its empty family at a larger k.
-    A split's family and its union are built in the first round that
-    asks, from k = 2, and kept with the left side for the rounds after."""
+    meet right.union and the columns that meet left.union (_part).  A
+    part is 0 when the unions miss each other, so a split with no
+    endpoint pair does not score, and neither does its empty family at a
+    larger k.  A split's family and its union are built in the first
+    round that asks, from k = 2, and kept in left.kept under the right
+    side (the ANDs are under int keys) for the rounds after."""
     if k == 1:
-        return left.part(right.union) & right.part(left.union)
-    kept = left.families.get(right)
+        return _part(left, right.union) & _part(right, left.union)
+    kept = left.kept.get(right)
     if kept is None:
         family = {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}
-        kept = left.families[right] = family, reduce(or_, family, 0)
+        kept = left.kept[right] = family, reduce(or_, family, 0)
     family, union = kept
     return _hitting_set(family, k, union)
 

@@ -12,13 +12,7 @@ import json
 from operator import methodcaller
 from pathlib import Path
 
-from .codes import (
-    CodeTriple,
-    OneBlockCode,
-    SlidingBlockCode,
-    compose,
-    recode_to_one_block,
-)
+from .codes import CodeTriple, OneBlockCode, SlidingBlockCode, recode_to_one_block
 from .core import Alphabet, Block, PeriodicPoint, VertexShift, parse_block_text
 from .errors import InvariantViolation, ParseError
 
@@ -219,7 +213,8 @@ def load_triple_doc(doc) -> LoadedTriple:
     if phi.codomain is None:
         if "Y" not in binding:
             raise ParseError("phi carries no codomain shift and no Y is bound")
-        phi = OneBlockCode(
+        phi = _construct(
+            OneBlockCode,
             phi.domain,
             phi.codomain_alphabet,
             phi.mapping,
@@ -238,16 +233,14 @@ def load_triple_doc(doc) -> LoadedTriple:
     if "Z_alphabet" in binding:
         if _alphabet(binding["Z_alphabet"], "Z_alphabet") != psi.codomain_alphabet:
             raise ParseError("bound Z_alphabet does not match psi's codomain alphabet")
+    triple = CodeTriple.build(phi, psi)
     if "pi" in codes_raw:
         if "phi" in recoded:
             warnings.append("declared pi ignored: phi was recoded")
+        elif load_code(codes_raw["pi"], systems).mapping != triple.pi.mapping:
+            warnings.append("declared pi disagreed with psi after phi; recomputed")
         else:
-            declared_pi = load_code(codes_raw["pi"], systems)
-            if declared_pi.mapping != compose(phi, psi).mapping:
-                warnings.append("declared pi disagreed with psi after phi; recomputed")
-            else:
-                warnings.append("declared pi recomputed (matched)")
-    triple = CodeTriple.build(phi, psi)
+            warnings.append("declared pi recomputed (matched)")
     return LoadedTriple(triple, tuple(warnings), recoded)
 
 

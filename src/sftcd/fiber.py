@@ -38,17 +38,17 @@ stepper, and zip rejoins the stepped tuples, so no Python frame runs per
 tuple.  Right sides are kept by head slot, and every round finds its
 least pair through one loop (_least_split) over the same pairs: each
 left side with every right side it joins (_joinable_pairs).  A score is
-one function of two sides and k, and reads what belongs to one
-side off summaries made once per side (_Side): the union of its first
-track, and per union of the other side's first track, the AND of its
-last-track rows or columns that meet it (0 when none does), kept as
-long as the minimum runs.  A pair whose unions miss each other has no
-endpoint pair, so no score counts it.  What outlives the minimum is its
-answer, and it holds no code: the closures read nothing but the
-domain's successor masks and each track's letter masks, so _side_minimum
-keeps each minimum under those, the slot labels, the walk, the score and
-core.DEFAULT_CAP as it is at the call (graphs.remember), and answers a
-repeated question without growing a side.
+one function of two sides and k.  It reads each side as a _Side, made
+once when the side is pulled: its slot, tuples and word, the union of
+its first track, and one dict in which the score keeps what it makes of
+the side, as long as the minimum runs.  A pair whose unions miss each
+other has no endpoint pair, so no score counts it.  What outlives the
+minimum is its answer, and it holds no code: the closures read nothing
+but the domain's successor masks and each track's letter masks, so
+_side_minimum keeps each minimum under those, the slot labels, the
+walk, the score and core.DEFAULT_CAP as it is at the call
+(graphs.remember), and answers a repeated question without growing a
+side.
 """
 from __future__ import annotations
 
@@ -208,31 +208,17 @@ class _Side:
     """A side as _closure_minimum and its scores read it: its slot (tail
     or head), its tuples (rows or columns), its word, and the union of
     their first tracks (a left side's ends, a right side's heads), made
-    once when the side is pulled.  part(u) is the AND of the last tracks of the tuples
-    whose first track meets u, kept per u as long as the side is; it is
-    0 when the union misses u, so a pair with no endpoint pair has no
-    symbol in common to route through.  families keeps, per right side,
-    what a score builds for the pair in one round and reads again in
-    the next (a routing family), as long as the minimum runs."""
+    once when the side is pulled.  kept is a score's own dict, kept as
+    long as the side is, for what the score makes of the side in one
+    round and reads again later."""
 
-    __slots__ = ("slot", "vecs", "word", "union", "_parts", "families")
+    __slots__ = ("slot", "vecs", "word", "union", "kept")
 
     def __init__(self, state, word):
         self.slot, self.vecs = state
         self.word = word
         self.union = reduce(or_, map(_first, self.vecs), 0)
-        self._parts = {}
-        self.families = {}
-
-    def part(self, u):
-        part = self._parts.get(u)
-        if part is None:
-            part = -1 if self.union & u else 0
-            for vec in self.vecs:
-                if vec[0] & u:
-                    part &= vec[-1]
-            self._parts[u] = part
-        return part
+        self.kept = {}
 
 
 def _joinable_pairs(left, right, total):

@@ -6,7 +6,11 @@ counterexample, so failing cases are archived in full for debugging.
 Every degree is exact (depth.py on the side closures of fiber.py), so
 each check either passes or fails.
 
-A generation attempt draws psi maps until one is onto.  Every draw is
+A generation attempt draws Y, one copy count per Y symbol (one count for
+all of them in the matched mode) and a lift of every Y edge that gives
+each copy an out-pair and an in-pair over it; its connectivity repair
+always ends, since the full lift of an irreducible Y is strongly
+connected.  It then draws psi maps until one is onto.  Every draw is
 made, so a seed always gives the same triple, but a map the attempt has
 already refused is not built again, and phi is built only for the psi
 that is kept.  Before its first draw an attempt counts Y's and Z's
@@ -143,14 +147,16 @@ def _lifted_edges(rng, copies, y_pairs, density):
 
 
 def _repair_connectivity(rng, x_symbols, x_pairs, phi_map, y_shift):
-    """Add codomain-compatible copy pairs until strongly connected.  The
-    full lift is strongly connected when the codomain is, so this always
-    terminates.  Each round gives every copy the mask of its component:
-    what it reaches forwards intersected with what it reaches backwards."""
+    """Add codomain-compatible copy pairs until strongly connected.  Each
+    round gives every copy the mask of its component: what it reaches
+    forwards intersected with what it reaches backwards.  The full lift
+    of an irreducible codomain is strongly connected, so while the pairs
+    are not, some compatible pair joins two components and the round
+    adds one; no more than n**2 pairs exist, so the loop ends."""
     pairs = set(x_pairs)
     n = len(x_symbols)
     index = {s: i for i, s in enumerate(x_symbols)}
-    for _ in range(n**2 + 1):
+    while True:
         succ, pred = _adjacency(index, pairs)
         comp = [reach(succ, 1 << v) & reach(pred, 1 << v) for v in range(n)]
         if comp[0] == (1 << n) - 1:
@@ -163,10 +169,7 @@ def _repair_connectivity(rng, x_symbols, x_pairs, phi_map, y_shift):
             and not comp[index[a]] >> index[b] & 1
             and y_shift.allows(phi_map[a], phi_map[b])
         )
-        if not candidates:
-            raise _Retry
         pairs.add(rng.choice(candidates))
-    raise _Retry
 
 
 def _surjection(rng, sources, targets):
@@ -219,23 +222,15 @@ def _generate_once(rng, spec):
     Y = _random_shift(rng, y_syms, spec.edge_density)
     matched = spec.blowup_max >= 2 and rng.random() < 0.35
     if matched:
-        count = rng.randint(2, spec.blowup_max)
-        copies = {
-            y: tuple(f"{y}c{j}" for j in range(count)) for y in y_syms
-        }
+        counts = [rng.randint(2, spec.blowup_max)] * len(y_syms)
     else:
-        copies = {
-            y: tuple(
-                f"{y}c{j}"
-                for j in range(rng.randint(spec.blowup_min, spec.blowup_max))
-            )
-            for y in y_syms
-        }
+        counts = [rng.randint(spec.blowup_min, spec.blowup_max) for _ in y_syms]
+    copies = {
+        y: tuple(f"{y}c{j}" for j in range(n)) for y, n in zip(y_syms, counts)
+    }
     x_syms = tuple(c for y in y_syms for c in copies[y])
     phi_map = {c: y for y in y_syms for c in copies[y]}
-    y_pairs = sorted(
-        (a, b) for a in y_syms for b in y_syms if Y.allows(a, b)
-    )
+    y_pairs = sorted(Y.allowed)
     if matched:
         x_pairs = _matching_edges(rng, copies, y_pairs)
     else:

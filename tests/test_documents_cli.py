@@ -769,6 +769,53 @@ class TestCliDocuments:
         assert (code, out) == (2, "")
         assert "error: bound Z_alphabet does not match psi's codomain alphabet" in err
         assert "Traceback" not in err
+        # phi sends both symbols of the full shift on x0, x1 to q, which
+        # Y forbids twice running: the same input error whether Y is
+        # bound to a phi with no codomain or attached as its codomain
+        qr = {"alphabet": ["q", "r"], "allowed": [["q", "r"], ["r", "q"]]}
+        phi = {
+            "domain": full_shift_doc(["x0", "x1"]),
+            "codomain_alphabet": ["q", "r"],
+            "map": {"x0": "q", "x1": "q"},
+        }
+        doc = {
+            "systems": {"Y": qr, "Z": FULLZ},
+            "codes": {
+                "phi": phi,
+                "psi": {"domain": "Y", "codomain": "Z", "map": {"q": "z", "r": "z"}},
+            },
+            "triple": {"phi": "phi", "psi": "psi", "Y": "Y"},
+        }
+        for attached in (False, True):
+            if attached:
+                phi["codomain"] = "Y"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "relative", "--triple", str(path))
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: code is not edge-compatible: "
+                "('x0','x0') maps to forbidden pair ('q','q')\n"
+            )
+
+    def test_declared_pi_keeps_the_mismatched_y_error(self, capsys, tmp_path, xor2):
+        # psi's domain is the golden mean shift on 0, 1, not phi's full
+        # codomain: the same input error with a declared pi as without,
+        # and not the composition's, which read the pi first
+        doc = triple_doc(xor2)
+        doc["systems"]["G"] = {
+            "alphabet": ["0", "1"],
+            "allowed": [["0", "0"], ["0", "1"], ["1", "0"]],
+        }
+        doc["codes"]["psi"]["domain"] = "G"
+        path = tmp_path / "mismatch.json"
+        pi = {"domain": "X", "codomain": "Z", "map": dict.fromkeys(xor2.X.alphabet.symbols, "z")}
+        for declared in (False, True):
+            if declared:
+                doc["codes"]["pi"] = pi
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "relative", "--triple", str(path))
+            assert (code, out) == (2, "")
+            assert err == "error: psi's domain shift is not phi's codomain\n"
 
     def test_unreadable_triple_inputs(self, capsys, tmp_path):
         code, _, _ = run_cli(

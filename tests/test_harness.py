@@ -118,6 +118,55 @@ class TestGenerateTriple:
         expected = "7a5a57a6a4ee8233d2c6eefcbe56aae06734ccec95dd85dc2e60c2ae96e5e28d"
         assert digest.hexdigest() == expected
 
+    def test_lifts_cover_every_edge_and_repairs_connect(self, monkeypatch):
+        # the guarantees the generator relies on instead of retrying: a
+        # lift gives every copy an out-pair and an in-pair over each Y
+        # edge, and a repair returns a strongly connected pair set that
+        # adds only pairs over allowed Y edges.  Every lift and repair
+        # of the pinned specs is recorded and checked
+        lifts, repairs = [], []
+        lifted, matching = harness._lifted_edges, harness._matching_edges
+        repair = harness._repair_connectivity
+
+        def recording_lift(rng, copies, y_pairs, *density):
+            make = lifted if density else matching
+            pairs = make(rng, copies, y_pairs, *density)
+            lifts.append((copies, y_pairs, set(pairs)))
+            return pairs
+
+        def recording_repair(rng, x_symbols, x_pairs, phi_map, y_shift):
+            pairs = repair(rng, x_symbols, x_pairs, phi_map, y_shift)
+            repairs.append((x_symbols, set(x_pairs), set(pairs), phi_map, y_shift))
+            return pairs
+
+        monkeypatch.setattr(harness, "_lifted_edges", recording_lift)
+        monkeypatch.setattr(harness, "_matching_edges", recording_lift)
+        monkeypatch.setattr(harness, "_repair_connectivity", recording_repair)
+        specs = [spec_for_seed(seed) for seed in range(1, 201)]
+        specs += [
+            TripleGenSpec(seed, y_symbols=3, blowup_max=3, z_symbols=2)
+            for seed in range(1, 41)
+        ]
+        for spec in specs:
+            generate_triple(spec)
+        for copies, y_pairs, pairs in lifts:
+            for p, q in y_pairs:
+                over = {(a, b) for a, b in pairs if a in copies[p] and b in copies[q]}
+                assert {a for a, _ in over} == set(copies[p])
+                assert {b for _, b in over} == set(copies[q])
+        for x_symbols, before, after, phi_map, y_shift in repairs:
+            assert before <= after
+            assert all(y_shift.allows(phi_map[a], phi_map[b]) for a, b in after - before)
+            for succ in (after, {(b, a) for a, b in after}):
+                seen, todo = {x_symbols[0]}, [x_symbols[0]]
+                while todo:
+                    a = todo.pop()
+                    new = {b for x, b in succ if x == a} - seen
+                    seen |= new
+                    todo.extend(new)
+                assert seen == set(x_symbols)
+        assert (len(lifts), len(repairs)) == (400, 292)
+
     def test_codes_built_once_per_distinct_draw(self, monkeypatch):
         # each attempt draws psi maps until one is onto; a map it already
         # refused is drawn (the stream stays the same) but not built
