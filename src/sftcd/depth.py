@@ -58,10 +58,9 @@ attaining the minimum replays as a routing certificate.  While the
 closures grow, each pair is only asked whether it scores 1, as above,
 and they grow only until such a pair turns up.  Only when both are
 complete with none does _routing_score, at k = 2 and on, build a pair's
-routing family (one set comprehension per pair, kept in its left
-side's kept dict for the later rounds), so only a minimum of 2 or more
-builds families.  Every mask step is a
-core.stepper.
+routing family, one set comprehension per pair per round (no round
+keeps one), so only a minimum of 2 or more builds families.  Every mask
+step is a core.stepper.
 
 A certificate lists one witness per endpoint pair, not per preimage:
 rerouting u asks only for a witness with u's first and last symbols, so
@@ -246,8 +245,9 @@ def _hitting_set(family, k, allowed):
 
 def _routing_families(e_pairs, fs, bs, length):
     """(position, routing family, its union) for each position from 2 to
-    length whose family differs from the one at the position before, as
-    those are built: an equal family has the same hitting sets."""
+    length whose family differs from the one at the position before,
+    built as they are asked for: an equal family has the same hitting
+    sets, so skipping it prunes the search and stores nothing."""
     previous = {1 << s for s, _ in e_pairs}  # position 1: the starts
     for n in range(2, length + 1):
         family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
@@ -267,8 +267,8 @@ def _depth_search(e_pairs, reach, length):
     below that size, the first position with a k-symbol hitting set
     gives the answer.  At k = 1 that is one symbol in the intersection
     of the starts' forward sets and the ends' backward sets, with no
-    family built.  From k = 2 on, each position's family is built on its
-    first ask and kept for the next k (_routing_families).  Returns
+    family built.  From k = 2 on, each round builds the position
+    families it asks about and keeps none (_routing_families).  Returns
     (size, position, mask) with the smallest size, then the smallest
     position, then the least symbol set in combination order.
     """
@@ -287,15 +287,11 @@ def _depth_search(e_pairs, reach, length):
             inter &= side[n - 1]
         if inter:
             return 1, n, inter & -inter
-    families = _routing_families(e_pairs, fs, bs, length)
     for k in range(2, size):
-        kept = []
-        for n, family, union in families:
+        for n, family, union in _routing_families(e_pairs, fs, bs, length):
             mask = _hitting_set(family, k, union)
             if mask:
                 return k, n, mask
-            kept.append((n, family, union))
-        families = kept
     return size, 1, starts
 
 
@@ -505,17 +501,11 @@ def _routing_score(left, right, k):
     meet right.union and the columns that meet left.union (_part).  A
     part is 0 when the unions miss each other, so a split with no
     endpoint pair does not score, and neither does its empty family at a
-    larger k.  A split's family and its union are built in the first
-    round that asks, from k = 2, and kept in left.kept under the right
-    side (the ANDs are under int keys) for the rounds after."""
+    larger k.  From k = 2 each ask builds the split's family anew."""
     if k == 1:
         return _part(left, right.union) & _part(right, left.union)
-    kept = left.kept.get(right)
-    if kept is None:
-        family = {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}
-        kept = left.kept[right] = family, reduce(or_, family, 0)
-    family, union = kept
-    return _hitting_set(family, k, union)
+    family = {r[-1] & c[-1] for r in left.vecs for c in right.vecs if r[0] & c[0]}
+    return _hitting_set(family, k, reduce(or_, family, 0))
 
 
 def _least_depth(subject, mode, cycle=None):

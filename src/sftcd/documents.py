@@ -237,11 +237,16 @@ def load_triple_doc(doc) -> LoadedTriple:
     if "pi" in codes_raw:
         if "phi" in recoded:
             warnings.append("declared pi ignored: phi was recoded")
-        elif load_code(codes_raw["pi"], systems).mapping != triple.pi.mapping:
+        elif _code_key(load_code(codes_raw["pi"], systems)) != _code_key(triple.pi):
             warnings.append("declared pi disagreed with psi after phi; recomputed")
         else:
             warnings.append("declared pi recomputed (matched)")
     return LoadedTriple(triple, tuple(warnings), recoded)
+
+
+def _code_key(code):
+    """Domain shift, codomain alphabet and images; a rule has no images."""
+    return code.domain, code.codomain_alphabet, getattr(code, "mapping", None)
 
 
 def load_triple(path) -> LoadedTriple:

@@ -41,14 +41,14 @@ left side with every right side it joins (_joinable_pairs).  A score is
 one function of two sides and k.  It reads each side as a _Side, made
 once when the side is pulled: its slot, tuples and word, the union of
 its first track, and one dict in which the score keeps what it makes of
-the side, as long as the minimum runs.  A pair whose unions miss each
-other has no endpoint pair, so no score counts it.  What outlives the
-minimum is its answer, and it holds no code: the closures read nothing
-but the domain's successor masks and each track's letter masks, so
-_side_minimum keeps each minimum under those, the slot labels, the
-walk, the score and core.DEFAULT_CAP as it is at the call
-(graphs.remember), and answers a repeated question without growing a
-side.
+the side alone, as long as the minimum runs; nothing made of a pair is
+kept.  A pair whose unions miss each other has no endpoint pair, so no
+score counts it.  What outlives the minimum is its answer, and it holds
+no code: the closures read nothing but the domain's successor masks and
+each track's letter masks, so _side_minimum keeps each minimum under
+those, the slot labels, the walk, the score and core.DEFAULT_CAP as it
+is at the call (graphs.remember), and answers a repeated question
+without growing a side.
 """
 from __future__ import annotations
 
@@ -209,8 +209,7 @@ class _Side:
     or head), its tuples (rows or columns), its word, and the union of
     their first tracks (a left side's ends, a right side's heads), made
     once when the side is pulled.  kept is a score's own dict, kept as
-    long as the side is, for what the score makes of the side in one
-    round and reads again later."""
+    long as the side is, for what it makes of the side alone."""
 
     __slots__ = ("slot", "vecs", "word", "union", "kept")
 

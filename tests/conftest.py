@@ -4,9 +4,11 @@ The oracles here deliberately avoid the bitmask machinery of the package:
 fibers are enumerated as explicit symbol tuples and minimization is done
 with itertools over whole alphabets.  Slow but unarguable.  small_codes is
 the Hypothesis strategy of random small codes that the differential tests
-share, and run_under_hash_seeds runs a snippet in fresh interpreters.
+share, hard_lift_triple makes the hard-regime triples of tests/data, and
+run_under_hash_seeds runs a snippet in fresh interpreters.
 """
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -18,8 +20,9 @@ from hypothesis import strategies as st
 import sftcd.codes as codes_module
 import sftcd.fiber as fiber_module
 from sftcd.codes import CodeTriple, OneBlockCode
-from sftcd.core import VertexShift
+from sftcd.core import VertexShift, is_irreducible
 from sftcd.corpus import builtin_triple
+from sftcd.harness import _random_shift
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +253,48 @@ def small_codes(draw):
     )
 
 
+def _perturbed_lift(rng, base, k, tag):
+    """The copy projection onto base of a lift with k copies per symbol
+    (copy i of b is named b + tag + i), or None when the lift trims a
+    symbol or is reducible.  Per edge of sorted(base.allowed), the
+    source copies are zipped with a shuffled list of the target copies,
+    then each copy pair is added with probability 0.05."""
+    copies = {b: [f"{b}{tag}{i}" for i in range(k)] for b in base.alphabet.symbols}
+    symbols = [c for b in base.alphabet.symbols for c in copies[b]]
+    pairs = set()
+    for p, q in sorted(base.allowed):
+        targets = list(copies[q])
+        rng.shuffle(targets)
+        pairs.update(zip(copies[p], targets))
+        pairs.update((a, b) for a in copies[p] for b in copies[q] if rng.random() < 0.05)
+    shift = VertexShift.build(symbols, sorted(pairs))
+    if shift.alphabet.symbols != tuple(symbols) or not is_irreducible(shift):
+        return None
+    images = {c: b for b in copies for c in copies[b]}
+    return OneBlockCode.from_dict(shift, base.alphabet, images, codomain=base)
+
+
+def hard_lift_triple(seed):
+    """A two-level perturbed matched lift, the hard regime's shape: Z on
+    z0, z1 is a shuffled cycle plus each ordered pair with probability
+    0.5 (harness._random_shift), Y lifts Z with 2 copies and X lifts Y
+    with 3, and psi and phi are the copy projections.  One
+    random.Random(seed) draws up to 50 tries, each from Z on; a lift
+    that trims a symbol or is reducible starts the next try.  The
+    documents under tests/data are made by this rule."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        Z = _random_shift(rng, ("z0", "z1"), 0.5)
+        psi = _perturbed_lift(rng, Z, 2, "y")
+        if psi is None:
+            continue
+        phi = _perturbed_lift(rng, psi.domain, 3, "x")
+        if phi is not None:
+            return CodeTriple.build(phi, psi)
+    raise AssertionError(f"no hard lift for seed {seed} in 50 tries")
+
+
+DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    DATA,
     fiber_paths,
     identity_extension,
     naive_class_degree,
@@ -27,6 +28,7 @@ from sftcd.codes import (
     trivial_code,
 )
 from sftcd.corpus import BUILTIN_NAMES, additive_recoding, builtin_triple
+from sftcd.documents import load_triple
 from sftcd.core import (
     Block,
     VertexShift,
@@ -1152,7 +1154,10 @@ def test_answer_first_matches_falling_limits_on_builtins_and_generated_triples()
     # seeds 86, 152 and 166 add class degrees of 2 or more attained
     # only past one letter, so found only once the closures are
     # complete: seed 86's pi is 4 at z0·z0·z0, its phi and relative
-    # degree 2 at y0·y1·y0, and pi is 2 at z0^5 on the other two
+    # degree 2 at y0·y1·y0, and pi is 2 at z0^5 on the other two.  The
+    # hard lifts of seeds 2 and 6 (tests/data) add minima of 1, 2, 3
+    # and 6 over a proper Z: seed 2's pi is 2 at an 11-letter block,
+    # seed 6's pi 6 at z0
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     seeds = (*range(1, 41), 86, 152, 166)
     triples += [generate_triple(spec_for_seed(seed)) for seed in seeds]
@@ -1170,6 +1175,11 @@ def test_answer_first_matches_falling_limits_on_builtins_and_generated_triples()
     # the three seeds' minima past one letter, as (value, label indices)
     minima = {f[:2] for f in found if f is not None}
     assert {(4, (0, 0, 0)), (2, (0, 1, 0)), (2, (0,) * 5)} <= minima
+    hard = [load_triple(DATA / f"hard-lift-seed{seed}.json").triple for seed in (2, 6)]
+    asks = [a for t in hard for a in _minimum_asks(t)]
+    assert {f[0] for f in _answer_first_against_falling_limits(asks)} == {1, 2, 3, 6}
+    pis = [class_degree(t.pi) for t in hard]
+    assert [(e.value, len(e.minimal_block)) for e in pis] == [(2, 11), (6, 1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1287,10 +1297,10 @@ def test_value_one_minima_build_no_family(monkeypatch):
 
 def test_larger_minima_still_build_families(mod3, monkeypatch):
     # with no pair of depth 1 in the complete closures, the rounds from
-    # k = 2 on ask every pair, and each pair builds its routing family
-    # once, in the first round that asks it: mod3's phi has 3 at the
+    # k = 2 on ask every pair, and each ask builds the pair's routing
+    # family and keeps it for no later round: mod3's phi has 3 at the
     # one-letter block 0, so its 3 one-letter pairs are asked at k = 2
-    # and again at k = 3, and build 3 families, not 6; seed 11's relative
+    # and again at k = 3, and build 6 families; seed 11's relative
     # degree is 2 at y0, found among its 3 one-letter pairs at k = 2
     t11 = generate_triple(spec_for_seed(11))
     for ask, expected, rounds in (
@@ -1300,7 +1310,19 @@ def test_larger_minima_still_build_families(mod3, monkeypatch):
         est, asked, built = _families_built(monkeypatch, ask)
         assert (est.value, est.minimal_block.text()) == expected
         assert asked == rounds
-        assert built == 3
+        assert built == len(asked)
+
+
+def test_depth_search_builds_each_round_its_own_families(monkeypatch):
+    # seed 17's pi has depth 3 at z0·z1, at position 2: round k = 2
+    # builds the position's family and finds no hitting set, and round
+    # k = 3 builds the family again rather than reading a kept one
+    pi = generate_triple(spec_for_seed(17)).pi
+    result, asked, built = _families_built(
+        monkeypatch, partial(depth, pi, Block(("z0", "z1")))
+    )
+    assert (result.value, result.certificate.n) == (3, 2)
+    assert asked == [] and built == 2
 
 
 def test_cap_names_the_level_it_reached(xor2, monkeypatch):

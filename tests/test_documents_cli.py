@@ -1,5 +1,6 @@
 """Document parsing, canonical dumps, and the command-line surface."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SRC, run_under_hash_seeds
+from conftest import DATA, SRC, hard_lift_triple, run_under_hash_seeds
 from sftcd.cli import main
 from sftcd.codes import SlidingBlockCode
 from sftcd.core import SEPARATOR, Block, PeriodicPoint, parse_block_text
@@ -251,6 +252,41 @@ class TestTripleDocs:
         loaded = load_triple_doc(doc)
         assert any("disagreed" in w for w in loaded.warnings)
         assert loaded.triple.pi.apply_symbol("00") == "z"
+
+    def test_hard_lift_documents_are_made_by_their_rule(self):
+        # tests/data/README.md states the rule, conftest.hard_lift_triple
+        # runs it, and each document loads back to its own bytes
+        pins = {
+            2: "b055de2de8f6109cb4de6e7792c381e6942273d81c5c83b94b2e2a9e469dc9eb",
+            6: "5f2955f154a3fee0cca9d39471ebd68c321636d188462559aabf6bf56863328a",
+            25: "bff773fc14090f763b81fecaa6f3a7d9abe7d91a9dcd6106e5fb155c76fba5c5",
+        }
+        for seed, digest in pins.items():
+            text = (DATA / f"hard-lift-seed{seed}.json").read_text()
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert canonical_json(triple_doc(hard_lift_triple(seed))) == text
+            assert canonical_json(load_triple_doc(json.loads(text)).triple) == text
+
+    def test_declared_pi_matches_by_its_whole_code(self, xor2):
+        # each of these has pi's images, one symbol sent to z per symbol
+        # of X, but is another code: on the 4-cycle q0 -> q1 -> q2 -> q3
+        # -> q0, onto the alphabet (w, z), or a sliding rule on X
+        doc = triple_doc(xor2)
+        cycle = ["q0", "q1", "q2", "q3"]
+        shifted = {
+            "alphabet": cycle,
+            "allowed": [[a, b] for a, b in zip(cycle, cycle[1:] + cycle[:1])],
+        }
+        x_to_z = {s: "z" for s in xor2.X.alphabet.symbols}
+        for pi in (
+            {"domain": shifted, "codomain_alphabet": ["z"], "map": dict.fromkeys(cycle, "z")},
+            {"domain": "X", "codomain_alphabet": ["w", "z"], "map": x_to_z},
+            {"domain": "X", "codomain_alphabet": ["z"], "memory": 0, "rule": x_to_z},
+        ):
+            doc["codes"]["pi"] = pi
+            loaded = load_triple_doc(doc)
+            assert loaded.warnings == ("declared pi disagreed with psi after phi; recomputed",)
+            assert canonical_json(loaded.triple) == canonical_json(xor2)
 
     def test_declared_pi_ignored_after_recode(self):
         doc = xor_doc()
