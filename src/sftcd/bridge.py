@@ -52,7 +52,7 @@ from .errors import (
     NotRoutable,
     PreconditionUnmet,
 )
-from .fiber import pruned_layers
+from .fiber import _letter_masks
 from .graphs import reach
 
 
@@ -165,12 +165,13 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
                 f"{point.text()} does not show {cert.w.text()!r} at {occurrence}"
             )
     # one reach serves both windows: backward sets for their two end
-    # symbols only; its forward sets, which lex_path_through never reads,
+    # symbols only, swept over the witness code's letter masks of the
+    # witness word; its forward sets, which lex_path_through never reads,
     # are never swept.  The windows lie in the witness fiber, so it is
     # not empty
     alphabet = u_code.domain.alphabet
     ends = (1 << alphabet.index(u.at(length))) | (1 << alphabet.index(up.at(length)))
-    layers = pruned_layers(wit_code, to_wit(cert.w.symbols))
+    layers = _letter_masks(wit_code, to_wit(cert.w.symbols))
     wit = _Reach(wit_code, layers, ends=ends)
     v = _witness_through(wit, alphabet, cert.n, u, a)
     vp = _witness_through(wit, alphabet, cert.n, up, a)

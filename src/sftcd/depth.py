@@ -31,9 +31,7 @@ Position 1 scores a block's search with no family built: there the
 routing set of a pair (s, t) is {s}, so the least hitting set is the
 mask of the fiber's start symbols, and a single start symbol ends the
 search before any forward set is swept; the reach sweeps its forward
-sets on first read, which only a later position makes.  A lone end
-symbol of the pruned layers needs no backward sweep: the layers are its
-backward sets.
+sets on first read, which only a later position makes.
 
 k = 1 is asked with no family built either.  One symbol lies in every
 routing set exactly when it lies in their intersection, and as every
@@ -79,9 +77,14 @@ verify_certificate replays a certificate by checking each listed
 through M at n, and that the listed pairs are exactly the u-fiber's
 endpoint pairs, read off the end mask of one forward sweep per start
 symbol (_end_pairs, which keeps no history); so it covers every preimage
-without enumerating any.  Depth and presentation read the u-fiber's
-pairs the same way in both modes, off its pruned layers (_routing): only
-the witness reach's forward sets feed routing sets.
+without enumerating any.  Depth and presentation prune no layer
+(_routing): the u-fiber is w's forward layers, and the witness reach
+sweeps one backward set per end symbol, over those layers in absolute
+mode and over pi's letter masks of psi(w) in relative mode.  Every
+reader ANDs a backward set with a forward set or starts at a start
+symbol, so it reads only symbols of complete paths.  Absolute mode
+reads the endpoint pairs off the backward sets (s pairs with t when s
+lies in bs[t][0]), relative mode off phi's end masks, as the replay does.
 """
 from __future__ import annotations
 
@@ -103,32 +106,34 @@ from .fiber import (
 
 
 class _Reach:
-    """Per-start forward sets and per-end backward sets over the pruned
-    layers of one non-empty fiber, for the start symbols in the mask
-    starts and the end symbols in the mask ends (default: all of them).
-    The caller prunes the layers.  A relative reach is built on pi's
-    fiber over psi(w) but needs only the endpoints of w's phi-fiber: a
-    phi-preimage of w is a pi-preimage of psi(w), so every endpoint pair
-    a certificate routes stays covered.
+    """Per-start forward sets and per-end backward sets over the layers
+    of one non-empty fiber, for the start symbols in the mask starts and
+    the end symbols in the mask ends (default: all of them).  The layers
+    are a word's forward layers or its letter masks, never pruned: every
+    reader ANDs a backward set with a forward set or starts at a start
+    symbol, so it reads only symbols of complete paths.  A relative
+    reach is built on pi's letter masks over psi(w) but needs only the
+    endpoints of w's phi-fiber: a phi-preimage of w is a pi-preimage of
+    psi(w), so every endpoint pair a certificate routes stays covered.
 
-    The backward sets are built at once, since every witness reads one.
-    The forward sets are built on first read of fs, which only a search
-    or a routing test past position 1 makes.  A lone end symbol of the
-    pruned layers needs no backward sweep: every symbol of those layers
-    lies on a path to it, so the layers are its sets.
-    lex_path_through keeps its backward sweeps toward routing symbols
-    past position 1 in to_m, one per (symbol, position)."""
+    The backward sets are built at once, one sweep per end symbol, since
+    every witness reads one; bs[t][0] holds the start symbols that reach
+    t, and starts keeps those that reach some end.  The forward sets are
+    swept on first read of fs, which only a search or a routing test
+    past position 1 makes.  lex_path_through keeps its backward sweeps
+    toward routing symbols past position 1 in to_m, one per (symbol,
+    position)."""
 
     __slots__ = ("code", "layers", "starts", "_fs", "bs", "to_m")
 
     def __init__(self, code, layers, starts=-1, ends=-1):
         self.code = code
         self.layers = layers
-        self.starts = starts
         self._fs = None
         self.to_m = {}
-        last = len(layers)
-        self.bs = {t: self._reaching(t, last) for t in iter_bits(layers[-1] & ends)}
+        domain = code.domain
+        self.bs = {t: _toward(domain, t, layers) for t in iter_bits(layers[-1] & ends)}
+        self.starts = starts & reduce(or_, (back[0] for back in self.bs.values()), 0)
 
     @property
     def fs(self):
@@ -137,14 +142,6 @@ class _Reach:
         if self._fs is None:
             self._fs = _forward_sets(self.code.domain, self.layers, self.starts)
         return self._fs
-
-    def _reaching(self, t, n):
-        """The symbols of each of the first n layers that reach t at n:
-        those layers themselves when t is alone there."""
-        layers = self.layers[:n]
-        if layers[-1] == 1 << t:
-            return layers
-        return _toward(self.code.domain, t, layers)
 
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
@@ -164,7 +161,8 @@ class _Reach:
         else:
             toward_m = self.to_m.get((m, n))
             if toward_m is None:
-                toward_m = self.to_m[m, n] = self._reaching(m, n)
+                toward_m = _toward(self.code.domain, m, self.layers[:n])
+                self.to_m[m, n] = toward_m
             if not (toward_m[0] >> s) & 1:
                 return None
             ahead = toward_m[1:] + toward_t[n:]
@@ -408,25 +406,32 @@ def _codes_of(subject, mode):
 
 def _routing(subject, w, mode, M=()):
     """((u-domain, u-fiber layers, their endpoint pairs, witness reach),
-    mask of M) for w in mode.  One set-up for both modes: the u-layers
-    are pruned once, the pairs are read off their end masks (_end_pairs),
-    and the witness reach is built for the u-fiber's start and end
-    symbols, on those same layers when the witness code is the u-code
-    and on its own pruned layers over the witness word otherwise.  Its
-    forward sets are swept only when a search or a routing test past
-    position 1 reads them."""
+    mask of M) for w in mode.  One set-up for both modes, with no
+    pruning pass: the u-layers are w's forward layers, and the witness
+    reach sweeps one backward set per end symbol of the u-fiber, over
+    those same layers when the witness code is the u-code and over the
+    witness code's letter masks of the witness word otherwise.  In
+    absolute mode the endpoint pairs are read off the reach, s being
+    paired with t when s lies in bs[t][0]; in relative mode off the end
+    masks of the u-layers (_end_pairs).  The reach's forward sets are
+    swept only when a search or a routing test past position 1 reads
+    them."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
-    u_layers = pruned_layers(u_code, word)
+    u_layers = forward_layers(u_code, word)
     m_mask = _mask_of(u_code.domain.alphabet, M)
     if u_layers is None:
         what = "preimage" if wit_code is u_code else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")
-    e_pairs = _end_pairs(u_code.domain, u_layers)
-    wit_layers = (
-        u_layers if wit_code is u_code else pruned_layers(wit_code, to_wit(word))
-    )
-    wit = _Reach(wit_code, wit_layers, u_layers[0], u_layers[-1])
+    if wit_code is u_code:
+        wit = _Reach(u_code, u_layers)
+        bs = wit.bs.items()
+        e_pairs = [(s, t) for s in iter_bits(wit.starts) for t, b in bs if b[0] >> s & 1]
+    else:
+        e_pairs = _end_pairs(u_code.domain, u_layers)
+        starts = reduce(or_, (1 << s for s, _ in e_pairs))
+        wit_layers = _letter_masks(wit_code, to_wit(word))
+        wit = _Reach(wit_code, wit_layers, starts, u_layers[-1])
     return (u_code.domain, u_layers, e_pairs, wit), m_mask
 
 
@@ -585,14 +590,6 @@ def periodic_point_relative_degree(triple, y, max_len=None):
     return _least_depth(triple, "relative", cycle)
 
 
-def _spells(code, word, block):
-    """Whether block is a path of code's domain whose image is word."""
-    path = block.symbols
-    return tuple(map(code.symbol_map.get, path)) == word and all(
-        map(code.domain.allowed.__contains__, zip(path, path[1:]))
-    )
-
-
 def verify_certificate(subject, cert):
     """Mechanically replay a routing certificate against a code (absolute
     mode) or a triple (relative mode).  True when the listed (s, t) are
@@ -604,29 +601,31 @@ def verify_certificate(subject, cert):
     u: the replay covers every preimage without listing any.  The pairs
     are read off the end mask of one forward sweep per start symbol over
     w's forward layers (a dead-end symbol reaches no end symbol, so they
-    need no pruning).  A position outside 1..|w|, a symbol outside the
-    alphabets or a mode the subject has no codes for (_codes_of) gives
-    False, like any other tampering."""
+    need no pruning).  Each v is checked to spell the witness word along
+    allowed edges before any of its symbols is read at n.  A position
+    outside 1..|w|, a symbol outside the alphabets or a mode the subject
+    has no codes for (_codes_of) gives False, like any other tampering."""
     w, n = cert.w.symbols, cert.n
     try:
         u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
-    except PreconditionUnmet:
+        layers = forward_layers(u_code, w)
+    except (PreconditionUnmet, UnknownSymbol):
         return False
-    if not 1 <= n <= len(w) or not all(map(u_code.letter_masks.__contains__, w)):
+    if layers is None or not 1 <= n <= len(w):
         return False
     wit_word = to_wit(w)
+    image, allowed = wit_code.symbol_map.get, wit_code.domain.allowed
     m_set = set(cert.M)
     claimed = set()
     for s, t, v_block in cert.witnesses:
         v = v_block.symbols
-        if (s, t) in claimed or not _spells(wit_code, wit_word, v_block):
+        if (s, t) in claimed or tuple(map(image, v)) != wit_word:
+            return False
+        if not all(map(allowed.__contains__, zip(v, v[1:]))):
             return False
         if v[0] != s or v[-1] != t or v[n - 1] not in m_set:
             return False
         claimed.add((s, t))
-    layers = forward_layers(u_code, w)
-    if layers is None:
-        return False
     spell = u_code.domain.alphabet.symbols.__getitem__
     pairs = _end_pairs(u_code.domain, layers)
     return len(claimed) == len(pairs) and claimed.issuperset(

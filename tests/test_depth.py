@@ -618,6 +618,19 @@ class TestVerifyCertificate:
         )
         assert not verify_certificate(xor2, bad)
 
+    def test_malformed_witnesses_at_the_last_position_are_refused(self, xor2):
+        # at n = |w| the replay reads v[n - 1]; a witness shorter than n or
+        # of one symbol fails its spelling test first, and an empty M
+        # holds no symbol at n, so each gives False rather than raising
+        w = yblock(xor2, "000")
+        cert = is_presented(xor2.phi, w, xor2.X.alphabet.symbols, len(w))
+        assert verify_certificate(xor2.phi, cert)
+        (s, t, v), rest = cert.witnesses[0], cert.witnesses[1:]
+        for short in (Block(v.symbols[:-1]), Block(v.symbols[:1])):
+            bad = replace(cert, witnesses=((s, t, short),) + rest)
+            assert not verify_certificate(xor2.phi, bad)
+        assert not verify_certificate(xor2.phi, replace(cert, M=()))
+
     def test_empty_claim_is_refused(self, xor2):
         cert = depth(xor2.phi, yblock(xor2, "000")).certificate
         bad = RoutingCertificate(cert.w, cert.n, cert.M, (), cert.mode)
@@ -769,6 +782,40 @@ def test_witness_fingerprint():
     )
 
 
+def test_pi_certificate_fingerprint():
+    # sha256 over every field of depth's certificate on pi and of the
+    # outcome of presenting through its first symbol alone, certificate
+    # or refusal, on every Z block of length <= 5 of seeds 1..40, taken
+    # while fibers were still pruned before routing.  Pruning removes
+    # symbols from 312 of these pi fibers, and a refusal's blocker is a
+    # least path of the fiber, so a dead-end symbol read as live would
+    # show here; the generator gives phi fibers no dead end
+    h = hashlib.sha256()
+    rows = dead = refused = 0
+    for seed in range(1, 41):
+        t = generate_triple(spec_for_seed(seed))
+        for length in range(1, 6):
+            for w in enumerate_blocks(t.Z_shift, length):
+                res = depth(t.pi, w)
+                c = res.certificate
+                out = is_presented(t.pi, w, c.M[:1], c.n)
+                if out:
+                    shown = [list(out.M), [[s, u, v.text()] for s, u, v in out.witnesses]]
+                else:
+                    shown = [list(out.M), out.blocking.text(), out.reason]
+                    refused += 1
+                witnesses = [[s, u, v.text()] for s, u, v in c.witnesses]
+                row = [seed, w.text(), res.value, c.n, list(c.M), witnesses, shown]
+                h.update(json.dumps(row).encode() + b"\n")
+                rows += 1
+                layers = fiber_module.forward_layers(t.pi, w.symbols)
+                dead += layers != pruned_layers(t.pi, w.symbols)
+    assert (rows, dead, refused) == (1340, 312, 548)
+    assert h.hexdigest() == (
+        "3b834a4173706afd6885607c40f89429da97937c8894ae4f190fae31807089e0"
+    )
+
+
 def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
     # relative_depth builds pi's reach for the start and end symbols of
     # the phi-fiber only; on these blocks that is fewer sweeps than the
@@ -885,6 +932,42 @@ def test_one_start_fibers_sweep_no_forward_sets(monkeypatch):
                     lone += 1
                 swept += bool(calls)
     assert lone > 0 and swept > 0
+
+
+def test_depth_prunes_no_layer(monkeypatch):
+    # depth and relative_depth set each fiber up from its forward layers
+    # with one backward sweep per end symbol, so neither calls
+    # pruned_layers, and absolute depth reads its endpoint pairs off the
+    # backward sets without _end_pairs; relative_depth still reads phi's
+    # pairs with it, which shows the counter counts
+    calls = []
+
+    def counting(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for module, name in (
+        (fiber_module, "pruned_layers"),
+        (depth_module, "pruned_layers"),
+        (depth_module, "_end_pairs"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    relative_pairs = 0
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 6)]
+    for t in triples:
+        for n in range(1, 6):
+            for w in enumerate_blocks(t.Y, n):
+                calls.clear()
+                depth(t.phi, w)
+                assert calls == []
+                relative_depth(t, w)
+                assert "pruned_layers" not in calls
+                relative_pairs += calls.count("_end_pairs")
+    assert relative_pairs > 0
 
 
 def test_degree_fingerprint():
