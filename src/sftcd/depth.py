@@ -76,8 +76,8 @@ verify_certificate replays a certificate by checking each listed
 (s, t, v) once, that v spells w's image in the witness fiber from s to t
 through M at n, and that the listed pairs are exactly the u-fiber's
 endpoint pairs, read off the end mask of one forward sweep per start
-symbol (_end_pairs, which keeps no history); so it covers every preimage
-without enumerating any.  Depth and presentation prune no layer
+symbol (fiber._end_pairs, which keeps no history); so it covers every
+preimage without enumerating any.  Depth and presentation prune no layer
 (_routing): the u-fiber is w's forward layers, and the witness reach
 sweeps one backward set per end symbol, over those layers in absolute
 mode and over pi's letter masks of psi(w) in relative mode.  Every
@@ -85,6 +85,14 @@ reader ANDs a backward set with a forward set or starts at a start
 symbol, so it reads only symbols of complete paths.  Absolute mode
 reads the endpoint pairs off the backward sets (s pairs with t when s
 lies in bs[t][0]), relative mode off phi's end masks, as the replay does.
+
+The forward layers and the end-mask pairs come from fiber's one-fiber
+slot (fiber.forward_layers, fiber.end_pairs), so depth, relative depth
+and both replays of one block sweep w's phi-fiber once and read its
+pairs once.  Absolute depth still reads its pairs off the backward sets,
+never off the slot, so the replay's forward-swept pairs check an
+absolute certificate's pairs by a computation independent of the one
+that made them.
 """
 from __future__ import annotations
 
@@ -99,6 +107,7 @@ from .fiber import (
     _letter_masks,
     _side_minimum,
     _sweep,
+    end_pairs,
     forward_layers,
     iter_fiber,
     pruned_layers,
@@ -198,23 +207,6 @@ def _forward_sets(domain, layers, starts=-1):
     return {s: _sweep(step, 1 << s, ahead) for s in iter_bits(layers[0] & starts)}
 
 
-def _end_pairs(domain, layers):
-    """(s, t) for every path from s to t through forward or pruned
-    layers, s ascending, then t: each start symbol is stepped to the last
-    layer keeping only the current mask.  A lone start reaches the whole
-    last layer, so it is paired with each of its symbols with no step."""
-    if not layers[0] & (layers[0] - 1):
-        return [(layers[0].bit_length() - 1, t) for t in iter_bits(layers[-1])]
-    step, ahead = domain.step_mask, layers[1:]
-    pairs = []
-    for s in iter_bits(layers[0]):
-        mask = 1 << s
-        for layer in ahead:
-            mask = step(mask) & layer
-        pairs += [(s, t) for t in iter_bits(mask)]
-    return pairs
-
-
 def _hitting_set(family, k, allowed):
     """Least k-symbol mask, in combination order, meeting every routing
     set of family, or None when there is none; allowed, the union of
@@ -299,7 +291,7 @@ class RoutingCertificate:
 
     witnesses holds one (s, t, v) per endpoint pair (s, t) of w's u-fiber
     (the fiber of w in absolute mode, of w under phi in relative mode),
-    in _end_pairs order: s and t are domain symbols and v is a
+    in fiber._end_pairs order: s and t are domain symbols and v is a
     witness-fiber block from s to t with v|_n in M.  Every preimage u runs
     from some listed s to its t, so the pair's v reroutes it;
     preimages() lists the (u, v) pairs this covers."""
@@ -413,7 +405,7 @@ def _routing(subject, w, mode, M=()):
     witness code's letter masks of the witness word otherwise.  In
     absolute mode the endpoint pairs are read off the reach, s being
     paired with t when s lies in bs[t][0]; in relative mode off the end
-    masks of the u-layers (_end_pairs).  The reach's forward sets are
+    masks of the u-layers (fiber.end_pairs).  The reach's forward sets are
     swept only when a search or a routing test past position 1 reads
     them."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
@@ -428,7 +420,7 @@ def _routing(subject, w, mode, M=()):
         bs = wit.bs.items()
         e_pairs = [(s, t) for s in iter_bits(wit.starts) for t, b in bs if b[0] >> s & 1]
     else:
-        e_pairs = _end_pairs(u_code.domain, u_layers)
+        e_pairs = end_pairs(u_code, word)
         starts = reduce(or_, (1 << s for s, _ in e_pairs))
         wit_layers = _letter_masks(wit_code, to_wit(word))
         wit = _Reach(wit_code, wit_layers, starts, u_layers[-1])
@@ -601,10 +593,14 @@ def verify_certificate(subject, cert):
     u: the replay covers every preimage without listing any.  The pairs
     are read off the end mask of one forward sweep per start symbol over
     w's forward layers (a dead-end symbol reaches no end symbol, so they
-    need no pruning).  Each v is checked to spell the witness word along
-    allowed edges before any of its symbols is read at n.  A position
-    outside 1..|w|, a symbol outside the alphabets or a mode the subject
-    has no codes for (_codes_of) gives False, like any other tampering."""
+    need no pruning).  Layers and pairs are read from fiber's one-fiber
+    slot, where a depth call on the same block may have left them; they
+    are the u-fiber's own whatever the certificate claims, so a warm slot
+    accepts nothing a cold one refuses.  Each v is checked to spell the
+    witness word along allowed edges before any of its symbols is read
+    at n.  A position outside 1..|w|, a symbol outside the alphabets or a
+    mode the subject has no codes for (_codes_of) gives False, like any
+    other tampering."""
     w, n = cert.w.symbols, cert.n
     try:
         u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
@@ -627,7 +623,7 @@ def verify_certificate(subject, cert):
             return False
         claimed.add((s, t))
     spell = u_code.domain.alphabet.symbols.__getitem__
-    pairs = _end_pairs(u_code.domain, layers)
+    pairs = end_pairs(u_code, w)
     return len(claimed) == len(pairs) and claimed.issuperset(
         (spell(s), spell(t)) for s, t in pairs
     )

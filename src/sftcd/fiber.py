@@ -8,6 +8,16 @@ paths with core.iter_paths, the depth-first lister that also lists a
 shift's blocks; on pruned layers every prefix extends, so the first path
 costs only its length and a long fiber is listed lazily.
 
+One slot, _FIBER, keeps the fiber of the last word asked of a code: the
+code (compared by identity), its own tuple of the word, the forward
+layers and, once something reads them, the endpoint pairs (_end_pairs,
+read through end_pairs).  Its word, layers and pairs are tuples, so no
+caller can change what a later one reads.  forward_layers, pruned_layers
+and end_pairs read it when the code and word match and replace it
+otherwise.  Depth, relative depth and both certificate replays of one
+block ask about one fiber, w's under phi, so a block sweeps its forward
+layers once and reads its pairs once however many of them it makes.
+
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
 What a block u + v[1:] shows at its split depends only on u's left side
@@ -73,9 +83,10 @@ def _sweep(step, mask, layers):
     return hist
 
 
-def forward_layers(code, word):
+def _forward_sweep(code, word):
     """Raw forward filter: layers[i] = symbols carrying word[i] reachable
-    from layer i-1.  None when a layer dies, and with it the last."""
+    from layer i-1, as a tuple.  None when a layer dies, and with it the
+    last."""
     try:
         layers = list(map(code.letter_masks.__getitem__, word))
     except KeyError as missing:
@@ -83,21 +94,75 @@ def forward_layers(code, word):
             f"symbol {missing.args[0]!r} not in codomain alphabet"
         ) from None
     layers = _sweep(code.domain.step_mask, layers[0], layers[1:])
-    return layers if layers[-1] else None
+    return tuple(layers) if layers[-1] else None
 
 
-def pruned_layers(code, word):
-    """Layers restricted to complete preimage paths, or None for an empty
-    fiber.  Every symbol of a live forward layer has a predecessor in the
-    layer before, so the backward sweep empties no layer."""
-    layers = forward_layers(code, word)
-    if layers is None:
-        return None
-    return _sweep(code.domain.step_mask_back, layers[-1], layers[-2::-1])[::-1]
+def _end_pairs(domain, layers):
+    """(s, t) for every path from s to t through forward or pruned
+    layers, s ascending, then t: each start symbol is stepped to the last
+    layer keeping only the current mask.  A lone start reaches the whole
+    last layer, so it is paired with each of its symbols with no step."""
+    if not layers[0] & (layers[0] - 1):
+        return [(layers[0].bit_length() - 1, t) for t in iter_bits(layers[-1])]
+    step, ahead = domain.step_mask, layers[1:]
+    pairs = []
+    for s in iter_bits(layers[0]):
+        mask = 1 << s
+        for layer in ahead:
+            mask = step(mask) & layer
+        pairs += [(s, t) for t in iter_bits(mask)]
+    return pairs
 
+
+# the fiber of the last word asked of a code: (the code, the word as a
+# tuple, its forward layers, their endpoint pairs or None until read).
+# Readers use the tuple they took, so a replaced slot never mixes two
+# fibers
+_FIBER = None
 
 # side-closure minima by their whole input, oldest first (graphs.remember)
 _MINIMA = {}
+
+
+def _kept_fiber(code, word):
+    """The slot, holding word's fiber under code: kept when the code (by
+    identity) and the word (by value) are those of the last ask, swept
+    anew otherwise.  The slot holds its own tuple of the word, so a
+    caller's list mutated after a call never matches a stale fiber."""
+    global _FIBER
+    word = tuple(word)
+    kept = _FIBER
+    if kept is None or kept[0] is not code or kept[1] != word:
+        kept = _FIBER = (code, word, _forward_sweep(code, word), None)
+    return kept
+
+
+def forward_layers(code, word):
+    """_forward_sweep(code, word), read from the slot when it holds
+    word's fiber under code."""
+    return _kept_fiber(code, word)[2]
+
+
+def end_pairs(code, word):
+    """_end_pairs of word's forward layers under code, as a tuple, made on
+    the first read of each fiber the slot holds; word's fiber must not be
+    empty."""
+    global _FIBER
+    kept = _kept_fiber(code, word)
+    if kept[3] is None:
+        kept = _FIBER = kept[:3] + (tuple(_end_pairs(code.domain, kept[2])),)
+    return kept[3]
+
+
+def pruned_layers(code, word):
+    """Layers restricted to complete preimage paths, as a tuple, or None
+    for an empty fiber.  Every symbol of a live forward layer has a
+    predecessor in the layer before, so the backward sweep empties no
+    layer."""
+    layers = forward_layers(code, word)
+    if layers is None:
+        return None
+    return tuple(_sweep(code.domain.step_mask_back, layers[-1], layers[-2::-1])[::-1])
 
 
 def _letter_masks(code, letters):

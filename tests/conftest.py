@@ -27,10 +27,11 @@ from sftcd.harness import _random_shift
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Every test starts with no side-closure minimum and no check_onto
-    answer kept, so whether a closure runs never depends on the tests
-    before it."""
+    """Every test starts with no side-closure minimum, no check_onto
+    answer and no fiber kept, so whether a closure or a sweep runs never
+    depends on the tests before it."""
     fiber_module._MINIMA.clear()
+    fiber_module._FIBER = None
     codes_module._ONTO.clear()
 
 

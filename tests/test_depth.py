@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 from functools import partial, reduce
 from itertools import combinations, count, islice, product
@@ -43,6 +44,7 @@ import sftcd.depth as depth_module
 import sftcd.fiber as fiber_module
 from sftcd.depth import (
     DegreeEstimate,
+    DepthResult,
     _hitting_set,
     RoutingCertificate,
     RoutingRefusal,
@@ -934,6 +936,14 @@ def test_one_start_fibers_sweep_no_forward_sets(monkeypatch):
     assert lone > 0 and swept > 0
 
 
+def _counting(calls, name, real):
+    def call(*args):
+        calls.append(name)
+        return real(*args)
+
+    return call
+
+
 def test_depth_prunes_no_layer(monkeypatch):
     # depth and relative_depth set each fiber up from its forward layers
     # with one backward sweep per end symbol, so neither calls
@@ -941,20 +951,12 @@ def test_depth_prunes_no_layer(monkeypatch):
     # backward sets without _end_pairs; relative_depth still reads phi's
     # pairs with it, which shows the counter counts
     calls = []
-
-    def counting(name, real):
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-
-        return call
-
     for module, name in (
         (fiber_module, "pruned_layers"),
         (depth_module, "pruned_layers"),
-        (depth_module, "_end_pairs"),
+        (fiber_module, "_end_pairs"),
     ):
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     relative_pairs = 0
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 6)]
@@ -1584,6 +1586,197 @@ def test_kept_minima_answer_as_fresh_closures_do():
     warm = [_summary(f(subject)) for f, subject in calls]
     assert warm == cold
     assert len(fiber_module._MINIMA) < len(calls) // 2
+
+
+def test_one_fiber_set_up_per_block(monkeypatch):
+    # certify's four calls on a block ask about one fiber, w's under phi:
+    # absolute depth sweeps its forward layers, relative depth reads its
+    # endpoint pairs, and both replays read both off the slot
+    calls = []
+    for name in ("_forward_sweep", "_end_pairs"):
+        real = getattr(fiber_module, name)
+        monkeypatch.setattr(fiber_module, name, _counting(calls, name, real))
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 21)]
+    for t in triples:
+        for n in range(1, 5):
+            for w in enumerate_blocks(t.Y, n):
+                calls.clear()
+                d, r = depth(t.phi, w), relative_depth(t, w)
+                assert verify_certificate(t.phi, d.certificate)
+                assert verify_certificate(t, r.certificate)
+                assert sorted(calls) == ["_end_pairs", "_forward_sweep"], w
+
+
+def _permuted(code):
+    """code on the same domain and codomain alphabet with its letter
+    masks permuted: every image moved one letter on."""
+    letters = code.codomain_alphabet.symbols
+    on = dict(zip(letters, letters[1:] + letters[:1]))
+    return OneBlockCode(code.domain, code.codomain_alphabet, tuple(map(on.get, code.mapping)))
+
+
+def _outcome(f, subject, arg):
+    try:
+        return f(subject, arg)
+    except EmptyFiber as err:
+        return type(err)
+
+
+def _fresh(ops):
+    results = []
+    for op in ops:
+        fiber_module._FIBER = None
+        results.append(_outcome(*op))
+    return results
+
+
+def test_kept_fibers_answer_as_fresh_sweeps_do():
+    # per block: depth and its replay on phi and on a code with phi's
+    # domain and letters whose letter masks are permuted, so one word has
+    # two fibers; relative depth and its replay; and each depth replayed
+    # against the other code.  Every answer is computed with the slot
+    # cleared first, then with the slot kept, the calls in block order
+    # and shuffled; a slot keyed by the word alone answers the second
+    # code with phi's fiber
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 41)]
+    ops = []
+    for t in triples:
+        other = _permuted(t.phi)
+        for n in range(1, 6):
+            for w in enumerate_blocks(t.Y, n):
+                asks = [(depth, t.phi, w), (depth, other, w), (relative_depth, t, w)]
+                d, d2, r = _fresh(asks)
+                ops += asks
+                ops += [(verify_certificate, t, r.certificate)]
+                for x in (d, d2):
+                    if isinstance(x, DepthResult):
+                        ops += [(verify_certificate, code, x.certificate) for code in (t.phi, other)]
+    fresh = _fresh(ops)
+    assert True in fresh and False in fresh and EmptyFiber in fresh
+    fiber_module._FIBER = None
+    assert [_outcome(*op) for op in ops] == fresh
+    order = list(range(len(ops)))
+    random.Random(38).shuffle(order)
+    assert [_outcome(*ops[i]) for i in order] == [fresh[i] for i in order]
+    # a slot that kept the caller's word object would answer a list-backed
+    # block mutated after a call with the fiber of its old word
+    stale = 0
+    for t in triples:
+        blocks = list(enumerate_blocks(t.Y, 3))
+        for before, after in zip(blocks, blocks[1:]):
+            listed = Block(list(before.symbols))
+            cert = replace(depth(t.phi, after).certificate, w=listed)
+            verdict = verify_certificate(t.phi, cert)
+            fiber_module._FIBER = None
+            assert verdict == verify_certificate(t.phi, cert)
+            stale += not verdict
+            listed.symbols[:] = after.symbols
+            assert verify_certificate(t.phi, cert)
+    assert stale > 0
+
+
+def _tampered_certificates(xor2):
+    """(honest subject, honest call, subject, tampered certificates) for
+    every tampered certificate of TestVerifyCertificate, plus the dropped
+    and the duplicated pair in relative mode: the honest call makes the
+    honest certificate of the tampered one's block."""
+    w3, w5 = yblock(xor2, "000"), Block(("0",) * 5)
+    absolute = (xor2.phi, lambda: depth(xor2.phi, w3).certificate)
+    relative = (xor2, lambda: relative_depth(xor2, w5).certificate)
+    last = (xor2.phi, lambda: is_presented(xor2.phi, w3, xor2.X.alphabet.symbols, 3))
+    q = Block(("q",) * 3)
+
+    def stray(c):
+        (s, t, v), rest = c.witnesses[0], c.witnesses[1:]
+        claims = [((s, t, Block(v.symbols[:1] + ("q",) + v.symbols[2:])),) + rest]
+        claims += [(ends + (v,),) + rest for ends in (("q", t), (s, "q"))]
+        return [replace(c, witnesses=x) for x in claims] + [replace(c, w=q)]
+
+    def resized(c):
+        (s, t, v), rest = c.witnesses[0], c.witnesses[1:]
+        others = (Block(v.symbols + v.symbols[-1:]), Block(v.symbols[1:]))
+        return [replace(c, witnesses=((s, t, o),) + rest) for o in others]
+
+    def shortened(c):
+        (s, t, v), rest = c.witnesses[0], c.witnesses[1:]
+        shorts = (Block(v.symbols[:-1]), Block(v.symbols[:1]))
+        return [replace(c, witnesses=((s, t, o),) + rest) for o in shorts] + [replace(c, M=())]
+
+    def dropped(c):
+        return [replace(c, witnesses=c.witnesses[1:]), replace(c, witnesses=c.witnesses[:1])]
+
+    def duplicated(c):
+        w = c.witnesses
+        return [replace(c, witnesses=x) for x in ((w[0],) * 2, w + w[:1], (w[-1],) * 2)]
+
+    def outside(c):
+        forged = ("00", "11", Block(("00", "00", "00", "01", "11")))
+        claims = ((forged,) + c.witnesses[1:], c.witnesses + (forged,))
+        return [replace(c, witnesses=x) for x in claims]
+
+    def other_ends(c):
+        zeros, ones = c.witnesses
+        return [replace(c, witnesses=(zeros, ones[:2] + zeros[2:]))]
+
+    def forbidden(c):
+        s, t, _ = c.witnesses[-1]
+        forged = Block(("11", "00", "00", "00", "11"))
+        return [replace(c, witnesses=c.witnesses[:-1] + ((s, t, forged),))]
+
+    golden = VertexShift.build(("0", "1"), [("0", "0"), ("0", "1"), ("1", "0")])
+    y = VertexShift.full_shift(("0", "1"))
+    phi = OneBlockCode.from_dict(golden, y.alphabet, {"0": "0", "1": "1"}, y)
+    no_fiber = CodeTriple(phi, trivial_code(y))
+    w11 = Block(("1", "1"))
+
+    def empty_fiber():
+        with pytest.raises(EmptyFiber):
+            relative_depth(no_fiber, w11)
+
+    return [
+        (*relative, xor2.phi, lambda c: [c]),
+        (*absolute, xor2, lambda c: [c]),
+        (*absolute, xor2.phi, lambda c: [replace(c, mode="bogus")]),
+        (*relative, xor2, lambda c: [replace(c, n=c.n - 1)]),
+        (*absolute, xor2.phi, dropped),
+        (*absolute, xor2.phi, lambda c: [replace(c, M=c.M[:1])]),
+        (*absolute, xor2.phi, lambda c: [replace(c, n=n) for n in (0, -1, 4, 5)]),
+        (*absolute, xor2.phi, stray),
+        (*absolute, xor2, lambda c: [replace(c, w=q, mode="relative")]),
+        (*absolute, xor2.phi, duplicated),
+        (*relative, xor2, outside),
+        (None, empty_fiber, no_fiber, lambda c: [
+            RoutingCertificate(w11, 1, ("0",), claims, "relative")
+            for claims in ((("0", "0", Block(("0", "0"))),), ())
+        ]),
+        (*relative, xor2, other_ends),
+        (*absolute, xor2.phi, resized),
+        (*relative, xor2, forbidden),
+        (*last, xor2.phi, shortened),
+        (*absolute, xor2.phi, lambda c: [replace(c, witnesses=())]),
+        (*relative, xor2, dropped),
+        (*relative, xor2, duplicated),
+    ]
+
+
+def test_a_warm_slot_never_hides_tampering(xor2):
+    # each tampered certificate is replayed right after the honest call
+    # and the honest replay on its block, which leave the block's layers
+    # and endpoint pairs in the slot, and again with the slot cleared
+    replays = 0
+    for honest_subject, honest, subject, tamper in _tampered_certificates(xor2):
+        cert = honest()
+        for bad in tamper(cert):
+            cert = honest()
+            if cert is not None:
+                assert verify_certificate(honest_subject, cert)
+            assert not verify_certificate(subject, bad)
+            fiber_module._FIBER = None
+            assert not verify_certificate(subject, bad)
+            replays += 1
+    assert replays == 36
 
 
 ONE_BOUND = (

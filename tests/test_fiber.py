@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
 from sftcd.codes import OneBlockCode, trivial_code
 from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
-from sftcd.depth import _end_pairs, _forward_sets
+from sftcd.depth import _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
+    _end_pairs,
     _letter_masks,
     _side_closures,
     degree_finite_to_one,
@@ -228,7 +229,7 @@ def test_endpoint_pairs_past_a_dead_end():
     code = OneBlockCode.from_dict(dom, ("0", "1"), {"a": "0", "b": "0", "c": "1"})
     forward = forward_layers(code, ("0", "0"))
     pruned = pruned_layers(code, ("0", "0"))
-    assert (forward, pruned) == ([3, 3], [1, 3])
+    assert (forward, pruned) == ((3, 3), (1, 3))
     for layers in (forward, pruned):
         assert _end_pairs(dom, layers) == _pairs_off_forward_sets(dom, layers)
         assert _end_pairs(dom, layers) == [(0, 0), (0, 1)]
