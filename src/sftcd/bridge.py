@@ -52,7 +52,6 @@ from .errors import (
     NotRoutable,
     PreconditionUnmet,
 )
-from .fiber import _letter_masks
 from .graphs import reach
 
 
@@ -164,15 +163,12 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
             raise PreconditionUnmet(
                 f"{point.text()} does not show {cert.w.text()!r} at {occurrence}"
             )
-    # one reach serves both windows: backward sets for their two end
-    # symbols only, swept over the witness code's letter masks of the
-    # witness word; its forward sets, which lex_path_through never reads,
-    # are never swept.  The windows lie in the witness fiber, so it is
-    # not empty
+    # one reach serves both windows: it sweeps, on first read, the
+    # backward sets of their two end symbols over the witness code's
+    # letter masks of the witness word and never a forward set, which
+    # lex_path_through does not read
     alphabet = u_code.domain.alphabet
-    ends = (1 << alphabet.index(u.at(length))) | (1 << alphabet.index(up.at(length)))
-    layers = _letter_masks(wit_code, to_wit(cert.w.symbols))
-    wit = _Reach(wit_code, layers, ends=ends)
+    wit = _Reach(wit_code, to_wit(cert.w.symbols))
     v = _witness_through(wit, alphabet, cert.n, u, a)
     vp = _witness_through(wit, alphabet, cert.n, up, a)
     cut = cert.n

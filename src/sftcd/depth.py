@@ -75,24 +75,25 @@ a reach, shared by every endpoint pair routed through it.
 verify_certificate replays a certificate by checking each listed
 (s, t, v) once, that v spells w's image in the witness fiber from s to t
 through M at n, and that the listed pairs are exactly the u-fiber's
-endpoint pairs, read off the end mask of one forward sweep per start
-symbol (fiber._end_pairs, which keeps no history); so it covers every
-preimage without enumerating any.  Depth and presentation prune no layer
-(_routing): the u-fiber is w's forward layers, and the witness reach
-sweeps one backward set per end symbol, over those layers in absolute
-mode and over pi's letter masks of psi(w) in relative mode.  Every
-reader ANDs a backward set with a forward set or starts at a start
-symbol, so it reads only symbols of complete paths.  Absolute mode
-reads the endpoint pairs off the backward sets (s pairs with t when s
-lies in bs[t][0]), relative mode off phi's end masks, as the replay does.
+endpoint pairs; so it covers every preimage without enumerating any.
+
+Both modes set a fiber up one way (_routing), with no pruning pass: the
+u-fiber is w's forward layers, its endpoint pairs are read off the end
+mask of one forward sweep per start symbol (fiber._end_pairs, which
+keeps no history), and the witness reach (_Reach) runs over the witness
+code's letter masks of the witness word, w in absolute mode and psi(w)
+in relative mode.  A reach sweeps each forward set, backward set and
+sweep toward a routing symbol on its first read, so it sweeps only what
+a search, a routing test or a witness reads.  Every reader ANDs a
+backward set with a forward set or starts at a start symbol, so it
+reads only symbols of complete paths.
 
 The forward layers and the end-mask pairs come from fiber's one-fiber
 slot (fiber.forward_layers, fiber.end_pairs), so depth, relative depth
 and both replays of one block sweep w's phi-fiber once and read its
-pairs once.  Absolute depth still reads its pairs off the backward sets,
-never off the slot, so the replay's forward-swept pairs check an
-absolute certificate's pairs by a computation independent of the one
-that made them.
+pairs once.  The search and the replay read one computation of the
+pairs; the tests check it against backward sweeps per end symbol and
+against the endpoints of the paths iter_fiber lists.
 """
 from __future__ import annotations
 
@@ -114,43 +115,44 @@ from .fiber import (
 )
 
 
+class _Swept(dict):
+    """{key: sweep(key)}, each key swept on its first read."""
+
+    __slots__ = ("sweep",)
+
+    def __init__(self, sweep):
+        super().__init__()
+        self.sweep = sweep
+
+    def __missing__(self, key):
+        value = self[key] = self.sweep(key)
+        return value
+
+
 class _Reach:
-    """Per-start forward sets and per-end backward sets over the layers
-    of one non-empty fiber, for the start symbols in the mask starts and
-    the end symbols in the mask ends (default: all of them).  The layers
-    are a word's forward layers or its letter masks, never pruned: every
-    reader ANDs a backward set with a forward set or starts at a start
-    symbol, so it reads only symbols of complete paths.  A relative
-    reach is built on pi's letter masks over psi(w) but needs only the
-    endpoints of w's phi-fiber: a phi-preimage of w is a pi-preimage of
-    psi(w), so every endpoint pair a certificate routes stays covered.
+    """Per-start forward sets and per-end backward sets over a code's
+    letter masks of a word, each in a table that sweeps a key on its
+    first read: fs[s] holds the symbols of each layer reachable from s,
+    bs[t] those that reach t in the last layer, and to_m[m, n] those of
+    the first n layers that reach m at n, the sweep lex_path_through
+    shares among the pairs it routes through m.  The layers are never
+    pruned: every reader ANDs a backward set with a forward set or starts
+    at a start symbol, so it reads only symbols of complete paths.  Only
+    what a search, a routing test or a witness reads is swept: a reach
+    over pi's letter masks of psi(w) holds forward and backward sets for
+    the endpoints of w's phi-fiber alone, and no forward set unless
+    something reads one past position 1."""
 
-    The backward sets are built at once, one sweep per end symbol, since
-    every witness reads one; bs[t][0] holds the start symbols that reach
-    t, and starts keeps those that reach some end.  The forward sets are
-    swept on first read of fs, which only a search or a routing test
-    past position 1 makes.  lex_path_through keeps its backward sweeps
-    toward routing symbols past position 1 in to_m, one per (symbol,
-    position)."""
+    __slots__ = ("succ", "fs", "bs", "to_m")
 
-    __slots__ = ("code", "layers", "starts", "_fs", "bs", "to_m")
-
-    def __init__(self, code, layers, starts=-1, ends=-1):
-        self.code = code
-        self.layers = layers
-        self._fs = None
-        self.to_m = {}
+    def __init__(self, code, word):
         domain = code.domain
-        self.bs = {t: _toward(domain, t, layers) for t in iter_bits(layers[-1] & ends)}
-        self.starts = starts & reduce(or_, (back[0] for back in self.bs.values()), 0)
-
-    @property
-    def fs(self):
-        """{s: the symbols of each layer reachable from s}, swept on the
-        first read."""
-        if self._fs is None:
-            self._fs = _forward_sets(self.code.domain, self.layers, self.starts)
-        return self._fs
+        layers = tuple(map(code.letter_masks.__getitem__, word))
+        step, ahead = domain.step_mask, layers[1:]
+        self.succ = domain.succ_masks
+        self.fs = _Swept(lambda s: _sweep(step, 1 << s, ahead))
+        self.bs = _Swept(lambda t: _toward(domain, t, layers))
+        self.to_m = _Swept(lambda key: _toward(domain, key[0], layers[: key[1]]))
 
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
@@ -160,22 +162,19 @@ class _Reach:
         that tail alone.  Past it, the head up to m is the least within
         the symbols that still reach m at n (a sweep made once per (m, n)
         and shared by every pair routed there)."""
-        toward_t = self.bs.get(t)
-        if toward_t is None or not (toward_t[n - 1] >> m) & 1:
+        toward_t = self.bs[t]
+        if not (toward_t[n - 1] >> m) & 1:
             return None
         if n == 1:
             if m != s:
                 return None
             ahead = toward_t[1:]
         else:
-            toward_m = self.to_m.get((m, n))
-            if toward_m is None:
-                toward_m = _toward(self.code.domain, m, self.layers[:n])
-                self.to_m[m, n] = toward_m
+            toward_m = self.to_m[m, n]
             if not (toward_m[0] >> s) & 1:
                 return None
             ahead = toward_m[1:] + toward_t[n:]
-        return _extend_least(self.code.domain.succ_masks, [s], ahead)
+        return _extend_least(self.succ, [s], ahead)
 
 
 def _extend_least(succ, path, masks):
@@ -198,13 +197,6 @@ def _least_path(domain, s, t, layers):
     if not (toward[0] >> s) & 1:
         return None
     return _extend_least(domain.succ_masks, [s], toward[1:])
-
-
-def _forward_sets(domain, layers, starts=-1):
-    """{s: the symbols of each layer reachable from s} for s in layers[0]
-    and in the mask starts."""
-    step, ahead = domain.step_mask, layers[1:]
-    return {s: _sweep(step, 1 << s, ahead) for s in iter_bits(layers[0] & starts)}
 
 
 def _hitting_set(family, k, allowed):
@@ -399,31 +391,19 @@ def _codes_of(subject, mode):
 def _routing(subject, w, mode, M=()):
     """((u-domain, u-fiber layers, their endpoint pairs, witness reach),
     mask of M) for w in mode.  One set-up for both modes, with no
-    pruning pass: the u-layers are w's forward layers, and the witness
-    reach sweeps one backward set per end symbol of the u-fiber, over
-    those same layers when the witness code is the u-code and over the
-    witness code's letter masks of the witness word otherwise.  In
-    absolute mode the endpoint pairs are read off the reach, s being
-    paired with t when s lies in bs[t][0]; in relative mode off the end
-    masks of the u-layers (fiber.end_pairs).  The reach's forward sets are
-    swept only when a search or a routing test past position 1 reads
-    them."""
+    pruning pass: the u-layers are w's forward layers, the endpoint pairs
+    are read off their end masks (fiber.end_pairs), and the witness reach
+    runs over the witness code's letter masks of the witness word,
+    sweeping only what a search, a routing test or a witness reads."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
     u_layers = forward_layers(u_code, word)
     m_mask = _mask_of(u_code.domain.alphabet, M)
     if u_layers is None:
-        what = "preimage" if wit_code is u_code else "phi-preimage"
+        what = "preimage" if mode == "absolute" else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")
-    if wit_code is u_code:
-        wit = _Reach(u_code, u_layers)
-        bs = wit.bs.items()
-        e_pairs = [(s, t) for s in iter_bits(wit.starts) for t, b in bs if b[0] >> s & 1]
-    else:
-        e_pairs = end_pairs(u_code, word)
-        starts = reduce(or_, (1 << s for s, _ in e_pairs))
-        wit_layers = _letter_masks(wit_code, to_wit(word))
-        wit = _Reach(wit_code, wit_layers, starts, u_layers[-1])
+    e_pairs = end_pairs(u_code, word)
+    wit = _Reach(wit_code, to_wit(word))
     return (u_code.domain, u_layers, e_pairs, wit), m_mask
 
 
@@ -512,8 +492,9 @@ def _least_depth(subject, mode, cycle=None):
     u-code's fiber matrices over a word and the witness code's over its
     witness word: endpoint pairs come from the first track and routing
     sets from the last, so the two give relative depth.  In absolute
-    mode the two codes are one, and so is the track passed.  Over the
-    whole codomain the first track is the masks the u-code keeps."""
+    mode the two codes are one, so the tracks are equal and
+    _side_minimum keeps one.  Over the whole codomain the first track is
+    the masks the u-code keeps."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     alphabet = u_code.codomain_alphabet.symbols
     if cycle is None:
@@ -522,9 +503,7 @@ def _least_depth(subject, mode, cycle=None):
     else:
         letters, labels = cycle, map(alphabet.index, cycle)
         track = _letter_masks(u_code, cycle)
-    tracks = (track,)
-    if wit_code is not u_code:
-        tracks += (_letter_masks(wit_code, to_wit(letters)),)
+    tracks = (track, _letter_masks(wit_code, to_wit(letters)))
     found = _side_minimum(
         u_code.domain, tracks, labels, cycle is not None, _routing_score
     )

@@ -76,9 +76,9 @@ class TestConstructBridge:
             assert (rev.left, rev.right) == (xp, x)
 
     def test_one_reach_per_call(self, xor2, xor2_cert, monkeypatch):
-        # both windows ask one reach, with backward sets for their two end
-        # symbols, and its forward sets are never swept; bridge imports
-        # the name _Reach, so the name in bridge is the one patched
+        # both windows ask one reach, which sweeps the backward sets of
+        # their two end symbols and no forward set; bridge imports the
+        # name _Reach, so the name in bridge is the one patched
         bridge_module = sys.modules["sftcd.bridge"]
         real, built = bridge_module._Reach, []
 
@@ -93,7 +93,7 @@ class TestConstructBridge:
             built.clear()
             construct_bridge(xor2, x, xp, 1, xor2_cert, "00")
             (wit,) = built
-            assert wit._fs is None
+            assert not wit.fs
             ends = {index(p.symbol_at(len(xor2_cert.w))) for p in (x, xp)}
             assert set(wit.bs) == ends
 

@@ -818,11 +818,8 @@ def test_pi_certificate_fingerprint():
     )
 
 
-def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
-    # relative_depth builds pi's reach for the start and end symbols of
-    # the phi-fiber only; on these blocks that is fewer sweeps than the
-    # whole pi-fiber would need.  The forward sets are swept on first
-    # read, so a one-start fiber's are first read here, after the call
+def _recording_reaches(monkeypatch):
+    """The list of every _Reach that depth builds from now on."""
     reaches = []
 
     class RecordingReach(depth_module._Reach):
@@ -833,6 +830,15 @@ def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
             reaches.append(self)
 
     monkeypatch.setattr(depth_module, "_Reach", RecordingReach)
+    return reaches
+
+
+def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
+    # relative_depth sweeps pi's reach on first read only, so it holds
+    # forward sets for start symbols and backward sets for end symbols
+    # of the phi-fiber alone; on these blocks that is fewer sweeps than
+    # the whole pi-fiber's starts and ends would need
+    reaches = _recording_reaches(monkeypatch)
     narrower = 0
     for seed in range(1, 6):
         t = generate_triple(spec_for_seed(seed))
@@ -842,10 +848,11 @@ def test_relative_reach_holds_only_the_phi_endpoints(monkeypatch):
                 relative_depth(t, w)
                 (wit,) = reaches
                 u_layers = pruned_layers(t.phi, w.symbols)
-                assert set(wit.fs) == set(iter_bits(u_layers[0]))
-                assert set(wit.bs) == set(iter_bits(u_layers[-1]))
+                assert set(wit.fs) <= set(iter_bits(u_layers[0]))
+                assert set(wit.bs) <= set(iter_bits(u_layers[-1]))
+                pi_layers = pruned_layers(t.pi, t.psi.apply_word(w.symbols))
                 narrower += len(wit.fs) + len(wit.bs) < (
-                    wit.layers[0].bit_count() + wit.layers[-1].bit_count()
+                    pi_layers[0].bit_count() + pi_layers[-1].bit_count()
                 )
     assert narrower > 0
 
@@ -896,29 +903,20 @@ def test_position_one_seed_on_small_codes(code, word):
     # length while the endpoint pairs stay the code's own; the reference
     # builds every family, where the search at k = 1 intersects
     # the starts' forward sets and the ends' backward sets
-    layers = pruned_layers(code, word)
-    if layers is None:
+    if pruned_layers(code, word) is None:
         return
     (_, _, e_pairs, wit), _ = depth_module._routing(code, Block(tuple(word)), "absolute")
     _assert_seeded_search_scores_every_position(e_pairs, wit, len(word))
     merged = trivial_code(code.domain)
-    wide_layers = pruned_layers(merged, ("z",) * len(word))
-    wide = depth_module._Reach(merged, wide_layers, layers[0], layers[-1])
+    wide = depth_module._Reach(merged, ("z",) * len(word))
     _assert_seeded_search_scores_every_position(e_pairs, wide, len(word))
 
 
 def test_one_start_fibers_sweep_no_forward_sets(monkeypatch):
     # a fiber with one start symbol answers at position 1, so neither
-    # depth nor relative_depth sweeps a forward set for it; a fiber with
-    # more starts does, which shows the counter counts
-    calls = []
-    real = depth_module._forward_sets
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(depth_module, "_forward_sets", counting)
+    # depth nor relative_depth sweeps a forward set on its reach; a fiber
+    # with more starts does, which shows the recording sees the sweeps
+    reaches = _recording_reaches(monkeypatch)
     lone = swept = 0
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 6)]
@@ -926,13 +924,14 @@ def test_one_start_fibers_sweep_no_forward_sets(monkeypatch):
         for n in range(1, 6):
             for w in enumerate_blocks(t.Y, n):
                 starts = pruned_layers(t.phi, w.symbols)[0].bit_count()
-                calls.clear()
+                reaches.clear()
                 d, r = depth(t.phi, w), relative_depth(t, w)
+                assert len(reaches) == 2
                 if starts == 1:
                     assert (d.value, d.certificate.n) == (r.value, r.certificate.n) == (1, 1)
-                    assert calls == []
+                    assert not any(wit.fs for wit in reaches)
                     lone += 1
-                swept += bool(calls)
+                swept += any(wit.fs for wit in reaches)
     assert lone > 0 and swept > 0
 
 
@@ -945,11 +944,10 @@ def _counting(calls, name, real):
 
 
 def test_depth_prunes_no_layer(monkeypatch):
-    # depth and relative_depth set each fiber up from its forward layers
-    # with one backward sweep per end symbol, so neither calls
-    # pruned_layers, and absolute depth reads its endpoint pairs off the
-    # backward sets without _end_pairs; relative_depth still reads phi's
-    # pairs with it, which shows the counter counts
+    # depth and relative_depth set each fiber up one way, from its forward
+    # layers, and read its endpoint pairs off their end masks: with no
+    # fiber kept, each call makes one _end_pairs call and no
+    # pruned_layers call
     calls = []
     for module, name in (
         (fiber_module, "pruned_layers"),
@@ -957,19 +955,16 @@ def test_depth_prunes_no_layer(monkeypatch):
         (fiber_module, "_end_pairs"),
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-    relative_pairs = 0
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 6)]
     for t in triples:
         for n in range(1, 6):
             for w in enumerate_blocks(t.Y, n):
-                calls.clear()
-                depth(t.phi, w)
-                assert calls == []
-                relative_depth(t, w)
-                assert "pruned_layers" not in calls
-                relative_pairs += calls.count("_end_pairs")
-    assert relative_pairs > 0
+                for f, subject in ((depth, t.phi), (relative_depth, t)):
+                    fiber_module._FIBER = None
+                    calls.clear()
+                    f(subject, w)
+                    assert calls == ["_end_pairs"], (f.__name__, w)
 
 
 def test_degree_fingerprint():
@@ -1518,9 +1513,10 @@ def _assert_first_score(score, rows, cols, value):
 def test_lex_path_through_is_the_least_fiber_path():
     # on one reach per word, every (s, m, t, n) is asked, each routing
     # symbol m at every position n in turn, so a backward sweep kept for
-    # m at one position must not answer at another; the answer must be
-    # the first path iter_fiber lists from s through m at n to t (it lists
-    # in lexicographic order of symbol indices), or None when it lists none
+    # m at one position must not answer at another.  The reach sweeps
+    # the word's unpruned letter masks; the answer must be the first
+    # path iter_fiber lists from s through m at n to t (it lists in
+    # lexicographic order of symbol indices), or None when it lists none
     triples = [builtin_triple(name) for name in BUILTIN_NAMES]
     triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 11)]
     asked = found = 0
@@ -1532,9 +1528,9 @@ def test_lex_path_through_is_the_least_fiber_path():
                     (triple.phi, w.symbols),
                     (triple.pi, triple.psi.apply_word(w.symbols)),
                 ):
-                    reach = depth_module._Reach(code, pruned_layers(code, word))
+                    reach = depth_module._Reach(code, word)
                     least = {}
-                    for path in iter_fiber(code, reach.layers):
+                    for path in iter_fiber(code, pruned_layers(code, word)):
                         for n, m in enumerate(path, 1):
                             least.setdefault((path[0], m, path[-1], n), path)
                     positions = range(1, length + 1)
@@ -1586,6 +1582,42 @@ def test_kept_minima_answer_as_fresh_closures_do():
     warm = [_summary(f(subject)) for f, subject in calls]
     assert warm == cold
     assert len(fiber_module._MINIMA) < len(calls) // 2
+
+
+def _pairs_off_backward_sweeps(domain, layers):
+    """Reference for fiber.end_pairs: per end symbol t, a backward sweep
+    from t over the forward layers, s paired with t when s lies in its
+    first layer; in s, then t, order."""
+    pairs = []
+    for t in iter_bits(layers[-1]):
+        mask = 1 << t
+        for layer in layers[-2::-1]:
+            mask = domain.step_mask_back(mask) & layer
+        pairs += [(s, t) for s in iter_bits(mask)]
+    return sorted(pairs)
+
+
+def test_end_pairs_match_backward_sweeps_and_listed_fibers():
+    # both modes read a fiber's endpoint pairs off its end masks, the
+    # certificate's search and its replay alike, so the pairs are checked
+    # here against two other computations: backward sweeps per end symbol
+    # over the forward layers, and the endpoints of the paths iter_fiber
+    # lists.  Every Y block up to length 6, for phi over w and for pi
+    # over psi(w)
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 21)]
+    checked = 0
+    for t in triples:
+        for n in range(1, 7):
+            for w in enumerate_blocks(t.Y, n):
+                for code, word in ((t.phi, w.symbols), (t.pi, t.psi.apply_word(w.symbols))):
+                    pairs = list(fiber_module.end_pairs(code, word))
+                    layers = fiber_module.forward_layers(code, word)
+                    assert pairs == _pairs_off_backward_sweeps(code.domain, layers)
+                    listed = iter_fiber(code, pruned_layers(code, word))
+                    assert pairs == sorted({(p[0], p[-1]) for p in listed})
+                    checked += 1
+    assert checked > 0
 
 
 def test_one_fiber_set_up_per_block(monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
 from sftcd.codes import OneBlockCode, trivial_code
 from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
-from sftcd.depth import _forward_sets
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
     _end_pairs,
@@ -146,8 +145,14 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
 
 def _pairs_off_forward_sets(domain, layers):
     """Reference for _end_pairs: (s, t) for each start symbol s and each
-    symbol t of the last layer of its whole forward sets."""
-    fs = _forward_sets(domain, layers)
+    symbol t of the last layer of its whole forward sets, swept here
+    layer by layer with conftest.reference_step_mask."""
+    fs = {}
+    for s in iter_bits(layers[0]):
+        hist = [1 << s]
+        for layer in layers[1:]:
+            hist.append(reference_step_mask(domain, hist[-1]) & layer)
+        fs[s] = hist
     return [(s, t) for s, hist in fs.items() for t in iter_bits(hist[-1])]
 
 
