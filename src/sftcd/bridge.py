@@ -11,13 +11,15 @@ image condition is the witness code's.
 
 Every path here comes from one search: the least path by symbol index
 through given layer masks.  A rerouted window is what
-_Reach.lex_path_through finds through the splice symbol.  That search
-wrote the witness a certificate lists for the window's endpoint pair, so
-a window the certificate routes through the splice symbol gets that very
-witness back.  Both windows of a splice ask one reach and share its
-sweep toward that symbol.  A searched bridge's middle is
-depth._least_path across the fiber frontier; a class representative is
-the shortest, then least, cycle through its component's least symbol.
+fiber.Fiber.lex_path_through finds, in the witness word's Fiber, through
+the splice symbol.  That search wrote the witness a certificate lists
+for the window's endpoint pair, so a window the certificate routes
+through the splice symbol gets that very witness back.  Both windows of
+a splice ask one Fiber (fiber.fiber_of, which may hand out the one the
+certificate's depth call left kept) and share its sweep toward that
+symbol.  A searched bridge's middle is fiber._least_path across the
+fiber frontier; a class representative is the shortest, then least,
+cycle through its component's least symbol.
 
 verify_bridge and the self-checks of bounded_bridge_exists and
 construct_bridge run one replay, _replays.  Each of the two has computed
@@ -44,7 +46,7 @@ from math import lcm
 
 from .codes import apply_to_block
 from .core import Block, PeriodicPoint, iter_bits
-from .depth import _Reach, _codes_of, _least_path, RoutingCertificate
+from .depth import _codes_of, RoutingCertificate
 from .errors import (
     ImageMismatch,
     InvariantViolation,
@@ -52,6 +54,7 @@ from .errors import (
     NotRoutable,
     PreconditionUnmet,
 )
+from .fiber import _least_path, fiber_of
 from .graphs import reach
 
 
@@ -163,12 +166,11 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
             raise PreconditionUnmet(
                 f"{point.text()} does not show {cert.w.text()!r} at {occurrence}"
             )
-    # one reach serves both windows: it sweeps, on first read, the
-    # backward sets of their two end symbols over the witness code's
-    # letter masks of the witness word and never a forward set, which
-    # lex_path_through does not read
+    # one Fiber of the witness word serves both windows: it sweeps, on
+    # first read, the backward sets of their two end symbols and never a
+    # forward set, which lex_path_through does not read
     alphabet = u_code.domain.alphabet
-    wit = _Reach(wit_code, to_wit(cert.w.symbols))
+    wit = fiber_of(wit_code, to_wit(cert.w.symbols))
     v = _witness_through(wit, alphabet, cert.n, u, a)
     vp = _witness_through(wit, alphabet, cert.n, up, a)
     cut = cert.n

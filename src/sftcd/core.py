@@ -80,7 +80,8 @@ class cached:
     later read finds it before this (non-data) descriptor.  It is
     functools.cached_property without the lock that Python 3.10 and 3.11
     take on each first read; nothing here reads one from two threads.
-    A class that uses it keeps its __dict__, so it is not slotted."""
+    A class that uses it keeps its __dict__: it is not slotted, or it
+    names __dict__ among its slots."""
 
     def __init__(self, fn):
         self.fn = fn

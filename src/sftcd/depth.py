@@ -26,12 +26,13 @@ over the splits of the side closures below, ask answer first: for
 k = 1, 2, ... is there a candidate whose hitting sets have k symbols?
 Every candidate was ruled out below k before k is asked, so one
 _hitting_set call at k answers, and the first candidate in order that
-scores k is the minimum.  A reach builds only what its answer reads.
+scores k is the minimum.  A Fiber sweeps only what its answer reads.
 Position 1 scores a block's search with no family built: there the
 routing set of a pair (s, t) is {s}, so the least hitting set is the
 mask of the fiber's start symbols, and a single start symbol ends the
-search before any forward set is swept; the reach sweeps its forward
-sets on first read, which only a later position makes.
+search before any forward set is swept; a Fiber sweeps its forward
+sets on first read, which only a later position or the pairs of a
+fiber with more than one start make.
 
 k = 1 is asked with no family built either.  One symbol lies in every
 routing set exactly when it lies in their intersection, and as every
@@ -65,12 +66,13 @@ rerouting u asks only for a witness with u's first and last symbols, so
 every preimage with endpoints (s, t) shares the one v listed for (s, t).
 Making it walks the endpoint pairs depth has already computed and never
 lists the fiber; preimages() spells the (u, v) pairs out for callers who
-want them.  Each v is _Reach.lex_path_through's least path through the
-least usable symbol of M, the search bridge.py also asks for the blocks
-it splices.  At position 1 it starts at that symbol and is read off the
-backward set of its end.  Past it, its head is read off a backward sweep
-toward that symbol at n: one sweep per routing symbol (and position) on
-a reach, shared by every endpoint pair routed through it.
+want them.  Each v is Fiber.lex_path_through's least path, in the
+witness fiber, through the least usable symbol of M, the search
+bridge.py also asks for the blocks it splices.  At position 1 it starts
+at that symbol and is read off the backward set of its end.  Past it,
+its head is read off a backward sweep toward that symbol at n: one
+sweep per routing symbol (and position) on a Fiber, shared by every
+endpoint pair routed through it.
 
 verify_certificate replays a certificate by checking each listed
 (s, t, v) once, that v spells w's image in the witness fiber from s to t
@@ -78,22 +80,19 @@ through M at n, and that the listed pairs are exactly the u-fiber's
 endpoint pairs; so it covers every preimage without enumerating any.
 
 Both modes set a fiber up one way (_routing), with no pruning pass: the
-u-fiber is w's forward layers, its endpoint pairs are read off the end
-mask of one forward sweep per start symbol (fiber._end_pairs, which
-keeps no history), and the witness reach (_Reach) runs over the witness
-code's letter masks of the witness word, w in absolute mode and psi(w)
-in relative mode.  A reach sweeps each forward set, backward set and
-sweep toward a routing symbol on its first read, so it sweeps only what
-a search, a routing test or a witness reads.  Every reader ANDs a
-backward set with a forward set or starts at a start symbol, so it
-reads only symbols of complete paths.
-
-The forward layers and the end-mask pairs come from fiber's one-fiber
-slot (fiber.forward_layers, fiber.end_pairs), so depth, relative depth
-and both replays of one block sweep w's phi-fiber once and read its
-pairs once.  The search and the replay read one computation of the
-pairs; the tests check it against backward sweeps per end symbol and
-against the endpoints of the paths iter_fiber lists.
+u-fiber and the witness fiber are the fiber.Fiber records of w under
+the u-code and of the witness word under the witness code (w in
+absolute mode, psi(w) in relative mode), from fiber's slot, which keeps
+the last two asked.  In absolute mode they are one Fiber, so the search
+reads the very forward sets its endpoint pairs were read off.  A Fiber
+sweeps only what the pairs, a search, a routing test or a witness
+reads, and every reader ANDs a backward set with a forward set or
+starts at a start symbol, so it reads only symbols of complete paths.
+Depth, relative depth and both replays of one block build w's Fiber
+under phi once and read its layers and pairs once.  The search and the
+replay read one computation of the pairs; the tests check it against
+backward sweeps per end symbol and against the endpoints of the paths
+iter_fiber lists.
 """
 from __future__ import annotations
 
@@ -105,98 +104,13 @@ from .codes import CodeTriple, OneBlockCode, check_onto
 from .core import Block, is_irreducible, is_point_of, iter_bits
 from .errors import EmptyFiber, InvalidBlock, PreconditionUnmet, UnknownSymbol
 from .fiber import (
+    _least_path,
     _letter_masks,
     _side_minimum,
-    _sweep,
-    end_pairs,
-    forward_layers,
+    fiber_of,
     iter_fiber,
     pruned_layers,
 )
-
-
-class _Swept(dict):
-    """{key: sweep(key)}, each key swept on its first read."""
-
-    __slots__ = ("sweep",)
-
-    def __init__(self, sweep):
-        super().__init__()
-        self.sweep = sweep
-
-    def __missing__(self, key):
-        value = self[key] = self.sweep(key)
-        return value
-
-
-class _Reach:
-    """Per-start forward sets and per-end backward sets over a code's
-    letter masks of a word, each in a table that sweeps a key on its
-    first read: fs[s] holds the symbols of each layer reachable from s,
-    bs[t] those that reach t in the last layer, and to_m[m, n] those of
-    the first n layers that reach m at n, the sweep lex_path_through
-    shares among the pairs it routes through m.  The layers are never
-    pruned: every reader ANDs a backward set with a forward set or starts
-    at a start symbol, so it reads only symbols of complete paths.  Only
-    what a search, a routing test or a witness reads is swept: a reach
-    over pi's letter masks of psi(w) holds forward and backward sets for
-    the endpoints of w's phi-fiber alone, and no forward set unless
-    something reads one past position 1."""
-
-    __slots__ = ("succ", "fs", "bs", "to_m")
-
-    def __init__(self, code, word):
-        domain = code.domain
-        layers = tuple(map(code.letter_masks.__getitem__, word))
-        step, ahead = domain.step_mask, layers[1:]
-        self.succ = domain.succ_masks
-        self.fs = _Swept(lambda s: _sweep(step, 1 << s, ahead))
-        self.bs = _Swept(lambda t: _toward(domain, t, layers))
-        self.to_m = _Swept(lambda key: _toward(domain, key[0], layers[: key[1]]))
-
-    def lex_path_through(self, s, m, t, n):
-        """Least complete path (by symbol index) from s through m at
-        position n to t, or None when no such path exists.  The tail after
-        m is the least successor, at each step, within bs[t], the symbols
-        that still reach t.  At position 1 the path starts at m, so it is
-        that tail alone.  Past it, the head up to m is the least within
-        the symbols that still reach m at n (a sweep made once per (m, n)
-        and shared by every pair routed there)."""
-        toward_t = self.bs[t]
-        if not (toward_t[n - 1] >> m) & 1:
-            return None
-        if n == 1:
-            if m != s:
-                return None
-            ahead = toward_t[1:]
-        else:
-            toward_m = self.to_m[m, n]
-            if not (toward_m[0] >> s) & 1:
-                return None
-            ahead = toward_m[1:] + toward_t[n:]
-        return _extend_least(self.succ, [s], ahead)
-
-
-def _extend_least(succ, path, masks):
-    """path extended by the least successor within each of masks."""
-    for mask in masks:
-        nxt = succ[path[-1]] & mask
-        path.append((nxt & -nxt).bit_length() - 1)
-    return tuple(path)
-
-
-def _toward(domain, t, layers):
-    """The symbols of each of layers that reach t in the last one."""
-    return _sweep(domain.step_mask_back, layers[-1] & (1 << t), layers[-2::-1])[::-1]
-
-
-def _least_path(domain, s, t, layers):
-    """Least path (by symbol index) from s to t whose i-th symbol lies in
-    layers[i], or None when there is none."""
-    toward = _toward(domain, t, layers)
-    if not (toward[0] >> s) & 1:
-        return None
-    return _extend_least(domain.succ_masks, [s], toward[1:])
 
 
 def _hitting_set(family, k, allowed):
@@ -238,13 +152,13 @@ def _routing_families(e_pairs, fs, bs, length):
         previous = family
 
 
-def _depth_search(e_pairs, reach, length):
+def _depth_search(e_pairs, wit, length):
     """Minimum hitting set over the routing families of every position.
 
     Position 1 scores without a family: the routing set of an endpoint
     pair (s, t) there is {s}, so the least hitting set is the mask of
     the start symbols, of size its popcount; one start ends the search
-    before reach's forward sets are read.  The later positions are asked
+    before wit's forward sets are read.  The later positions are asked
     answer first, as _closure_minimum asks its splits: for k = 1, 2, ...
     below that size, the first position with a k-symbol hitting set
     gives the answer.  At k = 1 that is one symbol in the intersection
@@ -260,7 +174,7 @@ def _depth_search(e_pairs, reach, length):
     size = starts.bit_count()
     if size == 1:
         return 1, 1, starts
-    fs, bs = reach.fs, reach.bs
+    fs, bs = wit.fs, wit.bs
     ends = {t for _, t in e_pairs}
     sides = [fs[s] for s in iter_bits(starts)] + [bs[t] for t in ends]
     for n in range(2, length + 1):
@@ -283,7 +197,7 @@ class RoutingCertificate:
 
     witnesses holds one (s, t, v) per endpoint pair (s, t) of w's u-fiber
     (the fiber of w in absolute mode, of w under phi in relative mode),
-    in fiber._end_pairs order: s and t are domain symbols and v is a
+    in Fiber.pairs order: s and t are domain symbols and v is a
     witness-fiber block from s to t with v|_n in M.  Every preimage u runs
     from some listed s to its t, so the pair's v reroutes it;
     preimages() lists the (u, v) pairs this covers."""
@@ -335,13 +249,12 @@ def _mask_of(alphabet, M):
     return mask
 
 
-def _routing_outcome(fiber, w, m_mask, n, mode):
+def _routing_outcome(u_fiber, wit, w, m_mask, n, mode):
     """Shared core of the presentation checks: route every endpoint pair
     of the u-fiber through the symbols of m_mask at n inside the witness
-    reach, or name a blocker: the least u-fiber path among the pairs that
-    do not route, so the first such path in iter_fiber order.  fiber is
-    _routing's (u-domain, u-layers, endpoint pairs, witness reach)."""
-    u_domain, u_layers, e_pairs, wit = fiber
+    fiber, or name a blocker: the least u-fiber path among the pairs that
+    do not route, so the first such path in iter_fiber order."""
+    u_domain = u_fiber.code.domain
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
     spell = u_domain.alphabet.symbols.__getitem__
@@ -350,7 +263,7 @@ def _routing_outcome(fiber, w, m_mask, n, mode):
     fs, bs = None if n == 1 else wit.fs, wit.bs
     witnesses = []
     blocked = []
-    for s, t in e_pairs:
+    for s, t in u_fiber.pairs:
         head = 1 << s if fs is None else fs[s][n - 1]
         routable = head & bs[t][n - 1] & m_mask
         if not routable:
@@ -360,7 +273,7 @@ def _routing_outcome(fiber, w, m_mask, n, mode):
             v = wit.lex_path_through(s, through, t, n)
             witnesses.append((spell(s), spell(t), Block(tuple(map(spell, v)))))
     if blocked:
-        path = min(_least_path(u_domain, s, t, u_layers) for s, t in blocked)
+        path = min(_least_path(u_domain, s, t, u_fiber.forward) for s, t in blocked)
         return RoutingRefusal(
             w,
             n,
@@ -389,34 +302,31 @@ def _codes_of(subject, mode):
 
 
 def _routing(subject, w, mode, M=()):
-    """((u-domain, u-fiber layers, their endpoint pairs, witness reach),
-    mask of M) for w in mode.  One set-up for both modes, with no
-    pruning pass: the u-layers are w's forward layers, the endpoint pairs
-    are read off their end masks (fiber.end_pairs), and the witness reach
-    runs over the witness code's letter masks of the witness word,
-    sweeping only what a search, a routing test or a witness reads."""
+    """(u-fiber, witness fiber, mask of M) for w in mode: the Fibers of w
+    under the u-code and of the witness word under the witness code,
+    from fiber's slot.  In absolute mode they are one Fiber asked twice,
+    so the search reads the forward sets its endpoint pairs were read
+    off.  Neither is pruned, and each sweeps only what a search, a
+    routing test or a witness reads."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
-    u_layers = forward_layers(u_code, word)
+    u_fiber = fiber_of(u_code, word)
     m_mask = _mask_of(u_code.domain.alphabet, M)
-    if u_layers is None:
+    if u_fiber.forward is None:
         what = "preimage" if mode == "absolute" else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")
-    e_pairs = end_pairs(u_code, word)
-    wit = _Reach(wit_code, to_wit(word))
-    return (u_code.domain, u_layers, e_pairs, wit), m_mask
+    return u_fiber, fiber_of(wit_code, to_wit(word)), m_mask
 
 
 def _is_presented(subject, w, M, n, mode):
-    fiber, m_mask = _routing(subject, w, mode, M)
-    return _routing_outcome(fiber, w, m_mask, n, mode)
+    u_fiber, wit, m_mask = _routing(subject, w, mode, M)
+    return _routing_outcome(u_fiber, wit, w, m_mask, n, mode)
 
 
 def _depth(subject, w, mode):
-    fiber, _ = _routing(subject, w, mode)
-    _, _, e_pairs, wit = fiber
-    size, n, mask = _depth_search(e_pairs, wit, len(w))
-    cert = _routing_outcome(fiber, w, mask, n, mode)
+    u_fiber, wit, _ = _routing(subject, w, mode)
+    size, n, mask = _depth_search(u_fiber.pairs, wit, len(w))
+    cert = _routing_outcome(u_fiber, wit, w, mask, n, mode)
     assert isinstance(cert, RoutingCertificate)
     return DepthResult(w, size, cert)
 
@@ -556,7 +466,7 @@ def periodic_point_relative_degree(triple, y, max_len=None):
     # a path through |X| + 1 turns of the cycle repeats a (phase, symbol)
     # pair, so it exists exactly when y, and with it every block of y,
     # has a phi-preimage
-    if forward_layers(triple.phi, cycle * (len(triple.X.alphabet) + 1)) is None:
+    if fiber_of(triple.phi, cycle * (len(triple.X.alphabet) + 1)).forward is None:
         raise EmptyFiber(f"a block of {y.text()} has no phi-preimage")
     return _least_depth(triple, "relative", cycle)
 
@@ -570,23 +480,23 @@ def verify_certificate(subject, cert):
     Every preimage u of w is a u-fiber path, so (u's first symbol, u's
     last symbol) is one of those pairs, and the v listed for it reroutes
     u: the replay covers every preimage without listing any.  The pairs
-    are read off the end mask of one forward sweep per start symbol over
-    w's forward layers (a dead-end symbol reaches no end symbol, so they
-    need no pruning).  Layers and pairs are read from fiber's one-fiber
-    slot, where a depth call on the same block may have left them; they
-    are the u-fiber's own whatever the certificate claims, so a warm slot
-    accepts nothing a cold one refuses.  Each v is checked to spell the
-    witness word along allowed edges before any of its symbols is read
-    at n.  A position outside 1..|w|, a symbol outside the alphabets or a
+    are those of w's Fiber under the u-code, read off the last layer of
+    each start's forward set (a dead-end symbol reaches no end symbol,
+    so they need no pruning).  The Fiber comes from fiber's slot, where
+    a depth call on the same block may have left it; its layers and
+    pairs are the u-fiber's own whatever the certificate claims, so a
+    warm slot accepts nothing a cold one refuses.  Each v is checked to
+    spell the witness word along allowed edges before any of its symbols
+    is read at n.  A position outside 1..|w|, a symbol outside the alphabets or a
     mode the subject has no codes for (_codes_of) gives False, like any
     other tampering."""
     w, n = cert.w.symbols, cert.n
     try:
         u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
-        layers = forward_layers(u_code, w)
+        fiber = fiber_of(u_code, w)
     except (PreconditionUnmet, UnknownSymbol):
         return False
-    if layers is None or not 1 <= n <= len(w):
+    if fiber.forward is None or not 1 <= n <= len(w):
         return False
     wit_word = to_wit(w)
     image, allowed = wit_code.symbol_map.get, wit_code.domain.allowed
@@ -602,7 +512,7 @@ def verify_certificate(subject, cert):
             return False
         claimed.add((s, t))
     spell = u_code.domain.alphabet.symbols.__getitem__
-    pairs = end_pairs(u_code, w)
+    pairs = fiber.pairs
     return len(claimed) == len(pairs) and claimed.issuperset(
         (spell(s), spell(t)) for s, t in pairs
     )
@@ -611,13 +521,20 @@ def verify_certificate(subject, cert):
 def preimages(subject, cert):
     """Iterator of (u, v) for every preimage u of cert.w, in iter_fiber
     order, with v the witness the certificate lists for u's endpoints;
-    past DEFAULT_CAP preimages, it raises ResourceLimit.  A mode the
-    subject has no codes for raises PreconditionUnmet at the call.  This
-    spells out what a replayed certificate covers; making and replaying
-    one never lists the fiber."""
+    past DEFAULT_CAP preimages, it raises ResourceLimit.  At the call, a
+    mode the subject has no codes for raises PreconditionUnmet, and so
+    does a certificate that lists no witness for some endpoint pair of
+    w's u-fiber, naming the first such pair.  This spells out what a
+    replayed certificate covers; making and replaying one never lists
+    the fiber."""
     u_code = _codes_of(subject, cert.mode)[0]
     spell = u_code.domain.alphabet.symbols.__getitem__
     by_ends = {(s, t): v for s, t, v in cert.witnesses}
+    for s, t in fiber_of(u_code, cert.w.symbols).pairs:
+        if (spell(s), spell(t)) not in by_ends:
+            raise PreconditionUnmet(
+                f"the certificate lists no witness from {spell(s)!r} to {spell(t)!r}"
+            )
     paths = iter_fiber(u_code, pruned_layers(u_code, cert.w.symbols))
     us = (tuple(map(spell, path)) for path in paths)
     return ((Block(u), by_ends[u[0], u[-1]]) for u in us)

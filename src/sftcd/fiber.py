@@ -8,15 +8,15 @@ paths with core.iter_paths, the depth-first lister that also lists a
 shift's blocks; on pruned layers every prefix extends, so the first path
 costs only its length and a long fiber is listed lazily.
 
-One slot, _FIBER, keeps the fiber of the last word asked of a code: the
-code (compared by identity), its own tuple of the word, the forward
-layers and, once something reads them, the endpoint pairs (_end_pairs,
-read through end_pairs).  Its word, layers and pairs are tuples, so no
-caller can change what a later one reads.  forward_layers, pruned_layers
-and end_pairs read it when the code and word match and replace it
-otherwise.  Depth, relative depth and both certificate replays of one
-block ask about one fiber, w's under phi, so a block sweeps its forward
-layers once and reads its pairs once however many of them it makes.
+A word's fiber under a code is one record, a Fiber: the code's letter
+masks of the word, its forward layers, its endpoint pairs (read off the
+starts' forward sets, the sets a depth search reads) and per-symbol
+sweeps, each made on its first read.  fiber_of hands out Fibers from one
+slot, _FIBERS, that keeps the last two asked (the code compared by
+identity, the word by value), so depth, relative depth and both
+certificate replays of a block build w's Fiber under phi once.  A
+Fiber's word, layers and pairs are tuples, so no caller can change what
+a later one reads.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
@@ -69,7 +69,7 @@ from operator import itemgetter, or_
 
 from . import core
 from .codes import is_finite_to_one
-from .core import Block, iter_bits, iter_paths, stepper
+from .core import Block, cached, iter_bits, iter_paths
 from .errors import InvalidBlock, NotFiniteToOne, UnknownSymbol
 from .graphs import closure, remember
 
@@ -83,75 +83,146 @@ def _sweep(step, mask, layers):
     return hist
 
 
-def _forward_sweep(code, word):
-    """Raw forward filter: layers[i] = symbols carrying word[i] reachable
-    from layer i-1, as a tuple.  None when a layer dies, and with it the
-    last."""
-    try:
-        layers = list(map(code.letter_masks.__getitem__, word))
-    except KeyError as missing:
-        raise UnknownSymbol(
-            f"symbol {missing.args[0]!r} not in codomain alphabet"
-        ) from None
-    layers = _sweep(code.domain.step_mask, layers[0], layers[1:])
-    return tuple(layers) if layers[-1] else None
+class _Swept(dict):
+    """{key: sweep(key)}, each key swept on its first read.  It starts
+    empty: dict.__new__ makes it so, and __init__ adds only sweep."""
+
+    __slots__ = ("sweep",)
+
+    def __init__(self, sweep):
+        self.sweep = sweep
+
+    def __missing__(self, key):
+        value = self[key] = self.sweep(key)
+        return value
 
 
-def _end_pairs(domain, layers):
-    """(s, t) for every path from s to t through forward or pruned
-    layers, s ascending, then t: each start symbol is stepped to the last
-    layer keeping only the current mask.  A lone start reaches the whole
-    last layer, so it is paired with each of its symbols with no step."""
-    if not layers[0] & (layers[0] - 1):
-        return [(layers[0].bit_length() - 1, t) for t in iter_bits(layers[-1])]
-    step, ahead = domain.step_mask, layers[1:]
-    pairs = []
-    for s in iter_bits(layers[0]):
-        mask = 1 << s
-        for layer in ahead:
-            mask = step(mask) & layer
-        pairs += [(s, t) for t in iter_bits(mask)]
-    return pairs
+class Fiber:
+    """The fiber of a word under a code.  masks holds the code's letter
+    mask of each of the word's letters; the rest is swept on its first
+    read: forward, the forward layers (None when a layer dies), pairs,
+    the endpoint pairs, and three tables of per-symbol sweeps over
+    masks: fs[s] holds the symbols of each layer reachable from s,
+    bs[t] those that reach t in the last layer, and to_m[m, n] those of
+    the first n layers that reach m at n, the sweep lex_path_through
+    shares among the pairs it routes through m.  The masks are never
+    pruned: every reader ANDs a backward set with a forward set or
+    starts at a start symbol, so it reads only symbols of complete
+    paths."""
+
+    # the parts every reader reads are slots; forward and pairs, kept by
+    # core.cached, go in __dict__
+    __slots__ = ("code", "word", "masks", "succ", "fs", "bs", "to_m", "__dict__")
+
+    def __init__(self, code, word):
+        self.code, self.word = code, word
+        try:
+            masks = tuple(map(code.letter_masks.__getitem__, word))
+        except KeyError as missing:
+            raise UnknownSymbol(
+                f"symbol {missing.args[0]!r} not in codomain alphabet"
+            ) from None
+        domain = code.domain
+        step, ahead = domain.step_mask, masks[1:]
+        self.masks, self.succ = masks, domain.succ_masks
+        self.fs = _Swept(lambda s: _sweep(step, 1 << s, ahead))
+        self.bs = _Swept(lambda t: _toward(domain, t, masks))
+        self.to_m = _Swept(lambda key: _toward(domain, key[0], masks[: key[1]]))
+
+    @cached
+    def forward(self):
+        """Forward layers: layer i holds the symbols carrying the word's
+        i-th letter reachable from layer i-1, as a tuple; None when a
+        layer dies, and with it the last."""
+        masks = self.masks
+        layers = _sweep(self.code.domain.step_mask, masks[0], masks[1:])
+        return tuple(layers) if layers[-1] else None
+
+    @cached
+    def pairs(self):
+        """(s, t) for every path from s to t, s ascending, then t, read
+        off the last layer of each start's forward set, fs[s][-1]; empty
+        for an empty fiber.  A lone start reaches the whole last forward
+        layer, so it is paired with each of its symbols with no sweep."""
+        forward = self.forward
+        if forward is None:
+            return ()
+        starts = forward[0]
+        if not starts & (starts - 1):
+            s = starts.bit_length() - 1
+            return tuple([(s, t) for t in iter_bits(forward[-1])])
+        fs = self.fs
+        return tuple([(s, t) for s in iter_bits(starts) for t in iter_bits(fs[s][-1])])
+
+    def lex_path_through(self, s, m, t, n):
+        """Least complete path (by symbol index) from s through m at
+        position n to t, or None when no such path exists.  The tail after
+        m is the least successor, at each step, within bs[t], the symbols
+        that still reach t.  At position 1 the path starts at m, so it is
+        that tail alone.  Past it, the head up to m is the least within
+        the symbols that still reach m at n (a sweep made once per (m, n)
+        and shared by every pair routed there)."""
+        toward_t = self.bs[t]
+        if not (toward_t[n - 1] >> m) & 1:
+            return None
+        if n == 1:
+            if m != s:
+                return None
+            ahead = toward_t[1:]
+        else:
+            toward_m = self.to_m[m, n]
+            if not (toward_m[0] >> s) & 1:
+                return None
+            ahead = toward_m[1:] + toward_t[n:]
+        return _extend_least(self.succ, [s], ahead)
 
 
-# the fiber of the last word asked of a code: (the code, the word as a
-# tuple, its forward layers, their endpoint pairs or None until read).
-# Readers use the tuple they took, so a replaced slot never mixes two
-# fibers
-_FIBER = None
+def _extend_least(succ, path, masks):
+    """path extended by the least successor within each of masks."""
+    for mask in masks:
+        nxt = succ[path[-1]] & mask
+        path.append((nxt & -nxt).bit_length() - 1)
+    return tuple(path)
+
+
+def _toward(domain, t, layers):
+    """The symbols of each of layers that reach t in the last one."""
+    return _sweep(domain.step_mask_back, layers[-1] & (1 << t), layers[-2::-1])[::-1]
+
+
+def _least_path(domain, s, t, layers):
+    """Least path (by symbol index) from s to t whose i-th symbol lies in
+    layers[i], or None when there is none."""
+    toward = _toward(domain, t, layers)
+    if not (toward[0] >> s) & 1:
+        return None
+    return _extend_least(domain.succ_masks, [s], toward[1:])
+
+
+# the Fibers last asked, latest first, at most two: a question reads at
+# most two fibers, its u-fiber and its witness fiber, so relative depth's
+# witness ask leaves the block's phi-fiber kept for both replays.  The
+# list is changed in place and never rebound
+_FIBERS = []
 
 # side-closure minima by their whole input, oldest first (graphs.remember)
 _MINIMA = {}
 
 
-def _kept_fiber(code, word):
-    """The slot, holding word's fiber under code: kept when the code (by
-    identity) and the word (by value) are those of the last ask, swept
-    anew otherwise.  The slot holds its own tuple of the word, so a
-    caller's list mutated after a call never matches a stale fiber."""
-    global _FIBER
+def fiber_of(code, word):
+    """word's Fiber under code, kept when the code (by identity) and the
+    word (by value) match one of the last two asked, new otherwise.  A
+    Fiber holds its own tuple of the word, so a caller's list mutated
+    after a call never matches a stale fiber."""
     word = tuple(word)
-    kept = _FIBER
-    if kept is None or kept[0] is not code or kept[1] != word:
-        kept = _FIBER = (code, word, _forward_sweep(code, word), None)
+    for kept in _FIBERS:
+        if kept.code is code and kept.word == word:
+            if kept is not _FIBERS[0]:
+                _FIBERS.reverse()  # of two, the one asked goes first
+            return kept
+    kept = Fiber(code, word)
+    _FIBERS[:] = [kept, *_FIBERS[:1]]
     return kept
-
-
-def forward_layers(code, word):
-    """_forward_sweep(code, word), read from the slot when it holds
-    word's fiber under code."""
-    return _kept_fiber(code, word)[2]
-
-
-def end_pairs(code, word):
-    """_end_pairs of word's forward layers under code, as a tuple, made on
-    the first read of each fiber the slot holds; word's fiber must not be
-    empty."""
-    global _FIBER
-    kept = _kept_fiber(code, word)
-    if kept[3] is None:
-        kept = _FIBER = kept[:3] + (tuple(_end_pairs(code.domain, kept[2])),)
-    return kept[3]
 
 
 def pruned_layers(code, word):
@@ -159,7 +230,7 @@ def pruned_layers(code, word):
     for an empty fiber.  Every symbol of a live forward layer has a
     predecessor in the layer before, so the backward sweep empties no
     layer."""
-    layers = forward_layers(code, word)
+    layers = fiber_of(code, word).forward
     if layers is None:
         return None
     return tuple(_sweep(code.domain.step_mask_back, layers[-1], layers[-2::-1])[::-1])

@@ -31,7 +31,7 @@ def fresh_memos():
     answer and no fiber kept, so whether a closure or a sweep runs never
     depends on the tests before it."""
     fiber_module._MINIMA.clear()
-    fiber_module._FIBER = None
+    fiber_module._FIBERS.clear()
     codes_module._ONTO.clear()
 
 

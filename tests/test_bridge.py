@@ -76,20 +76,23 @@ class TestConstructBridge:
             assert (rev.left, rev.right) == (xp, x)
 
     def test_one_reach_per_call(self, xor2, xor2_cert, monkeypatch):
-        # both windows ask one reach, which sweeps the backward sets of
-        # their two end symbols and no forward set; bridge imports the
-        # name _Reach, so the name in bridge is the one patched
-        bridge_module = sys.modules["sftcd.bridge"]
-        real, built = bridge_module._Reach, []
+        # both windows ask one Fiber of the witness word, which sweeps the
+        # backward sets of their two end symbols and no forward set;
+        # fiber_of builds it through the name Fiber in fiber, the one
+        # patched
+        fiber_module = sys.modules["sftcd.fiber"]
+        built = []
 
-        def counting(*args, **kwargs):
-            built.append(real(*args, **kwargs))
-            return built[-1]
+        class Recording(fiber_module.Fiber):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
 
-        monkeypatch.setattr(bridge_module, "_Reach", counting)
+        monkeypatch.setattr(fiber_module, "Fiber", Recording)
         index = xor2.X.alphabet.index
         pts = [point("00"), point("11")]
         for x, xp in product(pts, pts):
+            fiber_module._FIBERS.clear()
             built.clear()
             construct_bridge(xor2, x, xp, 1, xor2_cert, "00")
             (wit,) = built
@@ -269,7 +272,7 @@ class TestBoundedBridge:
         # seed 14 a stop keyed on the frontier alone, without n mod L,
         # misses a rejoin
         from sftcd.bridge import _shared_image
-        from sftcd.depth import _least_path
+        from sftcd.fiber import _least_path
 
         def first_rejoin(code, x, xp, window):
             image = _shared_image(code, x, xp)

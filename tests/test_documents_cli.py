@@ -178,6 +178,24 @@ class TestCodeDocs:
         ]
         assert images == ["0", "1", "0"]
 
+    def test_sliding_code_round_trip(self):
+        # code_doc writes a sliding code's memory, anticipation and rule,
+        # with two-character symbols joined by the separator; its
+        # canonical JSON loads back to an equal code
+        from sftcd.codes import SlidingBlockCode
+        from sftcd.core import VertexShift
+        from sftcd.documents import code_doc
+
+        x, y = ("a0", "a1"), ("p", "q")
+        domain, codomain = VertexShift.full_shift(x), VertexShift.full_shift(y)
+        rule = {(a, b): y[(i + j) % 2] for i, a in enumerate(x) for j, b in enumerate(x)}
+        code = SlidingBlockCode.from_dict(domain, y, 0, 1, rule, codomain)
+        doc = json.loads(canonical_json(code_doc(code)))
+        assert (doc["memory"], doc["anticipation"]) == (0, 1)
+        assert doc["rule"][Block(("a0", "a1")).text()] == "q"
+        assert "map" not in doc
+        assert load_code(doc) == code
+
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="lacks a domain"):
             load_code({"map": {}})
@@ -216,6 +234,22 @@ class TestTripleDocs:
         d1 = canonical_json(xor2)
         d2 = canonical_json(load_triple_doc(json.loads(d1)).triple)
         assert d1 == d2
+
+    def test_psi_without_a_codomain_shift_round_trips(self, golden_identity):
+        # psi onto the alphabet ("z",) with no Z shift attached: the
+        # document names psi's codomain alphabet and declares no Z
+        from sftcd.codes import CodeTriple, OneBlockCode
+
+        phi = golden_identity.phi
+        psi = OneBlockCode.from_dict(phi.codomain, ("z",), {s: "z" for s in "01"})
+        triple = CodeTriple.build(phi, psi)
+        assert triple.Z_shift is None
+        doc = triple_doc(triple)
+        assert doc["codes"]["psi"]["codomain_alphabet"] == ["z"]
+        assert "codomain" not in doc["codes"]["psi"] and "Z" not in doc["systems"]
+        loaded = load_triple_doc(json.loads(canonical_json(doc)))
+        assert loaded.triple == triple
+        assert loaded.triple.Z_shift is None
 
     def test_sliding_phi_recoded_onto_window_shift(self, xor2):
         loaded = load_triple_doc(xor_doc())
@@ -1076,6 +1110,43 @@ class TestCliVerify:
         assert dump == canonical_json(
             {"case": "seed:3", "triple": triple, "report": json.loads(lines[0])}
         )
+
+    def test_file_corpus(self, capsys, tmp_path):
+        # a directory of triple documents runs one case per file, in name
+        # order, each with its main and special checks, and prints the
+        # same bytes at either --jobs
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, argv in (
+            ("xor2.json", ("dump", "--triple", "builtin:xor2")),
+            ("gen5.json", ("generate", "--seed", "5", "--y-symbols", "3",
+                           "--blowup-max", "3", "--z-symbols", "2")),
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            (corpus / name).write_text(out)
+        runs = [run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs)
+                for jobs in ("1", "2")]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 0
+        assert [json.loads(line)["case_id"] for line in out.splitlines()] == [
+            f"file:{name}/{check}"
+            for name in ("gen5.json", "xor2.json")
+            for check in ("main", "special")
+        ]
+        assert err.splitlines()[-1] == "2 cases, 4 reports: 9 passed, 0 failed, 5 skipped"
+        # a path that is no directory is refused
+        code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus / "xor2.json"))
+        assert (code, out) == (2, "")
+        assert "is not a directory" in err
+        # one malformed document, sorted after the good ones, fails the
+        # whole run before any line is printed
+        (corpus / "zz.json").write_text(json.dumps({"systems": 1}))
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs)
+            assert (code, out) == (2, "")
+            assert err == "error: triple document's systems must be an object\n"
 
     def test_every_verify_path_prints_the_same_bytes(self, capsys):
         jobs1, jobs2 = (

@@ -11,12 +11,11 @@ from sftcd.codes import OneBlockCode, trivial_code
 from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
-    _end_pairs,
     _letter_masks,
     _side_closures,
     degree_finite_to_one,
+    fiber_of,
     find_magic_block,
-    forward_layers,
     iter_fiber,
     preimage_blocks,
     preimage_symbol_count,
@@ -31,7 +30,7 @@ def w(triple, text):
 
 class TestLayers:
     def test_forward_layers_track_reachable_symbols(self, xor2):
-        layers = forward_layers(xor2.phi, ("0", "0"))
+        layers = fiber_of(xor2.phi, ("0", "0")).forward
         # starts {00, 11}; both continue to a 0-image successor
         assert layers[0].bit_count() == 2
         assert layers[1].bit_count() == 2
@@ -44,7 +43,7 @@ class TestLayers:
         code = OneBlockCode.from_dict(
             dom, ("p", "q"), {"a": "p", "b": "p", "c": "q"}
         )
-        fwd = forward_layers(code, ("p", "q"))
+        fwd = fiber_of(code, ("p", "q")).forward
         assert fwd[0].bit_count() == 2
         pruned = pruned_layers(code, ("p", "q"))
         assert pruned[0].bit_count() == 1
@@ -55,10 +54,10 @@ class TestLayers:
         assert pruned_layers(sub, ("1",)) is None
 
     def test_foreign_letter_is_named(self, xor2):
-        # the layers read code.letter_masks; a missing key is named as a
+        # a Fiber reads code.letter_masks; a missing key is named as a
         # foreign codomain symbol, and pruning the layers raises it too
         for take in (
-            lambda: forward_layers(xor2.phi, ("0", "q")),
+            lambda: fiber_of(xor2.phi, ("0", "q")),
             lambda: pruned_layers(xor2.phi, ("0", "q")),
         ):
             with pytest.raises(UnknownSymbol) as err:
@@ -144,7 +143,7 @@ def test_iter_fiber_and_count_against_brute_force(code, word, cap):
 
 
 def _pairs_off_forward_sets(domain, layers):
-    """Reference for _end_pairs: (s, t) for each start symbol s and each
+    """Reference for Fiber.pairs: (s, t) for each start symbol s and each
     symbol t of the last layer of its whole forward sets, swept here
     layer by layer with conftest.reference_step_mask."""
     fs = {}
@@ -159,19 +158,20 @@ def _pairs_off_forward_sets(domain, layers):
 @settings(max_examples=80, deadline=None)
 @given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
 def test_end_pairs_read_off_end_masks(code, word):
-    # _end_pairs keeps only each start symbol's current mask; on forward
-    # and pruned layers it lists the pairs the reference reads off whole
-    # forward sets, in the same order, and those are the endpoints of the
-    # fiber's paths in index order; an empty pruned fiber has no forward
-    # layers either
+    # a Fiber reads its pairs off the last layer of each start's forward
+    # set over the unpruned letter masks, or off the last forward layer
+    # for a lone start; they are the pairs the reference reads off whole
+    # forward sets over the forward or the pruned layers, in the same
+    # order, and those are the endpoints of the fiber's paths in index
+    # order.  An empty pruned fiber has no forward layers and no pairs
+    fiber = fiber_of(code, word)
     pruned = pruned_layers(code, word)
     if pruned is None:
-        assert forward_layers(code, word) is None
+        assert (fiber.forward, fiber.pairs) == (None, ())
         return
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
-    for layers in (forward_layers(code, word), pruned):
-        from_sets = _pairs_off_forward_sets(code.domain, layers)
-        assert _end_pairs(code.domain, layers) == from_sets == ends
+    for layers in (fiber.forward, pruned):
+        assert list(fiber.pairs) == _pairs_off_forward_sets(code.domain, layers) == ends
 
 
 def _side_closures_vector_by_vector(domain, tracks, labels, cap):
@@ -232,12 +232,11 @@ def test_endpoint_pairs_past_a_dead_end():
         ("a", "b", "c"), [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a")]
     )
     code = OneBlockCode.from_dict(dom, ("0", "1"), {"a": "0", "b": "0", "c": "1"})
-    forward = forward_layers(code, ("0", "0"))
+    fiber = fiber_of(code, ("0", "0"))
     pruned = pruned_layers(code, ("0", "0"))
-    assert (forward, pruned) == ((3, 3), (1, 3))
-    for layers in (forward, pruned):
-        assert _end_pairs(dom, layers) == _pairs_off_forward_sets(dom, layers)
-        assert _end_pairs(dom, layers) == [(0, 0), (0, 1)]
+    assert (fiber.forward, pruned) == ((3, 3), (1, 3))
+    assert list(fiber.pairs) == _pairs_off_forward_sets(dom, fiber.forward)
+    assert fiber.pairs == ((0, 0), (0, 1))
 
 
 class TestPreimageBlocks:
