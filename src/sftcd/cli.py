@@ -292,10 +292,17 @@ def cmd_verify(args):
     on stderr; exit 1 when any check failed.  At every --jobs the cases go
     through harness.map_cases as report_lines, so whichever process ran
     a case also serialised its reports (and archived its failures), and
-    this process only prints the finished lines and counts verdicts."""
+    this process only prints the finished lines and counts verdicts.
+    The archive directory is made before any case runs, so one that
+    cannot be made is an input error, not a failure mid-run."""
     cases = _verify_cases(args)
     if args.jobs < 1:
         raise ParseError("--jobs must be positive")
+    if args.archive is not None:
+        try:
+            Path(args.archive).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ParseError(f"cannot archive to {args.archive}: {e.strerror}") from None
     tally = Counter()
     reports = 0
     for lines in map_cases(

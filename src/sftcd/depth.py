@@ -139,19 +139,6 @@ def _hitting_set(family, k, allowed):
     return None
 
 
-def _routing_families(e_pairs, fs, bs, length):
-    """(position, routing family, its union) for each position from 2 to
-    length whose family differs from the one at the position before,
-    built as they are asked for: an equal family has the same hitting
-    sets, so skipping it prunes the search and stores nothing."""
-    previous = {1 << s for s, _ in e_pairs}  # position 1: the starts
-    for n in range(2, length + 1):
-        family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
-        if family != previous:
-            yield n, family, reduce(or_, family)
-        previous = family
-
-
 def _depth_search(e_pairs, wit, length):
     """Minimum hitting set over the routing families of every position.
 
@@ -163,10 +150,12 @@ def _depth_search(e_pairs, wit, length):
     below that size, the first position with a k-symbol hitting set
     gives the answer.  At k = 1 that is one symbol in the intersection
     of the starts' forward sets and the ends' backward sets, with no
-    family built.  From k = 2 on, each round builds the position
-    families it asks about and keeps none (_routing_families).  Returns
-    (size, position, mask) with the smallest size, then the smallest
-    position, then the least symbol set in combination order.
+    family built.  From k = 2 on, each round builds the family of each
+    position it asks about and keeps none; a family equal to the one at
+    the position before (position 1's being the starts) has the same
+    hitting sets, so it is skipped.  Returns (size, position, mask) with
+    the smallest size, then the smallest position, then the least symbol
+    set in combination order.
     """
     starts = 0
     for s, _ in e_pairs:
@@ -184,10 +173,14 @@ def _depth_search(e_pairs, wit, length):
         if inter:
             return 1, n, inter & -inter
     for k in range(2, size):
-        for n, family, union in _routing_families(e_pairs, fs, bs, length):
-            mask = _hitting_set(family, k, union)
-            if mask:
-                return k, n, mask
+        previous = {1 << s for s, _ in e_pairs}  # position 1: the starts
+        for n in range(2, length + 1):
+            family = {fs[s][n - 1] & bs[t][n - 1] for s, t in e_pairs}
+            if family != previous:
+                mask = _hitting_set(family, k, reduce(or_, family))
+                if mask:
+                    return k, n, mask
+            previous = family
     return size, 1, starts
 
 
@@ -397,14 +390,13 @@ def _routing_score(left, right, k):
 
 def _least_depth(subject, mode, cycle=None):
     """The estimate of the least depth in mode over every block of the
-    u-code's codomain, or over the blocks of a periodic point's cycle;
-    None when no block has a u-preimage.  The side closures carry the
-    u-code's fiber matrices over a word and the witness code's over its
-    witness word: endpoint pairs come from the first track and routing
-    sets from the last, so the two give relative depth.  In absolute
-    mode the two codes are one, so the tracks are equal and
-    _side_minimum keeps one.  Over the whole codomain the first track is
-    the masks the u-code keeps."""
+    u-code's codomain, or over the blocks of a periodic point's cycle.
+    The side closures carry the u-code's fiber matrices over a word and
+    the witness code's over its witness word: endpoint pairs come from
+    the first track and routing sets from the last, so the two give
+    relative depth.  In absolute mode the two codes are one, so the
+    tracks are equal and _side_minimum keeps one.  Over the whole
+    codomain the first track is the masks the u-code keeps."""
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     alphabet = u_code.codomain_alphabet.symbols
     if cycle is None:
@@ -414,12 +406,9 @@ def _least_depth(subject, mode, cycle=None):
         letters, labels = cycle, map(alphabet.index, cycle)
         track = _letter_masks(u_code, cycle)
     tracks = (track, _letter_masks(wit_code, to_wit(letters)))
-    found = _side_minimum(
+    value, word, _, depth = _side_minimum(
         u_code.domain, tracks, labels, cycle is not None, _routing_score
     )
-    if found is None:
-        return None
-    value, word, _, depth = found
     block = Block(tuple(map(alphabet.__getitem__, word)))
     return DegreeEstimate(value, depth, True, block)
 
@@ -437,10 +426,7 @@ def class_degree(code, max_len=None):
     only for callers that still pass a scan length positionally.
     """
     _scan_preconditions(code)
-    est = _least_depth(code, "absolute")
-    if est is None:
-        raise EmptyFiber("the code has an empty image language")
-    return est
+    return _least_depth(code, "absolute")
 
 
 def relative_class_degree(triple, max_len=None):
@@ -448,10 +434,7 @@ def relative_class_degree(triple, max_len=None):
     carry rows and columns of (P^phi_w, P^pi_psi(w)), with the same
     stopping, certification, cap and scanned_length rules as
     class_degree, and the same unread max_len slot."""
-    est = _least_depth(triple, "relative")
-    if est is None:
-        raise EmptyFiber("phi has an empty image language")
-    return est
+    return _least_depth(triple, "relative")
 
 
 def periodic_point_relative_degree(triple, y, max_len=None):

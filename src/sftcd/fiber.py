@@ -46,19 +46,20 @@ seeds.  A side is stepped track by track: the side's tuples are split
 into one column per track, each column is mapped through its track's
 stepper, and zip rejoins the stepped tuples, so no Python frame runs per
 tuple.  Right sides are kept by head slot, and every round finds its
-least pair through one loop (_least_split) over the same pairs: each
-left side with every right side it joins (_joinable_pairs).  A score is
-one function of two sides and k.  It reads each side as a _Side, made
-once when the side is pulled: its slot, tuples and word, the union of
-its first track, and one dict in which the score keeps what it makes of
-the side alone, as long as the minimum runs; nothing made of a pair is
-kept.  A pair whose unions miss each other has no endpoint pair, so no
-score counts it.  What outlives the minimum is its answer, and it holds
-no code: the closures read nothing but the domain's successor masks and
-each track's letter masks, so _side_minimum keeps each minimum under
-those, the slot labels, the walk, the score and core.DEFAULT_CAP as it
-is at the call (graphs.remember), and answers a repeated question
-without growing a side.
+least pair with one min in _closure_minimum over the same pairs: each
+left side with every right side whose head slot is its tail slot.  A
+score is one function of two sides and k.  It reads each side as a
+_Side, made once when the side is pulled: its slot, tuples and word,
+the union of its first track, and one dict in which the score keeps
+what it makes of the side alone, as long as the minimum runs; nothing
+made of a pair is kept.  A pair whose unions miss each other has no
+endpoint pair, so no score counts it.  What outlives the minimum is its
+answer, and it holds no code: the closures read nothing but the
+domain's successor masks and each track's letter masks, so
+_side_minimum keeps each minimum under those, the slot labels, the
+walk, the score and core.DEFAULT_CAP as it is at the call
+(graphs.remember), and answers a repeated question without growing a
+side.
 """
 from __future__ import annotations
 
@@ -356,30 +357,6 @@ class _Side:
         self.kept = {}
 
 
-def _joinable_pairs(left, right, total):
-    """(split, left side, right side) for every pair of a left side and a
-    right side with its tail slot as head that join into a block of
-    total length total, split ascending."""
-    for la in range(max(1, total + 1 - len(right)), min(total, len(left)) + 1):
-        by_head = right[total - la]
-        for side in left[la - 1]:
-            for other in by_head.get(side.slot, ()):
-                yield la, side, other
-
-
-def _least_split(left, right, total, score, k):
-    """The least (word, split) among the pairs of total length total that
-    score k, or None."""
-    return min(
-        (
-            (side.word + other.word[1:], la)
-            for la, side, other in _joinable_pairs(left, right, total)
-            if score(side, other, k)
-        ),
-        default=None,
-    )
-
-
 def _closure_minimum(sides, score):
     """Exact minimum of score over every block and split point.
 
@@ -391,19 +368,27 @@ def _closure_minimum(sides, score):
     least of its shortest words, so the pairs reach the shortest block
     attaining the minimum, lexicographically least among those, at its
     first attaining split.  Returns (value, word, split, depth) for it,
-    with depth the larger count of levels pulled from the two closures;
-    None when the closures have no seeds.
+    with depth the larger count of levels pulled from the two closures.
 
     Each side pulled becomes a _Side, and the right sides of a level are
-    kept by head slot, so each left side walks only the right sides it
-    joins (_joinable_pairs).  For k = 1, 2, ... the pairs are asked one
-    total length at a time (total length t needs levels 1..t of each
-    closure), and the first total length with a pair that scores k
-    returns the least such pair (_least_split).  Levels are pulled as
-    the lengths grow, so a value of 1 returns before any later level is
-    grown; once both closures are complete, nothing more is pulled and
-    later rounds ask the same pairs.  A one-letter block's pair scores
-    the size of its letter's mask, so some round returns.
+    kept by head slot.  For k = 1, 2, ... the pairs are asked one total
+    length at a time (total length t needs levels 1..t of each closure):
+    one min over the split la, the left sides of level la and the right
+    sides of level t + 1 - la whose head slot is the left side's tail
+    slot, and the least pair that scores k is the answer.  Levels are
+    pulled as the lengths grow, so a value of 1 returns before any later
+    level is grown; once both closures are complete, nothing more is
+    pulled and later rounds ask the same pairs.
+
+    Some mask of the first track is nonzero, so the closures have a
+    seed, and a one-letter block's pair scores the size of its letter's
+    mask: some round returns.  No guard checks this, as every caller
+    meets it.  A code's map is total on its domain, whose alphabet is
+    never empty, so the code's masks_by_index, the first track of
+    class_degree, relative_class_degree and find_magic_block, hold every
+    domain symbol between them; and periodic_point_relative_degree
+    raises EmptyFiber before the closure unless every letter of its
+    cycle, each a slot of its first track, has a phi-preimage.
     """
     left_levels, right_levels = sides
     left = []
@@ -420,11 +405,20 @@ def _closure_minimum(sides, score):
                 right.append(by_head)
             if total >= len(left) + len(right):
                 break
-            best = _least_split(left, right, total, score, k)
+            best = min(
+                (
+                    (side.word + other.word[1:], la)
+                    for la in range(
+                        max(1, total + 1 - len(right)), min(total, len(left)) + 1
+                    )
+                    for side in left[la - 1]
+                    for other in right[total - la].get(side.slot, ())
+                    if score(side, other, k)
+                ),
+                default=None,
+            )
             if best is not None:
                 return (k, *best, max(len(left), len(right)))
-        if not left:
-            return None
 
 
 def iter_fiber(code, word_layers):
@@ -506,12 +500,9 @@ def find_magic_block(code, max_len=None):
     only for callers that still pass a scan length positionally.
     """
     letters = code.codomain_alphabet.symbols
-    found = _side_minimum(
+    value, word, coordinate, depth = _side_minimum(
         code.domain, (code.masks_by_index,), range(len(letters)), False, _magic_score
     )
-    if found is None:
-        raise InvalidBlock("codomain language is empty")
-    value, word, coordinate, depth = found
     block = Block(tuple(letters[i] for i in word))
     return MagicBlockResult(block, coordinate, value, StabilizationInfo(depth, True))
 

@@ -75,6 +75,13 @@ class TestConstructBridge:
             assert (fwd.left, fwd.right) == (x, xp)
             assert (rev.left, rev.right) == (xp, x)
 
+    def test_both_points_must_show_the_certified_block(self, xor2, xor2_cert):
+        # (01 10)'s image is all 1s, and the certified block is 00000
+        shown, hidden = point("00"), point("01", "10")
+        for x, xp in ((hidden, shown), (shown, hidden)):
+            with pytest.raises(PreconditionUnmet, match="does not show"):
+                construct_bridge(xor2, x, xp, 1, xor2_cert, "00")
+
     def test_one_reach_per_call(self, xor2, xor2_cert, monkeypatch):
         # both windows ask one Fiber of the witness word, which sweeps the
         # backward sets of their two end symbols and no forward set;
@@ -202,8 +209,18 @@ class TestVerifyBridge:
         assert not verify_bridge(xor2, bad)
 
     def test_rejects_mismatched_images(self, xor2):
-        w = BridgeWitness(point("00"), point("01", "10"), 0, 2, None, "absolute")
+        # a direct seam, so the replay fails only on the ends' images
+        w = BridgeWitness(point("00"), point("01", "10"), 0, 1, None, "absolute")
         assert not verify_bridge(xor2.phi, w)
+
+    def test_rejects_a_middle_off_the_image(self, xor2):
+        # every seam of 00 01 10 00 is allowed, but the middle maps to
+        # 1, 1 where the ends' shared image is 0, 0
+        def bridge(*middle):
+            return BridgeWitness(point("00"), point("00"), 0, 3, Block(middle), "absolute")
+
+        assert not verify_bridge(xor2.phi, bridge("01", "10"))
+        assert verify_bridge(xor2.phi, bridge("00", "00"))
 
     def test_relative_bridge_needs_a_triple(self, xor2, xor2_cert):
         fwd, _ = construct_bridge(

@@ -569,6 +569,20 @@ class TestCodeTriple:
         with pytest.raises(InvariantViolation):
             CodeTriple.build(phi, psi)
 
+    def test_build_requires_irreducible_shifts(self):
+        # X's two loops never reach each other; then, with X one loop,
+        # Y's two loops do not
+        two_loops = VertexShift.build(("a", "b"), [("a", "a"), ("b", "b")])
+        y = VertexShift.full_shift(("y",))
+        phi = OneBlockCode.from_dict(two_loops, ("y",), {"a": "y", "b": "y"}, codomain=y)
+        expected = (InvariantViolation, "X is not irreducible")
+        assert _raised(CodeTriple.build, phi, identity_code(y)) == expected
+        one_loop = VertexShift.build(("a",), [("a", "a")])
+        y = VertexShift.build(("y0", "y1"), [("y0", "y0"), ("y1", "y1")])
+        phi = OneBlockCode.from_dict(one_loop, ("y0", "y1"), {"a": "y0"}, codomain=y)
+        expected = (InvariantViolation, "Y is not irreducible")
+        assert _raised(CodeTriple.build, phi, identity_code(y)) == expected
+
     def test_build_requires_matching_psi_domain(self, xor2):
         other = trivial_code(golden())
         expected = (AlphabetMismatch, "psi's domain shift is not phi's codomain")

@@ -1305,22 +1305,32 @@ def test_sides_that_do_not_join_match_one_loop(monkeypatch):
     # share no end and start symbol: 1 such pair in class_degree's
     # closures and 4 in find_magic_block's.  Every round walks them, and
     # no score may count them, so each minimum still equals the
-    # falling-limit reference
+    # falling-limit reference.  Every walked pair is scored, so the
+    # pairs are recorded through the score, on a run of its own: the
+    # reference's pairs are not recorded
     code = _even_shift_code()
     assert code.codomain is None
-    real, apart = fiber_module._joinable_pairs, []
+    apart = []
 
-    def recording(left, right, total):
-        for la, side, other in real(left, right, total):
-            apart.append(not side.union & other.union)
-            yield la, side, other
+    def recording(score):
+        def scoring(left, right, k):
+            apart.append(not left.union & right.union)
+            return score(left, right, k)
 
-    monkeypatch.setattr(fiber_module, "_joinable_pairs", recording)
+        return scoring
+
     found = []
-    for ask in (partial(class_degree, code), partial(find_magic_block, code)):
+    for module, name, ask in (
+        (depth_module, "_routing_score", partial(class_degree, code)),
+        (fiber_module, "_magic_score", partial(find_magic_block, code)),
+    ):
         apart.clear()
-        found += _answer_first_against_falling_limits([ask])
+        with monkeypatch.context() as m:
+            m.setattr(module, name, recording(getattr(module, name)))
+            fiber_module._MINIMA.clear()
+            ask()
         assert any(apart)
+        found += _answer_first_against_falling_limits([ask])
     assert found == [(1, (0, 1, 1), 2, 3), (2, (1,), 1, 4)]
 
 

@@ -392,6 +392,14 @@ class TestTripleDocs:
         with pytest.raises(ParseError, match="lacks code"):
             load_triple_doc(doc)
 
+    def test_codes_given_inline_in_the_binding(self, xor2):
+        # the binding may hold a code itself in place of its name
+        doc = triple_doc(xor2)
+        for key in ("phi", "psi"):
+            doc["triple"][key] = doc["codes"].pop(key)
+        assert doc["codes"] == {}
+        assert load_triple_doc(json.loads(canonical_json(doc))).triple == xor2
+
     def test_file_errors(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             load_triple(tmp_path / "missing.json")
@@ -984,6 +992,11 @@ class TestCliVerify:
             if entry in ({}, {"nope": 1}, {"seed": 1, "nope": 1}):
                 named = "missing field 'seed'" if entry == {} else "unknown field 'nope'"
                 assert err.strip().endswith(named)
+        # a file holding one spec object instead of a list of them
+        bad.write_text(json.dumps({"seed": 1}))
+        code, out, err = run_cli(capsys, "verify", "--gen", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: generator spec file must hold a list of specs\n"
 
     def test_closed_stdout_exits_without_a_traceback(self):
         # the read end is closed before the command writes, as `| head -1`
@@ -1066,6 +1079,33 @@ class TestCliVerify:
         assert dump == canonical_json(
             {"case": "seed:3", "triple": triple, "report": reports[0]}
         )
+
+    def test_an_archive_that_cannot_be_made_exits_2_before_any_case(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # seed 3's main check fails and would be archived; the archive
+        # path is a file, so the directory is refused before any case
+        # runs: one error line, nothing on stdout, at both --jobs
+        from dataclasses import replace
+
+        from sftcd import harness
+
+        real = harness.triple_degrees
+
+        def pi_off_by_one(t):
+            v = real(t)
+            return dict(v, pi=replace(v["pi"], value=v["pi"].value + 1))
+
+        monkeypatch.setattr(harness, "triple_degrees", pi_off_by_one)
+        archive = tmp_path / "archive"
+        archive.write_text("not a directory\n")
+        for jobs in ("1", "2"):
+            argv = ("verify", "--seeds", "3..4", "--jobs", jobs, "--archive", str(archive))
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot archive to {archive}: ")
+            assert err.count("\n") == 1
+        assert archive.read_text() == "not a directory\n"
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -399,6 +399,51 @@ class TestSuite:
         assert summary.ok
         assert summary.count("fail") == 0
 
+    def test_the_seed_sweep_shares_minima_and_onto_answers(self, monkeypatch):
+        # the cases `verify --seeds 1..200 --jobs 1` runs, in one process:
+        # a side-closure minimum or surjectivity answer is closed once and
+        # read back by every later question with its key
+        import sftcd.codes as codes_module
+        import sftcd.depth as depth_module
+
+        calls = dict.fromkeys(
+            ("_side_minimum", "_closure_minimum", "check_onto", "_onto_closure"), 0
+        )
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        # each caller looks the name up in its own module
+        for module in (fiber, depth_module):
+            count(module, "_side_minimum")
+        for module in (codes_module, depth_module, harness):
+            count(module, "check_onto")
+        count(fiber, "_closure_minimum")
+        count(codes_module, "_onto_closure")
+        for s in range(1, 201):
+            spec = spec_for_seed(s)
+            run_case(
+                HarnessCase(
+                    f"seed:{s}",
+                    "generated",
+                    gen=spec,
+                    checks=("main", "special", "chain"),
+                    chain_seed=spec.seed,
+                )
+            )
+        assert calls == {
+            "_side_minimum": 2200,
+            "_closure_minimum": 477,
+            "check_onto": 2521,
+            "_onto_closure": 425,
+        }
+
     def test_parallel_matches_serial(self):
         cases = [
             HarnessCase(f"seed-{s}", "generated", gen=spec_for_seed(s), chain_seed=s)
