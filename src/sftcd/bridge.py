@@ -49,6 +49,7 @@ from .core import Block, PeriodicPoint, iter_bits
 from .depth import _codes_of, RoutingCertificate
 from .errors import (
     ImageMismatch,
+    InvalidBlock,
     InvariantViolation,
     NoFixedPoint,
     NotRoutable,
@@ -156,9 +157,13 @@ def construct_bridge(subject, x, xp, occurrence, cert: RoutingCertificate, a):
     certificate's position and the rerouted blocks are spliced there,
     giving one bridge each way: follow x, run the spliced middle, continue
     as x'; and symmetrically.  Returns the pair (x to x', x' to x).
+    InvalidBlock when the certificate's position lies outside 1..|w|,
+    before any fiber is read.
     """
     u_code, wit_code, to_wit = _codes_of(subject, cert.mode)
     length = len(cert.w)
+    if not 1 <= cert.n <= length:
+        raise InvalidBlock(f"position {cert.n} outside 1..{length}")
     u = x.window(occurrence, occurrence + length - 1)
     up = xp.window(occurrence, occurrence + length - 1)
     for point, w in ((x, u), (xp, up)):

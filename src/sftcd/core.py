@@ -489,10 +489,11 @@ class PeriodicPoint:
 
     @property
     def period(self):
-        return len(self.cycle)
+        return len(self.cycle.symbols)
 
     def symbol_at(self, i):
-        return self.cycle.symbols[(i - 1 + self.phase) % self.period]
+        symbols = self.cycle.symbols
+        return symbols[(i - 1 + self.phase) % len(symbols)]
 
     def window(self, i, j):
         """Block on coordinates i..j inclusive."""

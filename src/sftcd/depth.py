@@ -66,18 +66,21 @@ rerouting u asks only for a witness with u's first and last symbols, so
 every preimage with endpoints (s, t) shares the one v listed for (s, t).
 Making it walks the endpoint pairs depth has already computed and never
 lists the fiber; preimages() spells the (u, v) pairs out for callers who
-want them.  Each v is Fiber.lex_path_through's least path, in the
-witness fiber, through the least usable symbol of M, the search
-bridge.py also asks for the blocks it splices.  At position 1 it starts
-at that symbol and is read off the backward set of its end.  Past it,
-its head is read off a backward sweep toward that symbol at n: one
-sweep per routing symbol (and position) on a Fiber, shared by every
-endpoint pair routed through it.
+want them.  Each v is the least path, in the witness fiber, through
+the least usable symbol of M, the path Fiber.lex_path_through finds and
+bridge.py asks for the blocks it splices.  At position 1 it starts at
+that symbol, s itself, and takes the least successor within the
+backward set of its end at each step; _routing_outcome builds it so in
+its pair loop, spelling as it goes.  Past it, lex_path_through reads its
+head off a backward sweep toward that symbol at n: one sweep per routing
+symbol (and position) on a Fiber, shared by every endpoint pair routed
+through it.
 
 verify_certificate replays a certificate by checking each listed
 (s, t, v) once, that v spells w's image in the witness fiber from s to t
 through M at n, and that the listed pairs are exactly the u-fiber's
-endpoint pairs; so it covers every preimage without enumerating any.
+endpoint pairs, one set equality with the spelled pairs the Fiber keeps;
+so it covers every preimage without enumerating any.
 
 Both modes set a fiber up one way (_routing), with no pruning pass: the
 u-fiber and the witness fiber are the fiber.Fiber records of w under
@@ -246,25 +249,43 @@ def _routing_outcome(u_fiber, wit, w, m_mask, n, mode):
     """Shared core of the presentation checks: route every endpoint pair
     of the u-fiber through the symbols of m_mask at n inside the witness
     fiber, or name a blocker: the least u-fiber path among the pairs that
-    do not route, so the first such path in iter_fiber order."""
+    do not route, so the first such path in iter_fiber order.
+
+    At position 1 the routing set of (s, t) is {s} & bs[t], so no
+    forward set is read, and the witness is built in the loop: it starts
+    at s and takes the least successor within bs[t] at each step, spelled
+    as it goes.  Past it, each witness is wit.lex_path_through's."""
     u_domain = u_fiber.code.domain
     if not 1 <= n <= len(w):
         raise InvalidBlock(f"position {n} outside 1..{len(w)}")
     spell = u_domain.alphabet.symbols.__getitem__
     m_sorted = tuple(map(spell, iter_bits(m_mask)))
-    # R_n(s, t) is {s} & bs[t] at position 1, so no forward set is read
-    fs, bs = None if n == 1 else wit.fs, wit.bs
+    bs = wit.bs
     witnesses = []
     blocked = []
-    for s, t in u_fiber.pairs:
-        head = 1 << s if fs is None else fs[s][n - 1]
-        routable = head & bs[t][n - 1] & m_mask
-        if not routable:
-            blocked.append((s, t))
-        elif not blocked:
-            through = (routable & -routable).bit_length() - 1
-            v = wit.lex_path_through(s, through, t, n)
-            witnesses.append((spell(s), spell(t), Block(tuple(map(spell, v)))))
+    if n == 1:
+        succ = wit.succ
+        for s, t in u_fiber.pairs:
+            toward_t = bs[t]
+            if not (toward_t[0] & m_mask) >> s & 1:
+                blocked.append((s, t))
+            elif not blocked:
+                at, v = s, [spell(s)]
+                for mask in toward_t[1:]:
+                    nxt = succ[at] & mask
+                    at = (nxt & -nxt).bit_length() - 1
+                    v.append(spell(at))
+                witnesses.append((v[0], v[-1], Block(tuple(v))))
+    else:
+        fs = wit.fs
+        for s, t in u_fiber.pairs:
+            routable = fs[s][n - 1] & bs[t][n - 1] & m_mask
+            if not routable:
+                blocked.append((s, t))
+            elif not blocked:
+                through = (routable & -routable).bit_length() - 1
+                v = wit.lex_path_through(s, through, t, n)
+                witnesses.append((spell(s), spell(t), Block(tuple(map(spell, v)))))
     if blocked:
         path = min(_least_path(u_domain, s, t, u_fiber.forward) for s, t in blocked)
         return RoutingRefusal(
@@ -304,7 +325,7 @@ def _routing(subject, w, mode, M=()):
     u_code, wit_code, to_wit = _codes_of(subject, mode)
     word = tuple(w.symbols)
     u_fiber = fiber_of(u_code, word)
-    m_mask = _mask_of(u_code.domain.alphabet, M)
+    m_mask = _mask_of(u_code.domain.alphabet, M) if M else 0
     if u_fiber.forward is None:
         what = "preimage" if mode == "absolute" else "phi-preimage"
         raise EmptyFiber(f"{w.text()!r} has no {what}")
@@ -465,7 +486,9 @@ def verify_certificate(subject, cert):
     u: the replay covers every preimage without listing any.  The pairs
     are those of w's Fiber under the u-code, read off the last layer of
     each start's forward set (a dead-end symbol reaches no end symbol,
-    so they need no pruning).  The Fiber comes from fiber's slot, where
+    so they need no pruning), and the listed pairs are compared with
+    them as one set, the Fiber's symbol_pairs, spelled once per Fiber
+    for both replays of a block.  The Fiber comes from fiber's slot, where
     a depth call on the same block may have left it; its layers and
     pairs are the u-fiber's own whatever the certificate claims, so a
     warm slot accepts nothing a cold one refuses.  Each v is checked to
@@ -494,11 +517,7 @@ def verify_certificate(subject, cert):
         if v[0] != s or v[-1] != t or v[n - 1] not in m_set:
             return False
         claimed.add((s, t))
-    spell = u_code.domain.alphabet.symbols.__getitem__
-    pairs = fiber.pairs
-    return len(claimed) == len(pairs) and claimed.issuperset(
-        (spell(s), spell(t)) for s, t in pairs
-    )
+    return claimed == fiber.symbol_pairs
 
 
 def preimages(subject, cert):

@@ -11,12 +11,16 @@ costs only its length and a long fiber is listed lazily.
 A word's fiber under a code is one record, a Fiber: the code's letter
 masks of the word, its forward layers, its endpoint pairs (read off the
 starts' forward sets, the sets a depth search reads) and per-symbol
-sweeps, each made on its first read.  fiber_of hands out Fibers from one
-slot, _FIBERS, that keeps the last two asked (the code compared by
-identity, the word by value), so depth, relative depth and both
-certificate replays of a block build w's Fiber under phi once.  A
-Fiber's word, layers and pairs are tuples, so no caller can change what
-a later one reads.
+sweeps, each made on its first read.  The per-symbol sweeps are three
+tables, dicts whose __missing__ runs the sweep loop itself (forward from
+a start, backward from an end, backward from a routing symbol at a
+position), so a miss costs one Python frame and a hit none, and each
+asks the domain for its stepper only when it first sweeps.  fiber_of
+hands out Fibers from one slot, _FIBERS, that keeps the last two asked
+(the code compared by identity, the word by value), so depth, relative
+depth and both certificate replays of a block build w's Fiber under phi
+once.  A Fiber's word, layers and pairs are tuples, so no caller can
+change what a later one reads.
 
 Minimising a quantity over all blocks is done exactly on fiber matrices:
 P_w has row s = the end symbols of the fiber paths of w starting at s.
@@ -75,44 +79,87 @@ from .errors import InvalidBlock, NotFiniteToOne, UnknownSymbol
 from .graphs import closure, remember
 
 
-def _sweep(step, mask, layers):
-    """[mask, then mask stepped into each of layers in turn]."""
-    hist = [mask]
-    for layer in layers:
-        mask = step(mask) & layer
-        hist.append(mask)
-    return hist
+class _Table(dict):
+    """Per-symbol sweeps over a word's letter masks, each key swept on its
+    first read by the subclass's __missing__, which runs the sweep loop
+    itself and asks the domain for its stepper only then.  It starts
+    empty: dict.__new__ makes it so, and __init__ keeps only the domain
+    and the masks."""
+
+    __slots__ = ("domain", "masks")
+
+    def __init__(self, domain, masks):
+        self.domain, self.masks = domain, masks
 
 
-class _Swept(dict):
-    """{key: sweep(key)}, each key swept on its first read.  It starts
-    empty: dict.__new__ makes it so, and __init__ adds only sweep."""
+class _Ahead(_Table):
+    """fs[s]: s, then the symbols of each later layer that s reaches."""
 
-    __slots__ = ("sweep",)
+    __slots__ = ()
 
-    def __init__(self, sweep):
-        self.sweep = sweep
+    def __missing__(self, s):
+        step, mask = self.domain.step_mask, 1 << s
+        sweep = [mask]
+        for layer in self.masks[1:]:
+            mask = step(mask) & layer
+            sweep.append(mask)
+        self[s] = sweep
+        return sweep
+
+
+class _Behind(_Table):
+    """bs[t]: the symbols of each layer that reach t in the last."""
+
+    __slots__ = ()
+
+    def __missing__(self, t):
+        step, masks = self.domain.step_mask_back, self.masks
+        mask = masks[-1] & (1 << t)
+        sweep = [mask]
+        for layer in masks[-2::-1]:
+            mask = step(mask) & layer
+            sweep.append(mask)
+        sweep.reverse()
+        self[t] = sweep
+        return sweep
+
+
+class _Toward(_Table):
+    """to_m[m, n]: the symbols of each of the first n layers that reach m
+    at n."""
+
+    __slots__ = ()
 
     def __missing__(self, key):
-        value = self[key] = self.sweep(key)
-        return value
+        m, n = key
+        step, masks = self.domain.step_mask_back, self.masks
+        mask = masks[n - 1] & (1 << m)
+        sweep = [mask]
+        for layer in reversed(masks[: n - 1]):
+            mask = step(mask) & layer
+            sweep.append(mask)
+        sweep.reverse()
+        self[key] = sweep
+        return sweep
 
 
 class Fiber:
     """The fiber of a word under a code.  masks holds the code's letter
     mask of each of the word's letters; the rest is swept on its first
     read: forward, the forward layers (None when a layer dies), pairs,
-    the endpoint pairs, and three tables of per-symbol sweeps over
-    masks: fs[s] holds the symbols of each layer reachable from s,
-    bs[t] those that reach t in the last layer, and to_m[m, n] those of
-    the first n layers that reach m at n, the sweep lex_path_through
-    shares among the pairs it routes through m.  The masks are never
-    pruned: every reader ANDs a backward set with a forward set or
-    starts at a start symbol, so it reads only symbols of complete
-    paths."""
+    the endpoint pairs, symbol_pairs, the same spelled as domain symbols,
+    and three tables of per-symbol sweeps over masks, each a dict whose
+    __missing__ sweeps: fs[s] holds the symbols of each layer reachable
+    from s, bs[t] those that reach t in the last layer, and to_m[m, n]
+    those of the first n layers that reach m at n, the sweep
+    lex_path_through shares among the pairs it routes through m.  No
+    stepper is asked of the domain before a sweep needs it.  The masks
+    are never pruned: every reader ANDs a backward set with a forward
+    set or starts at a start symbol, so it reads only symbols of
+    complete paths."""
 
-    # the parts every reader reads are slots; forward and pairs, kept by
-    # core.cached, go in __dict__
+    # the parts every reader reads are slots; forward, pairs and
+    # symbol_pairs, kept by core.cached, go in __dict__
     __slots__ = ("code", "word", "masks", "succ", "fs", "bs", "to_m", "__dict__")
 
     def __init__(self, code, word):
@@ -124,11 +171,10 @@ class Fiber:
                 f"symbol {missing.args[0]!r} not in codomain alphabet"
             ) from None
         domain = code.domain
-        step, ahead = domain.step_mask, masks[1:]
         self.masks, self.succ = masks, domain.succ_masks
-        self.fs = _Swept(lambda s: _sweep(step, 1 << s, ahead))
-        self.bs = _Swept(lambda t: _toward(domain, t, masks))
-        self.to_m = _Swept(lambda key: _toward(domain, key[0], masks[: key[1]]))
+        self.fs = _Ahead(domain, masks)
+        self.bs = _Behind(domain, masks)
+        self.to_m = _Toward(domain, masks)
 
     @cached
     def forward(self):
@@ -136,8 +182,12 @@ class Fiber:
         i-th letter reachable from layer i-1, as a tuple; None when a
         layer dies, and with it the last."""
         masks = self.masks
-        layers = _sweep(self.code.domain.step_mask, masks[0], masks[1:])
-        return tuple(layers) if layers[-1] else None
+        step, mask = self.code.domain.step_mask, masks[0]
+        layers = [mask]
+        for layer in masks[1:]:
+            mask = step(mask) & layer
+            layers.append(mask)
+        return tuple(layers) if mask else None
 
     @cached
     def pairs(self):
@@ -154,6 +204,13 @@ class Fiber:
             return tuple([(s, t) for t in iter_bits(forward[-1])])
         fs = self.fs
         return tuple([(s, t) for s in iter_bits(starts) for t in iter_bits(fs[s][-1])])
+
+    @cached
+    def symbol_pairs(self):
+        """The endpoint pairs spelled as domain symbols, as a frozenset:
+        what a certificate replay compares its listed pairs with."""
+        spell = self.code.domain.alphabet.symbols.__getitem__
+        return frozenset([(spell(s), spell(t)) for s, t in self.pairs])
 
     def lex_path_through(self, s, m, t, n):
         """Least complete path (by symbol index) from s through m at
@@ -186,15 +243,22 @@ def _extend_least(succ, path, masks):
     return tuple(path)
 
 
-def _toward(domain, t, layers):
-    """The symbols of each of layers that reach t in the last one."""
-    return _sweep(domain.step_mask_back, layers[-1] & (1 << t), layers[-2::-1])[::-1]
+def _back_sweep(domain, mask, layers):
+    """The symbols of each of layers that reach mask in the last one."""
+    step = domain.step_mask_back
+    mask &= layers[-1]
+    sweep = [mask]
+    for layer in layers[-2::-1]:
+        mask = step(mask) & layer
+        sweep.append(mask)
+    sweep.reverse()
+    return sweep
 
 
 def _least_path(domain, s, t, layers):
     """Least path (by symbol index) from s to t whose i-th symbol lies in
     layers[i], or None when there is none."""
-    toward = _toward(domain, t, layers)
+    toward = _back_sweep(domain, 1 << t, layers)
     if not (toward[0] >> s) & 1:
         return None
     return _extend_least(domain.succ_masks, [s], toward[1:])
@@ -234,7 +298,7 @@ def pruned_layers(code, word):
     layers = fiber_of(code, word).forward
     if layers is None:
         return None
-    return tuple(_sweep(code.domain.step_mask_back, layers[-1], layers[-2::-1])[::-1])
+    return tuple(_back_sweep(code.domain, layers[-1], layers))
 
 
 def _letter_masks(code, letters):

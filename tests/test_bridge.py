@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -34,6 +35,7 @@ from sftcd.corpus import BUILTIN_NAMES, builtin_triple
 from sftcd.depth import depth, relative_depth, relative_is_presented
 from sftcd.errors import (
     ImageMismatch,
+    InvalidBlock,
     InvariantViolation,
     NoFixedPoint,
     NotRoutable,
@@ -81,6 +83,19 @@ class TestConstructBridge:
         for x, xp in ((hidden, shown), (shown, hidden)):
             with pytest.raises(PreconditionUnmet, match="does not show"):
                 construct_bridge(xor2, x, xp, 1, xor2_cert, "00")
+
+    def test_position_outside_the_block_is_refused(self, xor2, xor2_cert):
+        # the certificate's position must lie in 1..|w| (here 1..5); a
+        # position outside it is refused as is_presented refuses it,
+        # before a fiber is built or read: at 0 the witness tables would
+        # read their last layer
+        fiber_module = sys.modules["sftcd.fiber"]
+        pts = point("00"), point("11")
+        for n in (0, 6, 9):
+            fiber_module._FIBERS.clear()
+            with pytest.raises(InvalidBlock, match=rf"^position {n} outside 1\.\.5$"):
+                construct_bridge(xor2, *pts, 1, replace(xor2_cert, n=n), "00")
+            assert fiber_module._FIBERS == []
 
     def test_one_reach_per_call(self, xor2, xor2_cert, monkeypatch):
         # both windows ask one Fiber of the witness word, which sweeps the

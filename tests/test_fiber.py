@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 
 from conftest import fiber_paths, reference_step_mask, reference_step_mask_back, small_codes
 from sftcd.codes import OneBlockCode, trivial_code
-from sftcd.core import DEFAULT_CAP, Block, VertexShift, iter_bits, parse_block_text
+from sftcd.core import (
+    DEFAULT_CAP,
+    Block,
+    VertexShift,
+    enumerate_blocks,
+    iter_bits,
+    parse_block_text,
+)
+from sftcd.corpus import BUILTIN_NAMES, builtin_triple
 from sftcd.errors import InvalidBlock, NotFiniteToOne, ResourceLimit, UnknownSymbol
 from sftcd.fiber import (
+    Fiber,
     _letter_masks,
     _side_closures,
     degree_finite_to_one,
@@ -22,6 +31,7 @@ from sftcd.fiber import (
     pruned_layers,
 )
 from sftcd.graphs import closure
+from sftcd.harness import generate_triple, spec_for_seed
 
 
 def w(triple, text):
@@ -172,6 +182,73 @@ def test_end_pairs_read_off_end_masks(code, word):
     ends = sorted({(p[0], p[-1]) for p in iter_fiber(code, pruned)})
     for layers in (fiber.forward, pruned):
         assert list(fiber.pairs) == _pairs_off_forward_sets(code.domain, layers) == ends
+
+
+def _reference_sweep(step, domain, mask, layers):
+    """[mask, then mask stepped into each of layers in turn], each step
+    the plain pair loop of conftest's step (forward or backward)."""
+    sweep = [mask]
+    for layer in layers:
+        sweep.append(step(domain, sweep[-1]) & layer)
+    return sweep
+
+
+def _assert_tables_sweep_as_the_reference(code, word):
+    """A new Fiber of word under code: reading forward and pairs asks the
+    domain for no backward stepper, and a lone start sweeps no forward
+    set either; then every entry of fs, bs and to_m equals the reference
+    sweep, a second read returns the same object, and each table keeps
+    only the keys read from it."""
+    domain = code.domain
+    with pytest.MonkeyPatch.context() as mp:
+        # the shift may keep a backward stepper from an earlier read;
+        # hide it until the context ends, so that a new ask shows
+        mp.delitem(domain.__dict__, "step_mask_back", raising=False)
+        mp.delitem(domain._steppers, (True, -1), raising=False)
+        kept = set(domain._steppers)
+        fiber = Fiber(code, word)
+        forward, pairs = fiber.forward, fiber.pairs
+        assert "step_mask_back" not in domain.__dict__
+        assert not any(back for back, _ in set(domain._steppers) - kept)
+    if forward is not None and forward[0].bit_count() == 1:
+        assert not fiber.fs and pairs
+    masks, symbols = fiber.masks, range(len(domain.alphabet))
+    fs, bs, to_m = fiber.fs, fiber.bs, fiber.to_m
+    for s in symbols:
+        want = _reference_sweep(reference_step_mask, domain, 1 << s, masks[1:])
+        assert fs[s] == want and fs[s] is fs[s]
+    assert not bs and not to_m
+    back = reference_step_mask_back
+    for n in range(1, len(masks) + 1):
+        for m in symbols:
+            head = masks[:n]
+            want = _reference_sweep(back, domain, head[-1] & 1 << m, head[-2::-1])
+            assert to_m[m, n] == want[::-1] and to_m[m, n] is to_m[m, n]
+    assert not bs
+    for t in symbols:
+        want = _reference_sweep(back, domain, masks[-1] & 1 << t, masks[-2::-1])
+        assert bs[t] == want[::-1] and bs[t] is bs[t]
+        assert bs[t] is not to_m[t, len(masks)]
+    assert set(fs) == set(bs) == set(symbols)
+    assert set(to_m) == {(m, n) for m in symbols for n in range(1, len(masks) + 1)}
+
+
+def test_symbol_tables_sweep_as_the_reference():
+    # phi's fiber of every Y block up to length 3 and pi's of its image,
+    # on the builtins and the first generated triples
+    triples = [builtin_triple(name) for name in BUILTIN_NAMES]
+    triples += [generate_triple(spec_for_seed(seed)) for seed in range(1, 6)]
+    for t in triples:
+        for n in range(1, 4):
+            for w in enumerate_blocks(t.Y, n):
+                _assert_tables_sweep_as_the_reference(t.phi, w.symbols)
+                _assert_tables_sweep_as_the_reference(t.pi, t.psi.apply_word(w.symbols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.lists(st.sampled_from(("a", "b")), min_size=1, max_size=7))
+def test_symbol_tables_sweep_as_the_reference_on_small_codes(code, word):
+    _assert_tables_sweep_as_the_reference(code, tuple(word))
 
 
 def _side_closures_vector_by_vector(domain, tracks, labels, cap):
